@@ -1,9 +1,9 @@
 # make check mirrors .github/workflows/ci.yml locally.
 GO ?= go
 
-.PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke planquality-smoke
+.PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke planquality-smoke bench-harness
 
-check: build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke planquality-smoke
+check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke planquality-smoke
 
 build:
 	$(GO) build ./...
@@ -57,13 +57,21 @@ protocheck:
 test:
 	$(GO) test ./...
 
+# bench-harness vets and tests the repo benchmark: benchmark/ is a Go
+# module of its own, invisible to the ./... sweeps above, so an engine
+# or xrel API change that breaks it (README.md there lists what it
+# calls) would otherwise surface only when the benchmark is next run.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race ./...
 
 # chaos arms the failpoints (engine/morsel-claim, engine/hash-build,
-# engine/plancache-insert, engine/pattern-compile) and the budget
-# matrix under -race: injected faults must unwind to typed errors with
-# no goroutine leaks and no poisoned caches (DESIGN.md section 8).
+# engine/plancache-insert, engine/pattern-compile, wal/append under an
+# INSERT statement) and the budget matrix under -race: injected faults
+# must unwind to typed errors with no goroutine leaks, no held locks
+# and no poisoned caches (DESIGN.md section 8).
 chaos:
 	$(GO) test -race -run 'TestChaos|TestBudget|TestRunContext|TestPreparedRunContext|TestConcurrentBudgeted' ./internal/engine/ ./internal/failpoint/
 	$(GO) test -race -run 'TestVerifyPlan|TestMutationsRejected' ./internal/plancheck/

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // benchScale keeps 'go test -bench=.' tractable; see EXPERIMENTS.md
@@ -205,7 +206,7 @@ func BenchmarkAblatePathFilter(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Aware.DB.Run(trans.Stmt); err != nil {
+					if _, err := w.Aware.DB.RunWithOptionsContext(nil, trans.Stmt, engine.ExecOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -234,7 +235,7 @@ func BenchmarkAblateFKJoin(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Aware.DB.Run(trans.Stmt); err != nil {
+					if _, err := w.Aware.DB.RunWithOptionsContext(nil, trans.Stmt, engine.ExecOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -155,7 +155,7 @@ func run(dbDir, schemaPath string, useXSD bool, load string, opts engine.ExecOpt
 			fmt.Fprint(out, text)
 			return
 		}
-		res, err := db.ExecSQLWithOptions(line, opts)
+		res, err := db.ExecSQL(nil, line, opts)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			return

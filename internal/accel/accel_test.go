@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/shred"
 	"repro/internal/xmltree"
@@ -33,7 +34,7 @@ func check(t *testing.T, tr *Translator, st *shred.AccelStore, ev *native.Evalua
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", q, err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := st.DB.RunWithOptionsContext(nil, trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
 	}

@@ -13,7 +13,7 @@ import (
 // SQLTaint is the dataflow successor to the syntactic RawSQL check.
 // RawSQL pattern-matches SQL-looking literals near fmt calls; SQLTaint
 // instead tracks where query strings come from: any string reaching a
-// query-execution sink (sqlast.Parse, DB.RunSQL/ExecSQL*/Prepare) must
+// query-execution sink (sqlast.Parse, DB.ExecSQL, Store.RunSQL) must
 // be derived from sqlast rendering — a constant, the output of
 // sqlast.Render, or a parameter (the caller's responsibility, checked
 // at the caller's own sinks) — tracked through locals and sanctioned
@@ -21,17 +21,16 @@ import (
 // onto rendered SQL yields a tainted string.
 var SQLTaint = &Analyzer{
 	Name: "sqltaint",
-	Doc: "strings reaching query execution (sqlast.Parse, DB.RunSQL/ExecSQL*/Prepare) must " +
+	Doc: "strings reaching query execution (sqlast.Parse, DB.ExecSQL, Store.RunSQL) must " +
 		"derive from sqlast rendering or arrive as parameters; concatenation and fmt " +
 		"formatting taint, tracked through locals via dataflow",
 	Run: runSQLTaint,
 }
 
-// sqlSinkMethods are the DB/Store methods whose first string argument
-// is executed as SQL.
-var sqlSinkMethods = map[string]bool{
-	"RunSQL": true, "ExecSQL": true, "ExecSQLWithOptions": true, "Prepare": true,
-}
+// sqlSinkMethods are the methods whose first string argument is
+// executed as SQL: engine.DB.ExecSQL (the engine's one string entry
+// point) and xrel.Store.RunSQL in front of it.
+var sqlSinkMethods = map[string]bool{"ExecSQL": true, "RunSQL": true}
 
 func runSQLTaint(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -152,7 +151,7 @@ func sqlSinkArg(pass *Pass, call *ast.CallExpr) ast.Expr {
 	if strings.HasSuffix(pass.importedPkg(sel.X), "internal/sqlast") && sel.Sel.Name == "Parse" {
 		return call.Args[0]
 	}
-	// (DB or Store).RunSQL/ExecSQL*/Prepare(src, ...)
+	// DB.ExecSQL(ctx, src, opts), Store.RunSQL(src)
 	if !sqlSinkMethods[sel.Sel.Name] {
 		return nil
 	}
@@ -162,8 +161,10 @@ func sqlSinkArg(pass *Pass, call *ast.CallExpr) ast.Expr {
 	}
 	recv := receiverNamedPath(selection.Recv())
 	if strings.HasSuffix(recv, "internal/engine") || strings.HasSuffix(recv, "xrel") {
-		if isStringExpr(pass, call.Args[0]) {
-			return call.Args[0]
+		for _, arg := range call.Args {
+			if isStringExpr(pass, arg) {
+				return arg
+			}
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ package a
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/sqlast"
 )
 
@@ -44,5 +45,12 @@ func mixedPaths(raw string, useRaw bool) error {
 		q = q + raw
 	}
 	_, err := sqlast.Parse(q) // want `SQL text reaching sqlast\.Parse is not derived from sqlast rendering`
+	return err
+}
+
+// The engine's one string entry point is a sink too; its SQL text is
+// the first string argument, after the context.
+func execSQL(db *engine.DB, table string) error {
+	_, err := db.ExecSQL(nil, "SELECT id FROM "+table, engine.ExecOptions{}) // want `SQL text reaching db\.ExecSQL is not derived from sqlast rendering`
 	return err
 }

@@ -4,6 +4,7 @@ package ok
 import (
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/sqlast"
 )
 
@@ -29,6 +30,12 @@ func rendered() error {
 // what it passes at its own sinks.
 func boundary(q string) error {
 	_, err := sqlast.Parse(q)
+	return err
+}
+
+// The same boundary holds at the engine's string entry point.
+func execSQL(db *engine.DB, q string) error {
+	_, err := db.ExecSQL(nil, q, engine.ExecOptions{})
 	return err
 }
 

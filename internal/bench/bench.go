@@ -261,16 +261,24 @@ func (w *Workload) dbFor(sys System) *engine.DB {
 	return nil
 }
 
-// runStmt executes a translated statement on a system's database
-// (through the engine's plan cache) and extracts the node ids.
-func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration, workers int) ([]int64, error) {
-	res, err := w.dbFor(sys).RunWithOptions(stmt, engine.ExecOptions{
-		Timeout:        budget,
-		Parallelism:    workers,
+// execOptions returns the engine options every statement of this
+// workload runs under: its worker count, budgets and batch size.
+func (w *Workload) execOptions() engine.ExecOptions {
+	return engine.ExecOptions{
+		Parallelism:    w.Parallelism,
 		MaxMemoryBytes: w.MaxMemoryBytes,
 		MaxRows:        w.MaxRows,
 		BatchSize:      w.BatchSize,
-	})
+	}
+}
+
+// runStmt executes a translated statement on a system's database
+// (through the engine's plan cache) and extracts the node ids.
+func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration, workers int) ([]int64, error) {
+	opts := w.execOptions()
+	opts.Timeout = budget
+	opts.Parallelism = workers
+	res, err := w.dbFor(sys).RunWithOptionsContext(nil, stmt, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -36,14 +36,9 @@ func Mixed(w *Workload, o Opts) (*Table, error) {
 	}
 
 	tr := w.NewPPFTranslator(nil)
-	exec := engine.ExecOptions{
-		Parallelism:    w.Parallelism,
-		MaxMemoryBytes: w.MaxMemoryBytes,
-		MaxRows:        w.MaxRows,
-		BatchSize:      w.BatchSize,
-	}
+	exec := w.execOptions()
 	run := func(stmt sqlast.Statement) (*engine.Result, error) {
-		return db.RunWithOptions(stmt, exec)
+		return db.RunWithOptionsContext(nil, stmt, exec)
 	}
 	type bound struct {
 		q    Query

@@ -72,12 +72,7 @@ func (w *Workload) planQualityRow(baseDB *engine.DB, q Query, o Opts) ([]string,
 	if err != nil {
 		return nil, fmt.Errorf("%s: translate: %w", q.ID, err)
 	}
-	opts := engine.ExecOptions{
-		Parallelism:    w.Parallelism,
-		MaxMemoryBytes: w.MaxMemoryBytes,
-		MaxRows:        w.MaxRows,
-		BatchSize:      w.BatchSize,
-	}
+	opts := w.execOptions()
 
 	baseReports, baseRes, err := baseDB.AnalyzeReport(tr.Stmt, opts)
 	if err != nil {

@@ -24,6 +24,7 @@ func NewEdge(opts *Options) *EdgeTranslator {
 	o.PathFilterOmission = false // no schema knowledge
 	if opts != nil {
 		o.FKChildParent = opts.FKChildParent
+		o.PatternTrace = opts.PatternTrace
 	}
 	return &EdgeTranslator{opts: o}
 }
@@ -176,7 +177,7 @@ func (b *edgeBuilder) buildChain(sel *sqlast.Select, frags []*ppf, start edgeCtx
 				cur.anchored = false
 				cur.runBase = cur.namePat
 			}
-			pattern, err := forwardRegex(cur.run, cur.anchored, cur.runBase)
+			pattern, err := forwardRegex(cur.run, cur.anchored, cur.runBase, b.tr.opts.PatternTrace)
 			if err != nil {
 				return cur, err
 			}
@@ -190,7 +191,7 @@ func (b *edgeBuilder) buildChain(sel *sqlast.Select, frags []*ppf, start edgeCtx
 			if cur.alias == "" {
 				return cur, fmt.Errorf("a backward fragment needs a preceding context")
 			}
-			pattern, err := backwardRegex(f.steps, cur.namePat)
+			pattern, err := backwardRegex(f.steps, cur.namePat, b.tr.opts.PatternTrace)
 			if err != nil {
 				return cur, err
 			}
@@ -302,7 +303,7 @@ func (b *edgeBuilder) structuralJoin(sel *sqlast.Select, prev edgeCtx, alias str
 		if allChild(f) {
 			sel.AddConjunct(levelPin(alias, prevAlias, len(f.steps)))
 		} else {
-			pattern, err := forwardSuffixRegex(f.steps, prev.namePat)
+			pattern, err := forwardSuffixRegex(f.steps, prev.namePat, b.tr.opts.PatternTrace)
 			if err != nil {
 				return err
 			}
@@ -321,7 +322,7 @@ func (b *edgeBuilder) structuralJoin(sel *sqlast.Select, prev edgeCtx, alias str
 		if allParent(f) {
 			sel.AddConjunct(levelPin(prevAlias, alias, len(f.steps)))
 		} else {
-			pattern, err := backwardSuffixRegex(f.steps, prev.namePat)
+			pattern, err := backwardSuffixRegex(f.steps, prev.namePat, b.tr.opts.PatternTrace)
 			if err != nil {
 				return err
 			}
@@ -513,7 +514,7 @@ func (b *edgeBuilder) predPathExists(sel *sqlast.Select, p *xpath.Path, ctx edge
 		if err != nil {
 			return sqlCond{}, err
 		}
-		pattern, err := backwardRegex(steps, ctx.namePat)
+		pattern, err := backwardRegex(steps, ctx.namePat, b.tr.opts.PatternTrace)
 		if err != nil {
 			return sqlCond{}, err
 		}

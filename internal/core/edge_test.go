@@ -28,7 +28,7 @@ func checkEdge(t *testing.T, tr *EdgeTranslator, st *shred.EdgeStore, ev *native
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", q, err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
 	}

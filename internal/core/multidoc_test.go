@@ -26,7 +26,7 @@ func TestMultiDocDeweyIsolation(t *testing.T) {
 
 	// Without re-rooting, every F would appear as a descendant of BOTH
 	// A roots (their Dewey ranges coincide); with it, 2 per document.
-	res, err := st.DB.RunSQL(
+	res, err := runSQL(st.DB,
 		"SELECT A.id, F.id FROM A, F WHERE F.dewey_pos BETWEEN A.dewey_pos AND A.dewey_pos || X'FF' ORDER BY A.id, F.id")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestMultiDocDeweyIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := st.DB.Run(trans.Stmt)
+	out, err := run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestMultiDocEdgeIsolation(t *testing.T) {
 	doc := paperDoc(t)
 	st.Load(doc)
 	st.Load(doc)
-	res, err := st.DB.RunSQL(
+	res, err := runSQL(st.DB,
 		"SELECT COUNT(*) FROM edge a, edge d WHERE a.par IS NULL AND d.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF'")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestMultiDocDifferentShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMultiDocDifferentShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = st.DB.Run(trans.Stmt)
+	res, err = run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

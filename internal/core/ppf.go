@@ -211,7 +211,7 @@ func intersectNames(a, b string) (string, bool) {
 // baseName optionally pins the segment just before the fragment (the
 // previous PPF's prominent name pattern), strengthening unanchored
 // patterns.
-func forwardRegex(steps []*xpath.Step, anchored bool, baseName string) (string, error) {
+func forwardRegex(steps []*xpath.Step, anchored bool, baseName string, observe func(PatternTrace)) (string, error) {
 	alts := []alt{{}}
 	if !anchored {
 		if baseName != "" {
@@ -250,7 +250,7 @@ func forwardRegex(steps []*xpath.Step, anchored bool, baseName string) (string, 
 		}
 	}
 	pat := assemble(alts)
-	tracePattern("forward", steps, anchored, baseName, pat)
+	tracePattern(observe, "forward", steps, anchored, baseName, pat)
 	return pat, nil
 }
 
@@ -258,7 +258,7 @@ func forwardRegex(steps []*xpath.Step, anchored bool, baseName string) (string, 
 // of the *previous* fragment's prominent element, per Table 1 row 4
 // and Table 3(3). contextName is that element's name pattern; the
 // backward steps walk up from it.
-func backwardRegex(steps []*xpath.Step, contextName string) (string, error) {
+func backwardRegex(steps []*xpath.Step, contextName string, observe func(PatternTrace)) (string, error) {
 	alts := []alt{{pre: "", head: contextName, post: "$"}}
 	for _, s := range steps {
 		np := namePat(s)
@@ -287,7 +287,7 @@ func backwardRegex(steps []*xpath.Step, contextName string) (string, error) {
 		alts[i].pre = "^.*/" + alts[i].pre
 	}
 	pat := assemble(alts)
-	tracePattern("backward", steps, false, contextName, pat)
+	tracePattern(observe, "backward", steps, false, contextName, pat)
 	return pat, nil
 }
 
@@ -298,7 +298,7 @@ func backwardRegex(steps []*xpath.Step, contextName string) (string, error) {
 // align at the wrong depth. An empty suffix (the context itself) is
 // admitted when or-self steps permit it; prevNamePat constrains that
 // case.
-func forwardSuffixRegex(steps []*xpath.Step, prevNamePat string) (string, error) {
+func forwardSuffixRegex(steps []*xpath.Step, prevNamePat string, observe func(PatternTrace)) (string, error) {
 	alts := []alt{{pre: "^", head: "", post: ""}}
 	for _, s := range steps {
 		np := namePat(s)
@@ -329,7 +329,7 @@ func forwardSuffixRegex(steps []*xpath.Step, prevNamePat string) (string, error)
 		}
 	}
 	pat := assemble(alts)
-	tracePattern("forward-suffix", steps, false, prevNamePat, pat)
+	tracePattern(observe, "forward-suffix", steps, false, prevNamePat, pat)
 	return pat, nil
 }
 
@@ -337,7 +337,7 @@ func forwardSuffixRegex(steps []*xpath.Step, prevNamePat string) (string, error)
 // the *previous* prominent element's root path below the current
 // (ancestor) element must match. contextName is the previous
 // element's name pattern.
-func backwardSuffixRegex(steps []*xpath.Step, contextName string) (string, error) {
+func backwardSuffixRegex(steps []*xpath.Step, contextName string, observe func(PatternTrace)) (string, error) {
 	alts := []alt{{pre: "", head: contextName, post: "$"}}
 	for _, s := range steps {
 		np := namePat(s)
@@ -376,7 +376,7 @@ func backwardSuffixRegex(steps []*xpath.Step, contextName string) (string, error
 		suffix = append(suffix, alt{pre: "^", head: "", post: p})
 	}
 	pat := assemble(dedupeAlts(suffix))
-	tracePattern("backward-suffix", steps, false, contextName, pat)
+	tracePattern(observe, "backward-suffix", steps, false, contextName, pat)
 	return pat, nil
 }
 

@@ -402,7 +402,7 @@ func (b *builder) predPathExists(sel *sqlast.Select, p *xpath.Path, ctx chainCtx
 		if err != nil {
 			return sqlCond{}, err
 		}
-		pattern, err := backwardRegex(steps, ctx.namePat)
+		pattern, err := backwardRegex(steps, ctx.namePat, b.tr.opts.PatternTrace)
 		if err != nil {
 			return sqlCond{}, err
 		}

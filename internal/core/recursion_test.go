@@ -216,7 +216,7 @@ func TestRecursiveFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("edge translate %q: %v", q, err)
 			}
-			res, err := edge.DB.Run(trans.Stmt)
+			res, err := run(edge.DB, trans.Stmt)
 			if err != nil {
 				t.Fatalf("edge run %q: %v", q, err)
 			}
@@ -232,7 +232,7 @@ func TestRecursiveFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("accel translate %q: %v", q, err)
 			}
-			resX, err := accelStore.DB.Run(transX.Stmt)
+			resX, err := run(accelStore.DB, transX.Stmt)
 			if err != nil {
 				t.Fatalf("accel run %q: %v", q, err)
 			}

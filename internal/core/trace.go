@@ -7,12 +7,12 @@ import (
 
 // PatternTrace records one Table 1 regex construction as it happens:
 // the inputs (fragment steps, anchoring, boundary name pattern) and
-// the pattern the translator derived from them. transcheck subscribes
-// to it to verify every emitted pattern against a reference automaton
-// built directly from the axis semantics — the trace fires at
-// construction time, before path-filter omission (Section 4.5) can
-// discard the pattern, so statically omitted filters are still
-// checked.
+// the pattern the translator derived from them. transcheck observes
+// it (Options.PatternTrace) to verify every emitted pattern against a
+// reference automaton built directly from the axis semantics — the
+// trace fires at construction time, before path-filter omission
+// (Section 4.5) can discard the pattern, so statically omitted filters
+// are still checked.
 type PatternTrace struct {
 	// Kind is the constructing rule: "forward", "backward",
 	// "forward-suffix" or "backward-suffix".
@@ -28,28 +28,23 @@ type PatternTrace struct {
 	Pattern string
 }
 
-// patternTrace, when non-nil, observes every Table 1 construction.
-var patternTrace func(PatternTrace)
-
-// SetPatternTrace installs (or, with nil, removes) the construction
-// observer. Not safe for use concurrently with translation; the only
-// intended caller is transcheck's single-threaded corpus sweep.
-func SetPatternTrace(fn func(PatternTrace)) { patternTrace = fn }
-
-func tracePattern(kind string, steps []*xpath.Step, anchored bool, base, pattern string) {
-	if patternTrace != nil {
-		patternTrace(PatternTrace{Kind: kind, Steps: steps, Anchored: anchored, Base: base, Pattern: pattern})
+// tracePattern reports one construction to the translator's observer
+// (Options.PatternTrace; nil means nobody is watching).
+func tracePattern(observe func(PatternTrace), kind string, steps []*xpath.Step, anchored bool, base, pattern string) {
+	if observe != nil {
+		observe(PatternTrace{Kind: kind, Steps: steps, Anchored: anchored, Base: base, Pattern: pattern})
 	}
 }
 
 // OmissionTrace records one Section 4.5 path-filter decision as the
 // translator makes it: the node whose filter was considered, the
 // pattern, and the decision with the evidence (Mark, matched path
-// counts) that justified it. plancheck subscribes to it and
-// re-derives every decision independently, failing when the evidence
-// does not support the decision. It fires only when the
-// PathFilterOmission option is on — with the optimization off no
-// filter is ever omitted, so there is nothing to audit.
+// counts) that justified it. plancheck observes it
+// (Options.OmissionTrace) and re-derives every decision independently,
+// failing when the evidence does not support the decision. It fires
+// only when the PathFilterOmission option is on — with the
+// optimization off no filter is ever omitted, so there is nothing to
+// audit.
 type OmissionTrace struct {
 	// Node is the schema node whose path filter was considered
 	// (shared, read-only).
@@ -60,18 +55,4 @@ type OmissionTrace struct {
 	Decision schema.OmissionDecision
 	// Evidence is the justification JustifyOmission derived.
 	Evidence schema.OmissionEvidence
-}
-
-// omissionTrace, when non-nil, observes every omission decision.
-var omissionTrace func(OmissionTrace)
-
-// SetOmissionTrace installs (or, with nil, removes) the omission
-// observer. Not safe for use concurrently with translation; the
-// intended caller is plancheck's single-threaded sweep.
-func SetOmissionTrace(fn func(OmissionTrace)) { omissionTrace = fn }
-
-func traceOmission(node *schema.Node, pattern string, d schema.OmissionDecision, ev schema.OmissionEvidence) {
-	if omissionTrace != nil {
-		omissionTrace(OmissionTrace{Node: node, Pattern: pattern, Decision: d, Evidence: ev})
-	}
 }

@@ -20,6 +20,12 @@ type Options struct {
 	// FKChildParent uses foreign-key equijoins for single-step child
 	// and parent PPFs instead of Dewey comparisons (Section 4.2).
 	FKChildParent bool
+	// PatternTrace, when non-nil, observes every Table 1 regex the
+	// translator constructs (transcheck's corpus sweep).
+	PatternTrace func(PatternTrace)
+	// OmissionTrace, when non-nil, observes every Section 4.5
+	// path-filter decision (plancheck's omission audit).
+	OmissionTrace func(OmissionTrace)
 	// maxCombos caps SQL splitting enumeration.
 	maxCombos int
 }
@@ -378,7 +384,7 @@ func (b *builder) buildChain(sel *sqlast.Select, frags []*ppf, combo []*schema.N
 				cur.anchored = false
 				cur.runBase = cur.namePat
 			}
-			pattern, err := forwardRegex(cur.run, cur.anchored, cur.runBase)
+			pattern, err := forwardRegex(cur.run, cur.anchored, cur.runBase, b.tr.opts.PatternTrace)
 			if err != nil {
 				return cur, false, err
 			}
@@ -395,7 +401,7 @@ func (b *builder) buildChain(sel *sqlast.Select, frags []*ppf, combo []*schema.N
 			if cur.alias == "" {
 				return cur, false, fmt.Errorf("a backward fragment needs a preceding context")
 			}
-			pattern, err := backwardRegex(f.steps, cur.namePat)
+			pattern, err := backwardRegex(f.steps, cur.namePat, b.tr.opts.PatternTrace)
 			if err != nil {
 				return cur, false, err
 			}
@@ -500,7 +506,9 @@ func (b *builder) pathFilterCond(sel *sqlast.Select, alias string, node *schema.
 			matches = re.MatchString
 		}
 		decision, ev := node.JustifyOmission(matches)
-		traceOmission(node, pattern, decision, ev)
+		if observe := b.tr.opts.OmissionTrace; observe != nil {
+			observe(OmissionTrace{Node: node, Pattern: pattern, Decision: decision, Evidence: ev})
+		}
 		switch decision {
 		case schema.OmitFilter:
 			return condTrue, nil
@@ -565,7 +573,7 @@ func (b *builder) structuralJoin(sel *sqlast.Select, prev chainCtx, alias string
 			if allChild(f) {
 				sel.AddConjunct(levelPin(alias, prev.alias, len(f.steps)))
 			} else {
-				pattern, err := forwardSuffixRegex(f.steps, prev.namePat)
+				pattern, err := forwardSuffixRegex(f.steps, prev.namePat, b.tr.opts.PatternTrace)
 				if err != nil {
 					return err
 				}
@@ -587,7 +595,7 @@ func (b *builder) structuralJoin(sel *sqlast.Select, prev chainCtx, alias string
 			if allParent(f) {
 				sel.AddConjunct(levelPin(prev.alias, alias, len(f.steps)))
 			} else {
-				pattern, err := backwardSuffixRegex(f.steps, prev.namePat)
+				pattern, err := backwardSuffixRegex(f.steps, prev.namePat, b.tr.opts.PatternTrace)
 				if err != nil {
 					return err
 				}

@@ -160,7 +160,7 @@ func TestUnionWithEmptyBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStaticPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/schema"
 	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
+
+// run and runSQL send a statement through the engine's boundary with
+// no context and default options.
+func run(db *engine.DB, st sqlast.Statement) (*engine.Result, error) {
+	return db.RunWithOptionsContext(nil, st, engine.ExecOptions{})
+}
+
+func runSQL(db *engine.DB, src string) (*engine.Result, error) {
+	return db.ExecSQL(nil, src, engine.ExecOptions{})
+}
 
 func paperSchema(t testing.TB) *schema.Schema {
 	t.Helper()
@@ -48,7 +60,7 @@ func runQuery(t testing.TB, tr *Translator, st *shred.SchemaAwareStore, q string
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", q, err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := run(st.DB, trans.Stmt)
 	if err != nil {
 		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
 	}
@@ -277,7 +289,7 @@ func TestStaticallyEmptyQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Translate(%q): %v", q, err)
 		}
-		res, err := st.DB.Run(trans.Stmt)
+		res, err := run(st.DB, trans.Stmt)
 		if err != nil {
 			t.Fatalf("Run(%q): %v", q, err)
 		}
@@ -434,7 +446,7 @@ func TestRegexTable1(t *testing.T) {
 		{mk("/A/B/C"), true, "^/A/B/C$"},
 	}
 	for _, c := range cases {
-		got, err := forwardRegex(c.steps, c.anchored, "")
+		got, err := forwardRegex(c.steps, c.anchored, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +461,7 @@ func TestRegexTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := backwardRegex(steps, "X")
+	got, err := backwardRegex(steps, "X", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

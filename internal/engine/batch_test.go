@@ -67,10 +67,10 @@ func TestBatchSizeInvariance(t *testing.T) {
 		// Warm-up: caches the plan, builds hash-join sides, and fills
 		// the pattern cache, so every measured run below does the same
 		// work and the frames are comparable.
-		if _, err := db.Run(st); err != nil {
+		if _, err := run(db, st); err != nil {
 			t.Fatalf("%s: warm-up: %v", q, err)
 		}
-		cs, err := db.compiledFor(st, "")
+		_, cs, err := db.compile(st)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -123,7 +123,7 @@ func TestGovernorBatchInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Run(st); err != nil {
+	if _, err := run(db, st); err != nil {
 		t.Fatal(err)
 	}
 	limits := []struct {
@@ -139,7 +139,7 @@ func TestGovernorBatchInvariance(t *testing.T) {
 		for _, bs := range []int{1, 7, 1024} {
 			opts := lim.opts
 			opts.BatchSize = bs
-			_, err := db.RunWithOptions(st, opts)
+			_, err := db.RunWithOptionsContext(nil, st, opts)
 			if !errors.Is(err, lim.target) {
 				t.Fatalf("%s bs=%d: err = %v, want %v", lim.name, bs, err, lim.target)
 			}
@@ -172,7 +172,7 @@ func TestChaosBatchFlush(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		stmts[i] = st
-		res, err := db.Run(st)
+		res, err := run(db, st)
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", q, err)
 		}
@@ -201,7 +201,7 @@ func TestChaosBatchFlush(t *testing.T) {
 			// Serial execution flushes every batch through the faulted
 			// site; a non-prime batch size checks mid-enumeration flushes
 			// too, not just the tail flush.
-			_, serialErr := db.RunWithOptions(stmts[i], ExecOptions{BatchSize: 7})
+			_, serialErr := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{BatchSize: 7})
 			if !f.want(serialErr) {
 				t.Errorf("%s / %s: serial err = %v", f.name, q, serialErr)
 			}
@@ -209,14 +209,14 @@ func TestChaosBatchFlush(t *testing.T) {
 			// site (the ids are materialized before fan-out), so a
 			// single-step plan may legitimately complete; anything else
 			// must be the injected fault, never an untyped escape.
-			_, parErr := db.RunWithOptions(stmts[i], ExecOptions{BatchSize: 7, Parallelism: 8})
+			_, parErr := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{BatchSize: 7, Parallelism: 8})
 			if parErr != nil && !f.want(parErr) {
 				t.Errorf("%s / %s: parallel err = %v", f.name, q, parErr)
 			}
 			failpoint.Reset()
 			waitNoGoroutineGrowth(t, before, f.name+" / "+q)
 
-			res, err := db.RunWithOptions(stmts[i], ExecOptions{Parallelism: 4})
+			res, err := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{Parallelism: 4})
 			if err != nil {
 				t.Fatalf("%s / %s: DB unusable after fault: %v", f.name, q, err)
 			}
@@ -236,12 +236,12 @@ func TestBatchSizeOptionPlumbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range []int{-1, 0, 1} {
-		res, err := db.RunWithOptions(st, ExecOptions{BatchSize: bs})
+		res, err := db.RunWithOptionsContext(nil, st, ExecOptions{BatchSize: bs})
 		if err != nil {
 			t.Fatalf("BatchSize=%d: %v", bs, err)
 		}

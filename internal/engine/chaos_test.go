@@ -74,7 +74,7 @@ func TestChaosMatrix(t *testing.T) {
 		stmts[i] = st
 		// Baseline run: caches the plan and builds hash sides, so the
 		// faulted runs below exercise the executor, not the planner.
-		res, err := db.Run(st)
+		res, err := run(db, st)
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", q, err)
 		}
@@ -103,10 +103,10 @@ func TestChaosMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, serialErr := db.RunWithOptions(stmts[i], f.opts)
+			_, serialErr := db.RunWithOptionsContext(nil, stmts[i], f.opts)
 			popts := f.opts
 			popts.Parallelism = 8
-			_, parErr := db.RunWithOptions(stmts[i], popts)
+			_, parErr := db.RunWithOptionsContext(nil, stmts[i], popts)
 			failpoint.Reset()
 
 			sc, pc := outcomeClass(t, serialErr), outcomeClass(t, parErr)
@@ -119,7 +119,7 @@ func TestChaosMatrix(t *testing.T) {
 			waitNoGoroutineGrowth(t, before, f.name+" / "+q)
 
 			// The statement after the fault must see an intact engine.
-			res, err := db.RunWithOptions(stmts[i], ExecOptions{Parallelism: 4})
+			res, err := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{Parallelism: 4})
 			if err != nil {
 				t.Fatalf("%s / %s: DB unusable after fault: %v", f.name, q, err)
 			}
@@ -141,7 +141,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Panic("worker down")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptions(st, ExecOptions{Parallelism: 8})
+	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -170,7 +170,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Panic("worker down")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Run(st)
+	res, err := run(db, st)
 	if err != nil {
 		t.Fatalf("serial run with morsel-claim armed: %v", err)
 	}
@@ -179,12 +179,49 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 		t.Error("serial result changed under morsel-claim failpoint")
 	}
 	// And the engine serves the same query cleanly afterwards.
-	res, err = db.RunWithOptions(st, ExecOptions{Parallelism: 8})
+	res, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalResults(res, want) {
 		t.Error("post-panic parallel result differs")
+	}
+}
+
+// TestChaosWriteStatementPanic injects a panic at wal/append under an
+// INSERT sent through the statement boundary: the write path gets the
+// same panic isolation as SELECT — a typed *InternalError carrying the
+// statement, writeMu released, nothing committed — and the store keeps
+// serving writes and reads.
+func TestChaosWriteStatementPanic(t *testing.T) {
+	db := seedPersistent(t, t.TempDir())
+	defer db.Close()
+	defer failpoint.Reset()
+	before := dump(t, db)
+	if err := failpoint.Enable("wal/append", failpoint.Panic("log down")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.ExecSQL(nil, "INSERT INTO T VALUES (100, X'0164', 'late')", ExecOptions{})
+	failpoint.Reset()
+	var ie *InternalError
+	if !errors.Is(err, ErrInternal) || !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want *InternalError", err)
+	}
+	if !strings.Contains(ie.SQL, "INSERT INTO T") {
+		t.Errorf("InternalError.SQL = %q, want the offending statement", ie.SQL)
+	}
+	if !db.writeMu.TryLock() {
+		t.Fatal("writeMu still held after the panicking INSERT")
+	}
+	db.writeMu.Unlock()
+	if got := dump(t, db); got != before {
+		t.Fatalf("panicking INSERT left rows behind:\n got %s\nwant %s", got, before)
+	}
+	if _, err := db.ExecSQL(nil, "INSERT INTO T VALUES (100, X'0164', 'late')", ExecOptions{}); err != nil {
+		t.Fatalf("post-panic INSERT: %v", err)
+	}
+	if got := dump(t, db); got != before+"100=late;" {
+		t.Fatalf("post-panic content = %s, want %s", got, before+"100=late;")
 	}
 }
 
@@ -204,7 +241,7 @@ func TestChaosMorselClaimError(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Return(boom).After(2)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptions(st, ExecOptions{Parallelism: 8})
+	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
 	failpoint.Reset()
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected %v", err, boom)
@@ -224,14 +261,14 @@ func TestChaosPatternCompile(t *testing.T) {
 	if err := failpoint.Enable("engine/pattern-compile", failpoint.Return(nil)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.RunSQL(q)
+	_, err := runSQL(db, q)
 	failpoint.Reset()
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	// The failed compile must not have cached anything for the
 	// pattern; with the fault cleared the query runs.
-	res, err := db.RunSQL(q)
+	res, err := runSQL(db, q)
 	if err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
@@ -251,7 +288,7 @@ func TestChaosPlanCacheInsert(t *testing.T) {
 	if err := failpoint.Enable("engine/plancache-insert", failpoint.Return(nil)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.RunSQL(q)
+	_, err := runSQL(db, q)
 	failpoint.Reset()
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -259,7 +296,7 @@ func TestChaosPlanCacheInsert(t *testing.T) {
 	if got := db.PlanCacheSize(); got != sizeBefore {
 		t.Errorf("plan cache grew across failed insert: %d -> %d", sizeBefore, got)
 	}
-	if _, err := db.RunSQL(q); err != nil {
+	if _, err := runSQL(db, q); err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
 	if got := db.PlanCacheSize(); got != sizeBefore+1 {
@@ -280,7 +317,7 @@ func TestChaosSleepWidensTimeout(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Sleep(10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptions(st, ExecOptions{Parallelism: 8, Timeout: time.Millisecond})
+	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8, Timeout: time.Millisecond})
 	failpoint.Reset()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -302,7 +339,7 @@ func TestChaosDeadlineObservedAfterHashBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plan (and plan-time hash builds) happen here.
-	if _, err := db.Run(st); err != nil {
+	if _, err := run(db, st); err != nil {
 		t.Fatal(err)
 	}
 	// Drop the cached build sides so execution must rebuild, and
@@ -317,13 +354,13 @@ func TestChaosDeadlineObservedAfterHashBuild(t *testing.T) {
 	if err := failpoint.Enable("engine/hash-build", failpoint.Sleep(15*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptions(st, ExecOptions{Timeout: time.Millisecond})
+	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Timeout: time.Millisecond})
 	failpoint.Reset()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout observed at the build/probe boundary", err)
 	}
 	// The engine must still answer the query once the stall clears.
-	if _, err := db.Run(st); err != nil {
+	if _, err := run(db, st); err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
 }
@@ -338,18 +375,18 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallelism := range []int{0, 8} {
-		if _, err := db.RunWithOptions(st, ExecOptions{Parallelism: parallelism, MaxMemoryBytes: 64}); !errors.Is(err, ErrMemoryBudget) {
+		if _, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: parallelism, MaxMemoryBytes: 64}); !errors.Is(err, ErrMemoryBudget) {
 			t.Fatalf("parallelism %d: err = %v, want ErrMemoryBudget", parallelism, err)
 		}
-		if _, err := db.RunWithOptions(st, ExecOptions{Parallelism: parallelism, MaxRows: 3}); !errors.Is(err, ErrRowBudget) {
+		if _, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: parallelism, MaxRows: 3}); !errors.Is(err, ErrRowBudget) {
 			t.Fatalf("parallelism %d: err = %v, want ErrRowBudget", parallelism, err)
 		}
-		res, err := db.RunWithOptions(st, ExecOptions{Parallelism: parallelism})
+		res, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: parallelism})
 		if err != nil {
 			t.Fatalf("parallelism %d: unlimited rerun: %v", parallelism, err)
 		}

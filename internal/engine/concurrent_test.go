@@ -28,7 +28,7 @@ func TestConcurrentReadQueries(t *testing.T) {
 	}
 	want := make([][][]Value, len(queries))
 	for i, q := range queries {
-		res, err := db.RunSQL(q)
+		res, err := runSQL(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestConcurrentReadQueries(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for i, q := range queries {
-					res, err := db.RunSQL(q)
+					res, err := runSQL(db, q)
 					if err != nil {
 						errs <- err
 						return
@@ -85,17 +85,13 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	prepared := make([]*Prepared, len(queries))
 	stmts := make([]sqlast.Statement, len(queries))
 	for i, q := range queries {
-		p, err := db.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepared[i] = p
 		st, err := sqlast.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stmts[i] = st
-		res, err := p.Run()
+		prepared[i] = db.PrepareStmt(st)
+		res, err := prepared[i].RunWithOptionsContext(nil, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,9 +110,9 @@ func TestConcurrentParallelQueries(t *testing.T) {
 					var res *Result
 					var err error
 					if (g+rep)%2 == 0 {
-						res, err = prepared[i].RunWithOptions(ExecOptions{Parallelism: 4})
+						res, err = prepared[i].RunWithOptionsContext(nil, ExecOptions{Parallelism: 4})
 					} else {
-						res, err = db.RunWithOptions(stmts[i], ExecOptions{Parallelism: 4})
+						res, err = db.RunWithOptionsContext(nil, stmts[i], ExecOptions{Parallelism: 4})
 					}
 					if err != nil {
 						errs <- err
@@ -149,7 +145,7 @@ func TestConcurrentBudgetedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +159,7 @@ func TestConcurrentBudgetedQueries(t *testing.T) {
 				opts := ExecOptions{Parallelism: g % 3 * 4} // 0, 4, 8
 				switch (g + rep) % 3 {
 				case 0: // unlimited: must return the full result
-					res, err := db.RunWithOptions(st, opts)
+					res, err := db.RunWithOptionsContext(nil, st, opts)
 					if err != nil {
 						errs <- err
 						return
@@ -174,13 +170,13 @@ func TestConcurrentBudgetedQueries(t *testing.T) {
 					}
 				case 1: // memory budget: must fail with the typed error
 					opts.MaxMemoryBytes = 64
-					if _, err := db.RunWithOptions(st, opts); !errors.Is(err, ErrMemoryBudget) {
+					if _, err := db.RunWithOptionsContext(nil, st, opts); !errors.Is(err, ErrMemoryBudget) {
 						errs <- fmt.Errorf("budgeted run: err = %v, want ErrMemoryBudget", err)
 						return
 					}
 				case 2: // row budget
 					opts.MaxRows = 2
-					if _, err := db.RunWithOptions(st, opts); !errors.Is(err, ErrRowBudget) {
+					if _, err := db.RunWithOptionsContext(nil, st, opts); !errors.Is(err, ErrRowBudget) {
 						errs <- fmt.Errorf("budgeted run: err = %v, want ErrRowBudget", err)
 						return
 					}

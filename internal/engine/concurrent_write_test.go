@@ -61,7 +61,7 @@ func TestConcurrentWriterSnapshotIsolation(t *testing.T) {
 			defer wg.Done()
 			last := int64(-1)
 			for !stop.Load() {
-				res, err := db.RunSQL("SELECT COUNT(*) FROM T")
+				res, err := runSQL(db, "SELECT COUNT(*) FROM T")
 				if err != nil {
 					errs <- err
 					return
@@ -80,7 +80,7 @@ func TestConcurrentWriterSnapshotIsolation(t *testing.T) {
 				// an equality lookup on the unindexed column k forces a
 				// hash build against whatever state this statement pinned.
 				if r%2 == 0 {
-					if _, err := db.RunSQL("SELECT COUNT(*) FROM T WHERE T.k = 3"); err != nil {
+					if _, err := runSQL(db, "SELECT COUNT(*) FROM T WHERE T.k = 3"); err != nil {
 						errs <- err
 						return
 					}
@@ -93,7 +93,7 @@ func TestConcurrentWriterSnapshotIsolation(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	res, err := db.RunSQL("SELECT COUNT(*) FROM T")
+	res, err := runSQL(db, "SELECT COUNT(*) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWriteBatchMultiTableAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				res, err := db.RunSQL(q)
+				res, err := runSQL(db, q)
 				if err != nil {
 					errs <- err
 					return
@@ -185,7 +185,7 @@ func TestConcurrentDDLAndReaders(t *testing.T) {
 	if _, err := tb.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.RunSQL("SELECT COUNT(*) FROM T WHERE T.id = 250")
+	want, err := runSQL(db, "SELECT COUNT(*) FROM T WHERE T.id = 250")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestConcurrentDDLAndReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				res, err := db.RunSQL("SELECT COUNT(*) FROM T WHERE T.id = 250")
+				res, err := runSQL(db, "SELECT COUNT(*) FROM T WHERE T.id = 250")
 				if err != nil {
 					errs <- err
 					return

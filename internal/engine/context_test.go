@@ -60,20 +60,39 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
+// TestRunContextExecSQL checks the string entry point honors
+// cancellation for every statement kind: a cancelled SELECT returns
+// ctx.Err(), and a cancelled INSERT returns it without committing.
+func TestRunContextExecSQL(t *testing.T) {
+	db := fixtureDB(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.ExecSQL(ctx, "SELECT F.id FROM F ORDER BY F.id", ExecOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SELECT: err = %v, want context.Canceled", err)
+	}
+	before := len(db.Table("paths").Rows())
+	if _, err := db.ExecSQL(ctx, "INSERT INTO paths VALUES (99, '/Z')", ExecOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("INSERT: err = %v, want context.Canceled", err)
+	}
+	if got := len(db.Table("paths").Rows()); got != before {
+		t.Fatalf("cancelled INSERT committed: %d rows, want %d", got, before)
+	}
+	if _, err := db.ExecSQL(context.Background(), "INSERT INTO paths VALUES (99, '/Z')", ExecOptions{}); err != nil {
+		t.Fatalf("post-cancel INSERT: %v", err)
+	}
+}
+
 // TestPreparedRunContext checks the prepared-statement entry point
 // honors cancellation too.
 func TestPreparedRunContext(t *testing.T) {
 	db := bigDB(t)
-	p, err := db.Prepare("SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPrepare(t, db, "SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before execution starts
-	if _, err := p.RunContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := p.RunWithOptionsContext(ctx, ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := p.RunContext(context.Background()); err != nil {
+	if _, err := p.RunWithOptionsContext(context.Background(), ExecOptions{}); err != nil {
 		t.Fatalf("post-cancel run: %v", err)
 	}
 }

@@ -54,7 +54,7 @@ func seedPersistent(t *testing.T, dir string) *DB {
 // dump renders the full content of table T in a canonical order.
 func dump(t *testing.T, db *DB) string {
 	t.Helper()
-	res, err := db.RunSQL("SELECT T.id, T.text FROM T ORDER BY T.id")
+	res, err := runSQL(db, "SELECT T.id, T.text FROM T ORDER BY T.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestCreateIndexRecovery(t *testing.T) {
 	}
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
-		if want[i], err = db.RunSQL(q); err != nil {
+		if want[i], err = runSQL(db, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +349,7 @@ func TestCreateIndexRecovery(t *testing.T) {
 		t.Fatalf("recovered index holds %d keys, want %d", ix.Tree.Len(), len(rows)+len(late))
 	}
 	for i, q := range queries {
-		got, err := re.RunSQL(q)
+		got, err := runSQL(re, q)
 		if err != nil {
 			t.Fatal(err)
 		}

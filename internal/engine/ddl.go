@@ -6,19 +6,11 @@ import (
 	"repro/internal/sqlast"
 )
 
-// Exec executes any statement of the dialect: SELECT/UNION return
-// rows (like Run); CREATE TABLE, CREATE INDEX and INSERT mutate the
-// database and return a result with a single status column.
-func (db *DB) Exec(st sqlast.Statement) (*Result, error) {
-	return db.ExecWithOptions(st, ExecOptions{})
-}
-
-// ExecWithOptions is Exec with execution options; the options only
-// affect SELECT/UNION statements.
-func (db *DB) ExecWithOptions(st sqlast.Statement, opts ExecOptions) (*Result, error) {
+// runWrite executes the mutating statements (CREATE TABLE, CREATE
+// INDEX, INSERT) for the statement boundary (db.run), returning a
+// single status row.
+func (db *DB) runWrite(st sqlast.Statement) (*Result, error) {
 	switch s := st.(type) {
-	case *sqlast.Select, *sqlast.Union, *sqlast.Explain:
-		return db.RunWithOptions(st, opts)
 	case *sqlast.CreateTable:
 		cols := make([]Column, len(s.Cols))
 		for i, c := range s.Cols {
@@ -80,20 +72,6 @@ func (db *DB) ExecWithOptions(st sqlast.Statement, opts ExecOptions) (*Result, e
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", st)
 	}
-}
-
-// ExecSQL parses and executes one statement of text.
-func (db *DB) ExecSQL(src string) (*Result, error) {
-	return db.ExecSQLWithOptions(src, ExecOptions{})
-}
-
-// ExecSQLWithOptions is ExecSQL with execution options.
-func (db *DB) ExecSQLWithOptions(src string, opts ExecOptions) (*Result, error) {
-	st, err := sqlast.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.ExecWithOptions(st, opts)
 }
 
 func status(msg string) *Result {

@@ -85,9 +85,27 @@ func ids(res *Result) []int64 {
 	return out
 }
 
+// run and runSQL send a statement through the boundary the way most
+// tests want it: no context, default options.
+func run(db *DB, st sqlast.Statement) (*Result, error) {
+	return db.RunWithOptionsContext(nil, st, ExecOptions{})
+}
+
+func runSQL(db *DB, src string) (*Result, error) { return db.ExecSQL(nil, src, ExecOptions{}) }
+
+// mustPrepare parses src and binds it for repeated execution.
+func mustPrepare(t testing.TB, db *DB, src string) *Prepared {
+	t.Helper()
+	st, err := sqlast.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db.PrepareStmt(st)
+}
+
 func mustRun(t *testing.T, db *DB, sql string) *Result {
 	t.Helper()
-	res, err := db.RunSQL(sql)
+	res, err := runSQL(db, sql)
 	if err != nil {
 		t.Fatalf("RunSQL(%s): %v", sql, err)
 	}
@@ -333,7 +351,7 @@ func TestErrors(t *testing.T) {
 		"SELECT F.id FROM F UNION SELECT G.id, G.par FROM G",
 		"SELECT F.id FROM F UNION SELECT G.id FROM G ORDER BY 1 + 1",
 	} {
-		if _, err := db.RunSQL(sql); err == nil {
+		if _, err := runSQL(db, sql); err == nil {
 			t.Errorf("RunSQL(%q) should fail", sql)
 		}
 	}
@@ -499,7 +517,7 @@ func BenchmarkDeweyRangeJoin(b *testing.B) {
 	st := sqlast.MustParse("SELECT d.id FROM n p, n d WHERE p.id = 42 AND d.dewey_pos BETWEEN p.dewey_pos AND p.dewey_pos || X'FF' AND d.id <> p.id")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Run(st)
+		res, err := run(db, st)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -509,11 +527,11 @@ func BenchmarkDeweyRangeJoin(b *testing.B) {
 	}
 }
 
-func ExampleDB_RunSQL() {
+func ExampleDB_ExecSQL() {
 	db := NewDB()
 	tb, _ := db.CreateTable("t", Column{"id", TInt}, Column{"name", TText})
 	tb.MustInsert(NewInt(1), NewText("ppf"))
-	res, _ := db.RunSQL("SELECT t.name FROM t WHERE t.id = 1")
+	res, _ := db.ExecSQL(nil, "SELECT t.name FROM t WHERE t.id = 1", ExecOptions{})
 	fmt.Println(res.Rows[0][0])
 	// Output: ppf
 }

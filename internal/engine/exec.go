@@ -41,12 +41,12 @@ type ExecOptions struct {
 	// ErrRowBudget reports an overrun (0 means no limit). COUNT(*)
 	// aggregation counts without materializing and is not bounded.
 	MaxRows int64
-	// VerifyPlan runs the installed plan verifier (SetPlanVerifier)
-	// against the compiled plan before executing — a debug check that
-	// the plan the cache hands back is still provably equivalent to
-	// the statement. Execution fails when the verifier rejects the
-	// plan. A no-op when no verifier is installed.
-	VerifyPlan bool
+	// VerifyPlan, when non-nil, is called with the compiled plan
+	// (cached or fresh) before executing — a debug check that the plan
+	// the cache hands back is still provably equivalent to the
+	// statement (plancheck.Verifier builds one). Execution fails when
+	// it rejects the plan.
+	VerifyPlan func(PlanTrace) error
 	// BatchSize is the row-id batch capacity at operator boundaries
 	// (values <= 0 select DefaultBatchSize). Results, operator stats
 	// and EXPLAIN ANALYZE output are identical at every batch size;
@@ -125,64 +125,63 @@ func (ec *execCtx) pattern(pat string) (*matcher, error) {
 	return compilePattern(pat)
 }
 
-// Run plans and executes a SELECT or UNION statement.
-func (db *DB) Run(st sqlast.Statement) (*Result, error) {
-	return db.RunWithOptions(st, ExecOptions{})
+// RunWithOptionsContext is the statement boundary, the one place a
+// statement of any kind enters the engine: SELECT/UNION plan through
+// the prepared-plan cache and return rows, EXPLAIN returns the plan
+// as rows, and CREATE TABLE / CREATE INDEX / INSERT mutate the
+// database and return a single status row. It honors ctx cancellation
+// (nil means no context; a write checks it once, before committing),
+// and an internal panic anywhere in planning, execution or the write
+// path returns as *InternalError instead of propagating.
+func (db *DB) RunWithOptionsContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (*Result, error) {
+	return db.run(ctx, st, sqlast.Render(st), opts)
 }
 
-// RunWithTimeout is Run with a wall-clock budget; it returns
-// ErrTimeout when the budget is exceeded (0 means no limit).
-func (db *DB) RunWithTimeout(st sqlast.Statement, timeout time.Duration) (*Result, error) {
-	return db.RunWithOptions(st, ExecOptions{Timeout: timeout})
-}
-
-// RunWithOptions plans (through the prepared-plan cache) and executes
-// a SELECT or UNION statement with the given options.
-func (db *DB) RunWithOptions(st sqlast.Statement, opts ExecOptions) (*Result, error) {
-	return db.RunWithOptionsContext(nil, st, opts)
-}
-
-// RunContext is Run honoring cancellation: execution stops with
-// ctx.Err() soon after ctx is cancelled or its deadline passes.
-func (db *DB) RunContext(ctx context.Context, st sqlast.Statement) (*Result, error) {
-	return db.RunWithOptionsContext(ctx, st, ExecOptions{})
-}
-
-// RunWithOptionsContext plans (through the prepared-plan cache) and
-// executes a SELECT or UNION statement with the given options,
-// honoring ctx cancellation (nil means no context). It is the
-// statement boundary: an internal panic anywhere in planning or
-// execution returns as *InternalError instead of propagating.
-func (db *DB) RunWithOptionsContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (res *Result, err error) {
-	key := sqlast.Render(st)
-	defer guardPanics(key, &err)
-	if ex, ok := st.(*sqlast.Explain); ok {
-		return db.runExplainStmt(ctx, ex, opts)
-	}
-	cs, err := db.compiledFor(st, key)
+// ExecSQL parses one statement of text and sends it through the
+// statement boundary.
+func (db *DB) ExecSQL(ctx context.Context, src string, opts ExecOptions) (*Result, error) {
+	st, err := sqlast.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if opts.VerifyPlan {
-		if err := verifyCompiled(st, key, cs); err != nil {
+	return db.RunWithOptionsContext(ctx, st, opts)
+}
+
+// run executes st under the panic guard; key is its rendered text
+// (the plan-cache key, precomputed by Prepared).
+func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, opts ExecOptions) (_ *Result, err error) {
+	defer guardPanics(key, &err)
+	switch s := st.(type) {
+	case *sqlast.Select, *sqlast.Union:
+		cs, err := db.compiledFor(st, key)
+		if err != nil {
+			return nil, err
+		}
+		if opts.VerifyPlan != nil {
+			if err := verifyCompiled(opts.VerifyPlan, st, key, cs); err != nil {
+				return nil, err
+			}
+		}
+		res, _, err := db.runCompiledFrame(ctx, cs, opts, key, false)
+		return res, err
+	case *sqlast.Explain:
+		return db.runExplainStmt(ctx, s, opts)
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	return db.runCompiled(ctx, cs, opts, key)
+	return db.runWrite(st)
 }
 
-// runCompiled executes an already-compiled statement. Callers must
-// have deferred guardPanics; sql is the rendered statement text
-// carried into worker-side InternalErrors.
-func (db *DB) runCompiled(ctx context.Context, cs *compiledStmt, opts ExecOptions, sql string) (*Result, error) {
-	res, _, err := db.runCompiledFrame(ctx, cs, opts, sql, false)
-	return res, err
-}
-
-// runCompiledFrame is runCompiled exposing the execution's operator
-// stats frame (merged across workers). timing enables per-operator
-// wall-clock measurement; EXPLAIN ANALYZE is its only caller with
-// timing on, so plain runs stay clock-free in the row loops.
+// runCompiledFrame executes an already-compiled statement and returns
+// the result with the execution's operator stats frame (merged across
+// workers). Callers must have deferred guardPanics; sql is the
+// rendered statement text carried into worker-side InternalErrors.
+// timing enables per-operator wall-clock measurement; EXPLAIN ANALYZE
+// is its only caller with timing on, so plain runs stay clock-free in
+// the row loops.
 func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, opts ExecOptions, sql string, timing bool) (*Result, opFrame, error) {
 	ec := &execCtx{db: db, parallelism: opts.Parallelism, sql: sql,
 		acct:  newAccountant(opts.MaxMemoryBytes, opts.MaxRows),
@@ -229,15 +228,6 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, opts ExecO
 	cs.feedback.Store(&frame)
 	res.PeakMemBytes = ec.acct.peakBytes()
 	return res, ec.stats, nil
-}
-
-// RunSQL parses and runs a statement given as text.
-func (db *DB) RunSQL(src string) (*Result, error) {
-	st, err := sqlast.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.Run(st)
 }
 
 // runUnion executes a compiled UNION: branches run in order (each

@@ -53,13 +53,10 @@ func BenchmarkSortRowsGeneric(b *testing.B) {
 // against the multi-morsel synthetic database.
 func BenchmarkDistinctOrderByQuery(b *testing.B) {
 	db := bigDB(b)
-	p, err := db.Prepare("SELECT DISTINCT i.text, i.path_id FROM item i ORDER BY i.text, i.path_id")
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := mustPrepare(b, db, "SELECT DISTINCT i.text, i.path_id FROM item i ORDER BY i.text, i.path_id")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(); err != nil {
+		if _, err := p.RunWithOptionsContext(nil, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func TestIndexPrefixesAccess(t *testing.T) {
 	if !strings.Contains(plan, "index prefix lookups") {
 		t.Fatalf("ancestor query should use the prefix access path:\n%s", plan)
 	}
-	res, err := db.RunSQL(sql)
+	res, err := runSQL(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestIndexPrefixesAccess(t *testing.T) {
 	if _, err := tb2.CreateIndex("n_dp", "dewey_pos", "path_id"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = db2.RunSQL("SELECT a.id FROM n d, n a WHERE d.id = 4 AND d.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF' ORDER BY a.id")
+	res, err = runSQL(db2, "SELECT a.id FROM n d, n a WHERE d.id = 4 AND d.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF' ORDER BY a.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSubstrFunction(t *testing.T) {
 	if res.Rows[0][0].S != "/C/E/F" {
 		t.Fatalf("suffix = %q", res.Rows[0][0].S)
 	}
-	if _, err := db.RunSQL("SELECT SUBSTR(A.id, 'x') FROM A"); err == nil {
+	if _, err := runSQL(db, "SELECT SUBSTR(A.id, 'x') FROM A"); err == nil {
 		t.Fatal("non-integer SUBSTR position should fail")
 	}
 }
@@ -91,7 +91,7 @@ func TestDynamicRegexpPattern(t *testing.T) {
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if _, err := db.RunSQL("SELECT p.id FROM paths p WHERE REGEXP_LIKE(p.path, '(' || p.path)"); err == nil {
+	if _, err := runSQL(db, "SELECT p.id FROM paths p WHERE REGEXP_LIKE(p.path, '(' || p.path)"); err == nil {
 		t.Fatal("bad dynamic pattern should fail")
 	}
 }
@@ -150,7 +150,7 @@ func TestOrderByNullsAndMixed(t *testing.T) {
 	tb.MustInsert(NewInt(1), NewText("b"))
 	tb.MustInsert(NewInt(2), Null)
 	tb.MustInsert(NewInt(3), NewText("a"))
-	res, err := db.RunSQL("SELECT t.id FROM t ORDER BY t.v, t.id")
+	res, err := runSQL(db, "SELECT t.id FROM t ORDER BY t.v, t.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFatHashStillCorrect(t *testing.T) {
 	}
 	sm, _ := db.CreateTable("small", Column{"grp", TInt})
 	sm.MustInsert(NewInt(1))
-	res, err := db.RunSQL("SELECT COUNT(*) FROM small s, big b WHERE b.grp = s.grp")
+	res, err := runSQL(db, "SELECT COUNT(*) FROM small s, big b WHERE b.grp = s.grp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,6 @@ import (
 // operator times are inclusive of nested operators, like the
 // indentation of the rendered tree).
 
-// ExplainAnalyze executes the statement with default options and
-// returns the annotated plan.
-func (db *DB) ExplainAnalyze(st sqlast.Statement) (string, error) {
-	return db.ExplainAnalyzeWithOptions(st, ExecOptions{})
-}
-
 // ExplainAnalyzeWithOptions executes the statement with the given
 // options (so parallel plans report their merged per-worker stats)
 // and returns the annotated plan.
@@ -27,14 +21,8 @@ func (db *DB) ExplainAnalyzeWithOptions(st sqlast.Statement, opts ExecOptions) (
 	return db.explainAnalyzeContext(nil, st, opts)
 }
 
-func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (out string, err error) {
-	key := sqlast.Render(st)
-	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
-	if err != nil {
-		return "", err
-	}
-	res, frame, err := db.runCompiledFrame(ctx, cs, opts, key, true)
+func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (string, error) {
+	cs, res, frame, err := db.analyze(ctx, st, opts, true)
 	if err != nil {
 		return "", err
 	}
@@ -44,9 +32,21 @@ func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, op
 	return b.String(), nil
 }
 
+// analyze compiles and executes st under the panic guard, returning
+// the plan and the execution's operator stats frame beside the result.
+func (db *DB) analyze(ctx context.Context, st sqlast.Statement, opts ExecOptions, timing bool) (cs *compiledStmt, res *Result, frame opFrame, err error) {
+	key, cs, err := db.compile(st)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer guardPanics(key, &err)
+	res, frame, err = db.runCompiledFrame(ctx, cs, opts, key, timing)
+	return cs, res, frame, err
+}
+
 // runExplainStmt executes an EXPLAIN / EXPLAIN ANALYZE statement,
 // returning the rendered plan as a one-column result (one row per
-// plan line) so the statement flows through every Run/Exec surface.
+// plan line) so the statement flows through the statement boundary.
 func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, opts ExecOptions) (*Result, error) {
 	var text string
 	var err error
@@ -91,17 +91,12 @@ type OpReport struct {
 
 // AnalyzeReport executes the statement and returns the per-operator
 // estimate/observation records in render order, plus the result.
-func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) (reports []OpReport, res *Result, err error) {
-	key := sqlast.Render(st)
-	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) ([]OpReport, *Result, error) {
+	cs, res, frame, err := db.analyze(nil, st, opts, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, frame, err := db.runCompiledFrame(nil, cs, opts, key, false)
-	if err != nil {
-		return nil, nil, err
-	}
+	var reports []OpReport
 	walkOps(cs, func(n *opNode) {
 		r := OpReport{Label: n.label, Kind: n.kind.String(), EstRows: n.est, HasEst: n.hasEst,
 			Loops: frame[n.id].loops, RowsOut: frame[n.id].rowsOut}
@@ -117,10 +112,8 @@ func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) (reports []Op
 // statement lowers to (scans, filters, projections, dedup, sorts,
 // union machinery, and correlated-subplan boundaries) — the
 // per-operator companion to JoinSteps for experiment reports.
-func (db *DB) OperatorCount(st sqlast.Statement) (n int, err error) {
-	key := sqlast.Render(st)
-	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+func (db *DB) OperatorCount(st sqlast.Statement) (int, error) {
+	_, cs, err := db.compile(st)
 	if err != nil {
 		return 0, err
 	}

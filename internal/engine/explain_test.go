@@ -91,7 +91,7 @@ func TestExplainAnalyzeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := db.ExplainAnalyze(st)
+	text, err := db.ExplainAnalyzeWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestExplainStatementSurface(t *testing.T) {
 	if last := res.Rows[len(res.Rows)-1][0].S; !strings.HasPrefix(last, "total: rows=1 ") {
 		t.Fatalf("last analyze line = %q", last)
 	}
-	if _, err := db.RunSQL("EXPLAIN EXPLAIN SELECT b.id FROM B b"); err == nil {
+	if _, err := runSQL(db, "EXPLAIN EXPLAIN SELECT b.id FROM B b"); err == nil {
 		t.Fatal("nested EXPLAIN did not error")
 	}
 }
@@ -160,11 +160,11 @@ func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := db.RunWithOptions(st, ExecOptions{})
+	serial, err := db.RunWithOptionsContext(nil, st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.RunWithOptions(st, ExecOptions{Parallelism: 8})
+	par, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 			}
 		}
 	}
-	cs, err := db.compiledFor(st, "")
+	_, cs, err := db.compile(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestParallelDeferredDistinctFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := db.RunWithOptions(st, ExecOptions{})
+	serial, err := db.RunWithOptionsContext(nil, st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.RunWithOptions(st, ExecOptions{Parallelism: 4})
+	par, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestParallelDeferredDistinctFirstWins(t *testing.T) {
 				i, serial.Rows[i][0].S, par.Rows[i][0].S)
 		}
 	}
-	cs, err := db.compiledFor(st, "")
+	_, cs, err := db.compile(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,12 @@ import (
 
 // This file is the engine's designated panic boundary: guardPanics
 // below contains the package's only recover() call (enforced by the
-// recoverguard analyzer in internal/analysis). Every statement entry
-// point — RunWithOptionsContext, Prepared execution, and each morsel
-// worker goroutine — defers it, so an internal panic in planning or
-// execution surfaces to the caller as a typed *InternalError instead
-// of crashing a serving process. Nothing else in the engine may
+// recoverguard analyzer in internal/analysis). The statement boundary
+// (db.run, behind RunWithOptionsContext and Prepared execution), the
+// plan describers' db.compile/db.analyze and each morsel worker
+// goroutine defer it, so an internal panic in planning, execution or
+// a write surfaces to the caller as a typed *InternalError instead of
+// crashing a serving process. Nothing else in the engine may
 // recover: swallowing a panic anywhere but the statement boundary
 // would hide corruption mid-pipeline.
 

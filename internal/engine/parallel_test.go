@@ -96,11 +96,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := db.Run(st)
+		want, err := run(db, st)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", q, err)
 		}
-		got, err := db.RunWithOptions(st, ExecOptions{Parallelism: 8})
+		got, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", q, err)
 		}
@@ -125,11 +125,11 @@ func TestParallelSmallTableFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := db.Run(st)
+		want, err := run(db, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.RunWithOptions(st, ExecOptions{Parallelism: 4})
+		got, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestParallelTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptions(st, ExecOptions{Parallelism: 8, Timeout: 2 * time.Millisecond})
+	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8, Timeout: 2 * time.Millisecond})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

@@ -22,13 +22,13 @@ func TestPatternCacheReuseAcrossQueries(t *testing.T) {
 	db := fixtureDB(t)
 
 	const q = "SELECT F.id FROM F WHERE REGEXP_LIKE(F.text, '^[0-9]+$')"
-	if _, err := db.RunSQL(q); err != nil {
+	if _, err := runSQL(db, q); err != nil {
 		t.Fatal(err)
 	}
 	if got := PatternCacheSize(); got != 1 {
 		t.Fatalf("after first query: cache size = %d, want 1", got)
 	}
-	if _, err := db.RunSQL(q); err != nil {
+	if _, err := runSQL(db, q); err != nil {
 		t.Fatal(err)
 	}
 	if got := PatternCacheSize(); got != 1 {

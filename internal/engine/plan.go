@@ -935,10 +935,8 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 // tests. The statement is planned through the plan cache but not
 // executed; EXPLAIN ANALYZE (explain.go) runs it and annotates each
 // operator with its OpStats.
-func (db *DB) Explain(st sqlast.Statement) (out string, err error) {
-	key := sqlast.Render(st)
-	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+func (db *DB) Explain(st sqlast.Statement) (string, error) {
+	_, cs, err := db.compile(st)
 	if err != nil {
 		return "", err
 	}

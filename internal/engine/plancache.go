@@ -274,11 +274,8 @@ func (c *planCache) stats() (hits, misses uint64) {
 
 // compiledFor returns a compiled plan for st, consulting the DB's
 // plan cache. key is the canonical cache key (the sqlast rendering of
-// st); pass "" to have it computed here.
+// st).
 func (db *DB) compiledFor(st sqlast.Statement, key string) (*compiledStmt, error) {
-	if key == "" {
-		key = sqlast.Render(st)
-	}
 	if cs := db.plans.get(key, db.loadSnap()); cs != nil {
 		if next := db.maybeReplan(st, key, cs); next != nil {
 			return next, nil
@@ -289,12 +286,22 @@ func (db *DB) compiledFor(st sqlast.Statement, key string) (*compiledStmt, error
 	if err != nil {
 		return nil, err
 	}
-	traceCompiled(st, key, cs)
 	if err := failpoint.Inject("engine/plancache-insert"); err != nil {
 		return nil, err
 	}
 	db.plans.put(key, cs, db.loadSnap())
 	return cs, nil
+}
+
+// compile is the preamble the plan describers (Explain, EXPLAIN
+// ANALYZE, AnalyzeReport, OperatorCount, PlanShape) share: render the
+// plan-cache key and fetch or build the plan, an internal panic in the
+// planner returning as *InternalError.
+func (db *DB) compile(st sqlast.Statement) (key string, cs *compiledStmt, err error) {
+	key = sqlast.Render(st)
+	defer guardPanics(key, &err)
+	cs, err = db.compiledFor(st, key)
+	return key, cs, err
 }
 
 // planFeedback compares the plan's per-step estimates with the
@@ -389,7 +396,6 @@ func (db *DB) maybeReplan(st sqlast.Statement, key string, cs *compiledStmt) *co
 	}
 	next.replans = cs.replans + 1
 	db.replanCount.Add(1)
-	traceCompiled(st, key, next)
 	db.plans.put(key, next, db.loadSnap())
 	return next
 }
@@ -412,48 +418,15 @@ type Prepared struct {
 	key string
 }
 
-// Prepare parses a SELECT/UNION statement for repeated execution.
-func (db *DB) Prepare(src string) (*Prepared, error) {
-	st, err := sqlast.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.PrepareStmt(st), nil
-}
-
 // PrepareStmt binds an already-parsed statement for repeated
 // execution.
 func (db *DB) PrepareStmt(st sqlast.Statement) *Prepared {
 	return &Prepared{db: db, st: st, key: sqlast.Render(st)}
 }
 
-// Run executes the prepared statement with default options.
-func (p *Prepared) Run() (*Result, error) { return p.RunWithOptions(ExecOptions{}) }
-
-// RunWithOptions executes the prepared statement.
-func (p *Prepared) RunWithOptions(opts ExecOptions) (*Result, error) {
-	return p.RunWithOptionsContext(nil, opts)
-}
-
-// RunContext executes the prepared statement honoring cancellation.
-func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
-	return p.RunWithOptionsContext(ctx, ExecOptions{})
-}
-
-// RunWithOptionsContext executes the prepared statement with options,
-// honoring ctx cancellation (nil means no context). Like
-// DB.RunWithOptionsContext it is a statement boundary: internal
-// panics return as *InternalError.
-func (p *Prepared) RunWithOptionsContext(ctx context.Context, opts ExecOptions) (res *Result, err error) {
-	defer guardPanics(p.key, &err)
-	cs, err := p.db.compiledFor(p.st, p.key)
-	if err != nil {
-		return nil, err
-	}
-	if opts.VerifyPlan {
-		if err := verifyCompiled(p.st, p.key, cs); err != nil {
-			return nil, err
-		}
-	}
-	return p.db.runCompiled(ctx, cs, opts, p.key)
+// RunWithOptionsContext executes the prepared statement through the
+// statement boundary (see DB.RunWithOptionsContext), skipping the
+// per-call render of the plan-cache key.
+func (p *Prepared) RunWithOptionsContext(ctx context.Context, opts ExecOptions) (*Result, error) {
+	return p.db.run(ctx, p.st, p.key, opts)
 }

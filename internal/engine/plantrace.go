@@ -159,66 +159,27 @@ type StmtShape struct {
 	Union  *UnionShape
 }
 
-// PlanTrace is delivered to the plan-trace observer (and the plan
-// verifier) once per fresh statement compilation.
+// PlanTrace is what an ExecOptions.VerifyPlan function receives: the
+// statement about to execute and the decompiled plan it compiled to.
 type PlanTrace struct {
 	// SQL is the plan-cache key (the canonical rendering of Stmt).
 	SQL string
 	// Stmt is the statement that was compiled.
 	Stmt sqlast.Statement
-	// Shape is the decompiled plan; nil when extraction failed.
+	// Shape is the decompiled plan.
 	Shape *StmtShape
-	// Err reports a shape-extraction failure ("" on success). An
-	// extraction failure is itself a checkable defect: the compiled
-	// plan contains something the decompiler cannot explain.
-	Err string
 }
 
-// planTrace, when non-nil, observes every fresh compilation.
-var planTrace func(PlanTrace)
-
-// SetPlanTrace installs (or, with nil, removes) the compilation
-// observer. Like core.SetPatternTrace it is not safe for use
-// concurrently with statement execution; the intended caller is
-// plancheck's single-threaded sweep.
-func SetPlanTrace(fn func(PlanTrace)) { planTrace = fn }
-
-// planVerifier, when non-nil, is consulted by executions that request
-// ExecOptions.VerifyPlan.
-var planVerifier func(PlanTrace) error
-
-// SetPlanVerifier installs (or, with nil, removes) the compile-time
-// plan verifier used by ExecOptions.VerifyPlan. Install it before
-// running statements; installation is not synchronized with running
-// queries.
-func SetPlanVerifier(fn func(PlanTrace) error) { planVerifier = fn }
-
-// traceCompiled fires the plan trace for a fresh compilation.
-func traceCompiled(st sqlast.Statement, key string, cs *compiledStmt) {
-	if planTrace == nil {
-		return
-	}
-	tr := PlanTrace{SQL: key, Stmt: st}
-	sh, err := shapeStmt(cs, key)
-	if err != nil {
-		tr.Err = err.Error()
-	} else {
-		tr.Shape = sh
-	}
-	planTrace(tr)
-}
-
-// verifyCompiled runs the installed plan verifier against a compiled
-// statement (cached or fresh), for ExecOptions.VerifyPlan.
-func verifyCompiled(st sqlast.Statement, key string, cs *compiledStmt) error {
-	if planVerifier == nil {
-		return nil
-	}
+// verifyCompiled runs an ExecOptions.VerifyPlan function against a
+// compiled statement (cached or fresh). A shape-extraction failure is
+// itself a rejection: the compiled plan contains something the
+// decompiler cannot explain.
+func verifyCompiled(verify func(PlanTrace) error, st sqlast.Statement, key string, cs *compiledStmt) error {
 	sh, err := shapeStmt(cs, key)
 	if err != nil {
 		return fmt.Errorf("engine: plan shape extraction: %w", err)
 	}
-	if err := planVerifier(PlanTrace{SQL: key, Stmt: st, Shape: sh}); err != nil {
+	if err := verify(PlanTrace{SQL: key, Stmt: st, Shape: sh}); err != nil {
 		return fmt.Errorf("engine: plan verification rejected %q: %w", key, err)
 	}
 	return nil
@@ -227,8 +188,7 @@ func verifyCompiled(st sqlast.Statement, key string, cs *compiledStmt) error {
 // PlanShape compiles the statement (through the plan cache) and
 // returns the decompiled shape of the plan that would execute.
 func (db *DB) PlanShape(st sqlast.Statement) (*StmtShape, error) {
-	key := sqlast.Render(st)
-	cs, err := db.compiledFor(st, key)
+	key, cs, err := db.compile(st)
 	if err != nil {
 		return nil, err
 	}

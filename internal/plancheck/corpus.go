@@ -58,10 +58,12 @@ type translatorFor struct {
 }
 
 // translators returns the schema-aware and Edge translator pairs for
-// a workload. Omission traces fire only from the schema-aware
-// translator; the Edge mapping has no schema to justify omissions.
-func translators(w *bench.Workload) []translatorFor {
-	ppf := w.NewPPFTranslator(nil)
+// a workload, the schema-aware one reporting its Section 4.5 decisions
+// to om; the Edge mapping has no schema to justify omissions.
+func translators(w *bench.Workload, om *omissionLog) []translatorFor {
+	opts := core.DefaultOptions()
+	opts.OmissionTrace = om.observe
+	ppf := w.NewPPFTranslator(&opts)
 	edge := core.NewEdge(nil)
 	return []translatorFor{
 		{name: "schema", db: w.Aware.DB, translate: func(q string) (sqlast.Statement, error) {
@@ -83,8 +85,8 @@ func translators(w *bench.Workload) []translatorFor {
 
 // checkOne translates one query under one translator and
 // certificate-checks the resulting plan, including every Section 4.5
-// omission decision the translation took. The caller must have
-// installed collectOmissions' hook.
+// omission decision the translation took; om is the log tf's
+// translator reports to.
 func checkOne(label string, tf translatorFor, query string, om *omissionLog, stats *Stats) []Finding {
 	om.reset()
 	st, err := tf.translate(query)
@@ -109,12 +111,7 @@ type omissionLog struct {
 	count  int
 }
 
-func (l *omissionLog) install() func() {
-	core.SetOmissionTrace(func(tr core.OmissionTrace) {
-		l.traces = append(l.traces, tr)
-	})
-	return func() { core.SetOmissionTrace(nil) }
-}
+func (l *omissionLog) observe(tr core.OmissionTrace) { l.traces = append(l.traces, tr) }
 
 func (l *omissionLog) reset() { l.traces = l.traces[:0] }
 
@@ -135,9 +132,8 @@ func CheckCorpus() ([]Finding, Stats, error) {
 	var findings []Finding
 	var stats Stats
 	om := &omissionLog{}
-	defer om.install()()
 	for _, w := range ws {
-		tfs := translators(w)
+		tfs := translators(w, om)
 		for _, q := range w.Queries {
 			stats.Queries++
 			for _, tf := range tfs {

@@ -98,31 +98,26 @@ func TestMutationsRejected(t *testing.T) {
 // end to end: a verifier that always rejects must abort execution.
 func TestVerifyPlanRejectsMutatedVerifier(t *testing.T) {
 	db := twoTableDB(t)
-	engine.SetPlanVerifier(func(tr engine.PlanTrace) error {
-		_, fs := CheckShape(db, tr.Stmt, tr.Shape)
-		if len(fs) > 0 {
-			return &findingErr{fs[0]}
-		}
-		return nil
-	})
-	defer engine.SetPlanVerifier(nil)
+	// verifyAs certificate-checks the executing plan against stmt.
+	verifyAs := func(stmt sqlast.Statement) engine.ExecOptions {
+		return engine.ExecOptions{VerifyPlan: func(tr engine.PlanTrace) error {
+			_, fs := CheckShape(db, stmt, tr.Shape)
+			if len(fs) > 0 {
+				return &findingErr{fs[0]}
+			}
+			return nil
+		}}
+	}
 	st, err := sqlast.Parse("SELECT e.id FROM element e WHERE e.parent = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RunWithOptions(st, engine.ExecOptions{VerifyPlan: true}); err != nil {
+	if _, err := db.RunWithOptionsContext(nil, st, verifyAs(st)); err != nil {
 		t.Fatalf("clean plan rejected: %v", err)
 	}
 	// A verifier checking a *different* statement's logic must fail.
 	other, _ := sqlast.Parse("SELECT e.id FROM element e WHERE e.parent = 99")
-	engine.SetPlanVerifier(func(tr engine.PlanTrace) error {
-		_, fs := CheckShape(db, other, tr.Shape)
-		if len(fs) > 0 {
-			return &findingErr{fs[0]}
-		}
-		return nil
-	})
-	if _, err := db.RunWithOptions(st, engine.ExecOptions{VerifyPlan: true}); err == nil {
+	if _, err := db.RunWithOptionsContext(nil, st, verifyAs(other)); err == nil {
 		t.Fatal("mismatched plan passed verification")
 	}
 }
@@ -155,10 +150,9 @@ func TestScopedPathsJoinRegression(t *testing.T) {
 		"//inproceedings/preceding::inproceedings[.//*]/descendant-or-self::*",
 	}
 	om := &omissionLog{}
-	defer om.install()()
 	var stats Stats
 	for _, w := range ws {
-		for _, tf := range translators(w) {
+		for _, tf := range translators(w, om) {
 			for _, q := range queries {
 				label := w.Name + "/" + tf.name + "/" + q
 				for _, f := range checkOne(label, tf, q, om, &stats) {

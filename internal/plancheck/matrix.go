@@ -21,9 +21,8 @@ func CheckMatrix(n int, seed int64) ([]Finding, Stats, error) {
 	var findings []Finding
 	var stats Stats
 	om := &omissionLog{}
-	defer om.install()()
 	for _, w := range ws {
-		tfs := translators(w)
+		tfs := translators(w, om)
 		gen := newQueryGen(w, rand.New(rand.NewSource(seed)))
 		for i := 0; i < n; i++ {
 			q := gen.next()

@@ -140,13 +140,11 @@ func TestCheckerRejectsForeignShape(t *testing.T) {
 
 func TestVerifyPlanExecOption(t *testing.T) {
 	db := twoTableDB(t)
-	engine.SetPlanVerifier(Verifier(db))
-	defer engine.SetPlanVerifier(nil)
 	st, err := sqlast.Parse("SELECT DISTINCT e.id FROM element e WHERE e.parent = 3 ORDER BY e.id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RunWithOptions(st, engine.ExecOptions{VerifyPlan: true}); err != nil {
+	if _, err := db.RunWithOptionsContext(nil, st, engine.ExecOptions{VerifyPlan: Verifier(db)}); err != nil {
 		t.Fatalf("verified execution failed: %v", err)
 	}
 }

@@ -3,9 +3,16 @@ package shred
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/schema"
 	"repro/internal/xmltree"
 )
+
+// runSQL sends a statement of text through the engine's boundary with
+// no context and default options.
+func runSQL(db *engine.DB, src string) (*engine.Result, error) {
+	return db.ExecSQL(nil, src, engine.ExecOptions{})
+}
 
 func paperSchema(t *testing.T) *schema.Schema {
 	t.Helper()
@@ -79,7 +86,7 @@ func TestSchemaAwareLoad(t *testing.T) {
 		t.Errorf("path count = %d", st.PathCount())
 	}
 	// Descriptor values: F with text '2'.
-	res, err := st.DB.RunSQL("SELECT F.id, F.par, F.text FROM F WHERE F.text = '2'")
+	res, err := runSQL(st.DB, "SELECT F.id, F.par, F.text FROM F WHERE F.text = '2'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +94,7 @@ func TestSchemaAwareLoad(t *testing.T) {
 		t.Fatalf("F rows = %v", res.Rows)
 	}
 	// Attribute column on A.
-	res, err = st.DB.RunSQL("SELECT A.x, A.doc_id FROM A")
+	res, err = runSQL(st.DB, "SELECT A.x, A.doc_id FROM A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestSchemaAwareLoad(t *testing.T) {
 		t.Fatalf("A row = %v", res.Rows)
 	}
 	// Paths relation joined by path_id.
-	res, err = st.DB.RunSQL("SELECT p.path FROM F, paths p WHERE F.path_id = p.id AND F.id = 8")
+	res, err = runSQL(st.DB, "SELECT p.path FROM F, paths p WHERE F.path_id = p.id AND F.id = 8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestSchemaAwareMultiDocIDs(t *testing.T) {
 	if d2 != 2 {
 		t.Fatalf("second doc id = %d", d2)
 	}
-	res, err := st.DB.RunSQL("SELECT A.id FROM A ORDER BY A.id")
+	res, err := runSQL(st.DB, "SELECT A.id FROM A ORDER BY A.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,7 @@ func TestEdgeLoad(t *testing.T) {
 	if st.PathCount() != 8 {
 		t.Errorf("path count = %d", st.PathCount())
 	}
-	res, err := st.DB.RunSQL(
+	res, err := runSQL(st.DB,
 		"SELECT e.id FROM edge e, paths p WHERE e.path_id = p.id AND p.path = '/A/B/C/E/F' ORDER BY e.dewey_pos")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +177,7 @@ func TestEdgeLoad(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	// Attribute join.
-	res, err = st.DB.RunSQL("SELECT a.value FROM edge e, attr a WHERE a.owner = e.id AND e.name = 'A' AND a.aname = 'x'")
+	res, err = runSQL(st.DB, "SELECT a.value FROM edge e, attr a WHERE a.owner = e.id AND e.name = 'A' AND a.aname = 'x'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +199,7 @@ func TestAccelLoad(t *testing.T) {
 	}
 	// Region containment: descendants of B(pre of node id 2) are those
 	// with pre > and post < the B row.
-	res, err := st.DB.RunSQL(
+	res, err := runSQL(st.DB,
 		"SELECT d.id FROM accel v, accel d WHERE v.id = 2 AND d.pre > v.pre AND d.post < v.post ORDER BY d.pre")
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +211,7 @@ func TestAccelLoad(t *testing.T) {
 		t.Fatalf("descendant ids = %v", res.Rows)
 	}
 	// pre order equals document order of elements.
-	res, err = st.DB.RunSQL("SELECT a.id FROM accel a ORDER BY a.pre")
+	res, err = runSQL(st.DB, "SELECT a.id FROM accel a ORDER BY a.pre")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +233,14 @@ func TestAccelMultiDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre ranks must stay unique across documents.
-	res, err := st.DB.RunSQL("SELECT COUNT(*) FROM accel")
+	res, err := runSQL(st.DB, "SELECT COUNT(*) FROM accel")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].I != 24 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	res, err = st.DB.RunSQL("SELECT DISTINCT a.pre FROM accel a")
+	res, err = runSQL(st.DB, "SELECT DISTINCT a.pre FROM accel a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,8 @@ func renderStatement(b *strings.Builder, st Statement) {
 			b.WriteString("ANALYZE ")
 		}
 		renderStatement(b, s.Stmt)
+	case *CreateTable, *CreateIndex, *Insert:
+		b.WriteString(s.String())
 	default:
 		panic(fmt.Sprintf("sqlast: unknown statement %T", st))
 	}

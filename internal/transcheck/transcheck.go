@@ -102,7 +102,7 @@ func checkOne(source, kind string, steps []*xpath.Step, anchored bool, base, pat
 
 // CheckCorpus translates every fig3 (dblp) and XPathMark query under
 // both the schema-aware and Edge translators, captures every Table 1
-// pattern constructed along the way via core.SetPatternTrace, and
+// pattern constructed along the way via core.Options.PatternTrace, and
 // checks each distinct (kind, inputs, pattern) tuple against its
 // reference automaton. Queries the translator rejects (unsupported
 // features) are skipped: no pattern was emitted, so there is nothing
@@ -118,14 +118,14 @@ func CheckCorpus() ([]Finding, Stats, error) {
 	traced := map[key]core.PatternTrace{}
 	sources := map[key]string{}
 	var current string
-	core.SetPatternTrace(func(tr core.PatternTrace) {
+	opts := core.DefaultOptions()
+	opts.PatternTrace = func(tr core.PatternTrace) {
 		k := key{kind: tr.Kind, sig: stepsSig(tr.Steps), anchored: tr.Anchored, base: tr.Base, pattern: tr.Pattern}
 		if _, ok := traced[k]; !ok {
 			traced[k] = tr
 			sources[k] = current
 		}
-	})
-	defer core.SetPatternTrace(nil)
+	}
 
 	type corpusQuery struct{ id, query string }
 	var queries []corpusQuery
@@ -136,9 +136,9 @@ func CheckCorpus() ([]Finding, Stats, error) {
 		queries = append(queries, corpusQuery{"xmark/" + q.ID, q.XPath})
 	}
 
-	schemaT := core.New(dblp.Schema(), nil)
-	xmarkT := core.New(xmark.Schema(), nil)
-	edgeT := core.NewEdge(nil)
+	schemaT := core.New(dblp.Schema(), &opts)
+	xmarkT := core.New(xmark.Schema(), &opts)
+	edgeT := core.NewEdge(&opts)
 	var stats Stats
 	for _, q := range queries {
 		stats.Queries++

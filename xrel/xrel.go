@@ -247,9 +247,10 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 
 // RunSQL executes a statement of the engine dialect directly,
 // returning column names and stringified rows. It exposes the
-// embedded engine for inspection and tooling.
+// embedded engine for inspection and tooling. Like Query it passes a
+// nil context, not context.Background().
 func (s *Store) RunSQL(sql string) (cols []string, rows [][]string, err error) {
-	res, err := s.shred.DB.ExecSQLWithOptions(sql, s.execOpts())
+	res, err := s.shred.DB.ExecSQL(nil, sql, s.execOpts())
 	if err != nil {
 		return nil, nil, err
 	}
