@@ -1,9 +1,10 @@
-# make check mirrors .github/workflows/ci.yml locally.
+# make check runs what .github/workflows/ci.yml runs, except fuzz-smoke
+# (10s per native fuzz target), which stays CI-only.
 GO ?= go
 
 .PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke planquality-smoke bench-harness
 
-check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke planquality-smoke
+check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke bench-smoke explain-smoke planquality-smoke
 
 build:
 	$(GO) build ./...

@@ -85,7 +85,7 @@ type Workload struct {
 	Oracle *native.Evaluator
 
 	ppf     *core.Translator
-	edgeTr  *core.EdgeTranslator
+	edgeTr  *core.Translator
 	accelTr *accel.Translator
 
 	// commercialOnly lists the queries the paper's commercial system

@@ -1,15 +1,15 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/shred"
 )
 
-func setupEdge(t testing.TB) (*EdgeTranslator, *shred.EdgeStore, *native.Evaluator) {
+func setupEdge(t testing.TB) (*Translator, *engine.DB, *native.Evaluator) {
 	t.Helper()
 	st, err := shred.NewEdge()
 	if err != nil {
@@ -19,34 +19,7 @@ func setupEdge(t testing.TB) (*EdgeTranslator, *shred.EdgeStore, *native.Evaluat
 	if _, err := st.Load(doc); err != nil {
 		t.Fatal(err)
 	}
-	return NewEdge(nil), st, native.New(doc)
-}
-
-func checkEdge(t *testing.T, tr *EdgeTranslator, st *shred.EdgeStore, ev *native.Evaluator, q string) {
-	t.Helper()
-	trans, err := tr.Translate(q)
-	if err != nil {
-		t.Fatalf("Translate(%q): %v", q, err)
-	}
-	res, err := run(st.DB, trans.Stmt)
-	if err != nil {
-		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
-	}
-	got := make([]int64, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		got = append(got, r[0].I)
-	}
-	want, err := ev.ElementIDs(q)
-	if err != nil {
-		t.Fatalf("oracle(%q): %v", q, err)
-	}
-	want = mapTextToParent(ev, q, want)
-	if len(got) == 0 && len(want) == 0 {
-		return
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s:\n got %v\nwant %v\nSQL: %s", q, got, want, trans.SQL)
-	}
+	return NewEdge(nil), st.DB, native.New(doc)
 }
 
 func TestEdgeEndToEndAgainstOracle(t *testing.T) {
@@ -98,7 +71,7 @@ func TestEdgeEndToEndAgainstOracle(t *testing.T) {
 		"//*",
 	}
 	for _, q := range queries {
-		checkEdge(t, tr, st, ev, q)
+		check(t, tr, st, ev, q)
 	}
 }
 

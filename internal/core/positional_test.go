@@ -26,7 +26,7 @@ func TestPositionalAndLast(t *testing.T) {
 	}
 	for _, q := range queries {
 		check(t, tr, st, ev, q)
-		checkEdge(t, trE, stE, ev, q)
+		check(t, trE, stE, ev, q)
 	}
 }
 

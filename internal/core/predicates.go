@@ -43,15 +43,9 @@ func (b *builder) translatePredicate(sel *sqlast.Select, e xpath.Expr, ctx chain
 			if err != nil || r.isTrue {
 				return r, err
 			}
-			if l.isFalse {
-				return r, nil
-			}
-			if r.isFalse {
-				return l, nil
-			}
-			return dyn(sqlast.Or(l.expr, r.expr)), nil
+			return l.or(r), nil
 		case x.Op.Comparison():
-			return b.translateComparison(sel, x, ctx)
+			return b.translateComparison(x, ctx)
 		default:
 			return sqlCond{}, fmt.Errorf("a bare arithmetic predicate is positional and not supported in SQL translation")
 		}
@@ -83,20 +77,13 @@ func (b *builder) translatePredicate(sel *sqlast.Select, e xpath.Expr, ctx chain
 	case *xpath.Path:
 		return b.predPathExists(sel, x, ctx)
 	case *xpath.Union:
-		var out sqlCond = condFalse
+		out := condFalse
 		for _, p := range x.Paths {
 			c, err := b.predPathExists(sel, p, ctx)
 			if err != nil || c.isTrue {
 				return c, err
 			}
-			if c.isFalse {
-				continue
-			}
-			if out.isFalse {
-				out = c
-			} else {
-				out = dyn(sqlast.Or(out.expr, c.expr))
-			}
+			out = out.or(c)
 		}
 		return out, nil
 	case *xpath.Number:
@@ -120,7 +107,7 @@ func negate(e sqlast.Expr) sqlast.Expr {
 
 // --- comparisons ---
 
-func (b *builder) translateComparison(sel *sqlast.Select, x *xpath.Binary, ctx chainCtx) (sqlCond, error) {
+func (b *builder) translateComparison(x *xpath.Binary, ctx chainCtx) (sqlCond, error) {
 	op := sqlOp(x.Op)
 	lPath, lf, lIsPath := valuePath(x.L)
 	rPath, rf, rIsPath := valuePath(x.R)
@@ -133,23 +120,23 @@ func (b *builder) translateComparison(sel *sqlast.Select, x *xpath.Binary, ctx c
 	case lIsPath:
 		c, ok := constExpr(x.R)
 		if !ok {
-			return b.specialComparison(sel, x, ctx)
+			return b.specialComparison(x, ctx)
 		}
 		return b.valueComparison(op, lPath, lf, c, ctx)
 	case rIsPath:
 		c, ok := constExpr(x.L)
 		if !ok {
-			return b.specialComparison(sel, x, ctx)
+			return b.specialComparison(x, ctx)
 		}
 		return b.valueComparison(flipSQLOp(op), rPath, rf, c, ctx)
 	default:
-		return b.specialComparison(sel, x, ctx)
+		return b.specialComparison(x, ctx)
 	}
 }
 
 // specialComparison handles position(), last(), count() and
 // constant-only comparisons.
-func (b *builder) specialComparison(sel *sqlast.Select, x *xpath.Binary, ctx chainCtx) (sqlCond, error) {
+func (b *builder) specialComparison(x *xpath.Binary, ctx chainCtx) (sqlCond, error) {
 	// position()/last()/number on both sides: expressed with sibling
 	// count subqueries (position = preceding+1, last = total).
 	if l, lok := positionTerm(x.L); lok {
@@ -364,9 +351,10 @@ func flipSQLOp(op sqlast.BinOp) sqlast.BinOp {
 
 // --- predicate path machinery ---
 
-// predChain is one relation combination of a predicate path: the
-// subselect fragment chain, its end context, and the terminal
-// attribute/text() step if any.
+// predChain is one place a predicate operand's value comes from: the
+// end of one relation combination's subselect chain (with the
+// terminal attribute/text() step if any), or — sel nil — the
+// predicated element itself.
 type predChain struct {
 	sel      *sqlast.Select
 	end      chainCtx
@@ -376,21 +364,11 @@ type predChain struct {
 // predPathExists translates a bare path predicate (existence).
 func (b *builder) predPathExists(sel *sqlast.Select, p *xpath.Path, ctx chainCtx) (sqlCond, error) {
 	// Attribute / text() / self shortcuts on the predicated element.
-	if !p.Absolute && len(p.Steps) == 1 {
-		s := p.Steps[0]
-		if s.Axis == xpath.Attribute && len(s.Predicates) == 0 {
-			if !ctx.node.HasAttr(s.Name) {
-				return condFalse, nil
-			}
-			return dyn(&sqlast.IsNull{X: sqlast.C(ctx.alias, shred.AttrCol(s.Name)), Negate: true}), nil
+	if s := selfStep(p); s != nil {
+		if s.Axis == xpath.Attribute || s.Test == xpath.TextTest {
+			return b.valueTest(ctx, s, nil), nil
 		}
-		if s.Test == xpath.TextTest && len(s.Predicates) == 0 {
-			if !ctx.node.HasText {
-				return condFalse, nil
-			}
-			return dyn(&sqlast.IsNull{X: sqlast.C(ctx.alias, shred.ColText), Negate: true}), nil
-		}
-		if s.Axis == xpath.Self && s.Test == xpath.AnyKindTest && len(s.Predicates) == 0 {
+		if s.Axis == xpath.Self && s.Test == xpath.AnyKindTest {
 			// '.' always selects the context node itself.
 			return condTrue, nil
 		}
@@ -414,23 +392,23 @@ func (b *builder) predPathExists(sel *sqlast.Select, p *xpath.Path, ctx chainCtx
 	if err != nil {
 		return sqlCond{}, err
 	}
-	var out sqlCond = condFalse
+	out := condFalse
 	for _, c := range chains {
-		ok, err := b.applyTerminal(c.sel, c.end, c.terminal)
-		if err != nil {
-			return sqlCond{}, err
-		}
-		if !ok {
-			continue
-		}
-		ex := dyn(&sqlast.Exists{Select: c.sel})
-		if out.isFalse {
-			out = ex
-		} else {
-			out = dyn(sqlast.Or(out.expr, ex.expr))
+		if b.applyTerminal(c.sel, c.end, c.terminal) {
+			out = out.or(dyn(&sqlast.Exists{Select: c.sel}))
 		}
 	}
 	return out, nil
+}
+
+// selfStep returns the step of a relative path of one predicate-free
+// step — the only shape that can denote the predicated element itself
+// or one of its values — and nil for every other path.
+func selfStep(p *xpath.Path) *xpath.Step {
+	if p.Absolute || len(p.Steps) != 1 || len(p.Steps[0].Predicates) > 0 {
+		return nil
+	}
+	return p.Steps[0]
 }
 
 // isBackwardSimple reports whether all steps are backward vertical
@@ -480,195 +458,117 @@ func (b *builder) buildPredChains(p *xpath.Path, ctx chainCtx) ([]predChain, err
 	return out, nil
 }
 
+// operandChains lists where a compared path's value comes from: the
+// predicated element itself for '.', 'text()' and '@attr', otherwise
+// the path's subselect chains.
+func (b *builder) operandChains(p *xpath.Path, ctx chainCtx) ([]predChain, error) {
+	if s := selfStep(p); s != nil {
+		switch {
+		case s.Axis == xpath.Attribute:
+			return []predChain{{end: ctx, terminal: s}}, nil
+		case s.Axis == xpath.Child && s.Test == xpath.TextTest,
+			s.Axis == xpath.Self && s.Test == xpath.AnyKindTest:
+			return []predChain{{end: ctx}}, nil
+		}
+	}
+	return b.buildPredChains(p, ctx)
+}
+
+// valueTest builds the condition that the value a path ends in — the
+// attribute a terminal attribute step names, otherwise the text of
+// the element at end — exists and satisfies cond (nil: merely
+// exists). It is statically false where the mapping knows the element
+// cannot hold the value.
+func (b *builder) valueTest(end chainCtx, terminal *xpath.Step, cond func(sqlast.Expr) sqlCond) sqlCond {
+	if terminal != nil && terminal.Axis == xpath.Attribute {
+		return b.tr.m.attrTest(b, end.alias, end.node, terminal.Name, cond)
+	}
+	if !end.node.HasText {
+		return condFalse
+	}
+	return testValue(sqlast.C(end.alias, shred.ColText), cond)
+}
+
+// testValue applies cond to a nullable value expression.
+func testValue(v sqlast.Expr, cond func(sqlast.Expr) sqlCond) sqlCond {
+	if cond == nil {
+		return dyn(&sqlast.IsNull{X: v, Negate: true})
+	}
+	return cond(v)
+}
+
+// existsIn wraps a condition on a chain's value in the chain's EXISTS
+// (a condition on the predicated element itself stands as it is).
+func existsIn(sel *sqlast.Select, cond sqlCond) sqlCond {
+	if sel == nil || cond.isFalse {
+		return cond
+	}
+	sel.AddConjunct(cond.expr)
+	return dyn(&sqlast.Exists{Select: sel})
+}
+
 // valueComparison translates 'path OP constant' (with an optional
 // arithmetic transform on the path's value).
 func (b *builder) valueComparison(op sqlast.BinOp, p *xpath.Path, f func(sqlast.Expr) sqlast.Expr, c sqlast.Expr, ctx chainCtx) (sqlCond, error) {
-	// '@attr OP const' and 'text() OP const' and '. OP const' compare
-	// columns of the predicated relation directly.
-	if col, ok, err := b.selfValueColumn(p, ctx); err != nil {
-		return sqlCond{}, err
-	} else if ok {
-		if col == nil {
-			return condFalse, nil
-		}
-		return dyn(&sqlast.Binary{Op: op, L: applyf(f, col), R: c}), nil
-	}
-	chains, err := b.buildPredChains(p, ctx)
+	chains, err := b.operandChains(p, ctx)
 	if err != nil {
 		return sqlCond{}, err
 	}
-	var out sqlCond = condFalse
+	compare := func(v sqlast.Expr) sqlCond {
+		if f != nil {
+			v = f(v)
+		}
+		return dyn(&sqlast.Binary{Op: op, L: v, R: c})
+	}
+	out := condFalse
 	for _, ch := range chains {
-		col, ok := b.chainValueColumn(ch)
-		if !ok {
-			continue
-		}
-		ch.sel.AddConjunct(&sqlast.Binary{Op: op, L: applyf(f, col), R: c})
-		ex := dyn(&sqlast.Exists{Select: ch.sel})
-		if out.isFalse {
-			out = ex
-		} else {
-			out = dyn(sqlast.Or(out.expr, ex.expr))
-		}
+		out = out.or(existsIn(ch.sel, b.valueTest(ch.end, ch.terminal, compare)))
 	}
 	return out, nil
-}
-
-func applyf(f func(sqlast.Expr) sqlast.Expr, e sqlast.Expr) sqlast.Expr {
-	if f == nil {
-		return e
-	}
-	return f(e)
-}
-
-// selfValueColumn matches predicate paths that denote a value of the
-// predicated element itself: '.', 'text()', '@attr'. It returns
-// (nil, true, nil) when the path matches but the relation cannot hold
-// the value (statically false).
-func (b *builder) selfValueColumn(p *xpath.Path, ctx chainCtx) (sqlast.Expr, bool, error) {
-	if p.Absolute {
-		return nil, false, nil
-	}
-	if len(p.Steps) == 1 {
-		s := p.Steps[0]
-		switch {
-		case s.Axis == xpath.Attribute && len(s.Predicates) == 0:
-			if !ctx.node.HasAttr(s.Name) {
-				return nil, true, nil
-			}
-			return sqlast.C(ctx.alias, shred.AttrCol(s.Name)), true, nil
-		case s.Axis == xpath.Child && s.Test == xpath.TextTest && len(s.Predicates) == 0:
-			if !ctx.node.HasText {
-				return nil, true, nil
-			}
-			return sqlast.C(ctx.alias, shred.ColText), true, nil
-		case s.Axis == xpath.Self && s.Test == xpath.AnyKindTest && len(s.Predicates) == 0:
-			if !ctx.node.HasText {
-				return nil, true, nil
-			}
-			return sqlast.C(ctx.alias, shred.ColText), true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// chainValueColumn returns the value column of a chain's end element
-// (its text column, or the terminal attribute column).
-func (b *builder) chainValueColumn(ch predChain) (sqlast.Expr, bool) {
-	if ch.terminal != nil {
-		if ch.terminal.Axis == xpath.Attribute {
-			if !ch.end.node.HasAttr(ch.terminal.Name) {
-				return nil, false
-			}
-			return sqlast.C(ch.end.alias, shred.AttrCol(ch.terminal.Name)), true
-		}
-		// text()
-		if !ch.end.node.HasText {
-			return nil, false
-		}
-		return sqlast.C(ch.end.alias, shred.ColText), true
-	}
-	if !ch.end.node.HasText {
-		return nil, false
-	}
-	return sqlast.C(ch.end.alias, shred.ColText), true
 }
 
 // joinClause translates 'pathL OP pathR' (a predicate join clause):
 // both paths' relations live in one EXISTS subselect with a theta
-// join between their value columns.
+// join between their values.
 func (b *builder) joinClause(op sqlast.BinOp, pl, pr *xpath.Path, ctx chainCtx) (sqlCond, error) {
-	// '.' on either side compares against the predicated element.
-	selfL, okL, err := b.selfValueColumn(pl, ctx)
+	chainsL, err := b.operandChains(pl, ctx)
 	if err != nil {
 		return sqlCond{}, err
 	}
-	selfR, okR, err := b.selfValueColumn(pr, ctx)
-	if err != nil {
-		return sqlCond{}, err
-	}
-	if okL && okR {
-		if selfL == nil || selfR == nil {
-			return condFalse, nil
-		}
-		return dyn(&sqlast.Binary{Op: op, L: selfL, R: selfR}), nil
-	}
-	if okL {
-		if selfL == nil {
-			return condFalse, nil
-		}
-		return b.halfJoinClause(op, selfL, pr, ctx, false)
-	}
-	if okR {
-		if selfR == nil {
-			return condFalse, nil
-		}
-		return b.halfJoinClause(flipSQLOp(op), selfR, pl, ctx, false)
-	}
-
-	chainsL, err := b.buildPredChains(pl, ctx)
-	if err != nil {
-		return sqlCond{}, err
-	}
-	var out sqlCond = condFalse
+	out := condFalse
 	for _, cl := range chainsL {
-		colL, ok := b.chainValueColumn(cl)
-		if !ok {
-			continue
-		}
-		chainsR, err := b.buildPredChains(pr, ctx)
+		// Each left chain merges with right chains of its own: their
+		// aliases must be fresh per EXISTS.
+		chainsR, err := b.operandChains(pr, ctx)
 		if err != nil {
 			return sqlCond{}, err
 		}
 		for _, cr := range chainsR {
-			colR, ok := b.chainValueColumn(cr)
-			if !ok {
-				continue
-			}
-			// Merge the right chain into the left subselect.
-			merged := cl.sel
-			if cl.sel == cr.sel {
-				return sqlCond{}, fmt.Errorf("internal: predicate chains must be distinct selects")
-			}
-			mergedCopy := &sqlast.Select{
-				Cols:  merged.Cols,
-				From:  append(append([]sqlast.TableRef(nil), merged.From...), cr.sel.From...),
-				Where: sqlast.And(merged.Where, cr.sel.Where),
-			}
-			mergedCopy.AddConjunct(&sqlast.Binary{Op: op, L: colL, R: colR})
-			ex := dyn(&sqlast.Exists{Select: mergedCopy})
-			if out.isFalse {
-				out = ex
-			} else {
-				out = dyn(sqlast.Or(out.expr, ex.expr))
-			}
+			cond := b.valueTest(cl.end, cl.terminal, func(lv sqlast.Expr) sqlCond {
+				return b.valueTest(cr.end, cr.terminal, func(rv sqlast.Expr) sqlCond {
+					return dyn(&sqlast.Binary{Op: op, L: lv, R: rv})
+				})
+			})
+			out = out.or(existsIn(mergeSelects(cl.sel, cr.sel), cond))
 		}
 	}
 	return out, nil
 }
 
-// halfJoinClause compares a column of the predicated element against
-// a path's value inside one EXISTS.
-func (b *builder) halfJoinClause(op sqlast.BinOp, col sqlast.Expr, p *xpath.Path, ctx chainCtx, _ bool) (sqlCond, error) {
-	chains, err := b.buildPredChains(p, ctx)
-	if err != nil {
-		return sqlCond{}, err
+// mergeSelects joins two chains' subselects into one (nil stands for
+// the predicated element itself, which needs no subselect).
+func mergeSelects(l, r *sqlast.Select) *sqlast.Select {
+	if l == nil {
+		return r
 	}
-	var out sqlCond = condFalse
-	for _, ch := range chains {
-		rcol, ok := b.chainValueColumn(ch)
-		if !ok {
-			continue
-		}
-		ch.sel.AddConjunct(&sqlast.Binary{Op: op, L: col, R: rcol})
-		ex := dyn(&sqlast.Exists{Select: ch.sel})
-		if out.isFalse {
-			out = ex
-		} else {
-			out = dyn(sqlast.Or(out.expr, ex.expr))
-		}
+	if r == nil {
+		return l
 	}
-	return out, nil
+	return &sqlast.Select{
+		Cols:  l.Cols,
+		From:  append(append([]sqlast.TableRef(nil), l.From...), r.From...),
+		Where: sqlast.And(l.Where, r.Where),
+	}
 }
 
 // countComparison translates 'count(path) OP n' with a scalar COUNT
@@ -684,11 +584,7 @@ func (b *builder) countComparison(op sqlast.BinOp, arg xpath.Expr, n float64, ct
 	}
 	live := chains[:0]
 	for _, ch := range chains {
-		ok, err := b.applyTerminal(ch.sel, ch.end, ch.terminal)
-		if err != nil {
-			return sqlCond{}, err
-		}
-		if ok {
+		if b.applyTerminal(ch.sel, ch.end, ch.terminal) {
 			live = append(live, ch)
 		}
 	}
@@ -731,9 +627,9 @@ func positionTerm(e xpath.Expr) (posTerm, bool) {
 }
 
 // positionTermExpr renders a positional term as a SQL expression over
-// same-relation sibling counts: position() is (preceding siblings)+1
-// and last() the total sibling count. Requires a child-axis,
-// non-wildcard prominent step (see DESIGN.md).
+// counts of the siblings passing the same node test: position() is
+// (preceding siblings)+1 and last() the total sibling count. Requires
+// a child-axis, non-wildcard prominent step (see DESIGN.md).
 func (b *builder) positionTermExpr(t posTerm, ctx chainCtx) (sqlast.Expr, error) {
 	if t.kind == 'n' {
 		return numLit(t.num), nil
@@ -742,13 +638,14 @@ func (b *builder) positionTermExpr(t posTerm, ctx chainCtx) (sqlast.Expr, error)
 	if step == nil || step.Axis != xpath.Child || step.Test != xpath.NameTest || step.Name == "" {
 		return nil, fmt.Errorf("positional predicates are only supported on child-axis name tests")
 	}
-	rel := shred.RelName(ctx.node.Name)
-	alias := b.newAlias(rel)
+	ref := b.tr.m.relation(b, ctx.node)
+	alias := ref.Alias
 	sub := &sqlast.Select{
 		Cols: []sqlast.SelectCol{{Expr: &sqlast.CountStar{}}},
-		From: []sqlast.TableRef{{Table: rel, Alias: alias}},
+		From: []sqlast.TableRef{ref},
 	}
 	sub.AddConjunct(sqlast.Eq(sqlast.C(alias, shred.ColPar), sqlast.C(ctx.alias, shred.ColPar)))
+	sub.AddConjunct(b.tr.m.siblingTest(alias, step))
 	if t.kind == 'p' {
 		sub.AddConjunct(&sqlast.Binary{Op: sqlast.OpLt,
 			L: sqlast.C(alias, shred.ColDewey), R: sqlast.C(ctx.alias, shred.ColDewey)})

@@ -42,7 +42,7 @@ func TestPredicateVariantsAgainstOracle(t *testing.T) {
 	}
 	for _, q := range queries {
 		check(t, tr, st, ev, q)
-		checkEdge(t, trE, stE, ev, q)
+		check(t, trE, stE, ev, q)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestPredicatePathWithInternalPredicates(t *testing.T) {
 		"//B[C[D]/D]",
 	} {
 		check(t, tr, st, ev, q)
-		checkEdge(t, trE, stE, ev, q)
+		check(t, trE, stE, ev, q)
 	}
 }
 
@@ -88,9 +88,20 @@ func TestJoinClauseVariants(t *testing.T) {
 		"//E[F = /A/B/C/D]",
 		"//C[. = D]", // self vs child path
 		"//C[D = .]", // flipped
+		// attribute operands: on the predicated element, and as the
+		// terminal of a chain (the Edge mapping reads both from attr).
+		"//D[@x = .]",
+		"//D[. = @x]",
+		"//D[@x = @x]",
+		"//D[@x != /A/@x]",
+		"/A[@x < B/C/D/@x]",
+		"//C[D/@x = D]",
+		"//C[D = D/@x]",
+		"//B[C/D/@x > C/E/F]",
+		"//B[C/D/@x = /A/@x]",
 	} {
 		check(t, tr, st, ev, q)
-		checkEdge(t, trE, stE, ev, q)
+		check(t, trE, stE, ev, q)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestRecursiveChainsSchemaAware(t *testing.T) {
 	tr := New(s, nil)
 	ev := native.New(doc)
 	for _, q := range recursiveQueries {
-		check(t, tr, st, ev, q)
+		check(t, tr, st.DB, ev, q)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestRecursiveChainsEdge(t *testing.T) {
 	tr := NewEdge(nil)
 	ev := native.New(doc)
 	for _, q := range recursiveQueries {
-		checkEdge(t, tr, st, ev, q)
+		check(t, tr, st.DB, ev, q)
 	}
 }
 
@@ -206,25 +206,15 @@ func TestRecursiveFuzz(t *testing.T) {
 			}
 			want := append([]int64{}, ids...)
 			// Schema-aware.
-			gotA := runQuery(t, trA, aware, q)
+			gotA := runQuery(t, trA, aware.DB, q)
 			if !reflect.DeepEqual(append([]int64{}, gotA...), want) && (len(gotA) != 0 || len(want) != 0) {
 				trans, _ := trA.Translate(q)
 				t.Fatalf("schema-aware disagrees on %q:\n got %v\nwant %v\nSQL: %s", q, gotA, want, trans.SQL)
 			}
 			// Edge.
-			trans, err := trE.Translate(q)
-			if err != nil {
-				t.Fatalf("edge translate %q: %v", q, err)
-			}
-			res, err := run(edge.DB, trans.Stmt)
-			if err != nil {
-				t.Fatalf("edge run %q: %v", q, err)
-			}
-			gotE := make([]int64, 0, len(res.Rows))
-			for _, row := range res.Rows {
-				gotE = append(gotE, row[0].I)
-			}
+			gotE := runQuery(t, trE, edge.DB, q)
 			if !reflect.DeepEqual(gotE, want) && (len(gotE) != 0 || len(want) != 0) {
+				trans, _ := trE.Translate(q)
 				t.Fatalf("edge disagrees on %q:\n got %v\nwant %v\nSQL: %s", q, gotE, want, trans.SQL)
 			}
 			// XPath Accelerator.

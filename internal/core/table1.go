@@ -3,7 +3,7 @@ package core
 import "repro/internal/xpath"
 
 // This file is transcheck's window into the Table 1 construction: the
-// derivation functions stay unexported (translate.go and edge.go are
+// derivation functions stay unexported (translate.go and predicates.go are
 // their only production callers), but the static translation validator
 // needs to drive them over a synthetic axis/shape matrix in addition
 // to observing real translations through Options.PatternTrace.

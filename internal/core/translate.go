@@ -43,11 +43,13 @@ type Translation struct {
 	Joins   int // total FROM entries across all selects and subselects
 }
 
-// Translator translates XPath to SQL over the schema-aware mapping of
-// package shred.
+// Translator translates XPath to SQL with the PPF technique. The
+// relational mapping it targets — package shred's schema-aware mapping
+// (New) or the schema-oblivious Edge-like one (NewEdge) — is data to
+// the one Algorithm 1 below, reached only through m.
 type Translator struct {
-	schema *schema.Schema
-	opts   Options
+	m    mapping
+	opts Options
 }
 
 // New returns a schema-aware PPF translator with the given options
@@ -60,7 +62,7 @@ func New(s *schema.Schema, opts *Options) *Translator {
 			o.maxCombos = 256
 		}
 	}
-	return &Translator{schema: s, opts: o}
+	return &Translator{m: schemaMapping{s}, opts: o}
 }
 
 // Translate parses and translates an XPath query.
@@ -210,6 +212,12 @@ func (b *builder) newAlias(rel string) string {
 	return fmt.Sprintf("%s_%d", rel, b.aliases[rel])
 }
 
+// seqAlias numbers every alias of a shared relation: prefix1, prefix2.
+func (b *builder) seqAlias(prefix string) string {
+	b.aliases[prefix]++
+	return fmt.Sprintf("%s%d", prefix, b.aliases[prefix])
+}
+
 // translatePath translates one absolute backbone path into one or
 // more SELECTs (SQL splitting).
 func (t *Translator) translatePath(p *xpath.Path) ([]*sqlast.Select, error) {
@@ -242,12 +250,7 @@ func (t *Translator) translatePath(p *xpath.Path) ([]*sqlast.Select, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
-		}
-		if ok, err = b.applyTerminal(sel, end, terminal); err != nil {
-			return nil, err
-		} else if !ok {
+		if !ok || !b.applyTerminal(sel, end, terminal) {
 			continue
 		}
 		sel.Cols = []sqlast.SelectCol{
@@ -260,24 +263,14 @@ func (t *Translator) translatePath(p *xpath.Path) ([]*sqlast.Select, error) {
 }
 
 // applyTerminal adds the restriction of a terminal attribute or
-// text() step; ok=false prunes the select statically.
-func (b *builder) applyTerminal(sel *sqlast.Select, end chainCtx, terminal *xpath.Step) (bool, error) {
+// text() step; false prunes the select statically.
+func (b *builder) applyTerminal(sel *sqlast.Select, end chainCtx, terminal *xpath.Step) bool {
 	if terminal == nil {
-		return true, nil
+		return true
 	}
-	if terminal.Axis == xpath.Attribute {
-		if !end.node.HasAttr(terminal.Name) {
-			return false, nil
-		}
-		sel.AddConjunct(&sqlast.IsNull{X: sqlast.C(end.alias, shred.AttrCol(terminal.Name)), Negate: true})
-		return true, nil
-	}
-	// text()
-	if !end.node.HasText {
-		return false, nil
-	}
-	sel.AddConjunct(&sqlast.IsNull{X: sqlast.C(end.alias, shred.ColText), Negate: true})
-	return true, nil
+	cond := b.valueTest(end, terminal, nil)
+	sel.AddConjunct(cond.expr)
+	return !cond.isFalse
 }
 
 // enumerate lists the relation combinations for a fragment chain
@@ -293,7 +286,7 @@ func (t *Translator) enumerate(frags []*ppf, start []*schema.Node) ([][]*schema.
 			}
 			return nil
 		}
-		cands := t.candidates(frags[i], ctx, i == 0 && start == nil)
+		cands := t.m.candidates(frags[i], ctx, i == 0 && start == nil)
 		for _, c := range cands {
 			if err := rec(i+1, []*schema.Node{c}, append(acc, c)); err != nil {
 				return err
@@ -308,56 +301,6 @@ func (t *Translator) enumerate(frags []*ppf, start []*schema.Node) ([][]*schema.
 	return out, nil
 }
 
-// candidates resolves one fragment's prominent step to its possible
-// schema nodes given the context set.
-func (t *Translator) candidates(f *ppf, ctx []*schema.Node, fromRoot bool) []*schema.Node {
-	switch f.kind {
-	case ppfForward, ppfBackward:
-		steps := make([]schema.Step, len(f.steps))
-		for i, s := range f.steps {
-			steps[i] = schema.Step{Axis: schemaAxis(s.Axis), Name: s.Name}
-			if s.Wildcard() || s.Test != xpath.NameTest {
-				steps[i].Name = ""
-			}
-		}
-		if fromRoot {
-			return t.schema.Resolve(nil, steps)
-		}
-		return t.schema.Resolve(ctx, steps)
-	default: // horizontal
-		s := f.steps[0]
-		name := s.Name
-		if s.Wildcard() || s.Test != xpath.NameTest {
-			name = ""
-		}
-		switch s.Axis {
-		case xpath.FollowingSibling, xpath.PrecedingSibling:
-			return t.schema.Resolve(ctx, []schema.Step{{Axis: schema.Parent}, {Axis: schema.Child, Name: name}})
-		default: // following, preceding
-			return t.schema.Resolve(ctx, []schema.Step{{Axis: schema.AnyByName, Name: name}})
-		}
-	}
-}
-
-func schemaAxis(a xpath.Axis) schema.StepAxis {
-	switch a {
-	case xpath.Child:
-		return schema.Child
-	case xpath.Descendant:
-		return schema.Descendant
-	case xpath.DescendantOrSelf:
-		return schema.DescendantOrSelf
-	case xpath.Parent:
-		return schema.Parent
-	case xpath.Ancestor:
-		return schema.Ancestor
-	case xpath.AncestorOrSelf:
-		return schema.AncestorOrSelf
-	default:
-		return schema.AnyByName
-	}
-}
-
 // buildChain implements Algorithm 1 over a fragment chain, extending
 // sel. start.alias == "" means the chain begins the backbone (from
 // the document root). ok=false means the select is statically empty.
@@ -365,8 +308,9 @@ func (b *builder) buildChain(sel *sqlast.Select, frags []*ppf, combo []*schema.N
 	cur := start
 	for i, f := range frags {
 		node := combo[i]
-		alias := b.newAlias(shred.RelName(node.Name))
-		sel.From = append(sel.From, sqlast.TableRef{Table: shred.RelName(node.Name), Alias: alias})
+		ref := b.tr.m.relation(b, node)
+		alias := ref.Alias
+		sel.From = append(sel.From, ref)
 
 		switch f.kind {
 		case ppfForward:
@@ -410,6 +354,9 @@ func (b *builder) buildChain(sel *sqlast.Select, frags []*ppf, combo []*schema.N
 			if err != nil || !ok {
 				return cur, false, err
 			}
+			if ok, err = b.addNodeTest(sel, alias, node, f.prominent()); err != nil || !ok {
+				return cur, false, err
+			}
 			if err := b.structuralJoin(sel, cur, alias, node, f); err != nil {
 				return cur, false, err
 			}
@@ -418,15 +365,16 @@ func (b *builder) buildChain(sel *sqlast.Select, frags []*ppf, combo []*schema.N
 			if cur.alias == "" {
 				return cur, false, fmt.Errorf("a horizontal fragment needs a preceding context")
 			}
-			// In the schema-aware mapping the relation name already pins
-			// the node test (the Algorithm 1 lines 6-7 filter is implied).
+			if ok, err := b.addNodeTest(sel, alias, node, f.steps[0]); err != nil || !ok {
+				return cur, false, err
+			}
 			b.horizontalJoin(sel, cur.alias, alias, f.steps[0].Axis)
 			cur.run, cur.anchored, cur.runBase = nil, false, ""
 		}
 
 		cur.alias = alias
 		cur.node = node
-		cur.namePat = regexQuote(node.Name)
+		cur.namePat = b.tr.m.namePat(node, f.prominent())
 		cur.lastStep = f.prominent()
 
 		// Predicates of the prominent step.
@@ -467,6 +415,17 @@ func (b *builder) addPathFilter(sel *sqlast.Select, alias string, node *schema.N
 	return true, nil
 }
 
+// addNodeTest filters alias's path to end with the step's node test
+// (Algorithm 1 lines 6-7) where the mapping's relation does not
+// already imply it.
+func (b *builder) addNodeTest(sel *sqlast.Select, alias string, node *schema.Node, step *xpath.Step) (bool, error) {
+	pattern := b.tr.m.nodeTest(step)
+	if pattern == "" {
+		return true, nil
+	}
+	return b.addPathFilter(sel, alias, node, pattern)
+}
+
 // sqlCond is a three-valued translated condition.
 type sqlCond struct {
 	expr    sqlast.Expr
@@ -479,16 +438,15 @@ var condFalse = sqlCond{isFalse: true}
 
 func dyn(e sqlast.Expr) sqlCond { return sqlCond{expr: e} }
 
-// asExpr renders the condition as an expression for use inside OR.
-func (c sqlCond) asExpr() sqlast.Expr {
+// or is the three-valued disjunction.
+func (c sqlCond) or(d sqlCond) sqlCond {
 	switch {
-	case c.isTrue:
-		return sqlast.Eq(sqlast.Int(1), sqlast.Int(1))
-	case c.isFalse:
-		return sqlast.Eq(sqlast.Int(1), sqlast.Int(0))
-	default:
-		return c.expr
+	case c.isTrue || d.isFalse:
+		return c
+	case d.isTrue || c.isFalse:
+		return d
 	}
+	return dyn(sqlast.Or(c.expr, d.expr))
 }
 
 // pathFilterCond produces the path-filter condition for a relation,

@@ -44,12 +44,12 @@ func TestMultiRootResolution(t *testing.T) {
 	if s.Node("book").Mark != schema.FinitePaths {
 		t.Fatalf("book mark = %s", s.Node("book").Mark)
 	}
-	got := runQuery(t, tr, st, "/lib/book")
+	got := runQuery(t, tr, st.DB, "/lib/book")
 	if len(got) != 1 {
 		t.Fatalf("ids = %v", got)
 	}
 	// The other root matches nothing in this store.
-	got = runQuery(t, tr, st, "/arch/book")
+	got = runQuery(t, tr, st.DB, "/arch/book")
 	if len(got) != 0 {
 		t.Fatalf("ids = %v", got)
 	}
@@ -160,7 +160,7 @@ func TestUnionWithEmptyBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := run(st.DB, trans.Stmt)
+	res, err := run(st, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStaticPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := run(st.DB, trans.Stmt)
+	res, err := run(st, trans.Stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +281,6 @@ func TestDifferentialDeepDoc(t *testing.T) {
 		"//g[leaf=2]",
 		"//g/parent::g/parent::g",
 	} {
-		check(t, tr, st, ev, q)
+		check(t, tr, st.DB, ev, q)
 	}
 }

@@ -52,15 +52,16 @@ func paperDoc(t testing.TB) *xmltree.Document {
 	return doc
 }
 
-// runQuery translates a query and executes it against the shredded
-// store, returning the selected element ids in document order.
-func runQuery(t testing.TB, tr *Translator, st *shred.SchemaAwareStore, q string) []int64 {
+// runQuery translates a query and executes it against the database
+// of a store shredded under the translator's mapping, returning the
+// selected element ids in document order.
+func runQuery(t testing.TB, tr *Translator, db *engine.DB, q string) []int64 {
 	t.Helper()
 	trans, err := tr.Translate(q)
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", q, err)
 	}
-	res, err := run(st.DB, trans.Stmt)
+	res, err := run(db, trans.Stmt)
 	if err != nil {
 		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
 	}
@@ -71,7 +72,7 @@ func runQuery(t testing.TB, tr *Translator, st *shred.SchemaAwareStore, q string
 	return ids
 }
 
-func setup(t testing.TB) (*Translator, *shred.SchemaAwareStore, *native.Evaluator) {
+func setup(t testing.TB) (*Translator, *engine.DB, *native.Evaluator) {
 	t.Helper()
 	s := paperSchema(t)
 	st, err := shred.NewSchemaAware(s)
@@ -82,14 +83,14 @@ func setup(t testing.TB) (*Translator, *shred.SchemaAwareStore, *native.Evaluato
 	if _, err := st.Load(doc); err != nil {
 		t.Fatal(err)
 	}
-	return New(s, nil), st, native.New(doc)
+	return New(s, nil), st.DB, native.New(doc)
 }
 
 // check runs a query through both the translator+engine and the
 // native oracle and compares element id sets.
-func check(t *testing.T, tr *Translator, st *shred.SchemaAwareStore, ev *native.Evaluator, q string) {
+func check(t *testing.T, tr *Translator, db *engine.DB, ev *native.Evaluator, q string) {
 	t.Helper()
-	got := runQuery(t, tr, st, q)
+	got := runQuery(t, tr, db, q)
 	want, err := ev.ElementIDs(q)
 	if err != nil {
 		t.Fatalf("oracle(%q): %v", q, err)
@@ -289,7 +290,7 @@ func TestStaticallyEmptyQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Translate(%q): %v", q, err)
 		}
-		res, err := run(st.DB, trans.Stmt)
+		res, err := run(st, trans.Stmt)
 		if err != nil {
 			t.Fatalf("Run(%q): %v", q, err)
 		}
@@ -387,7 +388,7 @@ func TestEndToEndWithOptimizationsOff(t *testing.T) {
 		"/A/B/*", "/A/B[C/*]", "//F[parent::E or ancestor::G]", "//G//G",
 		"/A/B/C/following-sibling::G", "//D/following::F",
 	} {
-		check(t, tr, st, ev, q)
+		check(t, tr, st.DB, ev, q)
 	}
 }
 

@@ -34,9 +34,11 @@ func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conju
 		e *= sel
 		// Observed cardinalities from adaptive re-planning trump the
 		// synopsis — they already include join-predicate effects — but
-		// only at the join position they were observed in (ovEst.after).
-		if ov, ok := p.overrides[name]; ok && !p.heuristicOnly() && ov.after == boundKey(bound) {
-			e = ov.rows
+		// only at the join position they were observed in (ovKey.after).
+		if len(p.overrides) > 0 && !p.heuristicOnly() {
+			if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok {
+				e = ov.rows
+			}
 		}
 		if e < 1 {
 			e = 1

@@ -217,17 +217,18 @@ type planner struct {
 	// table states a cached plan depends on. Nil when the caller
 	// doesn't need dependency tracking.
 	touched map[*Table]bool
-	// overrides maps FROM aliases of the select being planned to
-	// observed per-binding cardinalities injected by adaptive
-	// re-planning (plancache.go). It always holds the map of the
-	// select currently being planned: planSelect swaps in the matching
-	// subOverrides entry for each correlated subselect, whose aliases
-	// could collide with the outer select's.
-	overrides map[string]ovEst
+	// overrides maps FROM aliases of the select being planned, at the
+	// join positions they were observed in, to the per-binding
+	// cardinalities injected by adaptive re-planning (plancache.go).
+	// It always holds the map of the select currently being planned:
+	// planSelect swaps in the matching subOverrides entry for each
+	// correlated subselect, whose aliases could collide with the outer
+	// select's.
+	overrides map[ovKey]ovEst
 	// subOverrides routes observed cardinalities to correlated
 	// subselects, keyed by the subselect's rendered source text
 	// (selectPlan.src).
-	subOverrides map[string]map[string]ovEst
+	subOverrides map[string]map[ovKey]ovEst
 }
 
 // conjunct is one ANDed term of a WHERE clause during planning.
@@ -361,7 +362,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, accessSrc, sc)
 		step.estAccess = accessEst
 		step.estRows = accessEst * selOwn
-		if ov, ok := p.overrides[name]; ok && !p.heuristicOnly() && ov.after == atKey {
+		if ov, ok := p.overrides[ovKey{name, atKey}]; ok && !p.heuristicOnly() {
 			step.estRows = ov.rows
 			if ov.access > 0 {
 				step.estAccess = ov.access

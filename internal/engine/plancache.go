@@ -36,6 +36,13 @@ type compiledStmt struct {
 	// bounded by maxAdaptiveReplans so estimation noise cannot cause
 	// plan flapping. Written only at compile time.
 	replans int
+	// observed is what the executions behind those re-plans measured
+	// (nil for a first plan). The next re-plan starts from it: a plan
+	// that moved a table to a new join position must not forget what
+	// the table yielded at the old one, or its successor falls back on
+	// the estimate that was already refuted and flips the order back.
+	// Written only at compile time.
+	observed *planOverrides
 }
 
 // tableVer pins the state a table had at plan time. States are
@@ -69,22 +76,26 @@ type unionPlan struct {
 	phys      *physUnion // union-level operators, set by lowerStmt
 }
 
-// ovEst is one alias's observed cardinalities injected by adaptive
-// re-planning: rows is the per-binding output after the step's
-// residual filters, access the per-binding output of its access path
-// (0 = not observed separately). after pins the join position the
-// numbers were observed in (boundKey of the aliases bound before the
-// step): a per-binding cardinality is meaningless at any other
-// position — a probed table yields ~1 row per binding where a leading
-// scan of the same table yields the whole relation — and applying it
-// regardless of position makes consecutive re-plans invert the join
-// order and chase their own estimates.
+// ovEst is the observed cardinalities of one alias at one join
+// position, injected by adaptive re-planning: rows is the per-binding
+// output after the step's residual filters, access the per-binding
+// output of its access path (0 = not observed separately).
 type ovEst struct {
 	rows, access float64
-	after        string
 }
 
-// boundKey canonicalizes a bound-alias set for ovEst.after matching.
+// ovKey addresses an observation: the alias, and the join position it
+// was observed in (boundKey of the aliases bound before the step). A
+// per-binding cardinality is meaningless at any other position — a
+// probed table yields ~1 row per binding where a leading scan of the
+// same table yields the whole relation — and applying it regardless
+// of position makes consecutive re-plans invert the join order and
+// chase their own estimates.
+type ovKey struct {
+	name, after string
+}
+
+// boundKey canonicalizes a bound-alias set for ovKey.after matching.
 func boundKey(bound map[string]bool) string {
 	names := make([]string, 0, len(bound))
 	for n := range bound {
@@ -103,9 +114,9 @@ func boundKey(bound map[string]bool) string {
 // positional index would misroute them; identical subqueries share one
 // map, which is sound because identical text is identical semantics).
 type planOverrides struct {
-	sel      map[string]ovEst
-	branches []map[string]ovEst
-	subs     map[string]map[string]ovEst
+	sel      map[ovKey]ovEst
+	branches []map[ovKey]ovEst
+	subs     map[string]map[ovKey]ovEst
 }
 
 // compileStmt plans a statement from scratch against one database
@@ -122,7 +133,7 @@ func compileStmtOverrides(db *DB, st sqlast.Statement, ov *planOverrides) (*comp
 	if ov != nil {
 		p.subOverrides = ov.subs
 	}
-	cs := &compiledStmt{}
+	cs := &compiledStmt{observed: ov}
 	switch s := st.(type) {
 	case *sqlast.Select:
 		if ov != nil {
@@ -307,12 +318,20 @@ func (db *DB) compile(st sqlast.Statement) (key string, cs *compiledStmt, err er
 // planFeedback compares the plan's per-step estimates with the
 // observed stats of its last execution and returns the observed
 // per-binding cardinalities keyed the way compileStmtOverrides
-// expects, plus the worst per-step q-error. Steps that never executed
-// (loops == 0) contribute nothing.
+// expects — laid over the observations the plan was itself compiled
+// from (compiledStmt.observed) — plus the worst per-step q-error.
+// Steps that never executed (loops == 0) contribute nothing.
 func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 	worst := 1.0
-	collect := func(p *selectPlan) map[string]ovEst {
-		m := map[string]ovEst{}
+	prior := cs.observed
+	if prior == nil {
+		prior = &planOverrides{}
+	}
+	collect := func(p *selectPlan, prior map[ovKey]ovEst) map[ovKey]ovEst {
+		m := make(map[ovKey]ovEst, len(prior)+len(p.steps))
+		for k, v := range prior {
+			m[k] = v
+		}
 		bound := map[string]bool{}
 		for i, s := range p.steps {
 			after := boundKey(bound)
@@ -337,21 +356,24 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 					worst = q
 				}
 			}
-			m[s.name] = ovEst{rows: obsRows, access: obsAccess, after: after}
+			m[ovKey{s.name, after}] = ovEst{rows: obsRows, access: obsAccess}
 			if q := qError(s.estRows, obsRows); q > worst {
 				worst = q
 			}
 		}
 		return m
 	}
-	ov := &planOverrides{subs: map[string]map[string]ovEst{}}
+	ov := &planOverrides{subs: make(map[string]map[ovKey]ovEst, len(prior.subs))}
+	for src, m := range prior.subs {
+		ov.subs[src] = m
+	}
 	// Correlated subplans carry their own per-step estimates and stats;
 	// their observations route back by rendered source (selectPlan.src).
 	var collectSubs func(p *selectPlan)
 	collectSubs = func(p *selectPlan) {
 		for _, n := range p.phys.ops {
 			for _, ref := range n.sub {
-				if m := collect(ref.plan); len(m) > 0 && ref.plan.src != "" {
+				if m := collect(ref.plan, prior.subs[ref.plan.src]); len(m) > 0 && ref.plan.src != "" {
 					ov.subs[ref.plan.src] = m
 				}
 				collectSubs(ref.plan)
@@ -359,11 +381,15 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 		}
 	}
 	if cs.sel != nil {
-		ov.sel = collect(cs.sel)
+		ov.sel = collect(cs.sel, prior.sel)
 		collectSubs(cs.sel)
 	} else {
-		for _, b := range cs.union.branches {
-			ov.branches = append(ov.branches, collect(b))
+		for i, b := range cs.union.branches {
+			var was map[ovKey]ovEst
+			if i < len(prior.branches) {
+				was = prior.branches[i]
+			}
+			ov.branches = append(ov.branches, collect(b, was))
 			collectSubs(b)
 		}
 	}

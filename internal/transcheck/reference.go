@@ -7,7 +7,7 @@
 // domain. Two entry points feed it: a synthetic axis/shape matrix
 // (CheckMatrix) and a corpus sweep that traces every pattern
 // constructed while translating the fig3 and XPathMark query sets
-// under both the schema-aware and Edge translators (CheckCorpus).
+// under both the schema-aware and the Edge mapping (CheckCorpus).
 package transcheck
 
 import (

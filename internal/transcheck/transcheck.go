@@ -101,7 +101,7 @@ func checkOne(source, kind string, steps []*xpath.Step, anchored bool, base, pat
 }
 
 // CheckCorpus translates every fig3 (dblp) and XPathMark query under
-// both the schema-aware and Edge translators, captures every Table 1
+// both the schema-aware and the Edge mapping, captures every Table 1
 // pattern constructed along the way via core.Options.PatternTrace, and
 // checks each distinct (kind, inputs, pattern) tuple against its
 // reference automaton. Queries the translator rejects (unsupported
