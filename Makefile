@@ -95,7 +95,7 @@ batch-smoke:
 # concurrent readers only ever see whole-document snapshots — all
 # under -race (DESIGN.md section 12).
 crash-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashAtEverySite|TestCrashDuring|TestDoubleReplay|TestCreateIndexRecovery|TestConcurrentWriter|TestWriteBatchMulti|TestConcurrentDDL' ./internal/engine/
+	$(GO) test -race -count=1 -run 'TestCrashAtEverySite|TestCrashDuring|TestDoubleReplay|TestCreateIndexRecovery|TestConcurrentWriter|TestWriteBatch|TestConcurrentDDL' ./internal/engine/
 	$(GO) test -race -count=1 ./internal/wal/
 	$(GO) test -race -count=1 -run 'TestCrashSmoke|TestConcurrentLoadAndFig3|TestMixedExperiment' ./internal/bench/
 

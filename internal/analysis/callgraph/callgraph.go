@@ -120,7 +120,7 @@ func (g *Graph) NodeOf(obj *types.Func) *Node { return g.byObj[obj] }
 // LitNode returns the node of a function literal, or nil.
 func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
-// Named returns the node with the given display name ("commitState",
+// Named returns the node with the given display name ("applyInsert",
 // "(*Table).Insert", "Open$1"), or nil.
 func (g *Graph) Named(name string) *Node {
 	for _, n := range g.Nodes {

@@ -66,12 +66,25 @@ func TestFixtureDump(t *testing.T) {
 }
 
 // TestGoldenEngineDumps pins the reachable subgraphs of the commit
-// protocol's three anchor functions in the real engine: the WriteBatch
-// commit path, the checkpoint writer, and the parallel collector.
+// protocol's three anchor functions in the real engine: the one commit
+// function every mutation goes through, the checkpoint writer, and the
+// parallel collector. The commit function's subgraph must hold the
+// engine's only call of (*wal.Log).Commit.
 func TestGoldenEngineDumps(t *testing.T) {
 	g := loadGraph(t, "repro/internal/engine")
+	var logCommits []string
+	for _, n := range g.Nodes {
+		for _, x := range n.Extern {
+			if x.Callee.FullName() == "(*repro/internal/wal.Log).Commit" {
+				logCommits = append(logCommits, n.Name)
+			}
+		}
+	}
+	if len(logCommits) != 1 || callgraph.PathTo([]*callgraph.Node{g.Named("(*DB).commit")}, g.Named(logCommits[0]), callgraph.Static) == nil {
+		t.Errorf("(*wal.Log).Commit is called from %v, want exactly one caller, reachable from (*DB).commit", logCommits)
+	}
 	cases := []struct{ file, fn string }{
-		{"engine_commit.golden", "(*WriteBatch).Commit"},
+		{"engine_commit.golden", "(*DB).commit"},
 		{"engine_writecheckpoint.golden", "writeCheckpoint"},
 		{"engine_collectparallel.golden", "(*execCtx).collectParallel"},
 	}

@@ -222,7 +222,7 @@ func reportHeldAcross(pass *Pass, n ast.Node, env lockEnv) {
 						"worker contending for the lock", held)
 				return true
 			}
-			if isDynamicCall(pass, x) {
+			if isDynamicCall(pass, x) && !sealedDispatch(pass, x) {
 				pass.Reportf(x.Pos(),
 					"dynamic call %s while %s is held; yield/emit callbacks run arbitrary "+
 						"user-plan code and must not execute inside a critical section",
@@ -289,6 +289,31 @@ func isDynamicCall(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	case *ast.FuncLit:
 		return false // direct invocation, statically known body
+	}
+	return false
+}
+
+// sealedDispatch reports whether call is a method call through an
+// interface only this package's types can implement (it has an
+// unexported method): that reaches bodies this analyzer checks like
+// any static callee's, never a caller-supplied callback.
+func sealedDispatch(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	selection, ok := pass.TypesInfo.Selections[sel]
+	if !ok {
+		return false
+	}
+	iface, ok := selection.Recv().Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < iface.NumMethods(); i++ {
+		if m := iface.Method(i); !m.Exported() && m.Pkg() == pass.Pkg {
+			return true
+		}
 	}
 	return false
 }

@@ -49,3 +49,17 @@ func closureScopes(c *cache, run func(func())) {
 		c.mu.Unlock()
 	})
 }
+
+// An interface with an unexported method is sealed: only this package
+// implements it, so dispatch under the lock reaches known bodies.
+type step interface{ apply(m map[string]int) }
+
+type incr string
+
+func (k incr) apply(m map[string]int) { m[string(k)]++ }
+
+func sealedUnderLock(c *cache, s step) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s.apply(c.m)
+}

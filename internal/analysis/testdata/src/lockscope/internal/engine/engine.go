@@ -74,3 +74,12 @@ func heldOnSomePath(c *cache, locked bool, yield func(int) bool) {
 		c.mu.Unlock()
 	}
 }
+
+// An interface any package can implement is as open as a func value.
+type Sink interface{ Emit(int) }
+
+func emitUnderLock(c *cache, key string, out Sink) {
+	c.mu.Lock()
+	out.Emit(c.m[key]) // want `dynamic call out\.Emit while c\.mu is held`
+	c.mu.Unlock()
+}

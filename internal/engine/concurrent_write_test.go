@@ -168,6 +168,56 @@ func TestWriteBatchMultiTableAtomicity(t *testing.T) {
 	}
 }
 
+// TestWriteBatchForeignTable checks that a batch refuses a table handle
+// of another database — whether or not this database has a table of
+// that name — when the row is offered, so nothing reaches the WAL: the
+// store keeps its content and still opens afterwards. (A record for a
+// table the directory does not know, or with another column list,
+// would make recovery fail.)
+func TestWriteBatchForeignTable(t *testing.T) {
+	dir := t.TempDir()
+	db := seedPersistent(t, dir)
+	want := dump(t, db)
+	other := NewDB()
+	sameName, err := other.CreateTable("T", Column{"n", TInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown, err := other.CreateTable("U", Column{"n", TInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, foreign := range []*Table{sameName, unknown} {
+		batch := db.NewWriteBatch()
+		if err := batch.Insert(db.Table("T"), []Value{NewInt(50), NewBytes(dewey.New(1, 5)), NewText("own")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := batch.Insert(foreign, []Value{NewInt(1)}); err == nil {
+			t.Errorf("Insert accepted table %q of another database", foreign.Name)
+		}
+		if got := batch.Pending(); got != 1 {
+			t.Errorf("Pending = %d after the refused row, want 1", got)
+		}
+		if err := batch.Commit(); err == nil {
+			t.Errorf("Commit succeeded on a batch that refused a row for %q", foreign.Name)
+		}
+	}
+	if got := dump(t, db); got != want {
+		t.Fatalf("refused batches changed the live store:\n%s\nwant %s", got, want)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after the refused batches: %v", err)
+	}
+	defer re.Close()
+	if got := dump(t, re); got != want {
+		t.Fatalf("reopened store:\n%s\nwant %s", got, want)
+	}
+}
+
 // TestConcurrentDDLAndReaders races CREATE INDEX against readers whose
 // plans were compiled before the index existed: cached plans keep
 // running against their pinned state, and re-planned statements may

@@ -1,14 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dewey"
 	"repro/internal/failpoint"
+	"repro/internal/synopsis"
+	"repro/internal/wal"
 )
 
 // The crash suite simulates kill -9 at the durability failpoints: a
@@ -72,11 +77,18 @@ func dump(t *testing.T, db *DB) string {
 // for failures after the bytes were written but before they were
 // acknowledged (wal/fsync) — the write-ahead contract promises
 // acknowledged-implies-present, not unacknowledged-implies-absent.
+// A second commit on the same handle then either fails with
+// wal.ErrPoisoned (bytes may have reached the file: the log is fail
+// stop, and so is Checkpoint) or, where nothing was written
+// (wal/append), succeeds and must survive recovery like any
+// acknowledged write.
 func TestCrashAtEverySite(t *testing.T) {
 	newRow := [][]Value{{NewInt(100), NewBytes(dewey.New(1, 9, 1)), NewText("late")}}
+	second := [][]Value{{NewInt(101), NewBytes(dewey.New(1, 9, 2)), NewText("second")}}
 	for _, tc := range []struct {
 		site string
-		// postOK: recovery may legitimately surface the failed write.
+		// postOK: recovery may legitimately surface the failed write,
+		// and the handle is poisoned.
 		postOK bool
 	}{
 		{site: "wal/append", postOK: false},
@@ -99,6 +111,24 @@ func TestCrashAtEverySite(t *testing.T) {
 				t.Fatalf("failed commit leaked into the live snapshot:\n%s\nwant %s", got, pre)
 			}
 			failpoint.Reset()
+			_, err := db.Table("T").InsertBatch(second)
+			post := pre + "100=late;"
+			if tc.postOK {
+				if !errors.Is(err, wal.ErrPoisoned) {
+					t.Fatalf("second commit after failed %s: err = %v, want wal.ErrPoisoned", tc.site, err)
+				}
+				if err := db.Checkpoint(); !errors.Is(err, wal.ErrPoisoned) {
+					t.Fatalf("checkpoint after failed %s: err = %v, want wal.ErrPoisoned", tc.site, err)
+				}
+				if got := dump(t, db); got != pre {
+					t.Fatalf("refused commit leaked into the live snapshot:\n%s\nwant %s", got, pre)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("second commit after failed %s: %v", tc.site, err)
+				}
+				pre += "101=second;"
+			}
 			// Crash: abandon db without Close, recover from the files.
 			re, err := Open(dir)
 			if err != nil {
@@ -106,7 +136,6 @@ func TestCrashAtEverySite(t *testing.T) {
 			}
 			defer re.Close()
 			got := dump(t, re)
-			post := pre + "100=late;"
 			switch {
 			case got == pre: // clean pre-write recovery
 			case tc.postOK && got == post: // unacknowledged write survived: allowed
@@ -200,10 +229,150 @@ func TestCrashDuringRecoveryReplay(t *testing.T) {
 	}
 }
 
+// playHistory drives a seeded random sequence of every mutation kind
+// through db's public write surface: CREATE TABLE, CREATE INDEX,
+// single-row and batch inserts, multi-table write batches, and one
+// Checkpoint halfway.
+func playHistory(t *testing.T, db *DB, seed int64, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	value := func(typ Type) Value {
+		if rng.Intn(10) == 0 {
+			return Null
+		}
+		switch typ {
+		case TInt:
+			return NewInt(int64(rng.Intn(50)))
+		case TFloat:
+			if rng.Intn(4) == 0 {
+				return NewInt(int64(rng.Intn(9))) // float columns accept ints
+			}
+			return NewFloat(float64(rng.Intn(500)) / 4)
+		case TText:
+			return NewText(fmt.Sprintf("s%d", rng.Intn(300)))
+		}
+		return NewBytes(dewey.New(1, 1+rng.Intn(3), 1+rng.Intn(400)))
+	}
+	rows := func(tb *Table, n int) [][]Value {
+		out := make([][]Value, n)
+		for i := range out {
+			out[i] = make([]Value, len(tb.Cols))
+			for j, c := range tb.Cols {
+				out[i][j] = value(c.Type)
+			}
+		}
+		return out
+	}
+	pick := func() *Table {
+		names := db.TableNames()
+		return db.Table(names[rng.Intn(len(names))])
+	}
+	indexes := 0
+	for step := 0; step < steps; step++ {
+		var err error
+		op := rng.Intn(6)
+		switch n := len(db.TableNames()); {
+		case step == steps/2:
+			err = db.Checkpoint()
+		case n == 0 || op == 0 && n < 5:
+			cols := make([]Column, 1+rng.Intn(4))
+			for i := range cols {
+				cols[i] = Column{fmt.Sprintf("c%d", i), []Type{TInt, TFloat, TText, TBytes}[rng.Intn(4)]}
+			}
+			_, err = db.CreateTable(fmt.Sprintf("t%d", n), cols...)
+		case op == 1:
+			tb := pick()
+			cols := []string{tb.Cols[rng.Intn(len(tb.Cols))].Name}
+			if rng.Intn(2) == 0 {
+				cols = append(cols, tb.Cols[rng.Intn(len(tb.Cols))].Name)
+			}
+			indexes++
+			_, err = tb.CreateIndex(fmt.Sprintf("ix%d", indexes), cols...)
+		case op == 2:
+			tb := pick()
+			_, err = tb.Insert(rows(tb, 1)[0])
+		case op == 3:
+			tb := pick()
+			_, err = tb.InsertBatch(rows(tb, 1+rng.Intn(20)))
+		default:
+			b := db.NewWriteBatch()
+			for i := 1 + rng.Intn(12); i > 0 && err == nil; i-- {
+				tb := pick()
+				err = b.Insert(tb, rows(tb, 1)[0])
+			}
+			if err == nil {
+				err = b.Commit()
+			}
+		}
+		if err != nil {
+			t.Fatalf("history seed %d step %d: %v", seed, step, err)
+		}
+	}
+}
+
+// dumpDB renders every table's schema, rows and index contents.
+func dumpDB(db *DB) string {
+	var b strings.Builder
+	for _, name := range db.TableNames() {
+		tb := db.Table(name)
+		fmt.Fprintf(&b, "table %s %v\n", name, tb.Cols)
+		for id, row := range tb.Rows() {
+			fmt.Fprintf(&b, " %d:", id)
+			for _, v := range row {
+				fmt.Fprintf(&b, " %d/%d/%g/%q/%x", v.Kind, v.I, v.F, v.S, v.B)
+			}
+			b.WriteByte('\n')
+		}
+		for _, ix := range tb.Indexes() {
+			fmt.Fprintf(&b, " index %s %v:", ix.Name, ix.Cols)
+			ix.Tree.ScanAll(func(key []byte, id int64) bool {
+				fmt.Fprintf(&b, " %x=%d", key, id)
+				return true
+			})
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// requireSameState fails unless got holds exactly want's tables, rows,
+// index contents and synopses.
+func requireSameState(t *testing.T, want, got *DB) {
+	t.Helper()
+	if w, g := dumpDB(want), dumpDB(got); w != g {
+		t.Fatalf("recovered state differs from live:\n%s\nwant\n%s", g, w)
+	}
+	for _, name := range want.TableNames() {
+		if w, g := want.Table(name).Synopsis(), got.Table(name).Synopsis(); !synopsis.Equal(w, g) {
+			t.Fatalf("table %s: recovered synopsis %s, live %s", name, g, w)
+		}
+	}
+}
+
 // TestDoubleReplayIdempotence recovers the same directory twice (and
 // once more after a checkpoint, so replay crosses the skip-by-LSN
-// path) and requires identical state each time.
+// path) and requires identical state each time — on the fixed seed
+// store, then on random histories, where "identical" covers every
+// table's rows, index contents and synopsis.
 func TestDoubleReplayIdempotence(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("history-%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			playHistory(t, db, seed, 80)
+			for i := 0; i < 2; i++ {
+				re, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameState(t, db, re)
+			}
+		})
+	}
+
 	dir := t.TempDir()
 	db := seedPersistent(t, dir)
 	want := dump(t, db)
@@ -244,6 +413,74 @@ func TestDoubleReplayIdempotence(t *testing.T) {
 		if got := dump(t, re2); got != want {
 			t.Fatalf("post-checkpoint replay %d:\n%s\nwant %s", i+1, got, want)
 		}
+	}
+}
+
+// TestDoubleReplayGoldenStore pins the WAL and checkpoint byte format:
+// testdata/golden_store holds the wal.log and checkpoint the commit
+// before the one-commit-path refactor wrote for a fixed history, with
+// the dump of the database it recovered from them. The same history
+// must still produce the same bytes, and the committed files must
+// still open to the same dump. (-update rewrites the directory.)
+func TestDoubleReplayGoldenStore(t *testing.T) {
+	golden := filepath.Join("testdata", "golden_store")
+	files := []string{walFile, ckptFile}
+	copyFiles := func(from, to string) {
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(from, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(to, f), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	playHistory(t, db, 2005, 60)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.MkdirAll(golden, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		copyFiles(dir, golden)
+		if err := os.WriteFile(filepath.Join(golden, "dump.txt"), []byte(dumpDB(db)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range files {
+		got, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(golden, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the history now writes %d bytes that differ from the golden %d", f, len(got), len(want))
+		}
+	}
+	// Recovery truncates a torn tail in place, so open a copy.
+	cp := t.TempDir()
+	copyFiles(golden, cp)
+	re, err := Open(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	want, err := os.ReadFile(filepath.Join(golden, "dump.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpDB(re); got != string(want) {
+		t.Errorf("golden store recovered to:\n%s\nwant\n%s", got, want)
 	}
 }
 

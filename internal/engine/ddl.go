@@ -6,9 +6,9 @@ import (
 	"repro/internal/sqlast"
 )
 
-// runWrite executes the mutating statements (CREATE TABLE, CREATE
-// INDEX, INSERT) for the statement boundary (db.run), returning a
-// single status row.
+// runWrite turns the mutating statements (CREATE TABLE, CREATE INDEX,
+// INSERT) into mutations and commits them for the statement boundary
+// (db.run), returning a single status row.
 func (db *DB) runWrite(st sqlast.Statement) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlast.CreateTable:
@@ -29,16 +29,12 @@ func (db *DB) runWrite(st sqlast.Statement) (*Result, error) {
 			}
 			cols[i] = Column{Name: c.Name, Type: typ}
 		}
-		if _, err := db.CreateTable(s.Name, cols...); err != nil {
+		if _, err := db.commit(createTable{name: s.Name, cols: cols}); err != nil {
 			return nil, err
 		}
 		return status(fmt.Sprintf("table %s created", s.Name)), nil
 	case *sqlast.CreateIndex:
-		t := db.Table(s.Table)
-		if t == nil {
-			return nil, fmt.Errorf("engine: unknown table %q", s.Table)
-		}
-		if _, err := t.CreateIndex(s.Name, s.Cols...); err != nil {
+		if _, err := db.commit(createIndex{table: s.Table, index: s.Name, cols: s.Cols}); err != nil {
 			return nil, err
 		}
 		return status(fmt.Sprintf("index %s created", s.Name)), nil

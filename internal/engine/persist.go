@@ -1,9 +1,10 @@
 // Persistence: the write-ahead-log integration making every commit
 // durable. A persistent database (engine.Open) logs each mutation as
 // one WAL record — fsynced before the commit becomes visible to
-// readers — and recovers on open by loading the latest checkpoint and
-// replaying the WAL's valid prefix. In-memory databases (NewDB) have
-// a nil persister and skip logging entirely.
+// readers (DB.commit, table.go) — and recovers on open by loading the
+// latest checkpoint and replaying the WAL's valid prefix through that
+// same function. In-memory databases (NewDB) have a nil persister and
+// skip logging entirely.
 //
 // Record payloads (the WAL frames the payload with length/CRC/LSN,
 // wal.go):
@@ -61,6 +62,8 @@ func Open(dir string) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// db.pers stays nil until recovery is done: replayed records are
+	// committed like live ones, minus the log step.
 	db := NewDB()
 	var baseLSN uint64
 	ckpt := filepath.Join(dir, ckptFile)
@@ -70,7 +73,7 @@ func Open(dir string) (*DB, error) {
 				baseLSN = lsn
 				return nil
 			}
-			return db.applyRecord(rec.Payload)
+			return db.replay(rec.Payload)
 		}); err != nil {
 			return nil, fmt.Errorf("engine: recovering checkpoint: %w", err)
 		}
@@ -86,7 +89,7 @@ func Open(dir string) (*DB, error) {
 		if err := failpoint.Inject("engine/recovery-replay"); err != nil {
 			return err
 		}
-		return db.applyRecord(rec.Payload)
+		return db.replay(rec.Payload)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: recovering WAL: %w", err)
@@ -96,6 +99,18 @@ func Open(dir string) (*DB, error) {
 	log.EnsureNext(baseLSN + 1)
 	db.pers = &persister{dir: dir, log: log}
 	return db, nil
+}
+
+// replay commits one mutation read back from a checkpoint or WAL
+// record, so a recovered DB is structurally identical to one that
+// executed the statements directly.
+func (db *DB) replay(payload []byte) error {
+	m, err := decodeMutation(payload)
+	if err != nil {
+		return err
+	}
+	_, err = db.commit(m)
+	return err
 }
 
 // Close releases the database's WAL file handle (fsyncing it first).
@@ -130,6 +145,10 @@ func (db *DB) Checkpoint() error {
 	defer db.writeMu.Unlock()
 	if db.pers == nil {
 		return fmt.Errorf("engine: Checkpoint on an in-memory database")
+	}
+	// A poisoned log refuses here, before the old checkpoint is replaced.
+	if err := db.pers.log.Sync(); err != nil {
+		return err
 	}
 	snap := db.loadSnap()
 	tmp := filepath.Join(db.pers.dir, ckptFile+".tmp")
@@ -172,9 +191,7 @@ func writeCheckpoint(path string, snap *dbSnap, baseLSN uint64) (err error) {
 	for _, name := range snap.names {
 		t := snap.byName[name]
 		st := snap.stateOf(t)
-		if _, err := ck.Append(encodeCreateTable(t.Name, t.Cols)); err != nil {
-			return err
-		}
+		recs := []mutation{createTable{name: t.Name, cols: t.Cols}}
 		// Insert records in checkpoint-internal batches: bounded frame
 		// sizes without one frame per row.
 		const ckptBatch = 4096
@@ -183,17 +200,17 @@ func writeCheckpoint(path string, snap *dbSnap, baseLSN uint64) (err error) {
 			if hi > len(st.rows) {
 				hi = len(st.rows)
 			}
-			rec := encodeInsert([]insertGroup{{table: t.Name, rows: st.rows[lo:hi]}})
-			if _, err := ck.Append(rec); err != nil {
-				return err
-			}
+			recs = append(recs, insertRows{{table: t.Name, rows: st.rows[lo:hi]}})
 		}
 		for _, ix := range st.indexes {
 			cols := make([]string, len(ix.Cols))
 			for i, c := range ix.Cols {
 				cols[i] = t.Cols[c].Name
 			}
-			if _, err := ck.Append(encodeCreateIndex(t.Name, ix.Name, cols)); err != nil {
+			recs = append(recs, createIndex{table: t.Name, index: ix.Name, cols: cols})
+		}
+		for _, m := range recs {
+			if _, err := ck.Append(m.encode()); err != nil {
 				return err
 			}
 		}
@@ -214,144 +231,15 @@ func syncDir(dir string) error {
 	return err
 }
 
-// logCreateTable logs a create-table record; nil persister = no-op.
-// The caller holds writeMu and applies the commit only after this
-// returns nil (write-ahead: durable before visible).
-func (db *DB) logCreateTable(name string, cols []Column) error {
+// logRecord is commit's log step: the mutation's record is appended
+// and fsynced before commit publishes. A database with no persister
+// attached — in-memory, or still recovering — has nothing to log to.
+func (db *DB) logRecord(m mutation) error {
 	if db.pers == nil {
 		return nil
 	}
-	_, err := db.pers.log.Commit(encodeCreateTable(name, cols))
+	_, err := db.pers.log.Commit(m.encode())
 	return err
-}
-
-// logInsert logs one insert-batch record for a single table.
-func (db *DB) logInsert(table string, rows [][]Value) error {
-	if db.pers == nil {
-		return nil
-	}
-	_, err := db.pers.log.Commit(encodeInsert([]insertGroup{{table: table, rows: rows}}))
-	return err
-}
-
-// logInsertGroups logs one insert-batch record spanning tables (the
-// WriteBatch commit: one frame, one fsync for the whole batch).
-func (db *DB) logInsertGroups(groups []insertGroup) error {
-	if db.pers == nil {
-		return nil
-	}
-	_, err := db.pers.log.Commit(encodeInsert(groups))
-	return err
-}
-
-// logCreateIndex logs a create-index record.
-func (db *DB) logCreateIndex(table, index string, cols []string) error {
-	if db.pers == nil {
-		return nil
-	}
-	_, err := db.pers.log.Commit(encodeCreateIndex(table, index, cols))
-	return err
-}
-
-// applyRecord decodes and applies one logged mutation during
-// recovery, without re-logging it. Replay is sequential and
-// single-goroutine; commits go through the same apply/publish helpers
-// as live writes, so a recovered DB is structurally identical to one
-// that executed the statements directly.
-//
-//walorder:replay -- recovery republishes state decoded from records already framed and fsynced in the WAL or checkpoint; there is nothing left to make durable
-func (db *DB) applyRecord(payload []byte) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
-	}
-	d := &recDecoder{buf: payload[1:]}
-	switch payload[0] {
-	case recCreateTable:
-		name := d.str()
-		n := d.uvarint()
-		cols := make([]Column, 0, min(int(n), 1024))
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			cn := d.str()
-			ct := d.byte()
-			cols = append(cols, Column{Name: cn, Type: Type(ct)})
-		}
-		if err := d.done(); err != nil {
-			return err
-		}
-		t, err := db.applyCreateTable(name, cols)
-		if err != nil {
-			return err
-		}
-		db.commitCreateTable(t)
-		return nil
-	case recInsert:
-		groups, err := decodeInsert(d)
-		if err != nil {
-			return err
-		}
-		return db.applyInsertGroups(groups)
-	case recCreateIndex:
-		table := d.str()
-		index := d.str()
-		n := d.uvarint()
-		cols := make([]string, 0, min(int(n), 1024))
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			cols = append(cols, d.str())
-		}
-		if err := d.done(); err != nil {
-			return err
-		}
-		t := db.loadSnap().table(table)
-		if t == nil {
-			return fmt.Errorf("create-index record for unknown table %q", table)
-		}
-		st := t.state()
-		positions, err := t.resolveIndexCols(st, index, cols)
-		if err != nil {
-			return err
-		}
-		t.commitState(applyCreateIndex(st, index, positions))
-		return nil
-	default:
-		return fmt.Errorf("unknown record kind %d", payload[0])
-	}
-}
-
-// applyInsertGroups validates and commits a multi-table insert batch
-// as one published snapshot; the caller holds writeMu.
-func (db *DB) applyInsertGroups(groups []insertGroup) error {
-	snap := db.loadSnap()
-	type pending struct {
-		t    *Table
-		next *tableState
-	}
-	commits := make([]pending, 0, len(groups))
-	for _, g := range groups {
-		t := snap.table(g.table)
-		if t == nil {
-			return fmt.Errorf("insert record for unknown table %q", g.table)
-		}
-		for _, row := range g.rows {
-			if err := t.validateRow(row); err != nil {
-				return err
-			}
-		}
-		commits = append(commits, pending{t: t, next: applyInsert(snap.stateOf(t), g.rows)})
-	}
-	next := snap.clone()
-	for _, c := range commits {
-		next.states[c.t.pos] = c.next
-	}
-	db.snap.Store(next)
-	return nil
-}
-
-// insertGroup is one table's slice of an insert-batch record.
-type insertGroup struct {
-	table string
-	rows  [][]Value
 }
 
 // WriteBatch buffers inserts across tables for one atomic commit: a
@@ -362,33 +250,38 @@ type insertGroup struct {
 // once.
 type WriteBatch struct {
 	db     *DB
-	order  []*Table
-	groups map[*Table]*insertGroup
+	groups insertRows     // in order of each table's first Insert
+	slot   map[*Table]int // table -> index in groups
 	err    error
 }
 
 // NewWriteBatch starts an empty batch against the database.
 func (db *DB) NewWriteBatch() *WriteBatch {
-	return &WriteBatch{db: db, groups: map[*Table]*insertGroup{}}
+	return &WriteBatch{db: db, slot: map[*Table]int{}}
 }
 
-// Insert buffers one row. Validation errors are sticky and returned
-// from Commit (and from the first failing Insert).
+// Insert buffers one row for t, which must be a table of the batch's
+// database. Validation errors are sticky and returned from Commit
+// (and from the first failing Insert).
 func (b *WriteBatch) Insert(t *Table, row []Value) error {
 	if b.err != nil {
+		return b.err
+	}
+	if t.db != b.db {
+		b.err = fmt.Errorf("engine: table handle %q belongs to another database", t.Name)
 		return b.err
 	}
 	if err := t.validateRow(row); err != nil {
 		b.err = err
 		return err
 	}
-	g, ok := b.groups[t]
+	i, ok := b.slot[t]
 	if !ok {
-		g = &insertGroup{table: t.Name}
-		b.groups[t] = g
-		b.order = append(b.order, t)
+		i = len(b.groups)
+		b.slot[t] = i
+		b.groups = append(b.groups, insertGroup{table: t.Name, checked: t})
 	}
-	g.rows = append(g.rows, row)
+	b.groups[i].rows = append(b.groups[i].rows, row)
 	return nil
 }
 
@@ -408,8 +301,8 @@ func (b *WriteBatch) Pending() int {
 // shift ids; the engine's loaders never do that.
 func (b *WriteBatch) NextID(t *Table) int64 {
 	n := int64(len(t.state().rows))
-	if g, ok := b.groups[t]; ok {
-		n += int64(len(g.rows))
+	if i, ok := b.slot[t]; ok {
+		n += int64(len(b.groups[i].rows))
 	}
 	return n
 }
@@ -420,39 +313,13 @@ func (b *WriteBatch) Commit() error {
 	if b.err != nil {
 		return b.err
 	}
-	if len(b.order) == 0 {
+	if len(b.groups) == 0 {
 		return nil
 	}
-	groups := make([]insertGroup, 0, len(b.order))
-	for _, t := range b.order {
-		groups = append(groups, *b.groups[t])
-	}
-	b.db.writeMu.Lock()
-	defer b.db.writeMu.Unlock()
-	if err := b.db.logInsertGroups(groups); err != nil {
+	if _, err := b.db.commit(b.groups); err != nil {
 		return err
 	}
-	if err := b.db.applyInsertGroupsLocked(groups); err != nil {
-		return err
-	}
-	b.order = b.order[:0]
-	b.groups = map[*Table]*insertGroup{}
-	return nil
-}
-
-// applyInsertGroupsLocked is applyInsertGroups for callers already
-// holding writeMu via the WriteBatch path (applyRecord locks itself).
-func (db *DB) applyInsertGroupsLocked(groups []insertGroup) error {
-	snap := db.loadSnap()
-	next := snap.clone()
-	for _, g := range groups {
-		t := snap.table(g.table)
-		if t == nil {
-			return fmt.Errorf("engine: batch insert into unknown table %q", g.table)
-		}
-		next.states[t.pos] = applyInsert(next.states[t.pos], g.rows)
-	}
-	db.snap.Store(next)
+	b.groups, b.slot = nil, map[*Table]int{}
 	return nil
 }
 
@@ -475,32 +342,32 @@ func decodeBaseLSN(payload []byte) (uint64, bool) {
 	return lsn, true
 }
 
-func encodeCreateTable(name string, cols []Column) []byte {
+func (m createTable) encode() []byte {
 	buf := []byte{recCreateTable}
-	buf = appendStr(buf, name)
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	for _, c := range cols {
+	buf = appendStr(buf, m.name)
+	buf = binary.AppendUvarint(buf, uint64(len(m.cols)))
+	for _, c := range m.cols {
 		buf = appendStr(buf, c.Name)
 		buf = append(buf, byte(c.Type))
 	}
 	return buf
 }
 
-func encodeCreateIndex(table, index string, cols []string) []byte {
+func (m createIndex) encode() []byte {
 	buf := []byte{recCreateIndex}
-	buf = appendStr(buf, table)
-	buf = appendStr(buf, index)
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	for _, c := range cols {
+	buf = appendStr(buf, m.table)
+	buf = appendStr(buf, m.index)
+	buf = binary.AppendUvarint(buf, uint64(len(m.cols)))
+	for _, c := range m.cols {
 		buf = appendStr(buf, c)
 	}
 	return buf
 }
 
-func encodeInsert(groups []insertGroup) []byte {
+func (m insertRows) encode() []byte {
 	buf := []byte{recInsert}
-	buf = binary.AppendUvarint(buf, uint64(len(groups)))
-	for _, g := range groups {
+	buf = binary.AppendUvarint(buf, uint64(len(m)))
+	for _, g := range m {
 		buf = appendStr(buf, g.table)
 		buf = binary.AppendUvarint(buf, uint64(len(g.rows)))
 		for _, row := range g.rows {
@@ -513,26 +380,51 @@ func encodeInsert(groups []insertGroup) []byte {
 	return buf
 }
 
-func decodeInsert(d *recDecoder) ([]insertGroup, error) {
-	ng := d.uvarint()
-	groups := make([]insertGroup, 0, min(int(ng), 64))
-	for gi := uint64(0); gi < ng && d.err == nil; gi++ {
-		g := insertGroup{table: d.str()}
-		nr := d.uvarint()
-		for ri := uint64(0); ri < nr && d.err == nil; ri++ {
-			nv := d.uvarint()
-			row := make([]Value, 0, min(int(nv), 64))
-			for vi := uint64(0); vi < nv && d.err == nil; vi++ {
-				row = append(row, d.value())
-			}
-			g.rows = append(g.rows, row)
+// decodeMutation is the inverse of the three encode methods.
+func decodeMutation(payload []byte) (mutation, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("empty record")
+	}
+	d := &recDecoder{buf: payload[1:]}
+	var m mutation
+	switch payload[0] {
+	case recCreateTable:
+		ct := createTable{name: d.str()}
+		n := d.uvarint()
+		ct.cols = make([]Column, 0, min(int(n), 1024))
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			ct.cols = append(ct.cols, Column{Name: d.str(), Type: Type(d.byte())})
 		}
-		groups = append(groups, g)
+		m = ct
+	case recInsert:
+		ng := d.uvarint()
+		groups := make(insertRows, 0, min(int(ng), 64))
+		for gi := uint64(0); gi < ng && d.err == nil; gi++ {
+			g := insertGroup{table: d.str()}
+			nr := d.uvarint()
+			for ri := uint64(0); ri < nr && d.err == nil; ri++ {
+				nv := d.uvarint()
+				row := make([]Value, 0, min(int(nv), 64))
+				for vi := uint64(0); vi < nv && d.err == nil; vi++ {
+					row = append(row, d.value())
+				}
+				g.rows = append(g.rows, row)
+			}
+			groups = append(groups, g)
+		}
+		m = groups
+	case recCreateIndex:
+		ci := createIndex{table: d.str(), index: d.str()}
+		n := d.uvarint()
+		ci.cols = make([]string, 0, min(int(n), 1024))
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			ci.cols = append(ci.cols, d.str())
+		}
+		m = ci
+	default:
+		return nil, fmt.Errorf("unknown record kind %d", payload[0])
 	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return groups, nil
+	return m, d.done()
 }
 
 // appendValue encodes one Value: kind byte + kind-specific body.

@@ -65,8 +65,8 @@ type tableState struct {
 	// incrementally by applyInsert. Like rows and indexes it is
 	// immutable once the state is published, so the planner's
 	// estimates are snapshot-consistent by construction; recovery and
-	// checkpoint reload rebuild it by replaying inserts through the
-	// same applyInsert path as live writes (persist.go).
+	// checkpoint reload rebuild it by committing the logged inserts
+	// through the same applyInsert as live writes.
 	syn *synopsis.Table
 }
 
@@ -114,14 +114,14 @@ func (s *dbSnap) clone() *dbSnap {
 type DB struct {
 	//walorder:publish
 	snap atomic.Pointer[dbSnap]
-	// writeMu serializes all mutations: statement-level writes append
-	// their WAL record, build successor table states, and publish the
-	// new snapshot under this lock. Readers never take it.
+	// writeMu serializes all mutations: commit builds the successor
+	// snapshot, appends the WAL record and publishes under this lock.
+	// Readers never take it.
 	writeMu sync.Mutex
 	plans   planCache
-	// pers is the durability hook: nil for in-memory databases,
-	// otherwise the WAL writer commits are logged to before they are
-	// applied (see persist.go).
+	// pers is the durability hook: nil for in-memory databases (and
+	// during recovery), otherwise the WAL commits are logged to before
+	// they are published (see persist.go).
 	//guardedby:writeMu
 	pers *persister
 	// peakMem is the high-water mark of per-statement accounted
@@ -164,57 +164,101 @@ func NewDB() *DB {
 	return db
 }
 
+// A mutation is one change to the database, of one of the three kinds
+// the WAL records (persist.go): createTable, insertRows, createIndex.
+// Live writes, WAL replay and checkpoint load all hand their mutation
+// to commit and reach a successor snapshot through the same apply.
+type mutation interface {
+	// apply checks the mutation against db's current snapshot and
+	// builds the successor; it modifies nothing a reader can see.
+	// Everything that can reject the mutation happens here.
+	apply(db *DB) (*dbSnap, error)
+	// encode renders the mutation as a record payload.
+	encode() []byte
+}
+
+type createTable struct {
+	name string
+	cols []Column
+}
+
+type createIndex struct {
+	table, index string
+	cols         []string
+}
+
+// insertRows is a batch of rows for one or more tables.
+type insertRows []insertGroup
+
+// insertGroup is one table's slice of an insert batch.
+type insertGroup struct {
+	table string
+	rows  [][]Value
+	// checked is the handle a live caller validated the rows against;
+	// a group decoded from a record has none and apply validates it.
+	checked *Table
+}
+
+// commit is the engine's one commit path, a three-state machine run
+// under writeMu: apply (check and build the successor; nothing is
+// visible or logged yet, so an error leaves no trace) → log + fsync
+// the record (persistent databases only; on failure the WAL poisons
+// itself and this and every later commit fails until the directory is
+// reopened) → publish. Nothing between the fsync and the publish can
+// fail, so an acknowledged record and the visible state never part
+// ways. Recovery runs records through this same function before the
+// persister is attached: the log step then has nothing to do, because
+// the record is already on disk.
+func (db *DB) commit(m mutation) (*dbSnap, error) {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	next, err := m.apply(db)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.logRecord(m); err != nil {
+		return nil, err
+	}
+	db.snap.Store(next)
+	return next, nil
+}
+
 // CreateTable creates a table. The column list must be non-empty with
 // unique names. Like every mutation it is durably logged first when
 // the database is persistent.
 func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	t, err := db.applyCreateTable(name, cols)
+	next, err := db.commit(createTable{name: name, cols: cols})
 	if err != nil {
 		return nil, err
 	}
-	if err := db.logCreateTable(name, cols); err != nil {
-		return nil, err
-	}
-	db.commitCreateTable(t)
-	return t, nil
+	return next.table(name), nil
 }
 
-// applyCreateTable validates and builds the table handle without
-// publishing it; the caller holds writeMu.
-func (db *DB) applyCreateTable(name string, cols []Column) (*Table, error) {
+// apply adds the table, with an empty state, to a copy of the catalog.
+func (m createTable) apply(db *DB) (*dbSnap, error) {
 	snap := db.loadSnap()
-	if _, exists := snap.byName[name]; exists {
-		return nil, fmt.Errorf("engine: table %q already exists", name)
+	if _, exists := snap.byName[m.name]; exists {
+		return nil, fmt.Errorf("engine: table %q already exists", m.name)
 	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("engine: table %q needs at least one column", name)
+	if len(m.cols) == 0 {
+		return nil, fmt.Errorf("engine: table %q needs at least one column", m.name)
 	}
-	t := &Table{Name: name, Cols: cols, colIdx: map[string]int{}, pos: len(snap.states), db: db}
-	for i, c := range cols {
+	t := &Table{Name: m.name, Cols: m.cols, colIdx: map[string]int{}, pos: len(snap.states), db: db}
+	for i, c := range m.cols {
 		if _, dup := t.colIdx[c.Name]; dup {
-			return nil, fmt.Errorf("engine: duplicate column %q in table %q", c.Name, name)
+			return nil, fmt.Errorf("engine: duplicate column %q in table %q", c.Name, m.name)
 		}
 		t.colIdx[c.Name] = i
 	}
-	return t, nil
-}
-
-// commitCreateTable publishes the new table; the caller holds writeMu
-// and has validated via applyCreateTable.
-func (db *DB) commitCreateTable(t *Table) {
-	snap := db.loadSnap()
 	next := snap.clone()
-	byName := make(map[string]*Table, len(snap.byName)+1)
+	next.byName = make(map[string]*Table, len(snap.byName)+1)
 	for k, v := range snap.byName {
-		byName[k] = v
+		next.byName[k] = v
 	}
-	byName[t.Name] = t
-	next.byName = byName
-	next.names = append(append([]string(nil), snap.names...), t.Name)
+	next.byName[m.name] = t
+	next.names = append(append([]string(nil), snap.names...), m.name)
 	next.states = append(next.states, newTableState())
-	db.snap.Store(next)
+	return next, nil
 }
 
 func newTableState() *tableState {
@@ -306,28 +350,40 @@ func applyInsert(st *tableState, rows [][]Value) *tableState {
 	return next
 }
 
-// Insert appends a row. The row length must match the column count;
-// value kinds must be compatible with the column types (or NULL).
-// All indexes are maintained; the commit is durable (WAL + fsync)
-// before it becomes visible when the database is persistent.
-func (t *Table) Insert(row []Value) (int64, error) {
-	if err := t.validateRow(row); err != nil {
-		return 0, err
+// apply appends each group's rows to its table. A table named twice
+// sees both groups.
+func (m insertRows) apply(db *DB) (*dbSnap, error) {
+	snap := db.loadSnap()
+	next := snap.clone()
+	for _, g := range m {
+		t := snap.table(g.table)
+		switch {
+		case t == nil:
+			return nil, fmt.Errorf("engine: insert into unknown table %q", g.table)
+		case g.checked == nil:
+			for _, row := range g.rows {
+				if err := t.validateRow(row); err != nil {
+					return nil, err
+				}
+			}
+		case g.checked != t:
+			return nil, fmt.Errorf("engine: table handle %q belongs to another database", g.table)
+		}
+		next.states[t.pos] = applyInsert(next.states[t.pos], g.rows)
 	}
-	t.db.writeMu.Lock()
-	defer t.db.writeMu.Unlock()
-	st := t.state()
-	id := int64(len(st.rows))
-	if err := t.db.logInsert(t.Name, [][]Value{row}); err != nil {
-		return 0, err
-	}
-	t.commitState(applyInsert(st, [][]Value{row}))
-	return id, nil
+	return next, nil
 }
+
+// Insert appends a row: a one-row InsertBatch.
+func (t *Table) Insert(row []Value) (int64, error) { return t.InsertBatch([][]Value{row}) }
 
 // InsertBatch appends rows atomically: one commit, one WAL record,
 // one fsync, one published snapshot. Readers observe all of the batch
-// or none of it. It returns the row id assigned to the first row.
+// or none of it. Each row's length must match the column count and
+// its value kinds the column types (or NULL). All indexes are
+// maintained; the commit is durable (WAL + fsync) before it becomes
+// visible when the database is persistent. It returns the row id
+// assigned to the first row.
 func (t *Table) InsertBatch(rows [][]Value) (int64, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -337,24 +393,11 @@ func (t *Table) InsertBatch(rows [][]Value) (int64, error) {
 			return 0, err
 		}
 	}
-	t.db.writeMu.Lock()
-	defer t.db.writeMu.Unlock()
-	st := t.state()
-	id := int64(len(st.rows))
-	if err := t.db.logInsert(t.Name, rows); err != nil {
+	next, err := t.db.commit(insertRows{{table: t.Name, rows: rows, checked: t}})
+	if err != nil {
 		return 0, err
 	}
-	t.commitState(applyInsert(st, rows))
-	return id, nil
-}
-
-// commitState publishes a successor state for the table; the caller
-// holds writeMu.
-func (t *Table) commitState(next *tableState) {
-	snap := t.db.loadSnap()
-	ns := snap.clone()
-	ns.states[t.pos] = next
-	t.db.snap.Store(ns)
+	return int64(len(next.stateOf(t).rows) - len(rows)), nil
 }
 
 // MustInsert is Insert that panics on error, for loaders with
@@ -403,26 +446,32 @@ func applyCreateIndex(st *tableState, name string, positions []int) *tableState 
 	return next
 }
 
-// resolveIndexCols validates a CreateIndex request against the
-// table's schema and current indexes.
-func (t *Table) resolveIndexCols(st *tableState, name string, cols []string) ([]int, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("engine: index %q needs at least one column", name)
+// apply resolves the index columns against the table's schema and
+// current indexes, and indexes the existing rows.
+func (m createIndex) apply(db *DB) (*dbSnap, error) {
+	snap := db.loadSnap()
+	t := snap.table(m.table)
+	if t == nil {
+		return nil, fmt.Errorf("engine: unknown table %q", m.table)
 	}
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		p := t.ColIndex(c)
-		if p < 0 {
-			return nil, fmt.Errorf("engine: index %q: no column %q in table %q", name, c, t.Name)
+	if len(m.cols) == 0 {
+		return nil, fmt.Errorf("engine: index %q needs at least one column", m.index)
+	}
+	positions := make([]int, len(m.cols))
+	for i, c := range m.cols {
+		if positions[i] = t.ColIndex(c); positions[i] < 0 {
+			return nil, fmt.Errorf("engine: index %q: no column %q in table %q", m.index, c, t.Name)
 		}
-		positions[i] = p
 	}
+	st := snap.stateOf(t)
 	for _, existing := range st.indexes {
-		if existing.Name == name {
-			return nil, fmt.Errorf("engine: index %q already exists on table %q", name, t.Name)
+		if existing.Name == m.index {
+			return nil, fmt.Errorf("engine: index %q already exists on table %q", m.index, t.Name)
 		}
 	}
-	return positions, nil
+	next := snap.clone()
+	next.states[t.pos] = applyCreateIndex(st, m.index, positions)
+	return next, nil
 }
 
 // CreateIndex builds a B+tree index over the named columns. Existing
@@ -430,19 +479,12 @@ func (t *Table) resolveIndexCols(st *tableState, name string, cols []string) ([]
 // paths of cached plans, so the commit bumps the table version like
 // any other mutation.
 func (t *Table) CreateIndex(name string, cols ...string) (*Index, error) {
-	t.db.writeMu.Lock()
-	defer t.db.writeMu.Unlock()
-	st := t.state()
-	positions, err := t.resolveIndexCols(st, name, cols)
+	next, err := t.db.commit(createIndex{table: t.Name, index: name, cols: cols})
 	if err != nil {
 		return nil, err
 	}
-	if err := t.db.logCreateIndex(t.Name, name, cols); err != nil {
-		return nil, err
-	}
-	next := applyCreateIndex(st, name, positions)
-	t.commitState(next)
-	return next.indexes[len(next.indexes)-1], nil
+	ixs := next.stateOf(t).indexes
+	return ixs[len(ixs)-1], nil
 }
 
 // Indexes returns the indexes of the table's current snapshot.

@@ -72,7 +72,8 @@ func AttrCol(attr string) string {
 
 // pathRegistry assigns stable ids to distinct root-to-node paths,
 // filling the paths relation gradually during insertion as the paper
-// describes in Section 3.1.
+// describes in Section 3.1. The zero value serves a mapping without a
+// paths relation (the accelerator).
 type pathRegistry struct {
 	table *engine.Table
 	ids   map[string]int64
@@ -81,8 +82,7 @@ type pathRegistry struct {
 	fresh []string
 }
 
-// rollback removes the paths registered since the last commit; drop
-// discards the rollback list after a successful commit.
+// rollback removes the paths registered since the last commit.
 func (r *pathRegistry) rollback() {
 	for _, p := range r.fresh {
 		delete(r.ids, p)
@@ -90,29 +90,62 @@ func (r *pathRegistry) rollback() {
 	r.fresh = nil
 }
 
-func (r *pathRegistry) drop() { r.fresh = nil }
+// indexDef is one index of a relation, named <relation><suffix>.
+type indexDef struct {
+	suffix string
+	cols   []string
+}
+
+// descriptorIndexes are the Section 3.1 indexes over the descriptor
+// columns: primary key, parent foreign key, composite (dewey_pos,
+// path_id).
+var descriptorIndexes = []indexDef{
+	{"_pk", []string{ColID}},
+	{"_par", []string{ColPar}},
+	{"_dp", []string{ColDewey, ColPath}},
+}
+
+// createRelation creates a table and its indexes.
+func createRelation(db *engine.DB, name string, cols []engine.Column, indexes ...indexDef) (*engine.Table, error) {
+	t, err := db.CreateTable(name, cols...)
+	if err != nil {
+		return nil, err
+	}
+	for _, ix := range indexes {
+		if _, err := t.CreateIndex(name+ix.suffix, ix.cols...); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// createAttr creates the separate attribute relation of the Edge and
+// accelerator mappings; owner is the element's id or pre rank.
+func createAttr(db *engine.DB) (*engine.Table, error) {
+	return createRelation(db, AttrTable, []engine.Column{
+		{Name: ColOwner, Type: engine.TInt},
+		{Name: ColAttrName, Type: engine.TText},
+		{Name: ColValue, Type: engine.TText},
+	}, indexDef{"_owner", []string{ColOwner}})
+}
 
 // newPathRegistry creates the paths relation, or attaches to an
 // existing one (a reopened persistent store) by rebuilding the
 // path→id map from its rows.
-func newPathRegistry(db *engine.DB) (*pathRegistry, error) {
-	if t := db.Table(PathsTable); t != nil {
-		r := &pathRegistry{table: t, ids: map[string]int64{}}
-		for _, row := range t.Rows() {
+func newPathRegistry(db *engine.DB) (pathRegistry, error) {
+	r := pathRegistry{table: db.Table(PathsTable), ids: map[string]int64{}}
+	if r.table != nil {
+		for _, row := range r.table.Rows() {
 			r.ids[row[1].S] = row[0].I
 		}
 		return r, nil
 	}
-	t, err := db.CreateTable(PathsTable,
-		engine.Column{Name: ColID, Type: engine.TInt},
-		engine.Column{Name: "path", Type: engine.TText})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := t.CreateIndex(PathsTable+"_pk", ColID); err != nil {
-		return nil, err
-	}
-	return &pathRegistry{table: t, ids: map[string]int64{}}, nil
+	var err error
+	r.table, err = createRelation(db, PathsTable, []engine.Column{
+		{Name: ColID, Type: engine.TInt},
+		{Name: "path", Type: engine.TText},
+	}, indexDef{"_pk", []string{ColID}})
+	return r, err
 }
 
 // id returns the path's id, buffering a new paths row into the
@@ -131,14 +164,76 @@ func (r *pathRegistry) id(b *engine.WriteBatch, path string) int64 {
 	return id
 }
 
+// loader is the document-load state and skeleton the three stores
+// share. Node ids are globally unique across documents: a document's
+// element ids are the id base plus its own node ids, and the base
+// advances by the largest element id — only after the document's
+// batch has committed, like the document counter and the registered
+// paths.
+type loader struct {
+	paths  pathRegistry
+	nextID int64
+	docs   int64
+}
+
+// rescan raises the counters to cover the rows of an existing
+// relation (a reopened persistent store), so loading continues where
+// the previous process stopped.
+func (l *loader) rescan(t *engine.Table) {
+	idCol, docCol := t.ColIndex(ColID), t.ColIndex(ColDoc)
+	for _, row := range t.Rows() {
+		if id := row[idCol].I; id > l.nextID {
+			l.nextID = id
+		}
+		if docCol >= 0 && row[docCol].I > l.docs {
+			l.docs = row[docCol].I
+		}
+	}
+}
+
+// load shreds one document and returns its document id. emit buffers
+// the rows of one element, given its global id and its parent's (NULL
+// for the root). The whole document commits as one write batch: a
+// single WAL record and a single published snapshot, so concurrent
+// readers (and crash recovery) see either all of the document's rows
+// — across every relation it touches — or none of them.
+func (l *loader) load(db *engine.DB, doc *xmltree.Document,
+	emit func(b *engine.WriteBatch, n *xmltree.Node, docID int64, id, par engine.Value) error) (int64, error) {
+	docID := l.docs + 1
+	maxID := l.nextID
+	batch := db.NewWriteBatch()
+	for _, n := range doc.Nodes() {
+		if n.Kind != xmltree.Element {
+			continue
+		}
+		id := l.nextID + n.ID
+		if id > maxID {
+			maxID = id
+		}
+		par := engine.Null
+		if n.Parent != nil {
+			par = engine.NewInt(l.nextID + n.Parent.ID)
+		}
+		if err := emit(batch, n, docID, engine.NewInt(id), par); err != nil {
+			l.paths.rollback()
+			return 0, fmt.Errorf("shred: load %q: %w", n.Path, err)
+		}
+	}
+	if err := batch.Commit(); err != nil {
+		l.paths.rollback()
+		return 0, fmt.Errorf("shred: load document %d: %w", docID, err)
+	}
+	l.paths.fresh = nil
+	l.docs, l.nextID = docID, maxID
+	return docID, nil
+}
+
 // SchemaAwareStore holds documents shredded under the schema-aware
 // mapping.
 type SchemaAwareStore struct {
 	DB     *engine.DB
 	Schema *schema.Schema
-	paths  *pathRegistry
-	nextID int64
-	docs   int64
+	loader
 }
 
 // NewSchemaAware creates the relational schema for an XML Schema
@@ -162,7 +257,7 @@ func NewSchemaAwareDB(db *engine.DB, s *schema.Schema) (*SchemaAwareStore, error
 	if err != nil {
 		return nil, err
 	}
-	st := &SchemaAwareStore{DB: db, Schema: s, paths: paths}
+	st := &SchemaAwareStore{DB: db, Schema: s, loader: loader{paths: paths}}
 	for _, n := range s.Nodes() {
 		rel := RelName(n.Name)
 		if attach {
@@ -170,16 +265,7 @@ func NewSchemaAwareDB(db *engine.DB, s *schema.Schema) (*SchemaAwareStore, error
 			if t == nil {
 				return nil, fmt.Errorf("shred: existing database has no relation %q for element %q", rel, n.Name)
 			}
-			for _, row := range t.Rows() {
-				if id := row[0].I; id > st.nextID {
-					st.nextID = id
-				}
-				if n.IsRoot {
-					if d := row[t.ColIndex(ColDoc)].I; d > st.docs {
-						st.docs = d
-					}
-				}
-			}
+			st.rescan(t)
 			continue
 		}
 		cols := []engine.Column{
@@ -197,59 +283,25 @@ func NewSchemaAwareDB(db *engine.DB, s *schema.Schema) (*SchemaAwareStore, error
 		for _, a := range n.Attrs {
 			cols = append(cols, engine.Column{Name: AttrCol(a), Type: engine.TText})
 		}
-		t, err := db.CreateTable(rel, cols...)
-		if err != nil {
+		if _, err := createRelation(db, rel, cols, descriptorIndexes...); err != nil {
 			return nil, fmt.Errorf("shred: element %q: %w", n.Name, err)
-		}
-		for _, ix := range []struct {
-			suffix string
-			cols   []string
-		}{
-			{"_pk", []string{ColID}},
-			{"_par", []string{ColPar}},
-			{"_dp", []string{ColDewey, ColPath}},
-		} {
-			if _, err := t.CreateIndex(rel+ix.suffix, ix.cols...); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return st, nil
 }
 
-// Load shreds one document, returning its document id. Node ids are
-// globally unique across documents; the first document's element ids
-// equal the document's own node ids. The whole document commits as
-// one write batch: a single WAL record and a single published
-// snapshot, so concurrent readers (and crash recovery) see either all
-// of the document's rows — across every element relation and the
-// paths relation — or none of them.
+// Load shreds one document, returning its document id. The first
+// document's element ids equal the document's own node ids.
 func (st *SchemaAwareStore) Load(doc *xmltree.Document) (int64, error) {
 	if err := st.Schema.Validate(doc); err != nil {
 		return 0, err
 	}
-	docID := st.docs + 1
-	base := st.nextID
-	maxID := base
-	batch := st.DB.NewWriteBatch()
-	for _, n := range doc.Nodes() {
-		if n.Kind != xmltree.Element {
-			continue
-		}
+	return st.load(st.DB, doc, func(b *engine.WriteBatch, n *xmltree.Node, docID int64, id, par engine.Value) error {
 		sn := st.Schema.Node(n.Name)
 		t := st.DB.Table(RelName(n.Name))
 		row := make([]engine.Value, 0, len(t.Cols))
-		id := base + n.ID
-		if id > maxID {
-			maxID = id
-		}
-		row = append(row, engine.NewInt(id))
-		if n.Parent != nil {
-			row = append(row, engine.NewInt(base+n.Parent.ID))
-		} else {
-			row = append(row, engine.Null)
-		}
-		row = append(row, engine.NewBytes(dewey.WithRoot(n.Pos, int(docID))), engine.NewInt(st.paths.id(batch, n.Path)))
+		row = append(row, id, par,
+			engine.NewBytes(dewey.WithRoot(n.Pos, int(docID))), engine.NewInt(st.paths.id(b, n.Path)))
 		if sn.IsRoot {
 			row = append(row, engine.NewInt(docID))
 		}
@@ -263,18 +315,8 @@ func (st *SchemaAwareStore) Load(doc *xmltree.Document) (int64, error) {
 				row = append(row, engine.Null)
 			}
 		}
-		if err := batch.Insert(t, row); err != nil {
-			return 0, fmt.Errorf("shred: load %q: %w", n.Path, err)
-		}
-	}
-	if err := batch.Commit(); err != nil {
-		st.paths.rollback()
-		return 0, fmt.Errorf("shred: load document %d: %w", docID, err)
-	}
-	st.paths.drop()
-	st.docs = docID
-	st.nextID = maxID
-	return docID, nil
+		return b.Insert(t, row)
+	})
 }
 
 // directText returns the concatenation of an element's direct text
@@ -299,12 +341,10 @@ func directText(n *xmltree.Node) engine.Value {
 // Edge-like mapping: every element is a tuple of the central 'edge'
 // relation; attributes live in a separate 'attr' relation.
 type EdgeStore struct {
-	DB     *engine.DB
-	paths  *pathRegistry
-	Edge   *engine.Table
-	Attr   *engine.Table
-	nextID int64
-	docs   int64
+	DB   *engine.DB
+	Edge *engine.Table
+	Attr *engine.Table
+	loader
 }
 
 // Edge mapping table and column names.
@@ -324,125 +364,64 @@ func NewEdge() (*EdgeStore, error) { return NewEdgeDB(engine.NewDB()) }
 // to an existing Edge schema (a reopened persistent store) when the
 // edge relation is already present.
 func NewEdgeDB(db *engine.DB) (*EdgeStore, error) {
-	if edge := db.Table(EdgeTable); edge != nil {
-		attr := db.Table(AttrTable)
-		if attr == nil {
-			return nil, fmt.Errorf("shred: existing database has %q but no %q", EdgeTable, AttrTable)
-		}
-		paths, err := newPathRegistry(db)
-		if err != nil {
-			return nil, err
-		}
-		st := &EdgeStore{DB: db, paths: paths, Edge: edge, Attr: attr}
-		docCol := edge.ColIndex(ColDoc)
-		for _, row := range edge.Rows() {
-			if id := row[0].I; id > st.nextID {
-				st.nextID = id
-			}
-			if d := row[docCol].I; d > st.docs {
-				st.docs = d
-			}
-		}
+	st := &EdgeStore{DB: db, Edge: db.Table(EdgeTable), Attr: db.Table(AttrTable)}
+	attach := st.Edge != nil
+	if attach && st.Attr == nil {
+		return nil, fmt.Errorf("shred: existing database has %q but no %q", EdgeTable, AttrTable)
+	}
+	var err error
+	if st.paths, err = newPathRegistry(db); err != nil {
+		return nil, err
+	}
+	if attach {
+		st.rescan(st.Edge)
 		return st, nil
 	}
-	paths, err := newPathRegistry(db)
-	if err != nil {
+	if st.Edge, err = createRelation(db, EdgeTable, []engine.Column{
+		{Name: ColID, Type: engine.TInt},
+		{Name: ColPar, Type: engine.TInt},
+		{Name: ColDewey, Type: engine.TBytes},
+		{Name: ColPath, Type: engine.TInt},
+		{Name: ColDoc, Type: engine.TInt},
+		{Name: ColName, Type: engine.TText},
+		{Name: ColText, Type: engine.TText},
+	}, descriptorIndexes...); err != nil {
 		return nil, err
 	}
-	edge, err := db.CreateTable(EdgeTable,
-		engine.Column{Name: ColID, Type: engine.TInt},
-		engine.Column{Name: ColPar, Type: engine.TInt},
-		engine.Column{Name: ColDewey, Type: engine.TBytes},
-		engine.Column{Name: ColPath, Type: engine.TInt},
-		engine.Column{Name: ColDoc, Type: engine.TInt},
-		engine.Column{Name: ColName, Type: engine.TText},
-		engine.Column{Name: ColText, Type: engine.TText},
-	)
-	if err != nil {
+	if st.Attr, err = createAttr(db); err != nil {
 		return nil, err
 	}
-	for _, ix := range []struct {
-		name string
-		cols []string
-	}{
-		{"edge_pk", []string{ColID}},
-		{"edge_par", []string{ColPar}},
-		{"edge_dp", []string{ColDewey, ColPath}},
-	} {
-		if _, err := edge.CreateIndex(ix.name, ix.cols...); err != nil {
-			return nil, err
-		}
-	}
-	attr, err := db.CreateTable(AttrTable,
-		engine.Column{Name: ColOwner, Type: engine.TInt},
-		engine.Column{Name: ColAttrName, Type: engine.TText},
-		engine.Column{Name: ColValue, Type: engine.TText},
-	)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := attr.CreateIndex("attr_owner", ColOwner); err != nil {
-		return nil, err
-	}
-	return &EdgeStore{DB: db, paths: paths, Edge: edge, Attr: attr}, nil
+	return st, nil
 }
 
-// Load shreds one document into the Edge mapping. Like the
-// schema-aware loader it commits the document as one write batch —
-// edge rows, attribute rows, and new paths rows together.
+// Load shreds one document into the Edge mapping: edge rows,
+// attribute rows, and new paths rows commit together.
 func (st *EdgeStore) Load(doc *xmltree.Document) (int64, error) {
-	docID := st.docs + 1
-	base := st.nextID
-	maxID := base
-	batch := st.DB.NewWriteBatch()
-	for _, n := range doc.Nodes() {
-		if n.Kind != xmltree.Element {
-			continue
-		}
-		id := base + n.ID
-		if id > maxID {
-			maxID = id
-		}
-		par := engine.Null
-		if n.Parent != nil {
-			par = engine.NewInt(base + n.Parent.ID)
-		}
-		if err := batch.Insert(st.Edge, []engine.Value{
-			engine.NewInt(id), par, engine.NewBytes(dewey.WithRoot(n.Pos, int(docID))),
-			engine.NewInt(st.paths.id(batch, n.Path)), engine.NewInt(docID),
+	return st.load(st.DB, doc, func(b *engine.WriteBatch, n *xmltree.Node, docID int64, id, par engine.Value) error {
+		if err := b.Insert(st.Edge, []engine.Value{
+			id, par, engine.NewBytes(dewey.WithRoot(n.Pos, int(docID))),
+			engine.NewInt(st.paths.id(b, n.Path)), engine.NewInt(docID),
 			engine.NewText(n.Name), directText(n),
 		}); err != nil {
-			return 0, fmt.Errorf("shred: load %q: %w", n.Path, err)
+			return err
 		}
 		for _, a := range n.Attrs {
-			if err := batch.Insert(st.Attr, []engine.Value{
-				engine.NewInt(id), engine.NewText(a.Name), engine.NewText(a.Value),
-			}); err != nil {
-				return 0, fmt.Errorf("shred: load %q attr %q: %w", n.Path, a.Name, err)
+			if err := b.Insert(st.Attr, []engine.Value{id, engine.NewText(a.Name), engine.NewText(a.Value)}); err != nil {
+				return err
 			}
 		}
-	}
-	if err := batch.Commit(); err != nil {
-		st.paths.rollback()
-		return 0, fmt.Errorf("shred: load document %d: %w", docID, err)
-	}
-	st.paths.drop()
-	st.docs = docID
-	st.nextID = maxID
-	return docID, nil
+		return nil
+	})
 }
 
 // AccelStore holds documents shredded under the XPath Accelerator
 // (pre/post region encoding) mapping of Grust et al., the baseline of
 // Section 5.2.
 type AccelStore struct {
-	DB     *engine.DB
-	Accel  *engine.Table
-	Attr   *engine.Table
-	preOf  map[int64]int64 // document-global element id -> pre
-	idOf   map[int64]int64 // pre -> document-global element id
-	nextID int64
-	docs   int64
+	DB    *engine.DB
+	Accel *engine.Table
+	Attr  *engine.Table
+	loader
 }
 
 // Accelerator table and column names.
@@ -462,58 +441,35 @@ const ColSize = "size"
 // par, plus the attribute relation.
 func NewAccel() (*AccelStore, error) {
 	db := engine.NewDB()
-	accel, err := db.CreateTable(AccelTable,
-		engine.Column{Name: ColPre, Type: engine.TInt},
-		engine.Column{Name: ColPost, Type: engine.TInt},
-		engine.Column{Name: ColPar, Type: engine.TInt},  // pre of parent
-		engine.Column{Name: ColSize, Type: engine.TInt}, // element descendants
-		engine.Column{Name: ColID, Type: engine.TInt},   // document-global element id
-		engine.Column{Name: ColDoc, Type: engine.TInt},
-		engine.Column{Name: ColName, Type: engine.TText},
-		engine.Column{Name: ColText, Type: engine.TText},
-	)
+	accel, err := createRelation(db, AccelTable, []engine.Column{
+		{Name: ColPre, Type: engine.TInt},
+		{Name: ColPost, Type: engine.TInt},
+		{Name: ColPar, Type: engine.TInt},  // pre of parent
+		{Name: ColSize, Type: engine.TInt}, // element descendants
+		{Name: ColID, Type: engine.TInt},   // document-global element id
+		{Name: ColDoc, Type: engine.TInt},
+		{Name: ColName, Type: engine.TText},
+		{Name: ColText, Type: engine.TText},
+	}, indexDef{"_pre", []string{ColPre}}, indexDef{"_post", []string{ColPost}}, indexDef{"_par", []string{ColPar}})
 	if err != nil {
 		return nil, err
 	}
-	for _, ix := range []struct {
-		name string
-		cols []string
-	}{
-		{"accel_pre", []string{ColPre}},
-		{"accel_post", []string{ColPost}},
-		{"accel_par", []string{ColPar}},
-	} {
-		if _, err := accel.CreateIndex(ix.name, ix.cols...); err != nil {
-			return nil, err
-		}
-	}
-	attr, err := db.CreateTable(AttrTable,
-		engine.Column{Name: ColOwner, Type: engine.TInt}, // pre of owner
-		engine.Column{Name: ColAttrName, Type: engine.TText},
-		engine.Column{Name: ColValue, Type: engine.TText},
-	)
+	attr, err := createAttr(db) // owner is the pre rank
 	if err != nil {
 		return nil, err
 	}
-	if _, err := attr.CreateIndex("attr_owner", ColOwner); err != nil {
-		return nil, err
-	}
-	return &AccelStore{DB: db, Accel: accel, Attr: attr, preOf: map[int64]int64{}, idOf: map[int64]int64{}}, nil
+	return &AccelStore{DB: db, Accel: accel, Attr: attr}, nil
 }
 
 // Load shreds one document into the accelerator mapping.
 func (st *AccelStore) Load(doc *xmltree.Document) (int64, error) {
-	st.docs++
-	docID := st.docs
-	base := st.nextID
-	maxID := base
-
-	// Assign pre/post ranks and subtree sizes over element nodes only.
+	// Assign pre/post ranks and subtree sizes over element nodes only;
+	// ranks continue after those of the documents already stored.
 	pre := map[*xmltree.Node]int64{}
 	post := map[*xmltree.Node]int64{}
 	size := map[*xmltree.Node]int64{}
+	preBase := int64(len(st.Accel.Rows()))
 	var preCtr, postCtr int64
-	preBase := int64(len(st.idOf))
 	var walk func(n *xmltree.Node) int64
 	walk = func(n *xmltree.Node) int64 {
 		if n.Kind != xmltree.Element {
@@ -532,31 +488,24 @@ func (st *AccelStore) Load(doc *xmltree.Document) (int64, error) {
 	}
 	walk(doc.Root)
 
-	for _, n := range doc.Nodes() {
-		if n.Kind != xmltree.Element {
-			continue
-		}
-		id := base + n.ID
-		if id > maxID {
-			maxID = id
-		}
+	return st.load(st.DB, doc, func(b *engine.WriteBatch, n *xmltree.Node, docID int64, id, _ engine.Value) error {
 		par := engine.Null
 		if n.Parent != nil {
 			par = engine.NewInt(pre[n.Parent])
 		}
-		st.Accel.MustInsert(
+		if err := b.Insert(st.Accel, []engine.Value{
 			engine.NewInt(pre[n]), engine.NewInt(post[n]), par, engine.NewInt(size[n]),
-			engine.NewInt(id), engine.NewInt(docID),
-			engine.NewText(n.Name), directText(n),
-		)
-		st.preOf[id] = pre[n]
-		st.idOf[pre[n]] = id
-		for _, a := range n.Attrs {
-			st.Attr.MustInsert(engine.NewInt(pre[n]), engine.NewText(a.Name), engine.NewText(a.Value))
+			id, engine.NewInt(docID), engine.NewText(n.Name), directText(n),
+		}); err != nil {
+			return err
 		}
-	}
-	st.nextID = maxID
-	return docID, nil
+		for _, a := range n.Attrs {
+			if err := b.Insert(st.Attr, []engine.Value{engine.NewInt(pre[n]), engine.NewText(a.Name), engine.NewText(a.Value)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // PathCount returns the number of distinct root-to-node paths stored.

@@ -191,11 +191,16 @@ func TestAccelLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := st.Accel.Version()
 	if _, err := st.Load(paperDoc(t)); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Accel.Rows()) != 12 {
 		t.Fatalf("accel rows = %d", len(st.Accel.Rows()))
+	}
+	// Like the other mappings, a document is one commit, not one per row.
+	if got := st.Accel.Version() - before; got != 1 {
+		t.Fatalf("loading one document published %d accel states, want 1", got)
 	}
 	// Region containment: descendants of B(pre of node id 2) are those
 	// with pre > and post < the B row.

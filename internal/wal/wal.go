@@ -26,6 +26,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -65,6 +66,23 @@ type Log struct {
 	next uint64 // LSN to assign to the next appended record
 	//guardedby:caller(writeMu)
 	buf []byte // frame assembly buffer, reused across appends
+	// poison is set by the first failed write or fsync and never
+	// cleared: the file may then hold a partial frame, or a whole one
+	// the kernel has dropped the dirty pages of, so nothing appended
+	// after it could be trusted to survive recovery.
+	//guardedby:caller(writeMu)
+	poison error
+}
+
+// ErrPoisoned is matched (errors.Is) by every Append, Sync, Commit and
+// Reset after a write or fsync of the log has failed. The log stays
+// refused until it is reopened, which recovers the valid prefix.
+var ErrPoisoned = errors.New("wal: log is poisoned by an earlier write or sync failure; reopen to recover")
+
+// fail poisons the log and returns err, the failure that did it.
+func (l *Log) fail(err error) error {
+	l.poison = fmt.Errorf("%w (%v)", ErrPoisoned, err)
+	return err
 }
 
 // Open opens (creating if absent) the log at path and replays every
@@ -79,9 +97,8 @@ func Open(path string, fn func(rec Record) error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{f: f, path: path, next: 1}
-	valid, last, err := l.replay(fn)
-	if err != nil {
+	valid, last, err := readFrames(f, fn)
+	if err != nil && !errors.Is(err, errBadFrame) {
 		_ = f.Close()
 		return nil, err
 	}
@@ -107,44 +124,50 @@ func Open(path string, fn func(rec Record) error) (*Log, error) {
 			return nil, err
 		}
 	}
-	l.next = last + 1
-	return l, nil
+	return &Log{f: f, path: path, next: last + 1}, nil
 }
 
-// replay scans frames from the start of the file, calling fn per
-// valid record. It returns the byte offset of the end of the last
-// valid frame and the highest LSN seen.
-func (l *Log) replay(fn func(rec Record) error) (valid int64, last uint64, err error) {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
+// errBadFrame marks readFrames' verdict on the bytes themselves, as
+// opposed to an error returned by the record callback.
+var errBadFrame = errors.New("wal: invalid frame")
+
+// readFrames is the one frame decoder: it reads frames from the start
+// of r, calling fn (if non-nil) per valid record, and returns the byte
+// offset of the end of the last valid frame and the highest LSN seen.
+// The error is nil at a clean end of file, fn's own error if fn
+// failed, and otherwise wraps errBadFrame; whether a bad frame is a
+// tolerated torn tail (Open) or corruption (Scan) is the caller's call.
+func readFrames(r io.Reader, fn func(rec Record) error) (valid int64, last uint64, err error) {
 	var hdr [headerSize]byte
 	var body []byte
 	for {
-		if _, err := io.ReadFull(l.f, hdr[:]); err != nil {
-			// EOF here is the clean end of the log; a partial header is a
-			// torn tail. Both end replay at the current valid offset.
-			return valid, last, nil
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			if err == io.EOF {
+				return valid, last, nil
+			}
+			return valid, last, fmt.Errorf("%w: partial header", errBadFrame)
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
+		// The length is checked before the body is allocated, so a
+		// corrupt one cannot cause a huge allocation.
 		if length < lsnSize || length > MaxRecordSize+lsnSize {
-			return valid, last, nil // corrupt length: tail ends here
+			return valid, last, fmt.Errorf("%w: corrupt length %d", errBadFrame, length)
 		}
 		if cap(body) < int(length) {
 			body = make([]byte, length)
 		}
 		body = body[:length]
-		if _, err := io.ReadFull(l.f, body); err != nil {
-			return valid, last, nil // torn body
+		if _, err := io.ReadFull(r, body); err != nil {
+			return valid, last, fmt.Errorf("%w: truncated body", errBadFrame)
 		}
 		if crc32.Checksum(body, castagnoli) != crc {
-			return valid, last, nil // bit rot or torn overwrite
+			return valid, last, fmt.Errorf("%w: checksum mismatch", errBadFrame)
 		}
 		lsn := binary.LittleEndian.Uint64(body[0:lsnSize])
 		if fn != nil {
 			if err := fn(Record{LSN: lsn, Payload: body[lsnSize:]}); err != nil {
-				return 0, 0, err
+				return valid, last, err
 			}
 		}
 		valid += int64(headerSize) + int64(length)
@@ -167,39 +190,18 @@ func Scan(path string, fn func(rec Record) error) error {
 		return err
 	}
 	defer f.Close()
-	var hdr [headerSize]byte
-	var body []byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("wal: partial frame header in %s", path)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length < lsnSize || length > MaxRecordSize+lsnSize {
-			return fmt.Errorf("wal: corrupt frame length %d in %s", length, path)
-		}
-		if cap(body) < int(length) {
-			body = make([]byte, length)
-		}
-		body = body[:length]
-		if _, err := io.ReadFull(f, body); err != nil {
-			return fmt.Errorf("wal: truncated frame body in %s", path)
-		}
-		if crc32.Checksum(body, castagnoli) != crc {
-			return fmt.Errorf("wal: frame checksum mismatch in %s", path)
-		}
-		if err := fn(Record{LSN: binary.LittleEndian.Uint64(body[0:lsnSize]), Payload: body[lsnSize:]}); err != nil {
-			return err
-		}
+	if _, _, err := readFrames(f, fn); err != nil {
+		return fmt.Errorf("%w in %s", err, path)
 	}
+	return nil
 }
 
 // Append writes one record frame without syncing; the record is not
 // durable until Sync returns. It returns the record's LSN.
 func (l *Log) Append(payload []byte) (uint64, error) {
+	if l.poison != nil {
+		return 0, l.poison
+	}
 	if err := failpoint.Inject("wal/append"); err != nil {
 		return 0, err
 	}
@@ -218,7 +220,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	copy(frame[16:], payload)
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
 	if _, err := l.f.Write(frame); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	l.next = lsn + 1
 	return lsn, nil
@@ -226,12 +228,18 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 
 // Sync makes every appended record durable (fsync). An error means
 // the most recent appends may or may not survive a crash; the caller
-// must not report them as committed.
+// must not report them as committed, and the log is poisoned.
 func (l *Log) Sync() error {
-	if err := failpoint.Inject("wal/fsync"); err != nil {
-		return err
+	if l.poison != nil {
+		return l.poison
 	}
-	return l.f.Sync()
+	if err := failpoint.Inject("wal/fsync"); err != nil {
+		return l.fail(err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return l.fail(err)
+	}
+	return nil
 }
 
 // Commit appends one record and syncs: the write-ahead contract's
@@ -266,20 +274,30 @@ func (l *Log) EnsureNext(lsn uint64) {
 // its effects. LSNs keep counting from where they were, so records
 // appended after the reset stay above the checkpoint's base LSN.
 func (l *Log) Reset() error {
+	if l.poison != nil {
+		return l.poison
+	}
 	if err := l.f.Truncate(0); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
+		return l.fail(err)
 	}
-	return l.f.Sync()
+	if err := l.f.Sync(); err != nil {
+		return l.fail(err)
+	}
+	return nil
 }
 
-// Close syncs and closes the log file. The sync error (fsyncgate:
-// a failed fsync may mean previously "written" pages were dropped)
-// takes precedence over the close error.
+// Close closes the log file, syncing it first unless the log is
+// poisoned (a second fsync after a failed one can report success for
+// pages the kernel already dropped). The poison or sync error takes
+// precedence over the close error.
 func (l *Log) Close() error {
-	err := l.f.Sync()
+	err := l.poison
+	if err == nil {
+		err = l.f.Sync()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

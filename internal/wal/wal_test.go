@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 func tmpLog(t *testing.T) string {
@@ -420,5 +423,82 @@ func TestLSNTamperRejected(t *testing.T) {
 	}
 	if len(recs) != 1 || string(recs[0].Payload) != "first" {
 		t.Fatalf("replay after LSN tamper = %d records, want just %q", len(recs), "first")
+	}
+}
+
+// TestPoisonedAfterFailure checks the fail-stop rule: once a write or
+// fsync has failed, Append, Sync, Commit and Reset all refuse with
+// ErrPoisoned — no later record can be acknowledged on top of a frame
+// that may be partial or lost — while a fault injected at wal/append,
+// before any byte is written, leaves the log usable. Reopening
+// recovers the acknowledged prefix (plus, possibly, the whole
+// unacknowledged frame).
+func TestPoisonedAfterFailure(t *testing.T) {
+	defer failpoint.Reset()
+	injected := errors.New("injected")
+	for _, tc := range []struct {
+		name string
+		// fail makes one operation on l fail and returns its error.
+		fail func(t *testing.T, l *Log) error
+	}{
+		{"fsync", func(t *testing.T, l *Log) error {
+			if err := failpoint.Enable("wal/fsync", failpoint.Return(injected)); err != nil {
+				t.Fatal(err)
+			}
+			defer failpoint.Reset()
+			_, err := l.Commit([]byte("unacknowledged"))
+			return err
+		}},
+		{"write", func(t *testing.T, l *Log) error {
+			// Closing the descriptor under the log makes the next write fail.
+			if err := l.f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := l.Append([]byte("unwritten"))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tmpLog(t)
+			l, err := Open(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Commit([]byte("acknowledged")); err != nil {
+				t.Fatal(err)
+			}
+			if err := failpoint.Enable("wal/append", failpoint.Return(injected)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Commit([]byte("never written")); !errors.Is(err, injected) {
+				t.Fatalf("Commit at armed wal/append = %v, want the injected error", err)
+			}
+			failpoint.Reset()
+			if _, err := l.Commit([]byte("acknowledged too")); err != nil {
+				t.Fatalf("Commit after a wal/append fault: %v", err)
+			}
+
+			if err := tc.fail(t, l); err == nil || errors.Is(err, ErrPoisoned) {
+				t.Fatalf("the failing call returned %v, want the failure itself", err)
+			}
+			_, appendErr := l.Append([]byte("x"))
+			_, commitErr := l.Commit([]byte("x"))
+			for op, err := range map[string]error{
+				"Append": appendErr, "Commit": commitErr, "Sync": l.Sync(), "Reset": l.Reset(), "Close": l.Close(),
+			} {
+				if !errors.Is(err, ErrPoisoned) {
+					t.Errorf("%s on a poisoned log = %v, want ErrPoisoned", op, err)
+				}
+			}
+
+			recs, l2 := collect(t, path)
+			defer l2.Close()
+			if len(recs) < 2 || len(recs) > 3 || string(recs[0].Payload) != "acknowledged" || string(recs[1].Payload) != "acknowledged too" {
+				t.Fatalf("recovered %d records %q, want the two acknowledged ones (and at most the unacknowledged frame)", len(recs), recs)
+			}
+			if _, err := l2.Commit([]byte("after reopen")); err != nil {
+				t.Fatalf("Commit on the reopened log: %v", err)
+			}
+		})
 	}
 }
