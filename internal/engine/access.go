@@ -33,6 +33,8 @@ func forEachBatch(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch
 		return a.enumerate(ec, e, s, st, sc, yield)
 	case *fatHash:
 		return a.h.enumerate(ec, e, s, st, sc, yield)
+	case *keyProbe:
+		return a.enumerate(ec, e, s, st, sc, yield)
 	case *indexRange:
 		return a.enumerate(ec, e, s, st, sc, yield)
 	default:
@@ -50,8 +52,9 @@ func flushTail(buf []int64, yield batchYield) error {
 }
 
 // yieldChunks streams an index's already-materialized posting list to
-// yield in sub-slices of at most batch ids, without copying.
-func yieldChunks(ids []int64, batch int, yield batchYield) error {
+// yield in sub-slices of at most batch ids, without copying. It
+// reports false when yield stopped the enumeration.
+func yieldChunks(ids []int64, batch int, yield batchYield) (bool, error) {
 	for len(ids) > 0 {
 		n := len(ids)
 		if n > batch {
@@ -59,11 +62,11 @@ func yieldChunks(ids []int64, batch int, yield batchYield) error {
 		}
 		cont, err := yield(ids[:n])
 		if err != nil || !cont {
-			return err
+			return false, err
 		}
 		ids = ids[n:]
 	}
-	return nil
+	return true, nil
 }
 
 func (fullScan) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
@@ -96,7 +99,8 @@ func (a *indexEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *ba
 	}
 	sc.key = key
 	st.probe()
-	return yieldChunks(a.ix.Tree.Get(key), cap(sc.ids), yield)
+	_, err := yieldChunks(a.ix.Tree.Get(key), cap(sc.ids), yield)
+	return err
 }
 
 func (a *indexPrefixes) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
@@ -152,9 +156,22 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 	}
 	key := encodeValue(sc.key[:0], v)
 	sc.key = key
-	m, built, bytes, err := s.st.hashFor(a.col, ec.acct)
+	m, err := probeSide(ec, s, st, a.col)
 	if err != nil {
 		return err
+	}
+	st.probe()
+	_, err = yieldChunks(m[string(key)], cap(sc.ids), yield)
+	return err
+}
+
+// probeSide returns the step's transient hash index on col — the hash
+// join's build side — charging a build this call performed to the
+// scan's operator.
+func probeSide(ec *execCtx, s *joinStep, st *OpStats, col int) (map[string][]int64, error) {
+	m, built, bytes, err := s.st.hashFor(col, ec.acct)
+	if err != nil {
+		return nil, err
 	}
 	if built {
 		st.charge(bytes)
@@ -162,11 +179,33 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 		// observe it before starting the probe phase instead of
 		// waiting out the tick counter.
 		if err := ec.checkNow(); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
+	var m map[string][]int64
+	if a.ix == nil {
+		var err error
+		if m, err = probeSide(ec, s, st, a.col); err != nil {
 			return err
 		}
 	}
-	st.probe()
-	return yieldChunks(m[string(key)], cap(sc.ids), yield)
+	for _, k := range a.res.keys.keys {
+		key := encodeValue(sc.key[:0], NewInt(k))
+		sc.key = key
+		st.probe()
+		ids := m[string(key)]
+		if a.ix != nil {
+			ids = a.ix.Tree.Get(key)
+		}
+		if cont, err := yieldChunks(ids, cap(sc.ids), yield); err != nil || !cont {
+			return err
+		}
+	}
+	return nil
 }
 
 func (a *fatHash) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
@@ -210,6 +249,14 @@ func (a *hashEq) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 		return AccessShape{}, err
 	}
 	return AccessShape{Kind: "hash-eq", Col: t.Cols[a.col].Name, Key: key}, nil
+}
+
+func (a *keyProbe) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
+	as := AccessShape{Kind: "key-probe", Col: t.Cols[a.col].Name, Resolved: a.res.index}
+	if a.ix != nil {
+		as.Index, as.IndexCols = a.ix.Name, indexColNames(t, a.ix)
+	}
+	return as, nil
 }
 
 func (a *fatHash) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {

@@ -12,18 +12,14 @@ package engine
 const DefaultBatchSize = 1024
 
 // batchScratch is the per-step working memory of one active scan:
-// the id batch buffer, the key-encoding buffers its access path
-// builds bounds into, and the column/mask scratch of the vectorized
-// filter pass. Each nesting level of the join pipeline owns its own
-// scratch (pooled on the execCtx) because an outer step's index scan
-// is still walking its key bounds while inner steps run.
+// the id batch buffer and the key-encoding buffers its access path
+// builds bounds into. Each nesting level of the join pipeline owns its
+// own scratch (pooled on the execCtx) because an outer step's index
+// scan is still walking its key bounds while inner steps run.
 type batchScratch struct {
-	ids   []int64
-	key   []byte
-	key2  []byte
-	paths []string
-	keep  []bool
-	out   []bool
+	ids  []int64
+	key  []byte
+	key2 []byte
 }
 
 // getScratch returns a scratch whose id buffer has capacity n,
@@ -52,23 +48,6 @@ func (ec *execCtx) putScratch(sc *batchScratch) {
 	ec.free = append(ec.free, sc)
 }
 
-// ensureStrings grows *s to at least n entries and returns the first
-// n of them.
-func ensureStrings(s *[]string, n int) []string {
-	if cap(*s) < n {
-		*s = make([]string, n)
-	}
-	return (*s)[:n]
-}
-
-// ensureBools grows *s to at least n entries and returns the first n.
-func ensureBools(s *[]bool, n int) []bool {
-	if cap(*s) < n {
-		*s = make([]bool, n)
-	}
-	return (*s)[:n]
-}
-
 // checkBatch amortizes deadline/cancellation checks over batches: the
 // clock is consulted about once per 1024 rows regardless of the batch
 // size, matching the cadence of the old per-row tick counter.
@@ -82,44 +61,4 @@ func (ec *execCtx) checkBatch(n int) error {
 	}
 	ec.ticks = 0
 	return ec.checkNow()
-}
-
-// vecFilter evaluates the step's vectorized REGEXP_LIKE prefix over a
-// whole batch and returns the keep mask parallel to ids. The
-// vectorized filters are plan-time-compiled constant patterns over a
-// column of the step's own table, so the pass is error-free and
-// allocation-free (path columns are text; Value.String is zero-copy),
-// and a row's filters still short-circuit in source order: the
-// vectorized run is a prefix, residual conjuncts only see surviving
-// rows.
-func (r *stepRunner) vecFilter(s *joinStep, sc *batchScratch, ids []int64) []bool {
-	n := len(ids)
-	keep := ensureBools(&sc.keep, n)
-	paths := ensureStrings(&sc.paths, n)
-	out := ensureBools(&sc.out, n)
-	for i := range keep {
-		keep[i] = true
-	}
-	rows := s.st.rows
-	for _, vf := range s.vec {
-		for i, id := range ids {
-			if !keep[i] {
-				paths[i] = ""
-				continue
-			}
-			v := rows[id][vf.pos]
-			if v.IsNull() {
-				// SQL REGEXP_LIKE(NULL, p) is false here (see cfunc.eval).
-				keep[i] = false
-				paths[i] = ""
-				continue
-			}
-			paths[i] = v.String()
-		}
-		vf.m.matchAll(paths, out)
-		for i := range keep {
-			keep[i] = keep[i] && out[i]
-		}
-	}
-	return keep
 }

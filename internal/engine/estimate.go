@@ -28,6 +28,32 @@ const defaultFilterSelectivity = 0.1
 // pile of defaulted conjuncts cannot drive an estimate to zero.
 const minSelectivity = 1e-4
 
+// defaultDeweyFanout is the rows a Dewey prefix access is guessed to
+// yield per binding, in both directions: the ancestor probes of
+// indexPrefixes (one lookup per byte prefix of the bound position) and
+// the descendant window '[x, x || lit]' of a prefix-shaped indexRange.
+// One constant serves both because of a counting identity: every
+// (ancestor, descendant) pair of a relation is one row of some
+// ancestor access and one row of some descendant access, so over the
+// relation's rows the two accesses have the same mean size, pairs per
+// row. Across two relations the means differ by the ratio of their row
+// counts; the guess is not scaled by it (E10 has the numbers). The
+// value is the pre-synopsis planner's guess for indexPrefixes, kept;
+// the window used to be costed as a generic two-sided range
+// (genericRangeDivisor), three orders of magnitude more on a
+// schema-oblivious relation, which sent every join order that could
+// avoid the window around it (EXPERIMENTS.md E10).
+const defaultDeweyFanout = 8
+
+// genericRangeDivisor and openRangeDivisor are the fallback guesses
+// for an index range whose bounds are not literals the histogram can
+// count: a sixteenth of the relation between two bounds, a quarter
+// past one.
+const (
+	genericRangeDivisor = 16
+	openRangeDivisor    = 4
+)
+
 // Estimate provenance values recorded in joinStep.estSource and
 // exported as StepShape.EstSource.
 const (
@@ -75,7 +101,19 @@ func (db *DB) SetHeuristicOnlyPlanning(v bool) { db.heuristicPlans.Store(v) }
 func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjuncts []*conjunct, skip *conjunct, sc *scope) (float64, bool) {
 	sel, synBacked := 1.0, false
 	for _, c := range conjuncts {
-		if c == skip || c.expr == nil || len(c.localRef) != 1 || !c.localRef[name] {
+		if c == skip || c.done || len(c.localRef) != 1 || !c.localRef[name] {
+			continue
+		}
+		if c.set != nil {
+			// A key test's selectivity was read off the histogram when
+			// the set was resolved; a pair test over one table has none.
+			switch rows := float64(st.syn.Rows()); {
+			case c.set.probe == nil:
+				sel *= defaultFilterSelectivity
+			case rows > 0:
+				sel *= c.set.probe.rows / rows
+				synBacked = true
+			}
 			continue
 		}
 		if !refsOnlyTable(c.expr, name, t) {
@@ -272,6 +310,8 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		return avgFan(x.col)
 	case *fatHash:
 		return p.accessEstimate(x.h, st)
+	case *keyProbe:
+		return x.rows, true
 	case *indexRange:
 		// Literal integer bounds are a histogram range count.
 		loLit, okL := litIntBound(x.lo)

@@ -402,12 +402,47 @@ func (c *csubq) eval(ec *execCtx, e env) (Value, error) {
 	return out, nil
 }
 
+// ckeyin tests a fact column against a plan-time key set
+// (resolve.go): true iff the column holds one of the keys. NULL is in
+// no set, as it equals no key.
+type ckeyin struct {
+	col ccol
+	res *resolution
+}
+
+func (c *ckeyin) eval(ec *execCtx, e env) (Value, error) {
+	v, err := c.col.eval(ec, e)
+	if err != nil {
+		return Null, err
+	}
+	_, ok := c.res.keys.has[v.I]
+	return NewBool(ok && v.Kind == KInt), nil
+}
+
+// cpairin tests two fact columns against a plan-time pair set.
+type cpairin struct {
+	a, b ccol
+	res  *pairResolution
+}
+
+func (c *cpairin) eval(ec *execCtx, e env) (Value, error) {
+	av, err := c.a.eval(ec, e)
+	if err != nil {
+		return Null, err
+	}
+	bv, err := c.b.eval(ec, e)
+	if err != nil {
+		return Null, err
+	}
+	_, ok := c.res.pairs.has[[2]int64{av.I, bv.I}]
+	return NewBool(ok && av.Kind == KInt && bv.Kind == KInt), nil
+}
+
 // matcher wraps pathre with a stdlib regexp fallback for patterns
 // outside the ERE subset pathre supports. For pathre patterns without
 // a literal fast path, dfa holds the dense byte-class DFA compiled at
 // the same (sole) compilation site — the NFA simulation allocates two
-// state sets per call, the DFA walk allocates nothing, which is what
-// makes the vectorized REGEXP_LIKE pass worthwhile.
+// state sets per call, the DFA walk allocates nothing.
 type matcher struct {
 	fast *pathre.Regexp
 	dfa  *pathre.DFA
@@ -422,20 +457,6 @@ func (m *matcher) match(s string) bool {
 		return m.fast.MatchString(s)
 	}
 	return m.slow.MatchString(s)
-}
-
-// matchAll evaluates the matcher over a batch of inputs, writing one
-// verdict per input into out. The engine's vectorized filter pass
-// (batch.go) is its only hot caller; non-DFA matchers degrade to the
-// per-row loop.
-func (m *matcher) matchAll(inputs []string, out []bool) {
-	if m.dfa != nil {
-		m.dfa.MatchAll(inputs, out)
-		return
-	}
-	for i, s := range inputs {
-		out[i] = m.match(s)
-	}
 }
 
 // patternCache shares compiled matchers across queries and

@@ -612,9 +612,9 @@ func (r *stepRunner) runRoot(ids []int64) error {
 // processBatch pushes one batch of candidate ids through the step's
 // filters and the rest of the pipeline, returning how many of the
 // batch's rows were consumed (all of them unless an early stop or
-// error cut the batch short). The deadline poll, filter-stat
-// attribution, and vectorized filter pass are paid once per batch;
-// binding the env entry is paid once per surviving recursion.
+// error cut the batch short). The deadline poll and filter-stat
+// attribution are paid once per batch; binding the env entry is paid
+// once per candidate row.
 func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids []int64) (int, error) {
 	ec := r.ec
 	if err := ec.checkBatch(len(ids)); err != nil {
@@ -624,25 +624,11 @@ func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids [
 	if f := r.plan.phys.filters[step]; f != nil {
 		fst = ec.op(f)
 	}
-	var keep []bool
-	if len(s.vec) > 0 {
-		if ec.timing {
-			t0 := time.Now()
-			keep = r.vecFilter(s, sc, ids)
-			fst.addTime(time.Since(t0))
-		} else {
-			keep = r.vecFilter(s, sc, ids)
-		}
-	}
 	rows := s.st.rows
-	rest := s.filters[len(s.vec):]
 	for i, id := range ids {
-		if keep != nil && !keep[i] {
-			continue
-		}
 		r.e[s.name] = rows[id]
-		if len(rest) > 0 {
-			pass, err := r.evalFilters(rest, fst)
+		if len(s.filters) > 0 {
+			pass, err := r.evalFilters(s.filters, fst)
 			if err != nil {
 				return i + 1, err
 			}
@@ -660,8 +646,8 @@ func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids [
 	return len(ids), nil
 }
 
-// evalFilters evaluates the step's residual (non-vectorized) filter
-// conjuncts for the currently bound row. No row counting here: the
+// evalFilters evaluates the step's residual filter conjuncts for the
+// currently bound row. No row counting here: the
 // filter's row flow is derived once per execution by finalizeFrame;
 // only expression attribution (ec.cur) and, under EXPLAIN ANALYZE,
 // wall-clock attribution are maintained.

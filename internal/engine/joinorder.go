@@ -4,10 +4,27 @@ import (
 	"math"
 
 	"repro/internal/sqlast"
+	"repro/internal/synopsis"
 )
 
 // maxDPTables bounds the exhaustive join-order search (2^n states).
 const maxDPTables = 10
+
+// Bounds on plan-time resolution (resolve.go), which runs a
+// dimension's conjuncts over all its rows while a statement compiles.
+const (
+	// maxResolveRows is the largest dimension resolved at plan time. It
+	// is the synopsis's exact-histogram capacity: a fact column that
+	// references a larger dimension can hold more distinct keys than
+	// the histogram counts exactly, and the rewrite's estimate — a sum
+	// of histogram counts — would stop being exact.
+	maxResolveRows = synopsis.HistCap
+	// maxResolvePairs caps the key-set product a pair conjunct is
+	// evaluated over (a few milliseconds of matching at the cap).
+	maxResolvePairs = 1 << 16
+	// maxResolveMemo bounds the memoised sets per table state.
+	maxResolveMemo = 64
+)
 
 // chooseJoinOrder picks the binding order of the FROM tables. For up
 // to maxDPTables it runs a Selinger-style dynamic program over table
@@ -39,6 +56,11 @@ func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conju
 			if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok {
 				e = ov.rows
 			}
+		}
+		if kp, ok := access.(*keyProbe); ok && len(kp.res.keys.keys) == 0 {
+			// An empty key set is not an estimate: the step yields no
+			// row, and bound first it spares every other step its scan.
+			return 0
 		}
 		if e < 1 {
 			e = 1

@@ -244,6 +244,10 @@ func prebuildHashJoins(ec *execCtx, plan *selectPlan) error {
 			col = a.col
 		case *fatHash:
 			col = a.h.col
+		case *keyProbe:
+			if a.ix == nil {
+				col = a.col
+			}
 		}
 		if col < 0 {
 			continue

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,13 +66,27 @@ func bigDB(t testing.TB) *DB {
 	if _, err := cat.CreateIndex("cat_pk", "id"); err != nil {
 		t.Fatal(err)
 	}
+	// A path summary over item.path_id's eight values (and, through
+	// item.par, over eight item ids), for plan-time resolution.
+	paths, err := db.CreateTable("paths", Column{"id", TInt}, Column{"path", TText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []string{"/a", "/a/b", "/a/b/c", "/a/b/d", "/a/c", "/x", "/x/y", "/x/y/z"} {
+		paths.MustInsert(NewInt(int64(i+1)), NewText(p))
+	}
+	if _, err := paths.CreateIndex("paths_pk", "id"); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
 // parallelQueries cover every access path, DISTINCT, COUNT(*),
-// correlated EXISTS, UNION, dynamic patterns, and both sort paths
+// correlated EXISTS, UNION, dynamic patterns, both sort paths
 // (memcomparable keys, and the generic fallback via the float
-// column).
+// column), and plan-time resolution: key-set probes driving through
+// the transient hash and through an index, a pair set, and a
+// dimension a projection keeps.
 var parallelQueries = []string{
 	"SELECT i.id, i.text FROM item i WHERE i.val > 90 ORDER BY i.id",
 	"SELECT i.id FROM item i WHERE i.dewey_pos BETWEEN X'0102' AND X'0104' ORDER BY i.id DESC",
@@ -85,6 +100,50 @@ var parallelQueries = []string{
 	"SELECT i.id FROM item i ORDER BY i.score, i.id",
 	"SELECT i.id FROM item i ORDER BY i.val, i.id",
 	"SELECT i.id AS v FROM item i WHERE i.val = 3 UNION SELECT i.id AS v FROM item i WHERE i.val = 5 ORDER BY v",
+	resolutionQueries[0], resolutionQueries[1], resolutionQueries[2], resolutionQueries[3],
+}
+
+// resolutionQueries are parallelQueries' plan-time resolution cases,
+// in the order TestParallelQueriesCoverResolution expects their plans.
+var resolutionQueries = [4]string{
+	"SELECT i.id FROM item i, paths p WHERE i.path_id = p.id AND REGEXP_LIKE(p.path, '^/a/b(/.*)?$') ORDER BY i.id",
+	"SELECT i.id FROM item i, paths p WHERE i.par = p.id AND REGEXP_LIKE(p.path, '^/a') ORDER BY i.id",
+	"SELECT i.id, j.id FROM item i, paths p, item j, paths q WHERE i.path_id = p.id AND REGEXP_LIKE(p.path, '^/a(/b)?$') AND j.par = i.id AND j.path_id = q.id AND REGEXP_LIKE(SUBSTR(q.path, LENGTH(p.path) + 1), '^/[a-z]$') ORDER BY i.id, j.id",
+	"SELECT i.id, p.path FROM item i, paths p WHERE i.path_id = p.id AND REGEXP_LIKE(p.path, '^/x') AND i.val < 20 ORDER BY i.id",
+}
+
+// TestParallelQueriesCoverResolution keeps the four resolution
+// queries above honest: the matrices that run parallelQueries
+// (batch-size invariance, serial/parallel, budget, chaos) cover the
+// key-set probe as a driving step — through the hash and through an
+// index — a pair test, and a kept dimension only while the planner
+// still plans them that way.
+func TestParallelQueriesCoverResolution(t *testing.T) {
+	db := bigDB(t)
+	for i, want := range [][]string{
+		{"scan i: key-set probes hash <3 keys of p>", "filter i: i.path_id IN <3 keys of p>"},
+		{"scan i: key-set probes item_par <5 keys of p>"},
+		{"(i.path_id, j.path_id) IN <", "key pairs of p, q>"},
+		{"scan p: ", "i.path_id IN <3 keys of p>", "project: i.id, p.path"},
+	} {
+		q := resolutionQueries[i]
+		st, err := sqlast.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := db.Explain(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("%s:\nplan lacks %q:\n%s", q, w, plan)
+			}
+		}
+		if i < 3 && strings.Contains(plan, "scan p:") {
+			t.Errorf("%s:\ndimension p was not eliminated:\n%s", q, plan)
+		}
+	}
 }
 
 // TestParallelMatchesSerial checks that the morsel executor returns

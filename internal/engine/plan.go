@@ -25,6 +25,13 @@ type selectPlan struct {
 	// reordering step it validated.
 	fromOrder  []string
 	joinMethod string
+	// resolved and pairs are the select's plan-time resolutions
+	// (resolve.go): the dimensions whose joins became key-set tests —
+	// eliminated ones are in fromOrder but not in steps — and the
+	// conjuncts over two of them that became pair-set tests. Kept for
+	// the exported shape, from which plancheck re-derives every set.
+	resolved []*resolution
+	pairs    []*pairResolution
 	// phys is the lowered physical operator pipeline (physplan.go),
 	// set by lowerStmt for every plan reachable from a compiled
 	// statement — including correlated subplans.
@@ -58,12 +65,6 @@ type joinStep struct {
 	filters []cexpr
 	// filterSrc keeps the source text of filters for Explain.
 	filterSrc []string
-	// vec is the leading run of filters the executor evaluates as one
-	// batched REGEXP_LIKE pass per row batch (vectorize.go); the
-	// per-row residual loop skips filters[:len(vec)]. Derived metadata
-	// only: filters itself is untouched, so the plan certificates
-	// (plancheck) and EXPLAIN see the same predicate multiset.
-	vec []vecFilter
 	// estAccess/estRows are the planner's cardinality estimates for
 	// this step — rows the access path yields per binding, and rows
 	// surviving the residual filters — with estSource recording their
@@ -150,14 +151,34 @@ type indexPrefixes struct {
 	x  cexpr
 }
 
-func (a *indexPrefixes) describe() string { return "index prefix lookups " + a.ix.Name }
-func (a *indexPrefixes) rank() int        { return 2 }
-func (a *indexPrefixes) est(st *tableState) int {
-	if len(st.rows) < 8 {
-		return len(st.rows)
-	}
-	return 8
+func (a *indexPrefixes) describe() string       { return "index prefix lookups " + a.ix.Name }
+func (a *indexPrefixes) rank() int              { return 2 }
+func (a *indexPrefixes) est(st *tableState) int { return minInt(len(st.rows), defaultDeweyFanout) }
+
+// keyProbe enumerates the rows whose column holds a key of a
+// plan-time key set (resolve.go): one probe per key, in ascending key
+// order, of a single-column index on the column or, without one, of
+// the transient hash index — the hash join with the join's other side
+// already evaluated.
+type keyProbe struct {
+	col  int
+	ix   *Index // nil: probe the transient hash on col
+	res  *resolution
+	rows float64 // the fact rows holding a key, by the column's histogram
 }
+
+func (a *keyProbe) describe() string {
+	via := "hash"
+	if a.ix != nil {
+		via = a.ix.Name
+	}
+	return fmt.Sprintf("key-set probes %s <%d keys of %s>", via, len(a.res.keys.keys), a.res.alias)
+}
+
+// rank ties with a full scan so that a key set covering every row
+// loses to one: the scan needs no hash and keeps row order.
+func (a *keyProbe) rank() int              { return 8 }
+func (a *keyProbe) est(st *tableState) int { return int(a.rows) }
 
 // fatHash wraps a hash join whose average bucket is large enough that
 // it behaves like a scan; it ranks with full scans so the planner
@@ -175,6 +196,11 @@ type indexRange struct {
 	lo, hi   cexpr // nil when unbounded
 	loStrict bool
 	hiStrict bool
+	// prefix marks the Dewey descendant window '[x, x || lit]': hi is
+	// lo extended by a literal, so the interval holds exactly the
+	// indexed values x is a byte prefix of (up to the literal) and is
+	// costed as a prefix access, not as a generic range.
+	prefix bool
 }
 
 func (a *indexRange) describe() string {
@@ -192,14 +218,24 @@ func (a *indexRange) rank() int {
 }
 
 func (a *indexRange) est(st *tableState) int {
-	if a.lo != nil && a.hi != nil {
-		return len(st.rows)/16 + 1
+	switch {
+	case a.prefix:
+		return minInt(len(st.rows), defaultDeweyFanout)
+	case a.lo != nil && a.hi != nil:
+		return len(st.rows)/genericRangeDivisor + 1
 	}
-	return len(st.rows)/4 + 1
+	return len(st.rows)/openRangeDivisor + 1
 }
 
 func maxInt(a, b int) int {
 	if a > b {
+		return a
+	}
+	return b
+}
+
+func minInt(a, b int) int {
+	if a < b {
 		return a
 	}
 	return b
@@ -231,10 +267,16 @@ type planner struct {
 	subOverrides map[string]map[ovKey]ovEst
 }
 
-// conjunct is one ANDed term of a WHERE clause during planning.
+// conjunct is one ANDed term of a WHERE clause during planning: a
+// term of the statement (expr), or a set test the planner derived from
+// a plan-time resolution (set, resolve.go; expr is then nil).
 type conjunct struct {
 	expr     sqlast.Expr
+	set      *setTest
 	localRef map[string]bool // local FROM names it references
+	// done marks a conjunct that needs no (further) placement: attached
+	// to a step, omitted on synopsis proof, or consumed by a resolution.
+	done bool
 }
 
 // planSelect compiles a SELECT. The outer scope carries tables of
@@ -308,6 +350,12 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		flatten(sel.Where)
 	}
 
+	// Plan-time resolution of dimension joins (resolve.go): aliases
+	// whose join and filters reduce to a key set leave the FROM list the
+	// join-order search sees, and their fact tables gain set tests.
+	plan.fromOrder = append([]string(nil), localOrder...)
+	conjuncts, localOrder = p.resolveDimensions(plan, sel, local, localOrder, conjuncts, sc)
+
 	// §4.5-style filter omission beyond schema proofs: drop
 	// single-table conjuncts the pinned synopsis proves true for every
 	// row, before access-path and join-order selection see them (an
@@ -317,7 +365,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 	// would have filtered.
 	omittedBy := map[string][]omittedFilter{}
 	for _, c := range conjuncts {
-		if c.expr == nil || len(c.localRef) != 1 {
+		if c.done || c.set != nil || len(c.localRef) != 1 {
 			continue
 		}
 		var name string
@@ -339,13 +387,12 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		of.ce = ce
 		of.src = c.expr.String()
 		omittedBy[name] = append(omittedBy[name], of)
-		c.expr = nil
+		c.done = true
 	}
 
 	// Join ordering: exhaustive dynamic programming over join orders
 	// for small FROM lists (Selinger-style, cumulative-rows cost),
 	// greedy fallback beyond that.
-	plan.fromOrder = append([]string(nil), localOrder...)
 	order, method := p.chooseJoinOrder(localOrder, local, conjuncts, sc)
 	plan.joinMethod = method
 	bound := map[string]bool{}
@@ -376,7 +423,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		// Attach every not-yet-attached conjunct whose local references
 		// are now fully bound.
 		for _, c := range conjuncts {
-			if c.expr == nil {
+			if c.done {
 				continue
 			}
 			ready := true
@@ -394,7 +441,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 				continue
 			}
 			if len(c.localRef) == 0 || uses || len(plan.steps) == 0 {
-				ce, err := p.compile(c.expr, sc)
+				ce, src, err := p.compileConjunct(c, sc)
 				if err != nil {
 					return nil, err
 				}
@@ -402,9 +449,9 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 					plan.preFilters = append(plan.preFilters, ce)
 				} else {
 					step.filters = append(step.filters, ce)
-					step.filterSrc = append(step.filterSrc, c.expr.String())
+					step.filterSrc = append(step.filterSrc, src)
 				}
-				c.expr = nil
+				c.done = true
 			}
 		}
 		plan.steps = append(plan.steps, step)
@@ -412,10 +459,10 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 	// Any conjunct not attached yet (references only earlier tables but
 	// was skipped because 'uses' was false) attaches to the last step.
 	for _, c := range conjuncts {
-		if c.expr == nil {
+		if c.done {
 			continue
 		}
-		ce, err := p.compile(c.expr, sc)
+		ce, src, err := p.compileConjunct(c, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -424,9 +471,12 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		} else {
 			last := plan.steps[len(plan.steps)-1]
 			last.filters = append(last.filters, ce)
-			last.filterSrc = append(last.filterSrc, c.expr.String())
+			last.filterSrc = append(last.filterSrc, src)
 		}
-		c.expr = nil
+		c.done = true
+	}
+	for _, s := range plan.steps {
+		s.orderFilters()
 	}
 
 	// ORDER BY.
@@ -551,7 +601,7 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 		}
 	}
 	for _, c := range conjuncts {
-		if c.expr == nil || !c.localRef[name] {
+		if c.done || !c.localRef[name] {
 			continue
 		}
 		// All other local references must already be bound.
@@ -566,6 +616,12 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 			continue
 		}
 		connected = true
+		if c.set != nil {
+			if c.set.probe != nil {
+				consider(c.set.probe, c)
+			}
+			continue
+		}
 		switch x := c.expr.(type) {
 		case *sqlast.Binary:
 			consider(p.accessFromBinary(name, t, x, sc), c)
@@ -574,6 +630,76 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 		}
 	}
 	return best, connected, src
+}
+
+// compileConjunct compiles one conjunct for attachment to a step,
+// returning its source text for Explain beside the compiled form.
+func (p *planner) compileConjunct(c *conjunct, sc *scope) (cexpr, string, error) {
+	if c.set != nil {
+		return c.set.compiled(), c.set.label(), nil
+	}
+	ce, err := p.compile(c.expr, sc)
+	if err != nil {
+		return nil, "", err
+	}
+	return ce, c.expr.String(), nil
+}
+
+// Filter cost classes, cheapest first: a step's residual conjuncts run
+// in this order (stable within a class), decided once at plan time, so
+// a row a map lookup or a comparison rejects never reaches a regular
+// expression, and a row either rejects never opens a subplan.
+const (
+	filterSetTest = iota // plan-time key or pair set membership
+	filterCompare        // comparisons, arithmetic, IS NULL over bound columns
+	filterCall           // anything calling a function
+	filterSubplan        // anything evaluating a correlated subplan
+)
+
+// filterClass is the most expensive class among an expression's nodes.
+func filterClass(e cexpr) int {
+	switch x := e.(type) {
+	case *ckeyin, *cpairin:
+		return filterSetTest
+	case *cbin:
+		return maxInt(filterClass(x.l), filterClass(x.r))
+	case *cnot:
+		return filterClass(x.x)
+	case *cbetween:
+		return maxInt(filterClass(x.x), maxInt(filterClass(x.lo), filterClass(x.hi)))
+	case *cisnull:
+		return filterClass(x.x)
+	case *cfunc:
+		class := filterCall
+		for _, a := range x.args {
+			class = maxInt(class, filterClass(a))
+		}
+		return class
+	case *cexists, *csubq:
+		return filterSubplan
+	}
+	return filterCompare
+}
+
+// orderFilters stable-sorts the step's residual conjuncts, and their
+// source texts with them, by cost class.
+func (s *joinStep) orderFilters() {
+	if len(s.filters) < 2 {
+		return
+	}
+	class := make([]int, len(s.filters))
+	for i, f := range s.filters {
+		class[i] = filterClass(f)
+	}
+	// Insertion sort: a step has a handful of filters, and the three
+	// parallel slices move together.
+	for i := 1; i < len(class); i++ {
+		for j := i; j > 0 && class[j] < class[j-1]; j-- {
+			class[j], class[j-1] = class[j-1], class[j]
+			s.filters[j], s.filters[j-1] = s.filters[j-1], s.filters[j]
+			s.filterSrc[j], s.filterSrc[j-1] = s.filterSrc[j-1], s.filterSrc[j]
+		}
+	}
 }
 
 // colOf returns the column position if e is a column of the table
@@ -755,7 +881,25 @@ func (p *planner) accessFromBetween(name string, t *Table, b *sqlast.Between, sc
 	if err != nil {
 		return nil
 	}
-	return &indexRange{ix: ix, lo: lo, hi: hi}
+	return &indexRange{ix: ix, lo: lo, hi: hi, prefix: extendsByLiteral(b.Lo, b.Hi)}
+}
+
+// extendsByLiteral reports whether hi is 'lo || <bytes literal>' for a
+// column lo — the Table 2 descendant window.
+func extendsByLiteral(lo, hi sqlast.Expr) bool {
+	c, ok := lo.(*sqlast.Col)
+	if !ok {
+		return false
+	}
+	h, ok := hi.(*sqlast.Binary)
+	if !ok || h.Op != sqlast.OpConcat {
+		return false
+	}
+	if _, lit := h.R.(*sqlast.BytesLit); !lit {
+		return false
+	}
+	hc, ok := h.L.(*sqlast.Col)
+	return ok && *hc == *c
 }
 
 // typesMatch reports whether an expression's static type equals the

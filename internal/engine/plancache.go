@@ -188,11 +188,9 @@ func compileStmtOverrides(db *DB, st sqlast.Statement, ov *planOverrides) (*comp
 	for t := range p.touched {
 		cs.tables = append(cs.tables, tableVer{t: t, st: p.snap.stateOf(t)})
 	}
-	// Lower to the physical operator tree, then derive the vectorized
-	// filter metadata, before the plan can be published to (and shared
-	// through) the plan cache.
+	// Lower to the physical operator tree before the plan can be
+	// published to (and shared through) the plan cache.
 	lowerStmt(cs)
-	vectorizeStmt(cs)
 	return cs, nil
 }
 
@@ -347,10 +345,10 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 			obsAccess := float64(scan.rowsOut) / float64(scan.loops)
 			obsRows := obsAccess
 			if f := p.phys.filters[i]; f != nil {
-				// Vectorized filters run per scan batch, not per binding,
-				// so their own loop counter stays zero; the total filter
-				// output over the scan's bindings is the per-binding
-				// post-filter cardinality either way.
+				// A filter's loop counter stays zero (its row flow is
+				// derived, see finalizeFrame); its total output over the
+				// scan's bindings is the per-binding post-filter
+				// cardinality.
 				obsRows = float64(frame[f.id].rowsOut) / float64(scan.loops)
 				if q := qError(s.estAccess, obsAccess); q > worst {
 					worst = q

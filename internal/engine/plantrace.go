@@ -28,6 +28,15 @@ const (
 	MarkerScalar    = "SCALAR_SUBPLAN"
 )
 
+// Set-test marker function names: the tests plan-time resolution
+// derives (resolve.go) appear among a step's filters as
+// IN_KEY_SET(<fact column>, i) and IN_PAIR_SET(<fact column>, <fact
+// column>, j), i indexing SelectShape.Resolved and j SelectShape.Pairs.
+const (
+	MarkerKeySet  = "IN_KEY_SET"
+	MarkerPairSet = "IN_PAIR_SET"
+)
+
 // ExprShape is one decompiled expression: the sqlast tree with every
 // column reference qualified by its resolved alias, plus the set of
 // aliases the expression depends on (including aliases of enclosing
@@ -55,7 +64,7 @@ type OrderShape struct {
 // including the index metadata that must justify it.
 type AccessShape struct {
 	// Kind is one of "full-scan", "index-eq", "hash-eq", "fat-hash",
-	// "index-prefixes", "index-range".
+	// "index-prefixes", "index-range", "key-probe".
 	Kind string
 	// Index and IndexCols identify the index used (empty for scans and
 	// hash joins); IndexCols are the index's column names in key order.
@@ -72,6 +81,40 @@ type AccessShape struct {
 	Lo, Hi   ExprShape
 	LoStrict bool
 	HiStrict bool
+	// Resolved is, for "key-probe", the index in SelectShape.Resolved of
+	// the key set whose keys are probed on Col (through Index when set,
+	// else through the transient hash).
+	Resolved int
+}
+
+// ResolvedShape is one FROM alias the planner resolved at plan time:
+// the dimension Alias, reached by the one equality Join between its
+// unique key column Key and the fact column FactAlias.FactCol, and the
+// Keys its rows that pass Conds — its own single-table conjuncts —
+// hold. It is evidence, not explanation: plancheck re-derives Keys
+// from Conds over the table's rows, re-checks the key's uniqueness,
+// and for an eliminated alias (absent from Steps; Join and Conds then
+// run nowhere) that nothing else in the select mentions it.
+type ResolvedShape struct {
+	Alias, Table       string
+	Key                string
+	FactAlias, FactCol string
+	Join               ExprShape
+	Conds              []ExprShape
+	Keys               []int64 // ascending
+	Eliminated         bool
+	// KeptBy names the reference that kept a non-eliminated alias in the
+	// plan, for reports.
+	KeptBy string
+}
+
+// PairShape is one conjunct over two resolved aliases (indexes into
+// SelectShape.Resolved) that the plan replaced by a test of their fact
+// columns against Pairs, the key pairs whose rows satisfy Cond.
+type PairShape struct {
+	A, B  int
+	Cond  ExprShape
+	Pairs [][2]int64 // ascending
 }
 
 // OmittedShape is one residual conjunct the planner dropped because
@@ -138,6 +181,11 @@ type SelectShape struct {
 	// FreeRefs are the aliases referenced but not bound by this select
 	// (its correlation variables), sorted.
 	FreeRefs []string
+	// Resolved and Pairs are the select's plan-time resolutions, which
+	// the IN_KEY_SET / IN_PAIR_SET markers in Steps' filters and the
+	// "key-probe" accesses refer to by index.
+	Resolved []ResolvedShape
+	Pairs    []PairShape
 }
 
 // UnionShape is the decompiled form of a compiled UNION.
@@ -249,7 +297,15 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 	for _, s := range p.steps {
 		tables[s.name] = s.table
 	}
+	// Eliminated aliases are not steps, but the evidence decompiled
+	// below still names their columns.
+	for _, r := range p.resolved {
+		tables[r.alias] = r.table
+	}
 	sb := &shapeBuilder{tables: tables, owner: sh}
+	if err := sb.resolutions(p); err != nil {
+		return nil, err
+	}
 
 	var all []ExprShape
 	for _, ce := range p.preFilters {
@@ -323,6 +379,38 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 	}
 	sh.FreeRefs = sortedNames(free)
 	return sh, nil
+}
+
+// resolutions exports the plan's resolutions as evidence. None of it
+// counts towards FreeRefs: an eliminated alias is bound by nothing.
+func (sb *shapeBuilder) resolutions(p *selectPlan) error {
+	for _, r := range p.resolved {
+		rs := ResolvedShape{Alias: r.alias, Table: r.table.Name, Key: r.table.Cols[r.keyCol].Name,
+			FactAlias: r.fact, FactCol: r.factT.Cols[r.factCol].Name,
+			Keys: append([]int64(nil), r.keys.keys...), Eliminated: r.eliminated, KeptBy: r.keptBy}
+		var err error
+		join := &cbin{op: sqlast.OpEq, l: &ccol{table: r.fact, pos: r.factCol}, r: &ccol{table: r.alias, pos: r.keyCol}}
+		if rs.Join, err = sb.expr(join); err != nil {
+			return err
+		}
+		for _, ce := range r.ownCE {
+			es, err := sb.expr(ce)
+			if err != nil {
+				return err
+			}
+			rs.Conds = append(rs.Conds, es)
+		}
+		sb.owner.Resolved = append(sb.owner.Resolved, rs)
+	}
+	for _, pr := range p.pairs {
+		cond, err := sb.expr(pr.cond)
+		if err != nil {
+			return err
+		}
+		sb.owner.Pairs = append(sb.owner.Pairs, PairShape{A: pr.a.index, B: pr.b.index,
+			Cond: cond, Pairs: append([][2]int64(nil), pr.pairs.pairs...)})
+	}
+	return nil
 }
 
 // expr decompiles one compiled expression into an ExprShape.
@@ -410,6 +498,22 @@ func (sb *shapeBuilder) decompile(x cexpr, refs map[string]bool) (sqlast.Expr, e
 			f.Args = append(f.Args, ae)
 		}
 		return f, nil
+	case *ckeyin:
+		col, err := sb.decompile(&c.col, refs)
+		if err != nil {
+			return nil, err
+		}
+		return &sqlast.Func{Name: MarkerKeySet, Args: []sqlast.Expr{col, sqlast.Int(int64(c.res.index))}}, nil
+	case *cpairin:
+		a, err := sb.decompile(&c.a, refs)
+		if err != nil {
+			return nil, err
+		}
+		b, err := sb.decompile(&c.b, refs)
+		if err != nil {
+			return nil, err
+		}
+		return &sqlast.Func{Name: MarkerPairSet, Args: []sqlast.Expr{a, b, sqlast.Int(int64(c.res.index))}}, nil
 	case *cexists:
 		sub, err := shapeSelect(c.plan, sb.tables)
 		if err != nil {

@@ -60,6 +60,16 @@ type tableState struct {
 	hashIdx map[int]map[string][]int64
 	//guardedby:hashMu
 	hashMax map[int]int // largest bucket per hashed column
+	// resolved memoises the key and pair sets plan-time resolution
+	// (resolve.go) computed over this state's rows, so the statements of
+	// one template — and the steps of one statement — resolve a pattern
+	// once per state, not once per compile. Like hashIdx it is a lazy
+	// memo over immutable rows: a successor state starts empty, so an
+	// entry can never be stale, and the plan cache retires the plans
+	// that used it when the state moves on. Bounded by maxResolveMemo.
+	resolveMu sync.Mutex
+	//guardedby:resolveMu
+	resolved map[resolveKey]resolvedSet
 	// syn is the state's path/column synopsis: per-column counts,
 	// min/max, value histograms, and distinct sketches maintained
 	// incrementally by applyInsert. Like rows and indexes it is

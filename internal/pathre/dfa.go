@@ -152,16 +152,6 @@ func (d *DFA) MatchString(s string) bool {
 	return d.accept[st]
 }
 
-// MatchAll matches a batch of inputs, writing one verdict per input
-// into out (which must be at least as long as paths). This is the
-// operator-boundary entry point for the engine's vectorized
-// REGEXP_LIKE filters: one call per row batch, no allocations.
-func (d *DFA) MatchAll(paths []string, out []bool) {
-	for i, p := range paths {
-		out[i] = d.MatchString(p)
-	}
-}
-
 // VerifyDFA proves a compiled DFA equivalent to the NFA it was built
 // from, with the same lazy determinization that backs Equivalent: a
 // lockstep product walk over every byte (all 256, not just class

@@ -118,20 +118,6 @@ func TestVerifyDFACatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestDFAMatchAll(t *testing.T) {
-	d, err := CompileDFA(MustCompile(`^/(.+/)?keyword$`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]bool, len(dfaInputs))
-	d.MatchAll(dfaInputs, out)
-	for i, in := range dfaInputs {
-		if want := d.MatchString(in); out[i] != want {
-			t.Errorf("MatchAll[%d] (%q) = %v, want %v", i, in, out[i], want)
-		}
-	}
-}
-
 func TestDFAStateBound(t *testing.T) {
 	// Subset construction on (a|b|...)*x...x-style patterns is
 	// exponential; the compiler must refuse, not hang or truncate.

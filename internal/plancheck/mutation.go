@@ -190,6 +190,96 @@ func Mutations() []Mutation {
 			},
 		},
 		{
+			Name:   "drop-resolved-key",
+			Defect: "plan-time key set misses a path the pattern matches",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+					for i := range sel.Resolved {
+						if keys := sel.Resolved[i].Keys; len(keys) > 0 {
+							sel.Resolved[i].Keys = keys[1:]
+							return true
+						}
+					}
+					return false
+				})
+			},
+		},
+		{
+			Name:   "add-resolved-key",
+			Defect: "plan-time key set holds a path the pattern does not match",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+					for i := range sel.Resolved {
+						keys := sel.Resolved[i].Keys
+						// The smallest positive id outside the set: another
+						// path's id, or no path's.
+						extra, at := int64(1), 0
+						for at < len(keys) && keys[at] <= extra {
+							if keys[at] == extra {
+								extra++
+							}
+							at++
+						}
+						grown := append(append(append([]int64(nil), keys[:at]...), extra), keys[at:]...)
+						sel.Resolved[i].Keys = grown
+						return true
+					}
+					return false
+				})
+			},
+		},
+		{
+			Name:   "corrupt-pair-set",
+			Defect: "plan-time pair set admits a pair of paths the recursion guard rejects",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+					for j := range sel.Pairs {
+						pr := &sel.Pairs[j]
+						if len(pr.Pairs) > 0 {
+							pr.Pairs = pr.Pairs[:len(pr.Pairs)-1]
+							return true
+						}
+						a, b := sel.Resolved[pr.A].Keys, sel.Resolved[pr.B].Keys
+						if len(a) > 0 && len(b) > 0 {
+							pr.Pairs = [][2]int64{{a[0], b[0]}}
+							return true
+						}
+					}
+					return false
+				})
+			},
+		},
+		{
+			Name:   "eliminate-referenced-alias",
+			Defect: "planner drops a resolved alias from the plan although something still reads it",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+					for i := range sel.Resolved {
+						r := &sel.Resolved[i]
+						if r.Eliminated {
+							continue
+						}
+						for si, s := range sel.Steps {
+							if s.Alias != r.Alias {
+								continue
+							}
+							sel.Steps = append(sel.Steps[:si:si], sel.Steps[si+1:]...)
+							var pipeline []string
+							for _, tok := range sel.Pipeline {
+								if tok != "scan "+r.Alias && tok != "filter "+r.Alias {
+									pipeline = append(pipeline, tok)
+								}
+							}
+							sel.Pipeline = pipeline
+							r.Eliminated = true
+							return true
+						}
+					}
+					return false
+				})
+			},
+		},
+		{
 			Name:   "reorder-binding",
 			Defect: "join order binds a table after an expression that reads it",
 			Apply: func(sh *engine.StmtShape) bool {
@@ -216,6 +306,34 @@ func Mutations() []Mutation {
 			},
 		},
 	}
+}
+
+// mutateResolved applies f to the first select of the statement —
+// branches, then subplans, depth first — it applies to.
+func mutateResolved(sh *engine.StmtShape, f func(*engine.SelectShape) bool) bool {
+	var visit func(sel *engine.SelectShape) bool
+	visit = func(sel *engine.SelectShape) bool {
+		if f(sel) {
+			return true
+		}
+		for _, sp := range sel.Subplans {
+			if visit(sp.Select) {
+				return true
+			}
+		}
+		return false
+	}
+	if sh.Select != nil {
+		return visit(sh.Select)
+	}
+	if sh.Union != nil {
+		for _, br := range sh.Union.Branches {
+			if visit(br) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func stepReferences(s engine.StepShape, alias string) bool {

@@ -61,6 +61,14 @@ func physicalSelectIR(sh *engine.SelectShape) (*SelIR, error) {
 	for _, s := range sh.Steps {
 		ir.Tables = append(ir.Tables, s.Alias+"="+s.Table)
 	}
+	// An alias eliminated by plan-time resolution is a table of the
+	// statement all the same; the resolution obligation (resolve.go)
+	// proves it may be absent from the steps.
+	for _, r := range sh.Resolved {
+		if r.Eliminated {
+			ir.Tables = append(ir.Tables, r.Alias+"="+r.Table)
+		}
+	}
 	sort.Strings(ir.Tables)
 	for _, c := range sh.Cols {
 		e, err := replaceMarkers(c.Expr, fps)
@@ -85,6 +93,11 @@ func physicalSelectIR(sh *engine.SelectShape) (*SelIR, error) {
 	}
 	for _, s := range sh.Steps {
 		for _, f := range s.Filters {
+			// A set test is no conjunct of the statement: it stands for
+			// the conjuncts added back from the evidence below.
+			if _, _, _, isSet := setMarker(f.Expr); isSet {
+				continue
+			}
 			if err := addFilter(f); err != nil {
 				return nil, err
 			}
@@ -96,6 +109,23 @@ func physicalSelectIR(sh *engine.SelectShape) (*SelIR, error) {
 			if err := addFilter(o.Pred); err != nil {
 				return nil, err
 			}
+		}
+	}
+	// What plan-time resolution took out of the plan: an eliminated
+	// alias's join and own conjuncts, and every replaced pair conjunct.
+	for _, r := range sh.Resolved {
+		if !r.Eliminated {
+			continue
+		}
+		for _, es := range append([]engine.ExprShape{r.Join}, r.Conds...) {
+			if err := addFilter(es); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, pr := range sh.Pairs {
+		if err := addFilter(pr.Cond); err != nil {
+			return nil, err
 		}
 	}
 	ir.Preds, ir.predExprs = sortPreds(conjuncts)
@@ -191,17 +221,24 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 	for _, a := range sh.FromOrder {
 		fromSet[a]++
 	}
+	bound := len(sh.Steps)
 	for _, s := range sh.Steps {
 		fromSet[s.Alias]--
 	}
-	perm := len(sh.FromOrder) == len(sh.Steps)
+	for _, r := range sh.Resolved {
+		if r.Eliminated {
+			fromSet[r.Alias]--
+			bound++
+		}
+	}
+	perm := len(sh.FromOrder) == bound
 	for _, n := range fromSet {
 		if n != 0 {
 			perm = false
 		}
 	}
 	if !perm {
-		report("join-order", fmt.Sprintf("binding order %v is not a permutation of FROM %v", stepAliases(sh), sh.FromOrder))
+		report("join-order", fmt.Sprintf("binding order %v (with the eliminated aliases) is not a permutation of FROM %v", stepAliases(sh), sh.FromOrder))
 	}
 	switch sh.JoinMethod {
 	case "single", "dp", "greedy":
@@ -214,13 +251,13 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 
 	// Binding-order guard: every expression may reference only
 	// aliases bound before the point where it is evaluated.
-	bound := map[string]bool{}
+	boundAt := map[string]bool{}
 	for a := range outer {
-		bound[a] = true
+		boundAt[a] = true
 	}
 	checkRefs := func(what string, refs []string) {
 		for _, r := range refs {
-			if !bound[r] {
+			if !boundAt[r] {
 				report("binding-order", fmt.Sprintf("%s references %q before it is bound", what, r))
 			}
 		}
@@ -232,12 +269,16 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 		for _, es := range accessExprs(s.Access) {
 			checkRefs(fmt.Sprintf("step %s access key %s", s.Alias, es.Text()), es.Refs)
 		}
-		bound[s.Alias] = true
+		boundAt[s.Alias] = true
 		for _, f := range s.Filters {
 			checkRefs(fmt.Sprintf("step %s filter %s", s.Alias, f.Text()), f.Refs)
 		}
 	}
 	cert.step("binding-order %s: all references bound in order", loc)
+
+	// Plan-time resolution: every key and pair set re-derived, every
+	// eliminated alias shown to be unreferenced (resolve.go).
+	fs = append(fs, checkResolutions(db, sh, loc, cert)...)
 
 	// Access-path substitution: each non-scan access must be
 	// justified by a retained predicate of the same step plus index
@@ -358,6 +399,20 @@ func checkAccess(s engine.StepShape) *Finding {
 			return fail(fmt.Sprintf("no retained predicate %q justifies the hash probe", want))
 		}
 		return nil
+	case "key-probe":
+		// Justified by the retained key test of the same resolution on
+		// the probed column: the probes visit exactly the rows whose
+		// column holds one of the set's keys, and the test — whose set
+		// the resolution obligation re-derives — rejects every other.
+		if a.Index != "" && (len(a.IndexCols) != 1 || a.IndexCols[0] != a.Col) {
+			return fail(fmt.Sprintf("index %s is not a single-column index on %s", a.Index, a.Col))
+		}
+		for _, f := range s.Filters {
+			if name, cols, idx, ok := setMarker(f.Expr); ok && name == engine.MarkerKeySet && idx == a.Resolved && cols[0] == col(a.Col).String() {
+				return nil
+			}
+		}
+		return fail(fmt.Sprintf("no retained key test %d on %s justifies the key probes", a.Resolved, col(a.Col)))
 	case "index-prefixes":
 		// Justified by a retained 'X BETWEEN t.col AND t.col || k'
 		// conjunct: every row whose col is a byte-prefix of X
