@@ -167,20 +167,25 @@ func IsChild(n, m Pos) bool {
 }
 
 // String renders p in the dotted decimal notation of the paper's
-// Figure 1(c), e.g. "1.1.2". Invalid encodings render as hex.
+// Figure 1(c), e.g. "1.1.2". Invalid encodings render as hex. Every
+// result node is rendered once, so the components are decoded in place
+// into one buffer, on the stack for positions of ordinary depth.
 func (p Pos) String() string {
-	ords, err := p.Ordinals()
-	if err != nil {
+	if len(p)%ComponentSize != 0 {
 		return fmt.Sprintf("dewey(%x)", []byte(p))
 	}
-	var b strings.Builder
-	for i, o := range ords {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.Itoa(o))
+	var stack [64]byte
+	buf := stack[:0]
+	if need := p.Level() * 8; need > len(stack) { // 7 digits and a dot each
+		buf = make([]byte, 0, need)
 	}
-	return b.String()
+	for i := 0; i < len(p); i += ComponentSize {
+		if i > 0 {
+			buf = append(buf, '.')
+		}
+		buf = strconv.AppendUint(buf, uint64(p[i])<<16|uint64(p[i+1])<<8|uint64(p[i+2]), 10)
+	}
+	return string(buf)
 }
 
 // Parse is the inverse of String: it parses dotted decimal notation.

@@ -2,8 +2,11 @@ package dewey
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +97,49 @@ func TestStringParse(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", s)
 		}
 	}
+}
+
+// TestStringRendering pins String against the rendering it replaced —
+// Ordinals joined with dots — over shallow, deep (past the stack
+// buffer), extreme-ordinal and invalid positions, and its cost: one
+// allocation, the string itself.
+func TestStringRendering(t *testing.T) {
+	deep := make([]int, 40)
+	for i := range deep {
+		deep[i] = MaxOrdinal - i
+	}
+	for _, p := range []Pos{{}, New(1), New(1, 1, 2), New(0, 5, MaxOrdinal), New(deep...),
+		{0x80, 0x00, 0x00}, {0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x01}, {0x01}, {0x00, 0x00, 0x01, 0x02}} {
+		if got, want := p.String(), referenceString(p); got != want {
+			t.Errorf("String of %x = %q, want %q", []byte(p), got, want)
+		}
+		if !p.Valid() {
+			continue
+		}
+		q, err := Parse(p.String())
+		if err != nil || !bytes.Equal(q, p) {
+			t.Errorf("Parse(String()) of %x = %x, %v", []byte(p), []byte(q), err)
+		}
+	}
+	p := New(1, 12, 123, 1234, 12345)
+	if n := testing.AllocsPerRun(100, func() { _ = p.String() }); n > 1 {
+		t.Errorf("String allocates %v times, want at most 1", n)
+	}
+}
+
+// referenceString is the rendering String is pinned to: the ordinals
+// joined with dots, hex for an encoding that is no whole number of
+// components.
+func referenceString(p Pos) string {
+	ords, err := p.Ordinals()
+	if err != nil {
+		return fmt.Sprintf("dewey(%x)", []byte(p))
+	}
+	parts := make([]string, len(ords))
+	for i, o := range ords {
+		parts[i] = strconv.Itoa(o)
+	}
+	return strings.Join(parts, ".")
 }
 
 func TestPaperFigure1Relationships(t *testing.T) {

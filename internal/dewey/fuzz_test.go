@@ -7,8 +7,9 @@ import (
 
 // FuzzDeweyDecode feeds arbitrary bytes to every Pos accessor: none
 // may panic, whatever the encoding (tuples can carry corrupt blobs).
-// For structurally valid encodings the textual round trip must be
-// exact: Parse(p.String()) == p.
+// String must render what the ordinals joined with dots render (hex
+// for a ragged encoding), and for structurally valid encodings the
+// textual round trip must be exact: Parse(p.String()) == p.
 func FuzzDeweyDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(New(1)))
@@ -21,7 +22,9 @@ func FuzzDeweyDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := Pos(data)
 		valid := p.Valid()
-		_ = p.String()
+		if got, want := p.String(), referenceString(p); got != want {
+			t.Fatalf("String of %x = %q, want %q", data, got, want)
+		}
 		_ = p.Level()
 		_ = p.LocalOrder()
 		_ = p.DescendantLimit()

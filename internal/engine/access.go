@@ -193,6 +193,10 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 			return err
 		}
 	}
+	var lists [][]int64
+	if a.merged {
+		lists = make([][]int64, 0, len(a.res.keys.keys))
+	}
 	for _, k := range a.res.keys.keys {
 		key := encodeValue(sc.key[:0], NewInt(k))
 		sc.key = key
@@ -201,11 +205,59 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 		if a.ix != nil {
 			ids = a.ix.Tree.Get(key)
 		}
+		if a.merged {
+			if len(ids) > 0 {
+				lists = append(lists, ids)
+			}
+			continue
+		}
 		if cont, err := yieldChunks(ids, cap(sc.ids), yield); err != nil || !cont {
 			return err
 		}
 	}
-	return nil
+	return yieldMerged(lists, sc.ids[:0], yield)
+}
+
+// yieldMerged streams the union of ascending, pairwise disjoint posting
+// lists in ascending order: a binary heap of the lists ordered by their
+// heads, the least head moved to the batch buffer each turn.
+func yieldMerged(lists [][]int64, buf []int64, yield batchYield) error {
+	for i := len(lists)/2 - 1; i >= 0; i-- {
+		siftDown(lists, i)
+	}
+	for len(lists) > 0 {
+		buf = append(buf, lists[0][0])
+		if lists[0] = lists[0][1:]; len(lists[0]) == 0 {
+			lists[0] = lists[len(lists)-1]
+			lists = lists[:len(lists)-1]
+		}
+		siftDown(lists, 0)
+		if len(buf) == cap(buf) {
+			cont, err := yield(buf)
+			if err != nil || !cont {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	return flushTail(buf, yield)
+}
+
+// siftDown restores the heap order of lists below position i.
+func siftDown(lists [][]int64, i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(lists); c++ {
+			if lists[c][0] < lists[least][0] {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		lists[i], lists[least] = lists[least], lists[i]
+		i = least
+	}
 }
 
 func (a *fatHash) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
@@ -252,7 +304,7 @@ func (a *hashEq) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 }
 
 func (a *keyProbe) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
-	as := AccessShape{Kind: "key-probe", Col: t.Cols[a.col].Name, Resolved: a.res.index}
+	as := AccessShape{Kind: "key-probe", Col: t.Cols[a.col].Name, Resolved: a.res.index, Merged: a.merged}
 	if a.ix != nil {
 		as.Index, as.IndexCols = a.ix.Name, indexColNames(t, a.ix)
 	}

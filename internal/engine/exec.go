@@ -233,17 +233,46 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, opts ExecO
 // runUnion executes a compiled UNION: branches run in order (each
 // branch through runTop, so morsel parallelism applies per branch),
 // duplicate rows are dropped across branches, and the merged rows are
-// ordered by the union-level ORDER BY.
+// ordered by the union-level ORDER BY — by merging the branch results
+// where every branch is proven to arrive in that order (implied.go),
+// else by collecting, deduplicating and sorting them.
 func (ec *execCtx) runUnion(u *unionPlan) (*Result, error) {
 	out := &Result{Cols: u.cols}
 	st := ec.op(u.phys.union)
 	st.open()
+	if u.merge {
+		results := make([][][]Value, len(u.branches))
+		total := 0
+		for i, plan := range u.branches {
+			res, err := ec.runTop(plan)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = res.Rows
+			total += len(res.Rows)
+		}
+		st.rowsInN(int64(total))
+		var t0 time.Time
+		if ec.timing {
+			t0 = time.Now()
+		}
+		out.Rows = mergeOrdered(results, u.orderPos[0], total)
+		if ec.timing {
+			st.addTime(time.Since(t0))
+		}
+		st.rowsOutN(int64(len(out.Rows)))
+		return out, nil
+	}
 	seen := map[string]bool{}
 	var rows []orderedRow
 	for _, plan := range u.branches {
 		res, err := ec.runTop(plan)
 		if err != nil {
 			return nil, err
+		}
+		var t0 time.Time
+		if ec.timing {
+			t0 = time.Now()
 		}
 		for _, r := range res.Rows {
 			st.rowIn()
@@ -266,30 +295,77 @@ func (ec *execCtx) runUnion(u *unionPlan) (*Result, error) {
 			}
 			rows = append(rows, or)
 		}
-	}
-	if len(u.orderPos) > 0 {
-		sst := ec.op(u.phys.sort)
-		sst.open()
-		sst.rowsInN(int64(len(rows)))
-		var t0 time.Time
 		if ec.timing {
-			t0 = time.Now()
+			st.addTime(time.Since(t0))
 		}
-		sortRows(rows, u.orderDesc)
-		if ec.timing {
-			sst.addTime(time.Since(t0))
-		}
-		sst.rowsOutN(int64(len(rows)))
 	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, r.row)
+	if u.phys.sort != nil {
+		ec.sortOp(u.phys.sort, rows, u.orderDesc)
 	}
+	out.Rows = plainRows(rows)
 	return out, nil
 }
 
-// runTop executes a plan as a top-level query: projection, DISTINCT,
-// ORDER BY. When the execution options allow it and the driving table
-// is large enough, row enumeration fans out over morsel workers.
+// mergeOrdered merges branch results that each hold their rows strictly
+// ascending in column pos, all of one kind and none NULL (the union's
+// merge proof), dropping a row equal to one already taken. Equal keys
+// go lowest branch first, which is where the collect-and-stable-sort
+// path puts them, and a duplicate can only be among them.
+func mergeOrdered(branches [][][]Value, pos, total int) [][]Value {
+	if total == 0 {
+		return nil
+	}
+	out := make([][]Value, 0, total)
+	group := 0 // out[group:] holds the rows taken under the current key
+	for {
+		min := -1
+		for i, b := range branches {
+			if len(b) > 0 && (min < 0 || ascends(b[0], branches[min][0], pos)) {
+				min = i
+			}
+		}
+		if min < 0 {
+			return out
+		}
+		row := branches[min][0]
+		branches[min] = branches[min][1:]
+		if n := len(out); n > 0 && ascends(out[n-1], row, pos) {
+			group = n
+		}
+		dup := false
+		for _, taken := range out[group:] {
+			if rowKey(taken) == rowKey(row) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, row)
+		}
+	}
+}
+
+// sortOp sorts rows by their ORDER BY keys under a sort operator's
+// stats.
+func (ec *execCtx) sortOp(n *opNode, rows []orderedRow, desc []bool) {
+	st := ec.op(n)
+	st.open()
+	st.rowsInN(int64(len(rows)))
+	var t0 time.Time
+	if ec.timing {
+		t0 = time.Now()
+	}
+	sortRows(rows, desc)
+	if ec.timing {
+		st.addTime(time.Since(t0))
+	}
+	st.rowsOutN(int64(len(rows)))
+}
+
+// runTop executes a plan as a top-level query: projection, then
+// DISTINCT and ORDER BY where the lowered pipeline still holds them.
+// When the execution options allow it and the driving table is large
+// enough, row enumeration fans out over morsel workers.
 func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
 	if ec.parallelism > 1 {
 		rows, count, handled, err := ec.collectParallel(plan)
@@ -314,7 +390,7 @@ func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
 	var rows []orderedRow
 	var seen map[string]bool
 	var dst *OpStats
-	if plan.distinct {
+	if plan.phys.dedup != nil {
 		seen = map[string]bool{}
 		dst = ec.op(plan.phys.dedup)
 		dst.open()
@@ -327,10 +403,21 @@ func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
 	exact := ec.acct.limited()
 	var pendRows, pendBytes int64
 	err := ec.runPlanOrdered(plan, env{}, func(row, keys []Value) (bool, error) {
-		if plan.distinct {
+		if seen != nil {
 			dst.rowIn()
+			var t0 time.Time
+			if ec.timing {
+				t0 = time.Now()
+			}
 			k := rowKey(row)
-			if seen[k] {
+			dup := seen[k]
+			if !dup {
+				seen[k] = true
+			}
+			if ec.timing {
+				dst.addTime(time.Since(t0))
+			}
+			if dup {
 				return true, nil
 			}
 			cost := int64(len(k)) + mapEntryBytes
@@ -342,7 +429,6 @@ func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
 				pendBytes += cost
 			}
 			dst.charge(cost)
-			seen[k] = true
 			dst.rowOut()
 		}
 		b := rowMemBytes(row, keys)
@@ -379,13 +465,17 @@ func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
 func (ec *execCtx) finishTop(plan *selectPlan, rows []orderedRow, count int64, dedup bool) *Result {
 	out := &Result{Cols: plan.colNames}
 	if plan.countStar {
-		out.Rows = append(out.Rows, []Value{NewInt(count)})
+		out.Rows = [][]Value{{NewInt(count)}}
 		return out
 	}
-	if dedup && plan.distinct {
+	if dedup && plan.phys.dedup != nil {
 		st := ec.op(plan.phys.dedup)
 		st.open()
 		st.rowsInN(int64(len(rows)))
+		var t0 time.Time
+		if ec.timing {
+			t0 = time.Now()
+		}
 		seen := make(map[string]bool, len(rows))
 		kept := rows[:0]
 		for _, r := range rows {
@@ -397,28 +487,31 @@ func (ec *execCtx) finishTop(plan *selectPlan, rows []orderedRow, count int64, d
 			kept = append(kept, r)
 		}
 		rows = kept
-		st.rowsOutN(int64(len(rows)))
-	}
-	if len(plan.orderBy) > 0 {
-		st := ec.op(plan.phys.sort)
-		st.open()
-		st.rowsInN(int64(len(rows)))
-		desc := make([]bool, len(plan.orderBy))
-		for i, k := range plan.orderBy {
-			desc[i] = k.desc
-		}
-		var t0 time.Time
-		if ec.timing {
-			t0 = time.Now()
-		}
-		sortRows(rows, desc)
 		if ec.timing {
 			st.addTime(time.Since(t0))
 		}
 		st.rowsOutN(int64(len(rows)))
 	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, r.row)
+	if plan.phys.sort != nil {
+		desc := make([]bool, len(plan.orderBy))
+		for i, k := range plan.orderBy {
+			desc[i] = k.desc
+		}
+		ec.sortOp(plan.phys.sort, rows, desc)
+	}
+	out.Rows = plainRows(rows)
+	return out
+}
+
+// plainRows strips the ORDER BY keys off collected rows: the result's
+// row list, sized once (nil when empty).
+func plainRows(rows []orderedRow) [][]Value {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([][]Value, len(rows))
+	for i, r := range rows {
+		out[i] = r.row
 	}
 	return out
 }
@@ -488,7 +581,7 @@ func (ec *execCtx) runPlanBatch(plan *selectPlan, e env, batch int, emit func(ro
 			return err
 		}
 	}
-	r := &stepRunner{ec: ec, plan: plan, e: e, emit: emit, batch: batch}
+	r := &stepRunner{ec: ec, plan: plan, e: e, emit: emit, batch: batch, first: plan.firstMatch()}
 	return r.run(0)
 }
 
@@ -541,6 +634,12 @@ type stepRunner struct {
 	emit  func(row, keys []Value) (bool, error)
 	stop  bool
 	batch int
+	// first: the plan's later steps are existential (selectPlan.
+	// firstMatch), so once a driving row has emitted — matched — every
+	// later step unwinds to the driving step, which clears the flag and
+	// binds its next row.
+	first   bool
+	matched bool
 }
 
 // run opens the scan operator of the given step and pushes each batch
@@ -554,7 +653,14 @@ func (r *stepRunner) run(step int) error {
 	s := r.plan.steps[step]
 	st := r.ec.op(r.plan.phys.scans[step])
 	st.open()
-	sc := r.ec.getScratch(r.batch)
+	batch := r.batch
+	if r.first && step > 0 {
+		// Like any consumer that stops at the first row (runPlanFirst):
+		// a read-ahead batch would make the counters, and the work done
+		// past the match, depend on the batch size.
+		batch = 1
+	}
+	sc := r.ec.getScratch(batch)
 	var err error
 	if r.ec.timing {
 		t0 := time.Now()
@@ -583,7 +689,7 @@ func (r *stepRunner) runStep(step int, s *joinStep, st *OpStats, sc *batchScratc
 		if err != nil {
 			return false, err
 		}
-		return !r.stop, nil
+		return !r.stop && !r.matched, nil
 	}
 	return forEachBatch(r.ec, r.e, s, st, sc, yield)
 }
@@ -641,6 +747,12 @@ func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids [
 		}
 		if r.stop {
 			return i + 1, nil
+		}
+		if r.matched {
+			if step > 0 {
+				return i + 1, nil
+			}
+			r.matched = false
 		}
 	}
 	return len(ids), nil
@@ -707,11 +819,12 @@ func (r *stepRunner) project() error {
 	if !cont {
 		r.stop = true
 	}
+	r.matched = r.first
 	return nil
 }
 
-// projectRow evaluates the projection columns and ORDER BY keys for
-// the currently bound row.
+// projectRow evaluates the projection columns for the currently bound
+// row, and the ORDER BY keys where a sort operator will read them.
 func (r *stepRunner) projectRow() (row, keys []Value, err error) {
 	ec := r.ec
 	if !r.plan.countStar {
@@ -722,7 +835,7 @@ func (r *stepRunner) projectRow() (row, keys []Value, err error) {
 			}
 		}
 	}
-	if len(r.plan.orderBy) > 0 {
+	if r.plan.phys.sort != nil {
 		keys = make([]Value, len(r.plan.orderBy))
 		for i, k := range r.plan.orderBy {
 			if keys[i], err = k.x.eval(ec, r.e); err != nil {

@@ -65,3 +65,55 @@ func TestExplainStableUnderUnrelatedIndex(t *testing.T) {
 		t.Fatalf("re-planned statement does not use the new index:\n%s", s3)
 	}
 }
+
+// A proof the planner read off the pinned rows lives as long as they
+// do: an insert that lands out of order retires the cached plan like
+// any other write, and the re-plan brings the sort back (the key stays,
+// so DISTINCT stays implied).
+func TestExplainFollowsRowOrder(t *testing.T) {
+	db := orderedDB(t)
+	st := sqlast.MustParse("SELECT DISTINCT n.id, n.dewey_pos FROM node n WHERE n.k = 3 ORDER BY n.dewey_pos")
+	s1, err := db.Explain(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "scan n: hash join (low selectivity), rows in dewey_pos order est_rows=214\n" +
+		"filter n: n.k = 3 est_rows=214\n" +
+		"project: n.id, n.dewey_pos (distinct by n.id)\n"; s1 != want {
+		t.Fatalf("EXPLAIN over rows in document order:\ngot:\n%s\nwant:\n%s", s1, want)
+	}
+	before, err := run(db, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A child of node 3 (Dewey ordinal 4), loaded after everything else.
+	late := append(deweyOf(4), 0, 0, 1)
+	db.Table("node").MustInsert(NewInt(orderedNodes), NewInt(3), NewBytes(late), NewInt(1), NewInt(3), NewInt(1))
+	var s2 string
+	hits, misses := statsDelta(db, func() {
+		s2, err = db.Explain(st)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits != 0 || misses != 1 {
+		t.Fatalf("out-of-order insert: hits=%d misses=%d, want 0/1 (re-plan)", hits, misses)
+	}
+	if want := "scan n: hash join (low selectivity) est_rows=215\n" +
+		"filter n: n.k = 3 est_rows=215\n" +
+		"project: n.id, n.dewey_pos (distinct by n.id)\n" +
+		"sort: n.dewey_pos\n"; s2 != want {
+		t.Fatalf("EXPLAIN after the out-of-order insert:\ngot:\n%s\nwant:\n%s", s2, want)
+	}
+	after, err := run(db, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 3 is the first with k = 3; its late child sorts right behind
+	// it, ahead of the rest.
+	if len(after.Rows) != len(before.Rows)+1 || after.Rows[1][0].I != orderedNodes ||
+		!equalResults(&Result{Rows: append(after.Rows[:1:1], after.Rows[2:]...)}, before) {
+		t.Fatalf("rows after the insert are not the rows before plus the late node in Dewey order")
+	}
+}

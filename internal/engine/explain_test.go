@@ -61,6 +61,35 @@ func TestExplainGolden(t *testing.T) {
 				"project: g.id\n" +
 				"distinct\n",
 		},
+		// The implied properties have no operator lines of their own: the
+		// proven order rides on the driving scan's line, the proven key
+		// (and the first-match unwind it licenses) on the projection's,
+		// and the distinct / sort lines are absent.
+		{
+			name: "distinct and order implied by the driving relation",
+			sql:  "SELECT DISTINCT g.id, g.dewey_pos FROM G g ORDER BY g.dewey_pos",
+			want: "scan g: full scan, rows in dewey_pos order est_rows=3\n" +
+				"project: g.id, g.dewey_pos (distinct by g.id)\n",
+		},
+		{
+			name: "existential join stopped at the first match",
+			sql:  "SELECT DISTINCT b.id FROM B b, G g WHERE g.par = b.id ORDER BY b.id",
+			want: "scan b: full scan, rows in id order est_rows=2\n" +
+				"scan g: index lookup G_par est_rows=1\n" +
+				"filter g: g.par = b.id est_rows=1\n" +
+				"project: b.id (distinct by b.id, first match)\n",
+		},
+		{
+			name: "union merging ordered branches",
+			sql:  "SELECT DISTINCT g.id AS id FROM G g UNION SELECT DISTINCT f.id AS id FROM F f ORDER BY id",
+			want: "union branch 1:\n" +
+				"  scan g: full scan, rows in id order est_rows=3\n" +
+				"  project: id (distinct by g.id)\n" +
+				"union branch 2:\n" +
+				"  scan f: full scan, rows in id order est_rows=2\n" +
+				"  project: id (distinct by f.id)\n" +
+				"union distinct\n",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,6 +153,39 @@ func TestExplainAnalyzeStats(t *testing.T) {
 	}
 	if !probed {
 		t.Errorf("expected 300 recorded index probes on the subplan scan:\n%s", text)
+	}
+}
+
+// TestExplainAnalyzeTimesDedup: the duplicate-elimination sets are
+// timed like every other operator — inline during serial collection,
+// deferred after the parallel merge, and at the union level — so that a
+// DISTINCT that costs something cannot report time=0s.
+func TestExplainAnalyzeTimesDedup(t *testing.T) {
+	db := bigDB(t)
+	for _, tc := range []struct {
+		sql, line string
+		opts      ExecOptions
+	}{
+		{"SELECT DISTINCT i.text FROM item i ORDER BY i.text", "distinct [", ExecOptions{}},
+		{"SELECT DISTINCT i.text FROM item i ORDER BY i.text", "distinct [", ExecOptions{Parallelism: 4}},
+		{"SELECT i.text AS v FROM item i UNION SELECT i.text AS v FROM item i WHERE i.val > 5 ORDER BY v", "union distinct [", ExecOptions{}},
+	} {
+		text, err := db.ExplainAnalyzeWithOptions(sqlast.MustParse(tc.sql), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, tc.line) {
+				found = true
+				if strings.Contains(line, "time=0s") {
+					t.Errorf("%s %+v: dedup over thousands of rows is untimed: %q", tc.sql, tc.opts, line)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no %q line:\n%s", tc.sql, tc.line, text)
+		}
 	}
 }
 

@@ -84,9 +84,11 @@ func bigDB(t testing.TB) *DB {
 // parallelQueries cover every access path, DISTINCT, COUNT(*),
 // correlated EXISTS, UNION, dynamic patterns, both sort paths
 // (memcomparable keys, and the generic fallback via the float
-// column), and plan-time resolution: key-set probes driving through
+// column), plan-time resolution: key-set probes driving through
 // the transient hash and through an index, a pair set, and a
-// dimension a projection keeps.
+// dimension a projection keeps — and the implied properties: selects
+// lowered without distinct, without sort, with first match, over a
+// merged key probe, and a UNION that merges its branches.
 var parallelQueries = []string{
 	"SELECT i.id, i.text FROM item i WHERE i.val > 90 ORDER BY i.id",
 	"SELECT i.id FROM item i WHERE i.dewey_pos BETWEEN X'0102' AND X'0104' ORDER BY i.id DESC",
@@ -101,6 +103,54 @@ var parallelQueries = []string{
 	"SELECT i.id FROM item i ORDER BY i.val, i.id",
 	"SELECT i.id AS v FROM item i WHERE i.val = 3 UNION SELECT i.id AS v FROM item i WHERE i.val = 5 ORDER BY v",
 	resolutionQueries[0], resolutionQueries[1], resolutionQueries[2], resolutionQueries[3],
+	impliedQueries[0], impliedQueries[1], impliedQueries[2], impliedQueries[3],
+}
+
+// impliedQueries are parallelQueries' implied-property cases, in the
+// order TestParallelQueriesCoverImplied expects their plans: a single
+// relation with its key projected, a join the key makes existential, a
+// DISTINCT over a merged key probe, and a UNION of ordered branches.
+// (resolutionQueries[0] and [1] are ordered merged probes too.)
+var impliedQueries = [4]string{
+	"SELECT DISTINCT i.id, i.text FROM item i WHERE i.val > 50 ORDER BY i.id",
+	"SELECT DISTINCT i.id FROM item i, item j WHERE j.par = i.id AND i.val > 40 ORDER BY i.id",
+	"SELECT DISTINCT i.id, i.path_id FROM item i, paths p WHERE i.path_id = p.id AND REGEXP_LIKE(p.path, '^/x') ORDER BY i.id",
+	"SELECT DISTINCT i.id AS v FROM item i WHERE i.val < 3 UNION SELECT DISTINCT i.id AS v FROM item i, paths p WHERE i.path_id = p.id AND REGEXP_LIKE(p.path, '^/a/b') ORDER BY v",
+}
+
+// TestParallelQueriesCoverImplied keeps the implied-property queries
+// honest the way TestParallelQueriesCoverResolution keeps the
+// resolution ones: the matrices cover a dropped distinct and sort, the
+// first-match unwind, the merged probe and the ordered UNION merge only
+// while the planner still proves them.
+func TestParallelQueriesCoverImplied(t *testing.T) {
+	db := bigDB(t)
+	for i, want := range [][]string{
+		{"scan i: full scan, rows in id order", "project: i.id, i.text (distinct by i.id)\n"},
+		{"scan i: full scan, rows in id order", "scan j: index lookup item_par", "project: i.id (distinct by i.id, first match)\n"},
+		{"scan i: key-set probes hash <3 keys of p>, rows in id order", "project: i.id, i.path_id (distinct by i.id)\n"},
+		{"  scan i: full scan, rows in id order", "  scan i: key-set probes hash <3 keys of p>, rows in id order", "union distinct\n"},
+	} {
+		q := impliedQueries[i]
+		st, err := sqlast.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := db.Explain(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("%s:\nplan lacks %q:\n%s", q, w, plan)
+			}
+		}
+		for _, line := range strings.Split(plan, "\n") {
+			if op := strings.TrimSpace(line); op == "distinct" || strings.HasPrefix(op, "sort:") || strings.HasPrefix(op, "union sort:") {
+				t.Errorf("%s:\nplan still holds %q:\n%s", q, op, plan)
+			}
+		}
+	}
 }
 
 // resolutionQueries are parallelQueries' plan-time resolution cases,

@@ -79,14 +79,16 @@ type subplanRef struct {
 
 // physSelect is the lowered pipeline of one selectPlan, in execution
 // order: optional constant prefilter, then per-step scan (+ optional
-// filter) pairs, then projection or COUNT(*), then DISTINCT and sort.
+// filter) pairs, then projection or COUNT(*), then DISTINCT and sort —
+// each of the two only where the plan does not already imply it
+// (implied.go).
 type physSelect struct {
 	prefilter *opNode   // nil when the plan has no constant conjuncts
 	scans     []*opNode // one per joinStep
 	filters   []*opNode // parallel to scans; nil entries for filterless steps
 	output    *opNode   // opProject, or opCount for COUNT(*) plans
-	dedup     *opNode   // nil unless DISTINCT
-	sort      *opNode   // nil unless ORDER BY
+	dedup     *opNode   // nil unless DISTINCT, or when proven duplicate-free
+	sort      *opNode   // nil unless ORDER BY, or when proven ordered
 	ops       []*opNode // all of the above, in pipeline order
 }
 
@@ -94,7 +96,7 @@ type physSelect struct {
 // branches' own physSelects.
 type physUnion struct {
 	union *opNode
-	sort  *opNode // nil when the union has no ORDER BY
+	sort  *opNode // nil when the union has no ORDER BY, or merges its branches
 }
 
 // lowerer assigns statement-global operator ids during lowering.
@@ -120,7 +122,7 @@ func lowerStmt(cs *compiledStmt) {
 			l.lowerSelect(branch)
 		}
 		u.phys = &physUnion{union: l.node(opUnion, "union distinct")}
-		if len(u.orderPos) > 0 {
+		if len(u.orderPos) > 0 && !u.merge {
 			keys := make([]string, len(u.orderPos))
 			for i, pos := range u.orderPos {
 				keys[i] = u.cols[pos]
@@ -148,8 +150,12 @@ func (l *lowerer) lowerSelect(p *selectPlan) {
 		ps.prefilter = add(l.node(opFilter, fmt.Sprintf("prefilter: %d conjunct(s)", len(p.preFilters))))
 		l.attachSubplans(ps.prefilter, p.preFilters)
 	}
-	for _, s := range p.steps {
-		scan := add(l.node(opScan, "scan "+s.name+": "+s.access.describe()))
+	for i, s := range p.steps {
+		label := "scan " + s.name + ": " + s.access.describe()
+		if i == 0 {
+			label += p.orderLabel()
+		}
+		scan := add(l.node(opScan, label))
 		scan.est, scan.hasEst = s.estAccess, true
 		ps.scans = append(ps.scans, scan)
 		if len(s.filters) == 0 {
@@ -167,28 +173,27 @@ func (l *lowerer) lowerSelect(p *selectPlan) {
 	if p.countStar {
 		ps.output = add(l.node(opCount, "count(*)"))
 	} else {
-		ps.output = add(l.node(opProject, "project: "+strings.Join(p.colNames, ", ")))
+		ps.output = add(l.node(opProject, "project: "+strings.Join(p.colNames, ", ")+p.keyLabel()))
 		l.attachSubplans(ps.output, p.cols)
 	}
-	if len(p.orderBy) > 0 {
-		keys := make([]string, len(p.orderBy))
+	var keys []string
+	if len(p.orderBy) > 0 && p.ordered == nil {
 		var keyExprs []cexpr
-		for i, k := range p.orderBy {
-			keys[i] = k.src
+		for _, k := range p.orderBy {
+			key := k.src
 			if k.desc {
-				keys[i] += " DESC"
+				key += " DESC"
 			}
+			keys = append(keys, key)
 			keyExprs = append(keyExprs, k.x)
 		}
 		l.attachSubplans(ps.output, keyExprs)
-		if p.distinct {
-			ps.dedup = add(l.node(opDedup, "distinct"))
-		}
-		ps.sort = add(l.node(opSort, "sort: "+strings.Join(keys, ", ")))
-		return
 	}
-	if p.distinct {
+	if p.distinct && p.unique == nil {
 		ps.dedup = add(l.node(opDedup, "distinct"))
+	}
+	if keys != nil {
+		ps.sort = add(l.node(opSort, "sort: "+strings.Join(keys, ", ")))
 	}
 }
 

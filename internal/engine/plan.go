@@ -32,6 +32,13 @@ type selectPlan struct {
 	// the exported shape, from which plancheck re-derives every set.
 	resolved []*resolution
 	pairs    []*pairResolution
+	// unique and ordered are the properties the planner proved of the
+	// rows the steps emit (implied.go): with unique set the plan lowers
+	// without its distinct operator and stops later steps at the first
+	// match, with ordered set without its sort (or, for a UNION branch,
+	// into an ordered merge) and evaluates no ORDER BY keys.
+	unique  *keyProof
+	ordered *orderProof
 	// phys is the lowered physical operator pipeline (physplan.go),
 	// set by lowerStmt for every plan reachable from a compiled
 	// statement — including correlated subplans.
@@ -165,6 +172,10 @@ type keyProbe struct {
 	ix   *Index // nil: probe the transient hash on col
 	res  *resolution
 	rows float64 // the fact rows holding a key, by the column's histogram
+	// merged makes the probe yield row ids ascending — the keys' posting
+	// lists merged instead of concatenated — for a plan whose proven
+	// order rests on it (implied.go).
+	merged bool
 }
 
 func (a *keyProbe) describe() string {
@@ -486,6 +497,12 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 			return nil, err
 		}
 		plan.orderBy = append(plan.orderBy, corder{x: ce, desc: k.Desc, src: k.Expr.String()})
+	}
+	if !p.heuristicOnly() {
+		plan.unique = plan.proveUnique()
+		if len(plan.orderBy) == 1 {
+			plan.setOrdered(plan.proveOrder(plan.orderBy[0].x, plan.orderBy[0].desc))
+		}
 	}
 	return plan, nil
 }

@@ -73,7 +73,11 @@ type unionPlan struct {
 	cols      []string
 	orderPos  []int
 	orderDesc []bool
-	phys      *physUnion // union-level operators, set by lowerStmt
+	// merge: every branch is proven to emit its rows in the union's
+	// order (implied.go), so the union merges the branch results by the
+	// order key instead of collecting, deduplicating and sorting them.
+	merge bool
+	phys  *physUnion // union-level operators, set by lowerStmt
 }
 
 // ovEst is the observed cardinalities of one alias at one join
@@ -180,6 +184,9 @@ func compileStmtOverrides(db *DB, st sqlast.Statement, ov *planOverrides) (*comp
 				return nil, fmt.Errorf("engine: UNION branches project different column counts")
 			}
 			u.branches = append(u.branches, plan)
+		}
+		if !p.heuristicOnly() {
+			u.proveMerge()
 		}
 		cs.union = u
 	default:

@@ -85,6 +85,31 @@ type AccessShape struct {
 	// the key set whose keys are probed on Col (through Index when set,
 	// else through the transient hash).
 	Resolved int
+	// Merged reports, for "key-probe", that the keys' posting lists are
+	// merged into ascending row-id order instead of concatenated.
+	Merged bool
+}
+
+// UniqueShape is the evidence of a select lowered without its
+// "distinct" operator: the rows are duplicate-free because every
+// projected and ORDER BY expression reads only the driving alias Alias,
+// whose projected column Col is unique (Index is the single-column
+// index the planner read that off). With more than one step the later
+// ones are then existential and run first-match. plancheck re-derives
+// all of it — the references from the shape's own expressions, the
+// uniqueness over the table's rows.
+type UniqueShape struct {
+	Alias, Col, Index string
+}
+
+// RowOrderShape is the evidence of a select lowered without its "sort"
+// operator, or of a UNION branch merged in order: the rows arrive
+// ordered by column Col of the driving alias Alias, ascending. With
+// Index empty the claim is that the driving access yields row ids
+// ascending and that row-id order is Col's order in the table; with
+// Index set, that the access is a range scan of that index, led by Col.
+type RowOrderShape struct {
+	Alias, Col, Index string
 }
 
 // ResolvedShape is one FROM alias the planner resolved at plan time:
@@ -186,6 +211,13 @@ type SelectShape struct {
 	// "key-probe" accesses refer to by index.
 	Resolved []ResolvedShape
 	Pairs    []PairShape
+	// Unique and RowOrder are the proofs (nil when absent) on which the
+	// lowering left "distinct" and "sort" out of Pipeline; FirstMatch
+	// reports that the executor stops the later steps at a driving row's
+	// first full match, which only Unique can justify.
+	Unique     *UniqueShape
+	RowOrder   *RowOrderShape
+	FirstMatch bool
 }
 
 // UnionShape is the decompiled form of a compiled UNION.
@@ -195,8 +227,10 @@ type UnionShape struct {
 	OrderPos  []int
 	OrderDesc []bool
 	// Sort reports whether the lowering emitted a union-level sort
-	// operator.
-	Sort bool
+	// operator; Merge that the union instead merges its branches by the
+	// order key, which every branch's RowOrder must justify.
+	Sort  bool
+	Merge bool
 }
 
 // StmtShape is the decompiled form of a compiled statement; exactly
@@ -260,6 +294,7 @@ func shapeStmt(cs *compiledStmt, sql string) (*StmtShape, error) {
 		OrderPos:  append([]int(nil), u.orderPos...),
 		OrderDesc: append([]bool(nil), u.orderDesc...),
 		Sort:      u.phys != nil && u.phys.sort != nil,
+		Merge:     u.merge,
 	}
 	for _, br := range u.branches {
 		sh, err := shapeSelect(br, nil)
@@ -289,6 +324,16 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		FromOrder:  append([]string(nil), p.fromOrder...),
 		JoinMethod: p.joinMethod,
 		Pipeline:   p.pipeline(),
+		FirstMatch: p.firstMatch(),
+	}
+	if k := p.unique; k != nil {
+		sh.Unique = &UniqueShape{Alias: p.steps[0].name, Col: p.steps[0].table.Cols[k.col].Name, Index: k.ix.Name}
+	}
+	if o := p.ordered; o != nil {
+		sh.RowOrder = &RowOrderShape{Alias: p.steps[0].name, Col: p.steps[0].table.Cols[o.col].Name}
+		if o.ix != nil {
+			sh.RowOrder.Index = o.ix.Name
+		}
 	}
 	tables := make(map[string]*Table, len(outer)+len(p.steps))
 	for k, v := range outer {

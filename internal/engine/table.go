@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -78,6 +79,15 @@ type tableState struct {
 	// checkpoint reload rebuild it by committing the logged inserts
 	// through the same applyInsert as live writes.
 	syn *synopsis.Table
+	// ascending[c] reports that row-id order is column c's order: no
+	// value of c is NULL and each row's is strictly greater than the
+	// previous row's (trivially so for an empty table). It is a physical
+	// property of this state's rows, exact by construction — applyInsert
+	// compares each appended row with its predecessor — so the planner
+	// may drop a sort on its strength (implied.go); a column that failed
+	// once stays failed. Shared with the predecessor state until a
+	// column fails.
+	ascending []bool
 }
 
 // Index is a B+tree index over one or more columns.
@@ -267,7 +277,12 @@ func (m createTable) apply(db *DB) (*dbSnap, error) {
 	}
 	next.byName[m.name] = t
 	next.names = append(append([]string(nil), snap.names...), m.name)
-	next.states = append(next.states, newTableState())
+	st := newTableState()
+	st.ascending = make([]bool, len(m.cols))
+	for i := range st.ascending {
+		st.ascending[i] = true
+	}
+	next.states = append(next.states, st)
 	return next, nil
 }
 
@@ -349,6 +364,7 @@ func applyInsert(st *tableState, rows [][]Value) *tableState {
 		observeRow(syn, row)
 	}
 	next.syn = syn.Seal()
+	next.ascending = ascendingAfter(st.ascending, st.rows, rows)
 	next.indexes = make([]*Index, len(st.indexes))
 	for i, ix := range st.indexes {
 		nix := &Index{Name: ix.Name, Cols: ix.Cols, Tree: ix.Tree.Clone()}
@@ -358,6 +374,52 @@ func applyInsert(st *tableState, rows [][]Value) *tableState {
 		next.indexes[i] = nix
 	}
 	return next
+}
+
+// ascendingAfter returns the ascending flags of old's successor under
+// the appended rows: asc itself while no column fails, a copy otherwise.
+func ascendingAfter(asc []bool, old, rows [][]Value) []bool {
+	var prev []Value
+	if len(old) > 0 {
+		prev = old[len(old)-1]
+	}
+	owned := false
+	for _, row := range rows {
+		for c, up := range asc {
+			if !up || ascends(prev, row, c) {
+				continue
+			}
+			if !owned {
+				asc, owned = append([]bool(nil), asc...), true
+			}
+			asc[c] = false
+		}
+		prev = row
+	}
+	return asc
+}
+
+// ascends reports whether row's value in column c keeps the column
+// strictly ascending after prev (nil: row is the table's first). The
+// comparison is the one the sort's memcomparable keys make for values
+// of one class; a NULL, a float or a change of kind does not ascend.
+func ascends(prev, row []Value, c int) bool {
+	v := row[c]
+	if prev == nil {
+		return v.Kind == KInt || v.Kind == KText || v.Kind == KBytes
+	}
+	if prev[c].Kind != v.Kind {
+		return false
+	}
+	switch v.Kind {
+	case KInt:
+		return prev[c].I < v.I
+	case KText:
+		return prev[c].S < v.S
+	case KBytes:
+		return bytes.Compare(prev[c].B, v.B) < 0
+	}
+	return false
 }
 
 // apply appends each group's rows to its table. A table named twice
@@ -448,6 +510,7 @@ func applyCreateIndex(st *tableState, name string, positions []int) *tableState 
 	next.version = st.version + 1
 	next.rows = st.rows
 	next.syn = st.syn
+	next.ascending = st.ascending
 	ix := &Index{Name: name, Cols: positions, Tree: btree.New()}
 	for id, row := range st.rows {
 		ix.Tree.Insert(ix.key(row), int64(id))

@@ -19,7 +19,8 @@ type Finding struct {
 	// "physical-extract", "join-order", "binding-order",
 	// "access-path", "pipeline", "shape", "distinct", "projection",
 	// "tables", "predicate-missing", "predicate-extra", "order",
-	// "union", "normal-form", "omission", "estimate-provenance".
+	// "union", "normal-form", "omission", "estimate-provenance",
+	// "resolution", "implied".
 	Rule string
 	// Detail is the minimal counterexample.
 	Detail string
@@ -88,16 +89,12 @@ func CheckShape(db *engine.DB, st sqlast.Statement, sh *engine.StmtShape) (*Cert
 	// Structural certificate obligations on the physical side.
 	switch {
 	case sh.Select != nil:
-		fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, sh.Select, nil, "select", cert))...)
+		fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, sh.Select, nil, nil, "select", cert))...)
 	case sh.Union != nil:
 		for i, br := range sh.Union.Branches {
-			fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, br, nil, fmt.Sprintf("branch[%d]", i), cert))...)
+			fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, br, nil, mergeKeyOf(sh.Union, br), fmt.Sprintf("branch[%d]", i), cert))...)
 		}
-		if sh.Union.Sort != (len(sh.Union.OrderPos) > 0) {
-			fail("pipeline", fmt.Sprintf("union sort operator present=%v but %d order keys", sh.Union.Sort, len(sh.Union.OrderPos)))
-		} else {
-			cert.step("pipeline union: sort=%v for %d order keys", sh.Union.Sort, len(sh.Union.OrderPos))
-		}
+		fs = append(fs, tagSQL(sh.SQL, checkUnionOrder(db, sh.Union, cert))...)
 	default:
 		fail("shape", "plan shape has neither select nor union")
 		return cert, fs

@@ -104,6 +104,13 @@ func TestMutationsRejected(t *testing.T) {
 						if !strings.Contains(r.Finding, "["+ruleResolution+"]") || !strings.Contains(r.Finding, "differs") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the resolution re-derivation", q.ID, tf.name, r.Name, r.Finding)
 						}
+					// The proof mutants keep the pipeline consistent with the
+					// evidence they forge: only its re-derivation catches them.
+					case "drop-needed-distinct", "drop-needed-sort", "first-match-on-projected-alias",
+						"concatenated-key-probe-claimed-ordered", "union-merge-of-unordered-branch":
+						if !strings.Contains(r.Finding, "["+ruleImplied+"]") {
+							t.Errorf("%s/%s: mutation %s rejected by %s, want the implied-property obligation", q.ID, tf.name, r.Name, r.Finding)
+						}
 					}
 					applied[r.Name] = true
 				}

@@ -193,7 +193,7 @@ func Mutations() []Mutation {
 			Name:   "drop-resolved-key",
 			Defect: "plan-time key set misses a path the pattern matches",
 			Apply: func(sh *engine.StmtShape) bool {
-				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
 					for i := range sel.Resolved {
 						if keys := sel.Resolved[i].Keys; len(keys) > 0 {
 							sel.Resolved[i].Keys = keys[1:]
@@ -208,7 +208,7 @@ func Mutations() []Mutation {
 			Name:   "add-resolved-key",
 			Defect: "plan-time key set holds a path the pattern does not match",
 			Apply: func(sh *engine.StmtShape) bool {
-				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
 					for i := range sel.Resolved {
 						keys := sel.Resolved[i].Keys
 						// The smallest positive id outside the set: another
@@ -232,7 +232,7 @@ func Mutations() []Mutation {
 			Name:   "corrupt-pair-set",
 			Defect: "plan-time pair set admits a pair of paths the recursion guard rejects",
 			Apply: func(sh *engine.StmtShape) bool {
-				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
 					for j := range sel.Pairs {
 						pr := &sel.Pairs[j]
 						if len(pr.Pairs) > 0 {
@@ -253,7 +253,7 @@ func Mutations() []Mutation {
 			Name:   "eliminate-referenced-alias",
 			Defect: "planner drops a resolved alias from the plan although something still reads it",
 			Apply: func(sh *engine.StmtShape) bool {
-				return mutateResolved(sh, func(sel *engine.SelectShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
 					for i := range sel.Resolved {
 						r := &sel.Resolved[i]
 						if r.Eliminated {
@@ -277,6 +277,89 @@ func Mutations() []Mutation {
 					}
 					return false
 				})
+			},
+		},
+		{
+			Name:   "drop-needed-distinct",
+			Defect: "lowering drops DISTINCT claiming a key that does not make the rows duplicate-free",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+					if len(sel.Cols) == 0 || !dropToken(sel, "distinct") {
+						return false
+					}
+					// The key it claims is the first projected column — of
+					// whichever alias that is.
+					alias, col := sel.Steps[0].Alias, "id"
+					if c, ok := sel.Cols[0].Expr.(*sqlast.Col); ok {
+						alias, col = c.Table, c.Column
+					}
+					sel.Unique = &engine.UniqueShape{Alias: alias, Col: col, Index: "forged"}
+					sel.FirstMatch = len(sel.Steps) > 1
+					return true
+				})
+			},
+		},
+		{
+			Name:   "drop-needed-sort",
+			Defect: "lowering drops ORDER BY claiming the rows already arrive in that order",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+					if len(sel.OrderBy) == 0 || !dropToken(sel, "sort") {
+						return false
+					}
+					alias, col := sel.Steps[0].Alias, "id"
+					if c, ok := sel.OrderBy[0].Key.Expr.(*sqlast.Col); ok {
+						alias, col = c.Table, c.Column
+					}
+					sel.RowOrder = &engine.RowOrderShape{Alias: alias, Col: col}
+					return true
+				})
+			},
+		},
+		{
+			Name:   "first-match-on-projected-alias",
+			Defect: "executor stops a step at its first match although the projection reads that step's alias",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+					if sel.Unique != nil || len(sel.Steps) < 2 || !readsLaterStep(sel) || !dropToken(sel, "distinct") {
+						return false
+					}
+					sel.Unique = &engine.UniqueShape{Alias: sel.Steps[0].Alias, Col: "id", Index: "forged"}
+					sel.FirstMatch = true
+					return true
+				})
+			},
+		},
+		{
+			Name:   "concatenated-key-probe-claimed-ordered",
+			Defect: "order claimed of a driving key probe that concatenates its posting lists",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+					if sel.RowOrder == nil || sel.RowOrder.Index != "" || len(sel.Steps) == 0 {
+						return false
+					}
+					if a := &sel.Steps[0].Access; a.Kind == "key-probe" && a.Merged {
+						a.Merged = false
+						return true
+					}
+					return false
+				})
+			},
+		},
+		{
+			Name:   "union-merge-of-unordered-branch",
+			Defect: "UNION merges its branches although one of them is not proven ordered",
+			Apply: func(sh *engine.StmtShape) bool {
+				u := sh.Union
+				if u == nil || len(u.OrderPos) == 0 || len(u.Branches) == 0 {
+					return false
+				}
+				if u.Merge {
+					u.Branches[len(u.Branches)-1].RowOrder = nil
+				} else {
+					u.Merge, u.Sort = true, false
+				}
+				return true
 			},
 		},
 		{
@@ -308,9 +391,9 @@ func Mutations() []Mutation {
 	}
 }
 
-// mutateResolved applies f to the first select of the statement —
+// mutateSelect applies f to the first select of the statement —
 // branches, then subplans, depth first — it applies to.
-func mutateResolved(sh *engine.StmtShape, f func(*engine.SelectShape) bool) bool {
+func mutateSelect(sh *engine.StmtShape, f func(*engine.SelectShape) bool) bool {
 	var visit func(sel *engine.SelectShape) bool
 	visit = func(sel *engine.SelectShape) bool {
 		if f(sel) {
@@ -330,6 +413,33 @@ func mutateResolved(sh *engine.StmtShape, f func(*engine.SelectShape) bool) bool
 		for _, br := range sh.Union.Branches {
 			if visit(br) {
 				return true
+			}
+		}
+	}
+	return false
+}
+
+// dropToken removes an operator from the pipeline of a select with
+// steps, reporting whether it was there.
+func dropToken(sel *engine.SelectShape, tok string) bool {
+	for i, t := range sel.Pipeline {
+		if t == tok && len(sel.Steps) > 0 {
+			sel.Pipeline = append(sel.Pipeline[:i:i], sel.Pipeline[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// readsLaterStep reports whether a projected column reads an alias
+// bound after the driving step.
+func readsLaterStep(sel *engine.SelectShape) bool {
+	for _, c := range sel.Cols {
+		for _, ref := range c.Refs {
+			for _, s := range sel.Steps[1:] {
+				if s.Alias == ref {
+					return true
+				}
 			}
 		}
 	}

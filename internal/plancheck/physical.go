@@ -205,11 +205,11 @@ func replaceMarkers(e sqlast.Expr, fps []string) (sqlast.Expr, error) {
 
 // checkShapeSelect validates one select shape's certificate
 // obligations, recursing into subplans. outer is the alias set of
-// enclosing selects; loc labels findings. Validated obligations are
-// appended to cert.Steps. db is needed for the estimate-provenance
-// obligation, which cross-checks omission evidence against the live
-// table synopses.
-func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bool, loc string, cert *Certificate) []Finding {
+// enclosing selects; mergeKey the order a merging UNION imposes on this
+// branch (nil otherwise); loc labels findings. Validated obligations
+// are appended to cert.Steps. db is needed for the obligations that
+// cross-check evidence against the tables as they stand.
+func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bool, mergeKey *engine.OrderShape, loc string, cert *Certificate) []Finding {
 	var fs []Finding
 	report := func(rule, detail string) {
 		fs = append(fs, Finding{Rule: rule, Detail: loc + ": " + detail})
@@ -298,9 +298,14 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 		fs = append(fs, checkEstimates(db, s, loc, cert)...)
 	}
 
+	// Implied properties: the proofs on which DISTINCT, ORDER BY or the
+	// later steps' full enumeration were left out (implied.go).
+	fs = append(fs, checkImplied(db, sh, mergeKey, loc, cert)...)
+
 	// Pipeline legality: the lowered operator sequence must place
 	// scans, filters, projection, DISTINCT and ORDER BY exactly where
-	// the select shape dictates.
+	// the select shape dictates — the last two absent exactly when the
+	// shape carries the proof that implies them.
 	want := expectedPipeline(sh)
 	if !equalStrings(want, sh.Pipeline) {
 		report("pipeline", fmt.Sprintf("lowered pipeline %v, want %v%s", sh.Pipeline, want, firstTokenDiff(sh.Pipeline, want)))
@@ -317,7 +322,7 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 		inner[s.Alias] = true
 	}
 	for k, sp := range sh.Subplans {
-		fs = append(fs, checkShapeSelect(db, sp.Select, inner, fmt.Sprintf("%s/subplan[%d]", loc, k), cert)...)
+		fs = append(fs, checkShapeSelect(db, sp.Select, inner, nil, fmt.Sprintf("%s/subplan[%d]", loc, k), cert)...)
 	}
 	return fs
 }
@@ -522,10 +527,10 @@ func expectedPipeline(sh *engine.SelectShape) []string {
 	} else {
 		out = append(out, "project")
 	}
-	if sh.Distinct {
+	if sh.Distinct && sh.Unique == nil {
 		out = append(out, "distinct")
 	}
-	if len(sh.OrderBy) > 0 {
+	if len(sh.OrderBy) > 0 && sh.RowOrder == nil {
 		out = append(out, "sort")
 	}
 	return out

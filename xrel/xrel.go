@@ -235,12 +235,14 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 		return nil, fmt.Errorf("xrel: executing %q: %w", tr.SQL, err)
 	}
 	out := &Result{SQL: tr.SQL}
-	for _, row := range res.Rows {
-		n := Node{ID: row[0].I}
+	if len(res.Rows) > 0 {
+		out.Nodes = make([]Node, len(res.Rows))
+	}
+	for i, row := range res.Rows {
+		out.Nodes[i].ID = row[0].I
 		if row[1].Kind == engine.KBytes {
-			n.Dewey = deweyString(row[1].B)
+			out.Nodes[i].Dewey = deweyString(row[1].B)
 		}
-		out.Nodes = append(out.Nodes, n)
 	}
 	return out, nil
 }
