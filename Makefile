@@ -2,9 +2,9 @@
 # (10s per native fuzz target), which stays CI-only.
 GO ?= go
 
-.PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke planquality-smoke bench-harness
+.PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke planquality-smoke golden-rows bench-harness
 
-check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke bench-smoke explain-smoke planquality-smoke
+check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke bench-smoke explain-smoke planquality-smoke golden-rows
 
 build:
 	$(GO) build ./...
@@ -130,3 +130,15 @@ explain-smoke:
 # bound, with oracle verification on (DESIGN.md section 13).
 planquality-smoke:
 	$(GO) run ./cmd/xbench -experiment planquality -scale 0.02 -reps 1
+
+# golden-rows is the planner's result-identity harness: the Figure 3
+# statements and the six ad-hoc templates, both mappings, 24 runs a
+# statement (serial / Parallelism 4, batch size 1 / default, in memory /
+# persisted-closed-reopened, first plan / re-planned) must return the
+# native oracle's rows in order — the rows whose hashes
+# internal/bench/testdata/golden_rows.txt commits. A planner change
+# that leaves the file alone returns its parent's results byte for
+# byte; `go test ./internal/bench -run TestGoldenRows -update` rewrites
+# it.
+golden-rows:
+	$(GO) test -count=1 -run 'TestGoldenRows' ./internal/bench/

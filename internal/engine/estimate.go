@@ -54,6 +54,25 @@ const (
 	openRangeDivisor    = 4
 )
 
+// forfeitRowCost is what the join-order search charges, per estimated
+// output row, an order whose driving alias forfeits the proof of
+// duplicate-freeness the result alias would give the plan (implied.go):
+// the row then passes through the distinct set and, the order proof
+// going with it, the sort, where it would have passed through neither.
+// The unit is the search's own, one row bound by a join step.
+const forfeitRowCost = 4
+
+// deferSubplanFanout bounds the trailing first-match run a conjunct that
+// opens a correlated subplan may wait for (planSelect): one estimated to
+// offer each binding of the steps before it fewer than this many
+// candidates. Waiting spares the bindings the run rejects their subplan;
+// it costs one more evaluation for every further candidate of a binding
+// whose subplan conjunct is false. The bound is the second whole
+// candidate, not 1: an index probe's estimate is its column's average
+// posting length, floored at 1 and divided by a sketched distinct count,
+// so a run of exactly one candidate reads 1.0004.
+const deferSubplanFanout = 2
+
 // Estimate provenance values recorded in joinStep.estSource and
 // exported as StepShape.EstSource.
 const (
@@ -98,7 +117,7 @@ func (db *DB) SetHeuristicOnlyPlanning(v bool) { db.heuristicPlans.Store(v) }
 // same numbers the exact evaluation did for literal predicates,
 // without touching rows. The second result reports whether any factor
 // came from the synopsis.
-func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjuncts []*conjunct, skip *conjunct, sc *scope) (float64, bool) {
+func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjuncts []*conjunct, skip *conjunct) (float64, bool) {
 	sel, synBacked := 1.0, false
 	for _, c := range conjuncts {
 		if c == skip || c.done || len(c.localRef) != 1 || !c.localRef[name] {
@@ -119,7 +138,7 @@ func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjun
 		if !refsOnlyTable(c.expr, name, t) {
 			continue
 		}
-		s, syn := p.conjunctSelectivity(c.expr, name, t, st, sc)
+		s, syn := p.conjunctSelectivity(c.expr, name, t, st, c.sc)
 		sel *= s
 		synBacked = synBacked || syn
 	}

@@ -581,7 +581,7 @@ func (ec *execCtx) runPlanBatch(plan *selectPlan, e env, batch int, emit func(ro
 			return err
 		}
 	}
-	r := &stepRunner{ec: ec, plan: plan, e: e, emit: emit, batch: batch, first: plan.firstMatch()}
+	r := &stepRunner{ec: ec, plan: plan, e: e, emit: emit, batch: batch, first: plan.firstFrom}
 	return r.run(0)
 }
 
@@ -634,11 +634,11 @@ type stepRunner struct {
 	emit  func(row, keys []Value) (bool, error)
 	stop  bool
 	batch int
-	// first: the plan's later steps are existential (selectPlan.
-	// firstMatch), so once a driving row has emitted — matched — every
-	// later step unwinds to the driving step, which clears the flag and
-	// binds its next row.
-	first   bool
+	// first is the first step of the plan's first-match run (selectPlan.
+	// firstFrom, 0 without one): once the bindings before the run have
+	// emitted — matched — every step of the run unwinds to the step
+	// before it, which clears the flag and binds its next row.
+	first   int
 	matched bool
 }
 
@@ -654,7 +654,7 @@ func (r *stepRunner) run(step int) error {
 	st := r.ec.op(r.plan.phys.scans[step])
 	st.open()
 	batch := r.batch
-	if r.first && step > 0 {
+	if r.first > 0 && step >= r.first {
 		// Like any consumer that stops at the first row (runPlanFirst):
 		// a read-ahead batch would make the counters, and the work done
 		// past the match, depend on the batch size.
@@ -749,7 +749,7 @@ func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids [
 			return i + 1, nil
 		}
 		if r.matched {
-			if step > 0 {
+			if step >= r.first {
 				return i + 1, nil
 			}
 			r.matched = false
@@ -819,7 +819,7 @@ func (r *stepRunner) project() error {
 	if !cont {
 		r.stop = true
 	}
-	r.matched = r.first
+	r.matched = r.first > 0
 	return nil
 }
 

@@ -85,7 +85,9 @@ type OpReport struct {
 	RowsOut int64
 	// QError is the symmetric ratio error between EstRows and the
 	// observed per-loop output, 0 when the operator has no estimate or
-	// never ran.
+	// never ran. For a step under first match the observation is the
+	// rows consumed until the match, a lower bound: only an estimate
+	// below it counts as an error.
 	QError float64
 }
 
@@ -101,7 +103,7 @@ func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) ([]OpReport, 
 		r := OpReport{Label: n.label, Kind: n.kind.String(), EstRows: n.est, HasEst: n.hasEst,
 			Loops: frame[n.id].loops, RowsOut: frame[n.id].rowsOut}
 		if n.hasEst && r.Loops > 0 {
-			r.QError = qError(n.est, float64(r.RowsOut)/float64(r.Loops))
+			r.QError = n.qError(float64(r.RowsOut) / float64(r.Loops))
 		}
 		reports = append(reports, r)
 	})

@@ -79,6 +79,77 @@ func TestExplainGolden(t *testing.T) {
 				"filter g: g.par = b.id est_rows=1\n" +
 				"project: b.id (distinct by b.id, first match)\n",
 		},
+		// An unnested EXISTS has no line of its own either: its aliases are
+		// scans marked existential, and the run of them that stops at the
+		// first match is named on the projection's line — with the key
+		// when the plan has one, by its first alias otherwise. A conjunct
+		// that opens a subplan waits for a run of one candidate a binding
+		// (g), not for one of two (c): the subplan would run once for each.
+		// An OR conjunct among others is parenthesised: AND binds tighter.
+		{
+			name: "unnested EXISTS trailing under the key, an OR of subplans after it",
+			sql: "SELECT DISTINCT b.id, b.dewey_pos FROM B b WHERE EXISTS (SELECT NULL FROM G g WHERE g.par = b.id) AND " +
+				"(EXISTS (SELECT NULL FROM C c WHERE c.par = b.id) OR EXISTS (SELECT NULL FROM E e WHERE e.par = b.id)) ORDER BY b.dewey_pos",
+			want: "scan b: full scan, rows in dewey_pos order est_rows=2\n" +
+				"scan g: index lookup G_par, existential est_rows=1\n" +
+				"filter g: g.par = b.id AND (EXISTS (SELECT NULL FROM C c WHERE c.par = b.id) OR EXISTS (SELECT NULL FROM E e WHERE e.par = b.id)) est_rows=1\n" +
+				"  exists subplan\n" +
+				"    scan c: index lookup C_par est_rows=2\n" +
+				"    filter c: c.par = b.id est_rows=2\n" +
+				"    project: NULL\n" +
+				"  exists subplan\n" +
+				"    scan e: index lookup E_par est_rows=1\n" +
+				"    filter e: e.par = b.id est_rows=1\n" +
+				"    project: NULL\n" +
+				"project: b.id, b.dewey_pos (distinct by b.id, first match)\n",
+		},
+		{
+			name: "unnested EXISTS of two candidates a binding, the OR of subplans stays before it",
+			sql: "SELECT DISTINCT b.id, b.dewey_pos FROM B b WHERE EXISTS (SELECT NULL FROM C c WHERE c.par = b.id) AND " +
+				"(EXISTS (SELECT NULL FROM G g WHERE g.par = b.id) OR EXISTS (SELECT NULL FROM E e WHERE e.par = b.id)) ORDER BY b.dewey_pos",
+			want: "scan b: full scan, rows in dewey_pos order est_rows=2\n" +
+				"filter b: EXISTS (SELECT NULL FROM G g WHERE g.par = b.id) OR EXISTS (SELECT NULL FROM E e WHERE e.par = b.id) est_rows=2\n" +
+				"  exists subplan\n" +
+				"    scan g: index lookup G_par est_rows=1\n" +
+				"    filter g: g.par = b.id est_rows=1\n" +
+				"    project: NULL\n" +
+				"  exists subplan\n" +
+				"    scan e: index lookup E_par est_rows=1\n" +
+				"    filter e: e.par = b.id est_rows=1\n" +
+				"    project: NULL\n" +
+				"scan c: index lookup C_par, existential est_rows=2\n" +
+				"filter c: c.par = b.id est_rows=2\n" +
+				"project: b.id, b.dewey_pos (distinct by b.id, first match)\n",
+		},
+		{
+			name: "unnested EXISTS trailing without a key",
+			sql:  "SELECT DISTINCT b.path_id FROM B b WHERE EXISTS (SELECT NULL FROM G g WHERE g.par = b.id) ORDER BY b.path_id",
+			want: "scan b: full scan est_rows=2\n" +
+				"scan g: index lookup G_par, existential est_rows=1\n" +
+				"filter g: g.par = b.id est_rows=1\n" +
+				"project: b.path_id (first match from g)\n" +
+				"distinct\n" +
+				"sort: b.path_id\n",
+		},
+		{
+			name: "unnested EXISTS of two aliases driving",
+			sql:  "SELECT DISTINCT b.path_id FROM B b WHERE EXISTS (SELECT NULL FROM C c, E e WHERE c.par = b.id AND e.par = c.id) ORDER BY b.path_id",
+			want: "scan e: full scan, existential est_rows=1\n" +
+				"scan c: index lookup C_pk, existential est_rows=1\n" +
+				"filter c: e.par = c.id est_rows=1\n" +
+				"scan b: index lookup B_pk est_rows=1\n" +
+				"filter b: c.par = b.id est_rows=1\n" +
+				"project: b.path_id\n" +
+				"distinct\n" +
+				"sort: b.path_id\n",
+		},
+		{
+			name: "a lone OR conjunct is not parenthesised",
+			sql:  "SELECT b.id FROM B b WHERE b.id = 2 OR b.id = 10",
+			want: "scan b: full scan est_rows=2\n" +
+				"filter b: b.id = 2 OR b.id = 10 est_rows=0.20\n" +
+				"project: b.id\n",
+		},
 		{
 			name: "union merging ordered branches",
 			sql:  "SELECT DISTINCT g.id AS id FROM G g UNION SELECT DISTINCT f.id AS id FROM F f ORDER BY id",
@@ -111,11 +182,12 @@ func TestExplainGolden(t *testing.T) {
 // TestExplainAnalyzeStats checks that EXPLAIN ANALYZE annotates every
 // operator with a stats block and that the numbers reflect the
 // execution: index scans record probes, subplans record one loop per
-// outer evaluation, dedup reports candidates in vs kept out.
+// outer evaluation, dedup reports candidates in vs kept out. (The EXISTS
+// sits under an OR so that it stays a subplan, unnest.go.)
 func TestExplainAnalyzeStats(t *testing.T) {
 	db, _ := buildPair(t, 7, 300)
 	st, err := sqlast.Parse(
-		"SELECT DISTINCT a.tag FROM n a WHERE EXISTS " +
+		"SELECT DISTINCT a.tag FROM n a WHERE a.id < 0 OR EXISTS " +
 			"(SELECT b.id FROM n b WHERE b.par = a.id) ORDER BY a.tag DESC")
 	if err != nil {
 		t.Fatal(err)
@@ -396,5 +468,36 @@ func TestOperatorCount(t *testing.T) {
 	}
 	if n != 3 { // scan, filter, project
 		t.Fatalf("OperatorCount = %d, want 3", n)
+	}
+}
+
+// TestFilterLabelParenthesisesOr: the filter label reads with the
+// statement's precedence — an OR conjunct among others is parenthesised,
+// an OR inside a literal or a sub-select makes its conjunct no OR.
+func TestFilterLabelParenthesisesOr(t *testing.T) {
+	db := fixtureDB(t)
+	for _, tc := range []struct {
+		where, want string
+	}{
+		{"d.id = 4 AND (d.par = 3 OR d.par = 5)", "d.id = 4 AND (d.par = 3 OR d.par = 5)"},
+		{"d.par = 3 OR d.par = 5", "d.par = 3 OR d.par = 5"},
+		{"d.text <> 'this OR that' AND d.text <> 'it''s OR not'", "d.text <> 'this OR that' AND d.text <> 'it''s OR not'"},
+		{"d.id = 4 AND NOT EXISTS (SELECT NULL FROM E e WHERE e.id = 1 OR e.par = d.par) AND REGEXP_LIKE(d.text, '^(a|b) OR c$')",
+			"d.id = 4 AND REGEXP_LIKE(d.text, '^(a|b) OR c$') AND NOT EXISTS (SELECT NULL FROM E e WHERE e.id = 1 OR e.par = d.par)"},
+		{"d.id = 4 AND ((d.par = 3 AND d.path_id = 4) OR d.par = 5)", "d.id = 4 AND (d.par = 3 AND d.path_id = 4 OR d.par = 5)"},
+	} {
+		plan, err := db.Explain(sqlast.MustParse("SELECT d.path_id FROM D d WHERE " + tc.where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := ""
+		for _, line := range strings.Split(plan, "\n") {
+			if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "filter d: "); ok && label == "" {
+				label = rest[:strings.LastIndex(rest, " est_rows=")]
+			}
+		}
+		if label != tc.want {
+			t.Errorf("WHERE %s:\n got  filter d: %s\n want filter d: %s\n%s", tc.where, label, tc.want, plan)
+		}
 	}
 }

@@ -37,31 +37,79 @@ type orderProof struct {
 	ix  *Index
 }
 
-// firstMatch reports whether the plan's later steps stop at the first
-// full match of a driving row.
-func (p *selectPlan) firstMatch() bool { return p.unique != nil && len(p.steps) > 1 }
+// existential reports whether the alias came out of an unnested EXISTS.
+func (p *selectPlan) existential(alias string) bool {
+	for _, g := range p.unnested {
+		for _, a := range g.aliases {
+			if a.name == alias {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// firstMatchRun finds the first step of the plan's first-match run, 0
+// when it has none. With the keyProof every step after the driving one
+// is existential — one output row per driving row, whatever they bind.
+// Without it the run is the trailing steps that bind existential
+// aliases: what is projected reads none of them, so every full match
+// under one binding of the steps before the run is the same row, which
+// DISTINCT keeps once; and nothing before the run can refer to an alias
+// bound after it. The run stops short of the driving step: the executor
+// unwinds to the step before the run, and there has to be one.
+func (p *selectPlan) firstMatchRun() int {
+	n := len(p.steps)
+	if p.unique != nil && n > 1 {
+		return 1
+	}
+	if !p.distinct || p.countStar {
+		return 0
+	}
+	k := n
+	for k > 1 && p.steps[k-1].existential {
+		k--
+	}
+	if k == n {
+		return 0
+	}
+	return k
+}
+
+// truncated reports whether a step runs under first match: its row
+// counts are the rows consumed until the match, a lower bound on the
+// rows that match.
+func (p *selectPlan) truncated(step int) bool { return p.firstFrom > 0 && step >= p.firstFrom }
 
 // proveUnique derives the plan's keyProof, or nil.
 func (p *selectPlan) proveUnique() *keyProof {
-	if !p.distinct || p.countStar || len(p.steps) == 0 {
+	if len(p.steps) == 0 {
 		return nil
 	}
-	r := p.steps[0]
+	return p.proveUniqueBy(p.steps[0].name, p.steps[0].st)
+}
+
+// proveUniqueBy derives the keyProof the plan would have with the named
+// alias, in state st, driving.
+func (p *selectPlan) proveUniqueBy(name string, st *tableState) *keyProof {
+	if !p.distinct || p.countStar {
+		return nil
+	}
 	var proof *keyProof
 	for _, c := range p.cols {
-		if !readsOnly(c, r.name) {
+		if !readsOnly(c, name) {
 			return nil
 		}
 		cc, ok := c.(*ccol)
 		if !ok || proof != nil {
 			continue
 		}
-		if ix := r.st.findIndex(cc.pos); ix != nil && len(ix.Cols) == 1 && ix.Tree.Len() == ix.Tree.Pairs() {
+		if ix := st.findIndex(cc.pos); ix != nil && len(ix.Cols) == 1 && ix.Tree.Len() == ix.Tree.Pairs() {
 			proof = &keyProof{col: cc.pos, ix: ix}
 		}
 	}
 	for _, k := range p.orderBy {
-		if !readsOnly(k.x, r.name) {
+		if !readsOnly(k.x, name) {
 			return nil
 		}
 	}
@@ -154,11 +202,14 @@ func (p *selectPlan) orderLabel() string {
 
 func (p *selectPlan) keyLabel() string {
 	if p.unique == nil {
+		if p.firstFrom > 0 {
+			return " (first match from " + p.steps[p.firstFrom].name + ")"
+		}
 		return ""
 	}
 	r := p.steps[0]
 	s := fmt.Sprintf(" (distinct by %s.%s", r.name, r.table.Cols[p.unique.col].Name)
-	if p.firstMatch() {
+	if p.firstFrom > 0 {
 		s += ", first match"
 	}
 	return s + ")"

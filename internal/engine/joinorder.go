@@ -34,9 +34,21 @@ const (
 // selectivities from the estimator (estimate.go) — synopsis-backed
 // when the snapshot's statistics cover the predicate, the named
 // defaults otherwise — with a heavy penalty for cross products.
+//
+// One term keeps the sum honest where an unnested EXISTS (unnest.go) lets
+// the search do what the statement's nesting could not: an order driven
+// by an existential alias, where the result alias driving would prove
+// the rows duplicate-free (implied.go), is charged the dedup, and the
+// sort that goes with it, its output then needs — forfeitRowCost per
+// estimated output row. The orders the select's own aliases drive were
+// open to the search before the rewrite and are priced as they were.
+// Without statistics (heuristicOnly) there is no ground to take a
+// predicate for selective: existential aliases then stay behind the
+// select's own, the order the nesting evaluated them in.
+//
 // The returned method name ("single", "dp", "greedy") is recorded on
 // the plan for the exported shape (plantrace.go).
-func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conjuncts []*conjunct, sc *scope) ([]string, string) {
+func (p *planner) chooseJoinOrder(plan *selectPlan, names []string, local map[string]*Table, conjuncts []*conjunct) ([]string, string) {
 	n := len(names)
 	if n <= 1 {
 		return names, "single"
@@ -45,9 +57,9 @@ func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conju
 	fanout := func(name string, bound map[string]bool, atStart bool) float64 {
 		t := local[name]
 		st := p.snap.stateOf(t)
-		access, connected, src := p.bestAccess(name, t, conjuncts, bound, sc)
+		access, connected, src := p.bestAccess(name, t, conjuncts, bound)
 		e, _ := p.accessEstimate(access, st)
-		sel, _ := p.tableSelectivity(name, t, st, conjuncts, src, sc)
+		sel, _ := p.tableSelectivity(name, t, st, conjuncts, src)
 		e *= sel
 		// Observed cardinalities from adaptive re-planning trump the
 		// synopsis — they already include join-predicate effects — but
@@ -71,18 +83,38 @@ func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conju
 		return e
 	}
 
-	if n > maxDPTables {
-		return p.greedyOrder(names, local, conjuncts, sc, fanout), "greedy"
+	// mayBind holds an existential alias back, under heuristicOnly, until
+	// the select's own aliases are bound.
+	mayBind := func(name string, bound map[string]bool) bool {
+		if !p.heuristicOnly() || !plan.existential(name) {
+			return true
+		}
+		for _, other := range names {
+			if !bound[other] && !plan.existential(other) {
+				return false
+			}
+		}
+		return true
 	}
 
+	if n > maxDPTables {
+		return greedyOrder(names, fanout, mayBind), "greedy"
+	}
+
+	// The orders are searched in two layers: those an existential alias
+	// drives although another alias would prove the rows duplicate-free
+	// (layer 0), which pay for that proof once they are complete, and the
+	// rest (layer 1). A state's index is its mask doubled plus its layer;
+	// without a proving alias nothing is forfeited and layer 1 is empty.
+	prover := p.provingAlias(plan, names, local)
 	type state struct {
 		cost float64 // sum of intermediate sizes
 		rows float64 // estimated rows after binding the subset
 		last int     // last table bound (to reconstruct)
-		prev int     // previous mask
+		prev int     // previous state
 	}
 	size := 1 << n
-	dp := make([]state, size)
+	dp := make([]state, 2*size)
 	for i := range dp {
 		dp[i] = state{cost: math.Inf(1)}
 	}
@@ -97,30 +129,42 @@ func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conju
 		return b
 	}
 	for mask := 0; mask < size; mask++ {
-		if math.IsInf(dp[mask].cost, 1) {
+		if math.IsInf(dp[2*mask].cost, 1) && math.IsInf(dp[2*mask+1].cost, 1) {
 			continue
 		}
 		bound := boundOf(mask)
 		for i := 0; i < n; i++ {
 			bit := 1 << i
-			if mask&bit != 0 {
+			if mask&bit != 0 || !mayBind(names[i], bound) {
 				continue
 			}
 			f := fanout(names[i], bound, mask == 0)
-			rows := dp[mask].rows * f
-			if rows > 1e18 {
-				rows = 1e18
-			}
-			cost := dp[mask].cost + rows
-			next := mask | bit
-			if cost < dp[next].cost {
-				dp[next] = state{cost: cost, rows: rows, last: i, prev: mask}
+			for layer := 0; layer < 2; layer++ {
+				from := dp[2*mask+layer]
+				if math.IsInf(from.cost, 1) {
+					continue
+				}
+				rows := from.rows * f
+				if rows > 1e18 {
+					rows = 1e18
+				}
+				next := 2*(mask|bit) + layer
+				if mask == 0 && prover >= 0 && !plan.existential(names[i]) {
+					next++
+				}
+				if cost := from.cost + rows; cost < dp[next].cost {
+					dp[next] = state{cost: cost, rows: rows, last: i, prev: 2*mask + layer}
+				}
 			}
 		}
 	}
+	end := 2*size - 2
+	if dp[end+1].cost <= dp[end].cost+dp[end].rows*forfeitRowCost {
+		end++
+	}
 	out := make([]string, 0, n)
-	for mask := size - 1; mask != 0; mask = dp[mask].prev {
-		out = append(out, names[dp[mask].last])
+	for at := end; at > 1; at = dp[at].prev {
+		out = append(out, names[dp[at].last])
 	}
 	// Reverse into binding order.
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
@@ -129,9 +173,26 @@ func (p *planner) chooseJoinOrder(names []string, local map[string]*Table, conju
 	return out, "dp"
 }
 
+// provingAlias finds the FROM alias that, driving the plan, would prove
+// its rows duplicate-free (implied.go), as an index into names; -1 when
+// none would. It is the result alias, the one everything projected and
+// every ORDER BY key reads, so at most one qualifies.
+func (p *planner) provingAlias(plan *selectPlan, names []string, local map[string]*Table) int {
+	if p.heuristicOnly() {
+		return -1
+	}
+	for i, name := range names {
+		if plan.proveUniqueBy(name, p.snap.stateOf(local[name])) != nil {
+			return i
+		}
+	}
+	return -1
+}
+
 // greedyOrder is the fallback for wide FROM lists: repeatedly bind
-// the table with the smallest estimated fanout.
-func (p *planner) greedyOrder(names []string, local map[string]*Table, conjuncts []*conjunct, sc *scope, fanout func(string, map[string]bool, bool) float64) []string {
+// the table with the smallest estimated fanout among those mayBind
+// admits.
+func greedyOrder(names []string, fanout func(string, map[string]bool, bool) float64, mayBind func(string, map[string]bool) bool) []string {
 	bound := map[string]bool{}
 	remaining := append([]string(nil), names...)
 	var out []string
@@ -139,6 +200,9 @@ func (p *planner) greedyOrder(names []string, local map[string]*Table, conjuncts
 		bestIdx := 0
 		best := math.Inf(1)
 		for i, name := range remaining {
+			if !mayBind(name, bound) {
+				continue
+			}
 			if f := fanout(name, bound, len(out) == 0); f < best {
 				best = f
 				bestIdx = i

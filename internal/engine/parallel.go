@@ -166,7 +166,7 @@ func (ec *execCtx) workerLoop(plan *selectPlan, ids []int64, nMorsels int,
 func runMorsel(ec *execCtx, plan *selectPlan, ids []int64, out *morselOut) error {
 	exact := ec.acct.limited()
 	var pendRows, pendBytes int64
-	r := &stepRunner{ec: ec, plan: plan, e: env{}, batch: ec.batch, first: plan.firstMatch(),
+	r := &stepRunner{ec: ec, plan: plan, e: env{}, batch: ec.batch, first: plan.firstFrom,
 		emit: func(row, keys []Value) (bool, error) {
 			if plan.countStar {
 				out.count++

@@ -88,7 +88,9 @@ func bigDB(t testing.TB) *DB {
 // the transient hash and through an index, a pair set, and a
 // dimension a projection keeps — and the implied properties: selects
 // lowered without distinct, without sort, with first match, over a
-// merged key probe, and a UNION that merges its branches.
+// merged key probe, and a UNION that merges its branches — and the
+// unnested EXISTS: existential aliases that drive, that trail under
+// first match, one and two to a run, and nested ones.
 var parallelQueries = []string{
 	"SELECT i.id, i.text FROM item i WHERE i.val > 90 ORDER BY i.id",
 	"SELECT i.id FROM item i WHERE i.dewey_pos BETWEEN X'0102' AND X'0104' ORDER BY i.id DESC",
@@ -104,6 +106,58 @@ var parallelQueries = []string{
 	"SELECT i.id AS v FROM item i WHERE i.val = 3 UNION SELECT i.id AS v FROM item i WHERE i.val = 5 ORDER BY v",
 	resolutionQueries[0], resolutionQueries[1], resolutionQueries[2], resolutionQueries[3],
 	impliedQueries[0], impliedQueries[1], impliedQueries[2], impliedQueries[3],
+	unnestQueries[0], unnestQueries[1], unnestQueries[2], unnestQueries[3], unnestQueries[4], unnestQueries[5],
+}
+
+// unnestQueries are parallelQueries' unnested-EXISTS cases (unnest.go),
+// in the order TestParallelQueriesCoverUnnest expects their plans, each
+// the shape of a benchmark statement: a selective existential alias
+// that drives (closed_by_buyer), one that drives from a literal with
+// the result alias two joins away (QD1), a sub-select of two aliases
+// trailing under first match (QD5 before it settles), a nested EXISTS
+// flattened twice that drives from the innermost alias (Q11), an
+// attribute test driving a key lookup (Edge Q9), and a low-selectivity
+// one driving thousands of rows into distinct and sort (Edge Q13).
+var unnestQueries = [6]string{
+	"SELECT DISTINCT p.id, p.dewey_pos FROM item c, item p WHERE EXISTS (SELECT NULL FROM item b WHERE b.par = c.id AND b.text = '77') AND p.par = c.id ORDER BY p.dewey_pos",
+	"SELECT DISTINCT t.id, t.dewey_pos FROM item t, paths tp WHERE t.path_id = tp.id AND REGEXP_LIKE(tp.path, '^/a') AND EXISTS (SELECT NULL FROM item a WHERE t.dewey_pos > a.dewey_pos AND a.par = t.par AND a.text = '5') ORDER BY t.dewey_pos",
+	"SELECT DISTINCT i.text FROM item i WHERE i.val < 30 AND EXISTS (SELECT NULL FROM item a, item b WHERE a.par = i.id AND b.par = a.id) ORDER BY i.text",
+	"SELECT DISTINCT i.id FROM item i WHERE EXISTS (SELECT NULL FROM item j WHERE j.par = i.id AND EXISTS (SELECT NULL FROM cat c WHERE c.id = j.val AND c.name = 'cat-3')) ORDER BY i.id",
+	"SELECT DISTINCT k.id, k.dewey_pos FROM item e, item k WHERE EXISTS (SELECT NULL FROM cat at1 WHERE at1.id = e.val AND at1.name = 'cat-5') AND k.par = e.id AND e.path_id = 2 ORDER BY k.dewey_pos",
+	"SELECT DISTINCT e.id, e.dewey_pos FROM item e WHERE EXISTS (SELECT NULL FROM item at1 WHERE at1.par = e.id AND at1.path_id = 3) ORDER BY e.dewey_pos",
+}
+
+// TestParallelQueriesCoverUnnest keeps the unnested-EXISTS queries
+// honest: the matrices cover an existential driver, a first-match run
+// of two aliases and a doubly flattened EXISTS only while the planner
+// still plans them that way, and none of them through a subplan.
+func TestParallelQueriesCoverUnnest(t *testing.T) {
+	db := bigDB(t)
+	for i, want := range [][]string{
+		{"scan b: hash join, existential est", "distinct\n"},
+		{"scan a: hash join, existential est", "scan t: ", "distinct\n"},
+		{"scan a: index lookup item_par, existential", "scan b: index lookup item_par, existential", "(first match from a)"},
+		{"scan c: ", "scan j: ", ", existential"},
+		{"scan at1: ", ", existential", "scan k: index lookup item_par"},
+		{"scan at1: ", ", existential est", "distinct\n", "sort: e.dewey_pos"},
+	} {
+		q := unnestQueries[i]
+		plan, err := db.Explain(sqlast.MustParse(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("%s:\nplan lacks %q:\n%s", q, w, plan)
+			}
+		}
+		if strings.Contains(plan, "subplan") {
+			t.Errorf("%s:\nplan still runs a subplan:\n%s", q, plan)
+		}
+		if first := strings.SplitN(plan, "\n", 2)[0]; i != 2 && !strings.Contains(first, "existential") {
+			t.Errorf("%s:\nno existential alias drives the plan:\n%s", q, plan)
+		}
+	}
 }
 
 // impliedQueries are parallelQueries' implied-property cases, in the

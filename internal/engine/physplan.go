@@ -65,6 +65,10 @@ type opNode struct {
 	// q-error against the observed OpStats.
 	est    float64
 	hasEst bool
+	// truncated marks the scan and filter of a step under first match
+	// (selectPlan.truncated): its observed rows are a lower bound on the
+	// rows that match, so only an estimate below them is refuted.
+	truncated bool
 	// sub lists the correlated subplans evaluated inside this
 	// operator's expressions, in source order.
 	sub []*subplanRef
@@ -152,11 +156,14 @@ func (l *lowerer) lowerSelect(p *selectPlan) {
 	}
 	for i, s := range p.steps {
 		label := "scan " + s.name + ": " + s.access.describe()
+		if s.existential {
+			label += ", existential"
+		}
 		if i == 0 {
 			label += p.orderLabel()
 		}
 		scan := add(l.node(opScan, label))
-		scan.est, scan.hasEst = s.estAccess, true
+		scan.est, scan.hasEst, scan.truncated = s.estAccess, true, p.truncated(i)
 		ps.scans = append(ps.scans, scan)
 		if len(s.filters) == 0 {
 			// With no filter node the step's post-filter estimate (which
@@ -165,8 +172,8 @@ func (l *lowerer) lowerSelect(p *selectPlan) {
 			ps.filters = append(ps.filters, nil)
 			continue
 		}
-		f := add(l.node(opFilter, "filter "+s.name+": "+strings.Join(s.filterSrc, " AND ")))
-		f.est, f.hasEst = s.estRows, true
+		f := add(l.node(opFilter, "filter "+s.name+": "+joinConjuncts(s.filterSrc)))
+		f.est, f.hasEst, f.truncated = s.estRows, true, p.truncated(i)
 		ps.filters = append(ps.filters, f)
 		l.attachSubplans(f, s.filters)
 	}
@@ -195,6 +202,23 @@ func (l *lowerer) lowerSelect(p *selectPlan) {
 	if keys != nil {
 		ps.sort = add(l.node(opSort, "sort: "+strings.Join(keys, ", ")))
 	}
+}
+
+// joinConjuncts renders a step's conjunct texts as one conjunction,
+// parenthesising a conjunct whose top operator is OR when there is more
+// than one: AND binds tighter, and the label must read as the statement
+// does.
+func joinConjuncts(srcs []filterText) string {
+	if len(srcs) == 1 {
+		return srcs[0].text
+	}
+	out := make([]string, len(srcs))
+	for i, src := range srcs {
+		if out[i] = src.text; src.or {
+			out[i] = "(" + src.text + ")"
+		}
+	}
+	return strings.Join(out, " AND ")
 }
 
 // pipeline lists the plan's lowered operators in execution order as
@@ -373,12 +397,21 @@ func writeNode(b *strings.Builder, n *opNode, frame opFrame, indent string) {
 		b.WriteString(formatEst(n.est))
 		if frame != nil {
 			if loops := frame[n.id].loops; loops > 0 {
-				q := qError(n.est, float64(frame[n.id].rowsOut)/float64(loops))
-				fmt.Fprintf(b, " q=%.2f", q)
+				fmt.Fprintf(b, " q=%.2f", n.qError(float64(frame[n.id].rowsOut)/float64(loops)))
 			}
 		}
 	}
 	b.WriteByte('\n')
+}
+
+// qError is the q-error of the operator's estimate against the rows it
+// was observed to yield per loop. Under first match the observation is
+// a lower bound: an estimate at or above it stands unrefuted (1).
+func (n *opNode) qError(observed float64) float64 {
+	if n.truncated && n.est >= observed {
+		return 1
+	}
+	return qError(n.est, observed)
 }
 
 // formatEst renders a cardinality estimate compactly: whole numbers

@@ -39,6 +39,13 @@ type selectPlan struct {
 	// into an ordered merge) and evaluates no ORDER BY keys.
 	unique  *keyProof
 	ordered *orderProof
+	// unnested are the positive EXISTS conjuncts merged into this select
+	// (unnest.go); their aliases are existential steps. firstFrom is the
+	// first step of the first-match run (implied.go), 0 without one: the
+	// steps from there on stop at the first full match of the bindings
+	// before them.
+	unnested  []*unnestGroup
+	firstFrom int
 	// phys is the lowered physical operator pipeline (physplan.go),
 	// set by lowerStmt for every plan reachable from a compiled
 	// statement — including correlated subplans.
@@ -70,8 +77,11 @@ type joinStep struct {
 	st      *tableState
 	access  accessPath
 	filters []cexpr
+	// existential: the alias came out of an unnested EXISTS; nothing the
+	// select projects or orders by reads it.
+	existential bool
 	// filterSrc keeps the source text of filters for Explain.
-	filterSrc []string
+	filterSrc []filterText
 	// estAccess/estRows are the planner's cardinality estimates for
 	// this step — rows the access path yields per binding, and rows
 	// surviving the residual filters — with estSource recording their
@@ -285,6 +295,15 @@ type conjunct struct {
 	expr     sqlast.Expr
 	set      *setTest
 	localRef map[string]bool // local FROM names it references
+	// sc is the scope the term's names resolve in: the select's, or for
+	// a member of an unnested EXISTS (unnest.go) the scope of that
+	// sub-select's FROM, whose parent chain is the statement's own.
+	sc *scope
+	// group is the unnested EXISTS the term came from, nil for a term of
+	// the select's own WHERE; orig is the statement's own node where expr
+	// is a copy with renamed aliases (nil otherwise).
+	group *unnestGroup
+	orig  sqlast.Expr
 	// done marks a conjunct that needs no (further) placement: attached
 	// to a step, omitted on synopsis proof, or consumed by a resolution.
 	done bool
@@ -346,26 +365,34 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		}
 	}
 
+	// ORDER BY. Like the projection it compiles against the select's own
+	// FROM, before any EXISTS is unnested into it: neither may read an
+	// existential alias.
+	for _, k := range sel.OrderBy {
+		ce, err := p.compile(k.Expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		plan.orderBy = append(plan.orderBy, corder{x: ce, desc: k.Desc, src: k.Expr.String()})
+	}
+
 	// Flatten WHERE into conjuncts and find their local references.
 	var conjuncts []*conjunct
-	var flatten func(e sqlast.Expr)
-	flatten = func(e sqlast.Expr) {
-		if b, ok := e.(*sqlast.Binary); ok && b.Op == sqlast.OpAnd {
-			flatten(b.L)
-			flatten(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, &conjunct{expr: e, localRef: p.localRefs(e, local)})
+	for _, e := range flattenAnd(sel.Where, nil) {
+		conjuncts = append(conjuncts, &conjunct{expr: e, localRef: p.localRefs(e, local), sc: sc})
 	}
-	if sel.Where != nil {
-		flatten(sel.Where)
+
+	// Unnest the positive EXISTS conjuncts of a top-level SELECT DISTINCT
+	// into existential aliases of this select (unnest.go).
+	if outer == nil && sel.Distinct && !plan.countStar && len(localOrder) > 0 {
+		conjuncts, localOrder = p.unnestExists(plan, sel, conjuncts, local, localOrder)
 	}
 
 	// Plan-time resolution of dimension joins (resolve.go): aliases
 	// whose join and filters reduce to a key set leave the FROM list the
 	// join-order search sees, and their fact tables gain set tests.
 	plan.fromOrder = append([]string(nil), localOrder...)
-	conjuncts, localOrder = p.resolveDimensions(plan, sel, local, localOrder, conjuncts, sc)
+	conjuncts, localOrder = p.resolveDimensions(plan, sel, local, localOrder, conjuncts)
 
 	// §4.5-style filter omission beyond schema proofs: drop
 	// single-table conjuncts the pinned synopsis proves true for every
@@ -387,14 +414,15 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		if !refsOnlyTable(c.expr, name, t) {
 			continue
 		}
-		of, ok := p.proveRedundant(c.expr, name, t, p.snap.stateOf(t), sc)
+		of, ok := p.proveRedundant(c.expr, name, t, p.snap.stateOf(t), c.sc)
 		if !ok {
 			continue
 		}
-		ce, err := p.compile(c.expr, sc)
+		ce, err := p.compile(c.expr, c.sc)
 		if err != nil {
 			continue
 		}
+		c.note(ce)
 		of.ce = ce
 		of.src = c.expr.String()
 		omittedBy[name] = append(omittedBy[name], of)
@@ -404,33 +432,69 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 	// Join ordering: exhaustive dynamic programming over join orders
 	// for small FROM lists (Selinger-style, cumulative-rows cost),
 	// greedy fallback beyond that.
-	order, method := p.chooseJoinOrder(localOrder, local, conjuncts, sc)
+	order, method := p.chooseJoinOrder(plan, localOrder, local, conjuncts)
 	plan.joinMethod = method
-	bound := map[string]bool{}
-	for _, name := range order {
-		access, _, accessSrc := p.bestAccess(name, local[name], conjuncts, bound, sc)
-		atKey := boundKey(bound)
-		bound[name] = true
+	// estimate gives a step's access path and cardinality estimates at
+	// its join position. No conjunct that reads the alias is placed
+	// before the alias is bound, so the answer does not depend on how far
+	// the attachment below has come.
+	type stepEstimate struct {
+		access          accessPath
+		estAccess, rows float64
+		source          string
+	}
+	estimate := func(name string, bound map[string]bool) stepEstimate {
 		st := p.snap.stateOf(local[name])
-		step := &joinStep{name: name, table: local[name], st: st, access: access}
+		access, _, accessSrc := p.bestAccess(name, local[name], conjuncts, bound)
+		accessEst, synAccess := p.accessEstimate(access, st)
+		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, accessSrc)
+		e := stepEstimate{access: access, estAccess: accessEst, rows: accessEst * selOwn, source: EstDefault}
+		if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok && !p.heuristicOnly() {
+			e.rows = ov.rows
+			if ov.access > 0 {
+				e.estAccess = ov.access
+			}
+			e.source = EstOverride
+		} else if synAccess || synSel {
+			e.source = EstSynopsis
+		}
+		return e
+	}
+	// runStart is where the trailing run of existential aliases begins
+	// (len(order) without one). Those steps are semi-join filters of the
+	// bindings before them. While the run is estimated to offer a binding
+	// fewer than deferSubplanFanout candidates, a conjunct that opens a
+	// correlated subplan and is bound before the run waits for the run's
+	// last step: a binding the run rejects then never opens the subplan —
+	// as it did not while the run was itself a subplan among the
+	// conjunct's neighbours, ordered by cost class — and one it accepts
+	// opens it once. A run with more candidates would evaluate the
+	// (uncached) subplan once for each while the conjunct is false, so
+	// there it stays on the step that binds it.
+	runStart := len(order)
+	for runStart > 1 && plan.existential(order[runStart-1]) {
+		runStart--
+	}
+	deferSubplans := false
+	if runStart < len(order) {
+		bound, fan := map[string]bool{}, 1.0
+		for i, name := range order {
+			if i >= runStart {
+				fan *= estimate(name, bound).rows
+			}
+			bound[name] = true
+		}
+		deferSubplans = fan < deferSubplanFanout
+	}
+	bound := map[string]bool{}
+	for i, name := range order {
+		e := estimate(name, bound)
+		bound[name] = true
+		step := &joinStep{name: name, table: local[name], st: p.snap.stateOf(local[name]), access: e.access, existential: plan.existential(name)}
 		step.omitted = omittedBy[name]
 		// Record the step's cardinality estimate and its provenance for
 		// EXPLAIN, adaptive re-planning, and plancheck.
-		accessEst, synAccess := p.accessEstimate(access, st)
-		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, accessSrc, sc)
-		step.estAccess = accessEst
-		step.estRows = accessEst * selOwn
-		if ov, ok := p.overrides[ovKey{name, atKey}]; ok && !p.heuristicOnly() {
-			step.estRows = ov.rows
-			if ov.access > 0 {
-				step.estAccess = ov.access
-			}
-			step.estSource = EstOverride
-		} else if synAccess || synSel {
-			step.estSource = EstSynopsis
-		} else {
-			step.estSource = EstDefault
-		}
+		step.estAccess, step.estRows, step.estSource = e.estAccess, e.rows, e.source
 		// Attach every not-yet-attached conjunct whose local references
 		// are now fully bound.
 		for _, c := range conjuncts {
@@ -451,8 +515,11 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 			if !ready {
 				continue
 			}
+			if deferSubplans && i < runStart && len(c.localRef) > 0 && c.set == nil && hasSubselect(c.expr) {
+				continue
+			}
 			if len(c.localRef) == 0 || uses || len(plan.steps) == 0 {
-				ce, src, err := p.compileConjunct(c, sc)
+				ce, src, err := p.compileConjunct(c)
 				if err != nil {
 					return nil, err
 				}
@@ -473,7 +540,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		if c.done {
 			continue
 		}
-		ce, src, err := p.compileConjunct(c, sc)
+		ce, src, err := p.compileConjunct(c)
 		if err != nil {
 			return nil, err
 		}
@@ -490,20 +557,13 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		s.orderFilters()
 	}
 
-	// ORDER BY.
-	for _, k := range sel.OrderBy {
-		ce, err := p.compile(k.Expr, sc)
-		if err != nil {
-			return nil, err
-		}
-		plan.orderBy = append(plan.orderBy, corder{x: ce, desc: k.Desc, src: k.Expr.String()})
-	}
 	if !p.heuristicOnly() {
 		plan.unique = plan.proveUnique()
 		if len(plan.orderBy) == 1 {
 			plan.setOrdered(plan.proveOrder(plan.orderBy[0].x, plan.orderBy[0].desc))
 		}
 	}
+	plan.firstFrom = plan.firstMatchRun()
 	return plan, nil
 }
 
@@ -604,7 +664,7 @@ func (p *planner) localRefs(e sqlast.Expr, local map[string]*Table) map[string]b
 // a cross product and is deferred by the caller. src is the conjunct
 // that produced the chosen path (nil for the full-scan default) so
 // the estimator can avoid double-counting its selectivity.
-func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound map[string]bool, sc *scope) (access accessPath, connected bool, src *conjunct) {
+func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound map[string]bool) (access accessPath, connected bool, src *conjunct) {
 	st := p.snap.stateOf(t)
 	var best accessPath = fullScan{}
 	bestEst, _ := p.accessEstimate(best, st)
@@ -641,25 +701,35 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 		}
 		switch x := c.expr.(type) {
 		case *sqlast.Binary:
-			consider(p.accessFromBinary(name, t, x, sc), c)
+			consider(p.accessFromBinary(name, t, x, c.sc), c)
 		case *sqlast.Between:
-			consider(p.accessFromBetween(name, t, x, sc), c)
+			consider(p.accessFromBetween(name, t, x, c.sc), c)
 		}
 	}
 	return best, connected, src
 }
 
+// filterText is one residual conjunct's source text for Explain; or
+// marks a conjunct whose top operator is OR, which the filter label
+// parenthesises among others (physplan.go).
+type filterText struct {
+	text string
+	or   bool
+}
+
 // compileConjunct compiles one conjunct for attachment to a step,
 // returning its source text for Explain beside the compiled form.
-func (p *planner) compileConjunct(c *conjunct, sc *scope) (cexpr, string, error) {
+func (p *planner) compileConjunct(c *conjunct) (cexpr, filterText, error) {
 	if c.set != nil {
-		return c.set.compiled(), c.set.label(), nil
+		return c.set.compiled(), filterText{text: c.set.label()}, nil
 	}
-	ce, err := p.compile(c.expr, sc)
+	ce, err := p.compile(c.expr, c.sc)
 	if err != nil {
-		return nil, "", err
+		return nil, filterText{}, err
 	}
-	return ce, c.expr.String(), nil
+	c.note(ce)
+	b, ok := c.expr.(*sqlast.Binary)
+	return ce, filterText{text: c.expr.String(), or: ok && b.Op == sqlast.OpOr}, nil
 }
 
 // Filter cost classes, cheapest first: a step's residual conjuncts run
@@ -1111,35 +1181,9 @@ func (db *DB) Explain(st sqlast.Statement) (string, error) {
 func JoinSteps(st sqlast.Statement) int {
 	n := 0
 	var countSelect func(s *sqlast.Select)
-	var countExpr func(e sqlast.Expr)
-	countExpr = func(e sqlast.Expr) {
-		switch x := e.(type) {
-		case *sqlast.Binary:
-			countExpr(x.L)
-			countExpr(x.R)
-		case *sqlast.Not:
-			countExpr(x.X)
-		case *sqlast.Between:
-			countExpr(x.X)
-			countExpr(x.Lo)
-			countExpr(x.Hi)
-		case *sqlast.IsNull:
-			countExpr(x.X)
-		case *sqlast.Func:
-			for _, a := range x.Args {
-				countExpr(a)
-			}
-		case *sqlast.Exists:
-			countSelect(x.Select)
-		case *sqlast.Subquery:
-			countSelect(x.Select)
-		}
-	}
 	countSelect = func(s *sqlast.Select) {
 		n += len(s.From)
-		if s.Where != nil {
-			countExpr(s.Where)
-		}
+		eachSubselect(s.Where, countSelect)
 	}
 	switch s := st.(type) {
 	case *sqlast.Select:

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -357,6 +358,16 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 				// scan's bindings is the per-binding post-filter
 				// cardinality.
 				obsRows = float64(frame[f.id].rowsOut) / float64(scan.loops)
+			}
+			// Under first match the step stopped at the match: what it
+			// consumed bounds what matches from below, and refutes only an
+			// estimate beneath it. Taken for the fan-out it would send the
+			// next plan after an order the truth does not favour.
+			if p.truncated(i) {
+				obsAccess = math.Max(obsAccess, s.estAccess)
+				obsRows = math.Max(obsRows, s.estRows)
+			}
+			if p.phys.filters[i] != nil {
 				if q := qError(s.estAccess, obsAccess); q > worst {
 					worst = q
 				}

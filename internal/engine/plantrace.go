@@ -112,6 +112,29 @@ type RowOrderShape struct {
 	Alias, Col, Index string
 }
 
+// UnnestShape is one positive EXISTS conjunct the planner merged into
+// the select (unnest.go): Source is the conjunct as the statement has
+// it, Parent the group whose sub-select held it (an index into
+// SelectShape.Unnested, -1 for a conjunct of the select's own WHERE),
+// Aliases the sub-select's FROM entries in order, and Members its
+// conjuncts, decompiled from wherever the plan evaluates them. It is
+// evidence: plancheck nests the group back into a sub-select before
+// it compares the plan with the statement, and re-derives that the
+// rewrite was legal.
+type UnnestShape struct {
+	Source  *sqlast.Exists
+	Parent  int
+	Aliases []UnnestAlias
+	Members []ExprShape
+}
+
+// UnnestAlias is one merged FROM entry: Alias is its name in the plan,
+// Was its name in the statement (they differ where the planner renamed
+// an alias the statement declares more than once).
+type UnnestAlias struct {
+	Alias, Was, Table string
+}
+
 // ResolvedShape is one FROM alias the planner resolved at plan time:
 // the dimension Alias, reached by the one equality Join between its
 // unique key column Key and the fact column FactAlias.FactCol, and the
@@ -212,12 +235,18 @@ type SelectShape struct {
 	Resolved []ResolvedShape
 	Pairs    []PairShape
 	// Unique and RowOrder are the proofs (nil when absent) on which the
-	// lowering left "distinct" and "sort" out of Pipeline; FirstMatch
-	// reports that the executor stops the later steps at a driving row's
-	// first full match, which only Unique can justify.
-	Unique     *UniqueShape
-	RowOrder   *RowOrderShape
-	FirstMatch bool
+	// lowering left "distinct" and "sort" out of Pipeline.
+	Unique   *UniqueShape
+	RowOrder *RowOrderShape
+	// FirstMatchFrom is the index in Steps of the first step of the
+	// first-match run, 0 without one: the executor stops the steps from
+	// there on at the first full match of the bindings before them.
+	// Unique justifies a run from step 1; otherwise only a trailing run
+	// of existential aliases is one.
+	FirstMatchFrom int
+	// Unnested are the EXISTS conjuncts merged into the select; their
+	// aliases are the existential ones.
+	Unnested []UnnestShape
 }
 
 // UnionShape is the decompiled form of a compiled UNION.
@@ -312,6 +341,10 @@ func shapeStmt(cs *compiledStmt, sql string) (*StmtShape, error) {
 type shapeBuilder struct {
 	tables map[string]*Table
 	owner  *SelectShape
+	// memo keeps the shape of every expression decompiled for a select
+	// with unnested groups, whose members are decompiled a second time:
+	// the subplans under them must enter Subplans once.
+	memo map[cexpr]ExprShape
 }
 
 // shapeSelect decompiles one compiled select; outer maps the aliases
@@ -324,7 +357,8 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		FromOrder:  append([]string(nil), p.fromOrder...),
 		JoinMethod: p.joinMethod,
 		Pipeline:   p.pipeline(),
-		FirstMatch: p.firstMatch(),
+
+		FirstMatchFrom: p.firstFrom,
 	}
 	if k := p.unique; k != nil {
 		sh.Unique = &UniqueShape{Alias: p.steps[0].name, Col: p.steps[0].table.Cols[k.col].Name, Index: k.ix.Name}
@@ -348,6 +382,9 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		tables[r.alias] = r.table
 	}
 	sb := &shapeBuilder{tables: tables, owner: sh}
+	if len(p.unnested) > 0 {
+		sb.memo = map[cexpr]ExprShape{}
+	}
 	if err := sb.resolutions(p); err != nil {
 		return nil, err
 	}
@@ -410,6 +447,24 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		all = append(all, es)
 	}
 
+	for _, g := range p.unnested {
+		us := UnnestShape{Source: g.src, Parent: -1}
+		if g.parent != nil {
+			us.Parent = g.parent.index
+		}
+		for _, a := range g.aliases {
+			us.Aliases = append(us.Aliases, UnnestAlias{Alias: a.name, Was: a.was, Table: a.table.Name})
+		}
+		for _, m := range g.members {
+			es, err := sb.expr(m)
+			if err != nil {
+				return nil, err
+			}
+			us.Members = append(us.Members, es)
+		}
+		sh.Unnested = append(sh.Unnested, us)
+	}
+
 	local := make(map[string]bool, len(p.steps))
 	for _, s := range p.steps {
 		local[s.name] = true
@@ -434,8 +489,7 @@ func (sb *shapeBuilder) resolutions(p *selectPlan) error {
 			FactAlias: r.fact, FactCol: r.factT.Cols[r.factCol].Name,
 			Keys: append([]int64(nil), r.keys.keys...), Eliminated: r.eliminated, KeptBy: r.keptBy}
 		var err error
-		join := &cbin{op: sqlast.OpEq, l: &ccol{table: r.fact, pos: r.factCol}, r: &ccol{table: r.alias, pos: r.keyCol}}
-		if rs.Join, err = sb.expr(join); err != nil {
+		if rs.Join, err = sb.expr(r.joinExpr()); err != nil {
 			return err
 		}
 		for _, ce := range r.ownCE {
@@ -460,12 +514,19 @@ func (sb *shapeBuilder) resolutions(p *selectPlan) error {
 
 // expr decompiles one compiled expression into an ExprShape.
 func (sb *shapeBuilder) expr(x cexpr) (ExprShape, error) {
+	if es, ok := sb.memo[x]; ok {
+		return es, nil
+	}
 	refs := map[string]bool{}
 	e, err := sb.decompile(x, refs)
 	if err != nil {
 		return ExprShape{}, err
 	}
-	return ExprShape{Expr: e, Refs: sortedNames(refs)}, nil
+	es := ExprShape{Expr: e, Refs: sortedNames(refs)}
+	if sb.memo != nil {
+		sb.memo[x] = es
+	}
+	return es, nil
 }
 
 // decompile rebuilds the sqlast form of a compiled expression,

@@ -185,7 +185,7 @@ type equiJoin struct {
 // list — set tests in, consumed conjuncts marked done — and returns it
 // with the FROM order less the eliminated aliases. The resolutions are
 // recorded on the plan for the exported shape.
-func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local map[string]*Table, order []string, conjuncts []*conjunct, sc *scope) ([]*conjunct, []string) {
+func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local map[string]*Table, order []string, conjuncts []*conjunct) ([]*conjunct, []string) {
 	// Under SetHeuristicOnlyPlanning the planner does not look at the
 	// data at all, and this rewrite is nothing but a look at the data.
 	if len(order) < 2 || p.heuristicOnly() {
@@ -205,8 +205,8 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 		if !lok || !rok {
 			continue
 		}
-		ln, lt, lp, lerr := sc.resolve(lc)
-		rn, rt, rp, rerr := sc.resolve(rc)
+		ln, lt, lp, lerr := c.sc.resolve(lc)
+		rn, rt, rp, rerr := c.sc.resolve(rc)
 		if lerr != nil || rerr != nil || ln == rn || local[ln] != lt || local[rn] != rt {
 			continue
 		}
@@ -261,10 +261,10 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 		// scanning the dimension: where its conjuncts offer an index or
 		// hash lookup (a_id = 'x'), that lookup at run time beats a scan
 		// of the dimension at plan time for every new literal.
-		if a, _, _ := p.bestAccess(name, t, r.own, nil, sc); a != (fullScan{}) {
+		if a, _, _ := p.bestAccess(name, t, r.own, nil); a != (fullScan{}) {
 			continue
 		}
-		if r.keys = p.resolveKeys(r, sc); r.keys == nil {
+		if r.keys = p.resolveKeys(r); r.keys == nil {
 			continue
 		}
 		used[j.c] = true
@@ -289,15 +289,18 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 				n++
 			}
 		}
-		if n != 2 || !refsOnlyPair(c.expr, ab[0].alias, ab[1].alias) {
+		// With no conjunct of its own on either side the pair set would be
+		// the join itself, evaluated over both key columns at plan time.
+		if n != 2 || len(ab[0].own)+len(ab[1].own) == 0 || !refsOnlyPair(c.expr, ab[0].alias, ab[1].alias) {
 			continue
 		}
-		pr := p.resolvePairs(ab[0], ab[1], c.expr, sc)
+		pr := p.resolvePairs(ab[0], ab[1], c)
 		if pr == nil {
 			continue
 		}
 		ab[0].paired, ab[1].paired = true, true
 		c.done = true
+		c.note(pr.cond)
 		pr.index = len(pairs)
 		pairs = append(pairs, pr)
 	}
@@ -333,8 +336,10 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 		}
 		if r.eliminated = r.keptBy == ""; r.eliminated {
 			r.join.done = true
-			for _, c := range r.own {
+			r.join.note(r.joinExpr())
+			for i, c := range r.own {
 				c.done = true
+				c.note(r.ownCE[i])
 			}
 		}
 		r.index = len(plan.resolved)
@@ -364,6 +369,11 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 	return append(tests, conjuncts...), kept
 }
 
+// joinExpr is the resolution's join, fact column = key column, compiled.
+func (r *resolution) joinExpr() cexpr {
+	return &cbin{op: sqlast.OpEq, l: &ccol{table: r.fact, pos: r.factCol}, r: &ccol{table: r.alias, pos: r.keyCol}}
+}
+
 func (r *resolution) owns(c *conjunct) bool {
 	for _, o := range r.own {
 		if o == c {
@@ -390,10 +400,10 @@ func (r *resolution) memoText() string {
 // that fails to compile or to evaluate on any row abandons the
 // resolution (nil): the statement then plans as written and reports
 // the error, if it is one, from wherever it would have.
-func (p *planner) resolveKeys(r *resolution, sc *scope) *keySet {
+func (p *planner) resolveKeys(r *resolution) *keySet {
 	r.ownCE = make([]cexpr, len(r.own))
 	for i, c := range r.own {
-		ce, err := p.compile(c.expr, sc)
+		ce, err := p.compile(c.expr, c.sc)
 		if err != nil {
 			return nil
 		}
@@ -438,11 +448,12 @@ rows:
 // pair set — memoised on the first one's state — or returns nil when
 // the product of the key sets exceeds maxResolvePairs or the conjunct
 // fails to compile or evaluate.
-func (p *planner) resolvePairs(a, b *resolution, cond sqlast.Expr, sc *scope) *pairResolution {
+func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
 	if len(a.keys.keys)*len(b.keys.keys) > maxResolvePairs {
 		return nil
 	}
-	ce, err := p.compile(cond, sc)
+	cond := c.expr
+	ce, err := p.compile(cond, c.sc)
 	if err != nil {
 		return nil
 	}

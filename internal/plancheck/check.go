@@ -20,7 +20,7 @@ type Finding struct {
 	// "access-path", "pipeline", "shape", "distinct", "projection",
 	// "tables", "predicate-missing", "predicate-extra", "order",
 	// "union", "normal-form", "omission", "estimate-provenance",
-	// "resolution", "implied".
+	// "resolution", "implied", "unnest".
 	Rule string
 	// Detail is the minimal counterexample.
 	Detail string
@@ -89,10 +89,16 @@ func CheckShape(db *engine.DB, st sqlast.Statement, sh *engine.StmtShape) (*Cert
 	// Structural certificate obligations on the physical side.
 	switch {
 	case sh.Select != nil:
-		fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, sh.Select, nil, nil, "select", cert))...)
+		sel, _ := st.(*sqlast.Select)
+		fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, sh.Select, sel, nil, nil, "select", cert))...)
 	case sh.Union != nil:
+		u, _ := st.(*sqlast.Union)
 		for i, br := range sh.Union.Branches {
-			fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, br, nil, mergeKeyOf(sh.Union, br), fmt.Sprintf("branch[%d]", i), cert))...)
+			var sel *sqlast.Select
+			if u != nil && i < len(u.Selects) {
+				sel = u.Selects[i]
+			}
+			fs = append(fs, tagSQL(sh.SQL, checkShapeSelect(db, br, sel, nil, mergeKeyOf(sh.Union, br), fmt.Sprintf("branch[%d]", i), cert))...)
 		}
 		fs = append(fs, tagSQL(sh.SQL, checkUnionOrder(db, sh.Union, cert))...)
 	default:

@@ -111,6 +111,19 @@ func TestMutationsRejected(t *testing.T) {
 						if !strings.Contains(r.Finding, "["+ruleImplied+"]") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the implied-property obligation", q.ID, tf.name, r.Name, r.Finding)
 						}
+					// The unnest mutants forge the evidence of a merge that was
+					// not legal, or break the plan under a legal one: the
+					// obligation's own side conditions must be what fails — or,
+					// for the run, the implied obligation that reads the same
+					// evidence.
+					case "unnest-under-not", "unnest-under-or", "unnest-in-bag-select", "project-existential-alias", "dropped-member-conjunct":
+						if !strings.Contains(r.Finding, "["+ruleUnnest+"]") {
+							t.Errorf("%s/%s: mutation %s rejected by %s, want the unnest obligation", q.ID, tf.name, r.Name, r.Finding)
+						}
+					case "first-match-run-referenced-later":
+						if !strings.Contains(r.Finding, "["+ruleImplied+"]") || !strings.Contains(r.Finding, "first match from step") {
+							t.Errorf("%s/%s: mutation %s rejected by %s, want the first-match run re-derivation", q.ID, tf.name, r.Name, r.Finding)
+						}
 					}
 					applied[r.Name] = true
 				}

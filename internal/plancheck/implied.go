@@ -12,15 +12,17 @@ import (
 // "distinct" and "sort" operators out of the pipeline, stop its later
 // steps at a driving row's first full match, and merge a UNION's
 // branches instead of sorting them — each only on a proof the shape
-// carries as evidence (SelectShape.Unique / RowOrder / FirstMatch,
+// carries as evidence (SelectShape.Unique / RowOrder / FirstMatchFrom,
 // UnionShape.Merge). The checker trusts none of it:
 //
 //   - duplicate-free: the driving alias is the first step; that every
 //     projected and ORDER BY expression reads only it is read off the
 //     shape's own expressions; the named column is projected as such
 //     and is re-checked unique over the table's rows;
-//   - first match is legal exactly when the duplicate-free proof stands
-//     and there are later steps to stop;
+//   - a first-match run is legal from step 1 when the duplicate-free
+//     proof stands and there are later steps to stop, and otherwise
+//     only over the trailing steps that bind aliases out of unnested
+//     EXISTS (unnest.go);
 //   - ordered: the key is the select's one ascending ORDER BY key (or,
 //     for a branch, the column the UNION orders by), a column of the
 //     driving alias; either the driving access is a range scan of an
@@ -47,16 +49,16 @@ func checkImplied(db *engine.DB, sh *engine.SelectShape, mergeKey *engine.OrderS
 	fail := func(format string, args ...any) {
 		fs = append(fs, Finding{Rule: ruleImplied, Detail: loc + ": " + fmt.Sprintf(format, args...)})
 	}
-	if sh.FirstMatch != (sh.Unique != nil && len(sh.Steps) > 1) {
-		fail("first match=%v with %d steps and duplicate-free proof present=%v: later steps may stop at the first match exactly when the proof makes them existential",
-			sh.FirstMatch, len(sh.Steps), sh.Unique != nil)
+	if want := firstMatchRun(sh); sh.FirstMatchFrom != want {
+		fail("first match from step %d, but the run the shape justifies starts at step %d (0: none): with the duplicate-free proof every step after the driving one is existential, without it only a trailing run of aliases out of unnested EXISTS is",
+			sh.FirstMatchFrom, want)
 	}
 	if u := sh.Unique; u != nil {
 		if why := uniqueSound(db, sh); why != "" {
 			fail("no distinct operator, but the duplicate-free proof on %s.%s fails: %s", u.Alias, u.Col, why)
 		} else {
 			cert.step("implied %s: duplicate-free by %s.%s — unique over the rows, all output reads %s only (first match=%v)",
-				loc, u.Alias, u.Col, u.Alias, sh.FirstMatch)
+				loc, u.Alias, u.Col, u.Alias, sh.FirstMatchFrom > 0)
 		}
 	}
 	if o := sh.RowOrder; o != nil {
@@ -74,6 +76,34 @@ func checkImplied(db *engine.DB, sh *engine.SelectShape, mergeKey *engine.OrderS
 		}
 	}
 	return fs
+}
+
+// firstMatchRun re-derives where the first-match run may start, 0 when
+// nothing justifies one: at step 1 under the duplicate-free proof (one
+// output row per driving row, whatever the later steps bind), else at
+// the first of the trailing steps that bind existential aliases — no
+// projected or ORDER BY expression reads those (the unnest obligation
+// checks it), so the bindings before the run decide the output row, and
+// no earlier step can refer to an alias bound after it (binding-order).
+// The run leaves the driving step out: the executor unwinds to the step
+// before the run.
+func firstMatchRun(sh *engine.SelectShape) int {
+	n := len(sh.Steps)
+	if sh.Unique != nil && n > 1 {
+		return 1
+	}
+	if !sh.Distinct || sh.CountStar {
+		return 0
+	}
+	existential := existentialAliases(sh)
+	k := n
+	for k > 1 && existential[sh.Steps[k-1].Alias] {
+		k--
+	}
+	if k == n {
+		return 0
+	}
+	return k
 }
 
 func orderVia(o *engine.RowOrderShape) string {

@@ -21,6 +21,10 @@ type Mutation struct {
 	Name   string
 	Defect string // the planner bug the mutation simulates
 	Apply  func(*engine.StmtShape) bool
+	// ApplyTo is Apply for a defect that is about a part of the
+	// statement the plan shape does not name; exactly one of the two is
+	// set.
+	ApplyTo func(*engine.StmtShape, sqlast.Statement) bool
 }
 
 // MutationResult records one mutation run.
@@ -294,7 +298,10 @@ func Mutations() []Mutation {
 						alias, col = c.Table, c.Column
 					}
 					sel.Unique = &engine.UniqueShape{Alias: alias, Col: col, Index: "forged"}
-					sel.FirstMatch = len(sel.Steps) > 1
+					sel.FirstMatchFrom = 0
+					if len(sel.Steps) > 1 {
+						sel.FirstMatchFrom = 1
+					}
 					return true
 				})
 			},
@@ -325,7 +332,7 @@ func Mutations() []Mutation {
 						return false
 					}
 					sel.Unique = &engine.UniqueShape{Alias: sel.Steps[0].Alias, Col: "id", Index: "forged"}
-					sel.FirstMatch = true
+					sel.FirstMatchFrom = 1
 					return true
 				})
 			},
@@ -363,6 +370,109 @@ func Mutations() []Mutation {
 			},
 		},
 		{
+			Name:   "unnest-under-not",
+			Defect: "planner merges a NOT EXISTS into the select as if it were a semi-join",
+			ApplyTo: func(sh *engine.StmtShape, st sqlast.Statement) bool {
+				return forgeUnnest(sh, st, func(where sqlast.Expr) *sqlast.Exists {
+					for _, c := range flattenConjuncts(where) {
+						if x, ok := c.(*sqlast.Exists); ok && x.Negate {
+							return x
+						}
+					}
+					return nil
+				})
+			},
+		},
+		{
+			Name:   "unnest-under-or",
+			Defect: "planner merges an EXISTS that is one side of an OR: the rows the other side admits are lost",
+			ApplyTo: func(sh *engine.StmtShape, st sqlast.Statement) bool {
+				return forgeUnnest(sh, st, func(where sqlast.Expr) *sqlast.Exists {
+					for _, c := range flattenConjuncts(where) {
+						if b, ok := c.(*sqlast.Binary); ok && b.Op == sqlast.OpOr {
+							for _, d := range flattenChain(b, sqlast.OpOr) {
+								if x, ok := d.(*sqlast.Exists); ok && !x.Negate {
+									return x
+								}
+							}
+						}
+					}
+					return nil
+				})
+			},
+		},
+		{
+			Name:   "unnest-in-bag-select",
+			Defect: "planner merges an EXISTS into a select without DISTINCT: every extra match is an extra row",
+			Apply: func(sh *engine.StmtShape) bool {
+				sel := firstSelect(sh)
+				if sel == nil || len(sel.Unnested) == 0 {
+					return false
+				}
+				sel.Distinct = false
+				dropToken(sel, "distinct")
+				return true
+			},
+		},
+		{
+			Name:   "project-existential-alias",
+			Defect: "projection reads an alias that came out of an unnested EXISTS",
+			Apply: func(sh *engine.StmtShape) bool {
+				sel := firstSelect(sh)
+				if sel == nil || len(sel.Unnested) == 0 || len(sel.Cols) == 0 {
+					return false
+				}
+				alias := sel.Unnested[0].Aliases[0].Alias
+				sel.Cols[0] = engine.ExprShape{Expr: sqlast.C(alias, "id"), Refs: []string{alias}}
+				return true
+			},
+		},
+		{
+			Name:   "first-match-run-referenced-later",
+			Defect: "executor stops an existential step at its first match although a later step binds a result alias under it",
+			Apply: func(sh *engine.StmtShape) bool {
+				sel := firstSelect(sh)
+				if sel == nil || sel.Unique != nil {
+					return false
+				}
+				existential := existentialAliases(sel)
+				for i := 1; i+1 < len(sel.Steps); i++ {
+					if existential[sel.Steps[i].Alias] && !existential[sel.Steps[len(sel.Steps)-1].Alias] {
+						sel.FirstMatchFrom = i
+						return true
+					}
+				}
+				return false
+			},
+		},
+		{
+			Name:   "dropped-member-conjunct",
+			Defect: "planner loses a conjunct of the sub-select it merged",
+			Apply: func(sh *engine.StmtShape) bool {
+				sel := firstSelect(sh)
+				if sel == nil {
+					return false
+				}
+				for _, g := range sel.Unnested {
+					for _, m := range g.Members {
+						for si := range sel.Steps {
+							fs := sel.Steps[si].Filters
+							for fi, f := range fs {
+								// A member the access path rests on would trip
+								// the access obligation too; any other will do.
+								if f.Text() != m.Text() || len(fs) < 2 || justifiesAccess(sel.Steps[si], f) {
+									continue
+								}
+								sel.Steps[si].Filters = append(fs[:fi:fi], fs[fi+1:]...)
+								return true
+							}
+						}
+					}
+				}
+				return false
+			},
+		},
+		{
 			Name:   "reorder-binding",
 			Defect: "join order binds a table after an expression that reads it",
 			Apply: func(sh *engine.StmtShape) bool {
@@ -389,6 +499,49 @@ func Mutations() []Mutation {
 			},
 		},
 	}
+}
+
+// forgeUnnest simulates the planner merging an EXISTS it must leave
+// alone: pick chooses it among the statement's WHERE conjuncts, and the
+// first select's shape gains the evidence of a merge — the group, its
+// aliases — that a planner with that defect would export.
+func forgeUnnest(sh *engine.StmtShape, st sqlast.Statement, pick func(where sqlast.Expr) *sqlast.Exists) bool {
+	sel := firstSelect(sh)
+	var from *sqlast.Select
+	switch s := st.(type) {
+	case *sqlast.Select:
+		from = s
+	case *sqlast.Union:
+		if len(s.Selects) > 0 {
+			from = s.Selects[0]
+		}
+	}
+	if sel == nil || from == nil || !sel.Distinct || sel.CountStar {
+		return false
+	}
+	x := pick(from.Where)
+	if x == nil || len(x.Select.From) == 0 {
+		return false
+	}
+	g := engine.UnnestShape{Source: x, Parent: -1}
+	for _, ref := range x.Select.From {
+		g.Aliases = append(g.Aliases, engine.UnnestAlias{Alias: ref.Name(), Was: ref.Name(), Table: ref.Table})
+	}
+	sel.Unnested = append(sel.Unnested, g)
+	return true
+}
+
+// justifiesAccess reports whether the step's access path is read off
+// the filter: the step's access obligation would miss it.
+func justifiesAccess(s engine.StepShape, f engine.ExprShape) bool {
+	without := s
+	without.Filters = nil
+	for _, o := range s.Filters {
+		if o.Text() != f.Text() {
+			without.Filters = append(without.Filters, o)
+		}
+	}
+	return checkAccess(s) == nil && checkAccess(without) != nil
 }
 
 // mutateSelect applies f to the first select of the statement —
@@ -484,7 +637,7 @@ func CheckMutations(db *engine.DB, st sqlast.Statement) ([]MutationResult, error
 			return nil, fmt.Errorf("extract shape for %s: %w", m.Name, err)
 		}
 		res := MutationResult{Name: m.Name}
-		if !m.Apply(sh) {
+		if applied := m.Apply != nil && m.Apply(sh) || m.ApplyTo != nil && m.ApplyTo(sh, st); !applied {
 			out = append(out, res)
 			continue
 		}

@@ -17,7 +17,7 @@ import (
 // PhysicalIR extracts the canonical IR of a decompiled plan shape.
 func PhysicalIR(sh *engine.StmtShape) (*StmtIR, error) {
 	if sh.Select != nil {
-		ir, err := physicalSelectIR(sh.Select)
+		ir, err := physicalSelectIR(sh.Select, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -31,7 +31,7 @@ func PhysicalIR(sh *engine.StmtShape) (*StmtIR, error) {
 		OrderDesc: append([]bool(nil), sh.Union.OrderDesc...),
 	}
 	for _, br := range sh.Union.Branches {
-		ir, err := physicalSelectIR(br)
+		ir, err := physicalSelectIR(br, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -43,11 +43,14 @@ func PhysicalIR(sh *engine.StmtShape) (*StmtIR, error) {
 // physicalSelectIR extracts one select's IR. Subplan fingerprints are
 // computed first so marker indexes can be replaced by content
 // addresses, making the comparison independent of subplan discovery
-// order.
-func physicalSelectIR(sh *engine.SelectShape) (*SelIR, error) {
+// order. outer maps the plan names of the enclosing selects' renamed
+// aliases to their statement names (unnest.go); every expression is
+// brought back under the statement's names before it is compared.
+func physicalSelectIR(sh *engine.SelectShape, outer map[string]string) (*SelIR, error) {
+	names := statementNames(sh, outer)
 	fps := make([]string, len(sh.Subplans))
 	for k, sp := range sh.Subplans {
-		sub, err := physicalSelectIR(sp.Select)
+		sub, err := physicalSelectIR(sp.Select, names)
 		if err != nil {
 			return nil, err
 		}
@@ -70,67 +73,39 @@ func physicalSelectIR(sh *engine.SelectShape) (*SelIR, error) {
 		}
 	}
 	sort.Strings(ir.Tables)
+	expr := func(es engine.ExprShape) (sqlast.Expr, error) { return replaceMarkers(es.Expr, fps, names) }
 	for _, c := range sh.Cols {
-		e, err := replaceMarkers(c.Expr, fps)
+		e, err := expr(c)
 		if err != nil {
 			return nil, err
 		}
 		ir.Cols = append(ir.Cols, normalize(e).String())
 	}
+	// The conjuncts of the statement, wherever the plan put them: a set
+	// test is none, it stands for the conjuncts of its resolution; an
+	// omitted filter is one though the plan never evaluates it (the
+	// estimate-provenance obligation proves each omission sound); so are
+	// the join and conjuncts of an alias plan-time resolution eliminated
+	// and every pair conjunct it replaced.
 	var conjuncts []sqlast.Expr
-	addFilter := func(es engine.ExprShape) error {
-		e, err := replaceMarkers(es.Expr, fps)
+	for _, es := range planConjuncts(sh) {
+		e, err := expr(es)
 		if err != nil {
-			return err
-		}
-		conjuncts = append(conjuncts, e)
-		return nil
-	}
-	for _, f := range sh.PreFilters {
-		if err := addFilter(f); err != nil {
 			return nil, err
 		}
+		conjuncts = append(conjuncts, e)
 	}
-	for _, s := range sh.Steps {
-		for _, f := range s.Filters {
-			// A set test is no conjunct of the statement: it stands for
-			// the conjuncts added back from the evidence below.
-			if _, _, _, isSet := setMarker(f.Expr); isSet {
-				continue
-			}
-			if err := addFilter(f); err != nil {
-				return nil, err
-			}
-		}
-		// Omitted filters are part of the statement's conjunct multiset
-		// even though the plan never evaluates them; the separate
-		// estimate-provenance obligation proves each omission sound.
-		for _, o := range s.Omitted {
-			if err := addFilter(o.Pred); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// What plan-time resolution took out of the plan: an eliminated
-	// alias's join and own conjuncts, and every replaced pair conjunct.
-	for _, r := range sh.Resolved {
-		if !r.Eliminated {
-			continue
-		}
-		for _, es := range append([]engine.ExprShape{r.Join}, r.Conds...) {
-			if err := addFilter(es); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, pr := range sh.Pairs {
-		if err := addFilter(pr.Cond); err != nil {
+	// The groups an unnested EXISTS merged into the select go back into
+	// sub-selects (unnest.go).
+	if len(sh.Unnested) > 0 {
+		var err error
+		if conjuncts, ir.Tables, err = renest(sh, conjuncts, ir.Tables, fps, names); err != nil {
 			return nil, err
 		}
 	}
 	ir.Preds, ir.predExprs = sortPreds(conjuncts)
 	for _, o := range sh.OrderBy {
-		e, err := replaceMarkers(o.Key.Expr, fps)
+		e, err := expr(o.Key)
 		if err != nil {
 			return nil, err
 		}
@@ -140,9 +115,15 @@ func physicalSelectIR(sh *engine.SelectShape) (*SelIR, error) {
 }
 
 // replaceMarkers substitutes each subplan marker's positional index
-// with the fingerprint of the subplan it references.
-func replaceMarkers(e sqlast.Expr, fps []string) (sqlast.Expr, error) {
+// with the fingerprint of the subplan it references, and brings the
+// columns of a renamed alias (unnest.go) back under its statement name.
+func replaceMarkers(e sqlast.Expr, fps []string, names map[string]string) (sqlast.Expr, error) {
+	re := func(e sqlast.Expr) (sqlast.Expr, error) { return replaceMarkers(e, fps, names) }
 	switch x := e.(type) {
+	case *sqlast.Col:
+		if to, ok := names[x.Table]; ok {
+			return sqlast.C(to, x.Column), nil
+		}
 	case *sqlast.Func:
 		if x.Name == engine.MarkerExists || x.Name == engine.MarkerNotExists || x.Name == engine.MarkerScalar {
 			if len(x.Args) != 1 {
@@ -156,7 +137,7 @@ func replaceMarkers(e sqlast.Expr, fps []string) (sqlast.Expr, error) {
 		}
 		f := &sqlast.Func{Name: x.Name}
 		for _, a := range x.Args {
-			ra, err := replaceMarkers(a, fps)
+			ra, err := re(a)
 			if err != nil {
 				return nil, err
 			}
@@ -164,37 +145,37 @@ func replaceMarkers(e sqlast.Expr, fps []string) (sqlast.Expr, error) {
 		}
 		return f, nil
 	case *sqlast.Binary:
-		l, err := replaceMarkers(x.L, fps)
+		l, err := re(x.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := replaceMarkers(x.R, fps)
+		r, err := re(x.R)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlast.Binary{Op: x.Op, L: l, R: r}, nil
 	case *sqlast.Not:
-		inner, err := replaceMarkers(x.X, fps)
+		inner, err := re(x.X)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlast.Not{X: inner}, nil
 	case *sqlast.Between:
-		bx, err := replaceMarkers(x.X, fps)
+		bx, err := re(x.X)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := replaceMarkers(x.Lo, fps)
+		lo, err := re(x.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := replaceMarkers(x.Hi, fps)
+		hi, err := re(x.Hi)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlast.Between{X: bx, Lo: lo, Hi: hi}, nil
 	case *sqlast.IsNull:
-		inner, err := replaceMarkers(x.X, fps)
+		inner, err := re(x.X)
 		if err != nil {
 			return nil, err
 		}
@@ -204,12 +185,13 @@ func replaceMarkers(e sqlast.Expr, fps []string) (sqlast.Expr, error) {
 }
 
 // checkShapeSelect validates one select shape's certificate
-// obligations, recursing into subplans. outer is the alias set of
-// enclosing selects; mergeKey the order a merging UNION imposes on this
-// branch (nil otherwise); loc labels findings. Validated obligations
+// obligations, recursing into subplans. sel is the statement's select
+// the shape was planned from (nil for a subplan); outer is the alias set
+// of enclosing selects; mergeKey the order a merging UNION imposes on
+// this branch (nil otherwise); loc labels findings. Validated obligations
 // are appended to cert.Steps. db is needed for the obligations that
 // cross-check evidence against the tables as they stand.
-func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bool, mergeKey *engine.OrderShape, loc string, cert *Certificate) []Finding {
+func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, sel *sqlast.Select, outer map[string]bool, mergeKey *engine.OrderShape, loc string, cert *Certificate) []Finding {
 	var fs []Finding
 	report := func(rule, detail string) {
 		fs = append(fs, Finding{Rule: rule, Detail: loc + ": " + detail})
@@ -276,6 +258,10 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 	}
 	cert.step("binding-order %s: all references bound in order", loc)
 
+	// Unnested EXISTS: the side conditions of the merge re-derived
+	// (unnest.go).
+	fs = append(fs, checkUnnest(sh, sel, loc, cert)...)
+
 	// Plan-time resolution: every key and pair set re-derived, every
 	// eliminated alias shown to be unreferenced (resolve.go).
 	fs = append(fs, checkResolutions(db, sh, loc, cert)...)
@@ -322,7 +308,7 @@ func checkShapeSelect(db *engine.DB, sh *engine.SelectShape, outer map[string]bo
 		inner[s.Alias] = true
 	}
 	for k, sp := range sh.Subplans {
-		fs = append(fs, checkShapeSelect(db, sp.Select, inner, nil, fmt.Sprintf("%s/subplan[%d]", loc, k), cert)...)
+		fs = append(fs, checkShapeSelect(db, sp.Select, nil, inner, nil, fmt.Sprintf("%s/subplan[%d]", loc, k), cert)...)
 	}
 	return fs
 }

@@ -108,6 +108,37 @@ func TestCheckDirectSQL(t *testing.T) {
 	}
 }
 
+// TestCheckUnnestedSQL certifies the shapes the unnest rewrite produces
+// that the translators' statements never do: an alias two sub-selects
+// declare (renamed in the plan, and read by a subplan that stays one),
+// a nested EXISTS flattened twice, a paths alias inside the sub-select
+// resolved to a key set and eliminated, a sub-select that projects a
+// column, and unqualified names.
+func TestCheckUnnestedSQL(t *testing.T) {
+	db := twoTableDB(t)
+	for _, q := range []string{
+		"SELECT DISTINCT e.id FROM element e WHERE EXISTS (SELECT NULL FROM element c WHERE c.parent = e.id) ORDER BY e.id",
+		"SELECT DISTINCT e.id FROM element e WHERE EXISTS (SELECT NULL FROM element c WHERE c.parent = e.id AND c.path = 1) AND " +
+			"EXISTS (SELECT NULL FROM element c WHERE c.parent = e.id AND c.path = 2 AND NOT EXISTS (SELECT NULL FROM element g WHERE g.parent = c.id)) ORDER BY e.id",
+		"SELECT DISTINCT e.id FROM element e WHERE EXISTS (SELECT NULL FROM element c WHERE c.parent = e.id AND " +
+			"EXISTS (SELECT NULL FROM element g WHERE g.parent = c.id AND g.path = 3)) ORDER BY e.id",
+		"SELECT DISTINCT e.id FROM element e WHERE e.parent = 2 AND EXISTS (SELECT NULL FROM element c, paths p WHERE c.parent = e.id AND c.path = p.id AND REGEXP_LIKE(p.path, '#a#b#'))",
+		"SELECT DISTINCT e.path FROM element e WHERE EXISTS (SELECT c.id, e.id FROM element c WHERE c.parent = e.id AND c.path = 4) ORDER BY e.path",
+		"SELECT DISTINCT id FROM element e WHERE path = 2 AND EXISTS (SELECT NULL FROM element c WHERE parent = e.id AND path = 3)",
+		"SELECT DISTINCT e.id AS id FROM element e WHERE EXISTS (SELECT NULL FROM element c WHERE c.parent = e.id) UNION " +
+			"SELECT DISTINCT e.id AS id FROM element e WHERE e.parent = 2 AND EXISTS (SELECT NULL FROM element c WHERE c.parent = e.id) ORDER BY id",
+	} {
+		cert := mustCheckSQL(t, db, q)
+		found := false
+		for _, s := range cert.Steps {
+			found = found || strings.HasPrefix(s, "unnest ")
+		}
+		if !found {
+			t.Errorf("certificate for %q records no unnest obligation:\n%s", q, strings.Join(cert.Steps, "\n"))
+		}
+	}
+}
+
 func TestCertificateRecordsAccessJustification(t *testing.T) {
 	db := twoTableDB(t)
 	cert := mustCheckSQL(t, db, "SELECT e.id FROM element e WHERE e.parent = 3")
