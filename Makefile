@@ -72,10 +72,15 @@ race:
 # engine/plancache-insert, engine/pattern-compile, wal/append under an
 # INSERT statement) and the budget matrix under -race: injected faults
 # must unwind to typed errors with no goroutine leaks, no held locks
-# and no poisoned caches (DESIGN.md section 8).
+# and no poisoned caches (DESIGN.md section 8). TestParam* put
+# statements with parameter slots through the same matrix — batch
+# sizes, Parallelism, budgets, the hash-build fault — and run one
+# shared plan from many goroutines with different values; TestShape*
+# do that through xrel.Store.Query.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestBudget|TestRunContext|TestPreparedRunContext|TestConcurrentBudgeted' ./internal/engine/ ./internal/failpoint/
+	$(GO) test -race -run 'TestChaos|TestBudget|TestRunContext|TestPreparedRunContext|TestConcurrentBudgeted|TestParam' ./internal/engine/ ./internal/failpoint/
 	$(GO) test -race -run 'TestVerifyPlan|TestMutationsRejected' ./internal/plancheck/
+	$(GO) test -race -count=10 -run 'TestShapeConcurrentQueries' ./xrel/
 
 # batch-smoke checks batch-size invariance: every query in the
 # engine's parallel matrix and the Figure 3 corpus must return
@@ -104,6 +109,7 @@ crash-smoke:
 # also run under plain `go test`.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzXPathParse -fuzztime=10s ./internal/xpath/
+	$(GO) test -fuzz=FuzzShapeBind -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDeweyDecode -fuzztime=10s ./internal/dewey/
 	$(GO) test -fuzz=FuzzPathPattern -fuzztime=10s ./internal/pathre/
 	$(GO) test -fuzz=FuzzPathDFA -fuzztime=10s ./internal/pathre/

@@ -13,6 +13,7 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,6 +21,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/xmark"
+	"repro/xrel"
 )
 
 // benchScale keeps 'go test -bench=.' tractable; see EXPERIMENTS.md
@@ -299,5 +302,47 @@ func TestBenchmarkWorkloadsVerify(t *testing.T) {
 		if _, err := d.Verify(q); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// BenchmarkQueryShapes measures what xrel.Store.Query costs per call
+// when every text is new and only its shape repeats: person_name and
+// closed_by_buyer (benchmark/queries.go) instantiated with every person
+// id of the document, shuffled, so a text recurs only after all the
+// others of its template. It is the in-repo number for the ad-hoc
+// workload that does not need benchmark/.
+func BenchmarkQueryShapes(b *testing.B) {
+	doc, err := xmark.Generate(xmark.Config{Scale: benchScaleSmall, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := xrel.Open(xmark.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := store.Load(doc); err != nil {
+		b.Fatal(err)
+	}
+	people, err := store.Query("/site/people/person")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tmpl := range []struct{ name, format string }{
+		{"person_name", "/site/people/person[@id='person%d']/name"},
+		{"closed_by_buyer", "/site/closed_auctions/closed_auction[buyer/@person='person%d']/price"},
+	} {
+		texts := make([]string, len(people.Nodes))
+		for i := range texts {
+			texts[i] = fmt.Sprintf(tmpl.format, i)
+		}
+		rand.New(rand.NewSource(42)).Shuffle(len(texts), func(i, j int) { texts[i], texts[j] = texts[j], texts[i] })
+		b.Run(tmpl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Query(texts[i%len(texts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

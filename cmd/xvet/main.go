@@ -403,8 +403,8 @@ func runPlancheck(asJSON bool, matrixN int, stdout, stderr io.Writer) int {
 			}
 		}
 		if !asJSON {
-			fmt.Fprintf(stdout, "plancheck: %s: %d queries, %d plans checked, %d skipped, %d omissions audited, %d findings\n",
-				r.name, r.stats.Queries, r.stats.Checked, r.stats.Skipped, r.stats.Omissions, len(r.findings))
+			fmt.Fprintf(stdout, "plancheck: %s: %d queries, %d plans checked (%d with parameter slots open), %d skipped, %d omissions audited, %d findings\n",
+				r.name, r.stats.Queries, r.stats.Checked, r.stats.Slotted, r.stats.Skipped, r.stats.Omissions, len(r.findings))
 		}
 	}
 	if fail {

@@ -156,7 +156,14 @@ func errdropExempt(pass *Pass, call *ast.CallExpr) bool {
 			return true
 		}
 		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
+			// The type that declares the method, not the selector's: a
+			// method promoted from an embedded Builder is the Builder's.
 			recv := sel.Recv()
+			if f, ok := sel.Obj().(*types.Func); ok {
+				if r := f.Type().(*types.Signature).Recv(); r != nil {
+					recv = r.Type()
+				}
+			}
 			if p, ok := recv.(*types.Pointer); ok {
 				recv = p.Elem()
 			}

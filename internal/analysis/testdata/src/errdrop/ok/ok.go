@@ -37,6 +37,20 @@ func exemptions() string {
 	return b.String()
 }
 
+// A method promoted from an embedded Builder is the Builder's.
+type annotated struct {
+	strings.Builder
+	marks []int
+}
+
+func promoted() string {
+	var b annotated
+	b.WriteString("infallible")
+	b.marks = append(b.marks, b.Len())
+	b.WriteByte('!')
+	return b.String()
+}
+
 type file struct{}
 
 func (file) Close() error { return nil }

@@ -118,13 +118,13 @@ func (b *builder) translateComparison(x *xpath.Binary, ctx chainCtx) (sqlCond, e
 		}
 		return b.joinClause(op, lPath, rPath, ctx)
 	case lIsPath:
-		c, ok := constExpr(x.R)
+		c, ok := b.operand(x.R)
 		if !ok {
 			return b.specialComparison(x, ctx)
 		}
 		return b.valueComparison(op, lPath, lf, c, ctx)
 	case rIsPath:
-		c, ok := constExpr(x.L)
+		c, ok := b.operand(x.L)
 		if !ok {
 			return b.specialComparison(x, ctx)
 		}
@@ -132,6 +132,16 @@ func (b *builder) translateComparison(x *xpath.Binary, ctx chainCtx) (sqlCond, e
 	default:
 		return b.specialComparison(x, ctx)
 	}
+}
+
+// operand is constExpr for the constant side of a value comparison,
+// the one place a literal may have been lifted from (lift): a slot
+// stays a parameter.
+func (b *builder) operand(e xpath.Expr) (sqlast.Expr, bool) {
+	if slot, ok := b.slots[e]; ok {
+		return slotParam(slot, e), true
+	}
+	return constExpr(e)
 }
 
 // specialComparison handles position(), last(), count() and
@@ -206,6 +216,28 @@ func valuePath(e xpath.Expr) (*xpath.Path, func(sqlast.Expr) sqlast.Expr, bool) 
 	return nil, nil, false
 }
 
+// valuePathShaped reports whether valuePath accepts e, without building
+// the transform.
+func valuePathShaped(e xpath.Expr) bool {
+	switch x := e.(type) {
+	case *xpath.Path:
+		return true
+	case *xpath.Binary:
+		if !x.Op.Arithmetic() {
+			return false
+		}
+		if valuePathShaped(x.L) {
+			_, ok := constValue(x.R)
+			return ok
+		}
+		if valuePathShaped(x.R) {
+			_, ok := constValue(x.L)
+			return ok
+		}
+	}
+	return false
+}
+
 func compose(f, g func(sqlast.Expr) sqlast.Expr) func(sqlast.Expr) sqlast.Expr {
 	if f == nil {
 		return g
@@ -223,10 +255,7 @@ func constExpr(e xpath.Expr) (sqlast.Expr, bool) {
 	case string:
 		return sqlast.Str(x), true
 	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			return sqlast.Int(int64(x)), true
-		}
-		return &sqlast.FloatLit{Value: x}, true
+		return numLit(x), true
 	}
 	return nil, false
 }
@@ -676,12 +705,16 @@ func (b *builder) lastPredicate(ctx chainCtx) (sqlCond, error) {
 	return dyn(sqlast.Eq(pos, total)), nil
 }
 
+// numLit is the SQL literal of an XPath number: an integer where the
+// value is integral.
 func numLit(f float64) sqlast.Expr {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+	if integral(f) {
 		return sqlast.Int(int64(f))
 	}
 	return &sqlast.FloatLit{Value: f}
 }
+
+func integral(f float64) bool { return f == math.Trunc(f) && math.Abs(f) < 1e15 }
 
 func opToXPath(op sqlast.BinOp) xpath.Op {
 	switch op {

@@ -46,10 +46,14 @@ type Translation struct {
 // Translator translates XPath to SQL with the PPF technique. The
 // relational mapping it targets — package shred's schema-aware mapping
 // (New) or the schema-oblivious Edge-like one (NewEdge) — is data to
-// the one Algorithm 1 below, reached only through m.
+// the one Algorithm 1 below, reached only through m. It keeps the
+// translation of every query shape it has seen (shape.go), so the trace
+// hooks in opts observe a shape's translation once, not every text's. A
+// Translator is safe for concurrent use.
 type Translator struct {
-	m    mapping
-	opts Options
+	m      mapping
+	opts   Options
+	shapes shapeTable
 }
 
 // New returns a schema-aware PPF translator with the given options
@@ -65,17 +69,26 @@ func New(s *schema.Schema, opts *Options) *Translator {
 	return &Translator{m: schemaMapping{s}, opts: o}
 }
 
-// Translate parses and translates an XPath query.
+// Translate parses and translates an XPath query: the query's shape
+// (Prepare) with the text's own literals bound back into it, so the
+// statement reads as if translated from the text alone.
 func (t *Translator) Translate(query string) (*Translation, error) {
-	e, err := xpath.Parse(query)
+	sh, args, err := t.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return t.TranslateExpr(e)
+	return sh.Bind(args), nil
 }
 
 // TranslateExpr translates a parsed XPath expression.
 func (t *Translator) TranslateExpr(e xpath.Expr) (*Translation, error) {
+	return t.translate(e, nil)
+}
+
+// translate translates a parsed expression, leaving a sqlast.Param for
+// each literal in slots (lift; nil: none) where the literal's SQL
+// constant would stand.
+func (t *Translator) translate(e xpath.Expr, slots map[xpath.Expr]int) (*Translation, error) {
 	var paths []*xpath.Path
 	switch x := e.(type) {
 	case *xpath.Path:
@@ -87,7 +100,7 @@ func (t *Translator) TranslateExpr(e xpath.Expr) (*Translation, error) {
 	}
 	var selects []*sqlast.Select
 	for _, p := range paths {
-		sels, err := t.translatePath(p)
+		sels, err := t.translatePath(p, slots)
 		if err != nil {
 			return nil, fmt.Errorf("core: %q: %w", p, err)
 		}
@@ -198,10 +211,12 @@ type builder struct {
 	// may need a (1:1, paths.id is a key) re-join in each scope that
 	// inspects its path.
 	joined map[*sqlast.Select]map[string]string
+	// slots are the literals that stay parameter slots (lift).
+	slots map[xpath.Expr]int
 }
 
-func (t *Translator) newBuilder() *builder {
-	return &builder{tr: t, aliases: map[string]int{}, joined: map[*sqlast.Select]map[string]string{}}
+func (t *Translator) newBuilder(slots map[xpath.Expr]int) *builder {
+	return &builder{tr: t, aliases: map[string]int{}, joined: map[*sqlast.Select]map[string]string{}, slots: slots}
 }
 
 func (b *builder) newAlias(rel string) string {
@@ -220,7 +235,7 @@ func (b *builder) seqAlias(prefix string) string {
 
 // translatePath translates one absolute backbone path into one or
 // more SELECTs (SQL splitting).
-func (t *Translator) translatePath(p *xpath.Path) ([]*sqlast.Select, error) {
+func (t *Translator) translatePath(p *xpath.Path, slots map[xpath.Expr]int) ([]*sqlast.Select, error) {
 	if !p.Absolute {
 		return nil, fmt.Errorf("top-level paths must be absolute")
 	}
@@ -244,7 +259,7 @@ func (t *Translator) translatePath(p *xpath.Path) ([]*sqlast.Select, error) {
 	}
 	var selects []*sqlast.Select
 	for _, combo := range combos {
-		b := t.newBuilder()
+		b := t.newBuilder(slots)
 		sel := &sqlast.Select{Distinct: true}
 		end, ok, err := b.buildChain(sel, frags, combo, chainCtx{})
 		if err != nil {

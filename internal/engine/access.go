@@ -4,7 +4,7 @@ package engine
 // candidate row ids of its joinStep under the current bindings, in
 // the executor's canonical order, recording probes and governor
 // charges against the step's scan OpStats. Ids move in batches of up
-// to cap(sc.ids) (ExecOptions.BatchSize) so the per-row dispatch,
+// to sc.n (ExecOptions.BatchSize) so the per-row dispatch,
 // deadline, and stat costs are amortized per batch; yield returns
 // false to stop early.
 
@@ -71,7 +71,7 @@ func yieldChunks(ids []int64, batch int, yield batchYield) (bool, error) {
 
 func (fullScan) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
 	n := len(s.st.rows)
-	buf := sc.ids[:0]
+	buf := sc.idBuf()
 	for id := 0; id < n; id++ {
 		buf = append(buf, int64(id))
 		if len(buf) == cap(buf) {
@@ -99,7 +99,7 @@ func (a *indexEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *ba
 	}
 	sc.key = key
 	st.probe()
-	_, err := yieldChunks(a.ix.Tree.Get(key), cap(sc.ids), yield)
+	_, err := yieldChunks(a.ix.Tree.Get(key), sc.n, yield)
 	return err
 }
 
@@ -111,7 +111,7 @@ func (a *indexPrefixes) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, 
 	if v.Kind != KBytes {
 		return nil
 	}
-	buf := sc.ids[:0]
+	buf := sc.idBuf()
 	for k := 0; k <= len(v.B); k++ {
 		// Prefix-match within a possibly composite index: scan the
 		// interval covering exactly this first-component value. The
@@ -161,7 +161,7 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 		return err
 	}
 	st.probe()
-	_, err = yieldChunks(m[string(key)], cap(sc.ids), yield)
+	_, err = yieldChunks(m[string(key)], sc.n, yield)
 	return err
 }
 
@@ -211,11 +211,11 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 			}
 			continue
 		}
-		if cont, err := yieldChunks(ids, cap(sc.ids), yield); err != nil || !cont {
+		if cont, err := yieldChunks(ids, sc.n, yield); err != nil || !cont {
 			return err
 		}
 	}
-	return yieldMerged(lists, sc.ids[:0], yield)
+	return yieldMerged(lists, sc.idBuf(), yield)
 }
 
 // yieldMerged streams the union of ascending, pairwise disjoint posting
@@ -369,7 +369,7 @@ func (a *indexRange) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc 
 		sc.key2 = hi
 	}
 	st.probe()
-	buf := sc.ids[:0]
+	buf := sc.idBuf()
 	stop := false
 	var scanErr error
 	a.ix.Tree.Scan(lo, hi, func(_ []byte, id int64) bool {

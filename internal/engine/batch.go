@@ -17,12 +17,24 @@ const DefaultBatchSize = 1024
 // own scratch (pooled on the execCtx) because an outer step's index
 // scan is still walking its key bounds while inner steps run.
 type batchScratch struct {
+	// n is the batch capacity; ids, of that capacity, is made when an
+	// access path first collects ids (idBuf) — the index and hash lookups
+	// hand on their postings and never do.
+	n    int
 	ids  []int64
 	key  []byte
 	key2 []byte
 }
 
-// getScratch returns a scratch whose id buffer has capacity n,
+// idBuf returns the scratch's id buffer, empty.
+func (sc *batchScratch) idBuf() []int64 {
+	if sc.ids == nil {
+		sc.ids = make([]int64, 0, sc.n)
+	}
+	return sc.ids[:0]
+}
+
+// getScratch returns a scratch of batch capacity n,
 // reusing a pooled one when available. Early-stopping consumers
 // (EXISTS, scalar subqueries) run with n=1 and draw from a separate
 // free list so their buffers don't shrink the main pipeline's.
@@ -36,12 +48,12 @@ func (ec *execCtx) getScratch(n int) *batchScratch {
 		*pool = (*pool)[:k-1]
 		return sc
 	}
-	return &batchScratch{ids: make([]int64, 0, n)}
+	return &batchScratch{n: n}
 }
 
 // putScratch returns a scratch to its free list.
 func (ec *execCtx) putScratch(sc *batchScratch) {
-	if cap(sc.ids) == 1 {
+	if sc.n == 1 {
 		ec.freeOne = append(ec.freeOne, sc)
 		return
 	}

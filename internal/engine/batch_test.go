@@ -70,13 +70,13 @@ func TestBatchSizeInvariance(t *testing.T) {
 		if _, err := run(db, st); err != nil {
 			t.Fatalf("%s: warm-up: %v", q, err)
 		}
-		_, cs, err := db.compile(st)
+		_, cs, err := db.compile(st, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		for _, par := range []int{0, 8} {
 			ref := ExecOptions{BatchSize: DefaultBatchSize, Parallelism: par}
-			refRes, refFrame, err := db.runCompiledFrame(nil, cs, ref, q, false)
+			refRes, refFrame, err := db.runCompiledFrame(nil, cs, nil, ref, q, false)
 			if err != nil {
 				t.Fatalf("%s par=%d: reference run: %v", q, par, err)
 			}
@@ -87,7 +87,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 			refPlan = normalizeAnalyze(refPlan)
 			for _, bs := range batchSizes {
 				opts := ExecOptions{BatchSize: bs, Parallelism: par}
-				res, frame, err := db.runCompiledFrame(nil, cs, opts, q, false)
+				res, frame, err := db.runCompiledFrame(nil, cs, nil, opts, q, false)
 				if err != nil {
 					t.Fatalf("%s bs=%d par=%d: %v", q, bs, par, err)
 				}

@@ -148,6 +148,19 @@ func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjun
 	return sel, synBacked
 }
 
+// A parameter slot (sqlast.Param) is a value for estimates and opaque
+// for facts. estValue and estKey, which the selectivity and access
+// estimates read their operands through, answer for a slot with the
+// value the compile-triggering call bound to it and note the slot as
+// peeked: a statement that only ever binds one value set plans exactly
+// as its literal spelling would, and one whose first value was
+// unrepresentative is corrected by the q-error feedback like any other
+// mis-estimate (maybeReplan). litOf, which everything that drops,
+// pre-evaluates or proves something reads through — proveRedundant,
+// and by the same rule resolveDimensions, which takes no conjunct with
+// a slot for a dimension's own — does not see a slot as a literal: the
+// next call binds another value to the same plan.
+
 // litOf extracts a literal operand's runtime value.
 func litOf(e sqlast.Expr) (Value, bool) {
 	switch x := e.(type) {
@@ -161,6 +174,40 @@ func litOf(e sqlast.Expr) (Value, bool) {
 		return NewBytes(x.Value), true
 	}
 	return Null, false
+}
+
+// estValue is litOf for estimates: it also answers for a parameter
+// slot, with the value this compile was given for it.
+func (p *planner) estValue(e sqlast.Expr) (Value, bool) {
+	if x, ok := e.(*sqlast.Param); ok {
+		return p.peek(x.Slot)
+	}
+	return litOf(e)
+}
+
+// estKey is estValue for a compiled key or bound expression.
+func (p *planner) estKey(e cexpr) (Value, bool) {
+	switch x := e.(type) {
+	case *clit:
+		return x.v, true
+	case *cparam:
+		return p.peek(x.slot)
+	}
+	return Null, false
+}
+
+// peek reads a slot's compile-time value for an estimate.
+func (p *planner) peek(slot int) (Value, bool) {
+	if slot >= len(p.args) {
+		return Null, false
+	}
+	for _, s := range p.peeked {
+		if s == slot {
+			return p.args[slot], true
+		}
+	}
+	p.peeked = append(p.peeked, slot)
+	return p.args[slot], true
 }
 
 // synEq estimates rows of the column equal to the literal.
@@ -212,7 +259,7 @@ func (p *planner) conjunctSelectivity(e sqlast.Expr, name string, t *Table, st *
 		if col < 0 {
 			return defaultFilterSelectivity, false
 		}
-		v, ok := litOf(lit)
+		v, ok := p.estValue(lit)
 		if !ok {
 			return defaultFilterSelectivity, false
 		}
@@ -259,8 +306,8 @@ func (p *planner) conjunctSelectivity(e sqlast.Expr, name string, t *Table, st *
 		if col < 0 {
 			return defaultFilterSelectivity, false
 		}
-		lo, okL := litOf(x.Lo)
-		hi, okH := litOf(x.Hi)
+		lo, okL := p.estValue(x.Lo)
+		hi, okH := p.estValue(x.Hi)
 		if !okL || !okH || lo.Kind != KInt || hi.Kind != KInt {
 			return defaultFilterSelectivity, false
 		}
@@ -313,16 +360,16 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		col := x.ix.Cols[0]
 		// A literal key is a point estimate straight off the histogram.
 		if len(x.keys) == 1 {
-			if lit, ok := x.keys[0].(*clit); ok {
-				if n, ok := synEq(syn.Col(col), lit.v); ok {
+			if v, ok := p.estKey(x.keys[0]); ok {
+				if n, ok := synEq(syn.Col(col), v); ok {
 					return float64(n), true
 				}
 			}
 		}
 		return avgFan(col)
 	case *hashEq:
-		if lit, ok := x.key.(*clit); ok {
-			if n, ok := synEq(syn.Col(x.col), lit.v); ok {
+		if v, ok := p.estKey(x.key); ok {
+			if n, ok := synEq(syn.Col(x.col), v); ok {
 				return float64(n), true
 			}
 		}
@@ -333,8 +380,8 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		return x.rows, true
 	case *indexRange:
 		// Literal integer bounds are a histogram range count.
-		loLit, okL := litIntBound(x.lo)
-		hiLit, okH := litIntBound(x.hi)
+		loLit, okL := p.intBound(x.lo)
+		hiLit, okH := p.intBound(x.hi)
 		col := x.ix.Cols[0]
 		if min, max, ok := syn.Col(col).IntRange(); ok && (okL || okH) {
 			lo, hi := min, max
@@ -358,13 +405,10 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 	return float64(a.est(st)), false
 }
 
-// litIntBound extracts a compiled literal integer range bound.
-func litIntBound(e cexpr) (int64, bool) {
-	lit, ok := e.(*clit)
-	if !ok || lit.v.Kind != KInt {
-		return 0, false
-	}
-	return lit.v.I, true
+// intBound extracts a compiled integer range bound an estimate can read.
+func (p *planner) intBound(e cexpr) (int64, bool) {
+	v, ok := p.estKey(e)
+	return v.I, ok && v.Kind == KInt
 }
 
 // omittedFilter is a residual conjunct the planner dropped because the

@@ -101,6 +101,28 @@ type clit struct{ v Value }
 
 func (c *clit) eval(*execCtx, env) (Value, error) { return c.v, nil }
 
+// cparam reads a parameter slot from the execution's arguments
+// (Prepared.RunArgs): the one compiled node whose value differs between
+// executions of a cached plan. runCompiledFrame has checked the
+// arguments against the plan's slots before any is evaluated.
+type cparam struct {
+	slot int
+	kind sqlast.ParamKind
+}
+
+func (c *cparam) eval(ec *execCtx, _ env) (Value, error) { return ec.args[c.slot], nil }
+
+// paramKind is the runtime kind of the values a slot of kind k takes.
+func paramKind(k sqlast.ParamKind) Kind {
+	switch k {
+	case sqlast.ParamInt:
+		return KInt
+	case sqlast.ParamFloat:
+		return KFloat
+	}
+	return KText
+}
+
 type cbin struct {
 	op   sqlast.BinOp
 	l, r cexpr

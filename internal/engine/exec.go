@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/failpoint"
@@ -67,6 +68,9 @@ type execCtx struct {
 	parallelism int
 	acct        *accountant
 	sql         string // rendered statement text, for InternalError
+	// args are this execution's parameter values (Prepared.RunArgs),
+	// read by cparam; checked against the plan's slots before it runs.
+	args []Value
 	// stats is this execution's operator stats frame (one slot per
 	// opNode id). Parallel workers carry private frames merged into
 	// the parent's after the workers join, so slots are single-writer.
@@ -134,7 +138,7 @@ func (ec *execCtx) pattern(pat string) (*matcher, error) {
 // and an internal panic anywhere in planning, execution or the write
 // path returns as *InternalError instead of propagating.
 func (db *DB) RunWithOptionsContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (*Result, error) {
-	return db.run(ctx, st, sqlast.Render(st), opts)
+	return db.run(ctx, st, sqlast.Render(st), nil, opts)
 }
 
 // ExecSQL parses one statement of text and sends it through the
@@ -148,12 +152,13 @@ func (db *DB) ExecSQL(ctx context.Context, src string, opts ExecOptions) (*Resul
 }
 
 // run executes st under the panic guard; key is its rendered text
-// (the plan-cache key, precomputed by Prepared).
-func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, opts ExecOptions) (_ *Result, err error) {
+// (the plan-cache key, precomputed by Prepared) and args the values of
+// its parameter slots, if it has any.
+func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, args []Value, opts ExecOptions) (_ *Result, err error) {
 	defer guardPanics(key, &err)
 	switch s := st.(type) {
 	case *sqlast.Select, *sqlast.Union:
-		cs, err := db.compiledFor(st, key)
+		cs, err := db.compiledFor(st, key, args)
 		if err != nil {
 			return nil, err
 		}
@@ -162,10 +167,10 @@ func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, opts Exe
 				return nil, err
 			}
 		}
-		res, _, err := db.runCompiledFrame(ctx, cs, opts, key, false)
+		res, _, err := db.runCompiledFrame(ctx, cs, args, opts, key, false)
 		return res, err
 	case *sqlast.Explain:
-		return db.runExplainStmt(ctx, s, opts)
+		return db.runExplainStmt(ctx, s, args, opts)
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -182,8 +187,13 @@ func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, opts Exe
 // timing enables per-operator wall-clock measurement; EXPLAIN ANALYZE
 // is its only caller with timing on, so plain runs stay clock-free in
 // the row loops.
-func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, opts ExecOptions, sql string, timing bool) (*Result, opFrame, error) {
-	ec := &execCtx{db: db, parallelism: opts.Parallelism, sql: sql,
+func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Value, opts ExecOptions, sql string, timing bool) (*Result, opFrame, error) {
+	for slot, kind := range cs.params {
+		if kind != KNull && (slot >= len(args) || args[slot].Kind != kind) {
+			return nil, nil, fmt.Errorf("engine: parameter ?%d is unbound or not of the kind the statement was prepared with", slot+1)
+		}
+	}
+	ec := &execCtx{db: db, parallelism: opts.Parallelism, sql: sql, args: args,
 		acct:  newAccountant(opts.MaxMemoryBytes, opts.MaxRows),
 		stats: make(opFrame, cs.nOps), timing: timing,
 		batch: opts.BatchSize}

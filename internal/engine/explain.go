@@ -18,11 +18,11 @@ import (
 // options (so parallel plans report their merged per-worker stats)
 // and returns the annotated plan.
 func (db *DB) ExplainAnalyzeWithOptions(st sqlast.Statement, opts ExecOptions) (string, error) {
-	return db.explainAnalyzeContext(nil, st, opts)
+	return db.explainAnalyzeContext(nil, st, nil, opts)
 }
 
-func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (string, error) {
-	cs, res, frame, err := db.analyze(ctx, st, opts, true)
+func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, args []Value, opts ExecOptions) (string, error) {
+	cs, res, frame, err := db.analyze(ctx, st, args, opts, true)
 	if err != nil {
 		return "", err
 	}
@@ -34,26 +34,28 @@ func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, op
 
 // analyze compiles and executes st under the panic guard, returning
 // the plan and the execution's operator stats frame beside the result.
-func (db *DB) analyze(ctx context.Context, st sqlast.Statement, opts ExecOptions, timing bool) (cs *compiledStmt, res *Result, frame opFrame, err error) {
-	key, cs, err := db.compile(st)
+func (db *DB) analyze(ctx context.Context, st sqlast.Statement, args []Value, opts ExecOptions, timing bool) (cs *compiledStmt, res *Result, frame opFrame, err error) {
+	key, cs, err := db.compile(st, args)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer guardPanics(key, &err)
-	res, frame, err = db.runCompiledFrame(ctx, cs, opts, key, timing)
+	res, frame, err = db.runCompiledFrame(ctx, cs, args, opts, key, timing)
 	return cs, res, frame, err
 }
 
 // runExplainStmt executes an EXPLAIN / EXPLAIN ANALYZE statement,
 // returning the rendered plan as a one-column result (one row per
 // plan line) so the statement flows through the statement boundary.
-func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, opts ExecOptions) (*Result, error) {
+// The plan of a statement with parameter slots shows them as written,
+// ?1; a last line gives the values this call bound to them.
+func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, args []Value, opts ExecOptions) (*Result, error) {
 	var text string
 	var err error
 	if ex.Analyze {
-		text, err = db.explainAnalyzeContext(ctx, ex.Stmt, opts)
+		text, err = db.explainAnalyzeContext(ctx, ex.Stmt, args, opts)
 	} else {
-		text, err = db.Explain(ex.Stmt)
+		text, err = db.explain(ex.Stmt, args)
 	}
 	if err != nil {
 		return nil, err
@@ -61,6 +63,18 @@ func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, opts ExecO
 	res := &Result{Cols: []string{"plan"}}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		res.Rows = append(res.Rows, []Value{NewText(line)})
+	}
+	if len(args) > 0 {
+		var b strings.Builder
+		b.WriteString("params:")
+		for i, v := range args {
+			lit, err := literalOf(v)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(&b, " ?%d=%s", i+1, lit)
+		}
+		res.Rows = append(res.Rows, []Value{NewText(b.String())})
 	}
 	return res, nil
 }
@@ -94,7 +108,7 @@ type OpReport struct {
 // AnalyzeReport executes the statement and returns the per-operator
 // estimate/observation records in render order, plus the result.
 func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) ([]OpReport, *Result, error) {
-	cs, res, frame, err := db.analyze(nil, st, opts, false)
+	cs, res, frame, err := db.analyze(nil, st, nil, opts, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,7 +129,7 @@ func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) ([]OpReport, 
 // union machinery, and correlated-subplan boundaries) — the
 // per-operator companion to JoinSteps for experiment reports.
 func (db *DB) OperatorCount(st sqlast.Statement) (int, error) {
-	_, cs, err := db.compile(st)
+	_, cs, err := db.compile(st, nil)
 	if err != nil {
 		return 0, err
 	}

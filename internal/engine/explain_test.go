@@ -313,11 +313,11 @@ func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 			}
 		}
 	}
-	_, cs, err := db.compile(st)
+	_, cs, err := db.compile(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, frame, err := db.runCompiledFrame(nil, cs, ExecOptions{Parallelism: 8}, "", false)
+	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{Parallelism: 8}, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +366,11 @@ func TestParallelDeferredDistinctFirstWins(t *testing.T) {
 				i, serial.Rows[i][0].S, par.Rows[i][0].S)
 		}
 	}
-	_, cs, err := db.compile(st)
+	_, cs, err := db.compile(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, frame, err := db.runCompiledFrame(nil, cs, ExecOptions{Parallelism: 4}, "", false)
+	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{Parallelism: 4}, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func refsOnlyTable(e sqlast.Expr, name string, t *Table) bool {
 			return x.Table == name
 		}
 		return t.ColIndex(x.Column) >= 0
-	case *sqlast.IntLit, *sqlast.FloatLit, *sqlast.StrLit, *sqlast.BytesLit, *sqlast.NullLit:
+	case *sqlast.IntLit, *sqlast.FloatLit, *sqlast.StrLit, *sqlast.BytesLit, *sqlast.NullLit, *sqlast.Param:
 		return true
 	case *sqlast.Binary:
 		return refsOnlyTable(x.L, name, t) && refsOnlyTable(x.R, name, t)

@@ -85,7 +85,7 @@ func (ec *execCtx) collectParallel(plan *selectPlan) (rows []orderedRow, count i
 			// The accountant and context are shared: budgets govern the
 			// statement, not the worker.
 			wec := &execCtx{db: ec.db, ctx: ec.ctx, deadline: ec.deadline,
-				acct: ec.acct, sql: ec.sql,
+				acct: ec.acct, sql: ec.sql, args: ec.args,
 				stats: make(opFrame, len(ec.stats)), timing: ec.timing,
 				batch: ec.batch}
 			frames[w] = wec.stats

@@ -91,6 +91,10 @@ type joinStep struct {
 	estAccess float64
 	estRows   float64
 	estSource string
+	// estPeeked are the parameter slots whose compile-time values the
+	// estimates read: the numbers describe that binding, and the q-error
+	// feedback of later ones is what corrects a skewed first value.
+	estPeeked []int
 	// omitted holds single-table conjuncts the planner dropped because
 	// the snapshot's synopsis proves them true for every row (§4.5-style
 	// omission beyond schema proofs). Never executed; exported through
@@ -112,7 +116,7 @@ type accessPath interface {
 	est(st *tableState) int
 	// enumerate pushes the candidate row ids for the step under the
 	// current bindings, in the executor's canonical order, batched
-	// through sc.ids (or zero-copy sub-slices of index postings),
+	// through sc.idBuf() (or zero-copy sub-slices of index postings),
 	// recording probes and governor charges against the scan's
 	// OpStats.
 	enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error
@@ -286,6 +290,15 @@ type planner struct {
 	// subselects, keyed by the subselect's rendered source text
 	// (selectPlan.src).
 	subOverrides map[string]map[ovKey]ovEst
+	// args are the values the call that triggered this compile binds to
+	// the statement's parameter slots. To the planner a slot is a value
+	// for estimates and opaque for facts (estimate.go): the next call
+	// binds another value to the same plan. params collects the kinds of
+	// the slots compiled so far, by slot, and peeked the slots whose
+	// values estimates have read since planSelect last reset it.
+	args   []Value
+	params []Kind
+	peeked []int
 }
 
 // conjunct is one ANDed term of a WHERE clause during planning: a
@@ -488,9 +501,14 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 	}
 	bound := map[string]bool{}
 	for i, name := range order {
+		// What the estimate peeks at is the step's; a subselect planned
+		// inside a key expression keeps its own.
+		outerPeeked := p.peeked
+		p.peeked = nil
 		e := estimate(name, bound)
 		bound[name] = true
 		step := &joinStep{name: name, table: local[name], st: p.snap.stateOf(local[name]), access: e.access, existential: plan.existential(name)}
+		step.estPeeked, p.peeked = p.peeked, outerPeeked
 		step.omitted = omittedBy[name]
 		// Record the step's cardinality estimate and its provenance for
 		// EXPLAIN, adaptive re-planning, and plancheck.
@@ -1033,6 +1051,8 @@ func (p *planner) staticKind(e sqlast.Expr, sc *scope) (Kind, bool) {
 		return KText, true
 	case *sqlast.BytesLit:
 		return KBytes, true
+	case *sqlast.Param:
+		return paramKind(x.Kind), true
 	case *sqlast.Binary:
 		switch x.Op {
 		case sqlast.OpConcat:
@@ -1077,6 +1097,16 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 		return &clit{v: NewBytes(x.Value)}, nil
 	case *sqlast.NullLit:
 		return &clit{v: Null}, nil
+	case *sqlast.Param:
+		kind := paramKind(x.Kind)
+		if x.Slot < 0 || x.Slot >= len(p.args) || p.args[x.Slot].Kind != kind {
+			return nil, fmt.Errorf("engine: no value of its kind is bound to parameter %s", x)
+		}
+		for len(p.params) <= x.Slot {
+			p.params = append(p.params, KNull)
+		}
+		p.params[x.Slot] = kind
+		return &cparam{slot: x.Slot, kind: x.Kind}, nil
 	case *sqlast.Binary:
 		l, err := p.compile(x.L, sc)
 		if err != nil {
@@ -1167,8 +1197,10 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 // tests. The statement is planned through the plan cache but not
 // executed; EXPLAIN ANALYZE (explain.go) runs it and annotates each
 // operator with its OpStats.
-func (db *DB) Explain(st sqlast.Statement) (string, error) {
-	_, cs, err := db.compile(st)
+func (db *DB) Explain(st sqlast.Statement) (string, error) { return db.explain(st, nil) }
+
+func (db *DB) explain(st sqlast.Statement, args []Value) (string, error) {
+	_, cs, err := db.compile(st, args)
 	if err != nil {
 		return "", err
 	}

@@ -14,8 +14,9 @@ import (
 	"repro/internal/sqlast"
 )
 
-// planCacheCap bounds the number of cached compiled statements per DB.
-const planCacheCap = 256
+// PlanCacheCap bounds the number of cached compiled statements per DB
+// (and, one level up, the query shapes a core.Translator keeps).
+const PlanCacheCap = 256
 
 // compiledStmt is a fully planned statement (exactly one of sel/union
 // is set) plus the snapshot states of every table it was planned
@@ -44,6 +45,10 @@ type compiledStmt struct {
 	// the estimate that was already refuted and flips the order back.
 	// Written only at compile time.
 	observed *planOverrides
+	// params are the kinds of the parameter slots the plan reads, by slot
+	// (KNull for a slot nothing compiled reads): what every execution's
+	// arguments are checked against.
+	params []Kind
 }
 
 // tableVer pins the state a table had at plan time. States are
@@ -126,15 +131,12 @@ type planOverrides struct {
 
 // compileStmt plans a statement from scratch against one database
 // snapshot, recording the pinned states of all tables it touches
-// (including correlated-subquery tables).
-func compileStmt(db *DB, st sqlast.Statement) (*compiledStmt, error) {
-	return compileStmtOverrides(db, st, nil)
-}
-
-// compileStmtOverrides is compileStmt with observed-cardinality
-// overrides injected into the planner (adaptive re-planning).
-func compileStmtOverrides(db *DB, st sqlast.Statement, ov *planOverrides) (*compiledStmt, error) {
-	p := &planner{db: db, snap: db.loadSnap(), touched: map[*Table]bool{}}
+// (including correlated-subquery tables). args are the values the
+// triggering call binds to the statement's parameter slots, which the
+// estimates read (estimate.go); ov, when non-nil, the observed
+// cardinalities adaptive re-planning injects into the planner.
+func compileStmt(db *DB, st sqlast.Statement, args []Value, ov *planOverrides) (*compiledStmt, error) {
+	p := &planner{db: db, snap: db.loadSnap(), touched: map[*Table]bool{}, args: args}
 	if ov != nil {
 		p.subOverrides = ov.subs
 	}
@@ -196,6 +198,7 @@ func compileStmtOverrides(db *DB, st sqlast.Statement, ov *planOverrides) (*comp
 	for t := range p.touched {
 		cs.tables = append(cs.tables, tableVer{t: t, st: p.snap.stateOf(t)})
 	}
+	cs.params = p.params
 	// Lower to the physical operator tree before the plan can be
 	// published to (and shared through) the plan cache.
 	lowerStmt(cs)
@@ -265,7 +268,7 @@ func (c *planCache) put(key string, cs *compiledStmt, snap *dbSnap) {
 		return
 	}
 	c.byKey[key] = c.lru.PushFront(&planEntry{key: key, cs: cs})
-	for c.lru.Len() > planCacheCap {
+	for c.lru.Len() > PlanCacheCap {
 		el := c.lru.Back()
 		c.lru.Remove(el)
 		delete(c.byKey, el.Value.(*planEntry).key)
@@ -291,15 +294,16 @@ func (c *planCache) stats() (hits, misses uint64) {
 
 // compiledFor returns a compiled plan for st, consulting the DB's
 // plan cache. key is the canonical cache key (the sqlast rendering of
-// st).
-func (db *DB) compiledFor(st sqlast.Statement, key string) (*compiledStmt, error) {
+// st); args are the call's parameter values, read only if the call
+// turns out to compile.
+func (db *DB) compiledFor(st sqlast.Statement, key string, args []Value) (*compiledStmt, error) {
 	if cs := db.plans.get(key, db.loadSnap()); cs != nil {
-		if next := db.maybeReplan(st, key, cs); next != nil {
+		if next := db.maybeReplan(st, key, args, cs); next != nil {
 			return next, nil
 		}
 		return cs, nil
 	}
-	cs, err := compileStmt(db, st)
+	cs, err := compileStmt(db, st, args, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -314,10 +318,10 @@ func (db *DB) compiledFor(st sqlast.Statement, key string) (*compiledStmt, error
 // ANALYZE, AnalyzeReport, OperatorCount, PlanShape) share: render the
 // plan-cache key and fetch or build the plan, an internal panic in the
 // planner returning as *InternalError.
-func (db *DB) compile(st sqlast.Statement) (key string, cs *compiledStmt, err error) {
+func (db *DB) compile(st sqlast.Statement, args []Value) (key string, cs *compiledStmt, err error) {
 	key = sqlast.Render(st)
 	defer guardPanics(key, &err)
-	cs, err = db.compiledFor(st, key)
+	cs, err = db.compiledFor(st, key, args)
 	return key, cs, err
 }
 
@@ -420,7 +424,7 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 // Re-planning is bounded (maxAdaptiveReplans) and version-safe: the
 // new plan pins the current snapshot like any fresh compile, so a
 // racing commit simply retires it through the normal freshness check.
-func (db *DB) maybeReplan(st sqlast.Statement, key string, cs *compiledStmt) *compiledStmt {
+func (db *DB) maybeReplan(st sqlast.Statement, key string, args []Value, cs *compiledStmt) *compiledStmt {
 	if db.heuristicPlans.Load() || cs.replans >= maxAdaptiveReplans {
 		return nil
 	}
@@ -432,7 +436,7 @@ func (db *DB) maybeReplan(st sqlast.Statement, key string, cs *compiledStmt) *co
 	if worst <= replanQErrorThreshold {
 		return nil
 	}
-	next, err := compileStmtOverrides(db, st, ov)
+	next, err := compileStmt(db, st, args, ov)
 	if err != nil {
 		return nil
 	}
@@ -470,5 +474,17 @@ func (db *DB) PrepareStmt(st sqlast.Statement) *Prepared {
 // statement boundary (see DB.RunWithOptionsContext), skipping the
 // per-call render of the plan-cache key.
 func (p *Prepared) RunWithOptionsContext(ctx context.Context, opts ExecOptions) (*Result, error) {
-	return p.db.run(ctx, p.st, p.key, opts)
+	return p.RunArgs(ctx, nil, opts)
+}
+
+// RunArgs is RunWithOptionsContext for a statement with parameter
+// slots (sqlast.Param): args[k] is the value slot k takes in this
+// execution, of the slot's kind. One cached plan serves every binding:
+// the plan-cache key is the statement's text, slots left open. The
+// call that happens to compile the plan lends its values to the
+// planner's estimates and to nothing else; the values themselves
+// travel with the execution, so concurrent calls share the plan and
+// nothing more.
+func (p *Prepared) RunArgs(ctx context.Context, args []Value, opts ExecOptions) (*Result, error) {
+	return p.db.run(ctx, p.st, p.key, args, opts)
 }

@@ -118,15 +118,15 @@ func TestPlanCacheSubqueryTablesTracked(t *testing.T) {
 
 func TestPlanCacheLRUBound(t *testing.T) {
 	db := fixtureDB(t)
-	for i := 0; i < planCacheCap+50; i++ {
+	for i := 0; i < PlanCacheCap+50; i++ {
 		mustRun(t, db, fmt.Sprintf("SELECT F.id FROM F WHERE F.id = %d", i))
 	}
-	if n := db.PlanCacheSize(); n != planCacheCap {
-		t.Fatalf("PlanCacheSize = %d, want cap %d", n, planCacheCap)
+	if n := db.PlanCacheSize(); n != PlanCacheCap {
+		t.Fatalf("PlanCacheSize = %d, want cap %d", n, PlanCacheCap)
 	}
 	// The most recent query must still be cached...
 	hits, misses := statsDelta(db, func() {
-		mustRun(t, db, fmt.Sprintf("SELECT F.id FROM F WHERE F.id = %d", planCacheCap+49))
+		mustRun(t, db, fmt.Sprintf("SELECT F.id FROM F WHERE F.id = %d", PlanCacheCap+49))
 	})
 	if hits != 1 || misses != 0 {
 		t.Errorf("MRU entry: hits=%d misses=%d, want 1/0", hits, misses)
@@ -186,7 +186,7 @@ func TestPlanCacheStaleReinsert(t *testing.T) {
 	}
 	key := sqlast.Render(st)
 	// Compile (as an in-flight execution would have) before mutating.
-	cs, err := compileStmt(db, st)
+	cs, err := compileStmt(db, st, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

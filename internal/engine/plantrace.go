@@ -193,6 +193,9 @@ type StepShape struct {
 	// number came from ("synopsis", "default" or "override").
 	EstRows   float64
 	EstSource string
+	// EstPeeked lists the parameter slots whose compile-time values the
+	// estimate read (ascending); the numbers describe that binding.
+	EstPeeked []int
 	// Omitted lists filters proven redundant and dropped (never
 	// executed); plancheck adds them back into the predicate multiset
 	// and re-justifies each omission from its evidence.
@@ -262,12 +265,29 @@ type UnionShape struct {
 	Merge bool
 }
 
+// ParamShape is one parameter slot the plan reads: the kind it was
+// compiled for, where the plan reads it — "prefilter", "access <alias>",
+// "filter <alias>", "omitted <alias>", "resolved <alias>", "pair",
+// "projection", "order-by", in decompilation order, subplans included —
+// and whether an estimate used the value the compile-triggering call
+// bound to it. A slot is a value for estimates only: plancheck's params
+// obligation re-derives that nothing omitted, resolved or proven reads
+// one.
+type ParamShape struct {
+	Slot   int
+	Kind   sqlast.ParamKind
+	ReadBy []string
+	Peeked bool
+}
+
 // StmtShape is the decompiled form of a compiled statement; exactly
-// one of Select/Union is set.
+// one of Select/Union is set. Params lists the parameter slots the plan
+// reads, ascending.
 type StmtShape struct {
 	SQL    string
 	Select *SelectShape
 	Union  *UnionShape
+	Params []ParamShape
 }
 
 // PlanTrace is what an ExecOptions.VerifyPlan function receives: the
@@ -299,7 +319,7 @@ func verifyCompiled(verify func(PlanTrace) error, st sqlast.Statement, key strin
 // PlanShape compiles the statement (through the plan cache) and
 // returns the decompiled shape of the plan that would execute.
 func (db *DB) PlanShape(st sqlast.Statement) (*StmtShape, error) {
-	key, cs, err := db.compile(st)
+	key, cs, err := db.compile(st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -309,12 +329,13 @@ func (db *DB) PlanShape(st sqlast.Statement) (*StmtShape, error) {
 // shapeStmt decompiles a compiled statement.
 func shapeStmt(cs *compiledStmt, sql string) (*StmtShape, error) {
 	out := &StmtShape{SQL: sql}
+	params := paramNotes{}
 	if cs.sel != nil {
-		sh, err := shapeSelect(cs.sel, nil)
+		sh, err := shapeSelect(cs.sel, nil, params)
 		if err != nil {
 			return nil, err
 		}
-		out.Select = sh
+		out.Select, out.Params = sh, params.sorted()
 		return out, nil
 	}
 	u := cs.union
@@ -326,13 +347,13 @@ func shapeStmt(cs *compiledStmt, sql string) (*StmtShape, error) {
 		Merge:     u.merge,
 	}
 	for _, br := range u.branches {
-		sh, err := shapeSelect(br, nil)
+		sh, err := shapeSelect(br, nil, params)
 		if err != nil {
 			return nil, err
 		}
 		us.Branches = append(us.Branches, sh)
 	}
-	out.Union = us
+	out.Union, out.Params = us, params.sorted()
 	return out, nil
 }
 
@@ -345,11 +366,39 @@ type shapeBuilder struct {
 	// with unnested groups, whose members are decompiled a second time:
 	// the subplans under them must enter Subplans once.
 	memo map[cexpr]ExprShape
+	// params collects the statement's parameter slots; where names the
+	// part of the plan being decompiled, for ParamShape.ReadBy.
+	params paramNotes
+	where  string
+}
+
+// paramNotes collects a statement's ParamShapes by slot.
+type paramNotes map[int]*ParamShape
+
+func (n paramNotes) slot(slot int) *ParamShape {
+	ps := n[slot]
+	if ps == nil {
+		ps = &ParamShape{Slot: slot}
+		n[slot] = ps
+	}
+	return ps
+}
+
+func (n paramNotes) sorted() []ParamShape {
+	if len(n) == 0 {
+		return nil
+	}
+	out := make([]ParamShape, 0, len(n))
+	for _, ps := range n {
+		out = append(out, *ps)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
+	return out
 }
 
 // shapeSelect decompiles one compiled select; outer maps the aliases
 // of enclosing selects for correlated references (nil at top level).
-func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
+func shapeSelect(p *selectPlan, outer map[string]*Table, params paramNotes) (*SelectShape, error) {
 	sh := &SelectShape{
 		Distinct:   p.distinct,
 		CountStar:  p.countStar,
@@ -381,7 +430,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 	for _, r := range p.resolved {
 		tables[r.alias] = r.table
 	}
-	sb := &shapeBuilder{tables: tables, owner: sh}
+	sb := &shapeBuilder{tables: tables, owner: sh, params: params}
 	if len(p.unnested) > 0 {
 		sb.memo = map[cexpr]ExprShape{}
 	}
@@ -390,6 +439,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 	}
 
 	var all []ExprShape
+	sb.where = "prefilter"
 	for _, ce := range p.preFilters {
 		es, err := sb.expr(ce)
 		if err != nil {
@@ -400,6 +450,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 	}
 	for _, s := range p.steps {
 		ss := StepShape{Alias: s.name, Table: s.table.Name}
+		sb.where = "access " + s.name
 		as, err := s.access.shape(sb, s.table)
 		if err != nil {
 			return nil, err
@@ -407,6 +458,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		ss.Access = as
 		all = append(all, as.Keys...)
 		all = append(all, as.Key, as.Lo, as.Hi)
+		sb.where = "filter " + s.name
 		for _, f := range s.filters {
 			es, err := sb.expr(f)
 			if err != nil {
@@ -417,6 +469,12 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		}
 		ss.EstRows = s.estRows
 		ss.EstSource = s.estSource
+		ss.EstPeeked = append([]int(nil), s.estPeeked...)
+		sort.Ints(ss.EstPeeked)
+		for _, slot := range s.estPeeked {
+			params.slot(slot).Peeked = true
+		}
+		sb.where = "omitted " + s.name
 		for _, of := range s.omitted {
 			es, err := sb.expr(of.ce)
 			if err != nil {
@@ -430,6 +488,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		}
 		sh.Steps = append(sh.Steps, ss)
 	}
+	sb.where = "projection"
 	for _, c := range p.cols {
 		es, err := sb.expr(c)
 		if err != nil {
@@ -438,6 +497,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 		sh.Cols = append(sh.Cols, es)
 		all = append(all, es)
 	}
+	sb.where = "order-by"
 	for _, o := range p.orderBy {
 		es, err := sb.expr(o.x)
 		if err != nil {
@@ -485,6 +545,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table) (*SelectShape, error) {
 // counts towards FreeRefs: an eliminated alias is bound by nothing.
 func (sb *shapeBuilder) resolutions(p *selectPlan) error {
 	for _, r := range p.resolved {
+		sb.where = "resolved " + r.alias
 		rs := ResolvedShape{Alias: r.alias, Table: r.table.Name, Key: r.table.Cols[r.keyCol].Name,
 			FactAlias: r.fact, FactCol: r.factT.Cols[r.factCol].Name,
 			Keys: append([]int64(nil), r.keys.keys...), Eliminated: r.eliminated, KeptBy: r.keptBy}
@@ -501,6 +562,7 @@ func (sb *shapeBuilder) resolutions(p *selectPlan) error {
 		}
 		sb.owner.Resolved = append(sb.owner.Resolved, rs)
 	}
+	sb.where = "pair"
 	for _, pr := range p.pairs {
 		cond, err := sb.expr(pr.cond)
 		if err != nil {
@@ -545,19 +607,12 @@ func (sb *shapeBuilder) decompile(x cexpr, refs map[string]bool) (sqlast.Expr, e
 		refs[c.table] = true
 		return sqlast.C(c.table, t.Cols[c.pos].Name), nil
 	case *clit:
-		switch c.v.Kind {
-		case KNull:
-			return &sqlast.NullLit{}, nil
-		case KInt:
-			return sqlast.Int(c.v.I), nil
-		case KFloat:
-			return &sqlast.FloatLit{Value: c.v.F}, nil
-		case KText:
-			return sqlast.Str(c.v.S), nil
-		case KBytes:
-			return sqlast.Bytes(c.v.B), nil
-		}
-		return nil, fmt.Errorf("literal of kind %v", c.v.Kind)
+		return literalOf(c.v)
+	case *cparam:
+		ps := sb.params.slot(c.slot)
+		ps.Kind = c.kind
+		ps.ReadBy = append(ps.ReadBy, sb.where)
+		return &sqlast.Param{Slot: c.slot, Kind: c.kind}, nil
 	case *cbin:
 		l, err := sb.decompile(c.l, refs)
 		if err != nil {
@@ -621,7 +676,7 @@ func (sb *shapeBuilder) decompile(x cexpr, refs map[string]bool) (sqlast.Expr, e
 		}
 		return &sqlast.Func{Name: MarkerPairSet, Args: []sqlast.Expr{a, b, sqlast.Int(int64(c.res.index))}}, nil
 	case *cexists:
-		sub, err := shapeSelect(c.plan, sb.tables)
+		sub, err := shapeSelect(c.plan, sb.tables, sb.params)
 		if err != nil {
 			return nil, err
 		}
@@ -636,7 +691,7 @@ func (sb *shapeBuilder) decompile(x cexpr, refs map[string]bool) (sqlast.Expr, e
 		}
 		return &sqlast.Func{Name: name, Args: []sqlast.Expr{sqlast.Int(int64(k))}}, nil
 	case *csubq:
-		sub, err := shapeSelect(c.plan, sb.tables)
+		sub, err := shapeSelect(c.plan, sb.tables, sb.params)
 		if err != nil {
 			return nil, err
 		}
@@ -652,6 +707,23 @@ func (sb *shapeBuilder) decompile(x cexpr, refs map[string]bool) (sqlast.Expr, e
 		return &sqlast.Func{Name: MarkerScalar, Args: []sqlast.Expr{sqlast.Int(int64(k))}}, nil
 	}
 	return nil, fmt.Errorf("unknown compiled expression %T", x)
+}
+
+// literalOf is the literal that evaluates to v.
+func literalOf(v Value) (sqlast.Expr, error) {
+	switch v.Kind {
+	case KNull:
+		return &sqlast.NullLit{}, nil
+	case KInt:
+		return sqlast.Int(v.I), nil
+	case KFloat:
+		return &sqlast.FloatLit{Value: v.F}, nil
+	case KText:
+		return sqlast.Str(v.S), nil
+	case KBytes:
+		return sqlast.Bytes(v.B), nil
+	}
+	return nil, fmt.Errorf("literal of kind %v", v.Kind)
 }
 
 // indexColNames resolves an index's column positions to names.

@@ -248,7 +248,10 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 				continue
 			}
 			switch {
-			case len(c.localRef) == 1 && refsOnlyTable(c.expr, name, t):
+			case len(c.localRef) == 1 && refsOnlyTable(c.expr, name, t) && !sqlast.HasParam(c.expr):
+				// A conjunct with a parameter slot selects other keys under
+				// the next binding: it stays a filter of the alias, which it
+				// thereby keeps in the plan.
 				r.own = append(r.own, c)
 			case len(c.localRef) == 2:
 				pairable = true

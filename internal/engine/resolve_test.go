@@ -346,7 +346,7 @@ func planKeySets(t testing.TB, db *DB, sql string) map[string]*keySet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cs, err := db.compile(st)
+	_, cs, err := db.compile(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestPrefixRangeEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cs, err := db.compile(st)
+		_, cs, err := db.compile(st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +472,7 @@ func TestPrefixRangeEstimate(t *testing.T) {
 	// A relation smaller than the fanout cannot yield more than it has.
 	small := fixtureDB(t)
 	st, _ := sqlast.Parse("SELECT d.id FROM C c, D d WHERE c.id = 3 AND d.dewey_pos BETWEEN c.dewey_pos AND c.dewey_pos || X'FF'")
-	_, cs, err := small.compile(st)
+	_, cs, err := small.compile(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 // cannot re-accrete: the methods of *DB that take a sqlast.Statement
 // or hand back a *Result or *Prepared, plus every method of *Prepared,
 // are exactly the boundary, its string convenience, the prepared pair
-// and the five describers. Adding a name here means adding a second
+// with its one execution that binds parameter values, and the five
+// describers. Adding a name here means adding a second
 // way in; give the existing one an option or a caller-side helper
 // instead.
 func TestStatementSurface(t *testing.T) {
@@ -26,6 +27,7 @@ func TestStatementSurface(t *testing.T) {
 		"DB.PlanShape",
 		"DB.PrepareStmt",
 		"DB.RunWithOptionsContext",
+		"Prepared.RunArgs",
 		"Prepared.RunWithOptionsContext",
 	}
 	stmt := reflect.TypeOf((*sqlast.Statement)(nil)).Elem()

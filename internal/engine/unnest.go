@@ -259,49 +259,18 @@ func declaresAlias(e sqlast.Expr, name string) bool {
 
 // renameAliases returns e with every column qualified by a renamed
 // alias requalified, sub-selects included (none of them can declare
-// the old name: unnest checked). With nothing to rename it returns e
-// itself.
+// the old name: unnest checked). What holds no such column is shared
+// with e; with nothing to rename it returns e itself.
 func renameAliases(e sqlast.Expr, renamed map[string]string) sqlast.Expr {
-	if len(renamed) == 0 || e == nil {
+	if len(renamed) == 0 {
 		return e
 	}
-	re := func(e sqlast.Expr) sqlast.Expr { return renameAliases(e, renamed) }
-	sub := func(s *sqlast.Select) *sqlast.Select {
-		out := *s
-		out.Cols = make([]sqlast.SelectCol, len(s.Cols))
-		for i, c := range s.Cols {
-			out.Cols[i] = sqlast.SelectCol{Expr: re(c.Expr), Alias: c.Alias}
+	return sqlast.MapLeaves(e, func(leaf sqlast.Expr) sqlast.Expr {
+		if c, ok := leaf.(*sqlast.Col); ok {
+			if to, ok := renamed[c.Table]; ok {
+				return &sqlast.Col{Table: to, Column: c.Column}
+			}
 		}
-		out.Where = re(s.Where)
-		out.OrderBy = make([]sqlast.OrderKey, len(s.OrderBy))
-		for i, k := range s.OrderBy {
-			out.OrderBy[i] = sqlast.OrderKey{Expr: re(k.Expr), Desc: k.Desc}
-		}
-		return &out
-	}
-	switch x := e.(type) {
-	case *sqlast.Col:
-		if to, ok := renamed[x.Table]; ok {
-			return &sqlast.Col{Table: to, Column: x.Column}
-		}
-	case *sqlast.Binary:
-		return &sqlast.Binary{Op: x.Op, L: re(x.L), R: re(x.R)}
-	case *sqlast.Not:
-		return &sqlast.Not{X: re(x.X)}
-	case *sqlast.Between:
-		return &sqlast.Between{X: re(x.X), Lo: re(x.Lo), Hi: re(x.Hi)}
-	case *sqlast.IsNull:
-		return &sqlast.IsNull{X: re(x.X), Negate: x.Negate}
-	case *sqlast.Func:
-		out := &sqlast.Func{Name: x.Name, Args: make([]sqlast.Expr, len(x.Args))}
-		for i, a := range x.Args {
-			out.Args[i] = re(a)
-		}
-		return out
-	case *sqlast.Exists:
-		return &sqlast.Exists{Select: sub(x.Select), Negate: x.Negate}
-	case *sqlast.Subquery:
-		return &sqlast.Subquery{Select: sub(x.Select)}
-	}
-	return e
+		return leaf
+	})
 }

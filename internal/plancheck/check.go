@@ -1,6 +1,7 @@
 package plancheck
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -20,7 +21,7 @@ type Finding struct {
 	// "access-path", "pipeline", "shape", "distinct", "projection",
 	// "tables", "predicate-missing", "predicate-extra", "order",
 	// "union", "normal-form", "omission", "estimate-provenance",
-	// "resolution", "implied", "unnest".
+	// "resolution", "implied", "unnest", "params".
 	Rule string
 	// Detail is the minimal counterexample.
 	Detail string
@@ -54,14 +55,34 @@ func (c *Certificate) step(format string, args ...any) {
 
 // CheckStatement compiles st on db (through the plan cache),
 // decompiles the plan that would execute, and proves it equivalent to
-// st. On success the certificate is returned with no findings; on
-// failure the findings carry minimal counterexamples.
-func CheckStatement(db *engine.DB, st sqlast.Statement) (*Certificate, []Finding) {
-	sh, err := db.PlanShape(st)
+// st. args are the values of st's parameter slots (nil: it has none).
+// On success the certificate is returned with no findings; on failure
+// the findings carry minimal counterexamples.
+func CheckStatement(db *engine.DB, st sqlast.Statement, args []engine.Value) (*Certificate, []Finding) {
+	sh, err := planShape(db, st, args)
 	if err != nil {
 		return nil, []Finding{{SQL: sqlast.Render(st), Rule: "physical-extract", Detail: err.Error()}}
 	}
 	return CheckShape(db, st, sh)
+}
+
+// errShapeOnly stops an execution once its plan's shape is in hand.
+var errShapeOnly = errors.New("plancheck: shape extracted")
+
+// planShape compiles st the way an execution with args does —
+// engine.Prepared.RunArgs, the path xrel.Store.Query takes — and
+// returns the shape of the plan that execution would run, stopping it
+// there.
+func planShape(db *engine.DB, st sqlast.Statement, args []engine.Value) (*engine.StmtShape, error) {
+	var sh *engine.StmtShape
+	_, err := db.PrepareStmt(st).RunArgs(nil, args, engine.ExecOptions{VerifyPlan: func(tr engine.PlanTrace) error {
+		sh = tr.Shape
+		return errShapeOnly
+	}})
+	if !errors.Is(err, errShapeOnly) {
+		return nil, err
+	}
+	return sh, nil
 }
 
 // CheckShape proves an already-extracted plan shape equivalent to st.
@@ -105,6 +126,7 @@ func CheckShape(db *engine.DB, st sqlast.Statement, sh *engine.StmtShape) (*Cert
 		fail("shape", "plan shape has neither select nor union")
 		return cert, fs
 	}
+	fs = append(fs, checkParams(st, sh, cert)...)
 
 	// Normal-form comparison.
 	switch {

@@ -7,16 +7,19 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/sqlast"
 )
 
 // Stats summarizes one corpus or matrix sweep.
 type Stats struct {
 	// Queries is the number of XPath queries attempted.
 	Queries int
-	// Checked is the number of (query, translator) plans
-	// certificate-checked.
+	// Checked is the number of plans certificate-checked: one per
+	// (query, translator), and one more where the query's shape has
+	// parameter slots — the plan of the statement with its slots open,
+	// compiled the way xrel.Store.Query compiles it. Slotted counts
+	// those.
 	Checked int
+	Slotted int
 	// Skipped counts translations a translator rejected (axis or
 	// construct outside its supported subset).
 	Skipped int
@@ -49,12 +52,11 @@ func corpusWorkloads() ([]*bench.Workload, error) {
 	return corpusWs, corpusErr
 }
 
-// translatorFor pairs a translation function with the database its
-// SQL runs on.
+// translatorFor pairs a translator with the database its SQL runs on.
 type translatorFor struct {
-	name      string
-	db        *engine.DB
-	translate func(string) (sqlast.Statement, error)
+	name string
+	db   *engine.DB
+	tr   *core.Translator
 }
 
 // translators returns the schema-aware and Edge translator pairs for
@@ -63,33 +65,21 @@ type translatorFor struct {
 func translators(w *bench.Workload, om *omissionLog) []translatorFor {
 	opts := core.DefaultOptions()
 	opts.OmissionTrace = om.observe
-	ppf := w.NewPPFTranslator(&opts)
-	edge := core.NewEdge(nil)
 	return []translatorFor{
-		{name: "schema", db: w.Aware.DB, translate: func(q string) (sqlast.Statement, error) {
-			tr, err := ppf.Translate(q)
-			if err != nil {
-				return nil, err
-			}
-			return tr.Stmt, nil
-		}},
-		{name: "edge", db: w.Edge.DB, translate: func(q string) (sqlast.Statement, error) {
-			tr, err := edge.Translate(q)
-			if err != nil {
-				return nil, err
-			}
-			return tr.Stmt, nil
-		}},
+		{name: "schema", db: w.Aware.DB, tr: w.NewPPFTranslator(&opts)},
+		{name: "edge", db: w.Edge.DB, tr: core.NewEdge(nil)},
 	}
 }
 
 // checkOne translates one query under one translator and
-// certificate-checks the resulting plan, including every Section 4.5
-// omission decision the translation took; om is the log tf's
-// translator reports to.
+// certificate-checks the resulting plans — of the statement Translate
+// returns, and where the query's shape has slots of the statement that
+// leaves them open — including every Section 4.5 omission decision the
+// translation took (a shape is translated once, so a later text of it
+// has none to audit); om is the log tf's translator reports to.
 func checkOne(label string, tf translatorFor, query string, om *omissionLog, stats *Stats) []Finding {
 	om.reset()
-	st, err := tf.translate(query)
+	sh, args, err := tf.tr.Prepare(query)
 	if err != nil {
 		stats.Skipped++
 		return nil
@@ -97,11 +87,17 @@ func checkOne(label string, tf translatorFor, query string, om *omissionLog, sta
 	var fs []Finding
 	fs = append(fs, ValidateOmissions(label, om.take())...)
 	stats.Omissions += om.count
-	_, cfs := CheckStatement(tf.db, st)
+	_, cfs := CheckStatement(tf.db, sh.Bind(args).Stmt, nil)
+	stats.Checked++
+	if len(args) > 0 {
+		_, sfs := CheckStatement(tf.db, sh.Stmt, args)
+		cfs = append(cfs, sfs...)
+		stats.Checked++
+		stats.Slotted++
+	}
 	for i := range cfs {
 		cfs[i].Query = label
 	}
-	stats.Checked++
 	return append(fs, cfs...)
 }
 

@@ -78,13 +78,22 @@ func TestMutationsRejected(t *testing.T) {
 		}
 		for _, tf := range translators(w, om) {
 			for _, q := range queries {
-				st, err := tf.translate(q.XPath)
+				sh, args, err := tf.tr.Prepare(q.XPath)
 				if err != nil {
 					continue
 				}
-				results, err := CheckMutations(tf.db, st)
+				// The statement Translate returns, and the one with the
+				// shape's slots open.
+				results, err := CheckMutations(tf.db, sh.Bind(args).Stmt, nil)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", q.ID, tf.name, err)
+				}
+				if len(args) > 0 {
+					slotted, err := CheckMutations(tf.db, sh.Stmt, args)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", q.ID, tf.name, err)
+					}
+					results = append(results, slotted...)
 				}
 				for _, r := range results {
 					if !r.Applied {
@@ -119,6 +128,12 @@ func TestMutationsRejected(t *testing.T) {
 					case "unnest-under-not", "unnest-under-or", "unnest-in-bag-select", "project-existential-alias", "dropped-member-conjunct":
 						if !strings.Contains(r.Finding, "["+ruleUnnest+"]") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the unnest obligation", q.ID, tf.name, r.Name, r.Finding)
+						}
+					// The slot mutants treat a slot as the literal it was compiled
+					// with; other obligations may object too, the params one must.
+					case "omit-by-peeked-value", "resolve-reads-param", "slot-kind-mismatch", "slot-out-of-range", "param-baked-as-literal":
+						if !strings.Contains(strings.Join(r.Rules, " "), ruleParams) {
+							t.Errorf("%s/%s: mutation %s rejected by %v, want the params obligation among them", q.ID, tf.name, r.Name, r.Rules)
 						}
 					case "first-match-run-referenced-later":
 						if !strings.Contains(r.Finding, "["+ruleImplied+"]") || !strings.Contains(r.Finding, "first match from step") {
@@ -498,11 +513,11 @@ func TestPathsAliasesResolved(t *testing.T) {
 		for i := 0; i < n; i++ {
 			q := gen.next()
 			for _, tf := range tfs {
-				st, err := tf.translate(q)
+				tr, err := tf.tr.Translate(q)
 				if err != nil {
 					continue
 				}
-				sh, err := tf.db.PlanShape(st)
+				sh, err := tf.db.PlanShape(tr.Stmt)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}

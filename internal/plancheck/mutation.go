@@ -32,8 +32,10 @@ type MutationResult struct {
 	Name     string
 	Applied  bool
 	Rejected bool
-	// Finding is the first counterexample the checker produced.
+	// Finding is the first counterexample the checker produced, Rules
+	// the obligations all of them name.
 	Finding string
+	Rules   []string
 }
 
 // firstSelect returns the shape's select block (first union branch
@@ -498,7 +500,116 @@ func Mutations() []Mutation {
 				return false
 			},
 		},
+		// The slot mutants apply to plans of statements with parameter
+		// slots; each treats a slot as the literal it was compiled with.
+		{
+			Name:   "omit-by-peeked-value",
+			Defect: "a filter that reads a slot is proven redundant from the value the plan was compiled with",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+					si, fi := slotFilter(sel)
+					if si < 0 {
+						return false
+					}
+					s := &sel.Steps[si]
+					s.Omitted = append(s.Omitted, engine.OmittedShape{Pred: s.Filters[fi], Reason: "int-range"})
+					s.Filters = append(s.Filters[:fi:fi], s.Filters[fi+1:]...)
+					return true
+				})
+			},
+		},
+		{
+			Name:   "resolve-reads-param",
+			Defect: "a dimension's key set is computed at plan time from a conjunct that reads a slot",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+					si, fi := slotFilter(sel)
+					if si < 0 || len(sel.Resolved) == 0 {
+						return false
+					}
+					s := &sel.Steps[si]
+					sel.Resolved[0].Conds = append(sel.Resolved[0].Conds, s.Filters[fi])
+					s.Filters = append(s.Filters[:fi:fi], s.Filters[fi+1:]...)
+					return true
+				})
+			},
+		},
+		{
+			Name:   "slot-kind-mismatch",
+			Defect: "the plan reads a slot as another kind than the statement declares",
+			Apply: func(sh *engine.StmtShape) bool {
+				return rewriteSlots(sh, func(p *sqlast.Param) sqlast.Expr {
+					return &sqlast.Param{Slot: p.Slot, Kind: (p.Kind + 1) % 3}
+				})
+			},
+		},
+		{
+			Name:   "slot-out-of-range",
+			Defect: "the plan reads a slot the statement does not have",
+			Apply: func(sh *engine.StmtShape) bool {
+				return rewriteSlots(sh, func(p *sqlast.Param) sqlast.Expr {
+					return &sqlast.Param{Slot: p.Slot + 100, Kind: p.Kind}
+				})
+			},
+		},
+		{
+			Name:   "param-baked-as-literal",
+			Defect: "the value a slot had when the plan was compiled stands in the plan as a literal",
+			Apply: func(sh *engine.StmtShape) bool {
+				return rewriteSlots(sh, func(p *sqlast.Param) sqlast.Expr {
+					if p.Kind == sqlast.ParamText {
+						return sqlast.Str("compile-time value")
+					}
+					return sqlast.Int(42)
+				})
+			},
+		},
 	}
+}
+
+// slotFilter finds a step filter of the select that reads a parameter
+// slot: its step and position, -1 without one.
+func slotFilter(sel *engine.SelectShape) (step, filter int) {
+	for si, s := range sel.Steps {
+		for fi, f := range s.Filters {
+			if sqlast.HasParam(f.Expr) {
+				return si, fi
+			}
+		}
+	}
+	return -1, -1
+}
+
+// rewriteSlots replaces every slot the steps of the plan read — filters
+// and access keys, every select — by what to makes of it, reporting
+// whether there was one.
+func rewriteSlots(sh *engine.StmtShape, to func(*sqlast.Param) sqlast.Expr) bool {
+	found := false
+	rewrite := func(es *engine.ExprShape) {
+		es.Expr = sqlast.MapLeaves(es.Expr, func(leaf sqlast.Expr) sqlast.Expr {
+			if p, ok := leaf.(*sqlast.Param); ok {
+				found = true
+				return to(p)
+			}
+			return leaf
+		})
+	}
+	mutateSelect(sh, func(sel *engine.SelectShape) bool {
+		for si := range sel.Steps {
+			s := &sel.Steps[si]
+			for fi := range s.Filters {
+				rewrite(&s.Filters[fi])
+			}
+			for ki := range s.Access.Keys {
+				rewrite(&s.Access.Keys[ki])
+			}
+			rewrite(&s.Access.Key)
+			rewrite(&s.Access.Lo)
+			rewrite(&s.Access.Hi)
+		}
+		return false // visit every select
+	})
+	return found
 }
 
 // forgeUnnest simulates the planner merging an EXISTS it must leave
@@ -626,13 +737,13 @@ func pipelinePos(pipeline []string, alias string) int {
 	return -1
 }
 
-// CheckMutations extracts st's plan shape once per mutation, applies
-// the defect, and runs the checker. A sound checker rejects every
-// applied mutation.
-func CheckMutations(db *engine.DB, st sqlast.Statement) ([]MutationResult, error) {
+// CheckMutations extracts st's plan shape once per mutation (args are
+// the values of st's parameter slots, nil without), applies the defect,
+// and runs the checker. A sound checker rejects every applied mutation.
+func CheckMutations(db *engine.DB, st sqlast.Statement, args []engine.Value) ([]MutationResult, error) {
 	var out []MutationResult
 	for _, m := range Mutations() {
-		sh, err := db.PlanShape(st)
+		sh, err := planShape(db, st, args)
 		if err != nil {
 			return nil, fmt.Errorf("extract shape for %s: %w", m.Name, err)
 		}
@@ -646,6 +757,9 @@ func CheckMutations(db *engine.DB, st sqlast.Statement) ([]MutationResult, error
 		if len(fs) > 0 {
 			res.Rejected = true
 			res.Finding = fs[0].String()
+			for _, f := range fs {
+				res.Rules = append(res.Rules, f.Rule)
+			}
 		}
 		out = append(out, res)
 	}

@@ -73,7 +73,7 @@ func mustCheckSQL(t *testing.T, db *engine.DB, sql string) *Certificate {
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	cert, fs := CheckStatement(db, st)
+	cert, fs := CheckStatement(db, st, nil)
 	for _, f := range fs {
 		t.Errorf("unexpected finding for %q:\n%s", sql, f)
 	}
@@ -177,5 +177,32 @@ func TestVerifyPlanExecOption(t *testing.T) {
 	}
 	if _, err := db.RunWithOptionsContext(nil, st, engine.ExecOptions{VerifyPlan: Verifier(db)}); err != nil {
 		t.Fatalf("verified execution failed: %v", err)
+	}
+}
+
+// TestVerifyPlanWithSlots: a statement with parameter slots verifies on
+// the path that binds them, for the binding that compiles the plan and
+// for later ones; the certificate names the params obligation; and a
+// slot whose index key the plan probes is checked like a literal's.
+func TestVerifyPlanWithSlots(t *testing.T) {
+	db := twoTableDB(t)
+	st := sqlast.MustParse("SELECT DISTINCT e.id FROM element e, paths p WHERE e.parent = ?1:int AND e.path = p.id AND p.path = ?2 ORDER BY e.id")
+	prep := db.PrepareStmt(st)
+	for _, parent := range []int64{3, 4, 999} {
+		args := []engine.Value{engine.NewInt(parent), engine.NewText("#a#b#")}
+		res, err := prep.RunArgs(nil, args, engine.ExecOptions{VerifyPlan: Verifier(db)})
+		if err != nil {
+			t.Fatalf("parent %d: verified execution failed: %v", parent, err)
+		}
+		if want := map[int64]int{3: 4, 4: 4, 999: 0}[parent]; len(res.Rows) != want {
+			t.Errorf("parent %d: %d rows, want %d", parent, len(res.Rows), want)
+		}
+	}
+	cert, fs := CheckStatement(db, st, []engine.Value{engine.NewInt(3), engine.NewText("#a#b#")})
+	if len(fs) > 0 {
+		t.Fatalf("findings: %v", fs)
+	}
+	if steps := strings.Join(cert.Steps, "\n"); !strings.Contains(steps, "params: slots [1 2]") {
+		t.Errorf("certificate lacks the params obligation:\n%s", steps)
 	}
 }

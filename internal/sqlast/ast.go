@@ -114,6 +114,27 @@ type NullLit struct{}
 
 func (*NullLit) exprNode() {}
 
+// ParamKind is the type of the value a parameter slot takes.
+type ParamKind uint8
+
+const (
+	ParamText ParamKind = iota
+	ParamInt
+	ParamFloat
+)
+
+// Param is a parameter slot: a value the statement's text leaves open
+// and each execution supplies (engine.Prepared.RunArgs). Slot counts
+// from 0; it renders as ?1 for a text slot and ?1:int / ?1:float for a
+// number slot, the kind being part of what a plan is compiled for. A
+// slot may occur more than once in a statement.
+type Param struct {
+	Slot int
+	Kind ParamKind
+}
+
+func (*Param) exprNode() {}
+
 // BinOp is a binary operator.
 type BinOp uint8
 
@@ -291,6 +312,7 @@ func (l *FloatLit) String() string { return trimFloat(l.Value) }
 func (l *StrLit) String() string   { return "'" + strings.ReplaceAll(l.Value, "'", "''") + "'" }
 func (l *BytesLit) String() string { return fmt.Sprintf("X'%X'", l.Value) }
 func (*NullLit) String() string    { return "NULL" }
+func (p *Param) String() string    { return renderExpr(p) }
 func (b *Binary) String() string   { return renderExpr(b) }
 func (n *Not) String() string      { return renderExpr(n) }
 func (b *Between) String() string  { return renderExpr(b) }
@@ -306,4 +328,125 @@ func trimFloat(v float64) string {
 		s += ".0"
 	}
 	return s
+}
+
+// MapLeaves returns e with every leaf — column, literal, parameter
+// slot, COUNT(*) — replaced by what fn makes of it, sub-selects
+// included. A subtree fn leaves as it is is shared with e, not copied;
+// e itself is never modified.
+func MapLeaves(e Expr, fn func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case *Binary:
+		if l, r := MapLeaves(x.L, fn), MapLeaves(x.R, fn); l != x.L || r != x.R {
+			return &Binary{Op: x.Op, L: l, R: r}
+		}
+	case *Not:
+		if in := MapLeaves(x.X, fn); in != x.X {
+			return &Not{X: in}
+		}
+	case *Between:
+		if v, lo, hi := MapLeaves(x.X, fn), MapLeaves(x.Lo, fn), MapLeaves(x.Hi, fn); v != x.X || lo != x.Lo || hi != x.Hi {
+			return &Between{X: v, Lo: lo, Hi: hi}
+		}
+	case *IsNull:
+		if in := MapLeaves(x.X, fn); in != x.X {
+			return &IsNull{X: in, Negate: x.Negate}
+		}
+	case *Func:
+		var args []Expr // nil until an argument changes
+		for i, a := range x.Args {
+			if m := MapLeaves(a, fn); m != a {
+				if args == nil {
+					args = append([]Expr(nil), x.Args...)
+				}
+				args[i] = m
+			}
+		}
+		if args != nil {
+			return &Func{Name: x.Name, Args: args}
+		}
+	case *Exists:
+		if sel := x.Select.mapLeaves(fn); sel != x.Select {
+			return &Exists{Select: sel, Negate: x.Negate}
+		}
+	case *Subquery:
+		if sel := x.Select.mapLeaves(fn); sel != x.Select {
+			return &Subquery{Select: sel}
+		}
+	default:
+		return fn(e)
+	}
+	return e
+}
+
+// Params lists the parameter slots e holds, sub-selects included, in
+// the order MapLeaves meets them.
+func Params(e Expr) []*Param {
+	var out []*Param
+	MapLeaves(e, func(leaf Expr) Expr {
+		if p, ok := leaf.(*Param); ok {
+			out = append(out, p)
+		}
+		return leaf
+	})
+	return out
+}
+
+// HasParam reports whether e holds a parameter slot.
+func HasParam(e Expr) bool { return len(Params(e)) > 0 }
+
+// mapLeaves is MapLeaves over a select's projection, WHERE and ORDER BY.
+func (s *Select) mapLeaves(fn func(Expr) Expr) *Select {
+	var out *Select // nil until something changes
+	edit := func() *Select {
+		if out == nil {
+			c := *s
+			c.Cols = append([]SelectCol(nil), s.Cols...)
+			c.OrderBy = append([]OrderKey(nil), s.OrderBy...)
+			out = &c
+		}
+		return out
+	}
+	for i, c := range s.Cols {
+		if m := MapLeaves(c.Expr, fn); m != c.Expr {
+			edit().Cols[i].Expr = m
+		}
+	}
+	if w := MapLeaves(s.Where, fn); w != s.Where {
+		edit().Where = w
+	}
+	for i, k := range s.OrderBy {
+		if m := MapLeaves(k.Expr, fn); m != k.Expr {
+			edit().OrderBy[i].Expr = m
+		}
+	}
+	if out == nil {
+		return s
+	}
+	return out
+}
+
+// MapStatementLeaves is MapLeaves over the selects of a SELECT or UNION
+// (whose own ORDER BY names output columns and stays as it is).
+func MapStatementLeaves(st Statement, fn func(Expr) Expr) Statement {
+	switch s := st.(type) {
+	case *Select:
+		return s.mapLeaves(fn)
+	case *Union:
+		var sels []*Select // nil until a branch changes
+		for i, sel := range s.Selects {
+			if m := sel.mapLeaves(fn); m != sel {
+				if sels == nil {
+					sels = append([]*Select(nil), s.Selects...)
+				}
+				sels[i] = m
+			}
+		}
+		if sels != nil {
+			return &Union{Selects: sels, OrderBy: s.OrderBy}
+		}
+	}
+	return st
 }

@@ -48,6 +48,7 @@ const (
 	sqlComma
 	sqlDot
 	sqlStar
+	sqlParam // ?N or ?N:kind; text is what follows the '?'
 )
 
 type sqlToken struct {
@@ -86,6 +87,13 @@ func lexSQL(src string) ([]sqlToken, error) {
 		case c == '*':
 			toks = append(toks, sqlToken{sqlStar, "*", i})
 			i++
+		case c == '?':
+			j := i + 1
+			for j < len(src) && (isSQLIdentChar(src[j]) || src[j] == ':') {
+				j++
+			}
+			toks = append(toks, sqlToken{sqlParam, src[i+1 : j], i})
+			i = j
 		case c == '\'':
 			j := i + 1
 			var sb strings.Builder
@@ -498,6 +506,15 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		return &IntLit{Value: v}, nil
 	case sqlString:
 		return &StrLit{Value: t.text}, nil
+	case sqlParam:
+		num, kind, _ := strings.Cut(t.text, ":")
+		n, err := strconv.Atoi(num)
+		kinds := map[string]ParamKind{"": ParamText, "int": ParamInt, "float": ParamFloat}
+		k, known := kinds[kind]
+		if err != nil || n < 1 || !known {
+			return nil, fmt.Errorf("sqlast: bad parameter %q at offset %d", "?"+t.text, t.pos)
+		}
+		return &Param{Slot: n - 1, Kind: k}, nil
 	case sqlBytes:
 		b, err := hex.DecodeString(t.text)
 		if err != nil {

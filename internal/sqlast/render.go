@@ -2,18 +2,72 @@ package sqlast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
 // Render produces the SQL text of a statement. The output parses back
 // to an equivalent tree with Parse.
 func Render(st Statement) string {
-	var b strings.Builder
+	var b renderer
 	renderStatement(&b, st)
 	return b.String()
 }
 
-func renderStatement(b *strings.Builder, st Statement) {
+// Split is a statement's text cut at its parameter slots: parts[i] is
+// followed by slot slots[i], and the last part by nothing.
+type Split struct {
+	parts []string
+	slots []int
+}
+
+// RenderSplit renders a statement around its parameter slots, so that
+// a caller holding the slots' values has the text of any binding
+// without rendering the statement again.
+func RenderSplit(st Statement) Split {
+	b := renderer{split: true}
+	renderStatement(&b, st)
+	var sp Split
+	text, from := b.String(), 0
+	for _, c := range b.cuts {
+		sp.parts = append(sp.parts, text[from:c.at])
+		sp.slots = append(sp.slots, c.slot)
+		from = c.at
+	}
+	sp.parts = append(sp.parts, text[from:])
+	return sp
+}
+
+// Splice is the statement's text with lits[k] standing where slot k
+// stood: what Render makes of the statement with its slots so replaced.
+func (sp Split) Splice(lits []Expr) string {
+	var b renderer
+	n := 0
+	for _, p := range sp.parts {
+		n += len(p)
+	}
+	b.Grow(n + 16*len(sp.slots))
+	for i, p := range sp.parts {
+		b.WriteString(p)
+		if i < len(sp.slots) {
+			renderExprTo(&b, lits[sp.slots[i]])
+		}
+	}
+	return b.String()
+}
+
+// renderer is the text under construction. With split set a parameter
+// slot writes nothing and is recorded as a cut (RenderSplit).
+type renderer struct {
+	strings.Builder
+	split bool
+	cuts  []cut
+}
+
+// cut is one parameter slot's place in split text.
+type cut struct{ at, slot int }
+
+func renderStatement(b *renderer, st Statement) {
 	switch s := st.(type) {
 	case *Select:
 		renderSelect(b, s)
@@ -39,7 +93,7 @@ func renderStatement(b *strings.Builder, st Statement) {
 	}
 }
 
-func renderSelect(b *strings.Builder, s *Select) {
+func renderSelect(b *renderer, s *Select) {
 	b.WriteString("SELECT ")
 	if s.Distinct {
 		b.WriteString("DISTINCT ")
@@ -51,7 +105,7 @@ func renderSelect(b *strings.Builder, s *Select) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(exprString(c.Expr))
+		renderExprTo(b, c.Expr)
 		if c.Alias != "" {
 			b.WriteString(" AS ")
 			b.WriteString(c.Alias)
@@ -70,11 +124,11 @@ func renderSelect(b *strings.Builder, s *Select) {
 	}
 	if s.Where != nil {
 		b.WriteString(" WHERE ")
-		b.WriteString(exprString(s.Where))
+		renderExprTo(b, s.Where)
 	}
 }
 
-func renderOrderBy(b *strings.Builder, keys []OrderKey) {
+func renderOrderBy(b *renderer, keys []OrderKey) {
 	if len(keys) == 0 {
 		return
 	}
@@ -83,7 +137,7 @@ func renderOrderBy(b *strings.Builder, keys []OrderKey) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(exprString(k.Expr))
+		renderExprTo(b, k.Expr)
 		if k.Desc {
 			b.WriteString(" DESC")
 		}
@@ -154,18 +208,29 @@ func prec(e Expr) int {
 	return 10
 }
 
-func exprString(e Expr) string {
-	var b strings.Builder
+func renderExpr(e Expr) string {
+	var b renderer
 	renderExprTo(&b, e)
 	return b.String()
 }
 
-func renderExpr(e Expr) string { return exprString(e) }
-
-func renderExprTo(b *strings.Builder, e Expr) {
+func renderExprTo(b *renderer, e Expr) {
 	switch x := e.(type) {
 	case *Col, *IntLit, *FloatLit, *StrLit, *BytesLit, *NullLit, *CountStar:
 		b.WriteString(e.(fmt.Stringer).String())
+	case *Param:
+		if b.split {
+			b.cuts = append(b.cuts, cut{at: b.Len(), slot: x.Slot})
+			return
+		}
+		b.WriteByte('?')
+		b.WriteString(strconv.Itoa(x.Slot + 1))
+		switch x.Kind {
+		case ParamInt:
+			b.WriteString(":int")
+		case ParamFloat:
+			b.WriteString(":float")
+		}
 	case *Binary:
 		renderChild(b, x.L, prec(e))
 		b.WriteByte(' ')
@@ -214,7 +279,7 @@ func renderExprTo(b *strings.Builder, e Expr) {
 	}
 }
 
-func renderChild(b *strings.Builder, e Expr, parentPrec int) {
+func renderChild(b *renderer, e Expr, parentPrec int) {
 	if prec(e) < parentPrec {
 		b.WriteByte('(')
 		renderExprTo(b, e)

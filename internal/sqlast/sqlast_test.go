@@ -60,6 +60,7 @@ func TestParseRenderRoundTrip(t *testing.T) {
 		"SELECT NULL FROM t",
 		"SELECT a FROM t WHERE f = 1.5",
 		"SELECT a FROM t WHERE a = -3",
+		"SELECT a FROM t WHERE a = ?1 AND b > ?2:int AND EXISTS (SELECT NULL FROM u WHERE u.f < ?3:float AND u.a = ?1)",
 	}
 	for _, src := range statements {
 		st, err := Parse(src)
@@ -212,4 +213,46 @@ func TestRenderEdgeCases(t *testing.T) {
 	if !strings.Contains((&Exists{Select: u.Selects[0]}).String(), "EXISTS (SELECT") {
 		t.Error("Exists rendering wrong")
 	}
+}
+
+// TestRenderSplitSplice: the text spliced from the split rendering is
+// the rendering of the statement with the literals in the slots' places
+// (MapStatementLeaves), quotes doubled, for a slot that occurs twice and
+// slots out of order; what holds no slot is shared, not copied.
+func TestRenderSplitSplice(t *testing.T) {
+	st := MustParse("SELECT DISTINCT t.a AS id FROM t, u WHERE u.x = ?2:int AND (t.a = ?1 OR t.b = ?1) AND REGEXP_LIKE(t.p, '^/a/?1$') AND EXISTS (SELECT NULL FROM v WHERE v.f >= ?3:float) ORDER BY t.a")
+	lits := []Expr{Str("it's ?2"), Int(40), &FloatLit{Value: 40.5}}
+	bound := MapStatementLeaves(st, func(leaf Expr) Expr {
+		if p, ok := leaf.(*Param); ok {
+			return lits[p.Slot]
+		}
+		return leaf
+	})
+	want := "SELECT DISTINCT t.a AS id FROM t, u WHERE u.x = 40 AND (t.a = 'it''s ?2' OR t.b = 'it''s ?2') AND REGEXP_LIKE(t.p, '^/a/?1$') AND EXISTS (SELECT NULL FROM v WHERE v.f >= 40.5) ORDER BY t.a"
+	if got := Render(bound); got != want {
+		t.Errorf("bound statement renders\n %s\nwant\n %s", got, want)
+	}
+	if got := RenderSplit(st).Splice(lits); got != want {
+		t.Errorf("spliced text\n %s\nwant\n %s", got, want)
+	}
+	if HasParam(bound.(*Select).Where) || !HasParam(st.(*Select).Where) {
+		t.Error("binding must replace every slot and leave the shape's statement alone")
+	}
+	re := func(s Statement) Expr { return flattenAndForTest(s.(*Select).Where)[2] }
+	if re(bound) != re(st) {
+		t.Error("a conjunct without a slot was copied, not shared")
+	}
+	if got := MapStatementLeaves(bound, func(leaf Expr) Expr { return leaf }); got != bound {
+		t.Error("an identity mapping must return the statement itself")
+	}
+	if sp := RenderSplit(bound); sp.Splice(nil) != want {
+		t.Error("a statement without slots splits into its one part")
+	}
+}
+
+func flattenAndForTest(e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
+		return append(flattenAndForTest(b.L), flattenAndForTest(b.R)...)
+	}
+	return []Expr{e}
 }

@@ -211,15 +211,32 @@ func (b *Binary) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
 }
 
-// Literal is a string literal.
-type Literal struct{ Value string }
+// Literal is a string literal. Pos and End delimit it in the parsed
+// source, quotes included; both are 0 for a node not read from source.
+type Literal struct {
+	Value    string
+	Pos, End int
+}
 
-func (l *Literal) exprNode()      {}
-func (l *Literal) String() string { return "'" + l.Value + "'" }
+func (l *Literal) exprNode() {}
+
+// String quotes the value with whichever of ' and " it does not
+// contain: XPath 1.0 has no escape, so a parsed literal never contains
+// both, and the rendering re-parses to the same value.
+func (l *Literal) String() string {
+	if strings.IndexByte(l.Value, '\'') >= 0 {
+		return `"` + l.Value + `"`
+	}
+	return "'" + l.Value + "'"
+}
 
 // Number is a numeric literal. A bare number predicate like [3] is a
-// positional predicate.
-type Number struct{ Value float64 }
+// positional predicate. Pos and End delimit it in the parsed source;
+// both are 0 for a node the parser synthesised (the 0 of a unary minus).
+type Number struct {
+	Value    float64
+	Pos, End int
+}
 
 func (n *Number) exprNode() {}
 func (n *Number) String() string {

@@ -24,6 +24,8 @@ func FuzzXPathParse(f *testing.F) {
 		"/A/following-sibling::B",
 		"/A/B[1+2*3]",
 		"/A/B['quo''te']",
+		`/A/B[@id="it's"]`,
+		`/A/B[@id='say "hi"']`,
 		"",
 		"/",
 		"//",

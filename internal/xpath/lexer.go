@@ -33,6 +33,7 @@ type token struct {
 	text string
 	num  float64
 	pos  int
+	end  int // one past the token's last byte; set for tokString and tokNumber
 }
 
 func (t token) String() string {
@@ -158,7 +159,7 @@ func (l *lexer) next() (token, error) {
 		}
 		text := l.src[l.pos+1 : l.pos+1+end]
 		l.pos += end + 2
-		return token{kind: tokString, text: text, pos: start}, nil
+		return token{kind: tokString, text: text, pos: start, end: l.pos}, nil
 	case c == '.':
 		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '.' {
 			l.pos += 2
@@ -214,7 +215,7 @@ func (l *lexer) lexNumber() (token, error) {
 	if err != nil {
 		return token{}, fmt.Errorf("xpath: bad number %q at offset %d", text, start)
 	}
-	return token{kind: tokNumber, text: text, num: v, pos: start}, nil
+	return token{kind: tokNumber, text: text, num: v, pos: start, end: l.pos}, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -255,10 +255,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t := p.peek(); t.kind {
 	case tokString:
 		p.next()
-		return &Literal{Value: t.text}, nil
+		return &Literal{Value: t.text, Pos: t.pos, End: t.end}, nil
 	case tokNumber:
 		p.next()
-		return &Number{Value: t.num}, nil
+		return &Number{Value: t.num, Pos: t.pos, End: t.end}, nil
 	case tokOperator:
 		if t.text == "-" {
 			p.next()

@@ -16,14 +16,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dewey"
 	"repro/internal/engine"
 	"repro/internal/schema"
 	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
 // Schema is an XML schema graph (re-exported).
@@ -193,10 +194,11 @@ type SQL struct {
 
 // Translate compiles an XPath query to SQL without executing it.
 func (s *Store) Translate(query string) (*SQL, error) {
-	tr, err := s.tr.Translate(query)
+	sh, args, err := s.tr.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
+	tr := sh.Bind(args)
 	return &SQL{Text: tr.SQL, Selects: tr.Selects, Joins: tr.Joins, stmt: tr.Stmt}, nil
 }
 
@@ -215,10 +217,15 @@ type Result struct {
 	SQL string
 }
 
-// Query translates and executes an XPath query. It passes a nil
-// context — not context.Background() — so the engine's nil-context
-// fast path skips the per-1024-row cancellation poll entirely
-// (ctxflow enforces this).
+// Query translates and executes an XPath query. What it pays per call
+// depends on the query's shape — its text with the compared literals
+// cut out ([@id='person7'] and [@id='person8'] are one shape): the
+// first query of a shape is translated and planned, every later one is
+// parsed, looked up, and executed on the shape's plan with its own
+// values bound, until a Load changes a table the plan reads. It passes
+// a nil context — not context.Background() — so the engine's
+// nil-context fast path skips the per-1024-row cancellation poll
+// entirely (ctxflow enforces this).
 func (s *Store) Query(query string) (*Result, error) {
 	return s.QueryContext(nil, query)
 }
@@ -226,15 +233,16 @@ func (s *Store) Query(query string) (*Result, error) {
 // QueryContext is Query under a context: cancellation or deadline
 // expiry stops the engine mid-statement with ctx.Err().
 func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error) {
-	tr, err := s.tr.Translate(query)
+	sh, args, err := s.tr.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.shred.DB.RunWithOptionsContext(ctx, tr.Stmt, s.execOpts())
+	sql := sh.SQL(args)
+	res, err := sh.Prepared(s.shred.DB).RunArgs(ctx, args, s.execOpts())
 	if err != nil {
-		return nil, fmt.Errorf("xrel: executing %q: %w", tr.SQL, err)
+		return nil, fmt.Errorf("xrel: executing %q: %w", sql, err)
 	}
-	out := &Result{SQL: tr.SQL}
+	out := &Result{SQL: sql}
 	if len(res.Rows) > 0 {
 		out.Nodes = make([]Node, len(res.Rows))
 	}
@@ -267,25 +275,35 @@ func (s *Store) RunSQL(sql string) (cols []string, rows [][]string, err error) {
 }
 
 // Explain renders the engine's physical operator tree for an XPath
-// query without executing it.
-func (s *Store) Explain(query string) (string, error) {
-	tr, err := s.tr.Translate(query)
-	if err != nil {
-		return "", err
-	}
-	return s.shred.DB.Explain(tr.Stmt)
-}
+// query without executing it: the plan Query would run, which is the
+// plan of the query's shape. A literal the shape leaves open shows as
+// ?1, and a last line gives the values this text binds.
+func (s *Store) Explain(query string) (string, error) { return s.explain(query, false) }
 
 // ExplainAnalyze executes an XPath query under the store's limits and
 // parallelism and renders the physical operator tree annotated with
 // per-operator runtime statistics (rows in/out, loops, index probes,
 // pattern-cache hits, memory charged, wall time).
-func (s *Store) ExplainAnalyze(query string) (string, error) {
-	tr, err := s.tr.Translate(query)
+func (s *Store) ExplainAnalyze(query string) (string, error) { return s.explain(query, true) }
+
+// explain sends EXPLAIN [ANALYZE] of the query's shape through the
+// statement boundary Query uses, with the query's values.
+func (s *Store) explain(query string, analyze bool) (string, error) {
+	sh, args, err := s.tr.Prepare(query)
 	if err != nil {
 		return "", err
 	}
-	return s.shred.DB.ExplainAnalyzeWithOptions(tr.Stmt, s.execOpts())
+	ex := s.shred.DB.PrepareStmt(&sqlast.Explain{Analyze: analyze, Stmt: sh.Stmt})
+	res, err := ex.RunArgs(nil, args, s.execOpts())
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, row := range res.Rows {
+		b.WriteString(row[0].S)
+		b.WriteByte('\n')
+	}
+	return b.String(), nil
 }
 
 // TableSizes reports "relation=rows" pairs, sorted by name.
@@ -296,9 +314,11 @@ func (s *Store) TableSizes() []string { return s.shred.DB.SortedTableSizes() }
 func (s *Store) PathCount() int { return s.shred.PathCount() }
 
 // PlanCacheStats reports the embedded engine's prepared-plan cache
-// counters: cached plans, cumulative hits, cumulative misses.
-// Repeating a query against an unchanged store hits the cache and
-// skips re-planning.
+// counters: cached plans, cumulative hits, cumulative misses. Plans
+// are kept per query shape: a hit is a query of a shape already
+// planned against the tables as they now stand, whatever values it
+// compares with; a miss is the first query of a shape, or the first
+// after a Load changed a table its plan reads.
 func (s *Store) PlanCacheStats() (size int, hits, misses uint64) {
 	hits, misses = s.shred.DB.PlanCacheStats()
 	return s.shred.DB.PlanCacheSize(), hits, misses
@@ -307,10 +327,7 @@ func (s *Store) PlanCacheStats() (size int, hits, misses uint64) {
 // ValidQuery reports whether the query parses and is translatable for
 // this store's schema.
 func (s *Store) ValidQuery(query string) error {
-	if _, err := xpath.Parse(query); err != nil {
-		return err
-	}
-	_, err := s.tr.Translate(query)
+	_, _, err := s.tr.Prepare(query)
 	return err
 }
 
