@@ -74,7 +74,7 @@ race:
 # must unwind to typed errors with no goroutine leaks, no held locks
 # and no poisoned caches (DESIGN.md section 8). TestParam* put
 # statements with parameter slots through the same matrix — batch
-# sizes, Parallelism, budgets, the hash-build fault — and run one
+# sizes, both executors, budgets, the hash-build fault — and run one
 # shared plan from many goroutines with different values; TestShape*
 # do that through xrel.Store.Query.
 chaos:
@@ -83,7 +83,7 @@ chaos:
 	$(GO) test -race -count=10 -run 'TestShapeConcurrentQueries' ./xrel/
 
 # batch-smoke checks batch-size invariance: every query in the
-# engine's parallel matrix and the Figure 3 corpus must return
+# engine's serial/morsel matrix and the Figure 3 corpus must return
 # byte-identical results, operator statistics, and governor errors at
 # every batch capacity (including the degenerate 1), and a fault
 # injected at the engine/batch-flush failpoint must unwind to a typed
@@ -114,13 +114,14 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPathPattern -fuzztime=10s ./internal/pathre/
 	$(GO) test -fuzz=FuzzPathDFA -fuzztime=10s ./internal/pathre/
 
-# bench-smoke runs a tiny Figure 3 pass in both execution modes
-# (serial, then morsel-parallel) with oracle verification on: a fast
-# end-to-end check that every measured configuration still returns the
-# native evaluator's node sets.
+# bench-smoke runs a tiny Figure 3 pass at GOMAXPROCS 1 (every
+# statement serial) and 2 (the engine's morsel executor wherever it
+# decides it pays) with oracle verification on: a fast end-to-end check
+# that both configurations still return the native evaluator's node
+# sets.
 bench-smoke:
-	$(GO) run ./cmd/xbench -experiment fig3 -scale 0.02 -reps 1 -budget 30s
-	$(GO) run ./cmd/xbench -experiment fig3 -scale 0.02 -reps 1 -budget 30s -parallel
+	GOMAXPROCS=1 $(GO) run ./cmd/xbench -experiment fig3 -scale 0.02 -reps 1 -budget 30s
+	GOMAXPROCS=2 $(GO) run ./cmd/xbench -experiment fig3 -scale 0.02 -reps 1 -budget 30s
 
 # explain-smoke runs EXPLAIN ANALYZE over the Figure 3 query set on
 # both workloads, asserting that every operator reports runtime stats
@@ -139,7 +140,7 @@ planquality-smoke:
 
 # golden-rows is the planner's result-identity harness: the Figure 3
 # statements and the six ad-hoc templates, both mappings, 24 runs a
-# statement (serial / Parallelism 4, batch size 1 / default, in memory /
+# statement (GOMAXPROCS 1 / 4, batch size 1 / default, in memory /
 # persisted-closed-reopened, first plan / re-planned) must return the
 # native oracle's rows in order — the rows whose hashes
 # internal/bench/testdata/golden_rows.txt commits. A planner change

@@ -14,7 +14,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -105,57 +104,17 @@ func BenchmarkFig3(b *testing.B) {
 }
 
 // BenchmarkAppCSmall reproduces the left half of Appendix C (Figure
-// 4): all five systems on the small XMark document.
+// 4): all five systems on the small XMark document. `go test -bench
+// AppCSmall -cpu 1,2` runs it at GOMAXPROCS 1 (the paper's serial
+// configuration) and 2, where the engine runs the statements it judges
+// worth it (at this scale Q6, and Q13 on the Edge-like mapping) on
+// morsel workers.
 func BenchmarkAppCSmall(b *testing.B) {
 	w := xmarkSmall(b)
 	for _, q := range w.Queries {
 		for _, sys := range bench.Systems {
 			b.Run(fmt.Sprintf("%s/%s", q.ID, sysTag(sys)), func(b *testing.B) {
 				benchQuery(b, w, sys, q)
-			})
-		}
-	}
-}
-
-// BenchmarkAppCSmallParallel runs the SQL-based systems of Appendix C
-// with the engine's morsel executor at GOMAXPROCS workers, for
-// comparison against the serial BenchmarkAppCSmall cells. The
-// structural-join-heavy queries (Q6, Q7, QA, QD2, QD5) are where the
-// driving-table fan-out is widest. Result node-id sets are asserted
-// against the serial run each iteration's setup.
-func BenchmarkAppCSmallParallel(b *testing.B) {
-	w := xmarkSmall(b)
-	workers := runtime.GOMAXPROCS(0)
-	for _, q := range w.Queries {
-		for _, sys := range []bench.System{bench.PPF, bench.EdgePPF, bench.Accel} {
-			sys := sys
-			b.Run(fmt.Sprintf("%s/%s", q.ID, sysTag(sys)), func(b *testing.B) {
-				want, err := w.Run(sys, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				got, err := w.RunParallel(sys, q, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) != len(want) {
-					b.Fatalf("parallel returned %d ids, serial %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						b.Fatalf("id %d differs: %d vs %d", i, got[i], want[i])
-					}
-				}
-				var nodes int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ids, err := w.RunParallel(sys, q, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = len(ids)
-				}
-				b.ReportMetric(float64(nodes), "nodes")
 			})
 		}
 	}

@@ -6,7 +6,7 @@
 //	xbench -experiment fig3|appc-small|appc-large|appc-dblp|joins|\
 //	                   explain|planquality|ablate-pathfilter|ablate-fkjoin|mixed|all
 //	       [-scale N] [-reps N] [-budget 60s] [-seed N] [-noverify]
-//	       [-parallel] [-batch N] [-max-mem BYTES] [-max-rows N]
+//	       [-batch N] [-max-mem BYTES] [-max-rows N]
 //	       [-json out.json]
 //
 // Scale 1 approximates the paper's small (12 MB) XMark document;
@@ -19,15 +19,17 @@
 // the snapshot-isolated engine (DESIGN.md §12). It is excluded from
 // "all" (which regenerates exactly the paper's tables).
 //
-// -parallel runs the SQL-based systems with the engine's morsel
-// executor at GOMAXPROCS workers (paper-shape comparisons are serial;
-// see EXPERIMENTS.md). -batch overrides the engine's row-id batch
-// capacity for the SQL-based systems (0 = engine default; results are
+// The engine decides per statement whether to run it on its morsel
+// executor, with GOMAXPROCS workers at most: set GOMAXPROCS=1 in the
+// environment for the paper's serial configuration (see
+// EXPERIMENTS.md). -batch overrides the engine's row-id batch capacity
+// for the SQL-based systems (0 = engine default; results are
 // batch-size invariant). -max-mem and -max-rows cap each statement's
 // materialized bytes and produced rows (0 = unlimited, the paper's
-// configuration); an exceeded budget prints ERR for that cell. -json writes every measurement as a JSON array
-// of records so the repo can accumulate a perf trajectory
-// (BENCH_<experiment>.json).
+// configuration); an exceeded budget prints ERR for that cell. -json
+// writes every measurement as a JSON array of records, each carrying
+// the GOMAXPROCS it ran under, so the repo can accumulate a perf
+// trajectory (BENCH_<experiment>.json).
 package main
 
 import (
@@ -35,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/bench"
@@ -48,19 +49,14 @@ func main() {
 	budget := flag.Duration("budget", 60*time.Second, "per-query budget; slower runs print '~' like the paper")
 	seed := flag.Int64("seed", 42, "generator seed")
 	noverify := flag.Bool("noverify", false, "skip cross-checking every system against the oracle")
-	parallel := flag.Bool("parallel", false, "run SQL-based systems with GOMAXPROCS engine workers")
 	batch := flag.Int("batch", 0, "engine row-id batch capacity for SQL-based systems (0 = engine default)")
 	maxMem := flag.Int64("max-mem", 0, "per-statement memory budget in bytes for SQL-based systems (0 = unlimited)")
 	maxRows := flag.Int64("max-rows", 0, "per-statement produced-row budget for SQL-based systems (0 = unlimited)")
 	jsonOut := flag.String("json", "", "also write measurements as JSON records to this file")
 	flag.Parse()
 
-	workers := 0
-	if *parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	lim := limits{mem: *maxMem, rows: *maxRows, batch: *batch}
-	if err := run(*experiment, *scale, *reps, *budget, *seed, !*noverify, workers, lim, *jsonOut); err != nil {
+	if err := run(*experiment, *scale, *reps, *budget, *seed, !*noverify, lim, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "xbench:", err)
 		os.Exit(1)
 	}
@@ -73,7 +69,7 @@ type limits struct {
 	batch     int
 }
 
-func run(experiment string, scale float64, reps int, budget time.Duration, seed int64, verify bool, workers int, lim limits, jsonOut string) error {
+func run(experiment string, scale float64, reps int, budget time.Duration, seed int64, verify bool, lim limits, jsonOut string) error {
 	opts := bench.Opts{Reps: reps, Budget: budget, Verify: verify}
 	var records []bench.Record
 	if jsonOut != "" {
@@ -84,7 +80,6 @@ func run(experiment string, scale float64, reps int, budget time.Duration, seed 
 		fmt.Fprintf(os.Stderr, "generating and loading XMark workload (scale %g)...\n", s)
 		w, err := bench.NewXMark(s, seed)
 		if err == nil {
-			w.Parallelism = workers
 			w.MaxMemoryBytes, w.MaxRows = lim.mem, lim.rows
 			w.BatchSize = lim.batch
 		}
@@ -94,7 +89,6 @@ func run(experiment string, scale float64, reps int, budget time.Duration, seed 
 		fmt.Fprintf(os.Stderr, "generating and loading DBLP workload (scale %g)...\n", s)
 		w, err := bench.NewDBLP(s, seed)
 		if err == nil {
-			w.Parallelism = workers
 			w.MaxMemoryBytes, w.MaxRows = lim.mem, lim.rows
 			w.BatchSize = lim.batch
 		}

@@ -5,7 +5,7 @@
 // optional -schema, the shell starts with an XML document already
 // shredded under the schema-aware mapping.
 //
-//	xsql [-db DIR] [-schema site.schema [-xsd]] [-load doc.xml] [-parallel N]
+//	xsql [-db DIR] [-schema site.schema [-xsd]] [-load doc.xml]
 //	     [-batch-size N] [-max-mem BYTES] [-max-rows N] [-e 'STMT'...]
 //
 // -db DIR opens (or creates) a persistent store rooted at DIR: every
@@ -14,12 +14,12 @@
 // the same directory recovers the exact prior state. Without -db the
 // store is in-memory and vanishes on exit.
 //
-// -parallel N executes SELECTs with the engine's morsel executor at N
-// workers (0 = serial). -batch-size N sets the engine's row-id batch
-// capacity (0 = engine default; results are identical at every
-// setting). -max-mem and -max-rows set per-statement
-// resource budgets (0 = unlimited): a statement that exceeds one
-// fails with a budget error and the shell keeps running.
+// -batch-size N sets the engine's row-id batch capacity (0 = engine
+// default; results are identical at every setting). -max-mem and
+// -max-rows set per-statement resource budgets (0 = unlimited): a
+// statement that exceeds one fails with a budget error and the shell
+// keeps running. How many goroutines run a SELECT is the engine's
+// decision, bounded by GOMAXPROCS.
 //
 // Special commands: \d lists tables; \stats prints engine cache
 // metrics; \explain STMT prints the physical operator tree of a
@@ -46,7 +46,6 @@ func main() {
 	schemaPath := flag.String("schema", "", "schema file for -load (compact DSL, or XSD with -xsd); inferred when omitted")
 	useXSD := flag.Bool("xsd", false, "parse the schema file as XML Schema")
 	load := flag.String("load", "", "XML document to shred before starting")
-	parallel := flag.Int("parallel", 0, "engine worker count for SELECTs (0 = serial)")
 	batchSize := flag.Int("batch-size", 0, "engine row-id batch capacity (0 = engine default)")
 	maxMem := flag.Int64("max-mem", 0, "per-statement memory budget in bytes (0 = unlimited)")
 	maxRows := flag.Int64("max-rows", 0, "per-statement produced-row budget (0 = unlimited)")
@@ -54,8 +53,7 @@ func main() {
 	flag.Var(&stmts, "e", "statement to execute (repeatable); skips the interactive loop")
 	flag.Parse()
 
-	opts := engine.ExecOptions{Parallelism: *parallel, BatchSize: *batchSize,
-		MaxMemoryBytes: *maxMem, MaxRows: *maxRows}
+	opts := engine.ExecOptions{BatchSize: *batchSize, MaxMemoryBytes: *maxMem, MaxRows: *maxRows}
 	if err := run(*dbDir, *schemaPath, *useXSD, *load, opts, stmts, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "xsql:", err)
 		os.Exit(1)

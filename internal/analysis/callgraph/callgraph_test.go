@@ -68,7 +68,7 @@ func TestFixtureDump(t *testing.T) {
 // TestGoldenEngineDumps pins the reachable subgraphs of the commit
 // protocol's three anchor functions in the real engine: the one commit
 // function every mutation goes through, the checkpoint writer, and the
-// parallel collector. The commit function's subgraph must hold the
+// morsel executor. The commit function's subgraph must hold the
 // engine's only call of (*wal.Log).Commit.
 func TestGoldenEngineDumps(t *testing.T) {
 	g := loadGraph(t, "repro/internal/engine")
@@ -86,7 +86,7 @@ func TestGoldenEngineDumps(t *testing.T) {
 	cases := []struct{ file, fn string }{
 		{"engine_commit.golden", "(*DB).commit"},
 		{"engine_writecheckpoint.golden", "writeCheckpoint"},
-		{"engine_collectparallel.golden", "(*execCtx).collectParallel"},
+		{"engine_collectmorsels.golden", "(*execCtx).collectMorsels"},
 	}
 	for _, c := range cases {
 		n := g.Named(c.fn)

@@ -37,7 +37,7 @@ type Block struct {
 
 // A Graph is the control-flow graph of one function body.
 type Graph struct {
-	// Name is a human label ("(*execCtx).workerLoop") used in dumps.
+	// Name is a human label ("(*morselRun).drain") used in dumps.
 	Name   string
 	Blocks []*Block
 	Entry  *Block

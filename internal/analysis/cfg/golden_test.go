@@ -18,9 +18,10 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden CFG/reaching dumps")
 
 // Golden dumps for representative engine functions: the morsel
-// worker loop (range + select-free channel draining), the parallel
-// collector (branch-heavy with early returns), and the plan cache
-// lookup (lock/branch/loop interplay). These pin the block structure
+// worker's claiming loop (infinite for with early returns), the morsel
+// executor's fan-out (branch-heavy with early returns, a spawning loop
+// and a goroutine literal), and the plan cache lookup
+// (lock/branch/loop interplay). These pin the block structure
 // the dataflow analyzers reason over — a CFG builder regression shows
 // up as a readable diff, not a mysterious analyzer miss.
 func TestEngineGoldens(t *testing.T) {
@@ -32,7 +33,7 @@ func TestEngineGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"workerLoop", "collectParallel", "get"} {
+	for _, name := range []string{"drain", "collectMorsels", "get"} {
 		fd := findFunc(t, pkg, name)
 		g := cfg.New(name, fd.Body)
 		reach := cfg.Reaching(g, pkg.Info, paramVars(pkg.Info, fd), fd.Body)

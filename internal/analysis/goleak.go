@@ -13,7 +13,7 @@ import (
 // goroutine is accepted only if it receives a context or channel (as
 // a parameter or argument), selects on or receives from a channel,
 // ranges over a channel, or signals a WaitGroup/Context via a Done
-// call (the workerLoop fan-out idiom). Anything else is a leak
+// call (the morsel executor's fan-out idiom). Anything else is a leak
 // waiting for a stuck statement.
 var GoLeak = &Analyzer{
 	Name: "goleak",

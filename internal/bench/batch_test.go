@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -8,7 +9,7 @@ import (
 
 // TestBatchSizeInvarianceOnFig3 runs the Figure 3 comparison's
 // workload queries under the PPF and Edge-like PPF translations at
-// every batch size, serial and parallel, and checks each node set
+// every batch size, at GOMAXPROCS 1 and 4, and checks each node set
 // against the native oracle and against the other batch sizes: the
 // engine's BatchSize knob must never change a result.
 func TestBatchSizeInvarianceOnFig3(t *testing.T) {
@@ -16,6 +17,7 @@ func TestBatchSizeInvarianceOnFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sizes := []int{1, 2, 7, 256, 1024}
 	for _, q := range w.Queries {
 		want, err := w.OracleIDs(q)
@@ -23,25 +25,24 @@ func TestBatchSizeInvarianceOnFig3(t *testing.T) {
 			t.Fatalf("oracle %s: %v", q.ID, err)
 		}
 		for _, sys := range []System{PPF, EdgePPF} {
-			for _, par := range []int{0, 4} {
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
 				for _, bs := range sizes {
 					w.BatchSize = bs
-					w.Parallelism = par
 					got, err := w.Run(sys, q)
 					if err != nil {
-						t.Errorf("%s on %s (bs=%d par=%d): %v", sys, q.ID, bs, par, err)
+						t.Errorf("%s on %s (bs=%d procs=%d): %v", sys, q.ID, bs, procs, err)
 						continue
 					}
 					if !equalIDs(got, want) {
-						t.Errorf("%s on %s (bs=%d par=%d): %d ids, oracle has %d (first diff: %s)",
-							sys, q.ID, bs, par, len(got), len(want), firstDiff(got, want))
+						t.Errorf("%s on %s (bs=%d procs=%d): %d ids, oracle has %d (first diff: %s)",
+							sys, q.ID, bs, procs, len(got), len(want), firstDiff(got, want))
 					}
 				}
 			}
 		}
 	}
 	w.BatchSize = 0
-	w.Parallelism = 0
 }
 
 // TestMeasureReportsAllocsAndBatch checks the new measurement fields:

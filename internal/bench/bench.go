@@ -61,11 +61,6 @@ type Workload struct {
 	Schema  *schema.Schema
 	Queries []Query
 
-	// Parallelism is the worker count the SQL-based systems pass to
-	// the engine's morsel executor (<= 1 means serial, the paper's
-	// configuration).
-	Parallelism int
-
 	// MaxMemoryBytes and MaxRows are per-statement resource budgets
 	// for the SQL-based systems (0 = unlimited, the paper's
 	// configuration); exceeding one reports ERR for that cell.
@@ -223,28 +218,13 @@ func (w *Workload) RunBudget(sys System, q Query, budget time.Duration) ([]int64
 		if err != nil {
 			return nil, err
 		}
-		return w.runStmt(sys, stmt, budget, w.Parallelism)
+		return w.runStmt(sys, stmt, budget)
 	case Staircase:
 		return w.Stair.EvalString(q.XPath)
 	case Commercial:
 		return w.OracleIDs(q)
 	}
 	return nil, fmt.Errorf("bench: unknown system %q", sys)
-}
-
-// RunParallel is Run with an explicit engine worker count for the
-// SQL-based systems, overriding the workload's Parallelism for this
-// call; non-SQL systems run as usual.
-func (w *Workload) RunParallel(sys System, q Query, workers int) ([]int64, error) {
-	switch sys {
-	case PPF, EdgePPF, Accel:
-		stmt, err := w.Translate(sys, q)
-		if err != nil {
-			return nil, err
-		}
-		return w.runStmt(sys, stmt, 0, workers)
-	}
-	return w.Run(sys, q)
 }
 
 // dbFor returns the engine database a SQL-based system queries, nil
@@ -262,10 +242,9 @@ func (w *Workload) dbFor(sys System) *engine.DB {
 }
 
 // execOptions returns the engine options every statement of this
-// workload runs under: its worker count, budgets and batch size.
+// workload runs under: its budgets and batch size.
 func (w *Workload) execOptions() engine.ExecOptions {
 	return engine.ExecOptions{
-		Parallelism:    w.Parallelism,
 		MaxMemoryBytes: w.MaxMemoryBytes,
 		MaxRows:        w.MaxRows,
 		BatchSize:      w.BatchSize,
@@ -274,10 +253,9 @@ func (w *Workload) execOptions() engine.ExecOptions {
 
 // runStmt executes a translated statement on a system's database
 // (through the engine's plan cache) and extracts the node ids.
-func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration, workers int) ([]int64, error) {
+func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration) ([]int64, error) {
 	opts := w.execOptions()
 	opts.Timeout = budget
-	opts.Parallelism = workers
 	res, err := w.dbFor(sys).RunWithOptionsContext(nil, stmt, opts)
 	if err != nil {
 		return nil, err
@@ -448,7 +426,7 @@ func (w *Workload) Measure(sys System, q Query, reps int, budget time.Duration) 
 		var ids []int64
 		var err error
 		if stmt != nil {
-			ids, err = w.runStmt(sys, stmt, budget, w.Parallelism)
+			ids, err = w.runStmt(sys, stmt, budget)
 		} else {
 			ids, err = w.RunBudget(sys, q, budget)
 		}

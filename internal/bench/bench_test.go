@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -96,10 +97,12 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
-// TestParallelAgreesWithOracle runs the SQL-based systems with the
-// morsel executor enabled and checks the node sets against the native
+// TestParallelAgreesWithOracle runs the SQL-based systems at
+// GOMAXPROCS 4, where the engine runs the statements it judges worth
+// it on morsel workers, and checks the node sets against the native
 // oracle — the same agreement bar the serial path must meet.
 func TestParallelAgreesWithOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	scale := 0.05
 	if testing.Short() {
 		scale = 0.02
@@ -114,7 +117,7 @@ func TestParallelAgreesWithOracle(t *testing.T) {
 			t.Fatalf("oracle %s: %v", q.ID, err)
 		}
 		for _, sys := range []System{PPF, EdgePPF, Accel} {
-			got, err := w.RunParallel(sys, q, 4)
+			got, err := w.Run(sys, q)
 			if err != nil {
 				t.Errorf("%s on %s (parallel): %v", sys, q.ID, err)
 				continue

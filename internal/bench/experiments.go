@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -73,7 +74,7 @@ type Record struct {
 	System       string  `json:"system"`
 	NsPerOp      int64   `json:"ns_per_op"`
 	Nodes        int     `json:"nodes"`
-	Parallel     int     `json:"parallel"` // engine worker count; 0/1 = serial
+	GOMAXPROCS   int     `json:"gomaxprocs"` // what bounds the engine's morsel workers
 	Reps         int     `json:"reps"`
 	Timeout      bool    `json:"timeout"`
 	Skipped      bool    `json:"skipped"`
@@ -105,7 +106,7 @@ func (o Opts) emit(experiment string, w *Workload, m Measurement) {
 		System:       string(m.System),
 		NsPerOp:      m.Avg.Nanoseconds(),
 		Nodes:        m.Nodes,
-		Parallel:     w.Parallelism,
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		Reps:         m.Reps,
 		Timeout:      m.Timeout,
 		Skipped:      m.Skipped,

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func rowsHash(res *engine.Result) string {
 // statements and the six ad-hoc templates, under both mappings, each
 // executed 24 times — in memory and persisted-closed-reopened, and on
 // either store three rounds (the first plan, and the plans adaptive
-// re-planning moves to) of serial and Parallelism 4 at batch size 1 and
-// the default — must return one row list, ids in order: the native
+// re-planning moves to) at GOMAXPROCS 1 and 4, batch size 1 and the
+// default — must return one row list, ids in order: the native
 // oracle's, and the one whose hash testdata/golden_rows.txt has
 // committed. A planner change shows its results byte-identical to its
 // parent's by leaving that file alone (-update rewrites it).
@@ -68,7 +69,8 @@ func TestGoldenRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []engine.ExecOptions{{}, {BatchSize: 1}, {Parallelism: 4}, {Parallelism: 4, BatchSize: 1}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	modes := []struct{ procs, batch int }{{1, 0}, {1, 1}, {4, 0}, {4, 1}}
 
 	var lines []string
 	for _, w := range []*Workload{xm, db} {
@@ -122,14 +124,15 @@ func TestGoldenRows(t *testing.T) {
 				runs := 0
 				for _, store := range stores {
 					for round := 0; round <= 2; round++ {
-						for _, opts := range modes {
-							res, err := store.db.RunWithOptionsContext(nil, st, opts)
+						for _, m := range modes {
+							runtime.GOMAXPROCS(m.procs)
+							res, err := store.db.RunWithOptionsContext(nil, st, engine.ExecOptions{BatchSize: m.batch})
 							if err != nil {
-								t.Fatalf("%s %s round %d %+v: %v", label, store.name, round, opts, err)
+								t.Fatalf("%s %s round %d %+v: %v", label, store.name, round, m, err)
 							}
 							runs++
 							if got := rowsHash(res); got != want {
-								t.Errorf("%s %s round %d %+v: rows %s, the oracle's are %s", label, store.name, round, opts, got, want)
+								t.Errorf("%s %s round %d %+v: rows %s, the oracle's are %s", label, store.name, round, m, got, want)
 							}
 						}
 					}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -215,7 +216,7 @@ func (o Opts) emitPlanQuality(w *Workload, queryID, system, order string, maxQ f
 		Workload:   w.Name,
 		QueryID:    queryID,
 		System:     system,
-		Parallel:   w.Parallelism,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		JoinOrder:  order,
 		MaxQError:  maxQ,
 		Replans:    replans,

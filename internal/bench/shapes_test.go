@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -166,13 +167,14 @@ func TestShapePathDifferential(t *testing.T) {
 // TestShapeSkewedFirstValue: a plan compiled for a key the document does
 // not hold (estimate: no rows) then meets the one value every row holds.
 // The feedback re-plans it at most twice (the engine's bound), and every
-// binding keeps returning the oracle's rows, serial and parallel, at
+// binding keeps returning the oracle's rows, at GOMAXPROCS 1 and 4, at
 // batch size 1 and the default.
 func TestShapeSkewedFirstValue(t *testing.T) {
 	w, err := NewXMark(0.05, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const format = "/site/people/person[address/country=%s]/name"
 	values := []string{"'Atlantis'", "'United States'", "'United States'", "'Atlantis'", "'United States'", "'United States'", "'Utopia'", "'United States'"}
 	for _, sys := range []System{PPF, EdgePPF} {
@@ -190,8 +192,8 @@ func TestShapeSkewedFirstValue(t *testing.T) {
 			if strings.Contains(v, "United") == (len(want) == 0) {
 				t.Fatalf("fixture: %s selects %d", q.XPath, len(want))
 			}
-			opts := engine.ExecOptions{Parallelism: 4 * (i % 2), BatchSize: i % 3 / 2}
-			got, _, err := shapeIDs(tr, db, q.XPath, opts)
+			runtime.GOMAXPROCS(1 + 3*(i%2))
+			got, _, err := shapeIDs(tr, db, q.XPath, engine.ExecOptions{BatchSize: i % 3 / 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,9 +54,9 @@ func diffFrames(got, want opFrame) string {
 }
 
 // TestBatchSizeInvariance runs every access-path query at every batch
-// size, serial and Parallelism=8, and asserts results, per-operator
-// counters, and (normalized) EXPLAIN ANALYZE output all match the
-// BatchSize=1024 reference for the same parallelism.
+// size, on the serial executor and on 8 morsel workers, and asserts
+// results, per-operator counters, and (normalized) EXPLAIN ANALYZE
+// output all match the BatchSize=1024 reference on the same executor.
 func TestBatchSizeInvariance(t *testing.T) {
 	db := bigDB(t)
 	for _, q := range parallelQueries {
@@ -74,37 +74,38 @@ func TestBatchSizeInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		for _, par := range []int{0, 8} {
-			ref := ExecOptions{BatchSize: DefaultBatchSize, Parallelism: par}
+		for _, workers := range []int{1, 8} {
+			db.forceWorkers = workers
+			ref := ExecOptions{BatchSize: DefaultBatchSize}
 			refRes, refFrame, err := db.runCompiledFrame(nil, cs, nil, ref, q, false)
 			if err != nil {
-				t.Fatalf("%s par=%d: reference run: %v", q, par, err)
+				t.Fatalf("%s workers=%d: reference run: %v", q, workers, err)
 			}
 			refPlan, err := db.ExplainAnalyzeWithOptions(st, ref)
 			if err != nil {
-				t.Fatalf("%s par=%d: reference explain: %v", q, par, err)
+				t.Fatalf("%s workers=%d: reference explain: %v", q, workers, err)
 			}
 			refPlan = normalizeAnalyze(refPlan)
 			for _, bs := range batchSizes {
-				opts := ExecOptions{BatchSize: bs, Parallelism: par}
+				opts := ExecOptions{BatchSize: bs}
 				res, frame, err := db.runCompiledFrame(nil, cs, nil, opts, q, false)
 				if err != nil {
-					t.Fatalf("%s bs=%d par=%d: %v", q, bs, par, err)
+					t.Fatalf("%s bs=%d workers=%d: %v", q, bs, workers, err)
 				}
 				if !equalResults(res, refRes) {
-					t.Errorf("%s bs=%d par=%d: result differs from BatchSize=%d",
-						q, bs, par, DefaultBatchSize)
+					t.Errorf("%s bs=%d workers=%d: result differs from BatchSize=%d",
+						q, bs, workers, DefaultBatchSize)
 				}
 				if d := diffFrames(frame, refFrame); d != "" {
-					t.Errorf("%s bs=%d par=%d: operator stats differ: %s", q, bs, par, d)
+					t.Errorf("%s bs=%d workers=%d: operator stats differ: %s", q, bs, workers, d)
 				}
 				plan, err := db.ExplainAnalyzeWithOptions(st, opts)
 				if err != nil {
-					t.Fatalf("%s bs=%d par=%d: explain: %v", q, bs, par, err)
+					t.Fatalf("%s bs=%d workers=%d: explain: %v", q, bs, workers, err)
 				}
 				if got := normalizeAnalyze(plan); got != refPlan {
-					t.Errorf("%s bs=%d par=%d: EXPLAIN ANALYZE differs:\n--- got ---\n%s--- want ---\n%s",
-						q, bs, par, got, refPlan)
+					t.Errorf("%s bs=%d workers=%d: EXPLAIN ANALYZE differs:\n--- got ---\n%s--- want ---\n%s",
+						q, bs, workers, got, refPlan)
 				}
 			}
 		}
@@ -113,9 +114,10 @@ func TestBatchSizeInvariance(t *testing.T) {
 
 // TestGovernorBatchInvariance pins the exact-charging rule: with a
 // budget set, ErrRowBudget and ErrMemoryBudget fire at the same
-// logical row at every batch size. The error strings embed the counts
-// observed at the failing charge, so string equality proves the
-// trigger row, not just the error class.
+// logical row at every batch size, on the serial executor and on
+// morsel workers alike. The error strings embed the counts observed at
+// the failing charge, so string equality proves the trigger row, not
+// just the error class.
 func TestGovernorBatchInvariance(t *testing.T) {
 	db := bigDB(t)
 	const q = "SELECT i.id, i.text FROM item i ORDER BY i.id"
@@ -136,20 +138,22 @@ func TestGovernorBatchInvariance(t *testing.T) {
 	}
 	for _, lim := range limits {
 		want := ""
-		for _, bs := range []int{1, 7, 1024} {
-			opts := lim.opts
-			opts.BatchSize = bs
-			_, err := db.RunWithOptionsContext(nil, st, opts)
-			if !errors.Is(err, lim.target) {
-				t.Fatalf("%s bs=%d: err = %v, want %v", lim.name, bs, err, lim.target)
-			}
-			if want == "" {
-				want = err.Error()
-				continue
-			}
-			if got := err.Error(); got != want {
-				t.Errorf("%s bs=%d: error %q, want %q (same logical row at every batch size)",
-					lim.name, bs, got, want)
+		for _, workers := range []int{1, 8} {
+			for _, bs := range []int{1, 7, 1024} {
+				m := execMode{lim.opts, workers}
+				m.BatchSize = bs
+				_, err := m.run(db, st)
+				if !errors.Is(err, lim.target) {
+					t.Fatalf("%s bs=%d workers=%d: err = %v, want %v", lim.name, bs, workers, err, lim.target)
+				}
+				if want == "" {
+					want = err.Error()
+					continue
+				}
+				if got := err.Error(); got != want {
+					t.Errorf("%s bs=%d workers=%d: error %q, want %q (same logical row at every batch size, on either executor)",
+						lim.name, bs, workers, got, want)
+				}
 			}
 		}
 	}
@@ -201,22 +205,22 @@ func TestChaosBatchFlush(t *testing.T) {
 			// Serial execution flushes every batch through the faulted
 			// site; a non-prime batch size checks mid-enumeration flushes
 			// too, not just the tail flush.
-			_, serialErr := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{BatchSize: 7})
+			_, serialErr := execMode{ExecOptions{BatchSize: 7}, 1}.run(db, stmts[i])
 			if !f.want(serialErr) {
 				t.Errorf("%s / %s: serial err = %v", f.name, q, serialErr)
 			}
-			// Parallel plans route driving-step batches around the flush
+			// Morsel workers route driving-step batches around the flush
 			// site (the ids are materialized before fan-out), so a
 			// single-step plan may legitimately complete; anything else
 			// must be the injected fault, never an untyped escape.
-			_, parErr := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{BatchSize: 7, Parallelism: 8})
+			_, parErr := execMode{ExecOptions{BatchSize: 7}, 8}.run(db, stmts[i])
 			if parErr != nil && !f.want(parErr) {
 				t.Errorf("%s / %s: parallel err = %v", f.name, q, parErr)
 			}
 			failpoint.Reset()
 			waitNoGoroutineGrowth(t, before, f.name+" / "+q)
 
-			res, err := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{Parallelism: 4})
+			res, err := execMode{workers: 4}.run(db, stmts[i])
 			if err != nil {
 				t.Fatalf("%s / %s: DB unusable after fault: %v", f.name, q, err)
 			}

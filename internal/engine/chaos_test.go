@@ -14,14 +14,14 @@ import (
 // The chaos suite injects faults (budget overruns, failpoint errors,
 // failpoint panics) into every access path of the executor, at every
 // entry point, and asserts clean unwinding: the fault surfaces as a
-// typed error, serial and parallel execution agree on the outcome
+// typed error, the serial and the morsel executor agree on the outcome
 // class, no goroutines leak, no caches are poisoned, and the DB
 // stays usable for the next statement. Run under -race via `make
 // chaos`.
 
 var errChaosHash = errors.New("chaos: injected hash-build failure")
 
-// outcomeClass buckets an execution result for serial/parallel
+// outcomeClass buckets an execution result for serial/morsel
 // agreement checks.
 func outcomeClass(t *testing.T, err error) string {
 	t.Helper()
@@ -59,7 +59,7 @@ func waitNoGoroutineGrowth(t *testing.T, before int, label string) {
 }
 
 // TestChaosMatrix runs every access-path query under every fault
-// kind, serial and Parallelism=8, asserting that both modes agree on
+// kind, serial and on 8 morsel workers, asserting that both agree on
 // the typed outcome and that the database answers the unfaulted
 // query correctly afterwards.
 func TestChaosMatrix(t *testing.T) {
@@ -103,10 +103,8 @@ func TestChaosMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, serialErr := db.RunWithOptionsContext(nil, stmts[i], f.opts)
-			popts := f.opts
-			popts.Parallelism = 8
-			_, parErr := db.RunWithOptionsContext(nil, stmts[i], popts)
+			_, serialErr := execMode{f.opts, 1}.run(db, stmts[i])
+			_, parErr := execMode{f.opts, 8}.run(db, stmts[i])
 			failpoint.Reset()
 
 			sc, pc := outcomeClass(t, serialErr), outcomeClass(t, parErr)
@@ -119,7 +117,7 @@ func TestChaosMatrix(t *testing.T) {
 			waitNoGoroutineGrowth(t, before, f.name+" / "+q)
 
 			// The statement after the fault must see an intact engine.
-			res, err := db.RunWithOptionsContext(nil, stmts[i], ExecOptions{Parallelism: 4})
+			res, err := execMode{workers: 4}.run(db, stmts[i])
 			if err != nil {
 				t.Fatalf("%s / %s: DB unusable after fault: %v", f.name, q, err)
 			}
@@ -149,7 +147,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Panic("worker down")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
+	_, err = execMode{workers: 8}.run(db, st)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -170,7 +168,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Panic("worker down")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := run(db, st)
+	res, err := execMode{workers: 1}.run(db, st)
 	if err != nil {
 		t.Fatalf("serial run with morsel-claim armed: %v", err)
 	}
@@ -179,7 +177,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 		t.Error("serial result changed under morsel-claim failpoint")
 	}
 	// And the engine serves the same query cleanly afterwards.
-	res, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
+	res, err = execMode{workers: 8}.run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func TestChaosMorselClaimError(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Return(boom).After(2)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
+	_, err = execMode{workers: 8}.run(db, st)
 	failpoint.Reset()
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected %v", err, boom)
@@ -317,7 +315,7 @@ func TestChaosSleepWidensTimeout(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Sleep(10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8, Timeout: time.Millisecond})
+	_, err = execMode{ExecOptions{Timeout: time.Millisecond}, 8}.run(db, st)
 	failpoint.Reset()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -379,19 +377,19 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallelism := range []int{0, 8} {
-		if _, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: parallelism, MaxMemoryBytes: 64}); !errors.Is(err, ErrMemoryBudget) {
-			t.Fatalf("parallelism %d: err = %v, want ErrMemoryBudget", parallelism, err)
+	for _, workers := range []int{1, 8} {
+		if _, err := (execMode{ExecOptions{MaxMemoryBytes: 64}, workers}).run(db, st); !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("workers %d: err = %v, want ErrMemoryBudget", workers, err)
 		}
-		if _, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: parallelism, MaxRows: 3}); !errors.Is(err, ErrRowBudget) {
-			t.Fatalf("parallelism %d: err = %v, want ErrRowBudget", parallelism, err)
+		if _, err := (execMode{ExecOptions{MaxRows: 3}, workers}).run(db, st); !errors.Is(err, ErrRowBudget) {
+			t.Fatalf("workers %d: err = %v, want ErrRowBudget", workers, err)
 		}
-		res, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: parallelism})
+		res, err := execMode{workers: workers}.run(db, st)
 		if err != nil {
-			t.Fatalf("parallelism %d: unlimited rerun: %v", parallelism, err)
+			t.Fatalf("workers %d: unlimited rerun: %v", workers, err)
 		}
 		if !equalResults(res, want) {
-			t.Errorf("parallelism %d: post-budget result differs", parallelism)
+			t.Errorf("workers %d: post-budget result differs", workers)
 		}
 	}
 }

@@ -97,6 +97,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		}
 		want[i] = res
 	}
+	db.forceWorkers = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -110,9 +111,9 @@ func TestConcurrentParallelQueries(t *testing.T) {
 					var res *Result
 					var err error
 					if (g+rep)%2 == 0 {
-						res, err = prepared[i].RunWithOptionsContext(nil, ExecOptions{Parallelism: 4})
+						res, err = prepared[i].RunWithOptionsContext(nil, ExecOptions{})
 					} else {
-						res, err = db.RunWithOptionsContext(nil, stmts[i], ExecOptions{Parallelism: 4})
+						res, err = db.RunWithOptionsContext(nil, stmts[i], ExecOptions{})
 					}
 					if err != nil {
 						errs <- err
@@ -149,14 +150,27 @@ func TestConcurrentBudgetedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	for _, workers := range []int{1, 8} {
+		db.forceWorkers = workers
+		runConcurrentBudgeted(db, st, q, want, errs)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// runConcurrentBudgeted is TestConcurrentBudgetedQueries' client mix:
+// eight goroutines, ten statements each, a third of them unlimited.
+func runConcurrentBudgeted(db *DB, st sqlast.Statement, q string, want *Result, errs chan<- error) {
+	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 10; rep++ {
-				opts := ExecOptions{Parallelism: g % 3 * 4} // 0, 4, 8
+				var opts ExecOptions
 				switch (g + rep) % 3 {
 				case 0: // unlimited: must return the full result
 					res, err := db.RunWithOptionsContext(nil, st, opts)
@@ -185,8 +199,4 @@ func TestConcurrentBudgetedQueries(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }

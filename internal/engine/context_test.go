@@ -11,7 +11,7 @@ import (
 )
 
 // TestRunContextCancel checks that cancelling the statement context
-// stops serial and parallel execution with ctx.Err(), leaking no
+// stops the serial and the morsel executor with ctx.Err(), leaking no
 // goroutines, independently of any wall-clock Timeout.
 func TestRunContextCancel(t *testing.T) {
 	db := bigDB(t)
@@ -21,22 +21,23 @@ func TestRunContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallelism := range []int{0, 8} {
+	for _, workers := range []int{1, 8} {
+		db.forceWorkers = workers
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		_, err := db.RunWithOptionsContext(ctx, st, ExecOptions{Parallelism: parallelism})
+		_, err := db.RunWithOptionsContext(ctx, st, ExecOptions{})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", parallelism, err)
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
 		waitGoroutines(t, before)
 		// The next statement must run normally.
-		if _, err := db.RunWithOptionsContext(context.Background(), st, ExecOptions{Parallelism: parallelism}); err != nil {
-			t.Fatalf("parallelism %d: post-cancel run: %v", parallelism, err)
+		if _, err := db.RunWithOptionsContext(context.Background(), st, ExecOptions{}); err != nil {
+			t.Fatalf("workers %d: post-cancel run: %v", workers, err)
 		}
 	}
 }
@@ -51,7 +52,8 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	_, err = db.RunWithOptionsContext(ctx, st, ExecOptions{Parallelism: 8})
+	db.forceWorkers = 8
+	_, err = db.RunWithOptionsContext(ctx, st, ExecOptions{})
 	// The cancellation check sees ctx.Err(); the wall-clock check may
 	// win the race and report ErrTimeout (the ctx deadline is merged
 	// into the execCtx deadline). Either typed error is correct.

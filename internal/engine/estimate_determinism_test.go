@@ -36,13 +36,13 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 	}
 	modes := []struct {
 		name string
-		opts ExecOptions
+		execMode
 	}{
-		{"serial", ExecOptions{}},
-		{"parallel8", ExecOptions{Parallelism: 8}},
-		{"batch1", ExecOptions{BatchSize: 1}},
-		{"batch7", ExecOptions{BatchSize: 7}},
-		{"parallel4batch3", ExecOptions{Parallelism: 4, BatchSize: 3}},
+		{"serial", execMode{workers: 1}},
+		{"parallel8", execMode{workers: 8}},
+		{"batch1", execMode{ExecOptions{BatchSize: 1}, 1}},
+		{"batch7", execMode{ExecOptions{BatchSize: 7}, 1}},
+		{"parallel4batch3", execMode{ExecOptions{BatchSize: 3}, 4}},
 	}
 
 	// settledPlan executes st under opts until the plan stops adapting
@@ -90,7 +90,8 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 			if _, err := mt.InsertBatch(mrows); err != nil {
 				t.Fatal(err)
 			}
-			got := settledPlan(t, db, st, m.opts)
+			db.forceWorkers = m.workers
+			got := settledPlan(t, db, st, m.ExecOptions)
 			if m.name == modes[0].name {
 				want = got
 				settled += "-- " + sql + "\n" + got + "\n"

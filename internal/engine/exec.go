@@ -17,26 +17,20 @@ type Result struct {
 	Rows [][]Value
 	// PeakMemBytes is the statement's peak accounted memory: the
 	// high-water mark of materialized result rows, ORDER BY keys,
-	// DISTINCT sets, per-morsel buffers and exec-time hash builds
-	// (see the resource governor in govern.go).
+	// DISTINCT sets and exec-time hash builds (see the resource
+	// governor in govern.go).
 	PeakMemBytes int64
 }
 
-// ExecOptions tune the execution of a single statement.
+// ExecOptions tune the execution of a single statement. How many
+// goroutines run it is the engine's decision (DB.morselWorkers).
 type ExecOptions struct {
-	// Parallelism is the maximum number of worker goroutines the
-	// morsel executor may use for the driving table of a top-level
-	// SELECT. Values <= 1 select the serial executor. Nested
-	// (correlated) subplans always run serially within the worker
-	// that binds their outer row.
-	Parallelism int
 	// Timeout is a wall-clock budget; ErrTimeout reports an exceeded
 	// budget (0 means no limit).
 	Timeout time.Duration
 	// MaxMemoryBytes bounds the bytes the statement may materialize
-	// (result rows, ORDER BY keys, DISTINCT sets, per-morsel output
-	// buffers, exec-time hash-join builds); ErrMemoryBudget reports
-	// an overrun (0 means no limit).
+	// (result rows, ORDER BY keys, DISTINCT sets, exec-time hash-join
+	// builds); ErrMemoryBudget reports an overrun (0 means no limit).
 	MaxMemoryBytes int64
 	// MaxRows bounds the result rows the statement may materialize;
 	// ErrRowBudget reports an overrun (0 means no limit). COUNT(*)
@@ -57,23 +51,22 @@ type ExecOptions struct {
 }
 
 // execCtx carries execution state shared across a statement run. Each
-// parallel worker gets its own execCtx so the deadline tick counter
+// morsel worker gets its own execCtx so the deadline tick counter
 // stays unshared; the accountant and context are shared across
 // workers.
 type execCtx struct {
-	db          *DB
-	ctx         context.Context // nil when the statement has no context
-	deadline    time.Time
-	ticks       int
-	parallelism int
-	acct        *accountant
-	sql         string // rendered statement text, for InternalError
+	db       *DB
+	ctx      context.Context // nil when the statement has no context
+	deadline time.Time
+	ticks    int
+	acct     *accountant
+	sql      string // rendered statement text, for InternalError
 	// args are this execution's parameter values (Prepared.RunArgs),
 	// read by cparam; checked against the plan's slots before it runs.
 	args []Value
 	// stats is this execution's operator stats frame (one slot per
-	// opNode id). Parallel workers carry private frames merged into
-	// the parent's after the workers join, so slots are single-writer.
+	// opNode id). Morsel workers carry private frames merged into the
+	// parent's after the workers join, so slots are single-writer.
 	stats opFrame
 	// cur is the operator whose expressions are currently being
 	// evaluated; pattern-cache hits are attributed to it.
@@ -84,7 +77,7 @@ type execCtx struct {
 	// batch is the resolved row-id batch capacity (ExecOptions.
 	// BatchSize or DefaultBatchSize); free/freeOne pool the per-step
 	// batch scratches (batch.go). Scratches are execCtx-local: every
-	// parallel worker has a private execCtx.
+	// morsel worker has a private execCtx.
 	batch   int
 	free    []*batchScratch
 	freeOne []*batchScratch
@@ -193,7 +186,7 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Val
 			return nil, nil, fmt.Errorf("engine: parameter ?%d is unbound or not of the kind the statement was prepared with", slot+1)
 		}
 	}
-	ec := &execCtx{db: db, parallelism: opts.Parallelism, sql: sql, args: args,
+	ec := &execCtx{db: db, sql: sql, args: args,
 		acct:  newAccountant(opts.MaxMemoryBytes, opts.MaxRows),
 		stats: make(opFrame, cs.nOps), timing: timing,
 		batch: opts.BatchSize}
@@ -241,7 +234,7 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Val
 }
 
 // runUnion executes a compiled UNION: branches run in order (each
-// branch through runTop, so morsel parallelism applies per branch),
+// branch through runTop, so each takes its own executor decision),
 // duplicate rows are dropped across branches, and the merged rows are
 // ordered by the union-level ORDER BY — by merging the branch results
 // where every branch is proven to arrive in that order (implied.go),
@@ -373,144 +366,116 @@ func (ec *execCtx) sortOp(n *opNode, rows []orderedRow, desc []bool) {
 }
 
 // runTop executes a plan as a top-level query: projection, then
-// DISTINCT and ORDER BY where the lowered pipeline still holds them.
-// When the execution options allow it and the driving table is large
-// enough, row enumeration fans out over morsel workers.
+// DISTINCT and ORDER BY where the lowered pipeline still holds them. A
+// select runs on morsel workers where DB.morselWorkers says so and on
+// the serial executor otherwise; the two differ in time only.
 func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
-	if ec.parallelism > 1 {
-		rows, count, handled, err := ec.collectParallel(plan)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			return ec.finishTop(plan, rows, count, true), nil
-		}
-	}
-	if plan.countStar {
-		n := int64(0)
-		err := ec.runPlan(plan, env{}, func([]Value) (bool, error) {
-			n++
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return ec.finishTop(plan, nil, n, false), nil
-	}
-	var rows []orderedRow
-	var seen map[string]bool
-	var dst *OpStats
+	c := &collector{plan: plan, exact: ec.acct.limited()}
 	if plan.phys.dedup != nil {
-		seen = map[string]bool{}
-		dst = ec.op(plan.phys.dedup)
-		dst.open()
+		c.seen = map[string]bool{}
+		ec.op(plan.phys.dedup).open()
 	}
-	// Governor charging is batched when no budget is set (the checks
-	// are then no-ops and only the peak matters, which batching
-	// preserves: accounted bytes only grow during collection). With a
-	// budget, every row charges exactly, so the typed error fires at
-	// the same logical row regardless of BatchSize.
-	exact := ec.acct.limited()
-	var pendRows, pendBytes int64
-	err := ec.runPlanOrdered(plan, env{}, func(row, keys []Value) (bool, error) {
-		if seen != nil {
-			dst.rowIn()
-			var t0 time.Time
-			if ec.timing {
-				t0 = time.Now()
-			}
-			k := rowKey(row)
-			dup := seen[k]
-			if !dup {
-				seen[k] = true
-			}
-			if ec.timing {
-				dst.addTime(time.Since(t0))
-			}
-			if dup {
-				return true, nil
-			}
-			cost := int64(len(k)) + mapEntryBytes
-			if exact {
-				if err := ec.acct.growBytes(cost); err != nil {
-					return false, err
-				}
-			} else {
-				pendBytes += cost
-			}
-			dst.charge(cost)
-			dst.rowOut()
-		}
-		b := rowMemBytes(row, keys)
-		if exact {
-			if err := ec.acct.addRow(b); err != nil {
-				return false, err
-			}
-		} else {
-			pendRows++
-			pendBytes += b
-			if pendRows >= int64(ec.batch) {
-				if err := ec.acct.addRows(pendRows, pendBytes); err != nil {
-					return false, err
-				}
-				pendRows, pendBytes = 0, 0
-			}
-		}
-		rows = append(rows, orderedRow{row: row, keys: keys})
-		return true, nil
-	})
+	var err error
+	if workers := ec.db.morselWorkers(plan); workers > 1 {
+		err = ec.collectMorsels(plan, workers, c)
+	} else {
+		err = ec.runPlanBatch(plan, env{}, ec.batch, func(row, keys []Value) (bool, error) {
+			return true, c.add(ec, row, keys)
+		})
+	}
+	if err == nil {
+		err = ec.acct.addRows(c.pendRows, c.pendBytes)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := ec.acct.addRows(pendRows, pendBytes); err != nil {
-		return nil, err
-	}
-	return ec.finishTop(plan, rows, 0, false), nil
-}
-
-// finishTop applies DISTINCT (unless already applied during
-// collection), the top-level sort, and assembles the Result. The
-// parallel collector defers dedup to here so the surviving row for
-// each distinct key is the first in merged (= serial) order.
-func (ec *execCtx) finishTop(plan *selectPlan, rows []orderedRow, count int64, dedup bool) *Result {
 	out := &Result{Cols: plan.colNames}
 	if plan.countStar {
-		out.Rows = [][]Value{{NewInt(count)}}
-		return out
-	}
-	if dedup && plan.phys.dedup != nil {
-		st := ec.op(plan.phys.dedup)
-		st.open()
-		st.rowsInN(int64(len(rows)))
-		var t0 time.Time
-		if ec.timing {
-			t0 = time.Now()
-		}
-		seen := make(map[string]bool, len(rows))
-		kept := rows[:0]
-		for _, r := range rows {
-			k := rowKey(r.row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, r)
-		}
-		rows = kept
-		if ec.timing {
-			st.addTime(time.Since(t0))
-		}
-		st.rowsOutN(int64(len(rows)))
+		out.Rows = [][]Value{{NewInt(c.count)}}
+		return out, nil
 	}
 	if plan.phys.sort != nil {
 		desc := make([]bool, len(plan.orderBy))
 		for i, k := range plan.orderBy {
 			desc[i] = k.desc
 		}
-		ec.sortOp(plan.phys.sort, rows, desc)
+		ec.sortOp(plan.phys.sort, c.rows, desc)
 	}
-	out.Rows = plainRows(rows)
-	return out
+	out.Rows = plainRows(c.rows)
+	return out, nil
+}
+
+// collector consumes a top-level select's projected rows in the serial
+// executor's emission order: it counts them for COUNT(*), drops
+// duplicates where the pipeline holds a distinct operator, and charges
+// the governor — per row under a budget, so the typed error fires at
+// the same row at every batch size, in batches otherwise (only the
+// peak matters then, and accounted bytes only grow during collection).
+// The morsel executor feeds it in morsel order, which is that same
+// order, so both executors keep the same rows, charge the same bytes
+// and fail at the same row.
+type collector struct {
+	plan                *selectPlan
+	rows                []orderedRow
+	count               int64
+	seen                map[string]bool // nil unless the pipeline holds a distinct
+	exact               bool
+	pendRows, pendBytes int64
+}
+
+// add takes the next row. ec is the execution feeding it: the distinct
+// operator's counters go to its frame.
+func (c *collector) add(ec *execCtx, row, keys []Value) error {
+	if c.plan.countStar {
+		c.count++
+		return nil
+	}
+	if c.seen != nil {
+		dst := ec.op(c.plan.phys.dedup)
+		dst.rowIn()
+		var t0 time.Time
+		if ec.timing {
+			t0 = time.Now()
+		}
+		k := rowKey(row)
+		dup := c.seen[k]
+		if !dup {
+			c.seen[k] = true
+		}
+		if ec.timing {
+			dst.addTime(time.Since(t0))
+		}
+		if dup {
+			return nil
+		}
+		cost := int64(len(k)) + mapEntryBytes
+		if c.exact {
+			if err := ec.acct.growBytes(cost); err != nil {
+				return err
+			}
+		} else {
+			c.pendBytes += cost
+		}
+		dst.charge(cost)
+		dst.rowOut()
+	}
+	b := rowMemBytes(row, keys)
+	if c.exact {
+		if err := ec.acct.addRow(b); err != nil {
+			return err
+		}
+	} else {
+		c.pendRows++
+		c.pendBytes += b
+		if c.pendRows >= int64(ec.batch) {
+			if err := ec.acct.addRows(c.pendRows, c.pendBytes); err != nil {
+				return err
+			}
+			c.pendRows, c.pendBytes = 0, 0
+		}
+	}
+	c.rows = append(c.rows, orderedRow{row: row, keys: keys})
+	return nil
 }
 
 // plainRows strips the ORDER BY keys off collected rows: the result's
@@ -576,11 +541,6 @@ func (ec *execCtx) runPlan(plan *selectPlan, e env, emit func(row []Value) (bool
 // done past the stopping row — depend on the batch size.
 func (ec *execCtx) runPlanFirst(plan *selectPlan, e env, emit func(row []Value) (bool, error)) error {
 	return ec.runPlanBatch(plan, e, 1, func(row, _ []Value) (bool, error) { return emit(row) })
-}
-
-// runPlanOrdered additionally evaluates ORDER BY keys per emitted row.
-func (ec *execCtx) runPlanOrdered(plan *selectPlan, e env, emit func(row, keys []Value) (bool, error)) error {
-	return ec.runPlanBatch(plan, e, ec.batch, emit)
 }
 
 // runPlanBatch enumerates with an explicit batch capacity.

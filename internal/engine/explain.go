@@ -15,8 +15,8 @@ import (
 // indentation of the rendered tree).
 
 // ExplainAnalyzeWithOptions executes the statement with the given
-// options (so parallel plans report their merged per-worker stats)
-// and returns the annotated plan.
+// options and returns the annotated plan. A select that ran on morsel
+// workers reports their merged stats, which are the serial executor's.
 func (db *DB) ExplainAnalyzeWithOptions(st sqlast.Statement, opts ExecOptions) (string, error) {
 	return db.explainAnalyzeContext(nil, st, nil, opts)
 }

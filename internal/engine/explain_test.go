@@ -229,20 +229,21 @@ func TestExplainAnalyzeStats(t *testing.T) {
 }
 
 // TestExplainAnalyzeTimesDedup: the duplicate-elimination sets are
-// timed like every other operator — inline during serial collection,
-// deferred after the parallel merge, and at the union level — so that a
-// DISTINCT that costs something cannot report time=0s.
+// timed like every other operator — during serial collection, as the
+// morsel workers hand their rows over, and at the union level — so that
+// a DISTINCT that costs something cannot report time=0s.
 func TestExplainAnalyzeTimesDedup(t *testing.T) {
 	db := bigDB(t)
 	for _, tc := range []struct {
 		sql, line string
-		opts      ExecOptions
+		workers   int
 	}{
-		{"SELECT DISTINCT i.text FROM item i ORDER BY i.text", "distinct [", ExecOptions{}},
-		{"SELECT DISTINCT i.text FROM item i ORDER BY i.text", "distinct [", ExecOptions{Parallelism: 4}},
-		{"SELECT i.text AS v FROM item i UNION SELECT i.text AS v FROM item i WHERE i.val > 5 ORDER BY v", "union distinct [", ExecOptions{}},
+		{"SELECT DISTINCT i.text FROM item i ORDER BY i.text", "distinct [", 1},
+		{"SELECT DISTINCT i.text FROM item i ORDER BY i.text", "distinct [", 4},
+		{"SELECT i.text AS v FROM item i UNION SELECT i.text AS v FROM item i WHERE i.val > 5 ORDER BY v", "union distinct [", 1},
 	} {
-		text, err := db.ExplainAnalyzeWithOptions(sqlast.MustParse(tc.sql), tc.opts)
+		db.forceWorkers = tc.workers
+		text, err := db.ExplainAnalyzeWithOptions(sqlast.MustParse(tc.sql), ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestExplainAnalyzeTimesDedup(t *testing.T) {
 			if strings.HasPrefix(line, tc.line) {
 				found = true
 				if strings.Contains(line, "time=0s") {
-					t.Errorf("%s %+v: dedup over thousands of rows is untimed: %q", tc.sql, tc.opts, line)
+					t.Errorf("%s workers=%d: dedup over thousands of rows is untimed: %q", tc.sql, tc.workers, line)
 				}
 			}
 		}
@@ -286,19 +287,19 @@ func TestExplainStatementSurface(t *testing.T) {
 }
 
 // TestExplainAnalyzeParallelMergesStats executes the same statement
-// serially and at Parallelism 8: results must stay byte-identical and
-// the merged parallel frame must account for every candidate row.
+// serially and on 8 morsel workers: results must stay byte-identical
+// and the merged frame must account for every candidate row.
 func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 	db, _ := buildPair(t, 11, 900)
 	st, err := sqlast.Parse("SELECT DISTINCT a.tag, a.val FROM n a WHERE a.val >= 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := db.RunWithOptionsContext(nil, st, ExecOptions{})
+	serial, err := execMode{workers: 1}.run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
+	par, err := execMode{workers: 8}.run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,8 @@ func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{Parallelism: 8}, "", false)
+	db.forceWorkers = 8
+	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +338,10 @@ func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 	}
 }
 
-// TestParallelDeferredDistinctFirstWins pins the deferred-DISTINCT
-// contract: under parallelism the dedup set is applied after morsels
-// are merged back into serial order, so the first duplicate in merged
-// (= serial) order is the one kept. The query projects a column
+// TestParallelDeferredDistinctFirstWins pins the DISTINCT contract on
+// morsel workers: the dedup set sees the rows in morsel order — the
+// serial order — whichever worker finishes first, so the first
+// duplicate in that order is the one kept. The query projects a column
 // outside the engine's result comparison (id of the kept row) only
 // through ordering: with no ORDER BY, output order is first-occurrence
 // order and must match serial execution exactly.
@@ -349,11 +351,11 @@ func TestParallelDeferredDistinctFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := db.RunWithOptionsContext(nil, st, ExecOptions{})
+	serial, err := execMode{workers: 1}.run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 4})
+	par, err := execMode{workers: 4}.run(db, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +372,8 @@ func TestParallelDeferredDistinctFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{Parallelism: 4}, "", false)
+	db.forceWorkers = 4
+	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,18 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
 // The resource governor: every statement runs under an accountant
 // that tracks the bytes and rows it materializes (result buffers,
-// ORDER BY keys, DISTINCT sets, per-morsel output buffers, exec-time
-// hash-join build sides) against the per-statement budgets in
-// ExecOptions. Budgets are enforced at the materialization sites, so
-// a runaway query fails with a typed error at the first morsel that
-// detects the overrun instead of growing until the process dies.
-// With no budgets set the accountant still runs, maintaining the
+// ORDER BY keys, DISTINCT sets, exec-time hash-join build sides)
+// against the per-statement budgets in ExecOptions. Budgets are
+// enforced at the materialization sites, so a runaway query fails with
+// a typed error at the row that crosses a budget — the same row on
+// either executor — instead of growing until the process dies. With
+// no budgets set the accountant still runs, maintaining the
 // peak-memory high-water mark reported by Result.PeakMemBytes and
 // DB.PeakStatementMemory.
 
@@ -35,14 +36,19 @@ const (
 )
 
 // accountant tracks one statement's materialized bytes and rows.
-// All counters are atomics: in parallel execution every morsel
-// worker charges the same accountant.
+// The charge counters are atomics: every morsel worker charges the
+// same accountant.
 type accountant struct {
 	maxBytes int64 // 0 = unlimited
 	maxRows  int64 // 0 = unlimited
 	bytes    atomic.Int64
 	rows     atomic.Int64
 	peak     atomic.Int64
+	// The rows morsel workers hold, buffered or parked, before they are
+	// charged (hold); one lock checks and books a row in one step.
+	holdMu sync.Mutex
+	//guardedby:holdMu
+	heldRows, heldBytes int64
 }
 
 func newAccountant(maxBytes, maxRows int64) *accountant {
@@ -80,6 +86,30 @@ func (a *accountant) wouldExceed(extra int64) error {
 		return fmt.Errorf("%w: %d bytes materialized, budget %d", ErrMemoryBudget, n, a.maxBytes)
 	}
 	return nil
+}
+
+// hold books a row of rowBytes that a morsel worker ahead of the merge
+// point buffers before it is charged, if the charged and held rows and
+// bytes, this one included, stay within the budgets; false means the
+// worker must wait for its turn. Budgeted statements only.
+func (a *accountant) hold(rowBytes int64) bool {
+	a.holdMu.Lock()
+	defer a.holdMu.Unlock()
+	if a.maxRows > 0 && a.rows.Load()+a.heldRows+1 > a.maxRows ||
+		a.maxBytes > 0 && a.bytes.Load()+a.heldBytes+rowBytes > a.maxBytes {
+		return false
+	}
+	a.heldRows++
+	a.heldBytes += rowBytes
+	return true
+}
+
+// release returns a held row's booking, once the row is charged.
+func (a *accountant) release(rowBytes int64) {
+	a.holdMu.Lock()
+	a.heldRows--
+	a.heldBytes -= rowBytes
+	a.holdMu.Unlock()
 }
 
 // addRow charges one materialized result row of the given footprint.

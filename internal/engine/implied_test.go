@@ -187,13 +187,13 @@ func TestImpliedProofs(t *testing.T) {
 			if len(want.Rows) == 0 {
 				t.Fatal("the statement selects nothing")
 			}
-			for _, opts := range []ExecOptions{{}, {BatchSize: 1}, {Parallelism: 4}, {Parallelism: 4, BatchSize: 7}} {
-				got, err := subject.RunWithOptionsContext(nil, st, opts)
+			for _, m := range []execMode{{workers: 1}, {ExecOptions{BatchSize: 1}, 1}, {workers: 4}, {ExecOptions{BatchSize: 7}, 4}} {
+				got, err := m.run(subject, st)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !equalResults(got, want) {
-					t.Errorf("%+v: %d rows differ from the control's %d (order included)", opts, len(got.Rows), len(want.Rows))
+					t.Errorf("%+v: %d rows differ from the control's %d (order included)", m, len(got.Rows), len(want.Rows))
 				}
 			}
 		})

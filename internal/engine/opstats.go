@@ -69,7 +69,7 @@ func (s *OpStats) addTime(d time.Duration) { s.nanos += int64(d) }
 func (s *OpStats) setRowFlow(in, out int64) { s.rowsIn, s.rowsOut = in, out }
 
 // merge folds another shard of the same operator's counters into the
-// receiver; the parallel collector uses it to combine per-worker
+// receiver; the morsel executor uses it to combine per-worker
 // frames after the workers have joined.
 func (s *OpStats) merge(o *OpStats) {
 	s.loops += o.loops

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/sqlast"
 )
 
@@ -250,6 +251,22 @@ func TestParallelQueriesCoverResolution(t *testing.T) {
 	}
 }
 
+// execMode is one cell of the execution matrices: the engine options,
+// and the executor forced through DB.forceWorkers — 1 the serial one,
+// n > 1 the morsel executor on up to n workers.
+type execMode struct {
+	ExecOptions
+	workers int
+}
+
+// run executes st under the mode and leaves the executor decision to
+// the plan again.
+func (m execMode) run(db *DB, st sqlast.Statement) (*Result, error) {
+	db.forceWorkers = m.workers
+	defer func() { db.forceWorkers = 0 }()
+	return db.RunWithOptionsContext(nil, st, m.ExecOptions)
+}
+
 // TestParallelMatchesSerial checks that the morsel executor returns
 // byte-identical results (rows and order) to the serial executor.
 func TestParallelMatchesSerial(t *testing.T) {
@@ -259,11 +276,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := run(db, st)
+		want, err := execMode{workers: 1}.run(db, st)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", q, err)
 		}
-		got, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8})
+		got, err := execMode{workers: 8}.run(db, st)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", q, err)
 		}
@@ -274,9 +291,159 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelFramesMatchSerial: the two executors are indistinguishable
+// except in time. For every statement of the matrix the forced morsel
+// executor's operator counters and its EXPLAIN ANALYZE, times aside,
+// are the serial executor's — the driving scan counted once, the
+// distinct set charged, the peak memory the same. The frame is what
+// adaptive re-planning reads, so the core count must not move a plan.
+func TestParallelFramesMatchSerial(t *testing.T) {
+	db := bigDB(t)
+	for _, q := range parallelQueries {
+		st := sqlast.MustParse(q)
+		// Warm-up: caches the plan, lets adaptive re-planning settle it and
+		// builds the hash-join sides, so both executors below run one plan
+		// and do the same work.
+		for i := 0; i <= maxAdaptiveReplans; i++ {
+			if _, err := run(db, st); err != nil {
+				t.Fatalf("%s: warm-up: %v", q, err)
+			}
+		}
+		_, cs, err := db.compile(st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames [2]opFrame
+		var plans [2]string
+		for i, workers := range []int{1, 8} {
+			db.forceWorkers = workers
+			if _, frames[i], err = db.runCompiledFrame(nil, cs, nil, ExecOptions{}, q, false); err != nil {
+				t.Fatalf("%s workers=%d: %v", q, workers, err)
+			}
+			if plans[i], err = db.ExplainAnalyzeWithOptions(st, ExecOptions{}); err != nil {
+				t.Fatalf("%s workers=%d: %v", q, workers, err)
+			}
+		}
+		db.forceWorkers = 0
+		if d := diffFrames(frames[1], frames[0]); d != "" {
+			t.Errorf("%s: morsel frame differs from serial: %s", q, d)
+		}
+		if got, want := normalizeAnalyze(plans[1]), normalizeAnalyze(plans[0]); got != want {
+			t.Errorf("%s: EXPLAIN ANALYZE differs:\n--- morsels ---\n%s--- serial ---\n%s", q, got, want)
+		}
+	}
+}
+
+// TestMorselDecision pins where the executor decision falls on the
+// matrix: a driving step estimated at more than one morsel whose rows
+// carry a join step or a correlated subplan runs on morsels when
+// GOMAXPROCS allows more than one worker; single-step scans, small
+// driving steps and anything at GOMAXPROCS 1 run serially.
+func TestMorselDecision(t *testing.T) {
+	db := bigDB(t)
+	workers := func(q string) []int {
+		t.Helper()
+		w, err := MorselWorkers(db, sqlast.MustParse(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	morsels := []string{
+		"SELECT i.id, j.id FROM item i, item j WHERE j.par = i.id AND i.val > 80 ORDER BY i.id, j.id",
+		"SELECT i.id FROM item i WHERE EXISTS (SELECT NULL FROM item j WHERE j.par = i.id AND j.val > 50) ORDER BY i.id",
+		impliedQueries[1],
+		unnestQueries[2],
+	}
+	serial := []string{
+		"SELECT i.id, i.text FROM item i WHERE i.val > 90 ORDER BY i.id",
+		"SELECT COUNT(*) FROM item i WHERE i.val < 10",
+		"SELECT DISTINCT i.text FROM item i ORDER BY i.text",
+		"SELECT i.id FROM item i, cat c WHERE i.val = c.id AND c.name = 'cat-3' ORDER BY i.id",
+		unnestQueries[0],
+		impliedQueries[3],
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, q := range morsels {
+		if got := workers(q); len(got) != 1 || got[0] != 4 {
+			t.Errorf("%s: %v workers at GOMAXPROCS 4, want [4]", q, got)
+		}
+	}
+	for _, q := range serial {
+		for _, w := range workers(q) {
+			if w != 1 {
+				t.Errorf("%s: %d workers, want the serial executor", q, w)
+			}
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	for _, q := range morsels {
+		if got := workers(q); got[0] != 1 {
+			t.Errorf("%s: %v workers at GOMAXPROCS 1, want the serial executor", q, got)
+		}
+	}
+}
+
+// TestBudgetMorselHeldRows: the rows morsel workers hold ahead
+// of the head, buffered or parked, are booked on the statement's
+// accountant, so under a memory budget they never exceed it, however
+// many morsels finish ahead of a slow head. A Sleep failpoint stalls
+// the first claimed morsel, which becomes the head, while three
+// workers run ahead over a join whose result is several times the
+// budget; the statement still fails with the serial executor's error.
+func TestBudgetMorselHeldRows(t *testing.T) {
+	db := bigDB(t)
+	defer failpoint.Reset()
+	const budget = 256 << 10
+	st := sqlast.MustParse("SELECT i.id, j.id, j.text FROM item i, item j WHERE j.par = i.id ORDER BY i.id, j.id")
+	_, want := execMode{ExecOptions{MaxMemoryBytes: budget}, 1}.run(db, st)
+	if !errors.Is(want, ErrMemoryBudget) {
+		t.Fatalf("serial: err = %v, want ErrMemoryBudget", want)
+	}
+	_, cs, err := db.compile(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := &execCtx{db: db, acct: newAccountant(budget, 0),
+		stats: make(opFrame, cs.nOps), batch: DefaultBatchSize}
+	if err := failpoint.Enable("engine/morsel-claim", failpoint.Sleep(50*time.Millisecond).Times(1)); err != nil {
+		t.Fatal(err)
+	}
+	db.forceWorkers = 4
+	defer func() { db.forceWorkers = 0 }()
+	done, sampled := make(chan struct{}), make(chan struct{})
+	var peak int64
+	go func() {
+		defer close(sampled)
+		for {
+			ec.acct.holdMu.Lock()
+			peak = max(peak, ec.acct.heldBytes)
+			ec.acct.holdMu.Unlock()
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	_, err = ec.runTop(cs.sel)
+	close(done)
+	<-sampled
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("morsels: err = %v, want %q", err, want)
+	}
+	if peak == 0 {
+		t.Fatal("no rows were held ahead of the head; the run never ran ahead")
+	}
+	if peak > budget {
+		t.Errorf("morsel workers held %d bytes uncharged, budget %d", peak, budget)
+	}
+}
+
 // TestParallelSmallTableFallsBack checks that sub-morsel inputs take
-// the serial path and still produce correct results with parallelism
-// requested.
+// the serial path and still produce correct results with the morsel
+// executor forced.
 func TestParallelSmallTableFallsBack(t *testing.T) {
 	db := fixtureDB(t)
 	for _, q := range []string{
@@ -288,16 +455,16 @@ func TestParallelSmallTableFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := run(db, st)
+		want, err := execMode{workers: 1}.run(db, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 4})
+		got, err := execMode{workers: 4}.run(db, st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalResults(want, got) {
-			t.Errorf("%s: result differs with Parallelism=4", q)
+			t.Errorf("%s: result differs on 4 morsel workers", q)
 		}
 	}
 }
@@ -314,11 +481,11 @@ func TestParallelTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Parallelism: 8, Timeout: 2 * time.Millisecond})
+	_, err = execMode{ExecOptions{Timeout: 2 * time.Millisecond}, 8}.run(db, st)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	// collectParallel joins its WaitGroup before returning, so worker
+	// collectMorsels joins its WaitGroup before returning, so worker
 	// goroutines must already be gone (allow the runtime a moment to
 	// retire exiting goroutines).
 	deadline := time.Now().Add(2 * time.Second)

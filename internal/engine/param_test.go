@@ -219,33 +219,36 @@ func TestParamArgumentChecks(t *testing.T) {
 func TestParamConcurrentBindings(t *testing.T) {
 	db := paramDB(t)
 	prep := mustPrepare(t, db, "SELECT id FROM t WHERE name = ?1 AND price >= ?2:int ORDER BY id")
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				k := (g*50 + i) % 100 * 10
-				args := []Value{NewText(fmt.Sprintf("rare%d", k)), NewInt(int64(g))}
-				res, err := prep.RunArgs(nil, args, ExecOptions{Parallelism: 1 + g%4, BatchSize: 1 + i%3})
-				if err != nil {
-					t.Error(err)
-					return
+	for _, workers := range []int{1, 4} {
+		db.forceWorkers = workers
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					k := (g*50 + i) % 100 * 10
+					args := []Value{NewText(fmt.Sprintf("rare%d", k)), NewInt(int64(g))}
+					res, err := prep.RunArgs(nil, args, ExecOptions{BatchSize: 1 + i%3})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// rare<k> is row k, whose price is k % 100 == 0 or ... k is a
+					// multiple of 10: price = k % 100.
+					want := 0
+					if int64(k%100) >= int64(g) {
+						want = 1
+					}
+					if len(res.Rows) != want || (want == 1 && res.Rows[0][0].I != int64(k)) {
+						t.Errorf("workers=%d name=rare%d price>=%d: rows %v", workers, k, g, rowTexts(res))
+						return
+					}
 				}
-				// rare<k> is row k, whose price is k % 100 == 0 or ... k is a
-				// multiple of 10: price = k % 100.
-				want := 0
-				if int64(k%100) >= int64(g) {
-					want = 1
-				}
-				if len(res.Rows) != want || (want == 1 && res.Rows[0][0].I != int64(k)) {
-					t.Errorf("name=rare%d price>=%d: rows %v", k, g, rowTexts(res))
-					return
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestParamSkewedFirstValue: a plan compiled for a value that selects
@@ -302,7 +305,7 @@ var paramQueries = []struct {
 }
 
 // TestParamMatrix puts the parameter cases through what the matrices
-// over parallelQueries check: at every batch size, serial and parallel,
+// over parallelQueries check: at every batch size, on either executor,
 // the rows and the per-operator counters are those of the statement
 // with the values written in — a slot's plan is the literal's plan, and
 // a cparam key probes what a clit key does — and budget overruns and an
@@ -330,22 +333,23 @@ func TestParamMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{0, 4, 8} {
+		for _, workers := range []int{1, 4, 8} {
+			db.forceWorkers = workers
 			for _, bs := range batchSizes {
-				opts := ExecOptions{BatchSize: bs, Parallelism: par}
+				opts := ExecOptions{BatchSize: bs}
 				res, frame, err := db.runCompiledFrame(nil, cs, q.args, opts, q.sql, false)
 				if err != nil {
-					t.Fatalf("%s bs=%d par=%d: %v", q.sql, bs, par, err)
+					t.Fatalf("%s bs=%d workers=%d: %v", q.sql, bs, workers, err)
 				}
 				_, litFrame, err := db.runCompiledFrame(nil, litCS, nil, opts, q.sql, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !equalResults(res, want) {
-					t.Errorf("%s bs=%d par=%d: %d rows, the literal statement returns %d", q.sql, bs, par, len(res.Rows), len(want.Rows))
+					t.Errorf("%s bs=%d workers=%d: %d rows, the literal statement returns %d", q.sql, bs, workers, len(res.Rows), len(want.Rows))
 				}
 				if d := diffFrames(frame, litFrame); d != "" {
-					t.Errorf("%s bs=%d par=%d: operator stats differ from the literal plan's: %s", q.sql, bs, par, d)
+					t.Errorf("%s bs=%d workers=%d: operator stats differ from the literal plan's: %s", q.sql, bs, workers, d)
 				}
 			}
 		}
@@ -358,8 +362,8 @@ func TestParamMatrix(t *testing.T) {
 			{name: "row-budget", opts: ExecOptions{MaxRows: 1}},
 			{name: "hash-build-error", arm: true},
 		} {
-			for _, par := range []int{0, 4} {
-				f.opts.Parallelism = par
+			for _, workers := range []int{1, 4} {
+				db.forceWorkers = workers
 				if f.arm {
 					if err := failpoint.Enable("engine/hash-build", failpoint.Return(errChaosHash)); err != nil {
 						t.Fatal(err)
@@ -369,11 +373,12 @@ func TestParamMatrix(t *testing.T) {
 				_, litErr := db.RunWithOptionsContext(nil, lit, f.opts)
 				failpoint.Reset()
 				if g, w := outcomeClass(t, gotErr), outcomeClass(t, litErr); g != w || strings.HasPrefix(g, "unexpected") {
-					t.Errorf("%s / %s par=%d: outcome %q, the literal statement's is %q", f.name, q.sql, par, g, w)
+					t.Errorf("%s / %s workers=%d: outcome %q, the literal statement's is %q", f.name, q.sql, workers, g, w)
 				}
 			}
 		}
-		if res, err := prep.RunArgs(nil, q.args, ExecOptions{Parallelism: 4}); err != nil || !equalResults(res, want) {
+		db.forceWorkers = 4
+		if res, err := prep.RunArgs(nil, q.args, ExecOptions{}); err != nil || !equalResults(res, want) {
 			t.Errorf("%s: after the faults: %v", q.sql, err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // statement. The logical planner (plan.go) keeps producing selectPlan;
 // the lowering pass below compiles each plan into operator nodes with
 // stable ids, and both the serial executor (exec.go) and the morsel
-// collector (parallel.go) drive the same tree. Every node owns one
+// executor (parallel.go) drive the same tree. Every node owns one
 // OpStats slot in the statement's stats frame (opstats.go), which is
 // what EXPLAIN ANALYZE renders.
 
@@ -21,7 +21,7 @@ const (
 	opFilter                // residual conjuncts of a step (or constant prefilter)
 	opProject               // projection + ORDER BY key evaluation
 	opCount                 // COUNT(*) aggregation (replaces opProject)
-	opDedup                 // DISTINCT set (serial immediate or parallel deferred)
+	opDedup                 // DISTINCT set, kept by the top-level collector
 	opSort                  // top-level ORDER BY sort
 	opUnion                 // UNION branch merge + duplicate elimination
 	opSubplan               // correlated EXISTS / scalar subquery boundary

@@ -46,6 +46,10 @@ type selectPlan struct {
 	// before them.
 	unnested  []*unnestGroup
 	firstFrom int
+	// morsels marks a top-level select worth the morsel executor
+	// (parallel.go, worthMorsels), derived from the estimates whenever
+	// the select is planned or re-planned.
+	morsels bool
 	// phys is the lowered physical operator pipeline (physplan.go),
 	// set by lowerStmt for every plan reachable from a compiled
 	// statement — including correlated subplans.
@@ -582,6 +586,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		}
 	}
 	plan.firstFrom = plan.firstMatchRun()
+	plan.morsels = outer == nil && plan.worthMorsels()
 	return plan, nil
 }
 

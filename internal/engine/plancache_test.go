@@ -149,7 +149,8 @@ func TestPrepare(t *testing.T) {
 	}
 	var got *Result
 	hits, misses := statsDelta(db, func() {
-		got, err = p.RunWithOptionsContext(nil, ExecOptions{Parallelism: 4})
+		db.forceWorkers = 4
+		got, err = p.RunWithOptionsContext(nil, ExecOptions{})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -153,6 +153,12 @@ type DB struct {
 	// replanCount counts adaptive re-plans performed on this DB
 	// (plancache.go maybeReplan), exposed via AdaptiveReplans.
 	replanCount atomic.Uint64
+	// forceWorkers, when positive, takes the executor decision
+	// (morselWorkers) away from the plan and GOMAXPROCS for every
+	// top-level select: 1 runs the serial executor, n > 1 the morsel
+	// executor on up to n workers. Engine tests set it, before running
+	// statements, to compare the two executors; nothing else does.
+	forceWorkers int
 }
 
 // AdaptiveReplans returns how many cached plans this DB has re-planned

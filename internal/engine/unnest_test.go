@@ -46,7 +46,7 @@ func subplanControl(t testing.TB, sql string) sqlast.Statement {
 
 // unnestModes are the execution modes every unnested statement must
 // return the control's rows under, order included.
-var unnestModes = []ExecOptions{{}, {BatchSize: 1}, {BatchSize: 7}, {Parallelism: 4}, {Parallelism: 4, BatchSize: 3}}
+var unnestModes = []execMode{{workers: 1}, {ExecOptions{BatchSize: 1}, 1}, {ExecOptions{BatchSize: 7}, 1}, {workers: 4}, {ExecOptions{BatchSize: 3}, 4}}
 
 // TestUnnestFires covers every way the rewrite fires. Each statement
 // must plan without a subplan for the EXISTS it unnests, show what the
@@ -146,13 +146,13 @@ func TestUnnestFires(t *testing.T) {
 						t.Errorf("round %d: plan holds %q:\n%s", round, s, plan)
 					}
 				}
-				for _, opts := range unnestModes {
-					got, err := db.RunWithOptionsContext(nil, st, opts)
+				for _, m := range unnestModes {
+					got, err := m.run(db, st)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !equalResults(got, want) {
-						t.Errorf("round %d %+v: %d rows differ from the control's %d (order included)", round, opts, len(got.Rows), len(want.Rows))
+						t.Errorf("round %d %+v: %d rows differ from the control's %d (order included)", round, m, len(got.Rows), len(want.Rows))
 					}
 				}
 			}
@@ -183,15 +183,16 @@ func TestUnnestStopsAtFirstFullMatch(t *testing.T) {
 		t.Fatalf("fixture: %d bindings match, %d full matches: nothing for first match to skip", matched.Rows[0][0].I, all.Rows[0][0].I)
 	}
 	st := sqlast.MustParse(sql)
-	for _, opts := range unnestModes {
-		reports, _, err := db.AnalyzeReport(st, opts)
+	for _, m := range unnestModes {
+		db.forceWorkers = m.workers
+		reports, _, err := db.AnalyzeReport(st, m.ExecOptions)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range reports {
 			if r.Kind == "project" && r.RowsOut != matched.Rows[0][0].I {
 				t.Errorf("%+v: the projection emitted %d rows, want one per matching binding: %d (of %d full matches)",
-					opts, r.RowsOut, matched.Rows[0][0].I, all.Rows[0][0].I)
+					m, r.RowsOut, matched.Rows[0][0].I, all.Rows[0][0].I)
 			}
 		}
 	}
@@ -246,13 +247,14 @@ func TestSubplanConjunctWaitsOnlyForNarrowRun(t *testing.T) {
 	} {
 		st := sqlast.MustParse("SELECT DISTINCT d.id FROM drv d WHERE EXISTS (SELECT NULL FROM " + tc.run + " r WHERE r.par = d.id) AND " +
 			"NOT EXISTS (SELECT NULL FROM blk b WHERE b.par = d.id) ORDER BY d.id")
-		for _, opts := range unnestModes {
-			reports, res, err := db.AnalyzeReport(st, opts)
+		for _, m := range unnestModes {
+			db.forceWorkers = m.workers
+			reports, res, err := db.AnalyzeReport(st, m.ExecOptions)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Rows) != 0 {
-				t.Fatalf("run over %s, %+v: %d rows, want none", tc.run, opts, len(res.Rows))
+				t.Fatalf("run over %s, %+v: %d rows, want none", tc.run, m, len(res.Rows))
 			}
 			if order := strings.Join(scanOrder(reports), ">"); order != "d>r>b" && order != "d>b>r" {
 				t.Fatalf("run over %s: join order %s, want d driving and r trailing", tc.run, order)
@@ -262,7 +264,7 @@ func TestSubplanConjunctWaitsOnlyForNarrowRun(t *testing.T) {
 					t.Errorf("run over %s: the NOT EXISTS sits on %q, want it on %s", tc.run, r.Label, tc.filterOn)
 				}
 				if r.Kind == "scan" && strings.HasPrefix(r.Label, "scan b:") && r.Loops != tc.subplanRuns {
-					t.Errorf("run over %s, %+v: the subplan ran %d times, want %d (%d driving rows)\n%+v", tc.run, opts, r.Loops, tc.subplanRuns, rows, reports[i])
+					t.Errorf("run over %s, %+v: the subplan ran %d times, want %d (%d driving rows)\n%+v", tc.run, m, r.Loops, tc.subplanRuns, rows, reports[i])
 				}
 			}
 		}
@@ -389,8 +391,8 @@ func TestUnnestKeepsSubplan(t *testing.T) {
 			if len(tc.want) == 0 {
 				t.Fatal("the statement selects nothing")
 			}
-			for _, opts := range unnestModes {
-				got, err := db.RunWithOptionsContext(nil, tc.st, opts)
+			for _, m := range unnestModes {
+				got, err := m.run(db, tc.st)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -399,7 +401,7 @@ func TestUnnestKeepsSubplan(t *testing.T) {
 					rows = append(rows, r[0].String())
 				}
 				if strings.Join(rows, "\x00") != strings.Join(tc.want, "\x00") {
-					t.Errorf("%+v: %d rows, the statement as written selects %d", opts, len(rows), len(tc.want))
+					t.Errorf("%+v: %d rows, the statement as written selects %d", m, len(rows), len(tc.want))
 				}
 			}
 		})

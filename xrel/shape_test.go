@@ -3,6 +3,7 @@ package xrel
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestShapeSurvivesLoad(t *testing.T) {
 // its Prepared and plan, not their values. Run under -race.
 func TestShapeConcurrentQueries(t *testing.T) {
 	st := open(t)
-	st.SetParallelism(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	want := map[string]int{"2": 1, "7": 1, "4": 0, "it's": 0}
 	if _, err := st.Query(`//E[F="0"]`); err != nil { // the shape's one compile
 		t.Fatal(err)

@@ -68,17 +68,10 @@ type Store struct {
 	schema      *schema.Schema
 	shred       *shred.SchemaAwareStore
 	tr          *core.Translator
-	parallelism int
 	maxMemBytes int64
 	maxRows     int64
 	batchSize   int
 }
-
-// SetParallelism sets the engine worker count used by Query and
-// RunSQL (<= 1 means serial execution, the default). Queries repeated
-// against the store reuse cached plans either way; see
-// PlanCacheStats.
-func (s *Store) SetParallelism(workers int) { s.parallelism = workers }
 
 // SetLimits sets per-statement resource budgets applied to every
 // subsequent Query/QueryContext/RunSQL: maxMemoryBytes bounds the
@@ -102,7 +95,6 @@ func (s *Store) SetBatchSize(n int) { s.batchSize = n }
 // execOpts assembles the store-level execution options.
 func (s *Store) execOpts() engine.ExecOptions {
 	return engine.ExecOptions{
-		Parallelism:    s.parallelism,
 		MaxMemoryBytes: s.maxMemBytes,
 		MaxRows:        s.maxRows,
 		BatchSize:      s.batchSize,
@@ -281,7 +273,7 @@ func (s *Store) RunSQL(sql string) (cols []string, rows [][]string, err error) {
 func (s *Store) Explain(query string) (string, error) { return s.explain(query, false) }
 
 // ExplainAnalyze executes an XPath query under the store's limits and
-// parallelism and renders the physical operator tree annotated with
+// renders the physical operator tree annotated with
 // per-operator runtime statistics (rows in/out, loops, index probes,
 // pattern-cache hits, memory charged, wall time).
 func (s *Store) ExplainAnalyze(query string) (string, error) { return s.explain(query, true) }

@@ -3,6 +3,8 @@ package xrel
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -95,15 +97,6 @@ func TestExplainAnalyze(t *testing.T) {
 		if !strings.Contains(plan, want) {
 			t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, plan)
 		}
-	}
-	// The store's parallelism applies to the analyzed execution too.
-	st.SetParallelism(4)
-	par, err := st.ExplainAnalyze("/A/B/C//F")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(par, "total: rows=2 ") {
-		t.Errorf("parallel EXPLAIN ANALYZE lost rows:\n%s", par)
 	}
 }
 
@@ -204,26 +197,50 @@ func TestPlanCacheAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestSetParallelism checks that parallel execution returns the same
-// nodes as serial execution.
-func TestSetParallelism(t *testing.T) {
-	st := open(t)
-	q := "/A/B/C//F"
-	want, err := st.Query(q)
+// TestQueryUnderGOMAXPROCS checks that a query returns the same nodes
+// whatever GOMAXPROCS allows the engine: on a document large enough
+// that the descendant step's driving relation spans many morsels, the
+// engine runs it on morsel workers when it may.
+func TestQueryUnderGOMAXPROCS(t *testing.T) {
+	s, err := ParseCompactSchema(testSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetParallelism(4)
-	got, err := st.Query(q)
+	st, err := Open(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("parallel: %d nodes, serial %d", len(got.Nodes), len(want.Nodes))
+	var doc strings.Builder
+	doc.WriteString("<A>")
+	for i := 0; i < 1500; i++ {
+		fmt.Fprintf(&doc, "<B><C><D>%d</D><E><F>%d</F><F>%d</F></E></C></B>", i%7, i%5, i%3)
 	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("node %d differs: %+v vs %+v", i, got.Nodes[i], want.Nodes[i])
+	doc.WriteString("</A>")
+	if _, err := st.LoadXML(strings.NewReader(doc.String())); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, q := range []string{"/A/B/C//F", "//C[D='3']/E/F", "//B[C/D='2']//F[.='1']"} {
+		runtime.GOMAXPROCS(1)
+		want, err := st.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Nodes) == 0 {
+			t.Fatalf("%s selects nothing", q)
+		}
+		runtime.GOMAXPROCS(4)
+		got, err := st.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Nodes) != len(want.Nodes) {
+			t.Fatalf("%s: %d nodes at GOMAXPROCS 4, %d at 1", q, len(got.Nodes), len(want.Nodes))
+		}
+		for i := range got.Nodes {
+			if got.Nodes[i] != want.Nodes[i] {
+				t.Fatalf("%s: node %d differs: %+v vs %+v", q, i, got.Nodes[i], want.Nodes[i])
+			}
 		}
 	}
 }
