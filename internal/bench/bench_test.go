@@ -167,6 +167,43 @@ func TestQueryLookup(t *testing.T) {
 	}
 }
 
+// TestQD5UnderMemoryBudget: QD5's value join probes a hash on the
+// author text built over the rows of the book-author path alone (the
+// step's key set, engine/access.go), not over the whole column. On a
+// fresh store, where the statement pays for every build it probes, it
+// therefore fits a memory budget the whole-column build breaks: each
+// budget below sits between the statement's peak with the restricted
+// build and its peak with the whole-column one (DBLP scale 1, seed 42:
+// 1 062 041 against 1 202 720 bytes schema-aware, 1 654 924 against
+// 2 159 904 on the Edge mapping). The rows are the oracle's.
+func TestQD5UnderMemoryBudget(t *testing.T) {
+	for _, c := range []struct {
+		sys    System
+		budget int64
+	}{{PPF, 1_130_000}, {EdgePPF, 1_900_000}} {
+		w, err := NewDBLP(1, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, ok := w.Query("QD5")
+		if !ok {
+			t.Fatal("no QD5")
+		}
+		w.MaxMemoryBytes = c.budget
+		got, err := w.Run(c.sys, q)
+		if err != nil {
+			t.Fatalf("%s under a %d-byte budget: %v", c.sys, c.budget, err)
+		}
+		want, err := w.OracleIDs(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalIDs(got, want) {
+			t.Errorf("%s: %d ids, oracle has %d", c.sys, len(got), len(want))
+		}
+	}
+}
+
 // TestRunBudgetLimits checks the workload-level resource budgets
 // reach the engine: a tiny row budget fails SQL-based systems with
 // the typed error, and lifting it restores the oracle's result.

@@ -156,7 +156,7 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 	}
 	key := encodeValue(sc.key[:0], v)
 	sc.key = key
-	m, err := probeSide(ec, s, st, a.col)
+	m, err := probeSide(ec, s, st, a.col, a.scope())
 	if err != nil {
 		return err
 	}
@@ -165,11 +165,11 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 	return err
 }
 
-// probeSide returns the step's transient hash index on col — the hash
-// join's build side — charging a build this call performed to the
-// scan's operator.
-func probeSide(ec *execCtx, s *joinStep, st *OpStats, col int) (map[string][]int64, error) {
-	m, built, bytes, err := s.st.hashFor(col, ec.acct)
+// probeSide returns the step's transient hash index on col over the
+// rows the scope in admits — the hash join's build side — charging a
+// build this call performed to the scan's operator.
+func probeSide(ec *execCtx, s *joinStep, st *OpStats, col int, in hashScope) (map[string][]int64, error) {
+	m, built, bytes, err := s.st.hashFor(col, in, ec.acct)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 	var m map[string][]int64
 	if a.ix == nil {
 		var err error
-		if m, err = probeSide(ec, s, st, a.col); err != nil {
+		if m, err = probeSide(ec, s, st, a.col, hashScope{}); err != nil {
 			return err
 		}
 	}
@@ -300,7 +300,11 @@ func (a *hashEq) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 	if err != nil {
 		return AccessShape{}, err
 	}
-	return AccessShape{Kind: "hash-eq", Col: t.Cols[a.col].Name, Key: key}, nil
+	as := AccessShape{Kind: "hash-eq", Col: t.Cols[a.col].Name, Key: key}
+	if r := a.restrict; r != nil {
+		as.BuiltOver = &KeySetScope{Resolved: r.res.index, Col: t.Cols[r.col].Name}
+	}
+	return as, nil
 }
 
 func (a *keyProbe) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {

@@ -393,3 +393,76 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosRestrictedHashBuild faults the build of a hash join over a
+// key set's rows (the QD5 forms) with the memo emptied first, so the
+// faulted statement is the one building: an injected error or panic, or
+// a memory budget the build breaks, must surface as its typed error on
+// either executor, leak no goroutine and publish no build — the memo
+// stays empty, and the next statement builds and answers correctly.
+func TestChaosRestrictedHashBuild(t *testing.T) {
+	defer failpoint.Reset()
+	db := bigDB(t)
+	forget := func() {
+		for _, name := range db.TableNames() {
+			st := db.Table(name).state()
+			st.hashMu.Lock()
+			st.hashIdx, st.hashMax, st.scopedHash = map[int]map[string][]int64{}, map[int]int{}, nil
+			st.hashMu.Unlock()
+		}
+	}
+	faults := []struct {
+		name, class string
+		opts        ExecOptions
+		arm         func() error
+	}{
+		{name: "hash-build-error", class: "hash-error", arm: func() error {
+			return failpoint.Enable("engine/hash-build", failpoint.Return(errChaosHash))
+		}},
+		{name: "hash-build-panic", class: "internal", arm: func() error {
+			return failpoint.Enable("engine/hash-build", failpoint.Panic("chaos"))
+		}},
+		{name: "mem-budget", class: "mem-budget", opts: ExecOptions{MaxMemoryBytes: 1}},
+	}
+	for _, q := range restrictedQueries {
+		st := sqlast.MustParse(q)
+		want, err := run(db, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := "au"
+		if strings.Contains(q, "FROM item a,") {
+			table = "item"
+		}
+		for _, f := range faults {
+			for _, workers := range []int{1, 8} {
+				forget()
+				before := runtime.NumGoroutine()
+				if f.arm != nil {
+					if err := f.arm(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := execMode{f.opts, workers}.run(db, st)
+				failpoint.Reset()
+				if got := outcomeClass(t, err); got != f.class {
+					t.Errorf("%s, %d workers, %s: outcome %q (%v), want %q", f.name, workers, table, got, err, f.class)
+				}
+				waitNoGoroutineGrowth(t, before, f.name)
+				if _, scoped := builds(db, table); len(scoped) != 0 {
+					t.Errorf("%s, %d workers: the faulted statement published %d restricted builds", f.name, workers, len(scoped))
+				}
+				res, err := execMode{workers: workers}.run(db, st)
+				if err != nil {
+					t.Fatalf("%s, %d workers: after the fault: %v", f.name, workers, err)
+				}
+				if !equalResults(res, want) {
+					t.Errorf("%s, %d workers: rows after the fault differ", f.name, workers)
+				}
+				if _, scoped := builds(db, table); len(scoped) != 1 {
+					t.Errorf("%s, %d workers: %d restricted builds after a clean run, want 1", f.name, workers, len(scoped))
+				}
+			}
+		}
+	}
+}

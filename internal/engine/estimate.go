@@ -110,20 +110,25 @@ func (p *planner) heuristicOnly() bool { return p.db.heuristicPlans.Load() }
 func (db *DB) SetHeuristicOnlyPlanning(v bool) { db.heuristicPlans.Store(v) }
 
 // tableSelectivity derives the fraction of the table's rows surviving
-// its own single-table conjuncts, skipping the conjunct the chosen
-// access path already absorbed (its rows are counted by the access
-// estimate — applying its selectivity again would double-count). This
-// replaces the old dynamic-sampling branch: the synopsis gives the
-// same numbers the exact evaluation did for literal predicates,
-// without touching rows. The second result reports whether any factor
-// came from the synopsis.
-func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjuncts []*conjunct, skip *conjunct) (float64, bool) {
+// its own single-table conjuncts, skipping what the chosen access path
+// already absorbed — the conjunct it came from (skip) and the key test
+// a restricted hash build holds (builtOver): their rows are counted by
+// the access estimate, and applying their selectivity again would
+// double-count. This replaces the old dynamic-sampling branch: the
+// synopsis gives the same numbers the exact evaluation did for literal
+// predicates, without touching rows. The second result reports whether
+// any factor came from the synopsis.
+func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjuncts []*conjunct, access accessPath, skip *conjunct) (float64, bool) {
 	sel, synBacked := 1.0, false
+	over := builtOver(access)
 	for _, c := range conjuncts {
 		if c == skip || c.done || len(c.localRef) != 1 || !c.localRef[name] {
 			continue
 		}
 		if c.set != nil {
+			if over != nil && c.set.probe == over {
+				continue
+			}
 			// A key test's selectivity was read off the histogram when
 			// the set was resolved; a pair test over one table has none.
 			switch rows := float64(st.syn.Rows()); {
@@ -368,12 +373,19 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		}
 		return avgFan(col)
 	case *hashEq:
+		// A build over a key set's rows holds the set's exact share of the
+		// table, the join column taken as independent of the key column.
+		share := 1.0
+		if x.restrict != nil && rows > 0 {
+			share = x.restrict.rows / float64(rows)
+		}
 		if v, ok := p.estKey(x.key); ok {
 			if n, ok := synEq(syn.Col(x.col), v); ok {
-				return float64(n), true
+				return float64(n) * share, true
 			}
 		}
-		return avgFan(x.col)
+		e, fromSyn := avgFan(x.col)
+		return e * share, fromSyn
 	case *fatHash:
 		return p.accessEstimate(x.h, st)
 	case *keyProbe:

@@ -59,7 +59,7 @@ func (p *planner) chooseJoinOrder(plan *selectPlan, names []string, local map[st
 		st := p.snap.stateOf(t)
 		access, connected, src := p.bestAccess(name, t, conjuncts, bound)
 		e, _ := p.accessEstimate(access, st)
-		sel, _ := p.tableSelectivity(name, t, st, conjuncts, src)
+		sel, _ := p.tableSelectivity(name, t, st, conjuncts, access, src)
 		e *= sel
 		// Observed cardinalities from adaptive re-planning trump the
 		// synopsis — they already include join-predicate effects — but

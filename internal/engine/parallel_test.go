@@ -79,6 +79,23 @@ func bigDB(t testing.TB) *DB {
 	if _, err := paths.CreateIndex("paths_pk", "id"); err != nil {
 		t.Fatal(err)
 	}
+	// A relation of one element type under two paths, /a/b and /x/y, as
+	// the schema-aware mapping stores DBLP's authors: its text joins
+	// itself across the two, through a hash built over one path's rows.
+	au, err := db.CreateTable("au", Column{"id", TInt}, Column{"par", TInt}, Column{"path_id", TInt}, Column{"text", TText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1024; i++ {
+		pid := int64(2)
+		if next(4) == 0 {
+			pid = 7
+		}
+		au.MustInsert(NewInt(int64(i)), NewInt(next(nItems)), NewInt(pid), NewText(fmt.Sprintf("%d", next(40))))
+	}
+	if _, err := au.CreateIndex("au_par", "par"); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -91,7 +108,8 @@ func bigDB(t testing.TB) *DB {
 // lowered without distinct, without sort, with first match, over a
 // merged key probe, and a UNION that merges its branches — and the
 // unnested EXISTS: existential aliases that drive, that trail under
-// first match, one and two to a run, and nested ones.
+// first match, one and two to a run, and nested ones — and hash joins
+// built over the rows a key set admits.
 var parallelQueries = []string{
 	"SELECT i.id, i.text FROM item i WHERE i.val > 90 ORDER BY i.id",
 	"SELECT i.id FROM item i WHERE i.dewey_pos BETWEEN X'0102' AND X'0104' ORDER BY i.id DESC",
@@ -108,6 +126,46 @@ var parallelQueries = []string{
 	resolutionQueries[0], resolutionQueries[1], resolutionQueries[2], resolutionQueries[3],
 	impliedQueries[0], impliedQueries[1], impliedQueries[2], impliedQueries[3],
 	unnestQueries[0], unnestQueries[1], unnestQueries[2], unnestQueries[3], unnestQueries[4], unnestQueries[5],
+	restrictedQueries[0], restrictedQueries[1],
+}
+
+// restrictedQueries are parallelQueries' QD5 forms, in the order
+// TestParallelQueriesCoverRestrictedHash expects their plans: the value
+// join of two path-filtered relations, on the schema-aware mapping
+// (one element relation, au, under both paths) and on the Edge mapping
+// (one relation for everything).
+var restrictedQueries = [2]string{
+	"SELECT DISTINCT t.id, t.dewey_pos FROM item p, item t, paths tp WHERE EXISTS (SELECT NULL FROM au a, paths ap, au b, paths bp WHERE " +
+		"a.path_id = ap.id AND REGEXP_LIKE(ap.path, '^/a/b$') AND a.par = p.id AND b.path_id = bp.id AND REGEXP_LIKE(bp.path, '^/x/y$') AND a.text = b.text) AND " +
+		"t.path_id = tp.id AND REGEXP_LIKE(tp.path, '^/a/c$') AND t.par = p.id ORDER BY t.dewey_pos",
+	"SELECT DISTINCT t.id, t.dewey_pos FROM item p, paths pp, item t, paths tp WHERE p.path_id = pp.id AND REGEXP_LIKE(pp.path, '^/a(/b)?$') AND " +
+		"EXISTS (SELECT NULL FROM item a, paths ap, item b, paths bp WHERE a.path_id = ap.id AND REGEXP_LIKE(ap.path, '^/a/b') AND a.par = p.id AND " +
+		"b.path_id = bp.id AND REGEXP_LIKE(bp.path, '^/x/y$') AND a.text = b.text) AND t.path_id = tp.id AND REGEXP_LIKE(tp.path, '^/a/b/c$') AND t.par = p.id ORDER BY t.dewey_pos",
+}
+
+// TestParallelQueriesCoverRestrictedHash keeps the QD5 forms honest:
+// the matrices that run parallelQueries cover a hash join built over
+// the rows its step's key set admits — on the first plan and on the one
+// adaptive re-planning settles on — only while the planner plans them
+// that way.
+func TestParallelQueriesCoverRestrictedHash(t *testing.T) {
+	db := bigDB(t)
+	for _, q := range restrictedQueries {
+		st := sqlast.MustParse(q)
+		for i := 0; i <= maxAdaptiveReplans+1; i++ {
+			for _, w := range []string{
+				"scan b: hash join over path_id IN <1 keys of bp>, existential est",
+				"filter b: b.path_id IN <1 keys of bp> AND a.text = b.text",
+			} {
+				if plan := explainOf(t, db, q); !strings.Contains(plan, w) {
+					t.Errorf("%s:\nplan %d lacks %q:\n%s", q, i, w, plan)
+				}
+			}
+			if _, err := run(db, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // unnestQueries are parallelQueries' unnested-EXISTS cases (unnest.go),

@@ -153,14 +153,35 @@ func (a *indexEq) est(st *tableState) int {
 }
 
 // hashEq is an equality lookup through a transient hash index — the
-// engine's hash join.
+// engine's hash join. With restrict set the index holds only the rows
+// that key test of the step admits: the join builds over its filtered
+// input. The test stays among the step's filters.
 type hashEq struct {
-	col int
-	key cexpr
+	col      int
+	key      cexpr
+	restrict *keyProbe
 }
 
-func (a *hashEq) describe() string { return "hash join" }
-func (a *hashEq) rank() int        { return 2 }
+func (a *hashEq) describe() string { return "hash join" + a.over() }
+
+// over names, for EXPLAIN, the key set a restricted build holds.
+func (a *hashEq) over() string {
+	if a.restrict == nil {
+		return ""
+	}
+	r := a.restrict.res
+	return fmt.Sprintf(" over %s IN <%d keys of %s>", r.factT.Cols[a.restrict.col].Name, len(r.keys.keys), r.alias)
+}
+
+// scope is the rows the build holds.
+func (a *hashEq) scope() hashScope {
+	if a.restrict == nil {
+		return hashScope{}
+	}
+	return hashScope{col: a.restrict.col, keys: a.restrict.res.keys}
+}
+
+func (a *hashEq) rank() int { return 2 }
 func (a *hashEq) est(st *tableState) int {
 	// Estimate with the largest bucket: skewed join columns (e.g. a
 	// path id shared by half the relation) must not look selective.
@@ -214,7 +235,7 @@ func (a *keyProbe) est(st *tableState) int { return int(a.rows) }
 // prefers genuinely selective paths.
 type fatHash struct{ h *hashEq }
 
-func (a *fatHash) describe() string       { return "hash join (low selectivity)" }
+func (a *fatHash) describe() string       { return "hash join (low selectivity)" + a.h.over() }
 func (a *fatHash) rank() int              { return 8 }
 func (a *fatHash) est(st *tableState) int { return a.h.est(st) }
 
@@ -464,7 +485,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		st := p.snap.stateOf(local[name])
 		access, _, accessSrc := p.bestAccess(name, local[name], conjuncts, bound)
 		accessEst, synAccess := p.accessEstimate(access, st)
-		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, accessSrc)
+		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, access, accessSrc)
 		e := stepEstimate{access: access, estAccess: accessEst, rows: accessEst * selOwn, source: EstDefault}
 		if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok && !p.heuristicOnly() {
 			e.rows = ov.rows
@@ -689,6 +710,7 @@ func (p *planner) localRefs(e sqlast.Expr, local map[string]*Table) map[string]b
 // the estimator can avoid double-counting its selectivity.
 func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound map[string]bool) (access accessPath, connected bool, src *conjunct) {
 	st := p.snap.stateOf(t)
+	restrict := buildScope(name, st, conjuncts)
 	var best accessPath = fullScan{}
 	bestEst, _ := p.accessEstimate(best, st)
 	consider := func(a accessPath, c *conjunct) {
@@ -724,12 +746,41 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 		}
 		switch x := c.expr.(type) {
 		case *sqlast.Binary:
-			consider(p.accessFromBinary(name, t, x, c.sc), c)
+			consider(p.accessFromBinary(name, t, x, c.sc, restrict), c)
 		case *sqlast.Between:
 			consider(p.accessFromBetween(name, t, x, c.sc), c)
 		}
 	}
 	return best, connected, src
+}
+
+// buildScope picks the key test a hash join on the alias builds over:
+// of the alias's key tests the one that admits the fewest rows, and
+// only if they are fewer than the table's. nil: a hash join of the
+// alias builds over every row.
+func buildScope(name string, st *tableState, conjuncts []*conjunct) *keyProbe {
+	var best *keyProbe
+	for _, c := range conjuncts {
+		if c.done || c.set == nil || c.set.probe == nil || c.set.probe.res.fact != name {
+			continue
+		}
+		if kp := c.set.probe; kp.rows < float64(len(st.rows)) && (best == nil || kp.rows < best.rows) {
+			best = kp
+		}
+	}
+	return best
+}
+
+// builtOver returns the key test a hash-join access builds over, nil
+// for every other access.
+func builtOver(a accessPath) *keyProbe {
+	switch x := a.(type) {
+	case *hashEq:
+		return x.restrict
+	case *fatHash:
+		return x.h.restrict
+	}
+	return nil
 }
 
 // filterText is one residual conjunct's source text for Explain; or
@@ -846,13 +897,13 @@ func (p *planner) freeOf(e sqlast.Expr, name string, t *Table) bool {
 	return !refs[name]
 }
 
-func (p *planner) accessFromBinary(name string, t *Table, b *sqlast.Binary, sc *scope) accessPath {
+func (p *planner) accessFromBinary(name string, t *Table, b *sqlast.Binary, sc *scope, restrict *keyProbe) accessPath {
 	switch b.Op {
 	case sqlast.OpEq:
-		if a := p.eqAccess(name, t, b.L, b.R, sc); a != nil {
+		if a := p.eqAccess(name, t, b.L, b.R, sc, restrict); a != nil {
 			return a
 		}
-		return p.eqAccess(name, t, b.R, b.L, sc)
+		return p.eqAccess(name, t, b.R, b.L, sc, restrict)
 	case sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
 		// Normalize to 'colSide OP otherSide'.
 		if a := p.rangeAccess(name, t, b.L, b.Op, b.R, sc); a != nil {
@@ -877,8 +928,9 @@ func flipOp(op sqlast.BinOp) sqlast.BinOp {
 	return op
 }
 
-// eqAccess builds an equality access on colSide = keySide.
-func (p *planner) eqAccess(name string, t *Table, colSide, keySide sqlast.Expr, sc *scope) accessPath {
+// eqAccess builds an equality access on colSide = keySide; a hash join
+// builds over the rows restrict admits (buildScope), nil: every row.
+func (p *planner) eqAccess(name string, t *Table, colSide, keySide sqlast.Expr, sc *scope, restrict *keyProbe) accessPath {
 	col := p.colOf(colSide, name, t, sc)
 	if col < 0 || !p.freeOf(keySide, name, t) {
 		return nil
@@ -894,13 +946,18 @@ func (p *planner) eqAccess(name string, t *Table, colSide, keySide sqlast.Expr, 
 	if ix := st.findIndex(col); ix != nil && len(ix.Cols) == 1 {
 		return &indexEq{ix: ix, keys: []cexpr{key}}
 	}
-	h := &hashEq{col: col, key: key}
+	h := &hashEq{col: col, key: key, restrict: restrict}
 	// A hash join on a low-cardinality column degenerates to a scan;
 	// rank it accordingly so selective paths win. The decision reads
 	// the synopsis's distinct count instead of building the hash index
-	// at plan time (the two agree exactly below the histogram cap).
-	if len(st.rows) > 64 {
-		if d := st.syn.Col(col).Distinct(); d > 0 && int64(len(st.rows))/d > 16 {
+	// at plan time (the two agree exactly below the histogram cap), over
+	// the rows the build holds.
+	held := int64(len(st.rows))
+	if restrict != nil {
+		held = int64(restrict.rows)
+	}
+	if held > 64 {
+		if d := st.syn.Col(col).Distinct(); d > 0 && held/d > 16 {
 			return &fatHash{h: h}
 		}
 	}

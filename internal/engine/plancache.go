@@ -325,14 +325,80 @@ func (db *DB) compile(st sqlast.Statement, args []Value) (key string, cs *compil
 	return key, cs, err
 }
 
-// planFeedback compares the plan's per-step estimates with the
-// observed stats of its last execution and returns the observed
-// per-binding cardinalities keyed the way compileStmtOverrides
-// expects — laid over the observations the plan was itself compiled
-// from (compiledStmt.observed) — plus the worst per-step q-error.
-// Steps that never executed (loops == 0) contribute nothing.
-func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
+// observed returns what the plan's last execution (frame) saw of step
+// i per binding: the access path's output and the rows past the step's
+// residual filters; ok is false for a step that never executed.
+func (p *selectPlan) observed(i int, frame opFrame) (access, rows float64, ok bool) {
+	// The scan operator observes the access path's output; the filter
+	// operator (when the step has one) the post-filter rows — mirroring
+	// exactly what lowerSelect annotates each node with, so a re-planned
+	// plan's q-errors collapse to 1.
+	scan := frame[p.phys.scans[i].id]
+	if scan.loops == 0 {
+		return 0, 0, false
+	}
+	access = float64(scan.rowsOut) / float64(scan.loops)
+	rows = access
+	if f := p.phys.filters[i]; f != nil {
+		// A filter's loop counter stays zero (its row flow is derived, see
+		// finalizeFrame); its total output over the scan's bindings is the
+		// per-binding post-filter cardinality.
+		rows = float64(frame[f.id].rowsOut) / float64(scan.loops)
+	}
+	// Under first match the step stopped at the match: what it consumed
+	// bounds what matches from below, and refutes only an estimate beneath
+	// it. Taken for the fan-out it would send the next plan after an order
+	// the truth does not favour.
+	if s := p.steps[i]; p.truncated(i) {
+		access = math.Max(access, s.estAccess)
+		rows = math.Max(rows, s.estRows)
+	}
+	return access, rows, true
+}
+
+// worstQError is the largest per-step q-error of the select's estimates
+// against the observations in frame, its correlated subplans included.
+// It allocates nothing: a plan-cache hit runs it whenever the plan may
+// still be re-planned, and the plan mostly stands.
+func (p *selectPlan) worstQError(frame opFrame) float64 {
 	worst := 1.0
+	for i, s := range p.steps {
+		access, rows, ok := p.observed(i, frame)
+		if !ok {
+			continue
+		}
+		if p.phys.filters[i] != nil {
+			worst = math.Max(worst, qError(s.estAccess, access))
+		}
+		worst = math.Max(worst, qError(s.estRows, rows))
+	}
+	for _, n := range p.phys.ops {
+		for _, ref := range n.sub {
+			worst = math.Max(worst, ref.plan.worstQError(frame))
+		}
+	}
+	return worst
+}
+
+// worstQError is selectPlan.worstQError over every select of the
+// statement.
+func (cs *compiledStmt) worstQError(frame opFrame) float64 {
+	if cs.sel != nil {
+		return cs.sel.worstQError(frame)
+	}
+	worst := 1.0
+	for _, b := range cs.union.branches {
+		worst = math.Max(worst, b.worstQError(frame))
+	}
+	return worst
+}
+
+// planFeedback returns the observed per-binding cardinalities of the
+// plan's last execution keyed the way compileStmt expects, laid over
+// the observations the plan was itself compiled from
+// (compiledStmt.observed). Steps that never executed (loops == 0)
+// contribute nothing.
+func planFeedback(cs *compiledStmt, frame opFrame) *planOverrides {
 	prior := cs.observed
 	if prior == nil {
 		prior = &planOverrides{}
@@ -346,39 +412,8 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 		for i, s := range p.steps {
 			after := boundKey(bound)
 			bound[s.name] = true
-			// The scan operator observes the access path's output; the
-			// filter operator (when the step has one) the post-filter
-			// rows — mirroring exactly what lowerSelect annotates each
-			// node with, so a re-planned plan's q-errors collapse to 1.
-			scan := frame[p.phys.scans[i].id]
-			if scan.loops == 0 {
-				continue
-			}
-			obsAccess := float64(scan.rowsOut) / float64(scan.loops)
-			obsRows := obsAccess
-			if f := p.phys.filters[i]; f != nil {
-				// A filter's loop counter stays zero (its row flow is
-				// derived, see finalizeFrame); its total output over the
-				// scan's bindings is the per-binding post-filter
-				// cardinality.
-				obsRows = float64(frame[f.id].rowsOut) / float64(scan.loops)
-			}
-			// Under first match the step stopped at the match: what it
-			// consumed bounds what matches from below, and refutes only an
-			// estimate beneath it. Taken for the fan-out it would send the
-			// next plan after an order the truth does not favour.
-			if p.truncated(i) {
-				obsAccess = math.Max(obsAccess, s.estAccess)
-				obsRows = math.Max(obsRows, s.estRows)
-			}
-			if p.phys.filters[i] != nil {
-				if q := qError(s.estAccess, obsAccess); q > worst {
-					worst = q
-				}
-			}
-			m[ovKey{s.name, after}] = ovEst{rows: obsRows, access: obsAccess}
-			if q := qError(s.estRows, obsRows); q > worst {
-				worst = q
+			if access, rows, ok := p.observed(i, frame); ok {
+				m[ovKey{s.name, after}] = ovEst{rows: rows, access: access}
 			}
 		}
 		return m
@@ -413,7 +448,7 @@ func planFeedback(cs *compiledStmt, frame opFrame) (*planOverrides, float64) {
 			collectSubs(b)
 		}
 	}
-	return ov, worst
+	return ov
 }
 
 // maybeReplan implements adaptive re-planning on a plan-cache hit:
@@ -429,14 +464,10 @@ func (db *DB) maybeReplan(st sqlast.Statement, key string, args []Value, cs *com
 		return nil
 	}
 	fb := cs.feedback.Load()
-	if fb == nil {
+	if fb == nil || cs.worstQError(*fb) <= replanQErrorThreshold {
 		return nil
 	}
-	ov, worst := planFeedback(cs, *fb)
-	if worst <= replanQErrorThreshold {
-		return nil
-	}
-	next, err := compileStmt(db, st, args, ov)
+	next, err := compileStmt(db, st, args, planFeedback(cs, *fb))
 	if err != nil {
 		return nil
 	}

@@ -88,6 +88,17 @@ type AccessShape struct {
 	// Merged reports, for "key-probe", that the keys' posting lists are
 	// merged into ascending row-id order instead of concatenated.
 	Merged bool
+	// BuiltOver is, for "hash-eq" and "fat-hash", the key set the hash is
+	// built over: it holds only the rows a key test of the step admits.
+	// nil: the build holds every row of the table.
+	BuiltOver *KeySetScope
+}
+
+// KeySetScope names the rows a restricted hash build holds: those whose
+// column Col holds a key of SelectShape.Resolved[Resolved].
+type KeySetScope struct {
+	Resolved int
+	Col      string
 }
 
 // UniqueShape is the evidence of a select lowered without its

@@ -326,3 +326,43 @@ func TestFirstMatchFeedbackIsALowerBound(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledHitAllocatesNothing: a plan-cache hit on a plan that may
+// still be re-planned replays the last execution's frame against the
+// plan's estimates. While they stand — the common case — that costs no
+// allocation: the observation maps a re-plan is compiled from are built
+// only past replanQErrorThreshold. The statement carries a correlated
+// subplan (an EXISTS under OR stays one), whose steps are checked too.
+func TestSettledHitAllocatesNothing(t *testing.T) {
+	db, _ := buildPair(t, 7, 300)
+	st := sqlast.MustParse("SELECT a.id, b.id FROM n a, n b WHERE b.par = a.id AND " +
+		"(a.val = 1 OR EXISTS (SELECT NULL FROM n c WHERE c.par = b.id))")
+	for i := 0; i <= maxAdaptiveReplans; i++ {
+		if _, err := run(db, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := sqlast.Render(st)
+	cs, err := db.compiledFor(st, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := cs.feedback.Load()
+	if cs.replans >= maxAdaptiveReplans || fb == nil {
+		t.Fatalf("plan has %d re-plans and feedback %v: the test needs one a hit still checks", cs.replans, fb != nil)
+	}
+	if q := cs.worstQError(*fb); q > replanQErrorThreshold {
+		t.Fatalf("plan's worst q-error is %.2f: the test needs one that stands", q)
+	}
+	if !strings.Contains(renderCompiled(cs, nil), "exists subplan") {
+		t.Fatalf("plan has no subplan:\n%s", renderCompiled(cs, nil))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := db.compiledFor(st, key, nil); err != nil || got != cs {
+			t.Fatalf("hit returned another plan (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a settled plan's hit allocates %v times, want 0", allocs)
+	}
+}

@@ -61,6 +61,13 @@ type tableState struct {
 	hashIdx map[int]map[string][]int64
 	//guardedby:hashMu
 	hashMax map[int]int // largest bucket per hashed column
+	// scopedHash memoises the hash builds restricted to the rows a key
+	// set admits (hashScope), by column and scope. A scope names its key
+	// set by pointer, the set's entry in its dimension state's resolved
+	// memo, so a key set of another state is another entry and is never
+	// served. Bounded by maxResolveMemo, flushed whole on overflow.
+	//guardedby:hashMu
+	scopedHash map[scopedKey]map[string][]int64
 	// resolved memoises the key and pair sets plan-time resolution
 	// (resolve.go) computed over this state's rows, so the statements of
 	// one template — and the steps of one statement — resolve a pattern
@@ -629,7 +636,7 @@ func encodeValue(dst []byte, v Value) []byte {
 // serves the planner's cost estimation; execution paths go through
 // hashFor so builds are charged to the running statement.
 func (st *tableState) hash(col int) map[string][]int64 {
-	m, _, _, err := st.hashFor(col, nil)
+	m, _, _, err := st.hashFor(col, hashScope{}, nil)
 	if err != nil {
 		// With a nil accountant the only failure mode is an armed
 		// failpoint; planner-side estimation has no error path, so an
@@ -640,36 +647,74 @@ func (st *tableState) hash(col int) map[string][]int64 {
 	return m
 }
 
-// hashFor returns the transient hash index for a column, building it
-// on demand over this state's immutable rows. A build is charged to
-// the statement's accountant and aborts (without publishing a partial
-// map) when the memory budget is exceeded; built reports whether this
-// call performed the build (so callers can re-check deadlines after a
-// long one) and bytes the amount it charged, for attribution to the
-// probing operator's OpStats. The "engine/hash-build" failpoint fires
-// on every access, built or cached, making the hash path's error
-// handling injectable regardless of which statement performed the
-// build.
-func (st *tableState) hashFor(col int, ac *accountant) (m map[string][]int64, built bool, bytes int64, err error) {
+// hashScope restricts a hash build to the rows whose column col holds
+// a key of keys: the rows a step's key test (resolve.go) admits. The
+// zero scope (nil keys) admits every row.
+type hashScope struct {
+	col  int
+	keys *keySet
+}
+
+func (sc hashScope) admits(row []Value) bool {
+	if sc.keys == nil {
+		return true
+	}
+	v := row[sc.col]
+	if v.Kind != KInt {
+		return false
+	}
+	_, ok := sc.keys.has[v.I]
+	return ok
+}
+
+// scopedKey addresses one restricted build in tableState.scopedHash.
+type scopedKey struct {
+	col int
+	in  hashScope
+}
+
+// hashFor returns the transient hash index for a column over the rows
+// the scope in admits, building it on demand over this state's
+// immutable rows.
+// The build walks the rows in id order, so every bucket lists its row
+// ids ascending. A build is charged to the statement's accountant and
+// aborts (without publishing a partial map) when the memory budget is
+// exceeded; built reports whether this call performed the build (so
+// callers can re-check deadlines after a long one) and bytes the
+// amount it charged, for attribution to the probing operator's
+// OpStats. The "engine/hash-build" failpoint fires on every access,
+// built or cached, making the hash path's error handling injectable
+// regardless of which statement performed the build.
+func (st *tableState) hashFor(col int, in hashScope, ac *accountant) (m map[string][]int64, built bool, bytes int64, err error) {
 	if err := failpoint.Inject("engine/hash-build"); err != nil {
 		return nil, false, 0, err
 	}
 	st.hashMu.Lock()
 	defer st.hashMu.Unlock()
-	if m, ok := st.hashIdx[col]; ok {
-		return m, false, 0, nil
+	sk := scopedKey{col: col, in: in}
+	if in.keys == nil {
+		if m, ok := st.hashIdx[col]; ok {
+			return m, false, 0, nil
+		}
+		m = make(map[string][]int64, len(st.rows))
+	} else {
+		if m, ok := st.scopedHash[sk]; ok {
+			return m, false, 0, nil
+		}
+		m = make(map[string][]int64)
 	}
-	m = make(map[string][]int64, len(st.rows))
 	var buf []byte
 	for id, row := range st.rows {
-		buf = encodeValue(buf[:0], row[col])
-		key := string(buf)
-		ids, ok := m[key]
-		if !ok {
-			bytes += int64(len(key)) + mapEntryBytes
+		if in.admits(row) {
+			buf = encodeValue(buf[:0], row[col])
+			key := string(buf)
+			ids, ok := m[key]
+			if !ok {
+				bytes += int64(len(key)) + mapEntryBytes
+			}
+			bytes += 8 // one row id
+			m[key] = append(ids, int64(id))
 		}
-		bytes += 8 // one row id
-		m[key] = append(ids, int64(id))
 		if id&0x3FF == 0x3FF {
 			// Abort an over-budget build mid-way rather than after
 			// materializing the whole side.
@@ -680,6 +725,13 @@ func (st *tableState) hashFor(col int, ac *accountant) (m map[string][]int64, bu
 	}
 	if err := ac.growBytes(bytes); err != nil {
 		return nil, false, 0, err
+	}
+	if in.keys != nil {
+		if st.scopedHash == nil || len(st.scopedHash) >= maxResolveMemo {
+			st.scopedHash = make(map[scopedKey]map[string][]int64)
+		}
+		st.scopedHash[sk] = m
+		return m, true, bytes, nil
 	}
 	max := 0
 	for _, ids := range m {

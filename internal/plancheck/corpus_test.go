@@ -135,6 +135,12 @@ func TestMutationsRejected(t *testing.T) {
 						if !strings.Contains(strings.Join(r.Rules, " "), ruleParams) {
 							t.Errorf("%s/%s: mutation %s rejected by %v, want the params obligation among them", q.ID, tf.name, r.Name, r.Rules)
 						}
+					// The restriction mutants leave the filters alone: only the
+					// access-path rule's key-test requirement sees them.
+					case "hash-restricted-by-untested-key-set", "hash-restricted-on-other-column":
+						if !strings.Contains(r.Finding, "[access-path]") || !strings.Contains(r.Finding, "building the hash over its rows") {
+							t.Errorf("%s/%s: mutation %s rejected by %s, want the access-path rule", q.ID, tf.name, r.Name, r.Finding)
+						}
 					case "first-match-run-referenced-later":
 						if !strings.Contains(r.Finding, "["+ruleImplied+"]") || !strings.Contains(r.Finding, "first match from step") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the first-match run re-derivation", q.ID, tf.name, r.Name, r.Finding)

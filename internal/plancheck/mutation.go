@@ -115,6 +115,44 @@ func Mutations() []Mutation {
 			},
 		},
 		{
+			Name:   "hash-restricted-by-untested-key-set",
+			Defect: "a hash join is built over the rows of a key set its step does not test",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateBuiltOver(sh, func(sel *engine.SelectShape, s *engine.StepShape) {
+					b := s.Access.BuiltOver
+					// Another resolution of the select the step has no key
+					// test of, or none at all.
+					tested := map[int]bool{}
+					for _, f := range s.Filters {
+						if name, _, idx, ok := setMarker(f.Expr); ok && name == engine.MarkerKeySet {
+							tested[idx] = true
+						}
+					}
+					b.Resolved = len(sel.Resolved)
+					for i := range sel.Resolved {
+						if !tested[i] {
+							b.Resolved = i
+							break
+						}
+					}
+				})
+			},
+		},
+		{
+			Name:   "hash-restricted-on-other-column",
+			Defect: "a hash join is built over the rows whose other column holds a key of the step's key set",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateBuiltOver(sh, func(_ *engine.SelectShape, s *engine.StepShape) {
+					b := s.Access.BuiltOver
+					if b.Col != s.Access.Col {
+						b.Col = s.Access.Col
+					} else {
+						b.Col = "id"
+					}
+				})
+			},
+		},
+		{
 			Name:   "misplace-distinct",
 			Defect: "DISTINCT dropped from (or invented in) the lowered pipeline",
 			Apply: func(sh *engine.StmtShape) bool {
@@ -681,6 +719,21 @@ func mutateSelect(sh *engine.StmtShape, f func(*engine.SelectShape) bool) bool {
 		}
 	}
 	return false
+}
+
+// mutateBuiltOver applies f to the first step, in mutateSelect's order,
+// whose hash join is built over a key set's rows, reporting whether
+// there was one.
+func mutateBuiltOver(sh *engine.StmtShape, f func(*engine.SelectShape, *engine.StepShape)) bool {
+	return mutateSelect(sh, func(sel *engine.SelectShape) bool {
+		for si := range sel.Steps {
+			if sel.Steps[si].Access.BuiltOver != nil {
+				f(sel, &sel.Steps[si])
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // dropToken removes an operator from the pipeline of a select with

@@ -360,6 +360,16 @@ func checkAccess(s engine.StepShape) *Finding {
 		return false
 	}
 	col := func(name string) sqlast.Expr { return sqlast.C(s.Alias, name) }
+	// hasKeyTest reports whether the step retains the key test of
+	// resolution res on column c.
+	hasKeyTest := func(res int, c sqlast.Expr) bool {
+		for _, f := range s.Filters {
+			if name, cols, idx, ok := setMarker(f.Expr); ok && name == engine.MarkerKeySet && idx == res && len(cols) == 1 && cols[0] == c.String() {
+				return true
+			}
+		}
+		return false
+	}
 
 	switch a.Kind {
 	case "full-scan":
@@ -389,6 +399,11 @@ func checkAccess(s engine.StepShape) *Finding {
 		if !hasText(want) {
 			return fail(fmt.Sprintf("no retained predicate %q justifies the hash probe", want))
 		}
+		// A build over a key set's rows leaves out exactly the rows that
+		// set's retained test of the same column rejects.
+		if b := a.BuiltOver; b != nil && !hasKeyTest(b.Resolved, col(b.Col)) {
+			return fail(fmt.Sprintf("no retained key test %d on %s justifies building the hash over its rows", b.Resolved, col(b.Col)))
+		}
 		return nil
 	case "key-probe":
 		// Justified by the retained key test of the same resolution on
@@ -398,10 +413,8 @@ func checkAccess(s engine.StepShape) *Finding {
 		if a.Index != "" && (len(a.IndexCols) != 1 || a.IndexCols[0] != a.Col) {
 			return fail(fmt.Sprintf("index %s is not a single-column index on %s", a.Index, a.Col))
 		}
-		for _, f := range s.Filters {
-			if name, cols, idx, ok := setMarker(f.Expr); ok && name == engine.MarkerKeySet && idx == a.Resolved && cols[0] == col(a.Col).String() {
-				return nil
-			}
+		if hasKeyTest(a.Resolved, col(a.Col)) {
+			return nil
 		}
 		return fail(fmt.Sprintf("no retained key test %d on %s justifies the key probes", a.Resolved, col(a.Col)))
 	case "index-prefixes":
