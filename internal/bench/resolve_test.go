@@ -16,13 +16,14 @@ import (
 // TestCachedPlanRetiredByNewMatchingPath: the planner resolves a path
 // pattern to the path ids that match it when the statement compiles
 // (engine/resolve.go), so a cached plan holds the answer for the paths
-// it saw — and a hash join built over a key set's rows holds the rows
-// of the state it saw. A load that adds a *new* path the pattern matches
+// it saw — and a hash join built over a key set's rows, or a Dewey
+// step's scoped run, holds the rows of the state it saw. A load that adds a *new* path the pattern matches
 // publishes a new paths state, and one that adds rows under a known
 // path a new state of their relation; either must retire the plan, and
 // the next run returns the new nodes. Persistent stores, both mappings:
 // //G over a recursive schema, and QD5, whose value join probes a hash
-// built over the book authors, over the DBLP schema.
+// built over the book authors, over the DBLP schema; and, Edge only, Q6,
+// whose ancestor step runs over the rows of the listitem paths.
 func TestCachedPlanRetiredByNewMatchingPath(t *testing.T) {
 	g, err := schema.NewBuilder("A").Element("A", "B").Element("B", "C", "G").Element("G", "G").Build()
 	if err != nil {
@@ -49,7 +50,7 @@ func TestCachedPlanRetiredByNewMatchingPath(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		s     *schema.Schema
+		s     *schema.Schema // nil: the case runs on the Edge mapping only
 		xpath string
 		loads []load
 	}{
@@ -67,6 +68,13 @@ func TestCachedPlanRetiredByNewMatchingPath(t *testing.T) {
 			// A book author under the known path: a new state of the relation
 			// that holds it, and a third paper.
 			{dblpDoc(80, 40, "z7"), 3, "hash join over path_id IN <1 keys of "},
+		}},
+		// Edge Q6, whose ancestor step runs over the listitem rows of the
+		// listitem paths the plan saw.
+		{"Q6", nil, "//keyword/ancestor::listitem", []load{
+			{`<site><a><listitem><text><keyword/></text></listitem><listitem/></a></site>`, 1, "index prefix lookups edge_dp over path_id IN <1 keys of e2_paths>"},
+			// /site/b/parlist/listitem is new and matches the ancestor step.
+			{`<site><b><parlist><listitem><keyword/><keyword/></listitem></parlist></b></site>`, 2, "index prefix lookups edge_dp over path_id IN <2 keys of e2_paths>"},
 		}},
 	}
 	type loadFunc func(*xmltree.Document) (int64, error)
@@ -92,6 +100,9 @@ func TestCachedPlanRetiredByNewMatchingPath(t *testing.T) {
 	for _, m := range mappings {
 		t.Run(m.name, func(t *testing.T) {
 			for _, c := range cases {
+				if c.s == nil && m.name != "edge" {
+					continue
+				}
 				t.Run(c.name, func(t *testing.T) {
 					db, err := engine.Open(t.TempDir())
 					if err != nil {

@@ -1,5 +1,7 @@
 package engine
 
+import "bytes"
+
 // The uniform scan-operator contract: every access path pushes the
 // candidate row ids of its joinStep under the current bindings, in
 // the executor's canonical order, recording probes and governor
@@ -111,6 +113,9 @@ func (a *indexPrefixes) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, 
 	if v.Kind != KBytes {
 		return nil
 	}
+	if a.restrict != nil {
+		return a.enumerateRun(ec, v.B, s, st, sc, yield)
+	}
 	buf := sc.idBuf()
 	for k := 0; k <= len(v.B); k++ {
 		// Prefix-match within a possibly composite index: scan the
@@ -146,6 +151,68 @@ func (a *indexPrefixes) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, 
 	return flushTail(buf, yield)
 }
 
+// enumerateRun is the ancestor step over its scoped run: the rows whose
+// position is a prefix of x are those equal to x's prefix of some
+// length the run holds, so it searches once per such length, the
+// prefixes — and with them the matches — ascending.
+func (a *indexPrefixes) enumerateRun(ec *execCtx, x []byte, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
+	col := a.ix.Cols[0]
+	r, err := runSide(ec, s, st, col, a.restrict.scope())
+	if err != nil {
+		return err
+	}
+	rows, ids, buf := s.st.rows, r.ids, sc.idBuf()
+	for _, n := range r.lens {
+		if n > len(x) {
+			break
+		}
+		st.probe()
+		p := x[:n]
+		// Every value before p's lower bound is below the longer prefixes
+		// too: each search starts where the last one ended.
+		for ids = ids[lowerBound(rows, col, ids, p):]; len(ids) > 0 && bytes.Equal(rows[ids[0]][col].B, p); ids = ids[1:] {
+			buf = append(buf, ids[0])
+			if len(buf) == cap(buf) {
+				cont, err := yield(buf)
+				if err != nil || !cont {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	return flushTail(buf, yield)
+}
+
+// runSide returns the step's scoped run of col over the rows the scope
+// in admits, charging a build this call performed to the scan's
+// operator.
+func runSide(ec *execCtx, s *joinStep, st *OpStats, col int, in hashScope) (*deweyRun, error) {
+	r, built, bytes, err := s.st.runFor(col, in, ec.acct)
+	if err == nil && built {
+		err = chargeBuild(ec, st, bytes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// lowerBound is the first position in ids, a run ordered by column col,
+// whose value is not below v.
+func lowerBound(rows [][]Value, col int, ids []int64, v []byte) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bytes.Compare(rows[ids[m]][col].B, v) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
 	v, err := a.key.eval(ec, e)
 	if err != nil {
@@ -156,7 +223,7 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 	}
 	key := encodeValue(sc.key[:0], v)
 	sc.key = key
-	m, err := probeSide(ec, s, st, a.col, a.scope())
+	m, err := probeSide(ec, s, st, a.col, a.restrict.scope())
 	if err != nil {
 		return err
 	}
@@ -170,19 +237,22 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 // build this call performed to the scan's operator.
 func probeSide(ec *execCtx, s *joinStep, st *OpStats, col int, in hashScope) (map[string][]int64, error) {
 	m, built, bytes, err := s.st.hashFor(col, in, ec.acct)
+	if err == nil && built {
+		err = chargeBuild(ec, st, bytes)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if built {
-		st.charge(bytes)
-		// The build may have consumed a large slice of the deadline;
-		// observe it before starting the probe phase instead of
-		// waiting out the tick counter.
-		if err := ec.checkNow(); err != nil {
-			return nil, err
-		}
-	}
 	return m, nil
+}
+
+// chargeBuild charges the bytes of a build a scan performed to its
+// operator. The build may have consumed a large slice of the deadline;
+// it is observed before the probe phase starts instead of waiting out
+// the tick counter.
+func chargeBuild(ec *execCtx, st *OpStats, bytes int64) error {
+	st.charge(bytes)
+	return ec.checkNow()
 }
 
 func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
@@ -292,7 +362,8 @@ func (a *indexPrefixes) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 		return AccessShape{}, err
 	}
 	return AccessShape{Kind: "index-prefixes", Index: a.ix.Name,
-		IndexCols: indexColNames(t, a.ix), Col: t.Cols[a.ix.Cols[0]].Name, Key: key}, nil
+		IndexCols: indexColNames(t, a.ix), Col: t.Cols[a.ix.Cols[0]].Name, Key: key,
+		BuiltOver: a.restrict.builtOver(t)}, nil
 }
 
 func (a *hashEq) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
@@ -300,11 +371,7 @@ func (a *hashEq) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 	if err != nil {
 		return AccessShape{}, err
 	}
-	as := AccessShape{Kind: "hash-eq", Col: t.Cols[a.col].Name, Key: key}
-	if r := a.restrict; r != nil {
-		as.BuiltOver = &KeySetScope{Resolved: r.res.index, Col: t.Cols[r.col].Name}
-	}
-	return as, nil
+	return AccessShape{Kind: "hash-eq", Col: t.Cols[a.col].Name, Key: key, BuiltOver: a.restrict.builtOver(t)}, nil
 }
 
 func (a *keyProbe) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
@@ -327,7 +394,7 @@ func (a *fatHash) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 func (a *indexRange) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 	as := AccessShape{Kind: "index-range", Index: a.ix.Name,
 		IndexCols: indexColNames(t, a.ix), Col: t.Cols[a.ix.Cols[0]].Name,
-		LoStrict: a.loStrict, HiStrict: a.hiStrict}
+		LoStrict: a.loStrict, HiStrict: a.hiStrict, BuiltOver: a.restrict.builtOver(t)}
 	var err error
 	if a.lo != nil {
 		if as.Lo, err = sb.expr(a.lo); err != nil {
@@ -343,30 +410,36 @@ func (a *indexRange) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 }
 
 func (a *indexRange) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
-	var lo, hi []byte
+	// Each bound is evaluated once; a NULL one admits no row.
+	var loV Value
+	var hiB bound
 	if a.lo != nil {
 		v, err := a.lo.eval(ec, e)
-		if err != nil {
+		if err != nil || v.IsNull() {
 			return err
 		}
-		if v.IsNull() {
-			return nil
+		loV = v
+	}
+	if a.hi != nil {
+		b, err := evalBound(ec, e, a.hi)
+		if err != nil || b.v.IsNull() {
+			return err
 		}
-		lo = encodeValue(sc.key[:0], v)
+		hiB = b
+	}
+	if a.restrict != nil {
+		return a.enumerateRun(ec, loV, hiB, s, st, sc, yield)
+	}
+	var lo, hi []byte
+	if a.lo != nil {
+		lo = encodeValue(sc.key[:0], loV)
 		if a.loStrict {
 			lo = append(lo, 0xFF)
 		}
 		sc.key = lo
 	}
 	if a.hi != nil {
-		v, err := a.hi.eval(ec, e)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			return nil
-		}
-		hi = encodeValue(sc.key2[:0], v)
+		hi = hiB.encode(sc.key2[:0])
 		if !a.hiStrict {
 			hi = append(hi, 0xFF)
 		}
@@ -394,4 +467,32 @@ func (a *indexRange) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc 
 		return scanErr
 	}
 	return flushTail(buf, yield)
+}
+
+// enumerateRun is the descendant window over its scoped run: one search
+// for the lower bound, then the run's ids while their values are not
+// above hi, handed on in place, a batch at a time. A prefix window's
+// bounds are byte strings, as its column is (accessFromBetween).
+func (a *indexRange) enumerateRun(ec *execCtx, lo Value, hi bound, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
+	col := a.ix.Cols[0]
+	r, err := runSide(ec, s, st, col, a.restrict.scope())
+	if err != nil {
+		return err
+	}
+	st.probe()
+	rows := s.st.rows
+	ids := r.ids[lowerBound(rows, col, r.ids, lo.B):]
+	for {
+		n := 0
+		for n < len(ids) && n < sc.n && compareConcat(rows[ids[n]][col].B, hi.v.B, hi.tail) <= 0 {
+			n++
+		}
+		if n == 0 {
+			return nil
+		}
+		if cont, err := yield(ids[:n]); err != nil || !cont {
+			return err
+		}
+		ids = ids[n:]
+	}
 }

@@ -394,6 +394,34 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 	}
 }
 
+// buildFaults are the faults the chaos tests inject into a build over a
+// key set's rows, each with the outcome class it must surface as: an
+// error or a panic at the build's failpoint, and a one-byte budget.
+var buildFaults = []struct {
+	name, class string
+	opts        ExecOptions
+	arm         func() error
+}{
+	{name: "hash-build-error", class: "hash-error", arm: func() error {
+		return failpoint.Enable("engine/hash-build", failpoint.Return(errChaosHash))
+	}},
+	{name: "hash-build-panic", class: "internal", arm: func() error {
+		return failpoint.Enable("engine/hash-build", failpoint.Panic("chaos"))
+	}},
+	{name: "mem-budget", class: "mem-budget", opts: ExecOptions{MaxMemoryBytes: 1}},
+}
+
+// forgetBuilds empties every table state's memo of hash builds and
+// scoped runs, so the next statement is the one building.
+func forgetBuilds(db *DB) {
+	for _, name := range db.TableNames() {
+		st := db.Table(name).state()
+		st.hashMu.Lock()
+		st.hashIdx, st.hashMax, st.scopedHash, st.scopedRun = map[int]map[string][]int64{}, map[int]int{}, nil, nil
+		st.hashMu.Unlock()
+	}
+}
+
 // TestChaosRestrictedHashBuild faults the build of a hash join over a
 // key set's rows (the QD5 forms) with the memo emptied first, so the
 // faulted statement is the one building: an injected error or panic, or
@@ -403,27 +431,6 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 func TestChaosRestrictedHashBuild(t *testing.T) {
 	defer failpoint.Reset()
 	db := bigDB(t)
-	forget := func() {
-		for _, name := range db.TableNames() {
-			st := db.Table(name).state()
-			st.hashMu.Lock()
-			st.hashIdx, st.hashMax, st.scopedHash = map[int]map[string][]int64{}, map[int]int{}, nil
-			st.hashMu.Unlock()
-		}
-	}
-	faults := []struct {
-		name, class string
-		opts        ExecOptions
-		arm         func() error
-	}{
-		{name: "hash-build-error", class: "hash-error", arm: func() error {
-			return failpoint.Enable("engine/hash-build", failpoint.Return(errChaosHash))
-		}},
-		{name: "hash-build-panic", class: "internal", arm: func() error {
-			return failpoint.Enable("engine/hash-build", failpoint.Panic("chaos"))
-		}},
-		{name: "mem-budget", class: "mem-budget", opts: ExecOptions{MaxMemoryBytes: 1}},
-	}
 	for _, q := range restrictedQueries {
 		st := sqlast.MustParse(q)
 		want, err := run(db, st)
@@ -434,9 +441,9 @@ func TestChaosRestrictedHashBuild(t *testing.T) {
 		if strings.Contains(q, "FROM item a,") {
 			table = "item"
 		}
-		for _, f := range faults {
+		for _, f := range buildFaults {
 			for _, workers := range []int{1, 8} {
-				forget()
+				forgetBuilds(db)
 				before := runtime.NumGoroutine()
 				if f.arm != nil {
 					if err := f.arm(); err != nil {
@@ -461,6 +468,55 @@ func TestChaosRestrictedHashBuild(t *testing.T) {
 				}
 				if _, scoped := builds(db, table); len(scoped) != 1 {
 					t.Errorf("%s, %d workers: %d restricted builds after a clean run, want 1", f.name, workers, len(scoped))
+				}
+			}
+		}
+	}
+}
+
+// TestChaosScopedRun faults the build of the scoped runs the Edge Dewey
+// forms run over, with the memo emptied first: an injected error or
+// panic, or a budget the build breaks, must surface as its typed error
+// on either executor, leak no goroutine and publish no run, and the next
+// statement builds the runs and answers correctly. The forms probe their
+// key sets through nd's path_id index, so the first build a statement
+// reaches is a run's.
+func TestChaosScopedRun(t *testing.T) {
+	defer failpoint.Reset()
+	db := bigDB(t)
+	for _, q := range scopedDeweyQueries {
+		st := sqlast.MustParse(q)
+		want, err := run(db, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range buildFaults {
+			for _, workers := range []int{1, 8} {
+				forgetBuilds(db)
+				before := runtime.NumGoroutine()
+				if f.arm != nil {
+					if err := f.arm(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := execMode{f.opts, workers}.run(db, st)
+				failpoint.Reset()
+				if got := outcomeClass(t, err); got != f.class {
+					t.Errorf("%s, %d workers: outcome %q (%v), want %q\n%s", f.name, workers, got, err, f.class, q)
+				}
+				waitNoGoroutineGrowth(t, before, f.name)
+				if rs := runs(db, "nd"); len(rs) != 0 {
+					t.Errorf("%s, %d workers: the faulted statement published %d scoped runs\n%s", f.name, workers, len(rs), q)
+				}
+				res, err := execMode{workers: workers}.run(db, st)
+				if err != nil {
+					t.Fatalf("%s, %d workers: after the fault: %v", f.name, workers, err)
+				}
+				if !equalResults(res, want) {
+					t.Errorf("%s, %d workers: rows after the fault differ\n%s", f.name, workers, q)
+				}
+				if rs := runs(db, "nd"); len(rs) == 0 {
+					t.Errorf("%s, %d workers: no scoped run after a clean run\n%s", f.name, workers, q)
 				}
 			}
 		}

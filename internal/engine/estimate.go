@@ -29,11 +29,11 @@ const defaultFilterSelectivity = 0.1
 const minSelectivity = 1e-4
 
 // defaultDeweyFanout is the rows a Dewey prefix access is guessed to
-// yield per binding, in both directions: the ancestor probes of
-// indexPrefixes (one lookup per byte prefix of the bound position) and
-// the descendant window '[x, x || lit]' of a prefix-shaped indexRange.
-// One constant serves both because of a counting identity: every
-// (ancestor, descendant) pair of a relation is one row of some
+// yield per binding, in both directions: the ancestor step of
+// indexPrefixes (the rows whose position is a byte prefix of the bound
+// one) and the descendant window '[x, x || lit]' of a prefix-shaped
+// indexRange. One constant serves both because of a counting identity:
+// every (ancestor, descendant) pair of a relation is one row of some
 // ancestor access and one row of some descendant access, so over the
 // relation's rows the two accesses have the same mean size, pairs per
 // row. Across two relations the means differ by the ratio of their row
@@ -42,7 +42,9 @@ const minSelectivity = 1e-4
 // the window used to be costed as a generic two-sided range
 // (genericRangeDivisor), three orders of magnitude more on a
 // schema-oblivious relation, which sent every join order that could
-// avoid the window around it (EXPERIMENTS.md E10).
+// avoid the window around it (EXPERIMENTS.md E10). A step that runs
+// over a key set's rows (deweyRun) is guessed the set's share of it, by
+// the hash join's independence rule.
 const defaultDeweyFanout = 8
 
 // genericRangeDivisor and openRangeDivisor are the fallback guesses
@@ -112,7 +114,8 @@ func (db *DB) SetHeuristicOnlyPlanning(v bool) { db.heuristicPlans.Store(v) }
 // tableSelectivity derives the fraction of the table's rows surviving
 // its own single-table conjuncts, skipping what the chosen access path
 // already absorbed — the conjunct it came from (skip) and the key test
-// a restricted hash build holds (builtOver): their rows are counted by
+// whose rows a hash join builds over or a Dewey step runs over
+// (builtOver): their rows are counted by
 // the access estimate, and applying their selectivity again would
 // double-count. This replaces the old dynamic-sampling branch: the
 // synopsis gives the same numbers the exact evaluation did for literal
@@ -375,10 +378,7 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 	case *hashEq:
 		// A build over a key set's rows holds the set's exact share of the
 		// table, the join column taken as independent of the key column.
-		share := 1.0
-		if x.restrict != nil && rows > 0 {
-			share = x.restrict.rows / float64(rows)
-		}
+		share := x.restrict.share(rows)
 		if v, ok := p.estKey(x.key); ok {
 			if n, ok := synEq(syn.Col(x.col), v); ok {
 				return float64(n) * share, true
@@ -412,7 +412,11 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 			n, _ := syn.Col(col).IntRangeCount(lo, hi)
 			return float64(n), true
 		}
-		return float64(a.est(st)), false
+		// A prefix window over a key set's run holds the set's share of
+		// its rows, by the same independence rule as the hash join's.
+		return float64(a.est(st)) * x.restrict.share(rows), false
+	case *indexPrefixes:
+		return float64(a.est(st)) * x.restrict.share(rows), false
 	}
 	return float64(a.est(st)), false
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/keyenc"
 	"repro/internal/pathre"
 	"repro/internal/sqlast"
 )
@@ -228,12 +229,67 @@ func (c *cbetween) eval(ec *execCtx, e env) (Value, error) {
 	if !ok || cmpLo < 0 {
 		return NewBool(false), nil
 	}
-	hiv, err := c.hi.eval(ec, e)
+	hi, err := evalBound(ec, e, c.hi)
 	if err != nil {
 		return Null, err
 	}
-	cmpHi, ok := Compare(xv, hiv)
+	cmpHi, ok := hi.compare(xv)
 	return NewBool(ok && cmpHi <= 0), nil
+}
+
+// bound is a value other values are compared with. The Dewey upper
+// bound x || X'FF' stays the two byte strings it joins (split): a
+// comparison reads them in place, where building the value would
+// allocate once for every row the bound is compared with. A byte
+// string x compares with a byte-string bound, split or not, as
+// compareConcat(x, b.v.B, b.tail).
+type bound struct {
+	v     Value  // the value; when split, the head of head || tail
+	tail  []byte // when split, what follows the head
+	split bool
+}
+
+// evalBound evaluates x as a bound: a concatenation of two byte strings
+// split, anything else as eval gives it. A concatenation's operands are
+// evaluated, and its errors raised, as Concat would.
+func evalBound(ec *execCtx, e env, x cexpr) (bound, error) {
+	c, ok := x.(*cbin)
+	if !ok || c.op != sqlast.OpConcat {
+		v, err := x.eval(ec, e)
+		return bound{v: v}, err
+	}
+	l, err := c.l.eval(ec, e)
+	if err != nil {
+		return bound{}, err
+	}
+	r, err := c.r.eval(ec, e)
+	if err != nil {
+		return bound{}, err
+	}
+	if l.Kind == KBytes && r.Kind == KBytes {
+		return bound{v: l, tail: r.B, split: true}, nil
+	}
+	v, err := Concat(l, r)
+	return bound{v: v}, err
+}
+
+// compare is Compare(x, the bound's value).
+func (b bound) compare(x Value) (int, bool) {
+	if !b.split {
+		return Compare(x, b.v)
+	}
+	if x.Kind != KBytes {
+		return 0, false // bytes compare only with bytes; NULL with nothing
+	}
+	return compareConcat(x.B, b.v.B, b.tail), true
+}
+
+// encode appends the bound's index key encoding (encodeValue).
+func (b bound) encode(dst []byte) []byte {
+	if b.split {
+		return keyenc.AppendBytesConcat(dst, b.v.B, b.tail)
+	}
+	return encodeValue(dst, b.v)
 }
 
 type cisnull struct {

@@ -96,6 +96,62 @@ func bigDB(t testing.TB) *DB {
 	if _, err := au.CreateIndex("au_par", "par"); err != nil {
 		t.Fatal(err)
 	}
+	// A forest stored as the Edge mapping stores a document, one relation
+	// in document order: 600 /a trees of one to three /a/b, each over up to
+	// three /a/b/c and one /a/b/d, and one /a/c; 100 /x trees of two /x/y
+	// over one /x/y/z. Its Dewey steps run over the rows their key sets
+	// admit.
+	nd, err := db.CreateTable("nd", Column{"id", TInt}, Column{"par", TInt},
+		Column{"dewey_pos", TBytes}, Column{"path_id", TInt}, Column{"text", TText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]Value
+	node := func(par int64, pos []byte, pid int64, text Value) (int64, []byte) {
+		id := int64(len(rows))
+		rows = append(rows, []Value{NewInt(id), NewInt(par), NewBytes(pos), NewInt(pid), text})
+		return id, pos
+	}
+	child := func(pos []byte, ord int) []byte { return append(append([]byte(nil), pos...), 0, 0, byte(ord)) }
+	word := func() Value { return NewText(fmt.Sprint(next(20))) }
+	for r := 1; r <= 700; r++ {
+		root := []byte{byte(r >> 16), byte(r >> 8), byte(r)}
+		if r > 600 {
+			x, xp := node(-1, root, 6, Null)
+			for k := 1; k <= 2; k++ {
+				y, yp := node(x, child(xp, k), 7, Null)
+				node(y, child(yp, 1), 8, word())
+			}
+			continue
+		}
+		a, ap := node(-1, root, 1, Null)
+		bs := 1 + int(next(3))
+		for k := 1; k <= bs; k++ {
+			b, bp := node(a, child(ap, k), 2, Null)
+			cs := int(next(4))
+			for j := 1; j <= cs; j++ {
+				node(b, child(bp, j), 3, word())
+			}
+			node(b, child(bp, cs+1), 4, word())
+		}
+		node(a, child(ap, bs+1), 5, word())
+	}
+	if _, err := nd.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []struct {
+		n    string
+		cols []string
+	}{
+		{"nd_pk", []string{"id"}},
+		{"nd_par", []string{"par"}},
+		{"nd_path", []string{"path_id"}},
+		{"nd_dp", []string{"dewey_pos", "path_id"}},
+	} {
+		if _, err := nd.CreateIndex(ix.n, ix.cols...); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return db
 }
 
@@ -127,6 +183,55 @@ var parallelQueries = []string{
 	impliedQueries[0], impliedQueries[1], impliedQueries[2], impliedQueries[3],
 	unnestQueries[0], unnestQueries[1], unnestQueries[2], unnestQueries[3], unnestQueries[4], unnestQueries[5],
 	restrictedQueries[0], restrictedQueries[1],
+	scopedDeweyQueries[0], scopedDeweyQueries[1], scopedDeweyQueries[2], scopedDeweyQueries[3],
+}
+
+// scopedDeweyQueries are parallelQueries' Edge Q6, Q7, QA and QD2, over
+// nd, in the order TestParallelQueriesCoverScopedDewey expects their
+// plans: an ancestor step (//c/ancestor::a-or-b), an ancestor-or-self
+// join the planner turns into a window under first match
+// (//(c|d)/ancestor-or-self::b), two descendant windows under an EXISTS
+// (/a[b/c = c]) and one beside it (/a[c >= '5']//d).
+var scopedDeweyQueries = [4]string{
+	"SELECT DISTINCT e2.id, e2.dewey_pos FROM nd e1, paths p1, nd e2, paths p2 WHERE e1.path_id = p1.id AND REGEXP_LIKE(p1.path, '^/a/b/c$') AND " +
+		"e2.path_id = p2.id AND REGEXP_LIKE(p2.path, '^/a(/b)?$') AND e1.dewey_pos BETWEEN e2.dewey_pos AND e2.dewey_pos || X'FF' AND e2.id <> e1.id ORDER BY e2.dewey_pos",
+	"SELECT DISTINCT e2.id, e2.dewey_pos FROM nd e1, paths p1, nd e2, paths p2 WHERE e1.path_id = p1.id AND REGEXP_LIKE(p1.path, '^/a/b/[cd]$') AND " +
+		"e2.path_id = p2.id AND REGEXP_LIKE(p2.path, '^/a/b$') AND e1.dewey_pos BETWEEN e2.dewey_pos AND e2.dewey_pos || X'FF' ORDER BY e2.dewey_pos",
+	"SELECT DISTINCT e1.id, e1.dewey_pos FROM nd e1, paths p1 WHERE e1.path_id = p1.id AND REGEXP_LIKE(p1.path, '^/a$') AND EXISTS (SELECT NULL FROM nd e2, paths p2, nd e3, paths p3 WHERE " +
+		"e2.path_id = p2.id AND REGEXP_LIKE(p2.path, '^/a/b/c$') AND e2.dewey_pos BETWEEN e1.dewey_pos AND e1.dewey_pos || X'FF' AND e2.id <> e1.id AND " +
+		"e3.path_id = p3.id AND REGEXP_LIKE(p3.path, '^/a/c$') AND e3.dewey_pos BETWEEN e1.dewey_pos AND e1.dewey_pos || X'FF' AND e3.id <> e1.id AND e2.text = e3.text) ORDER BY e1.dewey_pos",
+	"SELECT DISTINCT e3.id, e3.dewey_pos FROM nd e1, paths p1, nd e3, paths p3 WHERE e1.path_id = p1.id AND REGEXP_LIKE(p1.path, '^/a$') AND " +
+		"EXISTS (SELECT NULL FROM nd e2, paths p2 WHERE e2.path_id = p2.id AND REGEXP_LIKE(p2.path, '^/a/c$') AND e2.par = e1.id AND e2.text >= '5') AND " +
+		"e3.path_id = p3.id AND REGEXP_LIKE(p3.path, '^/a/b/d$') AND e3.dewey_pos BETWEEN e1.dewey_pos AND e1.dewey_pos || X'FF' AND e3.id <> e1.id ORDER BY e3.dewey_pos",
+}
+
+// TestParallelQueriesCoverScopedDewey keeps the Edge Dewey forms
+// honest: the matrices that run parallelQueries cover ancestor steps
+// and descendant windows run over the rows their key sets admit — on
+// the first plan and on the one adaptive re-planning settles on — only
+// while the planner plans them that way.
+func TestParallelQueriesCoverScopedDewey(t *testing.T) {
+	db := bigDB(t)
+	for i, want := range [][]string{
+		{"index prefix lookups nd_dp over path_id IN <2 keys of p2>"},
+		{"scan e1: index range scan (two-sided) nd_dp over path_id IN <2 keys of p1> est", "(distinct by e2.id, first match)"},
+		{"index range scan (two-sided) nd_dp over path_id IN <1 keys of p2>, existential", "index range scan (two-sided) nd_dp over path_id IN <1 keys of p3>, existential"},
+		{"index range scan (two-sided) nd_dp over path_id IN <1 keys of p3>"},
+	} {
+		q := scopedDeweyQueries[i]
+		st := sqlast.MustParse(q)
+		for n := 0; n <= maxAdaptiveReplans+1; n++ {
+			plan := explainOf(t, db, q)
+			for _, w := range want {
+				if !strings.Contains(plan, w) {
+					t.Errorf("%s:\nplan %d lacks %q:\n%s", q, n, w, plan)
+				}
+			}
+			if _, err := run(db, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // restrictedQueries are parallelQueries' QD5 forms, in the order

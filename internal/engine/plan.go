@@ -162,26 +162,8 @@ type hashEq struct {
 	restrict *keyProbe
 }
 
-func (a *hashEq) describe() string { return "hash join" + a.over() }
-
-// over names, for EXPLAIN, the key set a restricted build holds.
-func (a *hashEq) over() string {
-	if a.restrict == nil {
-		return ""
-	}
-	r := a.restrict.res
-	return fmt.Sprintf(" over %s IN <%d keys of %s>", r.factT.Cols[a.restrict.col].Name, len(r.keys.keys), r.alias)
-}
-
-// scope is the rows the build holds.
-func (a *hashEq) scope() hashScope {
-	if a.restrict == nil {
-		return hashScope{}
-	}
-	return hashScope{col: a.restrict.col, keys: a.restrict.res.keys}
-}
-
-func (a *hashEq) rank() int { return 2 }
+func (a *hashEq) describe() string { return "hash join" + a.restrict.over() }
+func (a *hashEq) rank() int        { return 2 }
 func (a *hashEq) est(st *tableState) int {
 	// Estimate with the largest bucket: skewed join columns (e.g. a
 	// path id shared by half the relation) must not look selective.
@@ -191,13 +173,19 @@ func (a *hashEq) est(st *tableState) int {
 // indexPrefixes is the ancestor access path: for a condition
 // 'X BETWEEN t.col AND t.col || X'FF” with X bound, the matching
 // t.col values are exactly the byte prefixes of X, so the step does
-// one index lookup per prefix length instead of a scan.
+// one index lookup per prefix length instead of a scan. With restrict
+// set it searches the scoped run of the rows that key test of the step
+// admits instead (deweyRun), once per value length the run holds. The
+// test stays among the step's filters.
 type indexPrefixes struct {
-	ix *Index
-	x  cexpr
+	ix       *Index
+	x        cexpr
+	restrict *keyProbe
 }
 
-func (a *indexPrefixes) describe() string       { return "index prefix lookups " + a.ix.Name }
+func (a *indexPrefixes) describe() string {
+	return "index prefix lookups " + a.ix.Name + a.restrict.over()
+}
 func (a *indexPrefixes) rank() int              { return 2 }
 func (a *indexPrefixes) est(st *tableState) int { return minInt(len(st.rows), defaultDeweyFanout) }
 
@@ -230,12 +218,48 @@ func (a *keyProbe) describe() string {
 func (a *keyProbe) rank() int              { return 8 }
 func (a *keyProbe) est(st *tableState) int { return int(a.rows) }
 
+// The methods below describe a key test as the scope of another access
+// (buildScope): the rows a hash join builds over, or a Dewey step runs
+// over. A nil test scopes nothing: the access reads every row.
+
+// over names, for EXPLAIN, the key set whose rows the access reads.
+func (a *keyProbe) over() string {
+	if a == nil {
+		return ""
+	}
+	return fmt.Sprintf(" over %s IN <%d keys of %s>", a.res.factT.Cols[a.col].Name, len(a.res.keys.keys), a.res.alias)
+}
+
+// scope is the rows the access reads.
+func (a *keyProbe) scope() hashScope {
+	if a == nil {
+		return hashScope{}
+	}
+	return hashScope{col: a.col, keys: a.res.keys}
+}
+
+// share is the fraction of the table's rows (of rows) the access reads.
+func (a *keyProbe) share(rows int64) float64 {
+	if a == nil || rows <= 0 {
+		return 1
+	}
+	return a.rows / float64(rows)
+}
+
+// builtOver is the plan-shape evidence of the scope.
+func (a *keyProbe) builtOver(t *Table) *KeySetScope {
+	if a == nil {
+		return nil
+	}
+	return &KeySetScope{Resolved: a.res.index, Col: t.Cols[a.col].Name}
+}
+
 // fatHash wraps a hash join whose average bucket is large enough that
 // it behaves like a scan; it ranks with full scans so the planner
 // prefers genuinely selective paths.
 type fatHash struct{ h *hashEq }
 
-func (a *fatHash) describe() string       { return "hash join (low selectivity)" + a.h.over() }
+func (a *fatHash) describe() string       { return "hash join (low selectivity)" + a.h.restrict.over() }
 func (a *fatHash) rank() int              { return 8 }
 func (a *fatHash) est(st *tableState) int { return a.h.est(st) }
 
@@ -251,6 +275,10 @@ type indexRange struct {
 	// indexed values x is a byte prefix of (up to the literal) and is
 	// costed as a prefix access, not as a generic range.
 	prefix bool
+	// restrict, only on a prefix window, is the key test of the step
+	// whose rows' scoped run (deweyRun) the window is read from instead
+	// of the index. The test stays among the step's filters.
+	restrict *keyProbe
 }
 
 func (a *indexRange) describe() string {
@@ -258,7 +286,7 @@ func (a *indexRange) describe() string {
 	if a.lo != nil && a.hi != nil {
 		kind = "two-sided"
 	}
-	return "index range scan (" + kind + ") " + a.ix.Name
+	return "index range scan (" + kind + ") " + a.ix.Name + a.restrict.over()
 }
 func (a *indexRange) rank() int {
 	if a.lo != nil && a.hi != nil {
@@ -748,16 +776,16 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 		case *sqlast.Binary:
 			consider(p.accessFromBinary(name, t, x, c.sc, restrict), c)
 		case *sqlast.Between:
-			consider(p.accessFromBetween(name, t, x, c.sc), c)
+			consider(p.accessFromBetween(name, t, x, c.sc, restrict), c)
 		}
 	}
 	return best, connected, src
 }
 
-// buildScope picks the key test a hash join on the alias builds over:
-// of the alias's key tests the one that admits the fewest rows, and
-// only if they are fewer than the table's. nil: a hash join of the
-// alias builds over every row.
+// buildScope picks the key test a hash join on the alias builds over,
+// and a Dewey step of the alias runs over: of the alias's key tests the
+// one that admits the fewest rows, and only if they are fewer than the
+// table's. nil: such an access reads every row.
 func buildScope(name string, st *tableState, conjuncts []*conjunct) *keyProbe {
 	var best *keyProbe
 	for _, c := range conjuncts {
@@ -771,14 +799,19 @@ func buildScope(name string, st *tableState, conjuncts []*conjunct) *keyProbe {
 	return best
 }
 
-// builtOver returns the key test a hash-join access builds over, nil
-// for every other access.
+// builtOver returns the key test whose rows an access reads — a hash
+// join builds over, a Dewey step runs over — nil for every other
+// access.
 func builtOver(a accessPath) *keyProbe {
 	switch x := a.(type) {
 	case *hashEq:
 		return x.restrict
 	case *fatHash:
 		return x.h.restrict
+	case *indexPrefixes:
+		return x.restrict
+	case *indexRange:
+		return x.restrict
 	}
 	return nil
 }
@@ -1012,7 +1045,10 @@ func (p *planner) rangeAccess(name string, t *Table, colSide sqlast.Expr, op sql
 	return nil
 }
 
-func (p *planner) accessFromBetween(name string, t *Table, b *sqlast.Between, sc *scope) accessPath {
+// accessFromBetween builds a range access from a BETWEEN conjunct; a
+// Dewey step (the ancestor shape, a prefix window) runs over the rows
+// restrict admits (buildScope), nil: over the index.
+func (p *planner) accessFromBetween(name string, t *Table, b *sqlast.Between, sc *scope, restrict *keyProbe) accessPath {
 	col := p.colOf(b.X, name, t, sc)
 	if col < 0 {
 		// Ancestor shape: 'X BETWEEN t.col AND t.col || const' with X
@@ -1023,7 +1059,7 @@ func (p *planner) accessFromBetween(name string, t *Table, b *sqlast.Between, sc
 			if k, ok := p.staticKind(b.X, sc); ok && k == KBytes {
 				if ix := p.snap.stateOf(t).findIndex(loCol); ix != nil {
 					if x, err := p.compile(b.X, sc); err == nil {
-						return &indexPrefixes{ix: ix, x: x}
+						return &indexPrefixes{ix: ix, x: x, restrict: restrict}
 					}
 				}
 			}
@@ -1048,7 +1084,11 @@ func (p *planner) accessFromBetween(name string, t *Table, b *sqlast.Between, sc
 	if err != nil {
 		return nil
 	}
-	return &indexRange{ix: ix, lo: lo, hi: hi, prefix: extendsByLiteral(b.Lo, b.Hi)}
+	a := &indexRange{ix: ix, lo: lo, hi: hi, prefix: extendsByLiteral(b.Lo, b.Hi)}
+	if a.prefix {
+		a.restrict = restrict
+	}
+	return a
 }
 
 // extendsByLiteral reports whether hi is 'lo || <bytes literal>' for a

@@ -89,13 +89,16 @@ type AccessShape struct {
 	// merged into ascending row-id order instead of concatenated.
 	Merged bool
 	// BuiltOver is, for "hash-eq" and "fat-hash", the key set the hash is
-	// built over: it holds only the rows a key test of the step admits.
-	// nil: the build holds every row of the table.
+	// built over, and for "index-prefixes" and a Dewey window's
+	// "index-range" the key set whose scoped run is searched instead of
+	// the index: the access reads only the rows a key test of the step
+	// admits. nil: it reads every row of the table.
 	BuiltOver *KeySetScope
 }
 
-// KeySetScope names the rows a restricted hash build holds: those whose
-// column Col holds a key of SelectShape.Resolved[Resolved].
+// KeySetScope names the rows a restricted hash build or a scoped run
+// holds: those whose column Col holds a key of
+// SelectShape.Resolved[Resolved].
 type KeySetScope struct {
 	Resolved int
 	Col      string

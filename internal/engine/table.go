@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,6 +69,10 @@ type tableState struct {
 	// served. Bounded by maxResolveMemo, flushed whole on overflow.
 	//guardedby:hashMu
 	scopedHash map[scopedKey]map[string][]int64
+	// scopedRun memoises the Dewey steps' runs over the rows a key set
+	// admits (deweyRun), keyed and bounded as scopedHash is.
+	//guardedby:hashMu
+	scopedRun map[scopedKey]*deweyRun
 	// resolved memoises the key and pair sets plan-time resolution
 	// (resolve.go) computed over this state's rows, so the statements of
 	// one template — and the steps of one statement — resolve a pattern
@@ -647,9 +652,9 @@ func (st *tableState) hash(col int) map[string][]int64 {
 	return m
 }
 
-// hashScope restricts a hash build to the rows whose column col holds
-// a key of keys: the rows a step's key test (resolve.go) admits. The
-// zero scope (nil keys) admits every row.
+// hashScope restricts a hash build, or a scoped run (deweyRun), to the
+// rows whose column col holds a key of keys: the rows a step's key test
+// (resolve.go) admits. The zero scope (nil keys) admits every row.
 type hashScope struct {
 	col  int
 	keys *keySet
@@ -667,7 +672,8 @@ func (sc hashScope) admits(row []Value) bool {
 	return ok
 }
 
-// scopedKey addresses one restricted build in tableState.scopedHash.
+// scopedKey addresses one restricted build in tableState.scopedHash, or
+// one run in scopedRun.
 type scopedKey struct {
 	col int
 	in  hashScope
@@ -742,6 +748,69 @@ func (st *tableState) hashFor(col int, in hashScope, ac *accountant) (m map[stri
 	st.hashIdx[col] = m
 	st.hashMax[col] = max
 	return m, true, bytes, nil
+}
+
+// deweyRun is a scoped run: the rows a key set admits (hashScope) that
+// hold a byte string in one column, the Dewey position an ancestor or
+// descendant-window step compares, ordered by that column (equal values
+// by row id). lens lists, ascending, the lengths of the values present.
+type deweyRun struct {
+	ids  []int64
+	lens []int
+}
+
+// runFor returns the scoped run of column col over the rows the scope
+// in admits, building it on demand over this state's immutable rows
+// under the discipline of hashFor: the "engine/hash-build" failpoint
+// fires on every access, the build is charged to the accountant (8
+// bytes a row id) and aborts over budget without publishing, and built
+// and charged report what this call built and charged. Rows in id
+// order are already in column order where the column ascends;
+// otherwise the run is sorted once.
+func (st *tableState) runFor(col int, in hashScope, ac *accountant) (r *deweyRun, built bool, charged int64, err error) {
+	if err := failpoint.Inject("engine/hash-build"); err != nil {
+		return nil, false, 0, err
+	}
+	st.hashMu.Lock()
+	defer st.hashMu.Unlock()
+	sk := scopedKey{col: col, in: in}
+	if r, ok := st.scopedRun[sk]; ok {
+		return r, false, 0, nil
+	}
+	r = &deweyRun{}
+	var present []bool // by value length
+	for id, row := range st.rows {
+		if v := row[col]; v.Kind == KBytes && in.admits(row) {
+			r.ids = append(r.ids, int64(id))
+			charged += 8
+			for len(present) <= len(v.B) {
+				present = append(present, false)
+			}
+			present[len(v.B)] = true
+		}
+		if id&0x3FF == 0x3FF {
+			if err := ac.wouldExceed(charged); err != nil {
+				return nil, false, 0, err
+			}
+		}
+	}
+	if err := ac.growBytes(charged); err != nil {
+		return nil, false, 0, err
+	}
+	if !st.ascending[col] {
+		rows := st.rows
+		slices.SortStableFunc(r.ids, func(a, b int64) int { return bytes.Compare(rows[a][col].B, rows[b][col].B) })
+	}
+	for n, ok := range present {
+		if ok {
+			r.lens = append(r.lens, n)
+		}
+	}
+	if st.scopedRun == nil || len(st.scopedRun) >= maxResolveMemo {
+		st.scopedRun = make(map[scopedKey]*deweyRun)
+	}
+	st.scopedRun[sk] = r
+	return r, true, charged, nil
 }
 
 // hashMaxBucket returns the largest bucket of the column's transient

@@ -193,6 +193,20 @@ func Concat(a, b Value) (Value, error) {
 	return NewText(a.String() + b.String()), nil
 }
 
+// compareConcat is bytes.Compare(x, a || b), without building a || b.
+func compareConcat(x, a, b []byte) int {
+	if len(x) < len(a) {
+		if c := bytes.Compare(x, a[:len(x)]); c != 0 {
+			return c
+		}
+		return -1 // x is a proper prefix of a
+	}
+	if c := bytes.Compare(x[:len(a)], a); c != 0 {
+		return c
+	}
+	return bytes.Compare(x[len(a):], b)
+}
+
 func (v Value) rawBytes() ([]byte, bool) {
 	switch v.Kind {
 	case KBytes:

@@ -141,6 +141,10 @@ func TestMutationsRejected(t *testing.T) {
 						if !strings.Contains(r.Finding, "[access-path]") || !strings.Contains(r.Finding, "building the hash over its rows") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the access-path rule", q.ID, tf.name, r.Name, r.Finding)
 						}
+					case "dewey-scoped-by-untested-key-set", "dewey-scoped-on-other-column":
+						if !strings.Contains(r.Finding, "[access-path]") || !strings.Contains(r.Finding, "running the step over its rows") {
+							t.Errorf("%s/%s: mutation %s rejected by %s, want the access-path rule", q.ID, tf.name, r.Name, r.Finding)
+						}
 					case "first-match-run-referenced-later":
 						if !strings.Contains(r.Finding, "["+ruleImplied+"]") || !strings.Contains(r.Finding, "first match from step") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the first-match run re-derivation", q.ID, tf.name, r.Name, r.Finding)

@@ -118,38 +118,28 @@ func Mutations() []Mutation {
 			Name:   "hash-restricted-by-untested-key-set",
 			Defect: "a hash join is built over the rows of a key set its step does not test",
 			Apply: func(sh *engine.StmtShape) bool {
-				return mutateBuiltOver(sh, func(sel *engine.SelectShape, s *engine.StepShape) {
-					b := s.Access.BuiltOver
-					// Another resolution of the select the step has no key
-					// test of, or none at all.
-					tested := map[int]bool{}
-					for _, f := range s.Filters {
-						if name, _, idx, ok := setMarker(f.Expr); ok && name == engine.MarkerKeySet {
-							tested[idx] = true
-						}
-					}
-					b.Resolved = len(sel.Resolved)
-					for i := range sel.Resolved {
-						if !tested[i] {
-							b.Resolved = i
-							break
-						}
-					}
-				})
+				return mutateBuiltOver(sh, hashKinds, scopeUntestedKeySet)
 			},
 		},
 		{
 			Name:   "hash-restricted-on-other-column",
 			Defect: "a hash join is built over the rows whose other column holds a key of the step's key set",
 			Apply: func(sh *engine.StmtShape) bool {
-				return mutateBuiltOver(sh, func(_ *engine.SelectShape, s *engine.StepShape) {
-					b := s.Access.BuiltOver
-					if b.Col != s.Access.Col {
-						b.Col = s.Access.Col
-					} else {
-						b.Col = "id"
-					}
-				})
+				return mutateBuiltOver(sh, hashKinds, scopeOtherColumn)
+			},
+		},
+		{
+			Name:   "dewey-scoped-by-untested-key-set",
+			Defect: "a Dewey step runs over the rows of a key set its step does not test",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateBuiltOver(sh, deweyKinds, scopeUntestedKeySet)
+			},
+		},
+		{
+			Name:   "dewey-scoped-on-other-column",
+			Defect: "a Dewey step runs over the rows whose other column holds a key of the step's key set",
+			Apply: func(sh *engine.StmtShape) bool {
+				return mutateBuiltOver(sh, deweyKinds, scopeOtherColumn)
 			},
 		},
 		{
@@ -721,19 +711,57 @@ func mutateSelect(sh *engine.StmtShape, f func(*engine.SelectShape) bool) bool {
 	return false
 }
 
+// The access kinds that read a key set's rows (AccessShape.BuiltOver):
+// a hash join built over them, a Dewey step run over them.
+var (
+	hashKinds  = map[string]bool{"hash-eq": true, "fat-hash": true}
+	deweyKinds = map[string]bool{"index-prefixes": true, "index-range": true}
+)
+
 // mutateBuiltOver applies f to the first step, in mutateSelect's order,
-// whose hash join is built over a key set's rows, reporting whether
-// there was one.
-func mutateBuiltOver(sh *engine.StmtShape, f func(*engine.SelectShape, *engine.StepShape)) bool {
+// whose access of one of the kinds reads a key set's rows, reporting
+// whether there was one.
+func mutateBuiltOver(sh *engine.StmtShape, kinds map[string]bool, f func(*engine.SelectShape, *engine.StepShape)) bool {
 	return mutateSelect(sh, func(sel *engine.SelectShape) bool {
 		for si := range sel.Steps {
-			if sel.Steps[si].Access.BuiltOver != nil {
+			if a := sel.Steps[si].Access; a.BuiltOver != nil && kinds[a.Kind] {
 				f(sel, &sel.Steps[si])
 				return true
 			}
 		}
 		return false
 	})
+}
+
+// scopeUntestedKeySet moves the rows a step's access reads to those of
+// another resolution of the select the step has no key test of, or of
+// none at all.
+func scopeUntestedKeySet(sel *engine.SelectShape, s *engine.StepShape) {
+	tested := map[int]bool{}
+	for _, f := range s.Filters {
+		if name, _, idx, ok := setMarker(f.Expr); ok && name == engine.MarkerKeySet {
+			tested[idx] = true
+		}
+	}
+	b := s.Access.BuiltOver
+	b.Resolved = len(sel.Resolved)
+	for i := range sel.Resolved {
+		if !tested[i] {
+			b.Resolved = i
+			break
+		}
+	}
+}
+
+// scopeOtherColumn moves the rows a step's access reads to those whose
+// other column holds a key of the step's key set.
+func scopeOtherColumn(_ *engine.SelectShape, s *engine.StepShape) {
+	b := s.Access.BuiltOver
+	if b.Col != s.Access.Col {
+		b.Col = s.Access.Col
+	} else {
+		b.Col = "id"
+	}
 }
 
 // dropToken removes an operator from the pipeline of a select with

@@ -370,6 +370,15 @@ func checkAccess(s engine.StepShape) *Finding {
 		}
 		return false
 	}
+	// scoped justifies a Dewey step that runs over a key set's rows
+	// instead of the index: it leaves out exactly the rows that set's
+	// retained test of the same column rejects.
+	scoped := func() *Finding {
+		if b := a.BuiltOver; b != nil && !hasKeyTest(b.Resolved, col(b.Col)) {
+			return fail(fmt.Sprintf("no retained key test %d on %s justifies running the step over its rows", b.Resolved, col(b.Col)))
+		}
+		return nil
+	}
 
 	switch a.Kind {
 	case "full-scan":
@@ -443,7 +452,7 @@ func checkAccess(s engine.StepShape) *Finding {
 			if _, ok := hi.R.(*sqlast.BytesLit); !ok {
 				continue
 			}
-			return nil
+			return scoped()
 		}
 		return fail(fmt.Sprintf("no retained predicate %q BETWEEN %s AND %s || k justifies prefix enumeration", keyText, colText, colText))
 	case "index-range":
@@ -459,7 +468,7 @@ func checkAccess(s engine.StepShape) *Finding {
 		if a.Lo.Expr != nil && a.Hi.Expr != nil && !a.LoStrict && !a.HiStrict {
 			want := normalize(&sqlast.Between{X: ct, Lo: a.Lo.Expr, Hi: a.Hi.Expr}).String()
 			if hasText(want) {
-				return nil
+				return scoped()
 			}
 		}
 		if a.Lo.Expr != nil {
@@ -482,7 +491,7 @@ func checkAccess(s engine.StepShape) *Finding {
 				return fail(fmt.Sprintf("no retained predicate %q (or a col||k comparison) justifies the upper bound", want))
 			}
 		}
-		return nil
+		return scoped()
 	}
 	return fail("unknown access kind")
 }
