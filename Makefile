@@ -21,10 +21,9 @@ vet:
 # errdrop, recoverguard, opstats, ctxflow, lockscope, sqltaint,
 # hotalloc, goleak, syncerr, statflow, snapfreeze, guardedby,
 # walorder, xvetignore); -novet because `make vet` already ran the
-# standard passes. Results are cached per package under .xvetcache/
-# (keyed on the xvet binary's own signature, so a rebuilt analyzer
-# re-checks everything); pass -nocache to force a full re-check, or
-# -timing for a per-analyzer wall-time summary.
+# standard passes. Every run loads and checks every package from
+# source (a full sweep takes a couple of seconds); pass -timing for a
+# per-analyzer wall-time summary.
 xvet:
 	$(GO) run ./cmd/xvet -novet ./...
 

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	xvet [-novet] [-only name,name] [-nocache] [-timing] [-list] [-json] [packages]
+//	xvet [-novet] [-only name,name] [-timing] [-list] [-json] [packages]
 //	xvet -transcheck [-json]
 //	xvet -plancheck [-matrix n] [-json]
 //
@@ -22,11 +22,10 @@
 // its own step); -only restricts the custom analyzers; -json emits
 // machine-readable diagnostics on stdout instead of the text form.
 //
-// Analyzer results are cached per package under <module>/.xvetcache/,
-// keyed by the analyzer set, the xvet binary's own signature, and the
-// content of the package and its module-internal dependencies, so a
-// warm run re-checks only what changed. -nocache bypasses the cache
-// entirely. -timing reports per-analyzer wall time after the sweep.
+// Every run loads and analyzes every matched package from source. The
+// interprocedural analyzers build each package's call graph and
+// freshness summary once per run, which keeps a full sweep to a couple
+// of seconds. -timing reports per-analyzer wall time after the sweep.
 //
 // -transcheck runs the static translation validator instead of the
 // analyzers: every Table 1 pattern derivation — over a synthetic
@@ -60,8 +59,7 @@ import (
 )
 
 // jsonDiag is the machine-readable diagnostic form emitted by -json:
-// one JSON object per line (JSON Lines), stable field names. It is
-// also the cached on-disk form — positions survive without a FileSet.
+// one JSON object per line (JSON Lines), stable field names.
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -92,7 +90,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	novet := fs.Bool("novet", false, "skip running the standard `go vet` passes first")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
-	nocache := fs.Bool("nocache", false, "ignore and do not update the per-package result cache")
 	list := fs.Bool("list", false, "list the custom analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit diagnostics as JSON Lines on stdout")
 	timing := fs.Bool("timing", false, "report per-analyzer wall time after the sweep")
@@ -137,7 +134,7 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "xvet:", err)
 		return exitInternal
 	}
-	res, err := runAnalyzers(dir, analyzers, patterns, *asJSON, !*nocache, stdout)
+	res, err := runAnalyzers(dir, analyzers, patterns, *asJSON, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "xvet:", err)
 		return exitInternal
@@ -173,12 +170,9 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 // analyzerRun summarizes one sweep for callers and tests.
 type analyzerRun struct {
 	Findings int // diagnostics emitted
-	Loaded   int // packages type-checked and analyzed this run
-	Hits     int // packages answered from the result cache
+	Loaded   int // packages type-checked and analyzed
 
-	// Timing accumulates each analyzer's wall time across the packages
-	// loaded this run. Cache hits contribute nothing: their analyzers
-	// never ran, which is exactly what -timing should show.
+	// Timing accumulates each analyzer's wall time across the packages.
 	Timing map[string]time.Duration
 }
 
@@ -218,90 +212,47 @@ func reportTiming(res analyzerRun, asJSON bool, stdout io.Writer) error {
 	for _, name := range names {
 		total += res.Timing[name]
 	}
-	fmt.Fprintf(stdout, "xvet: timing: %d packages analyzed, %d from cache, analyzers %v total\n",
-		res.Loaded, res.Hits, total.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "xvet: timing: %d packages analyzed, analyzers %v total\n",
+		res.Loaded, total.Round(time.Millisecond))
 	for _, name := range names {
 		fmt.Fprintf(stdout, "xvet: timing: %-12s %v\n", name, res.Timing[name].Round(time.Millisecond))
 	}
 	return nil
 }
 
-func runAnalyzers(dir string, analyzers []*analysis.Analyzer, patterns []string, asJSON, useCache bool, stdout io.Writer) (analyzerRun, error) {
-	var res analyzerRun
+// runAnalyzers loads every package the patterns match and runs the
+// analyzers over each, emitting diagnostics in package order.
+func runAnalyzers(dir string, analyzers []*analysis.Analyzer, patterns []string, asJSON bool, stdout io.Writer) (analyzerRun, error) {
+	res := analyzerRun{Timing: make(map[string]time.Duration, len(analyzers))}
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
 		return res, err
 	}
-	pkgDirs, err := loader.Dirs(patterns...)
+	pkgs, err := loader.Packages(patterns...)
 	if err != nil {
 		return res, err
 	}
-	var cache *resultCache
-	if useCache {
-		if cache, err = newResultCache(loader, analyzers); err != nil {
-			return res, err
-		}
-	}
-
 	enc := json.NewEncoder(stdout)
-	emit := func(d jsonDiag) error {
-		res.Findings++
-		if asJSON {
-			return enc.Encode(d)
-		}
-		_, err := fmt.Fprintln(stdout, d.text())
-		return err
-	}
-
-	for _, pkgDir := range pkgDirs {
-		importPath, err := loader.ImportPath(pkgDir)
-		if err != nil {
-			return res, err
-		}
-		if cache != nil {
-			if diags, ok := cache.get(importPath); ok {
-				res.Hits++
-				for _, d := range diags {
-					if err := emit(d); err != nil {
-						return res, err
-					}
-				}
-				continue
-			}
-		}
-		pkg, err := loader.Load(importPath)
-		if err != nil {
-			return res, err
-		}
+	for _, pkg := range pkgs {
 		diags, timings, err := analysis.RunTimed(pkg, analyzers)
 		if err != nil {
 			return res, err
 		}
 		res.Loaded++
-		if res.Timing == nil {
-			res.Timing = make(map[string]time.Duration, len(timings))
-		}
 		for name, d := range timings {
 			res.Timing[name] += d
 		}
-		jds := make([]jsonDiag, 0, len(diags))
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
-			jds = append(jds, jsonDiag{
-				File:     pos.Filename,
-				Line:     pos.Line,
-				Column:   pos.Column,
-				Analyzer: d.Analyzer.Name,
-				Message:  d.Message,
-			})
-		}
-		if cache != nil {
-			if err := cache.put(importPath, jds); err != nil {
-				return res, err
+			jd := jsonDiag{File: pos.Filename, Line: pos.Line, Column: pos.Column,
+				Analyzer: d.Analyzer.Name, Message: d.Message}
+			res.Findings++
+			if asJSON {
+				err = enc.Encode(jd)
+			} else {
+				_, err = fmt.Fprintln(stdout, jd.text())
 			}
-		}
-		for _, d := range jds {
-			if err := emit(d); err != nil {
+			if err != nil {
 				return res, err
 			}
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -60,7 +59,7 @@ func TestExitCodes(t *testing.T) {
 		"a/a.go": "package a\n\nfunc A() int { return 1 }\n",
 		"b/b.go": "package b\n\nfunc B() int { return 2 }\n",
 	})
-	if code := run(clean, []string{"-novet", "-nocache", "./..."}, &out, &errw); code != exitClean {
+	if code := run(clean, []string{"-novet", "./..."}, &out, &errw); code != exitClean {
 		t.Fatalf("clean tree: exit %d, want %d\nstdout: %s\nstderr: %s", code, exitClean, out.String(), errw.String())
 	}
 
@@ -73,7 +72,7 @@ func TestExitCodes(t *testing.T) {
 	})
 	out.Reset()
 	errw.Reset()
-	if code := run(leaky, []string{"-novet", "-nocache", "./..."}, &out, &errw); code != exitFindings {
+	if code := run(leaky, []string{"-novet", "./..."}, &out, &errw); code != exitFindings {
 		t.Fatalf("leaky tree: exit %d, want %d\nstderr: %s", code, exitFindings, errw.String())
 	}
 	if !strings.Contains(out.String(), "goleak") {
@@ -88,11 +87,17 @@ func TestExitCodes(t *testing.T) {
 	})
 	out.Reset()
 	errw.Reset()
-	if code := run(broken, []string{"-novet", "-nocache", "./..."}, &out, &errw); code != exitInternal {
+	if code := run(broken, []string{"-novet", "./..."}, &out, &errw); code != exitInternal {
 		t.Fatalf("broken tree: exit %d, want %d\nstderr: %s", code, exitInternal, errw.String())
 	}
 
-	// An unknown analyzer name is an internal error, not a finding.
+	// An unknown flag or analyzer name is an internal error, not a
+	// finding. -nocache is unknown: xvet keeps no result cache.
+	out.Reset()
+	errw.Reset()
+	if code := run(clean, []string{"-novet", "-nocache", "./..."}, &out, &errw); code != exitInternal {
+		t.Fatalf("-nocache: exit %d, want %d", code, exitInternal)
+	}
 	out.Reset()
 	errw.Reset()
 	if code := run(clean, []string{"-novet", "-only", "nosuch", "./..."}, &out, &errw); code != exitInternal {
@@ -100,116 +105,7 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// A warm run must answer every package from the cache without loading
-// anything, and must be measurably faster than the cold run that
-// populated it.
-func TestCacheWarmFasterThanCold(t *testing.T) {
-	root := t.TempDir()
-	// A deliberately sizable package so the cold type-check dwarfs
-	// the warm run's file hashing.
-	var big strings.Builder
-	big.WriteString("package big\n\nimport \"strings\"\n\n")
-	for i := 0; i < 1200; i++ {
-		fmt.Fprintf(&big, "func f%d(s string) string { return strings.TrimSpace(s) + %q }\n", i, fmt.Sprint(i))
-	}
-	writeTree(t, root, map[string]string{
-		"go.mod":     tmpGoMod,
-		"big/big.go": big.String(),
-		"a/a.go":     "package a\n\nfunc A() int { return 1 }\n",
-	})
-	analyzers, err := selectAnalyzers("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-
-	start := time.Now()
-	cold, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	coldDur := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Loaded != 2 || cold.Hits != 0 || cold.Findings != 0 {
-		t.Fatalf("cold run: %+v, want 2 loaded, 0 hits, 0 findings", cold)
-	}
-
-	start = time.Now()
-	warm, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	warmDur := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Loaded != 0 || warm.Hits != 2 {
-		t.Fatalf("warm run: %+v, want 0 loaded, 2 hits", warm)
-	}
-	if warmDur >= coldDur {
-		t.Errorf("warm run not faster than cold: warm %v, cold %v", warmDur, coldDur)
-	}
-	t.Logf("cold %v, warm %v", coldDur, warmDur)
-
-	// -nocache bypasses the cache entirely.
-	nocache, err := runAnalyzers(root, analyzers, []string{"./..."}, false, false, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nocache.Hits != 0 || nocache.Loaded != 2 {
-		t.Fatalf("-nocache run: %+v, want 2 loaded, 0 hits", nocache)
-	}
-}
-
-// A rebuilt xvet binary must invalidate warm results even when no
-// analyzed source changed: an analyzer's Run body can change without
-// the analyzer set changing, and stale diagnostics are worse than a
-// cold run. The binary signature is part of the cache salt; swapping
-// it must force a full reload.
-func TestCacheInvalidatedByBinaryChange(t *testing.T) {
-	root := t.TempDir()
-	writeTree(t, root, map[string]string{
-		"go.mod": tmpGoMod,
-		"a/a.go": "package a\n\nfunc A() int { return 1 }\n",
-		"b/b.go": "package b\n\nfunc B() int { return 2 }\n",
-	})
-	analyzers, err := selectAnalyzers("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-
-	if _, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Hits != 2 || warm.Loaded != 0 {
-		t.Fatalf("warm run before binary change: %+v, want 2 hits, 0 loaded", warm)
-	}
-
-	orig := buildSig
-	buildSig = func() string { return "rebuilt-binary-signature" }
-	defer func() { buildSig = orig }()
-
-	after, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Hits != 0 || after.Loaded != 2 {
-		t.Fatalf("run under new binary signature: %+v, want 0 hits, 2 loaded", after)
-	}
-
-	// And the new signature's results are themselves cacheable.
-	again, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Hits != 2 || again.Loaded != 0 {
-		t.Fatalf("warm run after binary change: %+v, want 2 hits, 0 loaded", again)
-	}
-}
-
-// -timing must attribute wall time to every analyzer that ran, and a
-// fully cached run must attribute nothing (its analyzers never ran).
+// -timing must attribute wall time to every analyzer that ran.
 func TestTimingAggregation(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{
@@ -222,45 +118,37 @@ func TestTimingAggregation(t *testing.T) {
 	}
 	var out bytes.Buffer
 
-	cold, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
+	res, err := runAnalyzers(root, analyzers, []string{"./..."}, false, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Timing) != len(analyzers) {
-		t.Fatalf("cold run timed %d analyzers, want %d", len(cold.Timing), len(analyzers))
+	if len(res.Timing) != len(analyzers) {
+		t.Fatalf("run timed %d analyzers, want %d", len(res.Timing), len(analyzers))
 	}
 	for _, a := range analyzers {
-		if _, ok := cold.Timing[a.Name]; !ok {
+		if _, ok := res.Timing[a.Name]; !ok {
 			t.Errorf("no timing entry for %s", a.Name)
 		}
 	}
-	if err := reportTiming(cold, false, &out); err != nil {
+	if err := reportTiming(res, false, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "xvet: timing:") {
+	if !strings.Contains(out.String(), "xvet: timing: 1 packages analyzed, analyzers") {
 		t.Fatalf("human timing summary missing:\n%s", out.String())
 	}
 	out.Reset()
-	if err := reportTiming(cold, true, &out); err != nil {
+	if err := reportTiming(res, true, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), `"millis"`) {
 		t.Fatalf("JSON timing records missing:\n%s", out.String())
 	}
-
-	warm, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.Timing) != 0 {
-		t.Fatalf("fully cached run attributed timing: %v", warm.Timing)
-	}
 }
 
-// The interprocedural analyzers must not make the edit loop sluggish:
-// a warm sweep of this repository — the real tree, all analyzers —
-// stays under five seconds.
-func TestWarmSweepUnderFiveSeconds(t *testing.T) {
+// Every xvet run is cold — each package is loaded and analyzed from
+// source — so a full sweep of this module, all analyzers, must stay
+// fast enough to run on every edit: under five seconds.
+func TestColdSweepUnderFiveSeconds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree sweep")
 	}
@@ -268,77 +156,17 @@ func TestWarmSweepUnderFiveSeconds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First sweep warms the cache (it may already be warm from a
-	// previous xvet run; either way it is untimed).
-	if _, err := runAnalyzers(".", analyzers, []string{"./..."}, false, true, io.Discard); err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	warm, err := runAnalyzers(".", analyzers, []string{"./..."}, false, true, io.Discard)
+	res, err := runAnalyzers("../..", analyzers, []string{"./..."}, false, io.Discard)
 	dur := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Loaded != 0 {
-		t.Fatalf("second sweep loaded %d packages, want 0 (all cached)", warm.Loaded)
+	if res.Loaded < 10 {
+		t.Fatalf("sweep analyzed %d packages; want the whole module", res.Loaded)
 	}
-	if dur >= 5*time.Second {
-		t.Errorf("warm sweep took %v, want < 5s", dur)
+	if dur >= 5*time.Second && !raceEnabled {
+		t.Errorf("cold sweep took %v, want < 5s", dur)
 	}
-	t.Logf("warm sweep: %v over %d packages", dur, warm.Hits)
-}
-
-// Touching one file invalidates only its own package and the packages
-// that import it; unrelated packages still hit the cache. Cached
-// diagnostics are replayed verbatim.
-func TestCacheInvalidationIsPerPackage(t *testing.T) {
-	root := t.TempDir()
-	writeTree(t, root, map[string]string{
-		"go.mod":               tmpGoMod,
-		"a/a.go":               "package a\n\nfunc A() int { return 1 }\n",
-		"b/b.go":               "package b\n\nfunc B() int { return 2 }\n",
-		"c/c.go":               "package c\n\nimport \"xvettmp/a\"\n\nfunc C() int { return a.A() }\n",
-		"internal/engine/e.go": "package engine\n\nfunc spawn() {\n\tgo func() {\n\t\tfor {\n\t\t}\n\t}()\n}\n",
-	})
-	analyzers, err := selectAnalyzers("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-
-	cold, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Loaded != 4 || cold.Findings != 1 {
-		t.Fatalf("cold run: %+v, want 4 loaded, 1 finding", cold)
-	}
-	firstOut := out.String()
-
-	out.Reset()
-	warm, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Loaded != 0 || warm.Hits != 4 || warm.Findings != 1 {
-		t.Fatalf("warm run: %+v, want 0 loaded, 4 hits, 1 finding", warm)
-	}
-	if out.String() != firstOut {
-		t.Fatalf("cached diagnostics differ from original:\ncold: %s\nwarm: %s", firstOut, out.String())
-	}
-
-	// Touch a: a and its importer c must reload; b and the engine
-	// package must still hit.
-	if err := os.WriteFile(filepath.Join(root, "a", "a.go"),
-		[]byte("package a\n\nfunc A() int { return 42 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	after, err := runAnalyzers(root, analyzers, []string{"./..."}, false, true, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Loaded != 2 || after.Hits != 2 {
-		t.Fatalf("after touching a: %+v, want 2 loaded (a, c), 2 hits (b, engine)", after)
-	}
+	t.Logf("cold sweep: %v over %d packages", dur, res.Loaded)
 }

@@ -13,8 +13,9 @@
 // than edges, and clients stitch packages together through function
 // summaries (FreshReturns, the analyzers' own mutator/durability
 // summaries). That keeps each package's graph a pure function of its
-// own sources plus dependency types, which is exactly the invalidation
-// unit of the .xvetcache/ result cache.
+// own sources plus dependency types, so the analyzers build it, and
+// each summary over it, once per package and share it with every
+// importer.
 package callgraph
 
 import (

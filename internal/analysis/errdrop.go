@@ -20,7 +20,10 @@ import (
 // engine's morsel executor does). `defer f()` is the same drop with a
 // delay: the deferred call's error vanishes at scope exit — defer a
 // func literal that checks it instead (deferred Close is exempt; the
-// sync-before-close discipline is syncerr's domain). Finally,
+// sync-before-close discipline is syncerr's domain). A dropped
+// (*os.File).Sync error, or Close error on a writable file, is left to
+// syncerr altogether, so it is reported once, and not with advice to
+// blank it that syncerr would reject. Finally,
 // `_ = errors.Join(...)` pierces the usual blank-assign opt-out:
 // Join's only purpose is to carry the errors being blanked, so
 // discarding its result is always a collected-then-lost bug.
@@ -36,11 +39,13 @@ var ErrDrop = &Analyzer{
 func runErrDrop(pass *Pass) error {
 	errType := types.Universe.Lookup("error").Type()
 	for _, f := range pass.Files {
+		syncerrOwns := durabilityDrops(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.ExprStmt:
 				call, ok := x.X.(*ast.CallExpr)
-				if !ok || !callReturnsError(pass, call, errType) || errdropExempt(pass, call) {
+				if !ok || !callReturnsError(pass, call, errType) || errdropExempt(pass, call) ||
+					syncerrOwns(x, call) {
 					break
 				}
 				pass.Reportf(x.Pos(), "%s returns an error that is discarded; handle it or assign to _ explicitly",
@@ -54,7 +59,7 @@ func runErrDrop(pass *Pass) error {
 				}
 			case *ast.DeferStmt:
 				if callReturnsError(pass, x.Call, errType) && !errdropExempt(pass, x.Call) &&
-					!deferCloseIdiom(x.Call) {
+					!deferCloseIdiom(x.Call) && !syncerrOwns(x, x.Call) {
 					pass.Reportf(x.Pos(), "defer %s discards the callee's error result; defer a func literal that checks it",
 						calleeLabel(x.Call))
 				}

@@ -55,13 +55,14 @@ func runGuardedBy(pass *Pass) error {
 
 	g := pass.callGraph()
 	entry := entryLocksets(pass, g)
-	fresh := g.FreshReturns(pass.externFresh())
+	extern := pass.externFresh()
+	fresh := g.FreshReturns(extern)
 
 	for _, n := range g.Nodes {
 		if n.Body == nil {
 			continue
 		}
-		locals := g.FreshLocals(n, fresh, pass.externFresh())
+		locals := g.FreshLocals(n, fresh, extern)
 
 		// Two replays over the same deterministic CFG walk: once with
 		// the real entry lockset, once with the entry augmented by
@@ -375,26 +376,4 @@ func lockFreePath(g *callgraph.Graph, entry map[*callgraph.Node]map[string]bool,
 		cur = next
 	}
 	return path
-}
-
-// externFresh builds the cross-package freshness oracle from the
-// dependency packages' own summaries (wal.Open is fresh, seen from
-// engine).
-func (p *Pass) externFresh() func(*types.Func) bool {
-	var maps []map[*types.Func]bool
-	for _, dep := range p.depPackages() {
-		dg := depGraph(dep)
-		maps = append(maps, callgraph.FreshFuncs(dg.FreshReturns(nil)))
-	}
-	if len(maps) == 0 {
-		return nil
-	}
-	return func(fn *types.Func) bool {
-		for _, m := range maps {
-			if m[fn] {
-				return true
-			}
-		}
-		return false
-	}
 }

@@ -7,8 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"repro/internal/analysis/cfg"
 )
 
 // LockScope flags critical sections in internal/engine that extend
@@ -26,6 +24,9 @@ var LockScope = &Analyzer{
 	Run: runLockScope,
 }
 
+// runLockScope replays the one lockset dataflow (lockReplay) over each
+// declared function that takes a lock, from an empty entry lockset, and
+// checks every node against the locks held when it executes.
 func runLockScope(pass *Pass) error {
 	if !strings.HasSuffix(pass.Pkg.Path(), "internal/engine") {
 		return nil
@@ -33,10 +34,14 @@ func runLockScope(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || !acquiresLock(pass, fd.Body) {
 				continue
 			}
-			checkLockScope(pass, fd)
+			lockReplay(pass, fd.Name.Name, fd.Body, nil, func(n ast.Node, env lockEnv) {
+				if len(env) > 0 {
+					reportHeldAcross(pass, n, env)
+				}
+			})
 		}
 	}
 	return nil
@@ -47,74 +52,20 @@ func runLockScope(pass *Pass) error {
 // predecessors — a convoy on one path is still a convoy).
 type lockEnv map[string]bool
 
-func checkLockScope(pass *Pass, fd *ast.FuncDecl) {
-	// Fast pre-filter: no Lock call, nothing to do.
+// acquiresLock reports whether body (nested literals included) calls
+// Lock or RLock anywhere: a function that never locks holds nothing
+// but what it inherits.
+func acquiresLock(pass *Pass, body *ast.BlockStmt) bool {
 	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if _, kind := mutexOp(pass, call); kind == lockAcquire {
 				found = true
 			}
 		}
-		return true
+		return !found
 	})
-	if !found {
-		return
-	}
-
-	g := cfg.New(fd.Name.Name, fd.Body)
-	n := len(g.Blocks)
-	in := make([]lockEnv, n)
-	out := make([]lockEnv, n)
-	in[g.Entry.Index] = lockEnv{}
-	work := []*cfg.Block{g.Entry}
-	inWork := make([]bool, n)
-	inWork[g.Entry.Index] = true
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b.Index] = false
-		if b != g.Entry {
-			env := lockEnv{}
-			for _, p := range b.Preds {
-				for k := range out[p.Index] {
-					env[k] = true
-				}
-			}
-			in[b.Index] = env
-		}
-		env := cloneLockEnv(in[b.Index])
-		for _, node := range b.Nodes {
-			lockTransfer(pass, node, env)
-		}
-		if !lockEnvEqual(env, out[b.Index]) {
-			out[b.Index] = env
-			for _, s := range b.Succs {
-				if !inWork[s.Index] {
-					inWork[s.Index] = true
-					work = append(work, s)
-				}
-			}
-		}
-	}
-
-	// Report: walk each block replaying the transfer, checking every
-	// node against the locks held when it executes.
-	for _, b := range g.Blocks {
-		if in[b.Index] == nil {
-			continue
-		}
-		env := cloneLockEnv(in[b.Index])
-		for _, node := range b.Nodes {
-			if len(env) > 0 {
-				reportHeldAcross(pass, node, env)
-			}
-			lockTransfer(pass, node, env)
-		}
-	}
+	return found
 }
 
 func cloneLockEnv(env lockEnv) lockEnv {
@@ -171,28 +122,6 @@ func mutexOp(pass *Pass, call *ast.CallExpr) (string, mutexOpKind) {
 		return "", notMutexOp
 	}
 	return exprText(pass.Fset, sel.X), kind
-}
-
-// lockTransfer updates the may-held lockset across one CFG node.
-// defer x.Unlock() does not release: the lock is held for the rest of
-// the function (scoped-unlock style is fine when the body is pure map
-// access — reportHeldAcross only fires on risky operations).
-func lockTransfer(pass *Pass, n ast.Node, env lockEnv) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false // deferred release happens at return, not here
-		case *ast.CallExpr:
-			if key, kind := mutexOp(pass, x); kind == lockAcquire {
-				env[key] = true
-			} else if kind == lockRelease {
-				delete(env, key)
-			}
-		}
-		return true
-	})
 }
 
 // reportHeldAcross flags risky operations inside node while any lock

@@ -1,8 +1,10 @@
 // Shared infrastructure for the publication-protocol analyzers
-// (snapfreeze, guardedby, walorder): memoized per-package call graphs,
-// the //guardedby: and //walorder: annotation grammar, and the
-// lockset replay that extends lockscope's intra-procedural dataflow
-// across static call edges.
+// (snapfreeze, guardedby, walorder): memoized per-package call graphs
+// and freshness summaries, the //guardedby: and //walorder: annotation
+// grammar, and lockReplay, the package's one lockset dataflow.
+// lockscope runs lockReplay from an empty entry lockset; guardedby
+// seeds it with the entry locksets entryLocksets derives across static
+// call edges.
 //
 // Annotation grammar (all on struct fields unless noted):
 //
@@ -57,6 +59,37 @@ func (p *Pass) callGraph() *callgraph.Graph {
 // depGraph returns the call graph of an already-loaded dependency.
 func depGraph(dep *Package) *callgraph.Graph {
 	return graphForPkg(dep.Path, dep.Fset, dep.Files, dep.Types, dep.Info)
+}
+
+// freshMemo caches, next to each dependency's call graph, its own
+// freshness summary keyed by function: the summary depends on nothing
+// but the dependency itself, so one per package serves every importer.
+var freshMemo sync.Map // *types.Package -> map[*types.Func]bool
+
+// externFresh builds the cross-package freshness oracle from the
+// dependency packages' own summaries (wal.Open is fresh, seen from
+// engine).
+func (p *Pass) externFresh() func(*types.Func) bool {
+	var maps []map[*types.Func]bool
+	for _, dep := range p.depPackages() {
+		m, ok := freshMemo.Load(dep.Types)
+		if !ok {
+			m = callgraph.FreshFuncs(depGraph(dep).FreshReturns(nil))
+			freshMemo.Store(dep.Types, m)
+		}
+		maps = append(maps, m.(map[*types.Func]bool))
+	}
+	if len(maps) == 0 {
+		return nil
+	}
+	return func(fn *types.Func) bool {
+		for _, m := range maps {
+			if m[fn] {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // depPackages returns the module-internal (loader-resolved) direct
@@ -327,15 +360,18 @@ func chainBase(e ast.Expr) *ast.Ident {
 	}
 }
 
+// bareLockName reduces a rendered lock key to its mutex name
+// ("t.db.writeMu" -> "writeMu"; a bare "mu" is its own name).
+func bareLockName(key string) string {
+	return key[strings.LastIndexByte(key, '.')+1:]
+}
+
 // lockNameHeld reports whether any lock in env matches name: either an
 // entry-inherited bare name or a rendered receiver chain whose last
 // component is the name ("t.db.writeMu" matches "writeMu").
 func lockNameHeld(env lockEnv, name string) bool {
-	if env[name] {
-		return true
-	}
 	for k := range env {
-		if i := strings.LastIndexByte(k, '.'); i >= 0 && k[i+1:] == name {
+		if bareLockName(k) == name {
 			return true
 		}
 	}
@@ -348,20 +384,15 @@ func lockNameHeld(env lockEnv, name string) bool {
 func lockNames(env lockEnv) map[string]bool {
 	out := map[string]bool{}
 	for k := range env {
-		if i := strings.LastIndexByte(k, '.'); i >= 0 {
-			out[k[i+1:]] = true
-		} else {
-			out[k] = true
-		}
+		out[bareLockName(k)] = true
 	}
 	return out
 }
 
-// lockReplay runs lockscope's may-held dataflow over one function body
-// seeded with an entry lockset, then replays each block calling visit
-// with every node and the lockset in force when it executes. Releases
-// drop both the rendered key and its bare name (an entry-inherited
-// lock unlocked under any receiver spelling is gone either way).
+// lockReplay runs the may-held lockset dataflow over one function body
+// seeded with an entry lockset (bare mutex names; nil for none), then
+// replays each block calling visit with every node and the lockset in
+// force when it executes.
 func lockReplay(pass *Pass, name string, body *ast.BlockStmt, entry map[string]bool, visit func(n ast.Node, env lockEnv)) {
 	g := cfg.New(name, body)
 	n := len(g.Blocks)
@@ -390,7 +421,7 @@ func lockReplay(pass *Pass, name string, body *ast.BlockStmt, entry map[string]b
 		}
 		env := cloneLockEnv(in[b.Index])
 		for _, node := range b.Nodes {
-			protoLockTransfer(pass, node, env)
+			lockTransfer(pass, node, env, entry)
 		}
 		if !lockEnvEqual(env, out[b.Index]) {
 			out[b.Index] = env
@@ -409,14 +440,19 @@ func lockReplay(pass *Pass, name string, body *ast.BlockStmt, entry map[string]b
 		env := cloneLockEnv(in[b.Index])
 		for _, node := range b.Nodes {
 			visit(node, env)
-			protoLockTransfer(pass, node, env)
+			lockTransfer(pass, node, env, entry)
 		}
 	}
 }
 
-// protoLockTransfer is lockTransfer with name-aware release: unlocking
-// c.mu also retires an entry-inherited bare "mu".
-func protoLockTransfer(pass *Pass, n ast.Node, env lockEnv) {
+// lockTransfer updates the may-held lockset across one CFG node.
+// defer x.Unlock() does not release: the lock is held for the rest of
+// the function (scoped-unlock style is fine when the body is pure map
+// access — lockscope only fires on risky operations). Unlocking c.mu
+// also retires a bare "mu" inherited from the entry lockset (a lock the
+// caller holds, released under this function's receiver spelling), but
+// not a local mu the function locked itself.
+func lockTransfer(pass *Pass, n ast.Node, env lockEnv, entry map[string]bool) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch x := m.(type) {
 		case *ast.FuncLit:
@@ -428,8 +464,8 @@ func protoLockTransfer(pass *Pass, n ast.Node, env lockEnv) {
 				env[key] = true
 			} else if kind == lockRelease {
 				delete(env, key)
-				if i := strings.LastIndexByte(key, '.'); i >= 0 {
-					delete(env, key[i+1:])
+				if name := bareLockName(key); entry[name] {
+					delete(env, name)
 				}
 			}
 		}
@@ -448,7 +484,11 @@ func protoLockTransfer(pass *Pass, n ast.Node, env lockEnv) {
 func entryLocksets(pass *Pass, g *callgraph.Graph) map[*callgraph.Node]map[string]bool {
 	// Universe for the ⊤ initialization: every mutex name that can
 	// appear. A decreasing fixpoint over finite sets terminates.
+	// acquires marks callers that lock anything themselves; a caller
+	// with an empty entry and no acquires has the empty lockset at
+	// every site, which needs no CFG replay to know.
 	top := map[string]bool{}
+	acquires := map[*callgraph.Node]bool{}
 	for _, n := range g.Nodes {
 		if n.Body == nil {
 			continue
@@ -456,9 +496,8 @@ func entryLocksets(pass *Pass, g *callgraph.Graph) map[*callgraph.Node]map[strin
 		ast.Inspect(n.Body, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
 				if key, kind := mutexOp(pass, call); kind == lockAcquire {
-					for name := range lockNames(lockEnv{key: true}) {
-						top[name] = true
-					}
+					top[bareLockName(key)] = true
+					acquires[n] = true
 				}
 			}
 			return true
@@ -494,24 +533,6 @@ func entryLocksets(pass *Pass, g *callgraph.Graph) map[*callgraph.Node]map[strin
 		} else {
 			entry[n] = cloneTop()
 		}
-	}
-
-	// acquires marks callers that lock anything themselves; a caller
-	// with an empty entry and no acquires has the empty lockset at
-	// every site, which needs no CFG replay to know.
-	acquires := map[*callgraph.Node]bool{}
-	for _, n := range g.Nodes {
-		if n.Body == nil {
-			continue
-		}
-		ast.Inspect(n.Body, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if _, kind := mutexOp(pass, call); kind == lockAcquire {
-					acquires[n] = true
-				}
-			}
-			return true
-		})
 	}
 
 	// Recompute each static call site's name-reduced lockset under the

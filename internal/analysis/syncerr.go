@@ -45,27 +45,22 @@ var SyncErr = &Analyzer{
 
 func runSyncErr(pass *Pass) error {
 	for _, f := range pass.Files {
-		writable := writableFiles(pass, f)
-		cleanup := cleanupCloses(pass, f)
+		drops := durabilityDrops(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.DeferStmt:
-				if name, recv := fileSyncOrClose(pass, x.Call); name != "" {
-					if name == "Sync" {
+				if drops(x, x.Call) {
+					if name, recv := fileSyncOrClose(pass, x.Call); name == "Sync" {
 						pass.Reportf(x.Pos(), "defer %s.Sync() discards the fsync error: a failed sync may have dropped written pages (fsyncgate); use a named-error defer closure", recv)
-					} else if writable[recvObject(pass, x.Call)] {
+					} else {
 						pass.Reportf(x.Pos(), "defer %s.Close() on a writable file discards the close error: a failed close can lose buffered writes; use a named-error defer closure", recv)
 					}
 				}
 			case *ast.ExprStmt:
-				call, ok := x.X.(*ast.CallExpr)
-				if !ok {
-					break
-				}
-				if name, recv := fileSyncOrClose(pass, call); name != "" {
-					if name == "Sync" {
+				if call, ok := x.X.(*ast.CallExpr); ok && drops(x, call) {
+					if name, recv := fileSyncOrClose(pass, call); name == "Sync" {
 						pass.Reportf(x.Pos(), "%s.Sync() error discarded: a failed sync may have dropped written pages (fsyncgate); check and propagate it", recv)
-					} else if writable[recvObject(pass, call)] && !cleanup[x] {
+					} else {
 						pass.Reportf(x.Pos(), "%s.Close() error on a writable file discarded: a failed close can lose buffered writes; check and propagate it", recv)
 					}
 				}
@@ -75,14 +70,10 @@ func runSyncErr(pass *Pass) error {
 				if len(x.Lhs) != 1 || len(x.Rhs) != 1 || !isBlank(x.Lhs[0]) {
 					break
 				}
-				call, ok := x.Rhs[0].(*ast.CallExpr)
-				if !ok {
-					break
-				}
-				if name, recv := fileSyncOrClose(pass, call); name != "" {
-					if name == "Sync" {
+				if call, ok := x.Rhs[0].(*ast.CallExpr); ok && drops(x, call) {
+					if name, recv := fileSyncOrClose(pass, call); name == "Sync" {
 						pass.Reportf(x.Pos(), "_ = %s.Sync() blanks a durability error: a failed sync may have dropped written pages (fsyncgate); check and propagate it", recv)
-					} else if writable[recvObject(pass, call)] && !cleanup[x] {
+					} else {
 						pass.Reportf(x.Pos(), "_ = %s.Close() blanks the close error of a writable file: a failed close can lose buffered writes; check and propagate it", recv)
 					}
 				}
@@ -91,6 +82,30 @@ func runSyncErr(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// durabilityDrops returns syncerr's verdict for one file: whether
+// stmt, discarding the error of call, drops a durability error — any
+// (*os.File).Sync, or Close on a file opened writable in this file
+// unless stmt is the error-cleanup idiom. errdrop asks the same
+// question and leaves those statements to syncerr, so each dropped
+// durability error is one finding. The file's writable handles and
+// cleanup statements are collected at its first os.File Close.
+func durabilityDrops(pass *Pass, f *ast.File) func(stmt ast.Stmt, call *ast.CallExpr) bool {
+	var writable map[types.Object]bool
+	var cleanup map[ast.Stmt]bool
+	return func(stmt ast.Stmt, call *ast.CallExpr) bool {
+		switch name, _ := fileSyncOrClose(pass, call); name {
+		case "Sync":
+			return true
+		case "Close":
+			if writable == nil {
+				writable, cleanup = writableFiles(pass, f), cleanupCloses(pass, f)
+			}
+			return writable[recvObject(pass, call)] && !cleanup[stmt]
+		}
+		return false
+	}
 }
 
 // fileSyncOrClose reports whether call is (*os.File).Sync or

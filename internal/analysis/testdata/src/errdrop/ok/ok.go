@@ -1,11 +1,13 @@
 // Negative cases for the errdrop analyzer: handled errors, the
-// explicit `_ =` discard idiom, and the conventional exemptions (fmt
-// printing, infallible builders).
+// explicit `_ =` discard idiom, the conventional exemptions (fmt
+// printing, infallible builders), and the durability errors syncerr
+// reports instead.
 package ok
 
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 )
 
@@ -90,4 +92,17 @@ func workerPool() error {
 	}()
 	<-done
 	return errs[0]
+}
+
+// Dropped durability errors are syncerr's findings, reported once
+// there: errdrop stays silent on (*os.File).Sync and on Close of a file
+// opened writable.
+func durabilityDrops(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		return
+	}
+	defer f.Sync()
+	f.Sync()
+	f.Close()
 }

@@ -83,3 +83,15 @@ func emitUnderLock(c *cache, key string, out Sink) {
 	out.Emit(c.m[key]) // want `dynamic call out\.Emit while c\.mu is held`
 	c.mu.Unlock()
 }
+
+// Releasing c.mu does not retire a separately locked local mu: only a
+// name inherited from a caller's lockset is released by its bare
+// spelling.
+func localMuOutlivesFieldUnlock(c *cache, yield func(int) bool) {
+	var mu sync.Mutex
+	mu.Lock()
+	c.mu.Lock()
+	c.mu.Unlock()
+	yield(0) // want `dynamic call yield while mu is held`
+	mu.Unlock()
+}

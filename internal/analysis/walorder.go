@@ -99,7 +99,8 @@ func checkAppendSync(pass *Pass) {
 // the package call graph.
 func checkPublishOrder(pass *Pass, ann *protoAnnotations) {
 	g := pass.callGraph()
-	fresh := g.FreshReturns(pass.externFresh())
+	extern := pass.externFresh()
+	fresh := g.FreshReturns(extern)
 
 	// durable: functions that (transitively) perform a WAL commit.
 	durable := map[*callgraph.Node]bool{}
@@ -150,7 +151,7 @@ func checkPublishOrder(pass *Pass, ann *protoAnnotations) {
 			if n.Body == nil || need[n] != nil || replayCut(n) {
 				continue
 			}
-			if w := undominatedRequirement(pass, g, n, ann, need, durable, fresh); w != nil {
+			if w := undominatedRequirement(pass, g, n, ann, need, durable, fresh, extern); w != nil {
 				need[n] = w
 				changed = true
 			}
@@ -195,9 +196,9 @@ func checkPublishOrder(pass *Pass, ann *protoAnnotations) {
 // a durable call first? Returns the witness chain or nil.
 func undominatedRequirement(pass *Pass, g *callgraph.Graph, n *callgraph.Node,
 	ann *protoAnnotations, need map[*callgraph.Node][]string,
-	durable map[*callgraph.Node]bool, fresh map[*callgraph.Node]bool) []string {
+	durable, fresh map[*callgraph.Node]bool, extern func(*types.Func) bool) []string {
 
-	locals := g.FreshLocals(n, fresh, pass.externFresh())
+	locals := g.FreshLocals(n, fresh, extern)
 
 	// Per requiring AST site, its witness suffix.
 	type reqSite struct {
