@@ -75,21 +75,22 @@ race:
 # statements with parameter slots through the same matrix — batch
 # sizes, both executors, budgets, the hash-build fault — and run one
 # shared plan from many goroutines with different values; TestShape*
-# do that through xrel.Store.Query.
+# do that through xrel.Store.Query, and TestSetLimitsConcurrent changes
+# the store's budgets while queries run.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestBudget|TestRunContext|TestPreparedRunContext|TestConcurrentBudgeted|TestParam' ./internal/engine/ ./internal/failpoint/
 	$(GO) test -race -run 'TestVerifyPlan|TestMutationsRejected' ./internal/plancheck/
-	$(GO) test -race -count=10 -run 'TestShapeConcurrentQueries' ./xrel/
+	$(GO) test -race -count=10 -run 'TestShapeConcurrentQueries|TestSetLimitsConcurrent' ./xrel/
 
-# batch-smoke checks batch-size invariance: every query in the
-# engine's serial/morsel matrix and the Figure 3 corpus must return
-# byte-identical results, operator statistics, and governor errors at
-# every batch capacity (including the degenerate 1), and a fault
-# injected at the engine/batch-flush failpoint must unwind to a typed
-# error with no goroutine leaks (DESIGN.md section 11).
+# batch-smoke checks batch-capacity invariance: the capacity is an
+# engine constant, and the engine's tests force others (DB.forceBatch)
+# — every query in the serial/morsel matrix and the Figure 3 corpus
+# must return byte-identical results, operator statistics, and
+# governor errors at every capacity (including the degenerate 1), and
+# a fault injected at the engine/batch-flush failpoint must unwind to a
+# typed error with no goroutine leaks (DESIGN.md section 11).
 batch-smoke:
-	$(GO) test -race -count=1 -run 'TestBatchSizeInvariance|TestGovernorBatchInvariance|TestChaosBatchFlush|TestBatchSizeOptionPlumbs' ./internal/engine/
-	$(GO) test -race -count=1 -run 'TestBatchSizeInvarianceOnFig3' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestBatchSizeInvariance|TestGovernorBatchInvariance|TestChaosBatchFlush' ./internal/engine/
 
 # crash-smoke is the kill-and-recover matrix: a persistent store is
 # crashed at every durability failpoint (wal/append, wal/fsync,
@@ -139,12 +140,12 @@ planquality-smoke:
 
 # golden-rows is the planner's result-identity harness: the Figure 3
 # statements and the six ad-hoc templates, both mappings, 24 runs a
-# statement (GOMAXPROCS 1 / 4, batch size 1 / default, in memory /
-# persisted-closed-reopened, first plan / re-planned) must return the
-# native oracle's rows in order — the rows whose hashes
-# internal/bench/testdata/golden_rows.txt commits. A planner change
-# that leaves the file alone returns its parent's results byte for
-# byte; `go test ./internal/bench -run TestGoldenRows -update` rewrites
-# it.
+# statement (GOMAXPROCS 1 / 4, batch capacity forced to 1 / the
+# engine's, in memory / persisted-closed-reopened, first plan /
+# re-planned) must return the native oracle's rows in order — the rows
+# whose hashes internal/engine/testdata/golden_rows.txt commits. A
+# planner change that leaves the file alone returns its parent's
+# results byte for byte; `go test ./internal/engine -run
+# TestGoldenRows -update` rewrites it.
 golden-rows:
-	$(GO) test -count=1 -run 'TestGoldenRows' ./internal/bench/
+	$(GO) test -count=1 -run 'TestGoldenRows' ./internal/engine/

@@ -6,8 +6,7 @@
 //	xbench -experiment fig3|appc-small|appc-large|appc-dblp|joins|\
 //	                   explain|planquality|ablate-pathfilter|ablate-fkjoin|mixed|all
 //	       [-scale N] [-reps N] [-budget 60s] [-seed N] [-noverify]
-//	       [-batch N] [-max-mem BYTES] [-max-rows N]
-//	       [-json out.json]
+//	       [-max-mem BYTES] [-max-rows N] [-json out.json]
 //
 // Scale 1 approximates the paper's small (12 MB) XMark document;
 // appc-large uses 10x (the paper's 113 MB document). Timings cannot
@@ -22,9 +21,8 @@
 // The engine decides per statement whether to run it on its morsel
 // executor, with GOMAXPROCS workers at most: set GOMAXPROCS=1 in the
 // environment for the paper's serial configuration (see
-// EXPERIMENTS.md). -batch overrides the engine's row-id batch capacity
-// for the SQL-based systems (0 = engine default; results are
-// batch-size invariant). -max-mem and -max-rows cap each statement's
+// EXPERIMENTS.md). -budget bounds each run through a context deadline;
+// a run past it prints '~'. -max-mem and -max-rows cap each statement's
 // materialized bytes and produced rows (0 = unlimited, the paper's
 // configuration); an exceeded budget prints ERR for that cell. -json
 // writes every measurement as a JSON array of records, each carrying
@@ -49,25 +47,20 @@ func main() {
 	budget := flag.Duration("budget", 60*time.Second, "per-query budget; slower runs print '~' like the paper")
 	seed := flag.Int64("seed", 42, "generator seed")
 	noverify := flag.Bool("noverify", false, "skip cross-checking every system against the oracle")
-	batch := flag.Int("batch", 0, "engine row-id batch capacity for SQL-based systems (0 = engine default)")
 	maxMem := flag.Int64("max-mem", 0, "per-statement memory budget in bytes for SQL-based systems (0 = unlimited)")
 	maxRows := flag.Int64("max-rows", 0, "per-statement produced-row budget for SQL-based systems (0 = unlimited)")
 	jsonOut := flag.String("json", "", "also write measurements as JSON records to this file")
 	flag.Parse()
 
-	lim := limits{mem: *maxMem, rows: *maxRows, batch: *batch}
+	lim := limits{mem: *maxMem, rows: *maxRows}
 	if err := run(*experiment, *scale, *reps, *budget, *seed, !*noverify, lim, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "xbench:", err)
 		os.Exit(1)
 	}
 }
 
-// limits carries the per-statement resource budgets and the engine
-// batch capacity into run.
-type limits struct {
-	mem, rows int64
-	batch     int
-}
+// limits carries the per-statement resource budgets into run.
+type limits struct{ mem, rows int64 }
 
 func run(experiment string, scale float64, reps int, budget time.Duration, seed int64, verify bool, lim limits, jsonOut string) error {
 	opts := bench.Opts{Reps: reps, Budget: budget, Verify: verify}
@@ -81,7 +74,6 @@ func run(experiment string, scale float64, reps int, budget time.Duration, seed 
 		w, err := bench.NewXMark(s, seed)
 		if err == nil {
 			w.MaxMemoryBytes, w.MaxRows = lim.mem, lim.rows
-			w.BatchSize = lim.batch
 		}
 		return w, err
 	}
@@ -90,7 +82,6 @@ func run(experiment string, scale float64, reps int, budget time.Duration, seed 
 		w, err := bench.NewDBLP(s, seed)
 		if err == nil {
 			w.MaxMemoryBytes, w.MaxRows = lim.mem, lim.rows
-			w.BatchSize = lim.batch
 		}
 		return w, err
 	}

@@ -9,11 +9,13 @@ import (
 )
 
 // CtxFlow enforces context propagation through the engine's execution
-// path. The engine's deadline machinery has a deliberate fast path —
-// checkDeadline short-circuits when both the deadline and the context
-// are nil — so a context must either be the caller's (cancellation
-// works) or nil (fast path works). context.Background() is the worst
-// of both: it defeats the nil fast path while never cancelling.
+// path. The caller's context is the only thing that bounds a
+// statement's time, and the engine's polls of it have a deliberate
+// fast path — checkBatch and checkNow return at once when the context
+// is nil — so a context must either be the caller's (cancellation and
+// deadlines work) or nil (fast path works). context.Background() is
+// the worst of both: it defeats the nil fast path while never
+// cancelling.
 // Within internal/engine and xrel, a function that takes a
 // context.Context must hand exactly that context (or a derived one)
 // to every context-accepting callee on every path.

@@ -12,8 +12,8 @@ func TestCtxFlow(t *testing.T) {
 }
 
 // The real engine and xrel must stay clean: xrel.Query once called
-// context.Background() (fixed to pass nil, preserving the
-// checkDeadline fast path), and this pin keeps it fixed.
+// context.Background() (fixed to pass nil, preserving the engine's
+// nil-context fast path), and this pin keeps it fixed.
 func TestCtxFlowClean(t *testing.T) {
 	expectClean(t, analysis.CtxFlow, "repro/internal/engine", "repro/xrel")
 }

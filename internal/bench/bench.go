@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -66,12 +67,6 @@ type Workload struct {
 	// configuration); exceeding one reports ERR for that cell.
 	MaxMemoryBytes int64
 	MaxRows        int64
-
-	// BatchSize is the engine's row-id batch capacity for the
-	// SQL-based systems (0 = the engine default). Results are
-	// batch-size invariant; the knob exists for the batching
-	// experiments.
-	BatchSize int
 
 	Aware  *shred.SchemaAwareStore
 	Edge   *shred.EdgeStore
@@ -210,7 +205,8 @@ func (w *Workload) Run(sys System, q Query) ([]int64, error) {
 }
 
 // RunBudget is Run with a wall-clock budget for the SQL-based systems
-// (0 means unlimited); engine.ErrTimeout reports an exceeded budget.
+// (0 means unlimited): each statement runs under a context with that
+// timeout, and context.DeadlineExceeded reports an exceeded budget.
 func (w *Workload) RunBudget(sys System, q Query, budget time.Duration) ([]int64, error) {
 	switch sys {
 	case PPF, EdgePPF, Accel:
@@ -242,21 +238,23 @@ func (w *Workload) dbFor(sys System) *engine.DB {
 }
 
 // execOptions returns the engine options every statement of this
-// workload runs under: its budgets and batch size.
+// workload runs under: its budgets.
 func (w *Workload) execOptions() engine.ExecOptions {
-	return engine.ExecOptions{
-		MaxMemoryBytes: w.MaxMemoryBytes,
-		MaxRows:        w.MaxRows,
-		BatchSize:      w.BatchSize,
-	}
+	return engine.ExecOptions{MaxMemoryBytes: w.MaxMemoryBytes, MaxRows: w.MaxRows}
 }
 
 // runStmt executes a translated statement on a system's database
-// (through the engine's plan cache) and extracts the node ids.
+// (through the engine's plan cache) and extracts the node ids. A
+// positive budget bounds the statement through a context deadline; with
+// none it runs with no context at all.
 func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration) ([]int64, error) {
-	opts := w.execOptions()
-	opts.Timeout = budget
-	res, err := w.dbFor(sys).RunWithOptionsContext(nil, stmt, opts)
+	var ctx context.Context
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(context.Background(), budget)
+		defer cancel()
+	}
+	res, err := w.dbFor(sys).RunWithOptionsContext(ctx, stmt, w.execOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -381,9 +379,6 @@ type Measurement struct {
 	// repetitions — an approximate meter including harness overhead,
 	// comparable across runs of the same harness).
 	AllocsPerOp int64
-	// BatchSize is the effective engine row-id batch capacity the
-	// measurement ran with (SQL-based systems only; 0 otherwise).
-	BatchSize int
 }
 
 // Measure times a query under a system: reps repetitions (after one
@@ -400,10 +395,6 @@ func (w *Workload) Measure(sys System, q Query, reps int, budget time.Duration) 
 	db := w.dbFor(sys)
 	var stmt sqlast.Statement
 	if db != nil {
-		m.BatchSize = w.BatchSize
-		if m.BatchSize <= 0 {
-			m.BatchSize = engine.DefaultBatchSize
-		}
 		var err error
 		if stmt, err = w.Translate(sys, q); err != nil {
 			m.ErrorMsg = err.Error()
@@ -433,7 +424,7 @@ func (w *Workload) Measure(sys System, q Query, reps int, budget time.Duration) 
 		return len(ids), time.Since(start), err
 	}
 	n, d, err := run()
-	if errors.Is(err, engine.ErrTimeout) {
+	if errors.Is(err, context.DeadlineExceeded) {
 		m.Timeout = true
 		m.Avg = d
 		return m

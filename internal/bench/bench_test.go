@@ -97,6 +97,23 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
+// TestMeasureReportsAllocs checks the allocation meter: SQL-based
+// cells carry a positive allocations-per-repetition count.
+func TestMeasureReportsAllocs(t *testing.T) {
+	w, err := NewXMark(0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := w.Query("Q1")
+	m := w.Measure(PPF, q, 2, 0)
+	if m.ErrorMsg != "" {
+		t.Fatalf("measurement = %+v", m)
+	}
+	if m.AllocsPerOp <= 0 {
+		t.Errorf("AllocsPerOp = %d, want > 0", m.AllocsPerOp)
+	}
+}
+
 // TestParallelAgreesWithOracle runs the SQL-based systems at
 // GOMAXPROCS 4, where the engine runs the statements it judges worth
 // it on morsel workers, and checks the node sets against the native

@@ -83,7 +83,6 @@ type Record struct {
 	Joins        int     `json:"joins"`
 	Operators    int     `json:"operators"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
-	BatchSize    int     `json:"batch_size"` // effective engine batch capacity; 0 = non-SQL system
 	// Plan-quality fields (experiment "planquality" only): the plan's
 	// join order and access paths, the settled plan's worst
 	// per-operator q-error, adaptive re-plans taken, and total rows
@@ -115,7 +114,6 @@ func (o Opts) emit(experiment string, w *Workload, m Measurement) {
 		Joins:        m.Joins,
 		Operators:    m.Operators,
 		AllocsPerOp:  m.AllocsPerOp,
-		BatchSize:    m.BatchSize,
 	})
 }
 

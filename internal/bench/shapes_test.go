@@ -17,9 +17,9 @@ import (
 // which is what xrel.Store.Query runs) against the literal path
 // (Translate + RunWithOptionsContext) and the native oracle.
 
-// adhocFormats are the benchmark's six ad-hoc templates (adhocQueries
-// holds one instance of each) with the element whose @id values
-// instantiate them.
+// adhocFormats are the benchmark's six ad-hoc templates (the engine's
+// golden-rows harness runs one instance of each) with the element whose
+// @id values instantiate them.
 var adhocFormats = []struct{ name, format, keyOf string }{
 	{"person_name", "/site/people/person[@id=%s]/name", "person"},
 	{"q9_bidders", "/site/open_auctions/open_auction[@id=%s]/bidder/preceding-sibling::bidder", "open_auction"},
@@ -167,8 +167,7 @@ func TestShapePathDifferential(t *testing.T) {
 // TestShapeSkewedFirstValue: a plan compiled for a key the document does
 // not hold (estimate: no rows) then meets the one value every row holds.
 // The feedback re-plans it at most twice (the engine's bound), and every
-// binding keeps returning the oracle's rows, at GOMAXPROCS 1 and 4, at
-// batch size 1 and the default.
+// binding keeps returning the oracle's rows, at GOMAXPROCS 1 and 4.
 func TestShapeSkewedFirstValue(t *testing.T) {
 	w, err := NewXMark(0.05, 42)
 	if err != nil {
@@ -193,7 +192,7 @@ func TestShapeSkewedFirstValue(t *testing.T) {
 				t.Fatalf("fixture: %s selects %d", q.XPath, len(want))
 			}
 			runtime.GOMAXPROCS(1 + 3*(i%2))
-			got, _, err := shapeIDs(tr, db, q.XPath, engine.ExecOptions{BatchSize: i % 3 / 2})
+			got, _, err := shapeIDs(tr, db, q.XPath, engine.ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,8 @@ import "bytes"
 // candidate row ids of its joinStep under the current bindings, in
 // the executor's canonical order, recording probes and governor
 // charges against the step's scan OpStats. Ids move in batches of up
-// to sc.n (ExecOptions.BatchSize) so the per-row dispatch,
-// deadline, and stat costs are amortized per batch; yield returns
+// to sc.n (the execution's batch capacity) so the per-row dispatch,
+// cancellation, and stat costs are amortized per batch; yield returns
 // false to stop early.
 
 // batchYield receives one batch of candidate row ids, never empty,

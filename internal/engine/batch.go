@@ -1,15 +1,15 @@
 package engine
 
 // Batched execution support: operator boundaries move fixed-size
-// row-id batches (ExecOptions.BatchSize, default DefaultBatchSize)
-// instead of single rows, so dispatch, deadline polls, governor
-// charges and stat updates are paid once per batch. Results, operator
-// stats and EXPLAIN ANALYZE output are identical at every batch size
-// — BatchSize=1 degenerates to the old row-at-a-time execution.
+// row-id batches (batchCapacity) instead of single rows, so dispatch,
+// cancellation polls, governor charges and stat updates are paid once
+// per batch. Results, operator stats and EXPLAIN ANALYZE output are
+// identical at every capacity — 1 degenerates to row-at-a-time
+// execution — which the engine tests check by forcing other capacities
+// through DB.forceBatch.
 
-// DefaultBatchSize is the row-id batch capacity used when
-// ExecOptions.BatchSize is unset.
-const DefaultBatchSize = 1024
+// batchCapacity is the row-id batch capacity at operator boundaries.
+const batchCapacity = 1024
 
 // batchScratch is the per-step working memory of one active scan:
 // the id batch buffer and the key-encoding buffers its access path
@@ -60,11 +60,10 @@ func (ec *execCtx) putScratch(sc *batchScratch) {
 	ec.free = append(ec.free, sc)
 }
 
-// checkBatch amortizes deadline/cancellation checks over batches: the
-// clock is consulted about once per 1024 rows regardless of the batch
-// size, matching the cadence of the old per-row tick counter.
+// checkBatch amortizes cancellation checks over batches: the context
+// is polled about once per 1024 rows regardless of the batch capacity.
 func (ec *execCtx) checkBatch(n int) error {
-	if ec.deadline.IsZero() && ec.ctx == nil {
+	if ec.ctx == nil {
 		return nil
 	}
 	ec.ticks += n

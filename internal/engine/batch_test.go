@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/failpoint"
@@ -13,16 +12,17 @@ import (
 )
 
 // The batch-invariance suite pins the contract of the batched
-// executor: BatchSize is a pure performance knob. Results, operator
-// counters, EXPLAIN ANALYZE output, and governor errors are identical
-// at every batch size — including BatchSize=1, which degenerates to
-// the old row-at-a-time execution — serial and parallel. Run under
-// -race via `make batch-smoke`.
+// executor: the row-id batch capacity is the engine's constant, and no
+// result depends on it. Results, operator counters, EXPLAIN ANALYZE
+// output, and governor errors are identical at every capacity the
+// tests force through DB.forceBatch — including 1, which degenerates
+// to row-at-a-time execution — serial and parallel. Run under -race
+// via `make batch-smoke`.
 
-// batchSizes is the invariance matrix's BatchSize axis: degenerate,
+// batchSizes is the invariance matrix's capacity axis: degenerate,
 // tiny, prime (so batch boundaries never align with morsel or index
-// posting-list boundaries), sub-default, and the default.
-var batchSizes = []int{1, 2, 7, 256, 1024}
+// posting-list boundaries), sub-default, and batchCapacity.
+var batchSizes = []int{1, 2, 7, 256, batchCapacity}
 
 // timeTokens matches the wall-clock annotations of EXPLAIN ANALYZE
 // output, the only part of the rendering allowed to vary across runs.
@@ -56,7 +56,7 @@ func diffFrames(got, want opFrame) string {
 // TestBatchSizeInvariance runs every access-path query at every batch
 // size, on the serial executor and on 8 morsel workers, and asserts
 // results, per-operator counters, and (normalized) EXPLAIN ANALYZE
-// output all match the BatchSize=1024 reference on the same executor.
+// output all match the batchCapacity reference on the same executor.
 func TestBatchSizeInvariance(t *testing.T) {
 	db := bigDB(t)
 	for _, q := range parallelQueries {
@@ -75,31 +75,30 @@ func TestBatchSizeInvariance(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		for _, workers := range []int{1, 8} {
-			db.forceWorkers = workers
-			ref := ExecOptions{BatchSize: DefaultBatchSize}
-			refRes, refFrame, err := db.runCompiledFrame(nil, cs, nil, ref, q, false)
+			db.forceWorkers, db.forceBatch = workers, 0
+			refRes, refFrame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, q, false)
 			if err != nil {
 				t.Fatalf("%s workers=%d: reference run: %v", q, workers, err)
 			}
-			refPlan, err := db.ExplainAnalyzeWithOptions(st, ref)
+			refPlan, err := db.ExplainAnalyzeWithOptions(st, ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s workers=%d: reference explain: %v", q, workers, err)
 			}
 			refPlan = normalizeAnalyze(refPlan)
 			for _, bs := range batchSizes {
-				opts := ExecOptions{BatchSize: bs}
-				res, frame, err := db.runCompiledFrame(nil, cs, nil, opts, q, false)
+				db.forceBatch = bs
+				res, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, q, false)
 				if err != nil {
 					t.Fatalf("%s bs=%d workers=%d: %v", q, bs, workers, err)
 				}
 				if !equalResults(res, refRes) {
-					t.Errorf("%s bs=%d workers=%d: result differs from BatchSize=%d",
-						q, bs, workers, DefaultBatchSize)
+					t.Errorf("%s bs=%d workers=%d: result differs from capacity %d",
+						q, bs, workers, batchCapacity)
 				}
 				if d := diffFrames(frame, refFrame); d != "" {
 					t.Errorf("%s bs=%d workers=%d: operator stats differ: %s", q, bs, workers, d)
 				}
-				plan, err := db.ExplainAnalyzeWithOptions(st, opts)
+				plan, err := db.ExplainAnalyzeWithOptions(st, ExecOptions{})
 				if err != nil {
 					t.Fatalf("%s bs=%d workers=%d: explain: %v", q, bs, workers, err)
 				}
@@ -110,6 +109,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 			}
 		}
 	}
+	db.forceWorkers, db.forceBatch = 0, 0
 }
 
 // TestGovernorBatchInvariance pins the exact-charging rule: with a
@@ -140,9 +140,7 @@ func TestGovernorBatchInvariance(t *testing.T) {
 		want := ""
 		for _, workers := range []int{1, 8} {
 			for _, bs := range []int{1, 7, 1024} {
-				m := execMode{lim.opts, workers}
-				m.BatchSize = bs
-				_, err := m.run(db, st)
+				_, err := execMode{ExecOptions: lim.opts, workers: workers, batch: bs}.run(db, st)
 				if !errors.Is(err, lim.target) {
 					t.Fatalf("%s bs=%d workers=%d: err = %v, want %v", lim.name, bs, workers, err, lim.target)
 				}
@@ -205,7 +203,7 @@ func TestChaosBatchFlush(t *testing.T) {
 			// Serial execution flushes every batch through the faulted
 			// site; a non-prime batch size checks mid-enumeration flushes
 			// too, not just the tail flush.
-			_, serialErr := execMode{ExecOptions{BatchSize: 7}, 1}.run(db, stmts[i])
+			_, serialErr := execMode{workers: 1, batch: 7}.run(db, stmts[i])
 			if !f.want(serialErr) {
 				t.Errorf("%s / %s: serial err = %v", f.name, q, serialErr)
 			}
@@ -213,7 +211,7 @@ func TestChaosBatchFlush(t *testing.T) {
 			// site (the ids are materialized before fan-out), so a
 			// single-step plan may legitimately complete; anything else
 			// must be the injected fault, never an untyped escape.
-			_, parErr := execMode{ExecOptions{BatchSize: 7}, 8}.run(db, stmts[i])
+			_, parErr := execMode{workers: 8, batch: 7}.run(db, stmts[i])
 			if parErr != nil && !f.want(parErr) {
 				t.Errorf("%s / %s: parallel err = %v", f.name, q, parErr)
 			}
@@ -228,32 +226,5 @@ func TestChaosBatchFlush(t *testing.T) {
 				t.Errorf("%s / %s: post-fault result differs from baseline", f.name, q)
 			}
 		}
-	}
-}
-
-// TestBatchSizeOptionPlumbs spot-checks the option boundary:
-// non-positive batch sizes fall back to the default instead of
-// wedging the executor.
-func TestBatchSizeOptionPlumbs(t *testing.T) {
-	db := bigDB(t)
-	st, err := sqlast.Parse("SELECT i.id FROM item i WHERE i.val > 90 ORDER BY i.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := run(db, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []int{-1, 0, 1} {
-		res, err := db.RunWithOptionsContext(nil, st, ExecOptions{BatchSize: bs})
-		if err != nil {
-			t.Fatalf("BatchSize=%d: %v", bs, err)
-		}
-		if !equalResults(res, want) {
-			t.Errorf("BatchSize=%d: result differs", bs)
-		}
-	}
-	if !strings.Contains(fmt.Sprint(DefaultBatchSize), "1024") {
-		t.Fatalf("DefaultBatchSize = %d, want 1024", DefaultBatchSize)
 	}
 }

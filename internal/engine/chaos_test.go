@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -36,8 +37,8 @@ func outcomeClass(t *testing.T, err error) string {
 		return "internal"
 	case errors.Is(err, errChaosHash):
 		return "hash-error"
-	case errors.Is(err, ErrTimeout):
-		return "timeout"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
 	default:
 		return "unexpected:" + err.Error()
 	}
@@ -103,8 +104,8 @@ func TestChaosMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, serialErr := execMode{f.opts, 1}.run(db, stmts[i])
-			_, parErr := execMode{f.opts, 8}.run(db, stmts[i])
+			_, serialErr := execMode{ExecOptions: f.opts, workers: 1}.run(db, stmts[i])
+			_, parErr := execMode{ExecOptions: f.opts, workers: 8}.run(db, stmts[i])
 			failpoint.Reset()
 
 			sc, pc := outcomeClass(t, serialErr), outcomeClass(t, parErr)
@@ -303,7 +304,7 @@ func TestChaosPlanCacheInsert(t *testing.T) {
 }
 
 // TestChaosSleepWidensTimeout uses a Sleep failpoint at the morsel
-// claim to guarantee the wall-clock budget expires mid-drain.
+// claim to guarantee a context deadline fires mid-drain.
 func TestChaosSleepWidensTimeout(t *testing.T) {
 	db := bigDB(t)
 	defer failpoint.Reset()
@@ -315,10 +316,12 @@ func TestChaosSleepWidensTimeout(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Sleep(10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = execMode{ExecOptions{Timeout: time.Millisecond}, 8}.run(db, st)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, err = execMode{workers: 8}.runContext(ctx, db, st)
 	failpoint.Reset()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	waitNoGoroutineGrowth(t, before, "sleep timeout")
 }
@@ -352,10 +355,12 @@ func TestChaosDeadlineObservedAfterHashBuild(t *testing.T) {
 	if err := failpoint.Enable("engine/hash-build", failpoint.Sleep(15*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunWithOptionsContext(nil, st, ExecOptions{Timeout: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, err = db.RunWithOptionsContext(ctx, st, ExecOptions{})
 	failpoint.Reset()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout observed at the build/probe boundary", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded observed at the build/probe boundary", err)
 	}
 	// The engine must still answer the query once the stall clears.
 	if _, err := run(db, st); err != nil {
@@ -378,10 +383,10 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		if _, err := (execMode{ExecOptions{MaxMemoryBytes: 64}, workers}).run(db, st); !errors.Is(err, ErrMemoryBudget) {
+		if _, err := (execMode{ExecOptions: ExecOptions{MaxMemoryBytes: 64}, workers: workers}).run(db, st); !errors.Is(err, ErrMemoryBudget) {
 			t.Fatalf("workers %d: err = %v, want ErrMemoryBudget", workers, err)
 		}
-		if _, err := (execMode{ExecOptions{MaxRows: 3}, workers}).run(db, st); !errors.Is(err, ErrRowBudget) {
+		if _, err := (execMode{ExecOptions: ExecOptions{MaxRows: 3}, workers: workers}).run(db, st); !errors.Is(err, ErrRowBudget) {
 			t.Fatalf("workers %d: err = %v, want ErrRowBudget", workers, err)
 		}
 		res, err := execMode{workers: workers}.run(db, st)
@@ -450,7 +455,7 @@ func TestChaosRestrictedHashBuild(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				_, err := execMode{f.opts, workers}.run(db, st)
+				_, err := execMode{ExecOptions: f.opts, workers: workers}.run(db, st)
 				failpoint.Reset()
 				if got := outcomeClass(t, err); got != f.class {
 					t.Errorf("%s, %d workers, %s: outcome %q (%v), want %q", f.name, workers, table, got, err, f.class)
@@ -499,7 +504,7 @@ func TestChaosScopedRun(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				_, err := execMode{f.opts, workers}.run(db, st)
+				_, err := execMode{ExecOptions: f.opts, workers: workers}.run(db, st)
 				failpoint.Reset()
 				if got := outcomeClass(t, err); got != f.class {
 					t.Errorf("%s, %d workers: outcome %q (%v), want %q\n%s", f.name, workers, got, err, f.class, q)

@@ -12,7 +12,7 @@ import (
 
 // TestRunContextCancel checks that cancelling the statement context
 // stops the serial and the morsel executor with ctx.Err(), leaking no
-// goroutines, independently of any wall-clock Timeout.
+// goroutines.
 func TestRunContextCancel(t *testing.T) {
 	db := bigDB(t)
 	// A non-equi self-join: enough work that cancellation always
@@ -42,8 +42,8 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestRunContextDeadline checks that a context deadline behaves like
-// Timeout, surfacing context.DeadlineExceeded.
+// TestRunContextDeadline checks that a context deadline stops a
+// statement with context.DeadlineExceeded and nothing else.
 func TestRunContextDeadline(t *testing.T) {
 	db := bigDB(t)
 	st, err := sqlast.Parse("SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val")
@@ -52,13 +52,53 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	db.forceWorkers = 8
-	_, err = db.RunWithOptionsContext(ctx, st, ExecOptions{})
-	// The cancellation check sees ctx.Err(); the wall-clock check may
-	// win the race and report ErrTimeout (the ctx deadline is merged
-	// into the execCtx deadline). Either typed error is correct.
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded or ErrTimeout", err)
+	_, err = execMode{workers: 8}.runContext(ctx, db, st)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// lateDoneCtx is a context whose deadline has passed but whose Done
+// channel closes only later: the window every timer-driven context has
+// between its deadline and its timer firing, held open long enough that
+// a statement starts inside it every time.
+type lateDoneCtx struct {
+	deadline time.Time
+	done     chan struct{}
+}
+
+func (c *lateDoneCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *lateDoneCtx) Done() <-chan struct{}       { return c.done }
+func (c *lateDoneCtx) Value(any) any               { return nil }
+func (c *lateDoneCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// TestRunContextDeadlineIsCtxErr: the engine reads a context's
+// deadline only through its Done channel, so a statement that starts
+// after the deadline but before Done closes runs until Done closes and
+// then fails with the context's own error — context.DeadlineExceeded,
+// never an error of the engine's own — on either executor.
+func TestRunContextDeadlineIsCtxErr(t *testing.T) {
+	db := bigDB(t)
+	st, err := sqlast.Parse("SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		before := runtime.NumGoroutine()
+		ctx := &lateDoneCtx{deadline: time.Now().Add(-time.Second), done: make(chan struct{})}
+		time.AfterFunc(5*time.Millisecond, func() { close(ctx.done) })
+		_, err := execMode{workers: workers}.runContext(ctx, db, st)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers %d: err = %v, want context.DeadlineExceeded", workers, err)
+		}
+		waitGoroutines(t, before)
 	}
 }
 

@@ -69,10 +69,7 @@ func TestMorselDecisionOnBenchmarkStatements(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				db := c.w.Aware.DB
-				if sys == bench.EdgePPF {
-					db = c.w.Edge.DB
-				}
+				db := sqlDB(c.w, sys)
 				for _, procs := range []int{2, 1} {
 					runtime.GOMAXPROCS(procs)
 					workers, err := engine.MorselWorkers(db, st)

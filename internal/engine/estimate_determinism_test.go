@@ -40,9 +40,9 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 	}{
 		{"serial", execMode{workers: 1}},
 		{"parallel8", execMode{workers: 8}},
-		{"batch1", execMode{ExecOptions{BatchSize: 1}, 1}},
-		{"batch7", execMode{ExecOptions{BatchSize: 7}, 1}},
-		{"parallel4batch3", execMode{ExecOptions{BatchSize: 3}, 4}},
+		{"batch1", execMode{workers: 1, batch: 1}},
+		{"batch7", execMode{workers: 1, batch: 7}},
+		{"parallel4batch3", execMode{workers: 4, batch: 3}},
 	}
 
 	// settledPlan executes st under opts until the plan stops adapting

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -22,12 +21,12 @@ type Result struct {
 	PeakMemBytes int64
 }
 
-// ExecOptions tune the execution of a single statement. How many
-// goroutines run it is the engine's decision (DB.morselWorkers).
+// ExecOptions are what a caller decides about a single statement: its
+// resource budgets and a debug check of its plan. How many goroutines
+// run it and how many row ids cross an operator boundary at once are
+// the engine's decisions (DB.morselWorkers, batchCapacity); the
+// caller's context is the one way to bound its time.
 type ExecOptions struct {
-	// Timeout is a wall-clock budget; ErrTimeout reports an exceeded
-	// budget (0 means no limit).
-	Timeout time.Duration
 	// MaxMemoryBytes bounds the bytes the statement may materialize
 	// (result rows, ORDER BY keys, DISTINCT sets, exec-time hash-join
 	// builds); ErrMemoryBudget reports an overrun (0 means no limit).
@@ -42,25 +41,18 @@ type ExecOptions struct {
 	// statement (plancheck.Verifier builds one). Execution fails when
 	// it rejects the plan.
 	VerifyPlan func(PlanTrace) error
-	// BatchSize is the row-id batch capacity at operator boundaries
-	// (values <= 0 select DefaultBatchSize). Results, operator stats
-	// and EXPLAIN ANALYZE output are identical at every batch size;
-	// BatchSize=1 degenerates to row-at-a-time execution and exists
-	// for debugging and the invariance tests.
-	BatchSize int
 }
 
 // execCtx carries execution state shared across a statement run. Each
-// morsel worker gets its own execCtx so the deadline tick counter
+// morsel worker gets its own execCtx so the cancellation tick counter
 // stays unshared; the accountant and context are shared across
 // workers.
 type execCtx struct {
-	db       *DB
-	ctx      context.Context // nil when the statement has no context
-	deadline time.Time
-	ticks    int
-	acct     *accountant
-	sql      string // rendered statement text, for InternalError
+	db    *DB
+	ctx   context.Context // nil when the statement has no context
+	ticks int
+	acct  *accountant
+	sql   string // rendered statement text, for InternalError
 	// args are this execution's parameter values (Prepared.RunArgs),
 	// read by cparam; checked against the plan's slots before it runs.
 	args []Value
@@ -74,10 +66,10 @@ type execCtx struct {
 	// timing enables per-operator wall-clock measurement (EXPLAIN
 	// ANALYZE); plain runs never read the clock per operator.
 	timing bool
-	// batch is the resolved row-id batch capacity (ExecOptions.
-	// BatchSize or DefaultBatchSize); free/freeOne pool the per-step
-	// batch scratches (batch.go). Scratches are execCtx-local: every
-	// morsel worker has a private execCtx.
+	// batch is the row-id batch capacity (batchCapacity, or the one an
+	// engine test forces through DB.forceBatch); free/freeOne pool the
+	// per-step batch scratches (batch.go). Scratches are execCtx-local:
+	// every morsel worker has a private execCtx.
 	batch   int
 	free    []*batchScratch
 	freeOne []*batchScratch
@@ -87,26 +79,22 @@ type execCtx struct {
 // frame.
 func (ec *execCtx) op(n *opNode) *OpStats { return &ec.stats[n.id] }
 
-// ErrTimeout is returned when a statement exceeds its deadline.
-var ErrTimeout = errors.New("engine: statement timed out")
-
-// checkNow checks cancellation and the deadline unconditionally.
-// Phase boundaries (after a hash-join build, before fan-out) call it
-// directly so a deadline that expired during a long build is
+// checkNow checks the statement's context unconditionally: a
+// cancelled context, or one whose deadline has fired, returns
+// ctx.Err(). Phase boundaries (after a hash-join build, before fan-out)
+// call it directly so a deadline that fired during a long build is
 // observed before the next phase starts, regardless of the tick
 // counter's position.
 func (ec *execCtx) checkNow() error {
-	if ec.ctx != nil {
-		select {
-		case <-ec.ctx.Done():
-			return ec.ctx.Err()
-		default:
-		}
+	if ec.ctx == nil {
+		return nil
 	}
-	if !ec.deadline.IsZero() && time.Now().After(ec.deadline) {
-		return ErrTimeout
+	select {
+	case <-ec.ctx.Done():
+		return ec.ctx.Err()
+	default:
+		return nil
 	}
-	return nil
 }
 
 // pattern returns a compiled matcher for a dynamic REGEXP_LIKE
@@ -186,26 +174,15 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Val
 			return nil, nil, fmt.Errorf("engine: parameter ?%d is unbound or not of the kind the statement was prepared with", slot+1)
 		}
 	}
-	ec := &execCtx{db: db, sql: sql, args: args,
+	ec := &execCtx{db: db, ctx: ctx, sql: sql, args: args,
 		acct:  newAccountant(opts.MaxMemoryBytes, opts.MaxRows),
 		stats: make(opFrame, cs.nOps), timing: timing,
-		batch: opts.BatchSize}
-	if ec.batch <= 0 {
-		ec.batch = DefaultBatchSize
+		batch: batchCapacity}
+	if db.forceBatch > 0 {
+		ec.batch = db.forceBatch
 	}
-	if ctx != nil {
-		ec.ctx = ctx
-		if d, ok := ctx.Deadline(); ok {
-			ec.deadline = d
-		}
-	}
-	if opts.Timeout > 0 {
-		if d := time.Now().Add(opts.Timeout); ec.deadline.IsZero() || d.Before(ec.deadline) {
-			ec.deadline = d
-		}
-	}
-	// An already-cancelled context (or spent deadline) fails before any
-	// work: short statements would otherwise finish between periodic
+	// An already-cancelled context (or a fired deadline) fails before
+	// any work: short statements would otherwise finish between periodic
 	// checks and mask the cancellation.
 	if err := ec.checkNow(); err != nil {
 		return nil, ec.stats, err
@@ -688,7 +665,7 @@ func (r *stepRunner) runRoot(ids []int64) error {
 // processBatch pushes one batch of candidate ids through the step's
 // filters and the rest of the pipeline, returning how many of the
 // batch's rows were consumed (all of them unless an early stop or
-// error cut the batch short). The deadline poll and filter-stat
+// error cut the batch short). The cancellation poll and filter-stat
 // attribution are paid once per batch; binding the env entry is paid
 // once per candidate row.
 func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids []int64) (int, error) {

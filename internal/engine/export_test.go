@@ -21,3 +21,8 @@ func MorselWorkers(db *DB, st sqlast.Statement) ([]int, error) {
 	}
 	return out, nil
 }
+
+// ForceBatch hands DB.forceBatch to the engine's external tests: every
+// statement run on db after it uses row-id batches of capacity n (0
+// restores batchCapacity).
+func ForceBatch(db *DB, n int) { db.forceBatch = n }

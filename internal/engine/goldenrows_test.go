@@ -1,4 +1,4 @@
-package bench
+package engine_test
 
 import (
 	"bufio"
@@ -12,11 +12,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/shred"
 )
 
-var updateRows = flag.Bool("update", false, "rewrite testdata/golden_rows.txt from the current results")
+// updating reports whether -update, which the engine's own tests
+// register, asks for the golden files to be rewritten.
+func updating() bool { return flag.Lookup("update").Value.String() == "true" }
+
+// sqlDB is the engine database a SQL-based system of the workload
+// queries.
+func sqlDB(w *bench.Workload, sys bench.System) *engine.DB {
+	if sys == bench.EdgePPF {
+		return w.Edge.DB
+	}
+	return w.Aware.DB
+}
 
 // goldenRowsScale is large enough that every statement but Q11 selects
 // something (Q11 selects nothing at any scale: no person1 bids before a
@@ -27,13 +39,13 @@ const goldenRowsScale = 0.1
 // adhocQueries are one instance of each of the benchmark's six ad-hoc
 // templates (benchmark/queries.go; that module is not importable from
 // here), with keys that select something at goldenRowsScale.
-var adhocQueries = []Query{
-	{"person_name", "/site/people/person[@id='person7']/name"},
-	{"q9_bidders", "/site/open_auctions/open_auction[@id='open_auction7']/bidder/preceding-sibling::bidder"},
-	{"q21_keywords", "/site/regions/*/item[@id='item7']/description//keyword/text()"},
-	{"person_watches", "//person[@id='person3']/watches/watch"},
-	{"closed_by_buyer", "/site/closed_auctions/closed_auction[buyer/@person='person8']/price"},
-	{"category_name", "/site/categories/category[@id='category7']/name"},
+var adhocQueries = []bench.Query{
+	{ID: "person_name", XPath: "/site/people/person[@id='person7']/name"},
+	{ID: "q9_bidders", XPath: "/site/open_auctions/open_auction[@id='open_auction7']/bidder/preceding-sibling::bidder"},
+	{ID: "q21_keywords", XPath: "/site/regions/*/item[@id='item7']/description//keyword/text()"},
+	{ID: "person_watches", XPath: "//person[@id='person3']/watches/watch"},
+	{ID: "closed_by_buyer", XPath: "/site/closed_auctions/closed_auction[buyer/@person='person8']/price"},
+	{ID: "category_name", XPath: "/site/categories/category[@id='category7']/name"},
 }
 
 // rowsHash is the FNV-64a of a result's ids in order.
@@ -54,18 +66,19 @@ func rowsHash(res *engine.Result) string {
 // statements and the six ad-hoc templates, under both mappings, each
 // executed 24 times — in memory and persisted-closed-reopened, and on
 // either store three rounds (the first plan, and the plans adaptive
-// re-planning moves to) at GOMAXPROCS 1 and 4, batch size 1 and the
-// default — must return one row list, ids in order: the native
-// oracle's, and the one whose hash testdata/golden_rows.txt has
-// committed. A planner change shows its results byte-identical to its
-// parent's by leaving that file alone (-update rewrites it).
+// re-planning moves to) at GOMAXPROCS 1 and 4, at the engine's batch
+// capacity and at 1 forced through ForceBatch — must return one row
+// list, ids in order: the native oracle's, and the one whose hash
+// testdata/golden_rows.txt has committed. A planner change shows its
+// results byte-identical to its parent's by leaving that file alone
+// (-update rewrites it).
 func TestGoldenRows(t *testing.T) {
-	xm, err := NewXMark(goldenRowsScale, 42)
+	xm, err := bench.NewXMark(goldenRowsScale, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	xm.Queries = append(xm.Queries, adhocQueries...)
-	db, err := NewDBLP(goldenRowsScale, 42)
+	db, err := bench.NewDBLP(goldenRowsScale, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +86,8 @@ func TestGoldenRows(t *testing.T) {
 	modes := []struct{ procs, batch int }{{1, 0}, {1, 1}, {4, 0}, {4, 1}}
 
 	var lines []string
-	for _, w := range []*Workload{xm, db} {
-		for _, sys := range []System{PPF, EdgePPF} {
+	for _, w := range []*bench.Workload{xm, db} {
+		for _, sys := range []bench.System{bench.PPF, bench.EdgePPF} {
 			// The persisted twin of the workload's store: loaded into a
 			// directory, closed, and opened again.
 			dir := t.TempDir()
@@ -82,7 +95,7 @@ func TestGoldenRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sys == PPF {
+			if sys == bench.PPF {
 				st, err := shred.NewSchemaAwareDB(pdb, w.Schema)
 				if err != nil {
 					t.Fatal(err)
@@ -108,10 +121,10 @@ func TestGoldenRows(t *testing.T) {
 			stores := []struct {
 				name string
 				db   *engine.DB
-			}{{"in memory", w.dbFor(sys)}, {"reopened", pdb}}
+			}{{"in memory", sqlDB(w, sys)}, {"reopened", pdb}}
 
 			for _, q := range w.Queries {
-				label := fmt.Sprintf("%s/%s/%s", strings.SplitN(w.Name, "-", 2)[0], q.ID, map[System]string{PPF: "aware", EdgePPF: "edge"}[sys])
+				label := fmt.Sprintf("%s/%s/%s", strings.SplitN(w.Name, "-", 2)[0], q.ID, map[bench.System]string{bench.PPF: "aware", bench.EdgePPF: "edge"}[sys])
 				st, err := w.Translate(sys, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -126,7 +139,8 @@ func TestGoldenRows(t *testing.T) {
 					for round := 0; round <= 2; round++ {
 						for _, m := range modes {
 							runtime.GOMAXPROCS(m.procs)
-							res, err := store.db.RunWithOptionsContext(nil, st, engine.ExecOptions{BatchSize: m.batch})
+							engine.ForceBatch(store.db, m.batch)
+							res, err := store.db.RunWithOptionsContext(nil, st, engine.ExecOptions{})
 							if err != nil {
 								t.Fatalf("%s %s round %d %+v: %v", label, store.name, round, m, err)
 							}
@@ -142,6 +156,7 @@ func TestGoldenRows(t *testing.T) {
 				}
 				lines = append(lines, label+" "+want)
 			}
+			engine.ForceBatch(stores[0].db, 0)
 			if err := pdb.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +165,7 @@ func TestGoldenRows(t *testing.T) {
 	sort.Strings(lines)
 
 	golden := filepath.Join("testdata", "golden_rows.txt")
-	if *updateRows {
+	if updating() {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +176,7 @@ func TestGoldenRows(t *testing.T) {
 	}
 	f, err := os.Open(golden)
 	if err != nil {
-		t.Fatalf("%v (run go test ./internal/bench -run TestGoldenRows -update)", err)
+		t.Fatalf("%v (run go test ./internal/engine -run TestGoldenRows -update)", err)
 	}
 	defer f.Close()
 	var committed []string

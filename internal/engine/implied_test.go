@@ -187,7 +187,7 @@ func TestImpliedProofs(t *testing.T) {
 			if len(want.Rows) == 0 {
 				t.Fatal("the statement selects nothing")
 			}
-			for _, m := range []execMode{{workers: 1}, {ExecOptions{BatchSize: 1}, 1}, {workers: 4}, {ExecOptions{BatchSize: 7}, 4}} {
+			for _, m := range []execMode{{workers: 1}, {workers: 1, batch: 1}, {workers: 4}, {workers: 4, batch: 7}} {
 				got, err := m.run(subject, st)
 				if err != nil {
 					t.Fatal(err)

@@ -86,15 +86,15 @@ func (ec *execCtx) collectMorsels(plan *selectPlan, workers int, c *collector) e
 		parked: make([][]orderedRow, n), done: make([]bool, n), counts: make([]int64, n)}
 	m.turn = sync.NewCond(&m.mu)
 	// The caller works on the statement's own frame. A helper gets a
-	// private execCtx: the deadline tick counter and the operator stats
-	// frame must not be shared (frames are merged below, after the
+	// private execCtx: the cancellation tick counter and the operator
+	// stats frame must not be shared (frames are merged below, after the
 	// join); the accountant and context are shared, since budgets govern
 	// the statement, not the worker.
 	helpers := make([]*execCtx, max(min(workers, n)-1, 0))
 	var wg sync.WaitGroup
 	for i := range helpers {
-		wec := &execCtx{db: ec.db, ctx: ec.ctx, deadline: ec.deadline,
-			acct: ec.acct, sql: ec.sql, args: ec.args,
+		wec := &execCtx{db: ec.db, ctx: ec.ctx, acct: ec.acct,
+			sql: ec.sql, args: ec.args,
 			stats: make(opFrame, len(ec.stats)), timing: ec.timing,
 			batch: ec.batch}
 		helpers[i] = wec
@@ -158,7 +158,7 @@ func (m *morselRun) drain(ec *execCtx) (err error) {
 		if err := failpoint.Inject("engine/morsel-claim"); err != nil {
 			return err
 		}
-		// One unconditional deadline/cancellation check per claim: the
+		// One unconditional cancellation check per claim: the
 		// in-morsel tick counter only fires every 1024 rows, which a
 		// worker draining a few small morsels never reaches.
 		if err := ec.checkNow(); err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -415,19 +416,25 @@ func TestParallelQueriesCoverResolution(t *testing.T) {
 }
 
 // execMode is one cell of the execution matrices: the engine options,
-// and the executor forced through DB.forceWorkers — 1 the serial one,
-// n > 1 the morsel executor on up to n workers.
+// the executor forced through DB.forceWorkers — 1 the serial one,
+// n > 1 the morsel executor on up to n workers — and the row-id batch
+// capacity forced through DB.forceBatch (0 keeps batchCapacity).
 type execMode struct {
 	ExecOptions
-	workers int
+	workers, batch int
 }
 
-// run executes st under the mode and leaves the executor decision to
-// the plan again.
+// run executes st under the mode with no context.
 func (m execMode) run(db *DB, st sqlast.Statement) (*Result, error) {
-	db.forceWorkers = m.workers
-	defer func() { db.forceWorkers = 0 }()
-	return db.RunWithOptionsContext(nil, st, m.ExecOptions)
+	return m.runContext(nil, db, st)
+}
+
+// runContext executes st under the mode and ctx, and leaves the
+// executor decision and the batch capacity to the engine again.
+func (m execMode) runContext(ctx context.Context, db *DB, st sqlast.Statement) (*Result, error) {
+	db.forceWorkers, db.forceBatch = m.workers, m.batch
+	defer func() { db.forceWorkers, db.forceBatch = 0, 0 }()
+	return db.RunWithOptionsContext(ctx, st, m.ExecOptions)
 }
 
 // TestParallelMatchesSerial checks that the morsel executor returns
@@ -559,7 +566,7 @@ func TestBudgetMorselHeldRows(t *testing.T) {
 	defer failpoint.Reset()
 	const budget = 256 << 10
 	st := sqlast.MustParse("SELECT i.id, j.id, j.text FROM item i, item j WHERE j.par = i.id ORDER BY i.id, j.id")
-	_, want := execMode{ExecOptions{MaxMemoryBytes: budget}, 1}.run(db, st)
+	_, want := execMode{ExecOptions: ExecOptions{MaxMemoryBytes: budget}, workers: 1}.run(db, st)
 	if !errors.Is(want, ErrMemoryBudget) {
 		t.Fatalf("serial: err = %v, want ErrMemoryBudget", want)
 	}
@@ -568,7 +575,7 @@ func TestBudgetMorselHeldRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := &execCtx{db: db, acct: newAccountant(budget, 0),
-		stats: make(opFrame, cs.nOps), batch: DefaultBatchSize}
+		stats: make(opFrame, cs.nOps), batch: batchCapacity}
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Sleep(50*time.Millisecond).Times(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -632,21 +639,23 @@ func TestParallelSmallTableFallsBack(t *testing.T) {
 	}
 }
 
-// TestParallelTimeout checks that a budget expiring while workers are
-// draining morsels surfaces ErrTimeout, stops every worker, and leaks
-// no goroutines.
+// TestParallelTimeout checks that a context deadline firing while
+// workers are draining morsels surfaces context.DeadlineExceeded, stops
+// every worker, and leaks no goroutines.
 func TestParallelTimeout(t *testing.T) {
 	db := bigDB(t)
 	before := runtime.NumGoroutine()
 	// A non-equi self-join over 4096x4096 pairs: far more work than a
-	// 2ms budget allows, so the deadline fires mid-drain.
+	// 2ms deadline allows, so it fires mid-drain.
 	st, err := sqlast.Parse("SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = execMode{ExecOptions{Timeout: 2 * time.Millisecond}, 8}.run(db, st)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	_, err = execMode{workers: 8}.runContext(ctx, db, st)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	// collectMorsels joins its WaitGroup before returning, so worker
 	// goroutines must already be gone (allow the runtime a moment to

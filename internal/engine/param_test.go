@@ -215,12 +215,14 @@ func TestParamArgumentChecks(t *testing.T) {
 }
 
 // TestParamConcurrentBindings: the Prepared and its plan are shared, the
-// values are not. Run under -race (make chaos).
+// values are not, on either executor and at a forced batch capacity.
+// Run under -race (make chaos).
 func TestParamConcurrentBindings(t *testing.T) {
 	db := paramDB(t)
 	prep := mustPrepare(t, db, "SELECT id FROM t WHERE name = ?1 AND price >= ?2:int ORDER BY id")
-	for _, workers := range []int{1, 4} {
-		db.forceWorkers = workers
+	for _, m := range []execMode{{workers: 1}, {workers: 1, batch: 2}, {workers: 4}, {workers: 4, batch: 3}} {
+		workers := m.workers
+		db.forceWorkers, db.forceBatch = m.workers, m.batch
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -229,7 +231,7 @@ func TestParamConcurrentBindings(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					k := (g*50 + i) % 100 * 10
 					args := []Value{NewText(fmt.Sprintf("rare%d", k)), NewInt(int64(g))}
-					res, err := prep.RunArgs(nil, args, ExecOptions{BatchSize: 1 + i%3})
+					res, err := prep.RunArgs(nil, args, ExecOptions{})
 					if err != nil {
 						t.Error(err)
 						return
@@ -336,12 +338,12 @@ func TestParamMatrix(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			db.forceWorkers = workers
 			for _, bs := range batchSizes {
-				opts := ExecOptions{BatchSize: bs}
-				res, frame, err := db.runCompiledFrame(nil, cs, q.args, opts, q.sql, false)
+				db.forceBatch = bs
+				res, frame, err := db.runCompiledFrame(nil, cs, q.args, ExecOptions{}, q.sql, false)
 				if err != nil {
 					t.Fatalf("%s bs=%d workers=%d: %v", q.sql, bs, workers, err)
 				}
-				_, litFrame, err := db.runCompiledFrame(nil, litCS, nil, opts, q.sql, false)
+				_, litFrame, err := db.runCompiledFrame(nil, litCS, nil, ExecOptions{}, q.sql, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -353,6 +355,7 @@ func TestParamMatrix(t *testing.T) {
 				}
 			}
 		}
+		db.forceBatch = 0
 		for _, f := range []struct {
 			name string
 			opts ExecOptions

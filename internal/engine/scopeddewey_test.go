@@ -332,7 +332,7 @@ func TestScopedDeweyAllocatesNothingPerBinding(t *testing.T) {
 	if between == nil {
 		t.Fatal("step d has no BETWEEN filter")
 	}
-	ec := &execCtx{db: db, acct: newAccountant(0, 0), stats: make(opFrame, cs.nOps), batch: DefaultBatchSize}
+	ec := &execCtx{db: db, acct: newAccountant(0, 0), stats: make(opFrame, cs.nOps), batch: batchCapacity}
 	sc := ec.getScratch(ec.batch)
 	ops := &OpStats{}
 	rows := db.Table("fact").Rows()

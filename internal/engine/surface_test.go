@@ -16,7 +16,11 @@ import (
 // with its one execution that binds parameter values, and the five
 // describers. Adding a name here means adding a second
 // way in; give the existing one an option or a caller-side helper
-// instead.
+// instead. The same holds for the options: ExecOptions' fields are
+// exactly what a caller decides about one statement, its two budgets
+// and a plan check. Adding a field here means adding a knob; make the
+// engine decide it instead, and bound a statement's time with its
+// context.
 func TestStatementSurface(t *testing.T) {
 	want := []string{
 		"DB.AnalyzeReport",
@@ -57,5 +61,17 @@ func TestStatementSurface(t *testing.T) {
 	sort.Strings(got)
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Errorf("exported statement surface changed:\n got:\n%s\nwant:\n%s", g, w)
+	}
+
+	var fields []string
+	opts := reflect.TypeOf(ExecOptions{})
+	for i := 0; i < opts.NumField(); i++ {
+		if f := opts.Field(i); f.IsExported() {
+			fields = append(fields, f.Name)
+		}
+	}
+	sort.Strings(fields)
+	if g, w := strings.Join(fields, " "), "MaxMemoryBytes MaxRows VerifyPlan"; g != w {
+		t.Errorf("ExecOptions fields changed: got %s, want %s", g, w)
 	}
 }

@@ -171,6 +171,11 @@ type DB struct {
 	// executor on up to n workers. Engine tests set it, before running
 	// statements, to compare the two executors; nothing else does.
 	forceWorkers int
+	// forceBatch, when positive, replaces batchCapacity as the row-id
+	// batch capacity of every statement. Engine tests set it, before
+	// running statements, to check that results, operator stats and
+	// budget errors are the same at every capacity; nothing else does.
+	forceBatch int
 }
 
 // AdaptiveReplans returns how many cached plans this DB has re-planned

@@ -46,7 +46,7 @@ func subplanControl(t testing.TB, sql string) sqlast.Statement {
 
 // unnestModes are the execution modes every unnested statement must
 // return the control's rows under, order included.
-var unnestModes = []execMode{{workers: 1}, {ExecOptions{BatchSize: 1}, 1}, {ExecOptions{BatchSize: 7}, 1}, {workers: 4}, {ExecOptions{BatchSize: 3}, 4}}
+var unnestModes = []execMode{{workers: 1}, {workers: 1, batch: 1}, {workers: 1, batch: 7}, {workers: 4}, {workers: 4, batch: 3}}
 
 // TestUnnestFires covers every way the rewrite fires. Each statement
 // must plan without a subplan for the EXISTS it unnests, show what the

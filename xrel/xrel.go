@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dewey"
@@ -55,22 +56,30 @@ func ParseXML(r io.Reader) (*Document, error) { return xmltree.Parse(r) }
 // Typed execution errors (re-exported from the embedded engine).
 // Match with errors.Is: a query that exceeds a budget set via
 // SetLimits fails with ErrMemoryBudget or ErrRowBudget; an engine
-// panic surfaces as ErrInternal instead of crashing the process.
+// panic surfaces as ErrInternal instead of crashing the process. A
+// query whose context is cancelled or past its deadline fails with
+// ctx.Err().
 var (
 	ErrMemoryBudget = engine.ErrMemoryBudget
 	ErrRowBudget    = engine.ErrRowBudget
 	ErrInternal     = engine.ErrInternal
-	ErrTimeout      = engine.ErrTimeout
 )
 
 // Store is a schema-aware XML store with PPF-based XPath querying.
 type Store struct {
-	schema      *schema.Schema
-	shred       *shred.SchemaAwareStore
-	tr          *core.Translator
-	maxMemBytes int64
-	maxRows     int64
-	batchSize   int
+	schema *schema.Schema
+	shred  *shred.SchemaAwareStore
+	tr     *core.Translator
+	// limits are the budgets SetLimits last set, published whole so a
+	// query reads both from one call.
+	limits atomic.Pointer[engine.ExecOptions]
+}
+
+// newStore assembles a store with no budgets set.
+func newStore(s *schema.Schema, st *shred.SchemaAwareStore, opts *Options) *Store {
+	store := &Store{schema: s, shred: st, tr: core.New(s, opts)}
+	store.limits.Store(&engine.ExecOptions{})
+	return store
 }
 
 // SetLimits sets per-statement resource budgets applied to every
@@ -79,26 +88,10 @@ type Store struct {
 // DISTINCT sets, result rows) and maxRows bounds the produced row
 // count. Zero (the default) means unlimited. Exceeding a budget fails
 // that statement with ErrMemoryBudget or ErrRowBudget and leaves the
-// store fully usable.
+// store fully usable. It is safe to call while queries run: each query
+// runs under the budgets of one SetLimits call, never a mix of two.
 func (s *Store) SetLimits(maxMemoryBytes, maxRows int64) {
-	s.maxMemBytes = maxMemoryBytes
-	s.maxRows = maxRows
-}
-
-// SetBatchSize sets the engine's row-id batch capacity for every
-// subsequent Query/QueryContext/RunSQL (0 or negative = the engine
-// default, currently 1024). Batch size is a pure performance knob:
-// results, operator statistics, and budget errors are identical at
-// every setting.
-func (s *Store) SetBatchSize(n int) { s.batchSize = n }
-
-// execOpts assembles the store-level execution options.
-func (s *Store) execOpts() engine.ExecOptions {
-	return engine.ExecOptions{
-		MaxMemoryBytes: s.maxMemBytes,
-		MaxRows:        s.maxRows,
-		BatchSize:      s.batchSize,
-	}
+	s.limits.Store(&engine.ExecOptions{MaxMemoryBytes: maxMemoryBytes, MaxRows: maxRows})
 }
 
 // PeakStatementMemory reports the largest accounted memory footprint
@@ -117,7 +110,7 @@ func OpenWithOptions(s *Schema, opts *Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{schema: s, shred: st, tr: core.New(s, opts)}, nil
+	return newStore(s, st, opts), nil
 }
 
 // OpenPersistent opens (or creates) a durable store rooted at dir.
@@ -141,7 +134,7 @@ func OpenPersistentWithOptions(dir string, s *Schema, opts *Options) (*Store, er
 		_ = db.Close()
 		return nil, err
 	}
-	return &Store{schema: s, shred: st, tr: core.New(s, opts)}, nil
+	return newStore(s, st, opts), nil
 }
 
 // Checkpoint compacts the store's write-ahead log into a checkpoint
@@ -230,7 +223,7 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 		return nil, err
 	}
 	sql := sh.SQL(args)
-	res, err := sh.Prepared(s.shred.DB).RunArgs(ctx, args, s.execOpts())
+	res, err := sh.Prepared(s.shred.DB).RunArgs(ctx, args, *s.limits.Load())
 	if err != nil {
 		return nil, fmt.Errorf("xrel: executing %q: %w", sql, err)
 	}
@@ -252,7 +245,7 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 // embedded engine for inspection and tooling. Like Query it passes a
 // nil context, not context.Background().
 func (s *Store) RunSQL(sql string) (cols []string, rows [][]string, err error) {
-	res, err := s.shred.DB.ExecSQL(nil, sql, s.execOpts())
+	res, err := s.shred.DB.ExecSQL(nil, sql, *s.limits.Load())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -286,7 +279,7 @@ func (s *Store) explain(query string, analyze bool) (string, error) {
 		return "", err
 	}
 	ex := s.shred.DB.PrepareStmt(&sqlast.Explain{Analyze: analyze, Stmt: sh.Stmt})
-	res, err := ex.RunArgs(nil, args, s.execOpts())
+	res, err := ex.RunArgs(nil, args, *s.limits.Load())
 	if err != nil {
 		return "", err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -245,33 +246,6 @@ func TestQueryUnderGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSetBatchSize checks the batch-size knob is plumbed through and
-// invariant: every setting — including the degenerate 1 — returns the
-// serial default's nodes.
-func TestSetBatchSize(t *testing.T) {
-	st := open(t)
-	q := "/A/B/C//F"
-	want, err := st.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []int{1, 7, 256, 4096, 0} {
-		st.SetBatchSize(bs)
-		got, err := st.Query(q)
-		if err != nil {
-			t.Fatalf("batch size %d: %v", bs, err)
-		}
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("batch size %d: %d nodes, want %d", bs, len(got.Nodes), len(want.Nodes))
-		}
-		for i := range got.Nodes {
-			if got.Nodes[i] != want.Nodes[i] {
-				t.Fatalf("batch size %d: node %d differs: %+v vs %+v", bs, i, got.Nodes[i], want.Nodes[i])
-			}
-		}
-	}
-}
-
 func TestSetLimits(t *testing.T) {
 	st := open(t)
 	baseline, err := st.Query("/A/B/C//F")
@@ -322,4 +296,50 @@ func TestQueryContext(t *testing.T) {
 	if len(res.Nodes) != 2 {
 		t.Fatalf("nodes = %v", res.Nodes)
 	}
+}
+
+// TestSetLimitsConcurrent calls SetLimits while queries run. Each of
+// the two settings fails the query, one on memory and one on rows; a
+// query that read the memory field of one and the row field of the
+// other could run with no budget at all and succeed. Every query must
+// fail with a budget error. Run under -race (make chaos), which also
+// rejects the unsynchronised reads such a mix comes from.
+func TestSetLimitsConcurrent(t *testing.T) {
+	st := open(t)
+	const q = "/A/B/C//F"
+	st.SetLimits(16, 0)
+	stop := make(chan struct{})
+	setter := make(chan struct{})
+	go func() {
+		defer close(setter)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				st.SetLimits(0, 1)
+			} else {
+				st.SetLimits(16, 0)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				_, err := st.Query(q)
+				if !errors.Is(err, ErrMemoryBudget) && !errors.Is(err, ErrRowBudget) {
+					t.Errorf("query under concurrent SetLimits: err = %v, want one setting's budget error", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-setter
 }
