@@ -2,9 +2,9 @@
 # (10s per native fuzz target), which stays CI-only.
 GO ?= go
 
-.PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke planquality-smoke golden-rows bench-harness
+.PHONY: check build fmtcheck vet xvet transcheck plancheck protocheck test race chaos batch-smoke crash-smoke fuzz-smoke bench-smoke explain-smoke golden-rows bench-harness
 
-check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke bench-smoke explain-smoke planquality-smoke golden-rows
+check: build fmtcheck vet xvet transcheck plancheck protocheck test bench-harness race chaos batch-smoke crash-smoke bench-smoke explain-smoke golden-rows
 
 build:
 	$(GO) build ./...
@@ -129,14 +129,6 @@ bench-smoke:
 # Edge-like translation's widest branch.
 explain-smoke:
 	$(GO) run ./cmd/xbench -experiment explain -scale 0.02 -reps 1
-
-# planquality-smoke compares synopsis-costed plans against the
-# pre-synopsis heuristic planner on the fig3 corpus: after adaptive
-# settling every operator's cardinality q-error must be at most 2 and
-# no query's intermediate-result work may regress past the slack
-# bound, with oracle verification on (DESIGN.md section 13).
-planquality-smoke:
-	$(GO) run ./cmd/xbench -experiment planquality -scale 0.02 -reps 1
 
 # golden-rows is the planner's result-identity harness: the Figure 3
 # statements and the six ad-hoc templates, both mappings, 24 runs a

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xbench -experiment fig3|appc-small|appc-large|appc-dblp|joins|\
-//	                   explain|planquality|ablate-pathfilter|ablate-fkjoin|mixed|all
+//	                   explain|ablate-pathfilter|ablate-fkjoin|mixed|all
 //	       [-scale N] [-reps N] [-budget 60s] [-seed N] [-noverify]
 //	       [-max-mem BYTES] [-max-rows N] [-json out.json]
 //
@@ -147,16 +147,6 @@ func run(experiment string, scale float64, reps int, budget time.Duration, seed 
 				return err
 			}
 			return show(bench.ExplainCheck([]*bench.Workload{x, d}, opts))
-		case "planquality":
-			x, err := xmarkAt(scale)
-			if err != nil {
-				return err
-			}
-			d, err := dblpAt(scale)
-			if err != nil {
-				return err
-			}
-			return show(bench.PlanQuality([]*bench.Workload{x, d}, opts))
 		case "ablate-pathfilter":
 			w, err := xmarkAt(scale)
 			if err != nil {

@@ -83,14 +83,6 @@ type Record struct {
 	Joins        int     `json:"joins"`
 	Operators    int     `json:"operators"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
-	// Plan-quality fields (experiment "planquality" only): the plan's
-	// join order and access paths, the settled plan's worst
-	// per-operator q-error, adaptive re-plans taken, and total rows
-	// pushed through the plan's operators.
-	JoinOrder string  `json:"join_order,omitempty"`
-	MaxQError float64 `json:"max_q_error,omitempty"`
-	Replans   uint64  `json:"replans,omitempty"`
-	WorkRows  int64   `json:"work_rows,omitempty"`
 }
 
 // emit forwards a measurement to the Opts sink, if any.

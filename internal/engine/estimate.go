@@ -92,24 +92,14 @@ const (
 // whose observed per-operator q-error exceeds replanQErrorThreshold is
 // re-planned with observed cardinalities as overrides, at most
 // maxAdaptiveReplans times per statement so estimation noise cannot
-// cause plan flapping. The threshold matches the planquality
-// experiment's quality bar: any estimate more than 2x off in either
-// direction is corrected from observation on the next cache hit.
+// cause plan flapping. Any estimate more than 2x off in either
+// direction is corrected from observation on the next cache hit, and
+// the plan the loop settles on stays within the threshold on the
+// Figure 3 statements (TestSettledPlansOnFig3).
 const (
 	replanQErrorThreshold = 2.0
 	maxAdaptiveReplans    = 2
 )
-
-// heuristicOnly reports whether synopsis-driven planning is disabled
-// on this DB (the experiment baseline, SetHeuristicOnlyPlanning).
-func (p *planner) heuristicOnly() bool { return p.db.heuristicPlans.Load() }
-
-// SetHeuristicOnlyPlanning disables synopsis-backed estimation,
-// synopsis filter omission, and adaptive re-planning, reverting the
-// planner to the named defaults. It exists for the planquality
-// experiment's baseline and must be set before statements are planned
-// (cached plans are not invalidated by the flag).
-func (db *DB) SetHeuristicOnlyPlanning(v bool) { db.heuristicPlans.Store(v) }
 
 // tableSelectivity derives the fraction of the table's rows surviving
 // its own single-table conjuncts, skipping what the chosen access path
@@ -242,7 +232,7 @@ func synEq(c synopsis.Col, v Value) (int64, bool) {
 // comparisons; the second result reports whether the synopsis (rather
 // than the default) produced the number.
 func (p *planner) conjunctSelectivity(e sqlast.Expr, name string, t *Table, st *tableState, sc *scope) (float64, bool) {
-	if p.heuristicOnly() {
+	if p.heuristic {
 		return defaultFilterSelectivity, false
 	}
 	syn := st.syn
@@ -344,7 +334,7 @@ func (p *planner) conjunctSelectivity(e sqlast.Expr, name string, t *Table, st *
 // never builds hash indexes at plan time anymore: equality fanout
 // comes from the synopsis histogram.
 func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
-	if p.heuristicOnly() {
+	if p.heuristic {
 		return float64(a.est(st)), false
 	}
 	syn := st.syn
@@ -449,7 +439,7 @@ type omittedFilter struct {
 // retires the plan (plancache freshness).
 func (p *planner) proveRedundant(e sqlast.Expr, name string, t *Table, st *tableState, sc *scope) (omittedFilter, bool) {
 	no := omittedFilter{}
-	if p.heuristicOnly() {
+	if p.heuristic {
 		return no, false
 	}
 	syn := st.syn

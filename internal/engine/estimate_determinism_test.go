@@ -51,7 +51,7 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 		t.Helper()
 		var out string
 		for i := 0; i <= maxAdaptiveReplans+1; i++ {
-			reports, _, err := db.AnalyzeReport(st, opts)
+			reports, _, err := db.analyzeReport(st, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

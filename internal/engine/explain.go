@@ -79,16 +79,15 @@ func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, args []Val
 	return res, nil
 }
 
-// OpReport is one operator's estimate-vs-observed record from an
-// AnalyzeReport run, the structured companion to EXPLAIN ANALYZE's
-// est_rows/q annotations for experiment harnesses (bench planquality).
-type OpReport struct {
+// opReport is one operator's estimate-vs-observed record from an
+// analyzeReport run, the structured companion to EXPLAIN ANALYZE's
+// est_rows/q annotations that the engine's tests read.
+type opReport struct {
 	Label string
 	// Kind classifies the operator ("scan", "filter", "project",
-	// "count", "distinct", "sort", "union", "subplan") so harnesses can
-	// compute structural metrics (e.g. intermediate result sizes) without
-	// parsing labels. Reports arrive in render order: a step's filter
-	// immediately follows its scan.
+	// "count", "distinct", "sort", "union", "subplan") so tests can pick
+	// operators out without parsing labels. Reports arrive in render
+	// order: a step's filter immediately follows its scan.
 	Kind string
 	// EstRows is the planner's per-loop output estimate, valid when
 	// HasEst (scans and filters carry estimates; projections, sorts and
@@ -105,16 +104,16 @@ type OpReport struct {
 	QError float64
 }
 
-// AnalyzeReport executes the statement and returns the per-operator
+// analyzeReport executes the statement and returns the per-operator
 // estimate/observation records in render order, plus the result.
-func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) ([]OpReport, *Result, error) {
+func (db *DB) analyzeReport(st sqlast.Statement, opts ExecOptions) ([]opReport, *Result, error) {
 	cs, res, frame, err := db.analyze(nil, st, nil, opts, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	var reports []OpReport
+	var reports []opReport
 	walkOps(cs, func(n *opNode) {
-		r := OpReport{Label: n.label, Kind: n.kind.String(), EstRows: n.est, HasEst: n.hasEst,
+		r := opReport{Label: n.label, Kind: n.kind.String(), EstRows: n.est, HasEst: n.hasEst,
 			Loops: frame[n.id].loops, RowsOut: frame[n.id].rowsOut}
 		if n.hasEst && r.Loops > 0 {
 			r.QError = n.qError(float64(r.RowsOut) / float64(r.Loops))

@@ -11,8 +11,9 @@ import "fmt"
 // pinned state, and the lowering (physplan.go) emits no distinct or
 // sort operator for a property that is proven. Both proofs are exported
 // with the plan shape (plantrace.go) as evidence plancheck re-derives.
-// Heuristic-only planning, which may not look at the data, proves
-// nothing and keeps both operators.
+// The heuristic planner the engine's tests hold the proofs against
+// (DB.forceHeuristic) may not look at the data: it proves nothing and
+// keeps both operators.
 
 // keyProof shows a DISTINCT select's rows duplicate-free: every
 // projected and ORDER BY expression reads only the driving alias, and

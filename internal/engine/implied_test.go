@@ -101,7 +101,7 @@ func TestImpliedProofs(t *testing.T) {
 	// rows, the control's too; such statements, all over one relation,
 	// are also held against heuristic-only planning, which proves nothing.
 	heuristic := orderedDB(t)
-	heuristic.SetHeuristicOnlyPlanning(true)
+	ForceHeuristic(heuristic, true)
 	cases := []struct {
 		name, sql             string
 		distinct, sort, first bool // what the subject's plan must hold

@@ -42,7 +42,7 @@ const (
 // sort that goes with it, its output then needs — forfeitRowCost per
 // estimated output row. The orders the select's own aliases drive were
 // open to the search before the rewrite and are priced as they were.
-// Without statistics (heuristicOnly) there is no ground to take a
+// Without statistics (planner.heuristic) there is no ground to take a
 // predicate for selective: existential aliases then stay behind the
 // select's own, the order the nesting evaluated them in.
 //
@@ -64,7 +64,7 @@ func (p *planner) chooseJoinOrder(plan *selectPlan, names []string, local map[st
 		// Observed cardinalities from adaptive re-planning trump the
 		// synopsis — they already include join-predicate effects — but
 		// only at the join position they were observed in (ovKey.after).
-		if len(p.overrides) > 0 && !p.heuristicOnly() {
+		if len(p.overrides) > 0 && !p.heuristic {
 			if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok {
 				e = ov.rows
 			}
@@ -83,10 +83,10 @@ func (p *planner) chooseJoinOrder(plan *selectPlan, names []string, local map[st
 		return e
 	}
 
-	// mayBind holds an existential alias back, under heuristicOnly, until
-	// the select's own aliases are bound.
+	// mayBind holds an existential alias back, under planner.heuristic,
+	// until the select's own aliases are bound.
 	mayBind := func(name string, bound map[string]bool) bool {
-		if !p.heuristicOnly() || !plan.existential(name) {
+		if !p.heuristic || !plan.existential(name) {
 			return true
 		}
 		for _, other := range names {
@@ -178,7 +178,7 @@ func (p *planner) chooseJoinOrder(plan *selectPlan, names []string, local map[st
 // none would. It is the result alias, the one everything projected and
 // every ORDER BY key reads, so at most one qualifies.
 func (p *planner) provingAlias(plan *selectPlan, names []string, local map[string]*Table) int {
-	if p.heuristicOnly() {
+	if p.heuristic {
 		return -1
 	}
 	for i, name := range names {

@@ -27,7 +27,7 @@ const (
 	opSubplan               // correlated EXISTS / scalar subquery boundary
 )
 
-// String names the kind for structured reports (OpReport.Kind).
+// String names the kind for structured reports (opReport.Kind).
 func (k opKind) String() string {
 	switch k {
 	case opScan:

@@ -326,6 +326,10 @@ func minInt(a, b int) int {
 type planner struct {
 	db   *DB
 	snap *dbSnap
+	// heuristic is DB.forceHeuristic as the compile found it, read once
+	// so one statement never mixes the two modes: the planner then looks
+	// at no data and plans on the named defaults alone.
+	heuristic bool
 	// touched records every table resolved while planning (including
 	// tables of correlated subselects) so the plan cache can pin the
 	// table states a cached plan depends on. Nil when the caller
@@ -515,7 +519,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		accessEst, synAccess := p.accessEstimate(access, st)
 		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, access, accessSrc)
 		e := stepEstimate{access: access, estAccess: accessEst, rows: accessEst * selOwn, source: EstDefault}
-		if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok && !p.heuristicOnly() {
+		if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok && !p.heuristic {
 			e.rows = ov.rows
 			if ov.access > 0 {
 				e.estAccess = ov.access
@@ -628,7 +632,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		s.orderFilters()
 	}
 
-	if !p.heuristicOnly() {
+	if !p.heuristic {
 		plan.unique = plan.proveUnique()
 		if len(plan.orderBy) == 1 {
 			plan.setOrdered(plan.proveOrder(plan.orderBy[0].x, plan.orderBy[0].desc))

@@ -49,6 +49,10 @@ type compiledStmt struct {
 	// (KNull for a slot nothing compiled reads): what every execution's
 	// arguments are checked against.
 	params []Kind
+	// heuristic records that the plan was compiled without looking at the
+	// data (planner.heuristic): its estimates are the named defaults, and
+	// observations never re-plan it.
+	heuristic bool
 }
 
 // tableVer pins the state a table had at plan time. States are
@@ -136,11 +140,11 @@ type planOverrides struct {
 // estimates read (estimate.go); ov, when non-nil, the observed
 // cardinalities adaptive re-planning injects into the planner.
 func compileStmt(db *DB, st sqlast.Statement, args []Value, ov *planOverrides) (*compiledStmt, error) {
-	p := &planner{db: db, snap: db.loadSnap(), touched: map[*Table]bool{}, args: args}
+	p := &planner{db: db, snap: db.loadSnap(), heuristic: db.forceHeuristic, touched: map[*Table]bool{}, args: args}
 	if ov != nil {
 		p.subOverrides = ov.subs
 	}
-	cs := &compiledStmt{observed: ov}
+	cs := &compiledStmt{observed: ov, heuristic: p.heuristic}
 	switch s := st.(type) {
 	case *sqlast.Select:
 		if ov != nil {
@@ -188,7 +192,7 @@ func compileStmt(db *DB, st sqlast.Statement, args []Value, ov *planOverrides) (
 			}
 			u.branches = append(u.branches, plan)
 		}
-		if !p.heuristicOnly() {
+		if !p.heuristic {
 			u.proveMerge()
 		}
 		cs.union = u
@@ -315,7 +319,7 @@ func (db *DB) compiledFor(st sqlast.Statement, key string, args []Value) (*compi
 }
 
 // compile is the preamble the plan describers (Explain, EXPLAIN
-// ANALYZE, AnalyzeReport, OperatorCount, PlanShape) share: render the
+// ANALYZE, OperatorCount, PlanShape) share: render the
 // plan-cache key and fetch or build the plan, an internal panic in the
 // planner returning as *InternalError.
 func (db *DB) compile(st sqlast.Statement, args []Value) (key string, cs *compiledStmt, err error) {
@@ -460,7 +464,7 @@ func planFeedback(cs *compiledStmt, frame opFrame) *planOverrides {
 // new plan pins the current snapshot like any fresh compile, so a
 // racing commit simply retires it through the normal freshness check.
 func (db *DB) maybeReplan(st sqlast.Statement, key string, args []Value, cs *compiledStmt) *compiledStmt {
-	if db.heuristicPlans.Load() || cs.replans >= maxAdaptiveReplans {
+	if cs.heuristic || cs.replans >= maxAdaptiveReplans {
 		return nil
 	}
 	fb := cs.feedback.Load()

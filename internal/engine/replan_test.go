@@ -11,7 +11,7 @@ import (
 
 // scanOrder lists the alias of every scan operator in execution
 // order — the join order the plan actually committed to.
-func scanOrder(reports []OpReport) []string {
+func scanOrder(reports []opReport) []string {
 	var order []string
 	for _, r := range reports {
 		if r.Kind != "scan" {
@@ -94,7 +94,7 @@ func TestAdaptiveReplanOnSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep1, res1, err := db.AnalyzeReport(st, ExecOptions{})
+	rep1, res1, err := db.analyzeReport(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAdaptiveReplanOnSkew(t *testing.T) {
 		t.Fatalf("initial plan should lead with the mis-estimated table A, got %v", order1)
 	}
 
-	rep2, res2, err := db.AnalyzeReport(st, ExecOptions{})
+	rep2, res2, err := db.analyzeReport(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestAdaptiveReplanOnSkew(t *testing.T) {
 	// overflow estimate makes look just as selective when the distinct
 	// sketch puts one value per outside key; that probe returns 1000
 	// rows, and a second re-plan corrects its estimate.
-	var rep []OpReport
+	var rep []opReport
 	var before uint64
 	for i := 3; i <= 3+maxAdaptiveReplans; i++ {
 		before = db.AdaptiveReplans()
 		var res *Result
-		rep, res, err = db.AnalyzeReport(st, ExecOptions{})
+		rep, res, err = db.analyzeReport(st, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestAdaptiveReplanKeepsEarlierObservations(t *testing.T) {
 	wantReplans := []uint64{0, 1, 2, 2}
 	var first []string
 	for i := range wantLead {
-		rep, res, err := db.AnalyzeReport(st, ExecOptions{})
+		rep, res, err := db.analyzeReport(st, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestFirstMatchFeedbackIsALowerBound(t *testing.T) {
 		"(SELECT NULL FROM yr y WHERE y.par = a.id AND y.val >= 5) AND s.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF' ORDER BY s.dewey_pos")
 	var first string
 	for i := 0; i < 2+maxAdaptiveReplans; i++ {
-		rep, res, err := db.AnalyzeReport(st, ExecOptions{})
+		rep, res, err := db.analyzeReport(st, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,9 +186,9 @@ type equiJoin struct {
 // with the FROM order less the eliminated aliases. The resolutions are
 // recorded on the plan for the exported shape.
 func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local map[string]*Table, order []string, conjuncts []*conjunct) ([]*conjunct, []string) {
-	// Under SetHeuristicOnlyPlanning the planner does not look at the
-	// data at all, and this rewrite is nothing but a look at the data.
-	if len(order) < 2 || p.heuristicOnly() {
+	// A heuristic planner (DB.forceHeuristic) does not look at the data
+	// at all, and this rewrite is nothing but a look at the data.
+	if len(order) < 2 || p.heuristic {
 		return conjuncts, order
 	}
 	var joins map[string][]equiJoin

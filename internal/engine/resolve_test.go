@@ -193,7 +193,7 @@ func TestResolveEmptyKeySetScansNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, res, err := db.AnalyzeReport(st, ExecOptions{})
+	reports, res, err := db.analyzeReport(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +210,38 @@ func TestResolveEmptyKeySetScansNothing(t *testing.T) {
 	}
 }
 
-// TestResolveHeuristicOnlyPlansAsWritten: under
-// SetHeuristicOnlyPlanning the planner does not look at the data, so
-// the rewrite is off and the dimension is a step again.
+// resolvedDimQ is a join the resolution rewrite turns into key-set
+// probes of fact, reading dim at plan time.
+const resolvedDimQ = "SELECT f.id FROM fact f, dim d WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/a/b') ORDER BY f.id"
+
+// TestResolveHeuristicOnlyPlansAsWritten: under ForceHeuristic the
+// planner does not look at the data, so the rewrite is off and the
+// dimension is a step again.
 func TestResolveHeuristicOnlyPlansAsWritten(t *testing.T) {
 	db := dimDB(t)
-	db.SetHeuristicOnlyPlanning(true)
-	const q = "SELECT f.id FROM fact f, dim d WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/a/b') ORDER BY f.id"
-	if plan := explainOf(t, db, q); !strings.Contains(plan, "scan d:") || strings.Contains(plan, " keys of d>") {
+	ForceHeuristic(db, true)
+	if plan := explainOf(t, db, resolvedDimQ); !strings.Contains(plan, "scan d:") || strings.Contains(plan, " keys of d>") {
 		t.Errorf("heuristic-only plan was rewritten:\n%s", plan)
 	}
-	if got := rowTexts(mustRun(t, db, q)); !reflect.DeepEqual(got, []string{"2", "3", "6"}) {
+	if got := rowTexts(mustRun(t, db, resolvedDimQ)); !reflect.DeepEqual(got, []string{"2", "3", "6"}) {
 		t.Errorf("rows = %v", got)
+	}
+}
+
+// TestForceHeuristicDropsCachedPlans: switching the planner's mode on a
+// DB that has the statement's plan cached plans it again in the new
+// mode, in either direction, rather than serving the cached plan.
+func TestForceHeuristicDropsCachedPlans(t *testing.T) {
+	db := dimDB(t)
+	for _, heuristic := range []bool{false, true, false} {
+		ForceHeuristic(db, heuristic)
+		plan := explainOf(t, db, resolvedDimQ)
+		if resolved := strings.Contains(plan, "key-set probes hash <2 keys of d>"); resolved == heuristic {
+			t.Errorf("heuristic %v: plan resolved %v:\n%s", heuristic, resolved, plan)
+		}
+		if got := rowTexts(mustRun(t, db, resolvedDimQ)); !reflect.DeepEqual(got, []string{"2", "3", "6"}) {
+			t.Errorf("heuristic %v: rows = %v", heuristic, got)
+		}
 	}
 }
 
@@ -499,7 +519,7 @@ func TestFilterOrderByCostClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, res, err := db.AnalyzeReport(st, ExecOptions{})
+	reports, res, err := db.analyzeReport(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func TestScopedDeweyStep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db, oracle := deweyDB(t, tc.shuffled, tc.nulls), deweyDB(t, tc.shuffled, tc.nulls)
-			oracle.SetHeuristicOnlyPlanning(true)
+			ForceHeuristic(oracle, true)
 			if asc := db.Table("fact").state().ascending[2]; asc == (tc.shuffled || tc.nulls) {
 				t.Fatalf("fixture's dewey_pos ascending: %v", asc)
 			}

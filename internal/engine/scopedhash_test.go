@@ -129,7 +129,7 @@ func TestScopedHashJoin(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db, oracle := scopedDB(t), scopedDB(t)
-			oracle.SetHeuristicOnlyPlanning(true)
+			ForceHeuristic(oracle, true)
 			got, want := mustRun(t, db, tc.sql), mustRun(t, oracle, tc.sql)
 			if !equalResults(got, want) {
 				t.Errorf("rows %v, want %v", rowTexts(got), rowTexts(want))

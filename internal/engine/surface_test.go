@@ -13,17 +13,19 @@ import (
 // cannot re-accrete: the methods of *DB that take a sqlast.Statement
 // or hand back a *Result or *Prepared, plus every method of *Prepared,
 // are exactly the boundary, its string convenience, the prepared pair
-// with its one execution that binds parameter values, and the five
+// with its one execution that binds parameter values, and the four
 // describers. Adding a name here means adding a second
 // way in; give the existing one an option or a caller-side helper
 // instead. The same holds for the options: ExecOptions' fields are
 // exactly what a caller decides about one statement, its two budgets
 // and a plan check. Adding a field here means adding a knob; make the
 // engine decide it instead, and bound a statement's time with its
-// context.
+// context. *DB has no exported Set* or Force* method at all: a switch
+// only tests need is an unexported DB field they reach through
+// export_test.go (ForceBatch, ForceHeuristic), and one a caller needs
+// is a per-statement option, decided above.
 func TestStatementSurface(t *testing.T) {
 	want := []string{
-		"DB.AnalyzeReport",
 		"DB.ExecSQL",
 		"DB.Explain",
 		"DB.ExplainAnalyzeWithOptions",
@@ -39,10 +41,13 @@ func TestStatementSurface(t *testing.T) {
 		reflect.TypeOf((*Result)(nil)):   true,
 		reflect.TypeOf((*Prepared)(nil)): true,
 	}
-	var got []string
+	var got, knobs []string
 	db := reflect.TypeOf((*DB)(nil))
 	for i := 0; i < db.NumMethod(); i++ {
 		m := db.Method(i)
+		if strings.HasPrefix(m.Name, "Set") || strings.HasPrefix(m.Name, "Force") {
+			knobs = append(knobs, "DB."+m.Name)
+		}
 		on := false
 		for j := 1; j < m.Type.NumIn(); j++ {
 			on = on || m.Type.In(j) == stmt
@@ -61,6 +66,9 @@ func TestStatementSurface(t *testing.T) {
 	sort.Strings(got)
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Errorf("exported statement surface changed:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if len(knobs) > 0 {
+		t.Errorf("*DB exports switches %v; make each an unexported field tests reach through export_test.go", knobs)
 	}
 
 	var fields []string

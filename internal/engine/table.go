@@ -159,9 +159,6 @@ type DB struct {
 	// peakMem is the high-water mark of per-statement accounted
 	// memory across every statement run against this DB.
 	peakMem atomic.Int64
-	// heuristicPlans disables synopsis-backed estimation (the
-	// planquality experiment baseline, SetHeuristicOnlyPlanning).
-	heuristicPlans atomic.Bool
 	// replanCount counts adaptive re-plans performed on this DB
 	// (plancache.go maybeReplan), exposed via AdaptiveReplans.
 	replanCount atomic.Uint64
@@ -176,6 +173,13 @@ type DB struct {
 	// running statements, to check that results, operator stats and
 	// budget errors are the same at every capacity; nothing else does.
 	forceBatch int
+	// forceHeuristic plans every statement without looking at the data:
+	// no synopsis estimates, filter omissions, plan-time resolutions,
+	// implied-property proofs or adaptive re-plans, only the named
+	// defaults. Engine tests set it, through ForceHeuristic, as the
+	// control the data-driven plans are checked against; nothing else
+	// does.
+	forceHeuristic bool
 }
 
 // AdaptiveReplans returns how many cached plans this DB has re-planned

@@ -185,7 +185,7 @@ func TestUnnestStopsAtFirstFullMatch(t *testing.T) {
 	st := sqlast.MustParse(sql)
 	for _, m := range unnestModes {
 		db.forceWorkers = m.workers
-		reports, _, err := db.AnalyzeReport(st, m.ExecOptions)
+		reports, _, err := db.analyzeReport(st, m.ExecOptions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestSubplanConjunctWaitsOnlyForNarrowRun(t *testing.T) {
 			"NOT EXISTS (SELECT NULL FROM blk b WHERE b.par = d.id) ORDER BY d.id")
 		for _, m := range unnestModes {
 			db.forceWorkers = m.workers
-			reports, res, err := db.AnalyzeReport(st, m.ExecOptions)
+			reports, res, err := db.analyzeReport(st, m.ExecOptions)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +437,7 @@ func TestUnnestLeavesErrorsAlone(t *testing.T) {
 // selective by.
 func TestUnnestUnderHeuristicPlanning(t *testing.T) {
 	db, heuristic := bigDB(t), bigDB(t)
-	heuristic.SetHeuristicOnlyPlanning(true)
+	ForceHeuristic(heuristic, true)
 	for _, sql := range unnestQueries {
 		st := sqlast.MustParse(sql)
 		plan, err := heuristic.Explain(st)
