@@ -94,7 +94,8 @@ batch-smoke:
 
 # crash-smoke is the kill-and-recover matrix: a persistent store is
 # crashed at every durability failpoint (wal/append, wal/fsync,
-# wal/checkpoint, engine/recovery-replay) plus at the file level (torn
+# wal/checkpoint, engine/checkpoint-dirsync, wal/reset,
+# engine/recovery-replay) plus at the file level (torn
 # WAL tail, CRC bit flips), recovery is re-run, and the recovered
 # database must answer the fig3 workload oracle-identically while
 # concurrent readers only ever see whole-document snapshots — all

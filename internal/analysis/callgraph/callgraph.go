@@ -115,8 +115,11 @@ type Graph struct {
 	byLit map[*ast.FuncLit]*Node
 }
 
-// NodeOf returns the node of a declared function or method, or nil.
-func (g *Graph) NodeOf(obj *types.Func) *Node { return g.byObj[obj] }
+// NodeOf returns the node of a declared function or method, or nil. An
+// instantiated function or method of a generic type (f[int], the
+// methods of box[int]) maps to its declaration's node: the graph has
+// one node per body, whatever it is instantiated with.
+func (g *Graph) NodeOf(obj *types.Func) *Node { return g.byObj[obj.Origin()] }
 
 // LitNode returns the node of a function literal, or nil.
 func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
@@ -280,7 +283,7 @@ func parentCall(stack []ast.Node) (*ast.CallExpr, bool) {
 // call classifies one call site and records the matching edges.
 func (b *gbuilder) call(owner *Node, call *ast.CallExpr) {
 	info := b.g.Info
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := calledExpr(call).(type) {
 	case *ast.FuncLit:
 		// Edge recorded when the literal itself is visited.
 	case *ast.Ident:
@@ -326,9 +329,24 @@ func (b *gbuilder) call(owner *Node, call *ast.CallExpr) {
 	}
 }
 
+// calledExpr is the function expression of a call without parentheses
+// or an explicit instantiation: f[int](x) calls f.
+func calledExpr(call *ast.CallExpr) ast.Expr {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		return ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		return ast.Unparen(ix.X)
+	}
+	return fun
+}
+
 // static records a direct call: an intra-package edge when the callee
-// is declared here with a body, an ExternCall otherwise.
+// is declared here with a body, an ExternCall otherwise. Either names
+// the callee's declaration, not its instantiation.
 func (b *gbuilder) static(owner *Node, callee *types.Func, call *ast.CallExpr) {
+	callee = callee.Origin()
 	if n := b.g.byObj[callee]; n != nil {
 		b.edge(owner, n, Static, call)
 		return
@@ -384,22 +402,34 @@ func (b *gbuilder) identRef(owner *Node, id *ast.Ident, stack []ast.Node) {
 	if !ok {
 		return
 	}
-	n := b.g.byObj[fn]
+	n := b.g.NodeOf(fn)
 	if n == nil {
 		return
 	}
-	// In call position (directly or as the .Sel of the called
-	// selector) the static/interface edge already exists.
+	// In call position (directly, as the .Sel of the called selector, or
+	// explicitly instantiated) the static/interface edge already exists.
 	site := ast.Expr(id)
-	if len(stack) > 0 {
-		if se, okSel := stack[len(stack)-1].(*ast.SelectorExpr); okSel && se.Sel == id {
+	up := len(stack) - 1
+	if up >= 0 {
+		if se, okSel := stack[up].(*ast.SelectorExpr); okSel && se.Sel == id {
 			site = se
-			if len(stack) > 1 {
-				if ce, okCall := stack[len(stack)-2].(*ast.CallExpr); okCall && ast.Unparen(ce.Fun) == ast.Expr(se) {
-					return
-				}
+			up--
+		}
+	}
+	if up >= 0 {
+		switch ix := stack[up].(type) {
+		case *ast.IndexExpr:
+			if ix.X == site {
+				up--
 			}
-		} else if ce, okCall := stack[len(stack)-1].(*ast.CallExpr); okCall && ast.Unparen(ce.Fun) == ast.Expr(id) {
+		case *ast.IndexListExpr:
+			if ix.X == site {
+				up--
+			}
+		}
+	}
+	if up >= 0 {
+		if ce, okCall := stack[up].(*ast.CallExpr); okCall && calledExpr(ce) == site {
 			return
 		}
 	}

@@ -221,10 +221,10 @@ func (g *Graph) freshExprLocals(e ast.Expr, locals map[types.Object]bool, fresh 
 }
 
 func (g *Graph) calleeFresh(fn *types.Func, fresh map[*Node]bool, extern func(*types.Func) bool) bool {
-	if n := g.byObj[fn]; n != nil {
+	if n := g.NodeOf(fn); n != nil {
 		return fresh[n]
 	}
-	return extern != nil && extern(fn)
+	return extern != nil && extern(fn.Origin())
 }
 
 // ownWalk visits the nodes of body that belong to the function itself,

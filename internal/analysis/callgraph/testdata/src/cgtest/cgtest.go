@@ -38,3 +38,25 @@ func wrap() *T { return newT() }
 
 // identity returns its parameter: not fresh.
 func identity(t *T) *T { return t }
+
+// box is generic: calls of its instantiations' methods, and of an
+// instantiated function, inferred or explicit, are Static edges to the
+// declarations, and an instantiated method value escapes.
+type box[V any] struct{ v V }
+
+func (b *box[V]) set(v V) { b.v = v }
+
+func (b *box[V]) reset() {
+	var zero V
+	b.set(zero)
+}
+
+func first[V any](vs []V) V { return vs[0] }
+
+func generic() {
+	var b box[int]
+	b.set(first([]int{1}))
+	b.reset()
+	_ = first[string]([]string{"x"})
+	use(b.reset)
+}

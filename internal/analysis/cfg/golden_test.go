@@ -33,20 +33,34 @@ func TestEngineGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"drain", "collectMorsels", "get"} {
-		fd := findFunc(t, pkg, name)
-		g := cfg.New(name, fd.Body)
+	for _, fn := range []struct{ recv, name string }{{"morselRun", "drain"}, {"execCtx", "collectMorsels"}, {"planCache", "get"}} {
+		fd := findFunc(t, pkg, fn.recv, fn.name)
+		g := cfg.New(fn.name, fd.Body)
 		reach := cfg.Reaching(g, pkg.Info, paramVars(pkg.Info, fd), fd.Body)
 		dump := g.Dump(describeNode(pkg.Fset)) + "\n" + reach.Dump(pkg.Fset)
-		compareGolden(t, filepath.Join("testdata", name+".golden"), dump)
+		compareGolden(t, filepath.Join("testdata", fn.name+".golden"), dump)
 	}
 }
 
-func findFunc(t *testing.T, pkg *analysis.Package, name string) *ast.FuncDecl {
+// findFunc returns the declaration of the named function, or of the
+// named method of the pointer receiver type recv ("" for a function).
+func findFunc(t *testing.T, pkg *analysis.Package, recv, name string) *ast.FuncDecl {
 	t.Helper()
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name && fd.Body != nil {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != name || fd.Body == nil {
+				continue
+			}
+			var got string
+			if fd.Recv != nil {
+				if star, okS := fd.Recv.List[0].Type.(*ast.StarExpr); okS {
+					if id, okI := star.X.(*ast.Ident); okI {
+						got = id.Name
+					}
+				}
+			}
+			if got == recv {
 				return fd
 			}
 		}

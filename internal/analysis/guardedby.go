@@ -191,14 +191,16 @@ func (pass *Pass) guardSites(owner *callgraph.Node, node ast.Node, ann *protoAnn
 
 // annotatedField resolves an assignment target to the //guardedby:
 // annotation of the field it writes (directly, or through an
-// index/deref of the field: st.hashIdx[c] writes field hashIdx).
+// index/deref of the field: st.builds.m[k] writes field m). A field of
+// an instantiated generic type (memo[K, V].m) carries the annotation of
+// its declaration.
 func (pass *Pass) annotatedField(lhs ast.Expr, ann *protoAnnotations) *guardSpec {
 	e := lhs
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			if v, ok := pass.TypesInfo.Uses[x.Sel].(*types.Var); ok {
-				if spec, okS := ann.guards[v]; okS {
+				if spec, okS := ann.guards[v.Origin()]; okS {
 					return spec
 				}
 			}
@@ -252,7 +254,7 @@ func hasCallerGuards(ann *protoAnnotations) bool {
 // call sites.
 func callerMutators(g *callgraph.Graph, ann *protoAnnotations) map[*types.Func]string {
 	guardName := func(v *types.Var) (string, *types.Named, bool) {
-		if spec, ok := ann.guards[v]; ok && spec.caller {
+		if spec, ok := ann.guards[v.Origin()]; ok && spec.caller {
 			return spec.name, spec.owner, true
 		}
 		return "", nil, false

@@ -93,3 +93,57 @@ func Fresh(p []byte) uint64 {
 	l := wal.Open()
 	return l.Append(p)
 }
+
+// memo is generic: a write to its guarded field, inside its methods or
+// through a field of one of its instantiations, is checked against the
+// annotation on the declaration, and calls of an instantiation's
+// methods carry the caller's lockset like any static call.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	//guardedby:mu
+	m map[K]V
+}
+
+// put holds the lock across the write: fine.
+func (c *memo[K, V]) put(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[k] = v
+}
+
+// putRacy writes with no lock anywhere.
+func (c *memo[K, V]) putRacy(k K, v V) {
+	c.m[k] = v // want `write to c.m\[k\] \(field guarded by mu\) without mu held; lock-free call path: \(\*names\)\.Put -> \(\*memo\)\.putRacy`
+}
+
+// store relies on its one caller's lock, taken on an instantiation.
+func (c *memo[K, V]) store(k K, v V) {
+	c.m[k] = v
+}
+
+type names struct {
+	byID memo[int, string]
+}
+
+func (n *names) Add(id int, s string) {
+	n.byID.mu.Lock()
+	defer n.byID.mu.Unlock()
+	n.byID.store(id, s)
+}
+
+func (n *names) Put(id int, s string) {
+	n.byID.put(id, s)
+	n.byID.putRacy(id, s)
+}
+
+// Reset writes the instantiation's guarded field with no lock.
+func (n *names) Reset() {
+	n.byID.m = nil // want `write to n.byID.m \(field guarded by mu\) without mu held`
+}
+
+// ResetLocked writes it under the instantiation's mutex: fine.
+func (n *names) ResetLocked() {
+	n.byID.mu.Lock()
+	defer n.byID.mu.Unlock()
+	n.byID.m = nil
+}

@@ -3,12 +3,38 @@
 // annotated atomic.Pointer.
 package snapfreeze
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type state struct {
 	rows []int
 	seq  int
+	// memo is mutex-serialized lazy state, as the engine's derived state
+	// is: writes to its guarded field are guardedby's domain.
+	memo memo[int, int]
+	hits *counter[int]
 }
+
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	//guardedby:mu
+	m map[K]V
+}
+
+func (c *memo[K, V]) put(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[K]V{}
+	}
+	c.m[k] = v
+}
+
+type counter[T any] struct{ last T }
+
+func (c *counter[T]) set(v T) { c.last = v }
 
 type snap struct {
 	states []*state
@@ -77,4 +103,26 @@ func (db *DB) PublishThenPatch(v int) {
 	next := db.load().clone()
 	db.snap.Store(next)
 	next.seq = v // want `after it was published`
+}
+
+// Memoise publishes into a published state's memo through a method of
+// the instantiation: the write is to a guarded field, left to
+// guardedby.
+func (db *DB) Memoise(i, k, v int) {
+	db.stateOf(i).memo.put(k, v)
+}
+
+// MemoiseInline writes the guarded field of a published state's memo
+// directly, under its mutex: left to guardedby too.
+func (db *DB) MemoiseInline(i, k, v int) {
+	st := db.stateOf(i)
+	st.memo.mu.Lock()
+	defer st.memo.mu.Unlock()
+	st.memo.m[k] = v
+}
+
+// Hit hands published memory to a method of an instantiation that
+// writes an unguarded field.
+func (db *DB) Hit(i, v int) {
+	db.stateOf(i).hits.set(v) // want `passed to a function that writes it`
 }

@@ -393,37 +393,50 @@ func (w *Workload) Measure(sys System, q Query, reps int, budget time.Duration) 
 		return m
 	}
 	db := w.dbFor(sys)
-	var stmt sqlast.Statement
-	if db != nil {
-		var err error
-		if stmt, err = w.Translate(sys, q); err != nil {
-			m.ErrorMsg = err.Error()
-			return m
-		}
-		m.Joins = engine.JoinSteps(stmt)
-		if n, err := db.OperatorCount(stmt); err == nil {
-			m.Operators = n
-		}
-		h0, mi0 := db.PlanCacheStats()
-		defer func() {
-			h1, mi1 := db.PlanCacheStats()
-			if total := (h1 - h0) + (mi1 - mi0); total > 0 {
-				m.CacheHitRate = float64(h1-h0) / float64(total)
-			}
-		}()
+	if db == nil {
+		return timed(m, budget, func() (int, error) {
+			ids, err := w.RunBudget(sys, q, budget)
+			return len(ids), err
+		})
 	}
-	run := func() (int, time.Duration, error) {
-		start := time.Now()
-		var ids []int64
-		var err error
-		if stmt != nil {
-			ids, err = w.runStmt(sys, stmt, budget)
-		} else {
-			ids, err = w.RunBudget(sys, q, budget)
-		}
-		return len(ids), time.Since(start), err
+	stmt, err := w.Translate(sys, q)
+	if err != nil {
+		m.ErrorMsg = err.Error()
+		return m
 	}
-	n, d, err := run()
+	m.Joins = engine.JoinSteps(stmt)
+	if n, err := db.OperatorCount(stmt); err == nil {
+		m.Operators = n
+	}
+	h0, mi0 := db.PlanCacheStats()
+	defer func() {
+		h1, mi1 := db.PlanCacheStats()
+		if total := (h1 - h0) + (mi1 - mi0); total > 0 {
+			m.CacheHitRate = float64(h1-h0) / float64(total)
+		}
+	}()
+	return w.measureStmt(m, sys, stmt, budget)
+}
+
+// measureStmt times a translated statement on a SQL-based system's
+// database, under the workload's budgets and budget.
+func (w *Workload) measureStmt(m Measurement, sys System, stmt sqlast.Statement, budget time.Duration) Measurement {
+	return timed(m, budget, func() (int, error) {
+		ids, err := w.runStmt(sys, stmt, budget)
+		return len(ids), err
+	})
+}
+
+// timed is the package's one timing loop. It fills m from run, which
+// executes the measured statement once and returns its cardinality: a
+// warm-up run that yields the cardinality, then m.Reps timed runs,
+// stopping early if they exceed budget on average. A warm-up past its
+// deadline or longer than budget marks the cell "~", any other error
+// ERR.
+func timed(m Measurement, budget time.Duration, run func() (int, error)) Measurement {
+	start := time.Now()
+	n, err := run()
+	d := time.Since(start)
 	if errors.Is(err, context.DeadlineExceeded) {
 		m.Timeout = true
 		m.Avg = d
@@ -445,14 +458,14 @@ func (w *Workload) Measure(sys System, q Query, reps int, budget time.Duration) 
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	var total time.Duration
-	for i := 0; i < reps; i++ {
-		_, d, err := run()
-		if err != nil {
+	for i := 0; i < m.Reps; i++ {
+		start := time.Now()
+		if _, err := run(); err != nil {
 			m.ErrorMsg = err.Error()
 			return m
 		}
-		total += d
-		if budget > 0 && total > budget*time.Duration(reps) {
+		total += time.Since(start)
+		if budget > 0 && total > budget*time.Duration(m.Reps) {
 			m.Reps = i + 1
 			break
 		}

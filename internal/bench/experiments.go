@@ -194,15 +194,9 @@ func AblatePathFilter(w *Workload, o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := w.measureStmt(w.Aware.DB, onTr.Stmt, o)
-		b := w.measureStmt(w.Aware.DB, offTr.Stmt, o)
-		speed := "-"
-		if a > 0 && b > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(b)/float64(a))
-		}
+		a, b, speed := w.ablate(q, onTr.Stmt, offTr.Stmt, o)
 		t.Rows = append(t.Rows, []string{
-			q.ID, fmt.Sprint(onTr.Joins), fmt.Sprint(offTr.Joins),
-			fmt.Sprintf("%.3f", a.Seconds()), fmt.Sprintf("%.3f", b.Seconds()), speed,
+			q.ID, fmt.Sprint(onTr.Joins), fmt.Sprint(offTr.Joins), a.Cell(), b.Cell(), speed,
 		})
 	}
 	return t, nil
@@ -227,15 +221,8 @@ func AblateFKJoin(w *Workload, o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := w.measureStmt(w.Aware.DB, onTr.Stmt, o)
-		b := w.measureStmt(w.Aware.DB, offTr.Stmt, o)
-		speed := "-"
-		if a > 0 && b > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(b)/float64(a))
-		}
-		t.Rows = append(t.Rows, []string{
-			q.ID, fmt.Sprintf("%.3f", a.Seconds()), fmt.Sprintf("%.3f", b.Seconds()), speed,
-		})
+		a, b, speed := w.ablate(q, onTr.Stmt, offTr.Stmt, o)
+		t.Rows = append(t.Rows, []string{q.ID, a.Cell(), b.Cell(), speed})
 	}
 	return t, nil
 }
@@ -339,18 +326,16 @@ func JoinCounts(w *Workload) (*Table, error) {
 	return t, nil
 }
 
-func (w *Workload) measureStmt(db *engine.DB, st sqlast.Statement, o Opts) time.Duration {
-	var total time.Duration
-	reps := o.Reps
-	if reps <= 0 {
-		reps = 1
+// ablate times the two translations of a query an ablation compares on
+// the schema-aware store, through Measure's loop and under the
+// workload's budgets and o.Budget, and renders the second's time over
+// the first's ("-" unless both ran within budget).
+func (w *Workload) ablate(q Query, on, off sqlast.Statement, o Opts) (a, b Measurement, speedup string) {
+	cell := Measurement{System: PPF, QueryID: q.ID, Reps: max(o.Reps, 1)}
+	a, b = w.measureStmt(cell, PPF, on, o.Budget), w.measureStmt(cell, PPF, off, o.Budget)
+	speedup = "-"
+	if a.Avg > 0 && b.Avg > 0 && !a.Timeout && !b.Timeout {
+		speedup = fmt.Sprintf("%.2fx", float64(b.Avg)/float64(a.Avg))
 	}
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if _, err := db.RunWithOptionsContext(nil, st, engine.ExecOptions{}); err != nil {
-			return 0
-		}
-		total += time.Since(start)
-	}
-	return total / time.Duration(reps)
+	return a, b, speedup
 }

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 func tinyOpts() Opts { return Opts{Reps: 1, Budget: 0, Verify: true} }
@@ -77,6 +80,45 @@ func TestAblationTables(t *testing.T) {
 	}
 	if len(fk.Rows) != len(w.Queries) {
 		t.Fatalf("fk rows = %d", len(fk.Rows))
+	}
+}
+
+// TestAblationCellsShowFailures: an ablation times its statements
+// through Measure's loop, so a statement that fails reads ERR and one
+// over the budget "~" — never a time — and neither has a speedup.
+func TestAblationCellsShowFailures(t *testing.T) {
+	defer failpoint.Reset()
+	w, err := NewXMark(0.02, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := w.Query("Q1")
+	w.Queries = []Query{q}
+	for _, ab := range []struct {
+		name string
+		run  func(*Workload, Opts) (*Table, error)
+		on   int // the column of the first statement's time
+	}{{"path filter", AblatePathFilter, 3}, {"fk join", AblateFKJoin, 1}} {
+		// The first statement's first run fails.
+		if err := failpoint.Enable("engine/batch-flush", failpoint.Return(errors.New("injected")).Times(1)); err != nil {
+			t.Fatal(err)
+		}
+		tb, err := ab.run(w, tinyOpts())
+		failpoint.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row := tb.Rows[0]; row[ab.on] != "ERR" || row[ab.on+1] == "ERR" || row[len(row)-1] != "-" {
+			t.Errorf("%s: row %v, want ERR for the failed statement, a time for the other, no speedup", ab.name, row)
+		}
+		over := tinyOpts()
+		over.Budget = 1 // ns: every run is over it
+		if tb, err = ab.run(w, over); err != nil {
+			t.Fatal(err)
+		}
+		if row := tb.Rows[0]; row[ab.on] != "~" || row[ab.on+1] != "~" || row[len(row)-1] != "-" {
+			t.Errorf("%s over budget: row %v, want ~ for both statements and no speedup", ab.name, row)
+		}
 	}
 }
 

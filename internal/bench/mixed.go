@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/shred"
@@ -71,27 +70,17 @@ func Mixed(w *Workload, o Opts) (*Table, error) {
 		qs = append(qs, bound{q: q, stmt: x.Stmt})
 	}
 
-	reps := o.Reps
-	if reps <= 0 {
-		reps = 1
-	}
 	measure := func(label string, b bound) (Measurement, error) {
-		m := Measurement{System: System(label), QueryID: b.q.ID, Reps: reps}
-		// Warm-up run yields the cardinality at the current doc count.
-		res, err := run(b.stmt)
-		if err != nil {
-			return m, err
-		}
-		m.Nodes = len(res.Rows)
-		var total time.Duration
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := run(b.stmt); err != nil {
-				return m, err
+		m := timed(Measurement{System: System(label), QueryID: b.q.ID, Reps: max(o.Reps, 1)}, 0, func() (int, error) {
+			res, err := run(b.stmt)
+			if err != nil {
+				return 0, err
 			}
-			total += time.Since(start)
+			return len(res.Rows), nil
+		})
+		if m.ErrorMsg != "" {
+			return m, fmt.Errorf("bench: %s %s: %s", label, b.q.ID, m.ErrorMsg)
 		}
-		m.Avg = total / time.Duration(reps)
 		return m, nil
 	}
 

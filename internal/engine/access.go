@@ -157,10 +157,11 @@ func (a *indexPrefixes) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, 
 // prefixes — and with them the matches — ascending.
 func (a *indexPrefixes) enumerateRun(ec *execCtx, x []byte, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
 	col := a.ix.Cols[0]
-	r, err := runSide(ec, s, st, col, a.restrict.scope())
+	b, err := buildSide(ec, s, st, buildKey{col: col, in: a.restrict.scope(), run: true})
 	if err != nil {
 		return err
 	}
+	r := b.run
 	rows, ids, buf := s.st.rows, r.ids, sc.idBuf()
 	for _, n := range r.lens {
 		if n > len(x) {
@@ -182,20 +183,6 @@ func (a *indexPrefixes) enumerateRun(ec *execCtx, x []byte, s *joinStep, st *OpS
 		}
 	}
 	return flushTail(buf, yield)
-}
-
-// runSide returns the step's scoped run of col over the rows the scope
-// in admits, charging a build this call performed to the scan's
-// operator.
-func runSide(ec *execCtx, s *joinStep, st *OpStats, col int, in hashScope) (*deweyRun, error) {
-	r, built, bytes, err := s.st.runFor(col, in, ec.acct)
-	if err == nil && built {
-		err = chargeBuild(ec, st, bytes)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // lowerBound is the first position in ids, a run ordered by column col,
@@ -223,27 +210,24 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 	}
 	key := encodeValue(sc.key[:0], v)
 	sc.key = key
-	m, err := probeSide(ec, s, st, a.col, a.restrict.scope())
+	b, err := buildSide(ec, s, st, buildKey{col: a.col, in: a.restrict.scope()})
 	if err != nil {
 		return err
 	}
 	st.probe()
-	_, err = yieldChunks(m[string(key)], sc.n, yield)
+	_, err = yieldChunks(b.hash[string(key)], sc.n, yield)
 	return err
 }
 
-// probeSide returns the step's transient hash index on col over the
-// rows the scope in admits — the hash join's build side — charging a
-// build this call performed to the scan's operator.
-func probeSide(ec *execCtx, s *joinStep, st *OpStats, col int, in hashScope) (map[string][]int64, error) {
-	m, built, bytes, err := s.st.hashFor(col, in, ec.acct)
+// buildSide returns the step's build k — a hash join's build side or a
+// Dewey step's scoped run — charging a build this call performed to the
+// scan's operator.
+func buildSide(ec *execCtx, s *joinStep, st *OpStats, k buildKey) (build, error) {
+	b, built, bytes, err := s.st.build(k, ec.acct)
 	if err == nil && built {
 		err = chargeBuild(ec, st, bytes)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return b, err
 }
 
 // chargeBuild charges the bytes of a build a scan performed to its
@@ -258,10 +242,11 @@ func chargeBuild(ec *execCtx, st *OpStats, bytes int64) error {
 func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
 	var m map[string][]int64
 	if a.ix == nil {
-		var err error
-		if m, err = probeSide(ec, s, st, a.col, hashScope{}); err != nil {
+		b, err := buildSide(ec, s, st, buildKey{col: a.col})
+		if err != nil {
 			return err
 		}
+		m = b.hash
 	}
 	var lists [][]int64
 	if a.merged {
@@ -475,10 +460,11 @@ func (a *indexRange) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc 
 // bounds are byte strings, as its column is (accessFromBetween).
 func (a *indexRange) enumerateRun(ec *execCtx, lo Value, hi bound, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
 	col := a.ix.Cols[0]
-	r, err := runSide(ec, s, st, col, a.restrict.scope())
+	b, err := buildSide(ec, s, st, buildKey{col: col, in: a.restrict.scope(), run: true})
 	if err != nil {
 		return err
 	}
+	r := b.run
 	st.probe()
 	rows := s.st.rows
 	ids := r.ids[lowerBound(rows, col, r.ids, lo.B):]

@@ -345,13 +345,7 @@ func TestChaosDeadlineObservedAfterHashBuild(t *testing.T) {
 	}
 	// Drop the cached build sides so execution must rebuild, and
 	// stall that rebuild past the deadline.
-	for _, name := range db.TableNames() {
-		st := db.Table(name).state()
-		st.hashMu.Lock()
-		st.hashIdx = map[int]map[string][]int64{}
-		st.hashMax = map[int]int{}
-		st.hashMu.Unlock()
-	}
+	forgetBuilds(db)
 	if err := failpoint.Enable("engine/hash-build", failpoint.Sleep(15*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -420,10 +414,7 @@ var buildFaults = []struct {
 // scoped runs, so the next statement is the one building.
 func forgetBuilds(db *DB) {
 	for _, name := range db.TableNames() {
-		st := db.Table(name).state()
-		st.hashMu.Lock()
-		st.hashIdx, st.hashMax, st.scopedHash, st.scopedRun = map[int]map[string][]int64{}, map[int]int{}, nil, nil
-		st.hashMu.Unlock()
+		db.Table(name).state().builds.reset()
 	}
 }
 

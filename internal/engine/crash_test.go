@@ -202,6 +202,65 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCrashDuringCheckpointPublish fails each step after the new
+// checkpoint is renamed in: the directory fsync that makes the rename
+// durable (engine/checkpoint-dirsync), and the WAL reset (wal/reset, a
+// write failure, so it poisons the log). After a failed reset the handle
+// is fail stop: every later write, and Checkpoint, is refused with
+// wal.ErrPoisoned. After a failed directory sync the WAL was not reset,
+// so the handle keeps committing. Either way, closing and reopening
+// the directory recovers the live state — rows, index contents and
+// synopses — including rows acknowledged after the failure.
+func TestCrashDuringCheckpointPublish(t *testing.T) {
+	late := [][]Value{{NewInt(100), NewBytes(dewey.New(1, 9, 1)), NewText("late")}}
+	for _, tc := range []struct {
+		site     string
+		poisoned bool
+	}{
+		{site: "engine/checkpoint-dirsync"},
+		{site: "wal/reset", poisoned: true},
+	} {
+		t.Run(tc.site, func(t *testing.T) {
+			defer failpoint.Reset()
+			dir := t.TempDir()
+			db := seedPersistent(t, dir)
+			if err := failpoint.Enable(tc.site, failpoint.Return(errCrash)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); !errors.Is(err, errCrash) {
+				t.Fatalf("checkpoint at armed %s: err = %v, want injected crash", tc.site, err)
+			}
+			failpoint.Reset()
+			if _, err := os.Stat(filepath.Join(dir, ckptFile)); err != nil {
+				t.Fatalf("the new checkpoint was not renamed in: %v", err)
+			}
+			_, insertErr := db.Table("T").InsertBatch(late)
+			_, createErr := db.CreateTable("U", Column{"id", TInt})
+			if tc.poisoned {
+				for op, err := range map[string]error{"insert": insertErr, "create table": createErr, "checkpoint": db.Checkpoint()} {
+					if !errors.Is(err, wal.ErrPoisoned) {
+						t.Errorf("%s after a failed %s: err = %v, want wal.ErrPoisoned", op, tc.site, err)
+					}
+				}
+			} else if insertErr != nil || createErr != nil {
+				t.Fatalf("writes after a failed %s: %v, %v; the WAL was not reset, so they must commit", tc.site, insertErr, createErr)
+			}
+			if err := db.Close(); (err != nil) != tc.poisoned {
+				t.Fatalf("close after a failed %s: %v", tc.site, err)
+			}
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			requireSameState(t, db, re)
+			if got := len(re.Table("T").Rows()); got != map[bool]int{false: 21, true: 20}[tc.poisoned] {
+				t.Errorf("recovered T holds %d rows", got)
+			}
+		})
+	}
+}
+
 // TestCrashDuringRecoveryReplay arms the engine/recovery-replay
 // failpoint so recovery itself dies mid-replay (a crash during crash
 // recovery). Open must fail cleanly — no panic, no partially

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/failpoint"
@@ -537,51 +536,30 @@ func (m *matcher) match(s string) bool {
 	return m.slow.MatchString(s)
 }
 
-// patternCache shares compiled matchers across queries and
-// goroutines. Entries are published under the write lock, so a
-// matcher's fast/slow fields are safely visible to every reader. The
-// cache is bounded: adversarial or generated workloads can present an
-// unbounded stream of distinct patterns, so at patternCacheCap
-// entries the whole map is dropped and rebuilt from the live working
-// set (flush-on-overflow — constant-time, and a full flush costs one
-// recompile per still-hot pattern).
+// patternCache shares compiled matchers across queries and goroutines
+// (a memo: published once, a compile race keeps the first matcher). It
+// is bounded because adversarial or generated workloads can present an
+// unbounded stream of distinct patterns.
 const patternCacheCap = 1024
 
-var patternCache = struct {
-	mu sync.RWMutex
-	m  map[string]*matcher
-}{m: make(map[string]*matcher)}
+var patternCache = memo[string, *matcher]{cap: patternCacheCap}
 
 // PatternCacheSize reports the number of cached REGEXP_LIKE
 // matchers, for metrics and tests. It never exceeds patternCacheCap.
-func PatternCacheSize() int {
-	patternCache.mu.RLock()
-	defer patternCache.mu.RUnlock()
-	return len(patternCache.m)
-}
-
-// lookupPattern returns the cached matcher for a pattern, or nil on a
-// miss. Split out of compilePattern so the executor can count
-// per-operator cache hits without touching the compile path.
-func lookupPattern(pat string) *matcher {
-	patternCache.mu.RLock()
-	m := patternCache.m[pat]
-	patternCache.mu.RUnlock()
-	return m
-}
+func PatternCacheSize() int { return patternCache.len() }
 
 // compilePattern is the engine's only sanctioned pattern-compilation
 // site (enforced by the regexploop analyzer): every per-row matcher
 // must come from here so row loops hit the cache instead of
 // recompiling.
 func compilePattern(pat string) (*matcher, error) {
-	var m *matcher
-	if m = lookupPattern(pat); m != nil {
+	if m, ok := patternCache.get(pat); ok {
 		return m, nil
 	}
 	if err := failpoint.Inject("engine/pattern-compile"); err != nil {
 		return nil, err
 	}
+	var m *matcher
 	if fast, err := pathre.Compile(pat); err == nil {
 		m = &matcher{fast: fast}
 		if !fast.HasLiteralPath() {
@@ -600,15 +578,5 @@ func compilePattern(pat string) (*matcher, error) {
 		}
 		m = &matcher{slow: slow}
 	}
-	patternCache.mu.Lock()
-	if prev, ok := patternCache.m[pat]; ok {
-		m = prev // lost a compile race; keep the published matcher
-	} else {
-		if len(patternCache.m) >= patternCacheCap {
-			patternCache.m = make(map[string]*matcher, patternCacheCap)
-		}
-		patternCache.m[pat] = m
-	}
-	patternCache.mu.Unlock()
-	return m, nil
+	return patternCache.put(pat, m), nil
 }

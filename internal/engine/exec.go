@@ -101,7 +101,7 @@ func (ec *execCtx) checkNow() error {
 // pattern (constant patterns are compiled at plan time), attributing
 // cache hits to the operator currently evaluating expressions.
 func (ec *execCtx) pattern(pat string) (*matcher, error) {
-	if m := lookupPattern(pat); m != nil {
+	if m, ok := patternCache.get(pat); ok {
 		if ec.cur != nil {
 			ec.cur.patternHit()
 		}

@@ -65,3 +65,54 @@ func AnalyzeQError(db *DB, st sqlast.Statement) (*Result, float64, error) {
 	}
 	return res, worst, nil
 }
+
+// MemoCap and PatternCacheCap hand the memo bounds to the engine's
+// external tests.
+const (
+	MemoCap         = maxResolveMemo
+	PatternCacheCap = patternCacheCap
+)
+
+// ResetPatternCache empties the process-wide pattern memo.
+func ResetPatternCache() { patternCache.reset() }
+
+// MemoLoad is what one table state holds in its memos: the entries of
+// each memo, and of each kind within it. State identifies the state.
+type MemoLoad struct {
+	State                            any
+	Builds, Resolved                 int
+	Hashes, ScopedHashes, ScopedRuns int
+	KeySets, PairSets                int
+}
+
+// MemoLoads hands the engine's external tests the memo load of every
+// table's current state in db, by table name.
+func MemoLoads(db *DB) map[string]MemoLoad {
+	out := map[string]MemoLoad{}
+	snap := db.loadSnap()
+	for _, name := range snap.names {
+		st := snap.stateOf(snap.table(name))
+		l := MemoLoad{State: st}
+		for k := range st.builds.entries() {
+			l.Builds++
+			switch {
+			case k.run:
+				l.ScopedRuns++
+			case k.in.keys == nil:
+				l.Hashes++
+			default:
+				l.ScopedHashes++
+			}
+		}
+		for _, rs := range st.resolved.entries() {
+			l.Resolved++
+			if rs.keys != nil {
+				l.KeySets++
+			} else {
+				l.PairSets++
+			}
+		}
+		out[name] = l
+	}
+	return out
+}

@@ -22,7 +22,8 @@ const (
 	// maxResolvePairs caps the key-set product a pair conjunct is
 	// evaluated over (a few milliseconds of matching at the cap).
 	maxResolvePairs = 1 << 16
-	// maxResolveMemo bounds the memoised sets per table state.
+	// maxResolveMemo bounds each memo of a table state: its builds and
+	// its resolved sets (memo.go).
 	maxResolveMemo = 64
 )
 

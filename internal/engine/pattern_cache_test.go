@@ -5,20 +5,12 @@ import (
 	"testing"
 )
 
-// resetPatternCache empties the shared cache so size assertions are
-// deterministic regardless of test order.
-func resetPatternCache() {
-	patternCache.mu.Lock()
-	patternCache.m = make(map[string]*matcher)
-	patternCache.mu.Unlock()
-}
-
 // TestPatternCacheReuseAcrossQueries verifies the patternCache
 // discipline end to end: running the same REGEXP_LIKE query twice
 // (and the same pattern via compilePattern directly) reuses one
 // compiled matcher instead of recompiling per query or per row.
 func TestPatternCacheReuseAcrossQueries(t *testing.T) {
-	resetPatternCache()
+	patternCache.reset()
 	db := fixtureDB(t)
 
 	const q = "SELECT F.id FROM F WHERE REGEXP_LIKE(F.text, '^[0-9]+$')"
@@ -52,7 +44,7 @@ func TestPatternCacheReuseAcrossQueries(t *testing.T) {
 // stream of distinct patterns cannot grow the cache past
 // patternCacheCap, and the cache keeps working after a flush.
 func TestPatternCacheBounded(t *testing.T) {
-	resetPatternCache()
+	patternCache.reset()
 	for i := 0; i < patternCacheCap+10; i++ {
 		if _, err := compilePattern(fmt.Sprintf("^row%d$", i)); err != nil {
 			t.Fatal(err)

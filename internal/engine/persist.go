@@ -218,8 +218,14 @@ func writeCheckpoint(path string, snap *dbSnap, baseLSN uint64) (err error) {
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename within it is durable.
+// syncDir fsyncs a directory so a rename within it is durable. The
+// "engine/checkpoint-dirsync" failpoint fails it before the fsync: a
+// checkpoint renamed in whose rename may not be durable, with the WAL
+// not yet reset.
 func syncDir(dir string) error {
+	if err := failpoint.Inject("engine/checkpoint-dirsync"); err != nil {
+		return err
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

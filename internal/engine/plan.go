@@ -167,7 +167,7 @@ func (a *hashEq) rank() int        { return 2 }
 func (a *hashEq) est(st *tableState) int {
 	// Estimate with the largest bucket: skewed join columns (e.g. a
 	// path id shared by half the relation) must not look selective.
-	return maxInt(1, st.hashMaxBucket(a.col))
+	return maxInt(1, st.hash(a.col).max)
 }
 
 // indexPrefixes is the ancestor access path: for a condition

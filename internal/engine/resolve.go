@@ -43,7 +43,7 @@ type pairSet struct {
 	has   map[[2]int64]struct{}
 }
 
-// resolveKey addresses one memoised set on a dimension's state: the
+// resolveKey addresses one set in a dimension state's resolved memo: the
 // key column and conjunct texts, and for a pair set the state of the
 // second dimension (nil for a key set).
 type resolveKey struct {
@@ -51,34 +51,11 @@ type resolveKey struct {
 	other *tableState
 }
 
-// resolvedSet is one memo entry; exactly one field is set.
+// resolvedSet is one entry of a state's resolved memo; exactly one
+// field is set.
 type resolvedSet struct {
 	keys  *keySet
 	pairs *pairSet
-}
-
-// memoised returns the set published under k, if any.
-func (st *tableState) memoised(k resolveKey) (resolvedSet, bool) {
-	st.resolveMu.Lock()
-	defer st.resolveMu.Unlock()
-	rs, ok := st.resolved[k]
-	return rs, ok
-}
-
-// memoise publishes a computed set, keeping an entry a racing compile
-// published first. At maxResolveMemo entries the memo is dropped and
-// refilled from the live working set, like the pattern cache.
-func (st *tableState) memoise(k resolveKey, rs resolvedSet) resolvedSet {
-	st.resolveMu.Lock()
-	defer st.resolveMu.Unlock()
-	if prev, ok := st.resolved[k]; ok {
-		return prev
-	}
-	if st.resolved == nil || len(st.resolved) >= maxResolveMemo {
-		st.resolved = make(map[resolveKey]resolvedSet)
-	}
-	st.resolved[k] = rs
-	return rs
 }
 
 // resolution is one FROM alias P (the dimension) reached by exactly
@@ -414,7 +391,7 @@ func (p *planner) resolveKeys(r *resolution) *keySet {
 	}
 	r.memo = r.memoText()
 	k := resolveKey{text: r.memo}
-	if rs, ok := r.st.memoised(k); ok {
+	if rs, ok := r.st.resolved.get(k); ok {
 		return rs.keys
 	}
 	ec := &execCtx{db: p.db}
@@ -444,11 +421,11 @@ rows:
 		ks.keys[i], ks.rows[i] = h.key, h.row
 		ks.has[h.key] = struct{}{}
 	}
-	return r.st.memoise(k, resolvedSet{keys: ks}).keys
+	return r.st.resolved.put(k, resolvedSet{keys: ks}).keys
 }
 
 // resolvePairs resolves a conjunct over two resolved dimensions to its
-// pair set — memoised on the first one's state — or returns nil when
+// pair set — kept in the first one's resolved memo — or returns nil when
 // the product of the key sets exceeds maxResolvePairs or the conjunct
 // fails to compile or evaluate.
 func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
@@ -462,7 +439,7 @@ func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
 	}
 	pr := &pairResolution{a: a, b: b, cond: ce}
 	k := resolveKey{other: b.st, text: a.memo + "\x01" + b.memo + "\x01" + cond.String()}
-	if rs, ok := a.st.memoised(k); ok {
+	if rs, ok := a.st.resolved.get(k); ok {
 		pr.pairs = rs.pairs
 		return pr
 	}
@@ -483,7 +460,7 @@ func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
 			}
 		}
 	}
-	pr.pairs = a.st.memoise(k, resolvedSet{pairs: ps}).pairs
+	pr.pairs = a.st.resolved.put(k, resolvedSet{pairs: ps}).pairs
 	return pr
 }
 

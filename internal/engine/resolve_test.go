@@ -330,11 +330,7 @@ func TestResolveBounds(t *testing.T) {
 	t.Run("maxResolveMemo", func(t *testing.T) {
 		db := sizedDimDB(t, 16)
 		st := db.Table("dim").state()
-		size := func() int {
-			st.resolveMu.Lock()
-			defer st.resolveMu.Unlock()
-			return len(st.resolved)
-		}
+		size := st.resolved.len
 		pattern := func(i int) string {
 			return fmt.Sprintf("SELECT f.id FROM fact f, dim d WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/p%d$')", i)
 		}
@@ -392,9 +388,7 @@ func TestResolveMemoSharedAcrossTemplateTexts(t *testing.T) {
 		t.Fatalf("template was not resolved: %v", first)
 	}
 	st := db.Table("dim").state()
-	st.resolveMu.Lock()
-	entries := len(st.resolved)
-	st.resolveMu.Unlock()
+	entries := st.resolved.len()
 	if entries != 3 {
 		t.Fatalf("memo holds %d sets after the first text, want 3 (d, e, their pair set)", entries)
 	}
@@ -409,10 +403,8 @@ func TestResolveMemoSharedAcrossTemplateTexts(t *testing.T) {
 	if got := misses() - before; got != 7 {
 		t.Fatalf("%d of 7 distinct texts compiled; the test means to compile each", got)
 	}
-	st.resolveMu.Lock()
-	defer st.resolveMu.Unlock()
-	if len(st.resolved) != entries {
-		t.Errorf("memo grew to %d sets over the template's texts, want %d", len(st.resolved), entries)
+	if got := st.resolved.len(); got != entries {
+		t.Errorf("memo grew to %d sets over the template's texts, want %d", got, entries)
 	}
 }
 

@@ -93,13 +93,12 @@ const (
 )
 
 // runs returns the scoped runs the table's current state holds.
-func runs(db *DB, table string) map[scopedKey]*deweyRun {
-	st := db.Table(table).state()
-	st.hashMu.Lock()
-	defer st.hashMu.Unlock()
-	out := map[scopedKey]*deweyRun{}
-	for k, r := range st.scopedRun {
-		out[k] = r
+func runs(db *DB, table string) map[buildKey]*deweyRun {
+	out := map[buildKey]*deweyRun{}
+	for k, b := range db.Table(table).state().builds.entries() {
+		if k.run {
+			out[k] = b.run
+		}
 	}
 	return out
 }
@@ -107,7 +106,7 @@ func runs(db *DB, table string) map[scopedKey]*deweyRun {
 // checkRun verifies a scoped run against the rows it was built over:
 // it holds exactly the admitted rows with a position, ordered by it
 // (equal ones by id), and lists exactly their lengths.
-func checkRun(t *testing.T, db *DB, table string, k scopedKey, r *deweyRun) {
+func checkRun(t *testing.T, db *DB, table string, k buildKey, r *deweyRun) {
 	t.Helper()
 	rows := db.Table(table).Rows()
 	want := map[int64]bool{}
@@ -259,14 +258,11 @@ func TestScopedRunMemo(t *testing.T) {
 	db := deweyDB(t, false, false)
 	st := db.Table("fact").state()
 	set := func() *keySet { return &keySet{keys: []int64{2}, has: map[int64]struct{}{2: {}}} }
-	size := func() int {
-		st.hashMu.Lock()
-		defer st.hashMu.Unlock()
-		return len(st.scopedRun)
-	}
+	size := st.builds.len
 	build := func(ks *keySet) (*deweyRun, bool) {
 		t.Helper()
-		r, built, charged, err := st.runFor(2, hashScope{col: 1, keys: ks}, newAccountant(0, 0))
+		b, built, charged, err := st.build(buildKey{col: 2, in: hashScope{col: 1, keys: ks}, run: true}, newAccountant(0, 0))
+		r := b.run
 		if err != nil {
 			t.Fatal(err)
 		}

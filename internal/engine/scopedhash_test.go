@@ -60,17 +60,16 @@ func scopedDB(t testing.TB) *DB {
 
 // builds returns the hash builds the table's current state holds: the
 // whole-column ones by column, and the restricted ones.
-func builds(db *DB, table string) (whole map[int]map[string][]int64, scoped map[scopedKey]map[string][]int64) {
-	st := db.Table(table).state()
-	st.hashMu.Lock()
-	defer st.hashMu.Unlock()
-	whole = map[int]map[string][]int64{}
-	for c, m := range st.hashIdx {
-		whole[c] = m
-	}
-	scoped = map[scopedKey]map[string][]int64{}
-	for k, m := range st.scopedHash {
-		scoped[k] = m
+func builds(db *DB, table string) (whole map[int]map[string][]int64, scoped map[buildKey]map[string][]int64) {
+	whole, scoped = map[int]map[string][]int64{}, map[buildKey]map[string][]int64{}
+	for k, b := range db.Table(table).state().builds.entries() {
+		switch {
+		case k.run:
+		case k.in.keys == nil:
+			whole[k.col] = b.hash
+		default:
+			scoped[k] = b.hash
+		}
 	}
 	return whole, scoped
 }
@@ -190,21 +189,17 @@ func TestScopedHashMemo(t *testing.T) {
 	db := scopedDB(t)
 	st := db.Table("fact").state()
 	set := func() *keySet { return &keySet{keys: []int64{1}, has: map[int64]struct{}{1: {}}} }
-	size := func() int {
-		st.hashMu.Lock()
-		defer st.hashMu.Unlock()
-		return len(st.scopedHash)
-	}
+	size := st.builds.len
 	build := func(ks *keySet) (map[string][]int64, bool) {
 		t.Helper()
-		m, built, bytes, err := st.hashFor(2, hashScope{col: 1, keys: ks}, newAccountant(0, 0))
+		b, built, bytes, err := st.build(buildKey{col: 2, in: hashScope{col: 1, keys: ks}}, newAccountant(0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if built != (bytes > 0) {
 			t.Fatalf("built %v but charged %d bytes", built, bytes)
 		}
-		return m, built
+		return b.hash, built
 	}
 	first := set()
 	m, built := build(first)

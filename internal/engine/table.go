@@ -49,40 +49,20 @@ type tableState struct {
 	version uint64
 	rows    [][]Value
 	indexes []*Index
-	// hashIdx caches transient single-column hash indexes built on
-	// demand by the executor for equijoins on non-indexed columns — the
-	// engine's hash-join mechanism. Keyed by column position. The cache
-	// is a lazy memo over this state's immutable rows, guarded by
-	// hashMu; successor states start with an empty cache, which is the
-	// snapshot-world equivalent of the old drop-on-insert invalidation
-	// (and structurally fixes the reader/writer race that invalidation
-	// had: a writer never touches the cache a running query is using).
-	hashMu sync.Mutex
-	//guardedby:hashMu
-	hashIdx map[int]map[string][]int64
-	//guardedby:hashMu
-	hashMax map[int]int // largest bucket per hashed column
-	// scopedHash memoises the hash builds restricted to the rows a key
-	// set admits (hashScope), by column and scope. A scope names its key
-	// set by pointer, the set's entry in its dimension state's resolved
-	// memo, so a key set of another state is another entry and is never
-	// served. Bounded by maxResolveMemo, flushed whole on overflow.
-	//guardedby:hashMu
-	scopedHash map[scopedKey]map[string][]int64
-	// scopedRun memoises the Dewey steps' runs over the rows a key set
-	// admits (deweyRun), keyed and bounded as scopedHash is.
-	//guardedby:hashMu
-	scopedRun map[scopedKey]*deweyRun
-	// resolved memoises the key and pair sets plan-time resolution
-	// (resolve.go) computed over this state's rows, so the statements of
-	// one template — and the steps of one statement — resolve a pattern
-	// once per state, not once per compile. Like hashIdx it is a lazy
-	// memo over immutable rows: a successor state starts empty, so an
-	// entry can never be stale, and the plan cache retires the plans
-	// that used it when the state moves on. Bounded by maxResolveMemo.
-	resolveMu sync.Mutex
-	//guardedby:resolveMu
-	resolved map[resolveKey]resolvedSet
+	// builds and resolved are the state's derived state (memo.go): lazy
+	// memos over its immutable rows. A successor state starts with empty
+	// memos, so an entry is never stale and a writer never touches a memo
+	// a running query is using; the plan cache retires the plans that
+	// used an entry when the state moves on.
+	//
+	// builds holds the executor's hash indexes and scoped runs, each built
+	// once (tableState.build); a whole-column hash is the zero scope.
+	builds memo[buildKey, build]
+	// resolved holds the key and pair sets plan-time resolution
+	// (resolve.go) computed over the rows, so the statements of one
+	// template — and the steps of one statement — resolve a pattern once
+	// per state, not once per compile.
+	resolved memo[resolveKey, resolvedSet]
 	// syn is the state's path/column synopsis: per-column counts,
 	// min/max, value histograms, and distinct sketches maintained
 	// incrementally by applyInsert. Like rows and indexes it is
@@ -314,7 +294,11 @@ func (m createTable) apply(db *DB) (*dbSnap, error) {
 }
 
 func newTableState() *tableState {
-	return &tableState{hashIdx: map[int]map[string][]int64{}, hashMax: map[int]int{}, syn: synopsis.Empty()}
+	return &tableState{
+		builds:   memo[buildKey, build]{cap: maxResolveMemo},
+		resolved: memo[resolveKey, resolvedSet]{cap: maxResolveMemo},
+		syn:      synopsis.Empty(),
+	}
 }
 
 // Table returns the named table, or nil.
@@ -645,12 +629,14 @@ func encodeValue(dst []byte, v Value) []byte {
 	return dst
 }
 
-// hash returns (building on demand) the transient hash index for a
-// column: the executor's hash-join build side. This unaccounted form
-// serves the planner's cost estimation; execution paths go through
-// hashFor so builds are charged to the running statement.
-func (st *tableState) hash(col int) map[string][]int64 {
-	m, _, _, err := st.hashFor(col, hashScope{}, nil)
+// hash returns (building on demand) the column's whole-column hash
+// index: the executor's hash-join build side, and with its largest
+// bucket the planner's worst-case estimate for a probe. This
+// unaccounted form serves the planner's cost estimation; execution
+// paths go through buildSide so builds are charged to the running
+// statement.
+func (st *tableState) hash(col int) build {
+	b, _, _, err := st.build(buildKey{col: col}, nil)
 	if err != nil {
 		// With a nil accountant the only failure mode is an armed
 		// failpoint; planner-side estimation has no error path, so an
@@ -658,11 +644,11 @@ func (st *tableState) hash(col int) map[string][]int64 {
 		// boundary instead.
 		panic(err)
 	}
-	return m
+	return b
 }
 
-// hashScope restricts a hash build, or a scoped run (deweyRun), to the
-// rows whose column col holds a key of keys: the rows a step's key test
+// hashScope restricts a hash build, or a scoped run, to the rows whose
+// column col holds a key of keys: the rows a step's key test
 // (resolve.go) admits. The zero scope (nil keys) admits every row.
 type hashScope struct {
 	col  int
@@ -681,82 +667,23 @@ func (sc hashScope) admits(row []Value) bool {
 	return ok
 }
 
-// scopedKey addresses one restricted build in tableState.scopedHash, or
-// one run in scopedRun.
-type scopedKey struct {
+// buildKey addresses one entry of tableState.builds: the hash index
+// (run false) or the scoped run (run true) of column col over the rows
+// the scope in admits. A scope names its key set by pointer, the set's
+// entry in its dimension state's resolved memo, so a key set of another
+// state is another entry and is never served.
+type buildKey struct {
 	col int
 	in  hashScope
+	run bool
 }
 
-// hashFor returns the transient hash index for a column over the rows
-// the scope in admits, building it on demand over this state's
-// immutable rows.
-// The build walks the rows in id order, so every bucket lists its row
-// ids ascending. A build is charged to the statement's accountant and
-// aborts (without publishing a partial map) when the memory budget is
-// exceeded; built reports whether this call performed the build (so
-// callers can re-check deadlines after a long one) and bytes the
-// amount it charged, for attribution to the probing operator's
-// OpStats. The "engine/hash-build" failpoint fires on every access,
-// built or cached, making the hash path's error handling injectable
-// regardless of which statement performed the build.
-func (st *tableState) hashFor(col int, in hashScope, ac *accountant) (m map[string][]int64, built bool, bytes int64, err error) {
-	if err := failpoint.Inject("engine/hash-build"); err != nil {
-		return nil, false, 0, err
-	}
-	st.hashMu.Lock()
-	defer st.hashMu.Unlock()
-	sk := scopedKey{col: col, in: in}
-	if in.keys == nil {
-		if m, ok := st.hashIdx[col]; ok {
-			return m, false, 0, nil
-		}
-		m = make(map[string][]int64, len(st.rows))
-	} else {
-		if m, ok := st.scopedHash[sk]; ok {
-			return m, false, 0, nil
-		}
-		m = make(map[string][]int64)
-	}
-	var buf []byte
-	for id, row := range st.rows {
-		if in.admits(row) {
-			buf = encodeValue(buf[:0], row[col])
-			key := string(buf)
-			ids, ok := m[key]
-			if !ok {
-				bytes += int64(len(key)) + mapEntryBytes
-			}
-			bytes += 8 // one row id
-			m[key] = append(ids, int64(id))
-		}
-		if id&0x3FF == 0x3FF {
-			// Abort an over-budget build mid-way rather than after
-			// materializing the whole side.
-			if err := ac.wouldExceed(bytes); err != nil {
-				return nil, false, 0, err
-			}
-		}
-	}
-	if err := ac.growBytes(bytes); err != nil {
-		return nil, false, 0, err
-	}
-	if in.keys != nil {
-		if st.scopedHash == nil || len(st.scopedHash) >= maxResolveMemo {
-			st.scopedHash = make(map[scopedKey]map[string][]int64)
-		}
-		st.scopedHash[sk] = m
-		return m, true, bytes, nil
-	}
-	max := 0
-	for _, ids := range m {
-		if len(ids) > max {
-			max = len(ids)
-		}
-	}
-	st.hashIdx[col] = m
-	st.hashMax[col] = max
-	return m, true, bytes, nil
+// build is one entry of tableState.builds: a hash index with its
+// largest bucket, or a scoped run.
+type build struct {
+	hash map[string][]int64
+	max  int
+	run  *deweyRun
 }
 
 // deweyRun is a scoped run: the rows a key set admits (hashScope) that
@@ -768,29 +695,56 @@ type deweyRun struct {
 	lens []int
 }
 
-// runFor returns the scoped run of column col over the rows the scope
-// in admits, building it on demand over this state's immutable rows
-// under the discipline of hashFor: the "engine/hash-build" failpoint
-// fires on every access, the build is charged to the accountant (8
-// bytes a row id) and aborts over budget without publishing, and built
-// and charged report what this call built and charged. Rows in id
-// order are already in column order where the column ascends;
-// otherwise the run is sorted once.
-func (st *tableState) runFor(col int, in hashScope, ac *accountant) (r *deweyRun, built bool, charged int64, err error) {
+// build returns the entry k names, building it on demand over this
+// state's immutable rows. The "engine/hash-build" failpoint fires on
+// every access, built or cached, before any lock, making the build
+// path's error handling injectable regardless of which statement
+// performed the build. A build happens once, under builds.flight, even
+// when morsel workers race for it. It walks the rows in id order — so
+// every hash bucket lists its row ids ascending, and a run is in column
+// order where the column ascends (otherwise it is sorted once) — is
+// charged to the statement's accountant (a hash's keys and entries, 8
+// bytes a row id) and aborts over budget without publishing; built
+// reports whether this call performed the build (so callers can
+// re-check deadlines after a long one) and charged the amount, for
+// attribution to the operator's OpStats.
+func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, charged int64, err error) {
 	if err := failpoint.Inject("engine/hash-build"); err != nil {
-		return nil, false, 0, err
+		return build{}, false, 0, err
 	}
-	st.hashMu.Lock()
-	defer st.hashMu.Unlock()
-	sk := scopedKey{col: col, in: in}
-	if r, ok := st.scopedRun[sk]; ok {
-		return r, false, 0, nil
+	if b, ok := st.builds.get(k); ok {
+		return b, false, 0, nil
 	}
-	r = &deweyRun{}
-	var present []bool // by value length
+	st.builds.flight.Lock()
+	defer st.builds.flight.Unlock()
+	if b, ok := st.builds.get(k); ok {
+		return b, false, 0, nil
+	}
+	var buf []byte
+	var present []bool // by value length, for a run
+	switch {
+	case k.run:
+		b.run = &deweyRun{}
+	case k.in.keys == nil:
+		b.hash = make(map[string][]int64, len(st.rows))
+	default:
+		b.hash = make(map[string][]int64)
+	}
 	for id, row := range st.rows {
-		if v := row[col]; v.Kind == KBytes && in.admits(row) {
-			r.ids = append(r.ids, int64(id))
+		switch v := row[k.col]; {
+		case !k.in.admits(row):
+		case !k.run:
+			buf = encodeValue(buf[:0], v)
+			key := string(buf)
+			ids, ok := b.hash[key]
+			if !ok {
+				charged += int64(len(key)) + mapEntryBytes
+			}
+			charged += 8 // one row id
+			b.hash[key] = append(ids, int64(id))
+			b.max = max(b.max, len(ids)+1)
+		case v.Kind == KBytes:
+			b.run.ids = append(b.run.ids, int64(id))
 			charged += 8
 			for len(present) <= len(v.B) {
 				present = append(present, false)
@@ -798,38 +752,26 @@ func (st *tableState) runFor(col int, in hashScope, ac *accountant) (r *deweyRun
 			present[len(v.B)] = true
 		}
 		if id&0x3FF == 0x3FF {
+			// Abort an over-budget build mid-way rather than after
+			// materializing it whole.
 			if err := ac.wouldExceed(charged); err != nil {
-				return nil, false, 0, err
+				return build{}, false, 0, err
 			}
 		}
 	}
 	if err := ac.growBytes(charged); err != nil {
-		return nil, false, 0, err
+		return build{}, false, 0, err
 	}
-	if !st.ascending[col] {
-		rows := st.rows
-		slices.SortStableFunc(r.ids, func(a, b int64) int { return bytes.Compare(rows[a][col].B, rows[b][col].B) })
+	if k.run && !st.ascending[k.col] {
+		rows, col := st.rows, k.col
+		slices.SortStableFunc(b.run.ids, func(x, y int64) int { return bytes.Compare(rows[x][col].B, rows[y][col].B) })
 	}
 	for n, ok := range present {
 		if ok {
-			r.lens = append(r.lens, n)
+			b.run.lens = append(b.run.lens, n)
 		}
 	}
-	if st.scopedRun == nil || len(st.scopedRun) >= maxResolveMemo {
-		st.scopedRun = make(map[scopedKey]*deweyRun)
-	}
-	st.scopedRun[sk] = r
-	return r, true, charged, nil
-}
-
-// hashMaxBucket returns the largest bucket of the column's transient
-// hash index (building it if needed) — the planner's worst-case
-// estimate for a hash join probe.
-func (st *tableState) hashMaxBucket(col int) int {
-	st.hash(col)
-	st.hashMu.Lock()
-	defer st.hashMu.Unlock()
-	return st.hashMax[col]
+	return st.builds.put(k, b), true, charged, nil
 }
 
 // Synopsis returns the synopsis of the table's current snapshot. It

@@ -272,10 +272,15 @@ func (l *Log) EnsureNext(lsn uint64) {
 
 // Reset truncates the log to empty after a checkpoint has captured
 // its effects. LSNs keep counting from where they were, so records
-// appended after the reset stay above the checkpoint's base LSN.
+// appended after the reset stay above the checkpoint's base LSN. A
+// failure poisons the log, as a failed write does; the "wal/reset"
+// failpoint injects one before the truncate.
 func (l *Log) Reset() error {
 	if l.poison != nil {
 		return l.poison
+	}
+	if err := failpoint.Inject("wal/reset"); err != nil {
+		return l.fail(err)
 	}
 	if err := l.f.Truncate(0); err != nil {
 		return l.fail(err)

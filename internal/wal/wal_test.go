@@ -426,8 +426,8 @@ func TestLSNTamperRejected(t *testing.T) {
 	}
 }
 
-// TestPoisonedAfterFailure checks the fail-stop rule: once a write or
-// fsync has failed, Append, Sync, Commit and Reset all refuse with
+// TestPoisonedAfterFailure checks the fail-stop rule: once a write,
+// fsync or reset has failed, Append, Sync, Commit and Reset all refuse with
 // ErrPoisoned — no later record can be acknowledged on top of a frame
 // that may be partial or lost — while a fault injected at wal/append,
 // before any byte is written, leaves the log usable. Reopening
@@ -448,6 +448,13 @@ func TestPoisonedAfterFailure(t *testing.T) {
 			defer failpoint.Reset()
 			_, err := l.Commit([]byte("unacknowledged"))
 			return err
+		}},
+		{"reset", func(t *testing.T, l *Log) error {
+			if err := failpoint.Enable("wal/reset", failpoint.Return(injected)); err != nil {
+				t.Fatal(err)
+			}
+			defer failpoint.Reset()
+			return l.Reset()
 		}},
 		{"write", func(t *testing.T, l *Log) error {
 			// Closing the descriptor under the log makes the next write fail.
