@@ -95,13 +95,13 @@ batch-smoke:
 # crash-smoke is the kill-and-recover matrix: a persistent store is
 # crashed at every durability failpoint (wal/append, wal/fsync,
 # wal/checkpoint, engine/checkpoint-dirsync, wal/reset,
-# engine/recovery-replay) plus at the file level (torn
+# engine/recovery-replay, engine/open-dirsync) plus at the file level (torn
 # WAL tail, CRC bit flips), recovery is re-run, and the recovered
 # database must answer the fig3 workload oracle-identically while
 # concurrent readers only ever see whole-document snapshots — all
 # under -race (DESIGN.md section 12).
 crash-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashAtEverySite|TestCrashDuring|TestDoubleReplay|TestCreateIndexRecovery|TestConcurrentWriter|TestWriteBatch|TestConcurrentDDL' ./internal/engine/
+	$(GO) test -race -count=1 -run 'TestCrashAtEverySite|TestCrashDuring|TestOpenDirSync|TestDoubleReplay|TestCreateIndexRecovery|TestConcurrentWriter|TestWriteBatch|TestConcurrentDDL' ./internal/engine/
 	$(GO) test -race -count=1 ./internal/wal/
 	$(GO) test -race -count=1 -run 'TestCrashSmoke|TestConcurrentLoadAndFig3|TestMixedExperiment' ./internal/bench/
 
@@ -114,6 +114,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeweyDecode -fuzztime=10s ./internal/dewey/
 	$(GO) test -fuzz=FuzzPathPattern -fuzztime=10s ./internal/pathre/
 	$(GO) test -fuzz=FuzzPathDFA -fuzztime=10s ./internal/pathre/
+	$(GO) test -fuzz=FuzzSynopsisGenerations -fuzztime=10s ./internal/synopsis/
+	$(GO) test -fuzz=FuzzBTreeBuild -fuzztime=10s ./internal/btree/
 
 # bench-smoke runs a tiny Figure 3 pass at GOMAXPROCS 1 (every
 # statement serial) and 2 (the engine's morsel executor wherever it

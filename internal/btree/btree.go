@@ -11,6 +11,13 @@
 // (Clone), the mechanism behind the engine's snapshot-isolated table
 // versions: a clone shares every node with its source until a write
 // touches it, so published trees are never mutated in place.
+//
+// Build makes a tree from pairs already in key order in one pass,
+// bottom up: leaves are packed full (degree-1 entries) and interiors
+// full (degree children), where insertion in key order would leave
+// every leaf half full behind its splits. A table's index created over
+// existing rows, and every index a checkpoint reload recreates, is
+// built this way. Later writes treat a built tree like any other.
 package btree
 
 import "bytes"
@@ -70,6 +77,88 @@ func New() *Tree {
 // and writing to both divergent clones is not supported.
 func (t *Tree) Clone() *Tree {
 	return &Tree{root: t.root, height: t.height, keys: t.keys, vals: t.vals, cow: new(cowToken)}
+}
+
+// Build returns a tree holding the given (key, value) pairs, which must
+// be in ascending key order: pairs with equal keys are adjacent, their
+// values are kept in the order given, and a repeated pair is stored
+// once, as Insert does. The tree takes ownership of the key slices;
+// the caller must not modify them afterwards. Build panics if the
+// slices differ in length or the keys do not ascend.
+func Build(keys [][]byte, vals []int64) *Tree {
+	if len(keys) != len(vals) {
+		panic("btree: Build with unequal key and value counts")
+	}
+	t := New()
+	if len(keys) == 0 {
+		return t
+	}
+	distinct := 1
+	for i := 1; i < len(keys); i++ {
+		switch c := bytes.Compare(keys[i-1], keys[i]); {
+		case c > 0:
+			panic("btree: Build keys out of order")
+		case c < 0:
+			distinct++
+		}
+	}
+	// Entries and their value lists are carved out of two shared
+	// arrays, each window capped at its own length so that a later
+	// append in place reallocates instead of running into a neighbour.
+	entries := make([]entry, 0, distinct)
+	all := make([]int64, 0, len(vals))
+	start, ascending := 0, true // ascending: the key's values so far
+	for i, k := range keys {
+		v := vals[i]
+		if i == 0 || !bytes.Equal(keys[i-1], k) {
+			if i > 0 {
+				entries[len(entries)-1].vals = all[start:len(all):len(all)]
+			}
+			entries = append(entries, entry{key: k})
+			start, ascending = len(all), true
+		} else if !ascending || v <= all[len(all)-1] {
+			if contains(all[start:], v) {
+				continue
+			}
+			ascending = false
+		}
+		all = append(all, v)
+	}
+	entries[len(entries)-1].vals = all[start:len(all):len(all)]
+	t.keys, t.vals = len(entries), len(all)
+
+	// The leaf level, then interior levels over it until one node is
+	// left; mins[i] is the smallest key under level[i].
+	leaves := make([]leaf, (len(entries)+degree-2)/(degree-1))
+	level := make([]node, len(leaves))
+	mins := make([][]byte, len(leaves))
+	for i := range leaves {
+		lo, hi := i*(degree-1), min((i+1)*(degree-1), len(entries))
+		leaves[i] = leaf{cow: t.cow, entries: entries[lo:hi:hi]}
+		level[i], mins[i] = &leaves[i], entries[lo].key
+	}
+	for len(level) > 1 {
+		ins := make([]interior, (len(level)+degree-1)/degree)
+		up, upMins := make([]node, len(ins)), make([][]byte, len(ins))
+		for i := range ins {
+			lo, hi := i*degree, min((i+1)*degree, len(level))
+			ins[i] = interior{cow: t.cow, keys: mins[lo+1 : hi : hi], children: level[lo:hi:hi]}
+			up[i], upMins[i] = &ins[i], mins[lo]
+		}
+		level, mins = up, upMins
+		t.height++
+	}
+	t.root = level[0]
+	return t
+}
+
+func contains(vals []int64, v int64) bool {
+	for _, x := range vals {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 // mutableLeaf returns lf if this tree owns it, else a copy owned by

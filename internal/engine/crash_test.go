@@ -288,6 +288,57 @@ func TestCrashDuringRecoveryReplay(t *testing.T) {
 	}
 }
 
+// TestOpenDirSync arms engine/open-dirsync, the directory fsyncs that
+// make what Open creates durable: the store directory's entry in its
+// parent, then the WAL file's entry in the store directory. Open on a
+// fresh path fails at the first; once the directory exists but the
+// WAL does not, at the second. Open on an existing store never reaches
+// the site, so reopening pays no fsync.
+func TestOpenDirSync(t *testing.T) {
+	defer failpoint.Reset()
+	const site = "engine/open-dirsync"
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := failpoint.Enable(site, failpoint.Return(errCrash)); err != nil {
+		t.Fatal(err)
+	}
+	for i, created := range []string{"directory", "WAL"} {
+		if _, err := Open(dir); !errors.Is(err, errCrash) {
+			t.Fatalf("Open creating the %s at armed %s: err = %v, want injected crash", created, site, err)
+		}
+		if got := failpoint.Hits(site); got != int64(i+1) {
+			t.Fatalf("after Open creating the %s: %s reached %d times, want %d", created, site, got, i+1)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, walFile)); err != nil {
+		t.Fatalf("the failed Open left no WAL: %v", err)
+	}
+
+	if err := failpoint.Enable(site, failpoint.Return(errCrash)); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open of an existing store: %v", err)
+	}
+	if _, err := db.CreateTable("T", Column{"id", TInt}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if re.Table("T") == nil {
+		t.Fatal("table T lost across reopen")
+	}
+	if got := failpoint.Hits(site); got != 0 {
+		t.Fatalf("Open of an existing store reached %s %d times, want 0", site, got)
+	}
+}
+
 // playHistory drives a seeded random sequence of every mutation kind
 // through db's public write surface: CREATE TABLE, CREATE INDEX,
 // single-row and batch inserts, multi-table write batches, and one
@@ -555,10 +606,13 @@ func TestCreateIndexRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable("T", Column{"id", TInt}, Column{"dewey_pos", TBytes})
+	tb, err := db.CreateTable("T", Column{"id", TInt}, Column{"dewey_pos", TBytes}, Column{"label", TText})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// label's keys neither ascend in row order nor are distinct, so the
+	// index on it is built from sorted keys, live and in recovery.
+	label := func(id int64) Value { return NewText(fmt.Sprintf("k%d", id*7%11)) }
 	// A two-level sibling-heavy shape with ordinals around the
 	// component byte boundaries (0x7F/0x80, 0xFF/0x100), the
 	// adversarial cases for comparator order (Section 4.2: encoded
@@ -567,10 +621,10 @@ func TestCreateIndexRecovery(t *testing.T) {
 	var rows [][]Value
 	id := int64(0)
 	for _, a := range []int{1, 2, 127, 128, 255, 256} {
-		rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a))})
+		rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a)), label(id)})
 		id++
 		for _, b := range []int{1, 127, 128, 300} {
-			rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a, b))})
+			rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a, b)), label(id)})
 			id++
 		}
 	}
@@ -582,11 +636,14 @@ func TestCreateIndexRecovery(t *testing.T) {
 	if _, err := tb.CreateIndex("T_dp", "dewey_pos"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tb.CreateIndex("T_label", "label"); err != nil {
+		t.Fatal(err)
+	}
 	// More rows after the index: replay must route them through the
 	// recovered index too.
 	var late [][]Value
 	for _, a := range []int{1, 255} {
-		late = append(late, []Value{NewInt(id), NewBytes(dewey.New(1, a, 500))})
+		late = append(late, []Value{NewInt(id), NewBytes(dewey.New(1, a, 500)), label(id)})
 		id++
 	}
 	if _, err := tb.InsertBatch(late); err != nil {
@@ -653,4 +710,17 @@ func TestCreateIndexRecovery(t *testing.T) {
 			t.Errorf("query %d (%s): recovered index disagrees with pre-crash result", i, q)
 		}
 	}
+	requireSameState(t, db, re)
+	// A checkpoint writes each index after all of its table's rows, so
+	// the reload rebuilds T_dp over keys the late rows took out of
+	// order: both indexes now go through the sort.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	requireSameState(t, db, re2)
 }

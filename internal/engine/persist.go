@@ -57,10 +57,21 @@ type persister struct {
 // tail; a crash at any earlier moment therefore yields exactly the
 // committed prefix. Re-running recovery over the same files is
 // idempotent: checkpointed records are skipped by LSN and the replay
-// rebuilds identical state.
+// rebuilds identical state. What Open creates — the directory, the WAL
+// file — it makes durable before returning: it fsyncs the directory
+// holding each new entry, so a commit acknowledged before the first
+// checkpoint cannot lose its log with the entry. Reopening an existing
+// store syncs nothing.
 func Open(dir string) (*DB, error) {
+	_, err := os.Stat(dir)
+	newDir := os.IsNotExist(err)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	if newDir {
+		if err := syncDir(filepath.Dir(filepath.Clean(dir)), "engine/open-dirsync"); err != nil {
+			return nil, err
+		}
 	}
 	// db.pers stays nil until recovery is done: replayed records are
 	// committed like live ones, minus the log step.
@@ -80,7 +91,10 @@ func Open(dir string) (*DB, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	log, err := wal.Open(filepath.Join(dir, walFile), func(rec wal.Record) error {
+	walPath := filepath.Join(dir, walFile)
+	_, err = os.Stat(walPath)
+	newWAL := os.IsNotExist(err)
+	log, err := wal.Open(walPath, func(rec wal.Record) error {
 		if rec.LSN <= baseLSN {
 			// Already captured by the checkpoint: a crash between the
 			// checkpoint rename and the WAL reset leaves these behind.
@@ -93,6 +107,12 @@ func Open(dir string) (*DB, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: recovering WAL: %w", err)
+	}
+	if newWAL {
+		if err := syncDir(dir, "engine/open-dirsync"); err != nil {
+			_ = log.Close()
+			return nil, err
+		}
 	}
 	// A freshly reset (empty) WAL must not hand out LSNs at or below
 	// the checkpoint's base: the next recovery would skip them.
@@ -162,7 +182,7 @@ func (db *DB) Checkpoint() error {
 	if err := os.Rename(tmp, filepath.Join(db.pers.dir, ckptFile)); err != nil {
 		return err
 	}
-	if err := syncDir(db.pers.dir); err != nil {
+	if err := syncDir(db.pers.dir, "engine/checkpoint-dirsync"); err != nil {
 		return err
 	}
 	return db.pers.log.Reset()
@@ -218,12 +238,13 @@ func writeCheckpoint(path string, snap *dbSnap, baseLSN uint64) (err error) {
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename within it is durable. The
-// "engine/checkpoint-dirsync" failpoint fails it before the fsync: a
-// checkpoint renamed in whose rename may not be durable, with the WAL
-// not yet reset.
-func syncDir(dir string) error {
-	if err := failpoint.Inject("engine/checkpoint-dirsync"); err != nil {
+// syncDir fsyncs a directory so an entry created or renamed in it is
+// durable. The named failpoint fails it before the fsync:
+// "engine/checkpoint-dirsync", a checkpoint renamed in whose rename may
+// not be durable, with the WAL not yet reset; "engine/open-dirsync", a
+// store directory or WAL file Open created whose entry may not be.
+func syncDir(dir, site string) error {
+	if err := failpoint.Inject(site); err != nil {
 		return err
 	}
 	d, err := os.Open(dir)

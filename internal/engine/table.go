@@ -514,7 +514,11 @@ func observeRow(b *synopsis.Builder, row []Value) {
 }
 
 // applyCreateIndex builds the successor state carrying the new index;
-// existing rows are indexed immediately. The synopsis is shared with
+// existing rows are indexed immediately, in one bottom-up pass over
+// their keys in order (btree.Build). Keys that already ascend — row
+// order is key order for the shredded stores' id and Dewey indexes —
+// are not sorted; others are sorted stably, so a key's row ids stay
+// ascending as insertion would leave them. The synopsis is shared with
 // the predecessor: an index changes access paths, not contents.
 func applyCreateIndex(st *tableState, name string, positions []int) *tableState {
 	next := newTableState()
@@ -522,10 +526,23 @@ func applyCreateIndex(st *tableState, name string, positions []int) *tableState 
 	next.rows = st.rows
 	next.syn = st.syn
 	next.ascending = st.ascending
-	ix := &Index{Name: name, Cols: positions, Tree: btree.New()}
+	ix := &Index{Name: name, Cols: positions}
+	keys := make([][]byte, len(st.rows))
+	ids := make([]int64, len(st.rows))
+	ascending := true
 	for id, row := range st.rows {
-		ix.Tree.Insert(ix.key(row), int64(id))
+		keys[id], ids[id] = ix.key(row), int64(id)
+		ascending = ascending && (id == 0 || bytes.Compare(keys[id-1], keys[id]) <= 0)
 	}
+	if !ascending {
+		slices.SortStableFunc(ids, func(a, b int64) int { return bytes.Compare(keys[a], keys[b]) })
+		sorted := make([][]byte, len(ids))
+		for i, id := range ids {
+			sorted[i] = keys[id]
+		}
+		keys = sorted
+	}
+	ix.Tree = btree.Build(keys, ids)
 	next.indexes = append(append([]*Index(nil), st.indexes...), ix)
 	return next
 }

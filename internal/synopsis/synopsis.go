@@ -5,11 +5,25 @@
 // columns whose cardinality exceeds the cap.
 //
 // A Table is immutable once sealed. The engine's copy-on-write table
-// states each carry one: a write clones the accumulator (Extend),
+// states each carry one: a write extends the predecessor (Extend),
 // observes the new rows, and seals the successor, so a synopsis is
 // always exactly consistent with the snapshot that carries it —
 // including across WAL recovery and checkpoint reload, which replay
 // inserts through the same observe path as live writes.
+//
+// A successor shares its predecessor's histograms instead of copying
+// them. Each column's histogram is an ordered list of immutable layers
+// of count deltas, oldest and largest first; a key's count is the sum
+// of its deltas. A Builder writes one layer of its own, and Seal drops
+// it if it stayed empty, then merges the top layer into the one below
+// while the top holds at least half as many keys. Each layer is thus
+// under half the size of the one below it, and no histogram is deeper
+// than log2(HistCap)+1 layers. The distinct-key count and the largest
+// count are kept as running totals, and the distinct sketch is copied
+// only when a write first sets one of its bits. A commit therefore
+// costs its column count plus the keys its rows touch (times the
+// depth), amortized over the merges, not the size of the histograms it
+// extends.
 //
 // The per-path statistics of the paper's shredded stores fall out of
 // the generic machinery: the node table's path_id column histogram is
@@ -53,59 +67,121 @@ type colStats struct {
 	lenSum int64 // text/bytes lengths
 	lenMax int64
 
-	// hist maps encoded values to exact counts for the first ≤ HistCap
-	// distinct values; other counts observations whose value is absent
-	// from hist (only nonzero after overflow).
-	hist  map[string]int64
-	other int64
-	// sketch is the linear-counting bitmap, allocated on overflow.
-	sketch []uint64
+	// The histogram holds exact counts for the first ≤ HistCap distinct
+	// values, as layers of count deltas (see the package doc). layers
+	// are sealed and may be shared with other synopses; own is the
+	// Builder's layer, nil in a sealed Table. nkeys is the number of
+	// distinct histogram keys and maxCount the largest key count. other
+	// counts observations whose value is absent from the histogram
+	// (only nonzero after overflow).
+	layers   []layer
+	own      layer
+	nkeys    int64
+	maxCount int64
+	other    int64
+	// sketch is the linear-counting bitmap, allocated on overflow and
+	// shared with the predecessor until ownSketch is set.
+	sketch    []uint64
+	ownSketch bool
 }
 
-// clone deep-copies the accumulator for a copy-on-write successor.
-func (c *colStats) clone() *colStats {
-	n := *c
-	n.hist = make(map[string]int64, len(c.hist))
-	for k, v := range c.hist {
-		n.hist[k] = v
+// layer is one generation of histogram count deltas. Every delta is
+// positive: a key is in the histogram iff some layer holds it.
+type layer map[string]int64
+
+// sealed returns the sealed histogram count of key: the sum of its
+// deltas, 0 if the histogram does not hold it.
+func (c *colStats) sealed(key string) int64 {
+	var n int64
+	for _, l := range c.layers {
+		n += l[key]
 	}
-	if c.sketch != nil {
-		n.sketch = append([]uint64(nil), c.sketch...)
+	return n
+}
+
+// held reports whether a sealed layer holds key.
+func (c *colStats) held(key []byte) bool {
+	for _, l := range c.layers {
+		if _, ok := l[string(key)]; ok {
+			return true
+		}
 	}
-	return &n
+	return false
+}
+
+// eachKey calls fn with every sealed layer's keys and deltas; a key
+// held by several layers is visited once per layer.
+func (c *colStats) eachKey(fn func(key string, delta int64)) {
+	for _, l := range c.layers {
+		for k, d := range l {
+			fn(k, d)
+		}
+	}
 }
 
 // observe folds one non-NULL encoded value into the histogram and, if
 // overflowed, the distinct sketch.
 func (c *colStats) observe(key []byte) {
 	c.count++
-	if n, ok := c.hist[string(key)]; ok {
-		c.hist[string(key)] = n + 1
-		if c.sketch != nil {
-			c.mark(key)
+	if n, ok := c.own[string(key)]; ok {
+		c.own[string(key)] = n + 1
+	} else if held := c.held(key); held || c.nkeys < HistCap {
+		if !held {
+			c.nkeys++
 		}
+		if c.own == nil {
+			c.own = make(layer)
+		}
+		c.own[string(key)] = 1
+	} else {
+		if c.sketch == nil {
+			// Overflow: seed the sketch with every value seen so far,
+			// then stop admitting new histogram keys.
+			c.sketch, c.ownSketch = make([]uint64, sketchWords), true
+			c.eachKey(func(k string, _ int64) { c.mark([]byte(k)) })
+			for k := range c.own {
+				c.mark([]byte(k))
+			}
+		}
+		c.other++
+	}
+	if c.sketch != nil {
+		c.mark(key)
+	}
+}
+
+// seal folds the Builder's layer into the histogram: it raises the
+// largest count by the touched keys' new totals, then merges the top
+// layer down while it holds at least half as many keys as the layer
+// below. The merged layers are new maps; sealed ones are never
+// written.
+func (c *colStats) seal() {
+	c.ownSketch = false
+	own := c.own
+	c.own = nil
+	if len(own) == 0 {
 		return
 	}
-	if len(c.hist) < HistCap {
-		if c.hist == nil {
-			c.hist = make(map[string]int64)
-		}
-		c.hist[string(key)] = 1
-		if c.sketch != nil {
-			c.mark(key)
-		}
-		return
-	}
-	if c.sketch == nil {
-		// Overflow: seed the sketch with every value seen so far, then
-		// stop admitting new histogram keys.
-		c.sketch = make([]uint64, sketchWords)
-		for k := range c.hist {
-			c.mark([]byte(k))
+	for k, d := range own {
+		if n := c.sealed(k) + d; n > c.maxCount {
+			c.maxCount = n
 		}
 	}
-	c.mark(key)
-	c.other++
+	layers := make([]layer, len(c.layers), len(c.layers)+1)
+	copy(layers, c.layers)
+	top := own
+	for len(layers) > 0 && 2*len(top) >= len(layers[len(layers)-1]) {
+		below := layers[len(layers)-1]
+		merged := make(layer, len(below)+len(top))
+		for k, d := range below {
+			merged[k] = d
+		}
+		for k, d := range top {
+			merged[k] += d
+		}
+		top, layers = merged, layers[:len(layers)-1]
+	}
+	c.layers = append(layers, top)
 }
 
 // mark sets the value's bit in the linear-counting bitmap. The hash
@@ -116,7 +192,8 @@ func (c *colStats) observe(key []byte) {
 // hundreds of bytes), then one multiply-xorshift round: the bit index
 // is the hash's low bits, which the FNV multiply alone leaves too
 // regular for keys that differ only in their last bytes (consecutive
-// integers overestimate by 20 %).
+// integers overestimate by 20 %). A sketch shared with the predecessor
+// is copied before its first bit changes.
 func (c *colStats) mark(key []byte) {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -130,14 +207,21 @@ func (c *colStats) mark(key []byte) {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	bit := h % (sketchWords * 64)
-	c.sketch[bit/64] |= 1 << (bit % 64)
+	w, m := bit/64, uint64(1)<<(bit%64)
+	if c.sketch[w]&m != 0 {
+		return
+	}
+	if !c.ownSketch {
+		c.sketch, c.ownSketch = append([]uint64(nil), c.sketch...), true
+	}
+	c.sketch[w] |= m
 }
 
 // distinct estimates the number of distinct non-NULL values: exact
 // while the histogram holds every value, linear counting afterwards.
 func (c *colStats) distinct() int64 {
 	if c.sketch == nil {
-		return int64(len(c.hist))
+		return c.nkeys
 	}
 	m := float64(sketchWords * 64)
 	ones := 0
@@ -149,8 +233,8 @@ func (c *colStats) distinct() int64 {
 		empty = 1
 	}
 	est := int64(math.Round(m * math.Log(m/empty)))
-	if min := int64(len(c.hist)); est < min {
-		est = min
+	if est < c.nkeys {
+		est = c.nkeys
 	}
 	return est
 }
@@ -300,7 +384,12 @@ func (c Col) eq(key []byte) (n int64, exact bool) {
 	if c.c == nil {
 		return 0, false
 	}
-	if n, ok := c.c.hist[string(key)]; ok {
+	// The deltas are summed here rather than by sealed: a string(key)
+	// conversion inside the map index does not allocate.
+	for _, l := range c.c.layers {
+		n += l[string(key)]
+	}
+	if n > 0 {
 		return n, c.c.sketch == nil
 	}
 	if c.c.sketch == nil {
@@ -309,7 +398,7 @@ func (c Col) eq(key []byte) (n int64, exact bool) {
 	}
 	// Value fell past the cap: spread the overflow mass uniformly over
 	// the distinct values outside the histogram.
-	outside := c.c.distinct() - int64(len(c.c.hist))
+	outside := c.c.distinct() - c.c.nkeys
 	if outside < 1 {
 		outside = 1
 	}
@@ -342,15 +431,15 @@ func (c Col) IntRangeCount(lo, hi int64) (int64, bool) {
 	if c.c.sketch == nil {
 		var n int64
 		var buf [9]byte
-		for v := range c.c.hist {
+		c.c.eachKey(func(v string, d int64) {
 			if len(v) == 9 && v[0] == tagInt {
 				copy(buf[:], v)
 				iv := int64(binary.BigEndian.Uint64(buf[1:]))
 				if iv >= lo && iv <= hi {
-					n += c.c.hist[v]
+					n += d
 				}
 			}
-		}
+		})
 		return n, true
 	}
 	span := float64(c.c.intMax-c.c.intMin) + 1
@@ -374,15 +463,10 @@ func (c Col) MaxFreq() int64 {
 	if c.c == nil {
 		return 0
 	}
-	var max int64
-	for _, n := range c.c.hist {
-		if n > max {
-			max = n
-		}
-	}
+	max := c.c.maxCount
 	// Overflow mass could hide a heavier value; be conservative.
 	if c.c.other > 0 {
-		outside := c.c.distinct() - int64(len(c.c.hist))
+		outside := c.c.distinct() - c.c.nkeys
 		if outside < 1 {
 			outside = 1
 		}
@@ -419,16 +503,19 @@ type Builder struct {
 	buf    []byte
 }
 
-// Extend clones prev (which may be nil or Empty) into a Builder. The
-// clone is deep for histogram state, so readers of the predecessor
+// Extend starts a Builder for prev's successor (prev may be nil or
+// Empty). The successor shares prev's histogram layers and sketches
+// and writes only state of its own, so readers of the predecessor
 // snapshot are never disturbed.
 func Extend(prev *Table) *Builder {
 	b := &Builder{}
 	if prev != nil {
 		b.rows = prev.rows
+		cs := make([]colStats, len(prev.cols))
 		b.cols = make([]*colStats, len(prev.cols))
 		for i, c := range prev.cols {
-			b.cols[i] = c.clone()
+			cs[i] = *c
+			b.cols[i] = &cs[i]
 		}
 	}
 	return b
@@ -507,6 +594,9 @@ func (b *Builder) Seal() *Table {
 		panic("synopsis: Builder sealed twice")
 	}
 	b.sealed = true
+	for _, c := range b.cols {
+		c.seal()
+	}
 	return &Table{rows: b.rows, cols: b.cols}
 }
 
@@ -524,13 +614,23 @@ func Equal(a, b *Table) bool {
 			ca.hasFloat != cb.hasFloat ||
 			(ca.hasFloat && (ca.floatMin != cb.floatMin || ca.floatMax != cb.floatMax)) ||
 			ca.lenSum != cb.lenSum || ca.lenMax != cb.lenMax ||
-			ca.other != cb.other || len(ca.hist) != len(cb.hist) {
+			ca.other != cb.other || ca.nkeys != cb.nkeys ||
+			(ca.sketch == nil) != (cb.sketch == nil) {
 			return false
 		}
-		for k, v := range ca.hist {
-			if cb.hist[k] != v {
+		for w := range ca.sketch {
+			if ca.sketch[w] != cb.sketch[w] {
 				return false
 			}
+		}
+		// As many keys, and each of a's counted alike in b: the
+		// histograms hold the same counts, however they are layered.
+		same := true
+		ca.eachKey(func(k string, _ int64) {
+			same = same && ca.sealed(k) == cb.sealed(k)
+		})
+		if !same {
+			return false
 		}
 	}
 	return true
