@@ -141,6 +141,8 @@ explain-smoke:
 # whose hashes internal/engine/testdata/golden_rows.txt commits. A
 # planner change that leaves the file alone returns its parent's
 # results byte for byte; `go test ./internal/engine -run
-# TestGoldenRows -update` rewrites it.
+# TestGoldenRows -update` rewrites it. TestGoldenExplain pins the same
+# statements' first-plan EXPLAIN text in
+# internal/engine/testdata/golden_explain.txt the same way.
 golden-rows:
-	$(GO) test -count=1 -run 'TestGoldenRows' ./internal/engine/
+	$(GO) test -count=1 -run 'TestGoldenRows|TestGoldenExplain' ./internal/engine/

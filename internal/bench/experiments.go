@@ -286,14 +286,23 @@ func (w *Workload) explainCheckRow(q Query) ([]string, error) {
 }
 
 // checkOperatorStats asserts every operator line of an EXPLAIN ANALYZE
-// rendering carries a stats block (the "total:" footer is exempt).
+// rendering carries a stats block (the "total:" footer is exempt), and
+// every line with an estimate of an operator that ran — looped or took
+// rows in — its q-error: the measure adaptive re-planning acts on,
+// which a line must not drop.
 func checkOperatorStats(plan string) error {
 	for _, line := range strings.Split(strings.TrimRight(plan, "\n"), "\n") {
 		if strings.HasPrefix(line, "total:") || strings.HasSuffix(strings.TrimSpace(line), ":") {
 			continue
 		}
-		if !strings.Contains(line, "[loops=") || !strings.Contains(line, "time=") {
+		// A label can itself hold brackets: the stats are the last block.
+		open := strings.LastIndex(line, " [loops=")
+		if open < 0 || !strings.Contains(line[open:], "time=") {
 			return fmt.Errorf("operator line missing stats: %q", line)
+		}
+		stats := line[open:]
+		if strings.Contains(stats, "] est_rows=") && !strings.HasPrefix(stats, " [loops=0 in=0 ") && !strings.Contains(stats, " q=") {
+			return fmt.Errorf("operator line with an estimate that ran has no q-error: %q", line)
 		}
 	}
 	return nil

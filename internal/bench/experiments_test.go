@@ -141,6 +141,28 @@ func TestExplainCheckTable(t *testing.T) {
 	}
 }
 
+// TestCheckOperatorStats: every operator line needs its stats block,
+// and a line with an estimate of an operator that ran its q-error.
+func TestCheckOperatorStats(t *testing.T) {
+	for _, tc := range []struct {
+		plan string
+		ok   bool
+	}{
+		{"scan a: full scan [loops=1 in=0 out=3 probes=0 time=1µs] est_rows=3 q=1.00\n" +
+			"filter a: a.v IN ('[x]') [loops=1 in=3 out=1 probes=0 time=0s] est_rows=2 q=2.00\n" +
+			"project: a.id [loops=0 in=1 out=1 probes=0 time=0s]\ntotal: rows=1 peak-mem=0B\n", true},
+		{"union branch 1:\n  scan b: index lookup b_pk [loops=0 in=0 out=0 probes=0 time=0s] est_rows=1\n", true},
+		{"filter a: a.v = 1 [loops=1 in=3 out=1 probes=0 time=0s] est_rows=2\n", false},
+		{"filter a: a.v = '[loops=0 in=0 ]' [loops=4 in=3 out=1 probes=0 time=0s] est_rows=2\n", false},
+		{"filter a: a.v = 1 [loops=0 in=3 out=1 probes=0 time=0s] est_rows=2\n", false},
+		{"project: a.id\n", false},
+	} {
+		if err := checkOperatorStats(tc.plan); (err == nil) != tc.ok {
+			t.Errorf("checkOperatorStats(%q) = %v, want ok %v", tc.plan, err, tc.ok)
+		}
+	}
+}
+
 func TestJoinCountsTable(t *testing.T) {
 	w, err := NewXMark(0.02, 9)
 	if err != nil {

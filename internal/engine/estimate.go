@@ -423,7 +423,6 @@ func (p *planner) intBound(e cexpr) (int64, bool) {
 // the omission from the evidence); it is never executed.
 type omittedFilter struct {
 	ce     cexpr
-	src    string
 	reason string // "not-null", "int-range", "empty-table"
 	// Evidence pins the synopsis facts the decision used, re-checked
 	// independently by plancheck against the live synopsis.

@@ -397,11 +397,10 @@ func (c *cfunc) eval(ec *execCtx, e env) (Value, error) {
 type cexists struct {
 	plan   *selectPlan
 	negate bool
-	node   *opNode // subplan boundary operator, set by lowerStmt
 }
 
 func (c *cexists) eval(ec *execCtx, e env) (Value, error) {
-	st := ec.op(c.node)
+	st := ec.op(c.plan.phys.boundary)
 	st.open()
 	found := false
 	emit := func([]Value) (bool, error) {
@@ -427,11 +426,10 @@ func (c *cexists) eval(ec *execCtx, e env) (Value, error) {
 
 type csubq struct {
 	plan *selectPlan
-	node *opNode // subplan boundary operator, set by lowerStmt
 }
 
 func (c *csubq) eval(ec *execCtx, e env) (Value, error) {
-	st := ec.op(c.node)
+	st := ec.op(c.plan.phys.boundary)
 	st.open()
 	// COUNT(*) subqueries count; other scalar subqueries return the
 	// first row's single value (NULL when empty).

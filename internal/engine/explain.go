@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -8,11 +9,14 @@ import (
 	"repro/internal/sqlast"
 )
 
-// EXPLAIN ANALYZE: run the statement with per-operator timing enabled
-// and render the physical operator tree annotated with each
-// operator's merged OpStats (see opstats.go for counter semantics;
-// operator times are inclusive of nested operators, like the
-// indentation of the rendered tree).
+// EXPLAIN and EXPLAIN ANALYZE render a compiled statement one line per
+// operator, subplans nested under the operator that evaluates them.
+// Every line is read off the decompiled plan shape (plantrace.go) — the
+// description plancheck certifies — and the operator node it stands for;
+// EXPLAIN ANALYZE adds each operator's merged OpStats (see opstats.go
+// for counter semantics; operator times are inclusive of nested
+// operators, like the indentation of the rendered tree) and the q-error
+// of its estimate, measured by the feedback loop's own selectPlan.qErrors.
 
 // ExplainAnalyzeWithOptions executes the statement with the given
 // options and returns the annotated plan. A select that ran on morsel
@@ -22,26 +26,27 @@ func (db *DB) ExplainAnalyzeWithOptions(st sqlast.Statement, opts ExecOptions) (
 }
 
 func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, args []Value, opts ExecOptions) (string, error) {
-	cs, res, frame, err := db.analyze(ctx, st, args, opts, true)
+	key, cs, res, frame, err := db.analyze(ctx, st, args, opts, true)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString(renderCompiled(cs, frame))
-	fmt.Fprintf(&b, "total: rows=%d peak-mem=%dB\n", len(res.Rows), res.PeakMemBytes)
-	return b.String(), nil
+	text, err := explainText(cs, key, frame)
+	if err != nil {
+		return "", err
+	}
+	return text + fmt.Sprintf("total: rows=%d peak-mem=%dB\n", len(res.Rows), res.PeakMemBytes), nil
 }
 
 // analyze compiles and executes st under the panic guard, returning
 // the plan and the execution's operator stats frame beside the result.
-func (db *DB) analyze(ctx context.Context, st sqlast.Statement, args []Value, opts ExecOptions, timing bool) (cs *compiledStmt, res *Result, frame opFrame, err error) {
-	key, cs, err := db.compile(st, args)
+func (db *DB) analyze(ctx context.Context, st sqlast.Statement, args []Value, opts ExecOptions, timing bool) (key string, cs *compiledStmt, res *Result, frame opFrame, err error) {
+	key, cs, err = db.compile(st, args)
 	if err != nil {
-		return nil, nil, nil, err
+		return key, nil, nil, nil, err
 	}
 	defer guardPanics(key, &err)
 	res, frame, err = db.runCompiledFrame(ctx, cs, args, opts, key, timing)
-	return cs, res, frame, err
+	return key, cs, res, frame, err
 }
 
 // runExplainStmt executes an EXPLAIN / EXPLAIN ANALYZE statement,
@@ -79,48 +84,275 @@ func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, args []Val
 	return res, nil
 }
 
-// opReport is one operator's estimate-vs-observed record from an
-// analyzeReport run, the structured companion to EXPLAIN ANALYZE's
-// est_rows/q annotations that the engine's tests read.
-type opReport struct {
-	Label string
-	// Kind classifies the operator ("scan", "filter", "project",
-	// "count", "distinct", "sort", "union", "subplan") so tests can pick
-	// operators out without parsing labels. Reports arrive in render
-	// order: a step's filter immediately follows its scan.
-	Kind string
-	// EstRows is the planner's per-loop output estimate, valid when
-	// HasEst (scans and filters carry estimates; projections, sorts and
-	// union machinery do not).
-	EstRows float64
-	HasEst  bool
-	Loops   int64
-	RowsOut int64
-	// QError is the symmetric ratio error between EstRows and the
-	// observed per-loop output, 0 when the operator has no estimate or
-	// never ran. For a step under first match the observation is the
-	// rows consumed until the match, a lower bound: only an estimate
-	// below it counts as an error.
-	QError float64
+// explainLine is one line of EXPLAIN: an operator (node), or the header
+// of a UNION branch (node nil). est is the operator's estimate, valid
+// when hasEst; q its q-error against the frame the lines were described
+// with, 0 for none.
+type explainLine struct {
+	indent, text string
+	node         *opNode
+	est, q       float64
+	hasEst       bool
 }
 
-// analyzeReport executes the statement and returns the per-operator
-// estimate/observation records in render order, plus the result.
-func (db *DB) analyzeReport(st sqlast.Statement, opts ExecOptions) ([]opReport, *Result, error) {
-	cs, res, frame, err := db.analyze(nil, st, nil, opts, false)
+// explainText renders the compiled statement: with a nil frame the
+// EXPLAIN form, with an execution's stats frame the EXPLAIN ANALYZE
+// form, each operator's counters and q-error beside its estimate.
+func explainText(cs *compiledStmt, key string, frame opFrame) (string, error) {
+	lines, err := explainLines(cs, key, frame)
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
-	var reports []opReport
-	walkOps(cs, func(n *opNode) {
-		r := opReport{Label: n.label, Kind: n.kind.String(), EstRows: n.est, HasEst: n.hasEst,
-			Loops: frame[n.id].loops, RowsOut: frame[n.id].rowsOut}
-		if n.hasEst && r.Loops > 0 {
-			r.QError = n.qError(float64(r.RowsOut) / float64(r.Loops))
+	var b strings.Builder
+	for _, l := range lines {
+		b.WriteString(l.indent)
+		b.WriteString(l.text)
+		if frame != nil && l.node != nil {
+			fmt.Fprintf(&b, " [%s]", frame[l.node.id].String())
 		}
-		reports = append(reports, r)
-	})
-	return reports, res, nil
+		if l.hasEst {
+			b.WriteString(" est_rows=" + formatEst(l.est))
+			if l.q > 0 {
+				fmt.Fprintf(&b, " q=%.2f", l.q)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String(), nil
+}
+
+// explainLines describes the compiled statement line by line from its
+// decompiled shape; frame, when set, is an execution's stats, against
+// which the lines' estimates are measured.
+func explainLines(cs *compiledStmt, key string, frame opFrame) ([]explainLine, error) {
+	sh, err := shapeStmt(cs, key)
+	if err != nil {
+		return nil, err
+	}
+	if cs.sel != nil {
+		return selectLines(nil, cs.sel, sh.Select, frame, "")
+	}
+	u, us := cs.union, sh.Union
+	var lines []explainLine
+	for i, b := range u.branches {
+		lines = append(lines, explainLine{text: fmt.Sprintf("union branch %d:", i+1)})
+		if lines, err = selectLines(lines, b, us.Branches[i], frame, "  "); err != nil {
+			return nil, err
+		}
+	}
+	lines = append(lines, explainLine{text: "union distinct", node: u.phys.union})
+	if us.Sort {
+		keys := make([]string, len(us.OrderPos))
+		for i, pos := range us.OrderPos {
+			keys[i] = orderKey(us.Cols[pos], us.OrderDesc[i])
+		}
+		lines = append(lines, explainLine{text: "union sort: " + strings.Join(keys, ", "), node: u.phys.sort})
+	}
+	return lines, nil
+}
+
+// selectLines appends the lines of one select: its Pipeline token by
+// token, each with the operator the lowering emitted for it, and under
+// each operator the subplans it evaluates.
+func selectLines(lines []explainLine, p *selectPlan, sh *SelectShape, frame opFrame, indent string) ([]explainLine, error) {
+	existential := map[string]bool{}
+	for _, g := range sh.Unnested {
+		for _, a := range g.Aliases {
+			existential[a.Alias] = true
+		}
+	}
+	step, next, qFilter := -1, 0, 0.0
+	for i, n := range p.phys.ops {
+		l := explainLine{indent: indent, node: n}
+		verb, alias, _ := strings.Cut(sh.Pipeline[i], " ")
+		switch verb {
+		case "prefilter":
+			l.text = fmt.Sprintf("prefilter: %d conjunct(s)", len(sh.PreFilters))
+		case "scan":
+			step++
+			s := &sh.Steps[step]
+			l.text = "scan " + alias + ": " + sh.accessText(s.Access)
+			if existential[alias] {
+				l.text += ", existential"
+			}
+			if o := sh.RowOrder; o != nil && step == 0 {
+				l.text += ", rows in " + o.Col + " order"
+			}
+			l.est, l.hasEst = s.EstAccess, true
+			if len(s.Filters) == 0 {
+				l.est = s.EstRows
+			}
+			if frame != nil {
+				l.q, qFilter, _ = p.qErrors(step, frame)
+			}
+		case "filter":
+			s := &sh.Steps[step]
+			l.text, l.est, l.hasEst, l.q = "filter "+alias+": "+sh.conjunctsText(s.Filters), s.EstRows, true, qFilter
+		case "project":
+			l.text = "project: " + strings.Join(sh.ColNames, ", ") + sh.projectNote()
+		case "count":
+			l.text = "count(*)"
+		case "distinct":
+			l.text = "distinct"
+		case "sort":
+			keys := make([]string, len(sh.OrderBy))
+			for k, o := range sh.OrderBy {
+				keys[k] = orderKey(sh.exprText(o.Key.Expr), o.Desc)
+			}
+			l.text = "sort: " + strings.Join(keys, ", ")
+		}
+		lines = append(lines, l)
+		for _, sub := range n.sub {
+			if next == len(sh.Subplans) {
+				return nil, fmt.Errorf("engine: operator %d evaluates a subplan its shape lacks", n.id)
+			}
+			s := sh.Subplans[next]
+			next++
+			text := s.Kind + " subplan"
+			if s.Kind == "count" {
+				text = "count(*) subplan"
+			}
+			lines = append(lines, explainLine{indent: indent + "  ", text: text, node: sub.phys.boundary})
+			var err error
+			if lines, err = selectLines(lines, sub, s.Select, frame, indent+"    "); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return lines, nil
+}
+
+// accessText names an access path.
+func (sh *SelectShape) accessText(a AccessShape) string {
+	var text string
+	switch a.Kind {
+	case "full-scan":
+		return "full scan"
+	case "index-eq":
+		return "index lookup " + a.Index
+	case "key-probe":
+		return "key-set probes " + cmp.Or(a.Index, "hash") + " " + sh.keySet(a.Resolved)
+	case "hash-eq":
+		text = "hash join"
+	case "fat-hash":
+		text = "hash join (low selectivity)"
+	case "index-prefixes":
+		text = "index prefix lookups " + a.Index
+	case "index-range":
+		sides := "one-sided"
+		if a.Lo.Expr != nil && a.Hi.Expr != nil {
+			sides = "two-sided"
+		}
+		text = "index range scan (" + sides + ") " + a.Index
+	}
+	if o := a.BuiltOver; o != nil {
+		text += " over " + o.Col + " IN " + sh.keySet(o.Resolved)
+	}
+	return text
+}
+
+// keySet names the key set of Resolved[i] by its size and its alias,
+// and deliberately not by the patterns behind it: the line describes
+// what runs, and no regular expression does.
+func (sh *SelectShape) keySet(i int) string {
+	return fmt.Sprintf("<%d keys of %s>", len(sh.Resolved[i].Keys), sh.Resolved[i].Alias)
+}
+
+// conjunctsText renders a step's filters as one conjunction, an OR
+// among others parenthesised: AND binds tighter, and the line must read
+// as the statement does.
+func (sh *SelectShape) conjunctsText(fs []ExprShape) string {
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = sh.exprText(f.Expr)
+		if b, ok := f.Expr.(*sqlast.Binary); ok && b.Op == sqlast.OpOr && len(fs) > 1 {
+			out[i] = "(" + out[i] + ")"
+		}
+	}
+	return strings.Join(out, " AND ")
+}
+
+// exprText renders an expression as the statement has it: a set-test
+// marker as the set it tests, a subplan marker as its sub-select.
+func (sh *SelectShape) exprText(e sqlast.Expr) string {
+	if f, ok := e.(*sqlast.Func); ok {
+		switch f.Name {
+		case MarkerKeySet:
+			return f.Args[0].String() + " IN " + sh.keySet(markerIndex(f))
+		case MarkerPairSet:
+			pr := sh.Pairs[markerIndex(f)]
+			return fmt.Sprintf("(%s, %s) IN <%d key pairs of %s, %s>", f.Args[0], f.Args[1],
+				len(pr.Pairs), sh.Resolved[pr.A].Alias, sh.Resolved[pr.B].Alias)
+		}
+	}
+	return sh.unmark(e).String()
+}
+
+// unmark is e with every subplan marker replaced by the sub-select it
+// stands for.
+func (sh *SelectShape) unmark(e sqlast.Expr) sqlast.Expr {
+	switch x := e.(type) {
+	case *sqlast.Binary:
+		return &sqlast.Binary{Op: x.Op, L: sh.unmark(x.L), R: sh.unmark(x.R)}
+	case *sqlast.Not:
+		return &sqlast.Not{X: sh.unmark(x.X)}
+	case *sqlast.Between:
+		return &sqlast.Between{X: sh.unmark(x.X), Lo: sh.unmark(x.Lo), Hi: sh.unmark(x.Hi)}
+	case *sqlast.IsNull:
+		return &sqlast.IsNull{X: sh.unmark(x.X), Negate: x.Negate}
+	case *sqlast.Func:
+		if x.Name != MarkerExists && x.Name != MarkerNotExists && x.Name != MarkerScalar {
+			f := &sqlast.Func{Name: x.Name, Args: make([]sqlast.Expr, len(x.Args))}
+			for i, a := range x.Args {
+				f.Args[i] = sh.unmark(a)
+			}
+			return f
+		}
+		sel := sh.Subplans[markerIndex(x)].Source
+		if x.Name == MarkerScalar {
+			return &sqlast.Subquery{Select: sel}
+		}
+		return &sqlast.Exists{Select: sel, Negate: x.Name == MarkerNotExists}
+	}
+	return e
+}
+
+// markerIndex is the index a marker call carries, its last argument.
+func markerIndex(f *sqlast.Func) int {
+	return int(f.Args[len(f.Args)-1].(*sqlast.IntLit).Value)
+}
+
+// projectNote annotates the projection with what the proofs left out:
+// the distinct operator (Unique), and the bindings the first-match run
+// does not look for.
+func (sh *SelectShape) projectNote() string {
+	u := sh.Unique
+	switch {
+	case u != nil && sh.FirstMatchFrom > 0:
+		return " (distinct by " + u.Alias + "." + u.Col + ", first match)"
+	case u != nil:
+		return " (distinct by " + u.Alias + "." + u.Col + ")"
+	case sh.FirstMatchFrom > 0:
+		return " (first match from " + sh.Steps[sh.FirstMatchFrom].Alias + ")"
+	}
+	return ""
+}
+
+// orderKey renders one ORDER BY key.
+func orderKey(text string, desc bool) string {
+	if desc {
+		return text + " DESC"
+	}
+	return text
+}
+
+// formatEst renders a cardinality estimate compactly: whole numbers
+// without a fraction, everything else with two decimals.
+func formatEst(v float64) string {
+	if v == float64(int64(v)) {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.2f", v)
 }
 
 // OperatorCount returns the number of physical operator nodes the

@@ -49,6 +49,49 @@ const (
 	ReplanQErrorThreshold = replanQErrorThreshold
 )
 
+// opReport is one operator's estimate-vs-observed record from an
+// analyzeReport run: the line EXPLAIN ANALYZE renders for it, taken
+// apart for the engine's tests.
+type opReport struct {
+	Label string
+	// Kind classifies the operator ("scan", "filter", "project",
+	// "count", "distinct", "sort", "union", "subplan") so tests can pick
+	// operators out without parsing labels. Reports arrive in render
+	// order: a step's filter immediately follows its scan.
+	Kind string
+	// EstRows is the planner's per-loop output estimate, valid when
+	// HasEst (scans and filters carry estimates; projections, sorts and
+	// union machinery do not).
+	EstRows float64
+	HasEst  bool
+	Loops   int64
+	RowsOut int64
+	// QError is selectPlan.qErrors' measure of EstRows against the run,
+	// 0 when the operator has no estimate or never ran.
+	QError float64
+}
+
+// analyzeReport executes the statement and returns the per-operator
+// estimate/observation records in render order, plus the result.
+func (db *DB) analyzeReport(st sqlast.Statement, opts ExecOptions) ([]opReport, *Result, error) {
+	key, cs, res, frame, err := db.analyze(nil, st, nil, opts, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	lines, err := explainLines(cs, key, frame)
+	if err != nil {
+		return nil, nil, err
+	}
+	var reports []opReport
+	for _, l := range lines {
+		if n := l.node; n != nil {
+			reports = append(reports, opReport{Label: l.text, Kind: n.kind.String(), EstRows: l.est, HasEst: l.hasEst,
+				Loops: frame[n.id].loops, RowsOut: frame[n.id].rowsOut, QError: l.q})
+		}
+	}
+	return reports, res, nil
+}
+
 // AnalyzeQError runs st on db and returns the result with the worst
 // q-error of any operator's estimate against what the run observed (1
 // when nothing carrying an estimate ran).
@@ -64,6 +107,21 @@ func AnalyzeQError(db *DB, st sqlast.Statement) (*Result, float64, error) {
 		}
 	}
 	return res, worst, nil
+}
+
+// FeedbackQError is the worst q-error adaptive re-planning reads off
+// the last execution of st's cached plan, which it leaves in place: 0
+// when db caches no plan of st, or no execution of it.
+func FeedbackQError(db *DB, st sqlast.Statement) float64 {
+	cs := db.plans.get(sqlast.Render(st), db.loadSnap())
+	if cs == nil {
+		return 0
+	}
+	fb := cs.feedback.Load()
+	if fb == nil {
+		return 0
+	}
+	return cs.worstQError(*fb)
 }
 
 // MemoCap and PatternCacheCap hand the memo bounds to the engine's

@@ -201,3 +201,64 @@ func idRows(ids []int64) *engine.Result {
 	}
 	return res
 }
+
+// TestGoldenExplain pins what EXPLAIN prints for the golden statements:
+// the Figure 3 statements and the six ad-hoc templates under both
+// mappings at goldenRowsScale, each the first plan a fresh workload
+// (an empty plan cache) compiles. testdata/golden_explain.txt holds
+// the text; -update rewrites it.
+func TestGoldenExplain(t *testing.T) {
+	xm, err := bench.NewXMark(goldenRowsScale, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xm.Queries = append(xm.Queries, adhocQueries...)
+	db, err := bench.NewDBLP(goldenRowsScale, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, w := range []*bench.Workload{xm, db} {
+		for _, sys := range []bench.System{bench.PPF, bench.EdgePPF} {
+			for _, q := range w.Queries {
+				label := fmt.Sprintf("%s/%s/%s", strings.SplitN(w.Name, "-", 2)[0], q.ID, map[bench.System]string{bench.PPF: "aware", bench.EdgePPF: "edge"}[sys])
+				st, err := w.Translate(sys, q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				text, err := sqlDB(w, sys).Explain(st)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				fmt.Fprintf(&b, "== %s\n%s", label, text)
+			}
+		}
+	}
+
+	golden := filepath.Join("testdata", "golden_explain.txt")
+	if updating() {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run go test ./internal/engine -run TestGoldenExplain -update)", err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("EXPLAIN differs from %s at line %d:\n got %q\nwant %q", golden, i+1, g, w)
+			}
+		}
+	}
+}

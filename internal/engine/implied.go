@@ -1,7 +1,5 @@
 package engine
 
-import "fmt"
-
 // Properties the plan implies (DESIGN.md §9, §13). Algorithm 1 ends
 // every statement SELECT DISTINCT … ORDER BY dewey_pos, and for most of
 // them the rows the join pipeline emits are already duplicate-free and
@@ -189,31 +187,6 @@ func readsOnly(e cexpr, alias string) bool {
 		return true
 	}
 	return false
-}
-
-// orderLabel and keyLabel are the EXPLAIN annotations of the proofs: the
-// order on the driving scan's line, the key on the projection's. They
-// ride on existing lines because the operators they replace have none.
-func (p *selectPlan) orderLabel() string {
-	if p.ordered == nil {
-		return ""
-	}
-	return ", rows in " + p.steps[0].table.Cols[p.ordered.col].Name + " order"
-}
-
-func (p *selectPlan) keyLabel() string {
-	if p.unique == nil {
-		if p.firstFrom > 0 {
-			return " (first match from " + p.steps[p.firstFrom].name + ")"
-		}
-		return ""
-	}
-	r := p.steps[0]
-	s := fmt.Sprintf(" (distinct by %s.%s", r.name, r.table.Cols[p.unique.col].Name)
-	if p.firstFrom > 0 {
-		s += ", first match"
-	}
-	return s + ")"
 }
 
 // proveMerge decides whether the union can merge its branches: one

@@ -59,14 +59,14 @@ func (s *OpStats) charge(n int64) { s.bytes += n }
 // clock per operator.
 func (s *OpStats) addTime(d time.Duration) { s.nanos += int64(d) }
 
-// setRowFlow overwrites the row counters with values derived at
-// statement end. Per-step filter operators do not count rows in the
-// hot loop: their flow is fully determined by their neighbours
-// (rowsIn is the step scan's rowsOut; rowsOut is the next scan's
-// loops, or the output operator's rowsIn for the last step), so
-// finalizeFrame reconstructs it once per execution instead of the
-// row loop paying two counter writes per candidate row.
-func (s *OpStats) setRowFlow(in, out int64) { s.rowsIn, s.rowsOut = in, out }
+// setRowFlow overwrites the loop and row counters with values derived
+// at statement end. Per-step filter operators do not count in the hot
+// loop: their flow is fully determined by their neighbours (loops and
+// rowsIn are the step scan's loops and rowsOut; rowsOut is the next
+// scan's loops, or the output operator's rowsIn for the last step), so
+// finalizeFrame reconstructs it once per execution instead of the row
+// loop paying counter writes per candidate row.
+func (s *OpStats) setRowFlow(loops, in, out int64) { s.loops, s.rowsIn, s.rowsOut = loops, in, out }
 
 // merge folds another shard of the same operator's counters into the
 // receiver; the morsel executor uses it to combine per-worker

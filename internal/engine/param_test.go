@@ -285,7 +285,7 @@ func TestParamExplain(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := strings.Join(rowTexts(res), "\n")
-		if !strings.Contains(plan, "name = ?1 AND price > ?2:int") ||
+		if !strings.Contains(plan, "t.name = ?1 AND t.price > ?2:int") ||
 			!strings.HasSuffix(plan, "params: ?1='it''s' ?2=7") {
 			t.Errorf("analyze=%v:\n%s", analyze, plan)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlast"
@@ -54,18 +55,18 @@ type selectPlan struct {
 	// set by lowerStmt for every plan reachable from a compiled
 	// statement — including correlated subplans.
 	phys *physSelect
-	// src is the rendered source of a correlated subselect (empty for
-	// top-level plans): the key adaptive re-planning uses to route a
-	// subplan's observed cardinalities back to the same subselect on
-	// the next compile. Rendered text is stable across join-order
-	// changes, which reorder compilation but not the statement.
-	src string
+	// source is the correlated sub-select the plan compiles, as the
+	// statement has it (nil for top-level plans). Its rendering is the
+	// key adaptive re-planning routes the subplan's observed
+	// cardinalities by to the same sub-select on the next compile:
+	// rendered text is stable across join-order changes, which reorder
+	// compilation but not the statement.
+	source *sqlast.Select
 }
 
 type corder struct {
 	x    cexpr
 	desc bool
-	src  string // source text of the key expression, for Explain
 }
 
 // joinStep binds one FROM table using an access path, then applies
@@ -84,8 +85,6 @@ type joinStep struct {
 	// existential: the alias came out of an unnested EXISTS; nothing the
 	// select projects or orders by reads it.
 	existential bool
-	// filterSrc keeps the source text of filters for Explain.
-	filterSrc []filterText
 	// estAccess/estRows are the planner's cardinality estimates for
 	// this step — rows the access path yields per binding, and rows
 	// surviving the residual filters — with estSource recording their
@@ -111,7 +110,6 @@ type joinStep struct {
 // (rank/est) and the executor's scan-operator contract (enumerate,
 // implemented per access kind in access.go).
 type accessPath interface {
-	describe() string
 	// rank orders access kinds for tie-breaking (lower is better).
 	rank() int
 	// est estimates the rows this access yields per binding of the
@@ -125,14 +123,14 @@ type accessPath interface {
 	// OpStats.
 	enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error
 	// shape describes the access path for the exported plan shape
-	// (plantrace.go), decompiling key expressions through sb;
-	// implemented per access kind in access.go.
+	// (plantrace.go), which is also what EXPLAIN renders, decompiling
+	// key expressions through sb; implemented per access kind in
+	// access.go.
 	shape(sb *shapeBuilder, t *Table) (AccessShape, error)
 }
 
 type fullScan struct{}
 
-func (fullScan) describe() string       { return "full scan" }
 func (fullScan) rank() int              { return 8 }
 func (fullScan) est(st *tableState) int { return len(st.rows) }
 
@@ -143,8 +141,7 @@ type indexEq struct {
 	keys []cexpr // one per leading column
 }
 
-func (a *indexEq) describe() string { return "index lookup " + a.ix.Name }
-func (a *indexEq) rank() int        { return 1 }
+func (a *indexEq) rank() int { return 1 }
 func (a *indexEq) est(st *tableState) int {
 	if n := a.ix.Tree.Len(); n > 0 {
 		return maxInt(1, a.ix.Tree.Pairs()/n)
@@ -162,8 +159,7 @@ type hashEq struct {
 	restrict *keyProbe
 }
 
-func (a *hashEq) describe() string { return "hash join" + a.restrict.over() }
-func (a *hashEq) rank() int        { return 2 }
+func (a *hashEq) rank() int { return 2 }
 func (a *hashEq) est(st *tableState) int {
 	// Estimate with the largest bucket: skewed join columns (e.g. a
 	// path id shared by half the relation) must not look selective.
@@ -183,9 +179,6 @@ type indexPrefixes struct {
 	restrict *keyProbe
 }
 
-func (a *indexPrefixes) describe() string {
-	return "index prefix lookups " + a.ix.Name + a.restrict.over()
-}
 func (a *indexPrefixes) rank() int              { return 2 }
 func (a *indexPrefixes) est(st *tableState) int { return minInt(len(st.rows), defaultDeweyFanout) }
 
@@ -205,14 +198,6 @@ type keyProbe struct {
 	merged bool
 }
 
-func (a *keyProbe) describe() string {
-	via := "hash"
-	if a.ix != nil {
-		via = a.ix.Name
-	}
-	return fmt.Sprintf("key-set probes %s <%d keys of %s>", via, len(a.res.keys.keys), a.res.alias)
-}
-
 // rank ties with a full scan so that a key set covering every row
 // loses to one: the scan needs no hash and keeps row order.
 func (a *keyProbe) rank() int              { return 8 }
@@ -221,14 +206,6 @@ func (a *keyProbe) est(st *tableState) int { return int(a.rows) }
 // The methods below describe a key test as the scope of another access
 // (buildScope): the rows a hash join builds over, or a Dewey step runs
 // over. A nil test scopes nothing: the access reads every row.
-
-// over names, for EXPLAIN, the key set whose rows the access reads.
-func (a *keyProbe) over() string {
-	if a == nil {
-		return ""
-	}
-	return fmt.Sprintf(" over %s IN <%d keys of %s>", a.res.factT.Cols[a.col].Name, len(a.res.keys.keys), a.res.alias)
-}
 
 // scope is the rows the access reads.
 func (a *keyProbe) scope() hashScope {
@@ -259,7 +236,6 @@ func (a *keyProbe) builtOver(t *Table) *KeySetScope {
 // prefers genuinely selective paths.
 type fatHash struct{ h *hashEq }
 
-func (a *fatHash) describe() string       { return "hash join (low selectivity)" + a.h.restrict.over() }
 func (a *fatHash) rank() int              { return 8 }
 func (a *fatHash) est(st *tableState) int { return a.h.est(st) }
 
@@ -281,13 +257,6 @@ type indexRange struct {
 	restrict *keyProbe
 }
 
-func (a *indexRange) describe() string {
-	kind := "one-sided"
-	if a.lo != nil && a.hi != nil {
-		kind = "two-sided"
-	}
-	return "index range scan (" + kind + ") " + a.ix.Name + a.restrict.over()
-}
 func (a *indexRange) rank() int {
 	if a.lo != nil && a.hi != nil {
 		return 3
@@ -345,7 +314,7 @@ type planner struct {
 	overrides map[ovKey]ovEst
 	// subOverrides routes observed cardinalities to correlated
 	// subselects, keyed by the subselect's rendered source text
-	// (selectPlan.src).
+	// (selectPlan.source).
 	subOverrides map[string]map[ovKey]ovEst
 	// args are the values the call that triggered this compile binds to
 	// the statement's parameter slots. To the planner a slot is a value
@@ -386,11 +355,14 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 	// the select being re-planned; a correlated subselect has its own
 	// alias space, so the outer map must not leak into it — the
 	// subselect gets its own map, routed by rendered source text.
-	var subSrc string
+	plan := &selectPlan{distinct: sel.Distinct}
 	if outer != nil {
-		subSrc = sqlast.Render(sel)
+		plan.source = sel
 		saved := p.overrides
-		p.overrides = p.subOverrides[subSrc]
+		p.overrides = nil
+		if p.subOverrides != nil {
+			p.overrides = p.subOverrides[sqlast.Render(sel)]
+		}
 		defer func() { p.overrides = saved }()
 	}
 	sc := newScope(outer)
@@ -410,8 +382,6 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		local[ref.Name()] = t
 		localOrder = append(localOrder, ref.Name())
 	}
-
-	plan := &selectPlan{distinct: sel.Distinct, src: subSrc}
 
 	// Projection.
 	if len(sel.Cols) == 1 {
@@ -443,7 +413,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		if err != nil {
 			return nil, err
 		}
-		plan.orderBy = append(plan.orderBy, corder{x: ce, desc: k.Desc, src: k.Expr.String()})
+		plan.orderBy = append(plan.orderBy, corder{x: ce, desc: k.Desc})
 	}
 
 	// Flatten WHERE into conjuncts and find their local references.
@@ -494,7 +464,6 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		}
 		c.note(ce)
 		of.ce = ce
-		of.src = c.expr.String()
 		omittedBy[name] = append(omittedBy[name], of)
 		c.done = true
 	}
@@ -594,7 +563,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 				continue
 			}
 			if len(c.localRef) == 0 || uses || len(plan.steps) == 0 {
-				ce, src, err := p.compileConjunct(c)
+				ce, err := p.compileConjunct(c)
 				if err != nil {
 					return nil, err
 				}
@@ -602,7 +571,6 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 					plan.preFilters = append(plan.preFilters, ce)
 				} else {
 					step.filters = append(step.filters, ce)
-					step.filterSrc = append(step.filterSrc, src)
 				}
 				c.done = true
 			}
@@ -615,7 +583,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		if c.done {
 			continue
 		}
-		ce, src, err := p.compileConjunct(c)
+		ce, err := p.compileConjunct(c)
 		if err != nil {
 			return nil, err
 		}
@@ -624,7 +592,6 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		} else {
 			last := plan.steps[len(plan.steps)-1]
 			last.filters = append(last.filters, ce)
-			last.filterSrc = append(last.filterSrc, src)
 		}
 		c.done = true
 	}
@@ -820,27 +787,17 @@ func builtOver(a accessPath) *keyProbe {
 	return nil
 }
 
-// filterText is one residual conjunct's source text for Explain; or
-// marks a conjunct whose top operator is OR, which the filter label
-// parenthesises among others (physplan.go).
-type filterText struct {
-	text string
-	or   bool
-}
-
-// compileConjunct compiles one conjunct for attachment to a step,
-// returning its source text for Explain beside the compiled form.
-func (p *planner) compileConjunct(c *conjunct) (cexpr, filterText, error) {
+// compileConjunct compiles one conjunct for attachment to a step.
+func (p *planner) compileConjunct(c *conjunct) (cexpr, error) {
 	if c.set != nil {
-		return c.set.compiled(), filterText{text: c.set.label()}, nil
+		return c.set.compiled(), nil
 	}
 	ce, err := p.compile(c.expr, c.sc)
 	if err != nil {
-		return nil, filterText{}, err
+		return nil, err
 	}
 	c.note(ce)
-	b, ok := c.expr.(*sqlast.Binary)
-	return ce, filterText{text: c.expr.String(), or: ok && b.Op == sqlast.OpOr}, nil
+	return ce, nil
 }
 
 // Filter cost classes, cheapest first: a step's residual conjuncts run
@@ -879,25 +836,10 @@ func filterClass(e cexpr) int {
 	return filterCompare
 }
 
-// orderFilters stable-sorts the step's residual conjuncts, and their
-// source texts with them, by cost class.
+// orderFilters stable-sorts the step's residual conjuncts by cost
+// class.
 func (s *joinStep) orderFilters() {
-	if len(s.filters) < 2 {
-		return
-	}
-	class := make([]int, len(s.filters))
-	for i, f := range s.filters {
-		class[i] = filterClass(f)
-	}
-	// Insertion sort: a step has a handful of filters, and the three
-	// parallel slices move together.
-	for i := 1; i < len(class); i++ {
-		for j := i; j > 0 && class[j] < class[j-1]; j-- {
-			class[j], class[j-1] = class[j-1], class[j]
-			s.filters[j], s.filters[j-1] = s.filters[j-1], s.filters[j]
-			s.filterSrc[j], s.filterSrc[j-1] = s.filterSrc[j-1], s.filterSrc[j]
-		}
-	}
+	slices.SortStableFunc(s.filters, func(a, b cexpr) int { return filterClass(a) - filterClass(b) })
 }
 
 // colOf returns the column position if e is a column of the table
@@ -1306,11 +1248,11 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 func (db *DB) Explain(st sqlast.Statement) (string, error) { return db.explain(st, nil) }
 
 func (db *DB) explain(st sqlast.Statement, args []Value) (string, error) {
-	_, cs, err := db.compile(st, args)
+	key, cs, err := db.compile(st, args)
 	if err != nil {
 		return "", err
 	}
-	return renderCompiled(cs, nil), nil
+	return explainText(cs, key, nil)
 }
 
 // JoinSteps returns, for tests and experiment reports, the number of

@@ -334,9 +334,8 @@ func (db *DB) compile(st sqlast.Statement, args []Value) (key string, cs *compil
 // residual filters; ok is false for a step that never executed.
 func (p *selectPlan) observed(i int, frame opFrame) (access, rows float64, ok bool) {
 	// The scan operator observes the access path's output; the filter
-	// operator (when the step has one) the post-filter rows — mirroring
-	// exactly what lowerSelect annotates each node with, so a re-planned
-	// plan's q-errors collapse to 1.
+	// operator (when the step has one) the post-filter rows, so a
+	// re-planned plan's q-errors collapse to 1.
 	scan := frame[p.phys.scans[i].id]
 	if scan.loops == 0 {
 		return 0, 0, false
@@ -344,9 +343,7 @@ func (p *selectPlan) observed(i int, frame opFrame) (access, rows float64, ok bo
 	access = float64(scan.rowsOut) / float64(scan.loops)
 	rows = access
 	if f := p.phys.filters[i]; f != nil {
-		// A filter's loop counter stays zero (its row flow is derived, see
-		// finalizeFrame); its total output over the scan's bindings is the
-		// per-binding post-filter cardinality.
+		// The filter runs once per binding of its scan (finalizeFrame).
 		rows = float64(frame[f.id].rowsOut) / float64(scan.loops)
 	}
 	// Under first match the step stopped at the match: what it consumed
@@ -360,25 +357,39 @@ func (p *selectPlan) observed(i int, frame opFrame) (access, rows float64, ok bo
 	return access, rows, true
 }
 
+// qErrors is the one measure of step i's estimates against what frame
+// observed: adaptive re-planning, EXPLAIN ANALYZE's q= and analyzeReport
+// all read it. scan is the q-error of the estimate the step's scan
+// operator carries — the access path's output, or without a filter
+// operator the rows past the step — and filter that of the post-filter
+// estimate its filter operator carries (0 without one); ok is false for
+// a step that never executed.
+func (p *selectPlan) qErrors(i int, frame opFrame) (scan, filter float64, ok bool) {
+	access, rows, ok := p.observed(i, frame)
+	if !ok {
+		return 0, 0, false
+	}
+	s := p.steps[i]
+	if p.phys.filters[i] == nil {
+		return qError(s.estRows, rows), 0, true
+	}
+	return qError(s.estAccess, access), qError(s.estRows, rows), true
+}
+
 // worstQError is the largest per-step q-error of the select's estimates
 // against the observations in frame, its correlated subplans included.
 // It allocates nothing: a plan-cache hit runs it whenever the plan may
 // still be re-planned, and the plan mostly stands.
 func (p *selectPlan) worstQError(frame opFrame) float64 {
 	worst := 1.0
-	for i, s := range p.steps {
-		access, rows, ok := p.observed(i, frame)
-		if !ok {
-			continue
+	for i := range p.steps {
+		if scan, filter, ok := p.qErrors(i, frame); ok {
+			worst = math.Max(worst, math.Max(scan, filter))
 		}
-		if p.phys.filters[i] != nil {
-			worst = math.Max(worst, qError(s.estAccess, access))
-		}
-		worst = math.Max(worst, qError(s.estRows, rows))
 	}
 	for _, n := range p.phys.ops {
-		for _, ref := range n.sub {
-			worst = math.Max(worst, ref.plan.worstQError(frame))
+		for _, sub := range n.sub {
+			worst = math.Max(worst, sub.worstQError(frame))
 		}
 	}
 	return worst
@@ -427,15 +438,16 @@ func planFeedback(cs *compiledStmt, frame opFrame) *planOverrides {
 		ov.subs[src] = m
 	}
 	// Correlated subplans carry their own per-step estimates and stats;
-	// their observations route back by rendered source (selectPlan.src).
+	// their observations route back by rendered source (selectPlan.source).
 	var collectSubs func(p *selectPlan)
 	collectSubs = func(p *selectPlan) {
 		for _, n := range p.phys.ops {
-			for _, ref := range n.sub {
-				if m := collect(ref.plan, prior.subs[ref.plan.src]); len(m) > 0 && ref.plan.src != "" {
-					ov.subs[ref.plan.src] = m
+			for _, sub := range n.sub {
+				src := sqlast.Render(sub.source)
+				if m := collect(sub, prior.subs[src]); len(m) > 0 {
+					ov.subs[src] = m
 				}
-				collectSubs(ref.plan)
+				collectSubs(sub)
 			}
 		}
 	}

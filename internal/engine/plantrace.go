@@ -13,10 +13,14 @@ import (
 // access path of every step with its key expressions, the placement
 // of every residual conjunct, and the lowered operator pipeline. The
 // plancheck certificate checker consumes this to prove the compiled
-// plan equivalent to the statement it came from. The description is
-// rebuilt from the compiled artifacts themselves (cexpr trees, access
-// structs, phys nodes) — never from planner bookkeeping strings — so
-// a planner bug cannot hide behind its own explanation.
+// plan equivalent to the statement it came from, and it is the only
+// description of a compiled plan: EXPLAIN renders its lines from it
+// (explain.go), so the plan a person reads is the plan plancheck
+// checked. The description is rebuilt from the compiled artifacts
+// themselves (cexpr trees, access structs, phys nodes) — never from
+// planner bookkeeping strings — so a planner bug cannot hide behind its
+// own explanation. It is built on demand (EXPLAIN, PlanShape,
+// VerifyPlan), never when a statement compiles or executes.
 
 // Subplan marker function names: correlated subqueries inside shape
 // expressions are replaced by pseudo-calls carrying the index of the
@@ -203,9 +207,11 @@ type StepShape struct {
 	Access  AccessShape
 	Filters []ExprShape
 	// EstRows is the estimated rows this step yields per binding of the
-	// earlier steps after residual filters; EstSource records where the
-	// number came from ("synopsis", "default" or "override").
+	// earlier steps after residual filters, EstAccess the rows its access
+	// path yields before them; EstSource records where the numbers came
+	// from ("synopsis", "default" or "override").
 	EstRows   float64
+	EstAccess float64
 	EstSource string
 	// EstPeeked lists the parameter slots whose compile-time values the
 	// estimate read (ascending); the numbers describe that binding.
@@ -217,11 +223,15 @@ type StepShape struct {
 }
 
 // SubplanShape is one correlated subquery of a select, referenced from
-// expressions by marker index.
+// expressions by marker index. Subplans are numbered in the order the
+// lowering evaluates them: prefilters, each step's filters, the
+// projection, the ORDER BY keys.
 type SubplanShape struct {
 	// Kind is "exists", "not-exists", "scalar" or "count".
 	Kind   string
 	Select *SelectShape
+	// Source is the sub-select as the statement has it.
+	Source *sqlast.Select
 }
 
 // SelectShape is the decompiled form of one compiled SELECT.
@@ -419,9 +429,24 @@ func shapeSelect(p *selectPlan, outer map[string]*Table, params paramNotes) (*Se
 		ColNames:   append([]string(nil), p.colNames...),
 		FromOrder:  append([]string(nil), p.fromOrder...),
 		JoinMethod: p.joinMethod,
-		Pipeline:   p.pipeline(),
 
 		FirstMatchFrom: p.firstFrom,
+	}
+	// The pipeline tokens name the lowered operators themselves, not the
+	// plan's flags, so the shape reflects what the lowering emitted.
+	step := -1
+	for _, n := range p.phys.ops {
+		tok := n.kind.String()
+		switch {
+		case n == p.phys.prefilter:
+			tok = "prefilter"
+		case n.kind == opScan:
+			step++
+			fallthrough
+		case n.kind == opFilter:
+			tok += " " + p.steps[step].name
+		}
+		sh.Pipeline = append(sh.Pipeline, tok)
 	}
 	if k := p.unique; k != nil {
 		sh.Unique = &UniqueShape{Alias: p.steps[0].name, Col: p.steps[0].table.Cols[k.col].Name, Index: k.ix.Name}
@@ -481,8 +506,7 @@ func shapeSelect(p *selectPlan, outer map[string]*Table, params paramNotes) (*Se
 			ss.Filters = append(ss.Filters, es)
 			all = append(all, es)
 		}
-		ss.EstRows = s.estRows
-		ss.EstSource = s.estSource
+		ss.EstRows, ss.EstAccess, ss.EstSource = s.estRows, s.estAccess, s.estSource
 		ss.EstPeeked = append([]int(nil), s.estPeeked...)
 		sort.Ints(ss.EstPeeked)
 		for _, slot := range s.estPeeked {
@@ -562,7 +586,10 @@ func (sb *shapeBuilder) resolutions(p *selectPlan) error {
 		sb.where = "resolved " + r.alias
 		rs := ResolvedShape{Alias: r.alias, Table: r.table.Name, Key: r.table.Cols[r.keyCol].Name,
 			FactAlias: r.fact, FactCol: r.factT.Cols[r.factCol].Name,
-			Keys: append([]int64(nil), r.keys.keys...), Eliminated: r.eliminated, KeptBy: r.keptBy}
+			Keys: append([]int64(nil), r.keys.keys...), Eliminated: r.eliminated}
+		if k := r.keptBy; k.e != nil {
+			rs.KeptBy = k.how + " " + k.e.String()
+		}
 		var err error
 		if rs.Join, err = sb.expr(r.joinExpr()); err != nil {
 			return err
@@ -690,37 +717,33 @@ func (sb *shapeBuilder) decompile(x cexpr, refs map[string]bool) (sqlast.Expr, e
 		}
 		return &sqlast.Func{Name: MarkerPairSet, Args: []sqlast.Expr{a, b, sqlast.Int(int64(c.res.index))}}, nil
 	case *cexists:
-		sub, err := shapeSelect(c.plan, sb.tables, sb.params)
-		if err != nil {
-			return nil, err
-		}
-		kind, name := "exists", MarkerExists
 		if c.negate {
-			kind, name = "not-exists", MarkerNotExists
+			return sb.subplan("not-exists", MarkerNotExists, c.plan, refs)
 		}
-		k := len(sb.owner.Subplans)
-		sb.owner.Subplans = append(sb.owner.Subplans, &SubplanShape{Kind: kind, Select: sub})
-		for _, r := range sub.FreeRefs {
-			refs[r] = true
-		}
-		return &sqlast.Func{Name: name, Args: []sqlast.Expr{sqlast.Int(int64(k))}}, nil
+		return sb.subplan("exists", MarkerExists, c.plan, refs)
 	case *csubq:
-		sub, err := shapeSelect(c.plan, sb.tables, sb.params)
-		if err != nil {
-			return nil, err
-		}
-		kind := "scalar"
 		if c.plan.countStar {
-			kind = "count"
+			return sb.subplan("count", MarkerScalar, c.plan, refs)
 		}
-		k := len(sb.owner.Subplans)
-		sb.owner.Subplans = append(sb.owner.Subplans, &SubplanShape{Kind: kind, Select: sub})
-		for _, r := range sub.FreeRefs {
-			refs[r] = true
-		}
-		return &sqlast.Func{Name: MarkerScalar, Args: []sqlast.Expr{sqlast.Int(int64(k))}}, nil
+		return sb.subplan("scalar", MarkerScalar, c.plan, refs)
 	}
 	return nil, fmt.Errorf("unknown compiled expression %T", x)
+}
+
+// subplan decompiles a correlated subplan into the select's Subplans
+// and returns the marker that stands for it; the subplan's free
+// references are the marker's.
+func (sb *shapeBuilder) subplan(kind, marker string, p *selectPlan, refs map[string]bool) (sqlast.Expr, error) {
+	sub, err := shapeSelect(p, sb.tables, sb.params)
+	if err != nil {
+		return nil, err
+	}
+	k := len(sb.owner.Subplans)
+	sb.owner.Subplans = append(sb.owner.Subplans, &SubplanShape{Kind: kind, Select: sub, Source: p.source})
+	for _, r := range sub.FreeRefs {
+		refs[r] = true
+	}
+	return &sqlast.Func{Name: marker, Args: []sqlast.Expr{sqlast.Int(int64(k))}}, nil
 }
 
 // literalOf is the literal that evaluates to v.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -81,10 +80,18 @@ type resolution struct {
 	paired bool // some pair conjunct over this alias was resolved
 	// eliminated: nothing but join, own and resolved pair conjuncts
 	// mentions the alias, so it is not a step of the plan. Otherwise
-	// keptBy names the first reference that kept it.
+	// keptBy is the first reference that kept it.
 	eliminated bool
-	keptBy     string
+	keptBy     keptRef
 	index      int // position in selectPlan.resolved
+}
+
+// keptRef is a reference that keeps a dimension in the plan: how it
+// refers ("ordering key", "projection", "conjunct") and to what. Only
+// the exported shape renders it.
+type keptRef struct {
+	how string
+	e   sqlast.Expr
 }
 
 // pairResolution is one conjunct over two resolved dimensions, replaced
@@ -131,20 +138,6 @@ func (t *setTest) compiled() cexpr {
 	}
 	a, b := t.pair.a, t.pair.b
 	return &cpairin{a: ccol{table: a.fact, pos: a.factCol}, b: ccol{table: b.fact, pos: b.factCol}, res: t.pair}
-}
-
-// label is the test's text in EXPLAIN. It names the resolved aliases
-// and the set size, and deliberately not the patterns behind them: the
-// line describes what runs, and no regular expression does.
-func (t *setTest) label() string {
-	if t.probe != nil {
-		r := t.probe.res
-		return fmt.Sprintf("%s.%s IN <%d keys of %s>", r.fact, r.factT.Cols[r.factCol].Name, len(r.keys.keys), r.alias)
-	}
-	a, b := t.pair.a, t.pair.b
-	return fmt.Sprintf("(%s.%s, %s.%s) IN <%d key pairs of %s, %s>",
-		a.fact, a.factT.Cols[a.factCol].Name, b.fact, b.factT.Cols[b.factCol].Name,
-		len(t.pair.pairs.pairs), a.alias, b.alias)
 }
 
 // equiJoin is one 'A.x = B.y' conjunct between two local aliases, seen
@@ -286,15 +279,15 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 	}
 
 	// Whatever else mentions a dimension keeps it in the plan.
-	keptBy := map[string]string{}
+	keptBy := map[string]keptRef{}
 	for _, k := range sel.OrderBy {
 		for name := range p.localRefs(k.Expr, local) {
-			keptBy[name] = "ordering key " + k.Expr.String()
+			keptBy[name] = keptRef{"ordering key", k.Expr}
 		}
 	}
 	for _, col := range sel.Cols {
 		for name := range p.localRefs(col.Expr, local) {
-			keptBy[name] = "projection " + col.Expr.String()
+			keptBy[name] = keptRef{"projection", col.Expr}
 		}
 	}
 	var tests []*conjunct
@@ -306,15 +299,15 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 		}
 		r.keptBy = keptBy[r.alias]
 		for _, c := range conjuncts {
-			if r.keptBy != "" {
+			if r.keptBy.e != nil {
 				break
 			}
 			if c.done || c == r.join || !c.localRef[r.alias] || r.owns(c) {
 				continue
 			}
-			r.keptBy = "conjunct " + c.expr.String()
+			r.keptBy = keptRef{"conjunct", c.expr}
 		}
-		if r.eliminated = r.keptBy == ""; r.eliminated {
+		if r.eliminated = r.keptBy.e == nil; r.eliminated {
 			r.join.done = true
 			r.join.note(r.joinExpr())
 			for i, c := range r.own {

@@ -461,21 +461,21 @@ func TestPrefixRangeEstimate(t *testing.T) {
 
 	window := steps("SELECT j.id FROM item i, item j WHERE i.id = 7 AND j.dewey_pos BETWEEN i.dewey_pos AND i.dewey_pos || X'FF'")[1]
 	if r, ok := window.access.(*indexRange); !ok || !r.prefix {
-		t.Fatalf("descendant window planned as %s", window.access.describe())
+		t.Fatalf("descendant window planned as %T", window.access)
 	}
 	if window.estAccess != defaultDeweyFanout || window.estSource != EstDefault {
 		t.Errorf("window estimate = %v from %s, want %d from %s", window.estAccess, window.estSource, defaultDeweyFanout, EstDefault)
 	}
 	ancestors := steps("SELECT j.id FROM item i, item j WHERE i.id = 7 AND i.dewey_pos BETWEEN j.dewey_pos AND j.dewey_pos || X'FF'")[1]
 	if _, ok := ancestors.access.(*indexPrefixes); !ok || ancestors.estAccess != window.estAccess {
-		t.Errorf("ancestor probes (%s) estimate %v, want the window's %v", ancestors.access.describe(), ancestors.estAccess, window.estAccess)
+		t.Errorf("ancestor probes (%T) estimate %v, want the window's %v", ancestors.access, ancestors.estAccess, window.estAccess)
 	}
 
 	// Another upper bound — even one that extends another column — is
 	// no prefix window of the lower one.
 	generic := steps("SELECT j.id FROM item i, item j WHERE i.id = 7 AND j.dewey_pos BETWEEN i.dewey_pos AND X'0F'")[1]
 	if r, ok := generic.access.(*indexRange); !ok || r.prefix {
-		t.Fatalf("generic range planned as %s", generic.access.describe())
+		t.Fatalf("generic range planned as %T", generic.access)
 	}
 	if want := float64(rows/genericRangeDivisor + 1); generic.estAccess != want || generic.estSource != EstDefault {
 		t.Errorf("generic range estimate = %v from %s, want %v from %s", generic.estAccess, generic.estSource, want, EstDefault)

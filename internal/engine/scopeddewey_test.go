@@ -317,7 +317,7 @@ func TestScopedDeweyAllocatesNothingPerBinding(t *testing.T) {
 	}
 	s := steps[1]
 	if w, ok := s.access.(*indexRange); !ok || w.restrict == nil {
-		t.Fatalf("step d's access is %s, want a scoped window", s.access.describe())
+		t.Fatalf("step d's access is %T, want a scoped window", s.access)
 	}
 	var between cexpr
 	for _, f := range s.filters {

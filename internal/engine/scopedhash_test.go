@@ -235,7 +235,7 @@ func TestScopedHashMemo(t *testing.T) {
 // over a key set's rows: the scan line names the key test whose rows the
 // build holds, as the filter line names the test it runs. Under EXPLAIN
 // ANALYZE the scan yields only joining rows of that key set, so the
-// filter passes all it takes in.
+// filter, run once per binding of its scan, passes all it takes in.
 func TestExplainRestrictedHashGolden(t *testing.T) {
 	db := scopedDB(t)
 	const sql = "SELECT q.id, f.id FROM q, fact f, dim d WHERE f.text = q.text AND f.pid = d.id AND REGEXP_LIKE(d.path, '^/a$') ORDER BY q.id, f.id"
@@ -254,7 +254,7 @@ func TestExplainRestrictedHashGolden(t *testing.T) {
 	}
 	for _, w := range []string{
 		fmt.Sprintf("scan f: hash join over pid IN <1 keys of d> [loops=30 in=0 out=%d probes=29 ", len(res.Rows)),
-		fmt.Sprintf("filter f: f.pid IN <1 keys of d> AND f.text = q.text [loops=0 in=%d out=%d ", len(res.Rows), len(res.Rows)),
+		fmt.Sprintf("filter f: f.pid IN <1 keys of d> AND f.text = q.text [loops=30 in=%d out=%d ", len(res.Rows), len(res.Rows)),
 	} {
 		if !strings.Contains(analyze, w) {
 			t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", w, analyze)

@@ -105,3 +105,42 @@ func TestSettledPlansOnFig3(t *testing.T) {
 	}
 	t.Logf("join orders the synopsis changed: %v", changed)
 }
+
+// TestAnalyzeQErrorIsTheFeedbackMeasure: the q-errors EXPLAIN ANALYZE
+// reports are the ones adaptive re-planning acts on. For every Figure 3
+// statement, both workloads and mappings, through the runs the loop
+// takes to settle, the worst q-error of any operator's estimate equals
+// the worst the re-planning check reads off the same execution —
+// post-filter estimates included, so a plan the report calls settled is
+// one the engine leaves alone.
+func TestAnalyzeQErrorIsTheFeedbackMeasure(t *testing.T) {
+	xm, err := bench.NewXMark(0.02, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, err := bench.NewDBLP(0.02, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*bench.Workload{xm, dblp} {
+		for _, sys := range []bench.System{bench.PPF, bench.EdgePPF} {
+			db := sqlDB(w, sys)
+			for _, q := range w.Queries {
+				label := w.Name + " " + q.ID + " on " + string(sys)
+				st, err := w.Translate(sys, q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for run := 1; run <= 1+engine.MaxAdaptiveReplans+1; run++ {
+					_, worst, err := engine.AnalyzeQError(db, st)
+					if err != nil {
+						t.Fatalf("%s run %d: %v", label, run, err)
+					}
+					if fb := engine.FeedbackQError(db, st); worst != fb {
+						t.Errorf("%s run %d: EXPLAIN ANALYZE's worst q-error is %.2f, re-planning reads %.2f", label, run, worst, fb)
+					}
+				}
+			}
+		}
+	}
+}

@@ -104,7 +104,7 @@ func TestUnnestFires(t *testing.T) {
 		{name: "unqualified names resolve as they did before the merge",
 			sql: "SELECT DISTINCT id FROM item i WHERE val > 60 AND EXISTS " +
 				"(SELECT NULL FROM item j WHERE par = i.id AND val < 40) ORDER BY id",
-			has:   []string{"scan j: index lookup item_par, existential", "filter j: par = i.id AND val < 40", "filter i: val > 60"},
+			has:   []string{"scan j: index lookup item_par, existential", "filter j: j.par = i.id AND j.val < 40", "filter i: i.val > 60"},
 			lacks: []string{"subplan"}},
 		{name: "sub-select that projects a qualified column",
 			sql: "SELECT DISTINCT i.id FROM item i WHERE i.val = 7 AND EXISTS " +
