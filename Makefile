@@ -136,13 +136,16 @@ explain-smoke:
 # golden-rows is the planner's result-identity harness: the Figure 3
 # statements and the six ad-hoc templates, both mappings, 24 runs a
 # statement (GOMAXPROCS 1 / 4, batch capacity forced to 1 / the
-# engine's, in memory / persisted-closed-reopened, first plan /
-# re-planned) must return the native oracle's rows in order — the rows
+# engine's, in memory / persisted-closed-reopened, three rounds of the
+# one plan) must return the native oracle's rows in order — the rows
 # whose hashes internal/engine/testdata/golden_rows.txt commits. A
 # planner change that leaves the file alone returns its parent's
 # results byte for byte; `go test ./internal/engine -run
 # TestGoldenRows -update` rewrites it. TestGoldenExplain pins the same
-# statements' first-plan EXPLAIN text in
-# internal/engine/testdata/golden_explain.txt the same way.
+# statements' EXPLAIN text in
+# internal/engine/testdata/golden_explain.txt the same way;
+# TestOnePlanPerStatement checks that no execution changes it, and
+# TestFirstPlansOnFig3 pins each Figure 3 plan's worst q-error at scale
+# 0.02 in internal/engine/testdata/first_plan_qerror.txt.
 golden-rows:
-	$(GO) test -count=1 -run 'TestGoldenRows|TestGoldenExplain' ./internal/engine/
+	$(GO) test -count=1 -run 'TestGoldenRows|TestGoldenExplain|TestOnePlanPerStatement|TestFirstPlansOnFig3' ./internal/engine/

@@ -187,11 +187,12 @@ func TestQueryLookup(t *testing.T) {
 // TestQD5UnderMemoryBudget: QD5's value join probes a hash on the
 // author text built over the rows of the book-author path alone (the
 // step's key set, engine/access.go), not over the whole column. On a
-// fresh store, where the statement pays for every build it probes, it
+// fresh store, where the statement pays for every build it probes and
+// for the distinct values its planner counts to estimate the join, it
 // therefore fits a memory budget the whole-column build breaks: each
 // budget below sits between the statement's peak with the restricted
 // build and its peak with the whole-column one (DBLP scale 1, seed 42:
-// 1 062 041 against 1 202 720 bytes schema-aware, 1 654 924 against
+// 1 099 340 against 1 202 720 bytes schema-aware, 1 583 576 against
 // 2 159 904 on the Edge mapping). The rows are the oracle's.
 func TestQD5UnderMemoryBudget(t *testing.T) {
 	for _, c := range []struct {

@@ -288,8 +288,8 @@ func (w *Workload) explainCheckRow(q Query) ([]string, error) {
 // checkOperatorStats asserts every operator line of an EXPLAIN ANALYZE
 // rendering carries a stats block (the "total:" footer is exempt), and
 // every line with an estimate of an operator that ran — looped or took
-// rows in — its q-error: the measure adaptive re-planning acts on,
-// which a line must not drop.
+// rows in — its q-error: the one measure of an estimate against its
+// run, which a line must not drop.
 func checkOperatorStats(plan string) error {
 	for _, line := range strings.Split(strings.TrimRight(plan, "\n"), "\n") {
 		if strings.HasPrefix(line, "total:") || strings.HasSuffix(strings.TrimSpace(line), ":") {

@@ -166,8 +166,9 @@ func TestShapePathDifferential(t *testing.T) {
 
 // TestShapeSkewedFirstValue: a plan compiled for a key the document does
 // not hold (estimate: no rows) then meets the one value every row holds.
-// The feedback re-plans it at most twice (the engine's bound), and every
-// binding keeps returning the oracle's rows, at GOMAXPROCS 1 and 4.
+// The shape compiles once — the plan the first value chose serves every
+// binding — and every binding returns the oracle's rows, at GOMAXPROCS
+// 1 and 4.
 func TestShapeSkewedFirstValue(t *testing.T) {
 	w, err := NewXMark(0.05, 42)
 	if err != nil {
@@ -181,7 +182,7 @@ func TestShapeSkewedFirstValue(t *testing.T) {
 		if sys == EdgePPF {
 			tr = w.edgeTr
 		}
-		before := db.AdaptiveReplans()
+		_, before := db.PlanCacheStats()
 		for i, v := range values {
 			q := Query{XPath: fmt.Sprintf(format, v)}
 			want, err := w.OracleIDs(q)
@@ -200,10 +201,8 @@ func TestShapeSkewedFirstValue(t *testing.T) {
 				t.Errorf("%s on %s, call %d: %d rows, oracle %d", q.XPath, sys, i, len(got), len(want))
 			}
 		}
-		n := db.AdaptiveReplans() - before
-		if n > 2 {
-			t.Errorf("%s: %d re-plans of one shape", sys, n)
+		if _, misses := db.PlanCacheStats(); misses-before != 1 {
+			t.Errorf("%s: the shape compiled %d times, want once", sys, misses-before)
 		}
-		t.Logf("%s: %d re-plans", sys, n)
 	}
 }

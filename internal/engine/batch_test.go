@@ -70,13 +70,13 @@ func TestBatchSizeInvariance(t *testing.T) {
 		if _, err := run(db, st); err != nil {
 			t.Fatalf("%s: warm-up: %v", q, err)
 		}
-		_, cs, err := db.compile(st, nil)
+		_, cs, err := db.compile(nil, nil, st, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		for _, workers := range []int{1, 8} {
 			db.forceWorkers, db.forceBatch = workers, 0
-			refRes, refFrame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, q, false)
+			refRes, refFrame, err := db.runCompiledFrame(nil, cs, nil, newAccountant(0, 0), q, false)
 			if err != nil {
 				t.Fatalf("%s workers=%d: reference run: %v", q, workers, err)
 			}
@@ -87,7 +87,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 			refPlan = normalizeAnalyze(refPlan)
 			for _, bs := range batchSizes {
 				db.forceBatch = bs
-				res, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, q, false)
+				res, frame, err := db.runCompiledFrame(nil, cs, nil, newAccountant(0, 0), q, false)
 				if err != nil {
 					t.Fatalf("%s bs=%d workers=%d: %v", q, bs, workers, err)
 				}

@@ -470,6 +470,99 @@ func TestChaosRestrictedHashBuild(t *testing.T) {
 	}
 }
 
+// forgetPlans drops db's cached plans, so the next statement compiles.
+func forgetPlans(db *DB) { ForceHeuristic(db, db.forceHeuristic) }
+
+// TestChaosPlanTimeBuild faults the entry the planner builds to
+// estimate a value join over a key set's rows (the QD5 forms, the
+// distinct values accessEstimate reads the join's fan-out off) on a
+// compile the faulted statement itself triggers: the plan cache and the
+// memo are emptied first. That entry answers to the compiling statement
+// as the executor's builds do: an injected error surfaces as itself and
+// a panic as *InternalError, a context already past its deadline stops
+// the compile before a row is walked, and none of them publishes an
+// entry; the entry counts in the statement's PeakMemBytes, and a budget
+// that holds everything else the statement materializes is broken by
+// it. After each fault the next statement answers correctly.
+func TestChaosPlanTimeBuild(t *testing.T) {
+	defer failpoint.Reset()
+	db := bigDB(t)
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	for _, q := range restrictedQueries {
+		st := sqlast.MustParse(q)
+		want, err := run(db, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := "au"
+		if strings.Contains(q, "FROM item a,") {
+			table = "item"
+		}
+		// With the plan cached, the statement charges everything it
+		// materializes but the plan-time entries.
+		forgetBuilds(db)
+		cached, err := run(db, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			forgetBuilds(db)
+			forgetPlans(db)
+			fresh, err := execMode{workers: workers}.run(db, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh.PeakMemBytes <= cached.PeakMemBytes {
+				t.Errorf("%d workers, %s: a compiling run peaked at %d bytes, a cached-plan run at %d: the plan-time entries went uncharged",
+					workers, table, fresh.PeakMemBytes, cached.PeakMemBytes)
+			}
+		}
+		faults := []struct {
+			name, class string
+			ctx         context.Context
+			opts        ExecOptions
+			arm         func() error
+		}{
+			{name: "hash-build-error", class: "hash-error", arm: buildFaults[0].arm},
+			{name: "hash-build-panic", class: "internal", arm: buildFaults[1].arm},
+			{name: "expired-deadline", class: "deadline", ctx: expired},
+			{name: "mem-budget", class: "mem-budget", opts: ExecOptions{MaxMemoryBytes: cached.PeakMemBytes}},
+		}
+		for _, f := range faults {
+			for _, workers := range []int{1, 8} {
+				forgetBuilds(db)
+				forgetPlans(db)
+				before := runtime.NumGoroutine()
+				if f.arm != nil {
+					if err := f.arm(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := execMode{ExecOptions: f.opts, workers: workers}.runContext(f.ctx, db, st)
+				failpoint.Reset()
+				if got := outcomeClass(t, err); got != f.class {
+					t.Errorf("%s, %d workers, %s: outcome %q (%v), want %q", f.name, workers, table, got, err, f.class)
+				}
+				waitNoGoroutineGrowth(t, before, f.name)
+				// An entry within the budget is published like the
+				// executor's builds; only the budget's own fault may
+				// leave one.
+				if n := db.Table(table).state().builds.len(); f.opts.MaxMemoryBytes == 0 && n != 0 {
+					t.Errorf("%s, %d workers: the faulted compile published %d builds", f.name, workers, n)
+				}
+				res, err := execMode{workers: workers}.run(db, st)
+				if err != nil {
+					t.Fatalf("%s, %d workers: after the fault: %v", f.name, workers, err)
+				}
+				if !equalResults(res, want) {
+					t.Errorf("%s, %d workers: rows after the fault differ", f.name, workers)
+				}
+			}
+		}
+	}
+}
+
 // TestChaosScopedRun faults the build of the scoped runs the Edge Dewey
 // forms run over, with the memo emptied first: an injected error or
 // panic, or a budget the build breaks, must surface as its typed error

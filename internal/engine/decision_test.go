@@ -9,15 +9,12 @@ import (
 )
 
 // TestMorselDecisionOnBenchmarkStatements pins where the executor
-// decision falls on the Figure 3 statements, on the first plan and on
-// the plan adaptive re-planning settles on: the join-heavy ones — Q6 on
-// both mappings and the Edge-like Q13 at the golden-rows scale, QD5 on
-// both mappings at scale 1 (at 0.1 it drives 21 author rows) — run on
-// morsel workers once GOMAXPROCS allows two; the point lookups (Q9,
-// Q11, Q21, QD4) and the single-step scans (Q1–Q5) run serially, and
-// at GOMAXPROCS 1 everything does. The Edge-like QD5's first plan
-// drives from fewer than a morsel of author rows; the re-plan that
-// drives from the 6 000 inproceedings re-derives the decision with it.
+// decision falls on the Figure 3 statements' plans: the join-heavy ones
+// — Q6 on both mappings and the Edge-like Q13 at the golden-rows scale,
+// QD5 on both mappings at scale 1 (at 0.1 it drives 21 author rows) —
+// run on morsel workers once GOMAXPROCS allows two; the point lookups
+// (Q9, Q11, Q21, QD4) and the single-step scans (Q1–Q5) run serially,
+// and at GOMAXPROCS 1 everything does.
 func TestMorselDecisionOnBenchmarkStatements(t *testing.T) {
 	xm, err := bench.NewXMark(0.1, 42)
 	if err != nil {
@@ -33,62 +30,51 @@ func TestMorselDecisionOnBenchmarkStatements(t *testing.T) {
 		w       *bench.Workload
 		id      string
 		systems []bench.System
-		// morsels is the decision on the first plan and on the settled one.
-		morsels [2]bool
+		morsels bool
 	}{
-		{xm, "Q6", both, [2]bool{true, true}},
-		{xm, "Q13", edge, [2]bool{true, true}},
-		{dblp, "QD5", []bench.System{bench.PPF}, [2]bool{true, true}},
-		{dblp, "QD5", edge, [2]bool{false, true}},
-		{xm, "Q9", both, [2]bool{}},
-		{xm, "Q11", both, [2]bool{}},
-		{xm, "Q21", both, [2]bool{}},
-		{dblp, "QD4", both, [2]bool{}},
-		{xm, "Q1", both, [2]bool{}},
-		{xm, "Q2", both, [2]bool{}},
-		{xm, "Q3", both, [2]bool{}},
-		{xm, "Q4", both, [2]bool{}},
-		{xm, "Q5", both, [2]bool{}},
+		{xm, "Q6", both, true},
+		{xm, "Q13", edge, true},
+		{dblp, "QD5", both, true},
+		{xm, "Q9", both, false},
+		{xm, "Q11", both, false},
+		{xm, "Q21", both, false},
+		{dblp, "QD4", both, false},
+		{xm, "Q1", both, false},
+		{xm, "Q2", both, false},
+		{xm, "Q3", both, false},
+		{xm, "Q4", both, false},
+		{xm, "Q5", both, false},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for round, settled := range []bool{false, true} {
-		for _, c := range cases {
-			q, ok := c.w.Query(c.id)
-			if !ok {
-				t.Fatalf("no query %s in %s", c.id, c.w.Name)
+	for _, c := range cases {
+		q, ok := c.w.Query(c.id)
+		if !ok {
+			t.Fatalf("no query %s in %s", c.id, c.w.Name)
+		}
+		for _, sys := range c.systems {
+			st, err := c.w.Translate(sys, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, sys := range c.systems {
-				if settled {
-					for i := 0; i < 3; i++ {
-						if _, err := c.w.Run(sys, q); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				st, err := c.w.Translate(sys, q)
+			db := sqlDB(c.w, sys)
+			for _, procs := range []int{2, 1} {
+				runtime.GOMAXPROCS(procs)
+				workers, err := engine.MorselWorkers(db, st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				db := sqlDB(c.w, sys)
-				for _, procs := range []int{2, 1} {
-					runtime.GOMAXPROCS(procs)
-					workers, err := engine.MorselWorkers(db, st)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := 1
-					if c.morsels[round] && procs == 2 {
-						want = 2
-					}
-					for _, w := range workers {
-						if w != want {
-							t.Errorf("%s %s on %s (settled %v): %v workers at GOMAXPROCS %d, want %d",
-								c.w.Name, c.id, sys, settled, workers, procs, want)
-						}
+				want := 1
+				if c.morsels && procs == 2 {
+					want = 2
+				}
+				for _, w := range workers {
+					if w != want {
+						t.Errorf("%s %s on %s: %v workers at GOMAXPROCS %d, want %d",
+							c.w.Name, c.id, sys, workers, procs, want)
 					}
 				}
-				runtime.GOMAXPROCS(2)
 			}
+			runtime.GOMAXPROCS(2)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 // The estimator: every cardinality and selectivity number the planner
 // uses is derived here, from the snapshot's per-table synopsis when it
 // can justify one and from the named defaults below when it cannot.
-// Each estimate carries its provenance ("synopsis", "default" or
-// "override"), recorded on the plan steps and exported through the
-// plan shape so plancheck can discharge the estimate-provenance
-// obligation. This file is the only place in the planner allowed to
-// hold raw fractional selectivity constants (enforced by the statflow
-// analyzer, internal/analysis/statflow.go).
+// Each estimate carries its provenance ("synopsis" or "default"),
+// recorded on the plan steps and exported through the plan shape so
+// plancheck can discharge the estimate-provenance obligation. This file
+// is the only place in the planner allowed to hold raw fractional
+// selectivity constants (enforced by the statflow analyzer,
+// internal/analysis/statflow.go).
 
 // defaultFilterSelectivity is the fallback fraction of rows a single
 // filtering conjunct keeps when the synopsis cannot estimate it — the
@@ -78,27 +78,13 @@ const deferSubplanFanout = 2
 // Estimate provenance values recorded in joinStep.estSource and
 // exported as StepShape.EstSource.
 const (
-	// EstSynopsis marks an estimate derived from the snapshot's
-	// synopsis (or index statistics pinned by the same snapshot).
+	// EstSynopsis marks an estimate derived from the snapshot's data:
+	// its synopsis, index statistics pinned by the same snapshot, or
+	// the distinct values of the build a value join over a key set's
+	// rows probes (accessEstimate).
 	EstSynopsis = "synopsis"
 	// EstDefault marks an estimate from the named default constants.
 	EstDefault = "default"
-	// EstOverride marks a cardinality injected by adaptive re-planning
-	// from observed OpStats (plancache.go).
-	EstOverride = "override"
-)
-
-// Adaptive re-planning bounds (used by plancache.go): a cached plan
-// whose observed per-operator q-error exceeds replanQErrorThreshold is
-// re-planned with observed cardinalities as overrides, at most
-// maxAdaptiveReplans times per statement so estimation noise cannot
-// cause plan flapping. Any estimate more than 2x off in either
-// direction is corrected from observation on the next cache hit, and
-// the plan the loop settles on stays within the threshold on the
-// Figure 3 statements (TestSettledPlansOnFig3).
-const (
-	replanQErrorThreshold = 2.0
-	maxAdaptiveReplans    = 2
 )
 
 // tableSelectivity derives the fraction of the table's rows surviving
@@ -152,8 +138,8 @@ func (p *planner) tableSelectivity(name string, t *Table, st *tableState, conjun
 // value the compile-triggering call bound to it and note the slot as
 // peeked: a statement that only ever binds one value set plans exactly
 // as its literal spelling would, and one whose first value was
-// unrepresentative is corrected by the q-error feedback like any other
-// mis-estimate (maybeReplan). litOf, which everything that drops,
+// unrepresentative keeps the plan that value chose (DESIGN.md §13, "One
+// plan per statement"). litOf, which everything that drops,
 // pre-evaluates or proves something reads through — proveRedundant,
 // and by the same rule resolveDimensions, which takes no conjunct with
 // a slot for a dimension's own — does not see a slot as a literal: the
@@ -330,12 +316,14 @@ func (p *planner) conjunctSelectivity(e sqlast.Expr, name string, t *Table, st *
 
 // accessEstimate estimates the rows an access path yields per binding
 // of the already-bound tables, preferring synopsis statistics over the
-// access path's own structural heuristic (accessPath.est). The planner
-// never builds hash indexes at plan time anymore: equality fanout
-// comes from the synopsis histogram.
+// access path's own structural heuristic (accessPath.est). Equality
+// fan-out comes from the synopsis histogram, except for a value join
+// over a key set's rows, whose fan-out is read off the build it probes
+// (build); that estimate is data-derived like the synopsis's, and
+// carries its provenance.
 func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 	if p.heuristic {
-		return float64(a.est(st)), false
+		return float64(a.est(p, st)), false
 	}
 	syn := st.syn
 	rows := syn.Rows()
@@ -343,7 +331,7 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		c := syn.Col(col)
 		d := c.Distinct()
 		if d <= 0 {
-			return float64(a.est(st)), false
+			return float64(a.est(p, st)), false
 		}
 		f := float64(c.Count()-c.Nulls()) / float64(d)
 		if f < 1 {
@@ -372,6 +360,18 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		if v, ok := p.estKey(x.key); ok {
 			if n, ok := synEq(syn.Col(x.col), v); ok {
 				return float64(n) * share, true
+			}
+		}
+		// A value join over a key set's rows probes the build of those
+		// rows, whose values the whole column's distinct count cannot see:
+		// an author's name recurs across papers, among titles that never
+		// do. The build's mean bucket is what a probe value it holds
+		// meets: the rows over their distinct values, which are counted
+		// now, without the row ids a candidate the search rejects would
+		// never probe, and charged to the compiling statement (build).
+		if x.restrict != nil && x.restrict.rows > 0 {
+			if n := len(p.build(st, buildKey{col: x.col, in: x.restrict.scope(), distinct: true}).hash); n > 0 {
+				return x.restrict.rows / float64(n), true
 			}
 		}
 		e, fromSyn := avgFan(x.col)
@@ -404,11 +404,32 @@ func (p *planner) accessEstimate(a accessPath, st *tableState) (float64, bool) {
 		}
 		// A prefix window over a key set's run holds the set's share of
 		// its rows, by the same independence rule as the hash join's.
-		return float64(a.est(st)) * x.restrict.share(rows), false
+		return float64(a.est(p, st)) * x.restrict.share(rows), false
 	case *indexPrefixes:
-		return float64(a.est(st)) * x.restrict.share(rows), false
+		return float64(a.est(p, st)) * x.restrict.share(rows), false
 	}
-	return float64(a.est(st)), false
+	return float64(a.est(p, st)), false
+}
+
+// build returns the memo entry k names, made on a miss as the
+// executor's buildSide makes a build: charged to the compiling call's
+// accountant, with the call's context checked before the walk and after
+// it. The first failure, an injected fault, a broken budget or a done
+// context, becomes the compile's error (compileStmt), and every entry
+// asked for after it is the empty one.
+func (p *planner) build(st *tableState, k buildKey) build {
+	if p.err == nil && p.ctx != nil {
+		p.err = p.ctx.Err()
+	}
+	if p.err != nil {
+		return build{}
+	}
+	b, _, _, err := st.build(k, p.ac)
+	if err == nil && p.ctx != nil {
+		err = p.ctx.Err()
+	}
+	p.err = err
+	return b
 }
 
 // intBound extracts a compiled integer range bound an estimate can read.

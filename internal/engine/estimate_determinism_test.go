@@ -13,14 +13,11 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata/ golden plans")
 
 // Cardinality estimates are a function of the data (the snapshot's
-// synopsis) and of observed per-binding cardinalities — never of how
-// a plan happens to be executed. If parallel morsels or small batches
-// skewed the OpStats a plan feeds back, the same workload would settle
-// on different plans per execution mode and EXPLAIN would stop being
-// reproducible. This test runs the same statements to a settled state
-// under serial, parallel, and several batch capacities on identically
-// seeded databases and requires the final plans — operator labels and
-// est_rows included — to agree exactly, and to agree with the plans
+// synopsis) — never of how a plan happens to be executed, or how often.
+// This test runs the same statements three times under serial,
+// parallel, and several batch capacities on identically seeded
+// databases and requires the plans they leave cached — operator labels
+// and est_rows included — to agree exactly, and to agree with the plans
 // committed in testdata. The last query probes m.k, whose 3000
 // distinct values pass synopsis.HistCap: its estimate is rows over the
 // distinct sketch's count, so a sketch that differed between
@@ -45,12 +42,12 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 		{"parallel4batch3", execMode{workers: 4, batch: 3}},
 	}
 
-	// settledPlan executes st under opts until the plan stops adapting
-	// (bounded by maxAdaptiveReplans), then renders its estimates.
-	settledPlan := func(t *testing.T, db *DB, st sqlast.Statement, opts ExecOptions) string {
+	// executedPlan executes st under opts three times and renders the
+	// estimates of the last execution's plan.
+	executedPlan := func(t *testing.T, db *DB, st sqlast.Statement, opts ExecOptions) string {
 		t.Helper()
 		var out string
-		for i := 0; i <= maxAdaptiveReplans+1; i++ {
+		for i := 0; i < 3; i++ {
 			reports, _, err := db.analyzeReport(st, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +68,7 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		mrows = append(mrows, []Value{NewInt(int64(i % 3000))})
 	}
-	var settled string
+	var plans string
 	for _, sql := range queries {
 		st, err := sqlast.Parse(sql)
 		if err != nil {
@@ -79,9 +76,9 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 		}
 		var want string
 		for _, m := range modes {
-			// A fresh identically-seeded DB per mode: plans, caches, and
-			// feedback state start equal, so any divergence below is the
-			// execution mode leaking into estimation.
+			// A fresh identically-seeded DB per mode: plans and caches
+			// start equal, so any divergence below is the execution mode
+			// leaking into estimation.
 			db, _ := buildPair(t, 17, 400)
 			mt, err := db.CreateTable("m", Column{"k", TInt})
 			if err != nil {
@@ -91,21 +88,21 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.forceWorkers = m.workers
-			got := settledPlan(t, db, st, m.ExecOptions)
+			got := executedPlan(t, db, st, m.ExecOptions)
 			if m.name == modes[0].name {
 				want = got
-				settled += "-- " + sql + "\n" + got + "\n"
+				plans += "-- " + sql + "\n" + got + "\n"
 				continue
 			}
 			if got != want {
-				t.Errorf("%s: settled plan under %s differs from serial:\n%s\nwant:\n%s",
+				t.Errorf("%s: plan under %s differs from serial:\n%s\nwant:\n%s",
 					sql, m.name, got, want)
 			}
 		}
 	}
 	golden := filepath.Join("testdata", "estimate_determinism.golden")
 	if *update {
-		if err := os.WriteFile(golden, []byte(settled), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(plans), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -114,7 +111,7 @@ func TestEstimateDeterminismAcrossExecModes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run go test ./internal/engine -run TestEstimateDeterminismAcrossExecModes -update)", err)
 	}
-	if settled != string(want) {
-		t.Errorf("settled plans differ from %s:\n%s\nwant:\n%s", golden, settled, want)
+	if plans != string(want) {
+		t.Errorf("plans differ from %s:\n%s\nwant:\n%s", golden, plans, want)
 	}
 }

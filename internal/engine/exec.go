@@ -139,8 +139,10 @@ func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, args []V
 	defer guardPanics(key, &err)
 	switch s := st.(type) {
 	case *sqlast.Select, *sqlast.Union:
-		cs, err := db.compiledFor(st, key, args)
+		ac := newAccountant(opts.MaxMemoryBytes, opts.MaxRows)
+		cs, err := db.compiledFor(ctx, ac, st, key, args)
 		if err != nil {
+			db.notePeakMemory(ac.peakBytes())
 			return nil, err
 		}
 		if opts.VerifyPlan != nil {
@@ -148,7 +150,7 @@ func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, args []V
 				return nil, err
 			}
 		}
-		res, _, err := db.runCompiledFrame(ctx, cs, args, opts, key, false)
+		res, _, err := db.runCompiledFrame(ctx, cs, args, ac, key, false)
 		return res, err
 	case *sqlast.Explain:
 		return db.runExplainStmt(ctx, s, args, opts)
@@ -163,19 +165,20 @@ func (db *DB) run(ctx context.Context, st sqlast.Statement, key string, args []V
 
 // runCompiledFrame executes an already-compiled statement and returns
 // the result with the execution's operator stats frame (merged across
-// workers). Callers must have deferred guardPanics; sql is the
-// rendered statement text carried into worker-side InternalErrors.
-// timing enables per-operator wall-clock measurement; EXPLAIN ANALYZE
-// is its only caller with timing on, so plain runs stay clock-free in
-// the row loops.
-func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Value, opts ExecOptions, sql string, timing bool) (*Result, opFrame, error) {
+// workers). Callers must have deferred guardPanics; ac is the
+// statement's accountant, which the compile may already have charged;
+// sql is the rendered statement text carried into worker-side
+// InternalErrors. timing enables per-operator wall-clock measurement;
+// EXPLAIN ANALYZE is its only caller with timing on, so plain runs stay
+// clock-free in the row loops.
+func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Value, ac *accountant, sql string, timing bool) (*Result, opFrame, error) {
 	for slot, kind := range cs.params {
 		if kind != KNull && (slot >= len(args) || args[slot].Kind != kind) {
 			return nil, nil, fmt.Errorf("engine: parameter ?%d is unbound or not of the kind the statement was prepared with", slot+1)
 		}
 	}
 	ec := &execCtx{db: db, ctx: ctx, sql: sql, args: args,
-		acct:  newAccountant(opts.MaxMemoryBytes, opts.MaxRows),
+		acct:  ac,
 		stats: make(opFrame, cs.nOps), timing: timing,
 		batch: batchCapacity}
 	if db.forceBatch > 0 {
@@ -201,11 +204,6 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Val
 		return nil, ec.stats, err
 	}
 	finalizeFrame(cs, ec.stats)
-	// Publish the finalized frame as planning feedback: the next
-	// plan-cache hit compares it against the plan's cardinality
-	// estimates and re-plans when they disagree (plancache.go).
-	frame := ec.stats
-	cs.feedback.Store(&frame)
 	res.PeakMemBytes = ec.acct.peakBytes()
 	return res, ec.stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/sqlast"
@@ -16,7 +17,7 @@ import (
 // EXPLAIN ANALYZE adds each operator's merged OpStats (see opstats.go
 // for counter semantics; operator times are inclusive of nested
 // operators, like the indentation of the rendered tree) and the q-error
-// of its estimate, measured by the feedback loop's own selectPlan.qErrors.
+// of its estimate (selectPlan.qErrors).
 
 // ExplainAnalyzeWithOptions executes the statement with the given
 // options and returns the annotated plan. A select that ran on morsel
@@ -40,12 +41,14 @@ func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, ar
 // analyze compiles and executes st under the panic guard, returning
 // the plan and the execution's operator stats frame beside the result.
 func (db *DB) analyze(ctx context.Context, st sqlast.Statement, args []Value, opts ExecOptions, timing bool) (key string, cs *compiledStmt, res *Result, frame opFrame, err error) {
-	key, cs, err = db.compile(st, args)
+	ac := newAccountant(opts.MaxMemoryBytes, opts.MaxRows)
+	key, cs, err = db.compile(ctx, ac, st, args)
 	if err != nil {
+		db.notePeakMemory(ac.peakBytes())
 		return key, nil, nil, nil, err
 	}
 	defer guardPanics(key, &err)
-	res, frame, err = db.runCompiledFrame(ctx, cs, args, opts, key, timing)
+	res, frame, err = db.runCompiledFrame(ctx, cs, args, ac, key, timing)
 	return key, cs, res, frame, err
 }
 
@@ -60,7 +63,7 @@ func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, args []Val
 	if ex.Analyze {
 		text, err = db.explainAnalyzeContext(ctx, ex.Stmt, args, opts)
 	} else {
-		text, err = db.explain(ex.Stmt, args)
+		text, err = db.explain(ctx, newAccountant(opts.MaxMemoryBytes, opts.MaxRows), ex.Stmt, args)
 	}
 	if err != nil {
 		return nil, err
@@ -360,9 +363,40 @@ func formatEst(v float64) string {
 // union machinery, and correlated-subplan boundaries) — the
 // per-operator companion to JoinSteps for experiment reports.
 func (db *DB) OperatorCount(st sqlast.Statement) (int, error) {
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		return 0, err
 	}
 	return cs.nOps, nil
+}
+
+// qErrors measures step i's estimates against what frame observed per
+// binding. scan is the q-error of the estimate the step's scan operator
+// carries — the access path's output, or without a filter operator the
+// rows past the step — and filter that of the post-filter estimate its
+// filter operator carries (0 without one); ok is false for a step that
+// never executed.
+func (p *selectPlan) qErrors(i int, frame opFrame) (scan, filter float64, ok bool) {
+	sc := frame[p.phys.scans[i].id]
+	if sc.loops == 0 {
+		return 0, 0, false
+	}
+	s, f := p.steps[i], p.phys.filters[i]
+	access := float64(sc.rowsOut) / float64(sc.loops)
+	rows := access
+	if f != nil {
+		// The filter runs once per binding of its scan (finalizeFrame).
+		rows = float64(frame[f.id].rowsOut) / float64(sc.loops)
+	}
+	// Under first match the step stopped at the match: what it consumed
+	// bounds what matches from below, and refutes only an estimate
+	// beneath it.
+	if p.truncated(i) {
+		access = math.Max(access, s.estAccess)
+		rows = math.Max(rows, s.estRows)
+	}
+	if f == nil {
+		return qError(s.estRows, rows), 0, true
+	}
+	return qError(s.estAccess, access), qError(s.estRows, rows), true
 }

@@ -314,12 +314,12 @@ func TestExplainAnalyzeParallelMergesStats(t *testing.T) {
 			}
 		}
 	}
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.forceWorkers = 8
-	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, "", false)
+	_, frame, err := db.runCompiledFrame(nil, cs, nil, newAccountant(0, 0), "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,12 +368,12 @@ func TestParallelDeferredDistinctFirstWins(t *testing.T) {
 				i, serial.Rows[i][0].S, par.Rows[i][0].S)
 		}
 	}
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.forceWorkers = 4
-	_, frame, err := db.runCompiledFrame(nil, cs, nil, ExecOptions{}, "", false)
+	_, frame, err := db.runCompiledFrame(nil, cs, nil, newAccountant(0, 0), "", false)
 	if err != nil {
 		t.Fatal(err)
 	}

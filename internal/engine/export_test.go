@@ -11,7 +11,7 @@ import (
 // branch), how many workers may run it under the current GOMAXPROCS,
 // 1 meaning the serial executor.
 func MorselWorkers(db *DB, st sqlast.Statement) ([]int, error) {
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -41,13 +41,6 @@ func ForceHeuristic(db *DB, v bool) {
 	db.plans.lru, db.plans.byKey = nil, nil
 	db.plans.mu.Unlock()
 }
-
-// MaxAdaptiveReplans and ReplanQErrorThreshold hand the adaptive
-// re-planning bounds to the engine's external tests.
-const (
-	MaxAdaptiveReplans    = maxAdaptiveReplans
-	ReplanQErrorThreshold = replanQErrorThreshold
-)
 
 // opReport is one operator's estimate-vs-observed record from an
 // analyzeReport run: the line EXPLAIN ANALYZE renders for it, taken
@@ -109,21 +102,6 @@ func AnalyzeQError(db *DB, st sqlast.Statement) (*Result, float64, error) {
 	return res, worst, nil
 }
 
-// FeedbackQError is the worst q-error adaptive re-planning reads off
-// the last execution of st's cached plan, which it leaves in place: 0
-// when db caches no plan of st, or no execution of it.
-func FeedbackQError(db *DB, st sqlast.Statement) float64 {
-	cs := db.plans.get(sqlast.Render(st), db.loadSnap())
-	if cs == nil {
-		return 0
-	}
-	fb := cs.feedback.Load()
-	if fb == nil {
-		return 0
-	}
-	return cs.worstQError(*fb)
-}
-
 // MemoCap and PatternCacheCap hand the memo bounds to the engine's
 // external tests.
 const (
@@ -140,6 +118,7 @@ type MemoLoad struct {
 	State                            any
 	Builds, Resolved                 int
 	Hashes, ScopedHashes, ScopedRuns int
+	Distinct                         int
 	KeySets, PairSets                int
 }
 
@@ -154,6 +133,8 @@ func MemoLoads(db *DB) map[string]MemoLoad {
 		for k := range st.builds.entries() {
 			l.Builds++
 			switch {
+			case k.distinct:
+				l.Distinct++
 			case k.run:
 				l.ScopedRuns++
 			case k.in.keys == nil:

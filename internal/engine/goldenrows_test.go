@@ -48,6 +48,11 @@ var adhocQueries = []bench.Query{
 	{ID: "category_name", XPath: "/site/categories/category[@id='category7']/name"},
 }
 
+// goldenLabel names a golden statement: workload, query and mapping.
+func goldenLabel(w *bench.Workload, q bench.Query, sys bench.System) string {
+	return fmt.Sprintf("%s/%s/%s", strings.SplitN(w.Name, "-", 2)[0], q.ID, map[bench.System]string{bench.PPF: "aware", bench.EdgePPF: "edge"}[sys])
+}
+
 // rowsHash is the FNV-64a of a result's ids in order.
 func rowsHash(res *engine.Result) string {
 	h := fnv.New64a()
@@ -65,9 +70,9 @@ func rowsHash(res *engine.Result) string {
 // TestGoldenRows is the planner's result-identity harness: the Figure 3
 // statements and the six ad-hoc templates, under both mappings, each
 // executed 24 times — in memory and persisted-closed-reopened, and on
-// either store three rounds (the first plan, and the plans adaptive
-// re-planning moves to) at GOMAXPROCS 1 and 4, at the engine's batch
-// capacity and at 1 forced through ForceBatch — must return one row
+// either store three rounds (a compile, then plan-cache hits) at
+// GOMAXPROCS 1 and 4, at the engine's batch capacity and at 1 forced
+// through ForceBatch — must return one row
 // list, ids in order: the native oracle's, and the one whose hash
 // testdata/golden_rows.txt has committed. A planner change shows its
 // results byte-identical to its parent's by leaving that file alone
@@ -124,7 +129,7 @@ func TestGoldenRows(t *testing.T) {
 			}{{"in memory", sqlDB(w, sys)}, {"reopened", pdb}}
 
 			for _, q := range w.Queries {
-				label := fmt.Sprintf("%s/%s/%s", strings.SplitN(w.Name, "-", 2)[0], q.ID, map[bench.System]string{bench.PPF: "aware", bench.EdgePPF: "edge"}[sys])
+				label := goldenLabel(w, q, sys)
 				st, err := w.Translate(sys, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -221,7 +226,7 @@ func TestGoldenExplain(t *testing.T) {
 	for _, w := range []*bench.Workload{xm, db} {
 		for _, sys := range []bench.System{bench.PPF, bench.EdgePPF} {
 			for _, q := range w.Queries {
-				label := fmt.Sprintf("%s/%s/%s", strings.SplitN(w.Name, "-", 2)[0], q.ID, map[bench.System]string{bench.PPF: "aware", bench.EdgePPF: "edge"}[sys])
+				label := goldenLabel(w, q, sys)
 				st, err := w.Translate(sys, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

@@ -62,14 +62,6 @@ func (p *planner) chooseJoinOrder(plan *selectPlan, names []string, local map[st
 		e, _ := p.accessEstimate(access, st)
 		sel, _ := p.tableSelectivity(name, t, st, conjuncts, access, src)
 		e *= sel
-		// Observed cardinalities from adaptive re-planning trump the
-		// synopsis — they already include join-predicate effects — but
-		// only at the join position they were observed in (ovKey.after).
-		if len(p.overrides) > 0 && !p.heuristic {
-			if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok {
-				e = ov.rows
-			}
-		}
 		if kp, ok := access.(*keyProbe); ok && len(kp.res.keys.keys) == 0 {
 			// An empty key set is not an estimate: the step yields no
 			// row, and bound first it spares every other step its scan.

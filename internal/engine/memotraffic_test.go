@@ -40,6 +40,7 @@ func (p *memoPeaks) sample(label string, db *engine.DB) {
 		pk := &p.peak
 		pk.Builds, pk.Resolved = max(pk.Builds, l.Builds), max(pk.Resolved, l.Resolved)
 		pk.Hashes, pk.ScopedHashes, pk.ScopedRuns = max(pk.Hashes, l.Hashes), max(pk.ScopedHashes, l.ScopedHashes), max(pk.ScopedRuns, l.ScopedRuns)
+		pk.Distinct = max(pk.Distinct, l.Distinct)
 		pk.KeySets, pk.PairSets = max(pk.KeySets, l.KeySets), max(pk.PairSets, l.PairSets)
 	}
 }
@@ -96,8 +97,8 @@ func TestMemoTrafficUnderCap(t *testing.T) {
 			db   *engine.DB
 			tr   *core.Translator
 		}{{"aware", w.Aware.DB, core.New(w.Schema, nil)}, {"edge", w.Edge.DB, core.NewEdge(nil)}} {
-			// Warm passes: the first plans, then the ones adaptive
-			// re-planning moves to.
+			// Warm passes: the first compiles the plans, the others hit
+			// them.
 			for pass := 0; pass < 3; pass++ {
 				for _, q := range w.Queries {
 					query(t, m.db, m.tr, q.XPath, pass == 0)
@@ -163,6 +164,6 @@ func TestMemoTrafficUnderCap(t *testing.T) {
 		t.Errorf("pattern memo holds %d matchers; the cap is %d", n, engine.PatternCacheCap)
 	}
 	p := peaks.peak
-	t.Logf("peak entries on one table state (cap %d): builds %d (hashes %d, scoped hashes %d, scoped runs %d), resolved %d (key sets %d, pair sets %d); pattern memo %d (cap %d)",
-		engine.MemoCap, p.Builds, p.Hashes, p.ScopedHashes, p.ScopedRuns, p.Resolved, p.KeySets, p.PairSets, engine.PatternCacheSize(), engine.PatternCacheCap)
+	t.Logf("peak entries on one table state (cap %d): builds %d (hashes %d, scoped hashes %d, scoped runs %d, distinct values %d), resolved %d (key sets %d, pair sets %d); pattern memo %d (cap %d)",
+		engine.MemoCap, p.Builds, p.Hashes, p.ScopedHashes, p.ScopedRuns, p.Distinct, p.Resolved, p.KeySets, p.PairSets, engine.PatternCacheSize(), engine.PatternCacheCap)
 }

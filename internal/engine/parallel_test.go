@@ -208,8 +208,7 @@ var scopedDeweyQueries = [4]string{
 
 // TestParallelQueriesCoverScopedDewey keeps the Edge Dewey forms
 // honest: the matrices that run parallelQueries cover ancestor steps
-// and descendant windows run over the rows their key sets admit — on
-// the first plan and on the one adaptive re-planning settles on — only
+// and descendant windows run over the rows their key sets admit only
 // while the planner plans them that way.
 func TestParallelQueriesCoverScopedDewey(t *testing.T) {
 	db := bigDB(t)
@@ -220,16 +219,10 @@ func TestParallelQueriesCoverScopedDewey(t *testing.T) {
 		{"index range scan (two-sided) nd_dp over path_id IN <1 keys of p3>"},
 	} {
 		q := scopedDeweyQueries[i]
-		st := sqlast.MustParse(q)
-		for n := 0; n <= maxAdaptiveReplans+1; n++ {
-			plan := explainOf(t, db, q)
-			for _, w := range want {
-				if !strings.Contains(plan, w) {
-					t.Errorf("%s:\nplan %d lacks %q:\n%s", q, n, w, plan)
-				}
-			}
-			if _, err := run(db, st); err != nil {
-				t.Fatal(err)
+		plan := explainOf(t, db, q)
+		for _, w := range want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("%s:\nplan lacks %q:\n%s", q, w, plan)
 			}
 		}
 	}
@@ -251,24 +244,18 @@ var restrictedQueries = [2]string{
 
 // TestParallelQueriesCoverRestrictedHash keeps the QD5 forms honest:
 // the matrices that run parallelQueries cover a hash join built over
-// the rows its step's key set admits — on the first plan and on the one
-// adaptive re-planning settles on — only while the planner plans them
+// the rows its step's key set admits only while the planner plans them
 // that way.
 func TestParallelQueriesCoverRestrictedHash(t *testing.T) {
 	db := bigDB(t)
 	for _, q := range restrictedQueries {
-		st := sqlast.MustParse(q)
-		for i := 0; i <= maxAdaptiveReplans+1; i++ {
-			for _, w := range []string{
-				"scan b: hash join over path_id IN <1 keys of bp>, existential est",
-				"filter b: b.path_id IN <1 keys of bp> AND a.text = b.text",
-			} {
-				if plan := explainOf(t, db, q); !strings.Contains(plan, w) {
-					t.Errorf("%s:\nplan %d lacks %q:\n%s", q, i, w, plan)
-				}
-			}
-			if _, err := run(db, st); err != nil {
-				t.Fatal(err)
+		plan := explainOf(t, db, q)
+		for _, w := range []string{
+			"scan b: hash join over path_id IN <1 keys of bp>, existential est",
+			"filter b: b.path_id IN <1 keys of bp> AND a.text = b.text",
+		} {
+			if !strings.Contains(plan, w) {
+				t.Errorf("%s:\nplan lacks %q:\n%s", q, w, plan)
 			}
 		}
 	}
@@ -279,7 +266,7 @@ func TestParallelQueriesCoverRestrictedHash(t *testing.T) {
 // the shape of a benchmark statement: a selective existential alias
 // that drives (closed_by_buyer), one that drives from a literal with
 // the result alias two joins away (QD1), a sub-select of two aliases
-// trailing under first match (QD5 before it settles), a nested EXISTS
+// trailing under first match (QD5 at scale 1), a nested EXISTS
 // flattened twice that drives from the innermost alias (Q11), an
 // attribute test driving a key lookup (Edge Q9), and a low-selectivity
 // one driving thousands of rows into distinct and sort (Edge Q13).
@@ -465,21 +452,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 // except in time. For every statement of the matrix the forced morsel
 // executor's operator counters and its EXPLAIN ANALYZE, times aside,
 // are the serial executor's — the driving scan counted once, the
-// distinct set charged, the peak memory the same. The frame is what
-// adaptive re-planning reads, so the core count must not move a plan.
+// distinct set charged, the peak memory the same.
 func TestParallelFramesMatchSerial(t *testing.T) {
 	db := bigDB(t)
 	for _, q := range parallelQueries {
 		st := sqlast.MustParse(q)
-		// Warm-up: caches the plan, lets adaptive re-planning settle it and
-		// builds the hash-join sides, so both executors below run one plan
-		// and do the same work.
-		for i := 0; i <= maxAdaptiveReplans; i++ {
-			if _, err := run(db, st); err != nil {
-				t.Fatalf("%s: warm-up: %v", q, err)
-			}
+		// Warm-up: caches the plan and builds the hash-join sides, so both
+		// executors below do the same work.
+		if _, err := run(db, st); err != nil {
+			t.Fatalf("%s: warm-up: %v", q, err)
 		}
-		_, cs, err := db.compile(st, nil)
+		_, cs, err := db.compile(nil, nil, st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +470,7 @@ func TestParallelFramesMatchSerial(t *testing.T) {
 		var plans [2]string
 		for i, workers := range []int{1, 8} {
 			db.forceWorkers = workers
-			if _, frames[i], err = db.runCompiledFrame(nil, cs, nil, ExecOptions{}, q, false); err != nil {
+			if _, frames[i], err = db.runCompiledFrame(nil, cs, nil, newAccountant(0, 0), q, false); err != nil {
 				t.Fatalf("%s workers=%d: %v", q, workers, err)
 			}
 			if plans[i], err = db.ExplainAnalyzeWithOptions(st, ExecOptions{}); err != nil {
@@ -570,7 +553,7 @@ func TestBudgetMorselHeldRows(t *testing.T) {
 	if !errors.Is(want, ErrMemoryBudget) {
 		t.Fatalf("serial: err = %v, want ErrMemoryBudget", want)
 	}
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

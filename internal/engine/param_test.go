@@ -104,16 +104,12 @@ func TestParamOnePlanManyBindings(t *testing.T) {
 	})
 	// The literal statements checkBindings compares with are ten texts:
 	// nine misses, and a hit for the repeated one. The shape is one text:
-	// one miss, nine hits, plus whatever feedback re-planned.
-	replans := uint64(db.AdaptiveReplans())
+	// one miss, nine hits.
 	if want := uint64(1 + 9); misses != want {
 		t.Errorf("misses = %d, want %d (one for the shape, nine for the distinct literal texts)", misses, want)
 	}
-	if hits < 10 {
+	if hits != 10 {
 		t.Errorf("hits = %d, want the shape's nine and the repeated literal's one", hits)
-	}
-	if replans > maxAdaptiveReplans {
-		t.Errorf("%d re-plans of one statement, bound is %d", replans, maxAdaptiveReplans)
 	}
 }
 
@@ -254,9 +250,9 @@ func TestParamConcurrentBindings(t *testing.T) {
 }
 
 // TestParamSkewedFirstValue: a plan compiled for a value that selects
-// one row meets the value that selects nine in ten. Its estimates are
-// refuted by the feedback like any other mis-estimate, at most
-// maxAdaptiveReplans times, and the rows stay the literal statements'.
+// one row meets the value that selects nine in ten. The plan the first
+// value chose serves every binding — the shape compiles once — and the
+// rows stay the literal statements'.
 func TestParamSkewedFirstValue(t *testing.T) {
 	db := paramDB(t)
 	const q = "SELECT a.id FROM t a, t b WHERE a.name = ?1 AND b.id = a.id AND b.price < ?2:int ORDER BY a.id"
@@ -264,13 +260,11 @@ func TestParamSkewedFirstValue(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		bindings = append(bindings, []Value{NewText("rare10"), NewInt(50)}, []Value{NewText("common"), NewInt(50)})
 	}
-	checkBindings(t, db, q, ExecOptions{}, bindings[:1]...)
-	before := db.AdaptiveReplans()
-	checkBindings(t, db, q, ExecOptions{}, bindings[1:]...)
-	// The literal statements are two texts of their own, each entitled to
-	// its re-plans; so is the shape.
-	if got := db.AdaptiveReplans() - before; got > 3*maxAdaptiveReplans {
-		t.Errorf("%d re-plans, bound is %d a statement", got, maxAdaptiveReplans)
+	hits, misses := statsDelta(db, func() { checkBindings(t, db, q, ExecOptions{}, bindings...) })
+	// One compile of the shape and one of each of the two literal texts
+	// the rows are compared with; every other call is a hit.
+	if want := uint64(2*len(bindings) - 3); misses != 3 || hits != want {
+		t.Errorf("%d misses and %d hits, want 3 and %d: a plan was compiled again", misses, hits, want)
 	}
 }
 
@@ -327,11 +321,11 @@ func TestParamMatrix(t *testing.T) {
 		if _, err := prep.RunArgs(nil, q.args, ExecOptions{}); err != nil {
 			t.Fatalf("%s: %v", q.sql, err)
 		}
-		_, cs, err := db.compile(st, q.args)
+		_, cs, err := db.compile(nil, nil, st, q.args)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, litCS, err := db.compile(lit, nil)
+		_, litCS, err := db.compile(nil, nil, lit, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,11 +333,11 @@ func TestParamMatrix(t *testing.T) {
 			db.forceWorkers = workers
 			for _, bs := range batchSizes {
 				db.forceBatch = bs
-				res, frame, err := db.runCompiledFrame(nil, cs, q.args, ExecOptions{}, q.sql, false)
+				res, frame, err := db.runCompiledFrame(nil, cs, q.args, newAccountant(0, 0), q.sql, false)
 				if err != nil {
 					t.Fatalf("%s bs=%d workers=%d: %v", q.sql, bs, workers, err)
 				}
-				_, litFrame, err := db.runCompiledFrame(nil, litCS, nil, ExecOptions{}, q.sql, false)
+				_, litFrame, err := db.runCompiledFrame(nil, litCS, nil, newAccountant(0, 0), q.sql, false)
 				if err != nil {
 					t.Fatal(err)
 				}

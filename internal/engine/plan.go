@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -48,19 +49,16 @@ type selectPlan struct {
 	unnested  []*unnestGroup
 	firstFrom int
 	// morsels marks a top-level select worth the morsel executor
-	// (parallel.go, worthMorsels), derived from the estimates whenever
-	// the select is planned or re-planned.
+	// (parallel.go, worthMorsels), derived from the estimates when the
+	// select is planned.
 	morsels bool
 	// phys is the lowered physical operator pipeline (physplan.go),
 	// set by lowerStmt for every plan reachable from a compiled
 	// statement — including correlated subplans.
 	phys *physSelect
 	// source is the correlated sub-select the plan compiles, as the
-	// statement has it (nil for top-level plans). Its rendering is the
-	// key adaptive re-planning routes the subplan's observed
-	// cardinalities by to the same sub-select on the next compile:
-	// rendered text is stable across join-order changes, which reorder
-	// compilation but not the statement.
+	// statement has it (nil for top-level plans), exported as
+	// SubplanShape.Source.
 	source *sqlast.Select
 }
 
@@ -88,15 +86,15 @@ type joinStep struct {
 	// estAccess/estRows are the planner's cardinality estimates for
 	// this step — rows the access path yields per binding, and rows
 	// surviving the residual filters — with estSource recording their
-	// provenance (EstSynopsis/EstDefault/EstOverride, estimate.go).
-	// They feed EXPLAIN's est_rows, the adaptive re-planning q-error
-	// check, and plancheck's estimate-provenance obligation.
+	// provenance (EstSynopsis/EstDefault, estimate.go). They feed
+	// EXPLAIN's est_rows, EXPLAIN ANALYZE's q-errors, and plancheck's
+	// estimate-provenance obligation.
 	estAccess float64
 	estRows   float64
 	estSource string
 	// estPeeked are the parameter slots whose compile-time values the
-	// estimates read: the numbers describe that binding, and the q-error
-	// feedback of later ones is what corrects a skewed first value.
+	// estimates read: the numbers describe that binding, and the plan
+	// they chose serves every later one.
 	estPeeked []int
 	// omitted holds single-table conjuncts the planner dropped because
 	// the snapshot's synopsis proves them true for every row (§4.5-style
@@ -113,9 +111,10 @@ type accessPath interface {
 	// rank orders access kinds for tie-breaking (lower is better).
 	rank() int
 	// est estimates the rows this access yields per binding of the
-	// already-bound tables — the planner's cost metric, evaluated
-	// against the snapshot state the plan is compiled for.
-	est(st *tableState) int
+	// already-bound tables — the planner's cost metric, evaluated by
+	// the compiling planner p against the snapshot state the plan is
+	// compiled for.
+	est(p *planner, st *tableState) int
 	// enumerate pushes the candidate row ids for the step under the
 	// current bindings, in the executor's canonical order, batched
 	// through sc.idBuf() (or zero-copy sub-slices of index postings),
@@ -131,8 +130,8 @@ type accessPath interface {
 
 type fullScan struct{}
 
-func (fullScan) rank() int              { return 8 }
-func (fullScan) est(st *tableState) int { return len(st.rows) }
+func (fullScan) rank() int                          { return 8 }
+func (fullScan) est(p *planner, st *tableState) int { return len(st.rows) }
 
 // indexEq is a point lookup on an index whose leading columns are all
 // bound by equality.
@@ -142,7 +141,7 @@ type indexEq struct {
 }
 
 func (a *indexEq) rank() int { return 1 }
-func (a *indexEq) est(st *tableState) int {
+func (a *indexEq) est(p *planner, st *tableState) int {
 	if n := a.ix.Tree.Len(); n > 0 {
 		return maxInt(1, a.ix.Tree.Pairs()/n)
 	}
@@ -160,10 +159,10 @@ type hashEq struct {
 }
 
 func (a *hashEq) rank() int { return 2 }
-func (a *hashEq) est(st *tableState) int {
+func (a *hashEq) est(p *planner, st *tableState) int {
 	// Estimate with the largest bucket: skewed join columns (e.g. a
 	// path id shared by half the relation) must not look selective.
-	return maxInt(1, st.hash(a.col).max)
+	return maxInt(1, p.build(st, buildKey{col: a.col}).max)
 }
 
 // indexPrefixes is the ancestor access path: for a condition
@@ -179,8 +178,10 @@ type indexPrefixes struct {
 	restrict *keyProbe
 }
 
-func (a *indexPrefixes) rank() int              { return 2 }
-func (a *indexPrefixes) est(st *tableState) int { return minInt(len(st.rows), defaultDeweyFanout) }
+func (a *indexPrefixes) rank() int { return 2 }
+func (a *indexPrefixes) est(p *planner, st *tableState) int {
+	return minInt(len(st.rows), defaultDeweyFanout)
+}
 
 // keyProbe enumerates the rows whose column holds a key of a
 // plan-time key set (resolve.go): one probe per key, in ascending key
@@ -200,8 +201,8 @@ type keyProbe struct {
 
 // rank ties with a full scan so that a key set covering every row
 // loses to one: the scan needs no hash and keeps row order.
-func (a *keyProbe) rank() int              { return 8 }
-func (a *keyProbe) est(st *tableState) int { return int(a.rows) }
+func (a *keyProbe) rank() int                          { return 8 }
+func (a *keyProbe) est(p *planner, st *tableState) int { return int(a.rows) }
 
 // The methods below describe a key test as the scope of another access
 // (buildScope): the rows a hash join builds over, or a Dewey step runs
@@ -236,8 +237,8 @@ func (a *keyProbe) builtOver(t *Table) *KeySetScope {
 // prefers genuinely selective paths.
 type fatHash struct{ h *hashEq }
 
-func (a *fatHash) rank() int              { return 8 }
-func (a *fatHash) est(st *tableState) int { return a.h.est(st) }
+func (a *fatHash) rank() int                          { return 8 }
+func (a *fatHash) est(p *planner, st *tableState) int { return a.h.est(p, st) }
 
 // indexRange scans an index over a [lo, hi] interval computed from
 // the bound rows. Either bound may be absent.
@@ -264,7 +265,7 @@ func (a *indexRange) rank() int {
 	return 5
 }
 
-func (a *indexRange) est(st *tableState) int {
+func (a *indexRange) est(p *planner, st *tableState) int {
 	switch {
 	case a.prefix:
 		return minInt(len(st.rows), defaultDeweyFanout)
@@ -304,18 +305,6 @@ type planner struct {
 	// table states a cached plan depends on. Nil when the caller
 	// doesn't need dependency tracking.
 	touched map[*Table]bool
-	// overrides maps FROM aliases of the select being planned, at the
-	// join positions they were observed in, to the per-binding
-	// cardinalities injected by adaptive re-planning (plancache.go).
-	// It always holds the map of the select currently being planned:
-	// planSelect swaps in the matching subOverrides entry for each
-	// correlated subselect, whose aliases could collide with the outer
-	// select's.
-	overrides map[ovKey]ovEst
-	// subOverrides routes observed cardinalities to correlated
-	// subselects, keyed by the subselect's rendered source text
-	// (selectPlan.source).
-	subOverrides map[string]map[ovKey]ovEst
 	// args are the values the call that triggered this compile binds to
 	// the statement's parameter slots. To the planner a slot is a value
 	// for estimates and opaque for facts (estimate.go): the next call
@@ -325,6 +314,15 @@ type planner struct {
 	args   []Value
 	params []Kind
 	peeked []int
+	// ctx and ac are the compiling call's context and accountant: a
+	// build the planner makes to estimate (build) is charged to that
+	// call's statement and stopped by its context, as the executor's
+	// builds are. Both are nil for the plan describers, which run
+	// nothing. err is the first failure of such a build, returned as
+	// the compile's error (compileStmt).
+	ctx context.Context
+	ac  *accountant
+	err error
 }
 
 // conjunct is one ANDed term of a WHERE clause during planning: a
@@ -351,19 +349,9 @@ type conjunct struct {
 // planSelect compiles a SELECT. The outer scope carries tables of
 // enclosing queries for correlated subselects.
 func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, error) {
-	// Observed-cardinality overrides are keyed by the FROM aliases of
-	// the select being re-planned; a correlated subselect has its own
-	// alias space, so the outer map must not leak into it — the
-	// subselect gets its own map, routed by rendered source text.
 	plan := &selectPlan{distinct: sel.Distinct}
 	if outer != nil {
 		plan.source = sel
-		saved := p.overrides
-		p.overrides = nil
-		if p.subOverrides != nil {
-			p.overrides = p.subOverrides[sqlast.Render(sel)]
-		}
-		defer func() { p.overrides = saved }()
 	}
 	sc := newScope(outer)
 	local := map[string]*Table{}
@@ -488,13 +476,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		accessEst, synAccess := p.accessEstimate(access, st)
 		selOwn, synSel := p.tableSelectivity(name, local[name], st, conjuncts, access, accessSrc)
 		e := stepEstimate{access: access, estAccess: accessEst, rows: accessEst * selOwn, source: EstDefault}
-		if ov, ok := p.overrides[ovKey{name, boundKey(bound)}]; ok && !p.heuristic {
-			e.rows = ov.rows
-			if ov.access > 0 {
-				e.estAccess = ov.access
-			}
-			e.source = EstOverride
-		} else if synAccess || synSel {
+		if synAccess || synSel {
 			e.source = EstSynopsis
 		}
 		return e
@@ -537,7 +519,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		step.estPeeked, p.peeked = p.peeked, outerPeeked
 		step.omitted = omittedBy[name]
 		// Record the step's cardinality estimate and its provenance for
-		// EXPLAIN, adaptive re-planning, and plancheck.
+		// EXPLAIN and plancheck.
 		step.estAccess, step.estRows, step.estSource = e.estAccess, e.rows, e.source
 		// Attach every not-yet-attached conjunct whose local references
 		// are now fully bound.
@@ -1245,10 +1227,10 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 // tests. The statement is planned through the plan cache but not
 // executed; EXPLAIN ANALYZE (explain.go) runs it and annotates each
 // operator with its OpStats.
-func (db *DB) Explain(st sqlast.Statement) (string, error) { return db.explain(st, nil) }
+func (db *DB) Explain(st sqlast.Statement) (string, error) { return db.explain(nil, nil, st, nil) }
 
-func (db *DB) explain(st sqlast.Statement, args []Value) (string, error) {
-	key, cs, err := db.compile(st, args)
+func (db *DB) explain(ctx context.Context, ac *accountant, st sqlast.Statement, args []Value) (string, error) {
+	key, cs, err := db.compile(ctx, ac, st, args)
 	if err != nil {
 		return "", err
 	}

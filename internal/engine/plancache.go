@@ -4,11 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/failpoint"
 	"repro/internal/sqlast"
@@ -29,30 +25,10 @@ type compiledStmt struct {
 	// the whole statement (including subplans and union branches): the
 	// size of the per-execution stats frame.
 	nOps int
-	// feedback holds the merged OpStats frame of the most recent
-	// successful execution (stored by runCompiledFrame after the frame
-	// is finalized), read on the next plan-cache hit to detect
-	// mis-estimated plans. Atomic: executions and cache lookups race.
-	feedback atomic.Pointer[opFrame]
-	// replans counts how many adaptive re-plans led to this plan,
-	// bounded by maxAdaptiveReplans so estimation noise cannot cause
-	// plan flapping. Written only at compile time.
-	replans int
-	// observed is what the executions behind those re-plans measured
-	// (nil for a first plan). The next re-plan starts from it: a plan
-	// that moved a table to a new join position must not forget what
-	// the table yielded at the old one, or its successor falls back on
-	// the estimate that was already refuted and flips the order back.
-	// Written only at compile time.
-	observed *planOverrides
 	// params are the kinds of the parameter slots the plan reads, by slot
 	// (KNull for a slot nothing compiled reads): what every execution's
 	// arguments are checked against.
 	params []Kind
-	// heuristic records that the plan was compiled without looking at the
-	// data (planner.heuristic): its estimates are the named defaults, and
-	// observations never re-plan it.
-	heuristic bool
 }
 
 // tableVer pins the state a table had at plan time. States are
@@ -90,66 +66,17 @@ type unionPlan struct {
 	phys  *physUnion // union-level operators, set by lowerStmt
 }
 
-// ovEst is the observed cardinalities of one alias at one join
-// position, injected by adaptive re-planning: rows is the per-binding
-// output after the step's residual filters, access the per-binding
-// output of its access path (0 = not observed separately).
-type ovEst struct {
-	rows, access float64
-}
-
-// ovKey addresses an observation: the alias, and the join position it
-// was observed in (boundKey of the aliases bound before the step). A
-// per-binding cardinality is meaningless at any other position — a
-// probed table yields ~1 row per binding where a leading scan of the
-// same table yields the whole relation — and applying it regardless
-// of position makes consecutive re-plans invert the join order and
-// chase their own estimates.
-type ovKey struct {
-	name, after string
-}
-
-// boundKey canonicalizes a bound-alias set for ovKey.after matching.
-func boundKey(bound map[string]bool) string {
-	names := make([]string, 0, len(bound))
-	for n := range bound {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
-// planOverrides carries observed per-alias cardinalities for adaptive
-// re-planning: sel for a plain SELECT, branches aligned with a UNION's
-// branch order (branch alias spaces are independent, so one flat map
-// would cross-contaminate branches that reuse aliases), and subs for
-// correlated subselects keyed by their rendered source text (join
-// reordering changes the order subselects are compiled in, so a
-// positional index would misroute them; identical subqueries share one
-// map, which is sound because identical text is identical semantics).
-type planOverrides struct {
-	sel      map[ovKey]ovEst
-	branches []map[ovKey]ovEst
-	subs     map[string]map[ovKey]ovEst
-}
-
 // compileStmt plans a statement from scratch against one database
 // snapshot, recording the pinned states of all tables it touches
 // (including correlated-subquery tables). args are the values the
 // triggering call binds to the statement's parameter slots, which the
-// estimates read (estimate.go); ov, when non-nil, the observed
-// cardinalities adaptive re-planning injects into the planner.
-func compileStmt(db *DB, st sqlast.Statement, args []Value, ov *planOverrides) (*compiledStmt, error) {
-	p := &planner{db: db, snap: db.loadSnap(), heuristic: db.forceHeuristic, touched: map[*Table]bool{}, args: args}
-	if ov != nil {
-		p.subOverrides = ov.subs
-	}
-	cs := &compiledStmt{observed: ov, heuristic: p.heuristic}
+// estimates read (estimate.go); ctx and ac are its context and
+// accountant, which a build the estimates make answers to.
+func compileStmt(ctx context.Context, ac *accountant, db *DB, st sqlast.Statement, args []Value) (*compiledStmt, error) {
+	p := &planner{db: db, snap: db.loadSnap(), heuristic: db.forceHeuristic, touched: map[*Table]bool{}, args: args, ctx: ctx, ac: ac}
+	cs := &compiledStmt{}
 	switch s := st.(type) {
 	case *sqlast.Select:
-		if ov != nil {
-			p.overrides = ov.sel
-		}
 		plan, err := p.planSelect(s, nil)
 		if err != nil {
 			return nil, err
@@ -157,11 +84,7 @@ func compileStmt(db *DB, st sqlast.Statement, args []Value, ov *planOverrides) (
 		cs.sel = plan
 	case *sqlast.Union:
 		u := &unionPlan{}
-		for i, branch := range s.Selects {
-			p.overrides = nil
-			if ov != nil && i < len(ov.branches) {
-				p.overrides = ov.branches[i]
-			}
+		for _, branch := range s.Selects {
 			plan, err := p.planSelect(branch, nil)
 			if err != nil {
 				return nil, err
@@ -198,6 +121,9 @@ func compileStmt(db *DB, st sqlast.Statement, args []Value, ov *planOverrides) (
 		cs.union = u
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", st)
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	for t := range p.touched {
 		cs.tables = append(cs.tables, tableVer{t: t, st: p.snap.stateOf(t)})
@@ -298,16 +224,13 @@ func (c *planCache) stats() (hits, misses uint64) {
 
 // compiledFor returns a compiled plan for st, consulting the DB's
 // plan cache. key is the canonical cache key (the sqlast rendering of
-// st); args are the call's parameter values, read only if the call
-// turns out to compile.
-func (db *DB) compiledFor(st sqlast.Statement, key string, args []Value) (*compiledStmt, error) {
+// st); args are the call's parameter values, and ctx and ac its context
+// and accountant, read only if the call turns out to compile.
+func (db *DB) compiledFor(ctx context.Context, ac *accountant, st sqlast.Statement, key string, args []Value) (*compiledStmt, error) {
 	if cs := db.plans.get(key, db.loadSnap()); cs != nil {
-		if next := db.maybeReplan(st, key, args, cs); next != nil {
-			return next, nil
-		}
 		return cs, nil
 	}
-	cs, err := compileStmt(db, st, args, nil)
+	cs, err := compileStmt(ctx, ac, db, st, args)
 	if err != nil {
 		return nil, err
 	}
@@ -319,178 +242,15 @@ func (db *DB) compiledFor(st sqlast.Statement, key string, args []Value) (*compi
 }
 
 // compile is the preamble the plan describers (Explain, EXPLAIN
-// ANALYZE, OperatorCount, PlanShape) share: render the
-// plan-cache key and fetch or build the plan, an internal panic in the
-// planner returning as *InternalError.
-func (db *DB) compile(st sqlast.Statement, args []Value) (key string, cs *compiledStmt, err error) {
+// ANALYZE, OperatorCount, PlanShape) share: render the plan-cache key
+// and fetch or build the plan under the call's ctx and ac, an internal
+// panic in the planner returning as *InternalError. A describer called
+// outside the statement boundary runs nothing and passes nil for both.
+func (db *DB) compile(ctx context.Context, ac *accountant, st sqlast.Statement, args []Value) (key string, cs *compiledStmt, err error) {
 	key = sqlast.Render(st)
 	defer guardPanics(key, &err)
-	cs, err = db.compiledFor(st, key, args)
+	cs, err = db.compiledFor(ctx, ac, st, key, args)
 	return key, cs, err
-}
-
-// observed returns what the plan's last execution (frame) saw of step
-// i per binding: the access path's output and the rows past the step's
-// residual filters; ok is false for a step that never executed.
-func (p *selectPlan) observed(i int, frame opFrame) (access, rows float64, ok bool) {
-	// The scan operator observes the access path's output; the filter
-	// operator (when the step has one) the post-filter rows, so a
-	// re-planned plan's q-errors collapse to 1.
-	scan := frame[p.phys.scans[i].id]
-	if scan.loops == 0 {
-		return 0, 0, false
-	}
-	access = float64(scan.rowsOut) / float64(scan.loops)
-	rows = access
-	if f := p.phys.filters[i]; f != nil {
-		// The filter runs once per binding of its scan (finalizeFrame).
-		rows = float64(frame[f.id].rowsOut) / float64(scan.loops)
-	}
-	// Under first match the step stopped at the match: what it consumed
-	// bounds what matches from below, and refutes only an estimate beneath
-	// it. Taken for the fan-out it would send the next plan after an order
-	// the truth does not favour.
-	if s := p.steps[i]; p.truncated(i) {
-		access = math.Max(access, s.estAccess)
-		rows = math.Max(rows, s.estRows)
-	}
-	return access, rows, true
-}
-
-// qErrors is the one measure of step i's estimates against what frame
-// observed: adaptive re-planning, EXPLAIN ANALYZE's q= and analyzeReport
-// all read it. scan is the q-error of the estimate the step's scan
-// operator carries — the access path's output, or without a filter
-// operator the rows past the step — and filter that of the post-filter
-// estimate its filter operator carries (0 without one); ok is false for
-// a step that never executed.
-func (p *selectPlan) qErrors(i int, frame opFrame) (scan, filter float64, ok bool) {
-	access, rows, ok := p.observed(i, frame)
-	if !ok {
-		return 0, 0, false
-	}
-	s := p.steps[i]
-	if p.phys.filters[i] == nil {
-		return qError(s.estRows, rows), 0, true
-	}
-	return qError(s.estAccess, access), qError(s.estRows, rows), true
-}
-
-// worstQError is the largest per-step q-error of the select's estimates
-// against the observations in frame, its correlated subplans included.
-// It allocates nothing: a plan-cache hit runs it whenever the plan may
-// still be re-planned, and the plan mostly stands.
-func (p *selectPlan) worstQError(frame opFrame) float64 {
-	worst := 1.0
-	for i := range p.steps {
-		if scan, filter, ok := p.qErrors(i, frame); ok {
-			worst = math.Max(worst, math.Max(scan, filter))
-		}
-	}
-	for _, n := range p.phys.ops {
-		for _, sub := range n.sub {
-			worst = math.Max(worst, sub.worstQError(frame))
-		}
-	}
-	return worst
-}
-
-// worstQError is selectPlan.worstQError over every select of the
-// statement.
-func (cs *compiledStmt) worstQError(frame opFrame) float64 {
-	if cs.sel != nil {
-		return cs.sel.worstQError(frame)
-	}
-	worst := 1.0
-	for _, b := range cs.union.branches {
-		worst = math.Max(worst, b.worstQError(frame))
-	}
-	return worst
-}
-
-// planFeedback returns the observed per-binding cardinalities of the
-// plan's last execution keyed the way compileStmt expects, laid over
-// the observations the plan was itself compiled from
-// (compiledStmt.observed). Steps that never executed (loops == 0)
-// contribute nothing.
-func planFeedback(cs *compiledStmt, frame opFrame) *planOverrides {
-	prior := cs.observed
-	if prior == nil {
-		prior = &planOverrides{}
-	}
-	collect := func(p *selectPlan, prior map[ovKey]ovEst) map[ovKey]ovEst {
-		m := make(map[ovKey]ovEst, len(prior)+len(p.steps))
-		for k, v := range prior {
-			m[k] = v
-		}
-		bound := map[string]bool{}
-		for i, s := range p.steps {
-			after := boundKey(bound)
-			bound[s.name] = true
-			if access, rows, ok := p.observed(i, frame); ok {
-				m[ovKey{s.name, after}] = ovEst{rows: rows, access: access}
-			}
-		}
-		return m
-	}
-	ov := &planOverrides{subs: make(map[string]map[ovKey]ovEst, len(prior.subs))}
-	for src, m := range prior.subs {
-		ov.subs[src] = m
-	}
-	// Correlated subplans carry their own per-step estimates and stats;
-	// their observations route back by rendered source (selectPlan.source).
-	var collectSubs func(p *selectPlan)
-	collectSubs = func(p *selectPlan) {
-		for _, n := range p.phys.ops {
-			for _, sub := range n.sub {
-				src := sqlast.Render(sub.source)
-				if m := collect(sub, prior.subs[src]); len(m) > 0 {
-					ov.subs[src] = m
-				}
-				collectSubs(sub)
-			}
-		}
-	}
-	if cs.sel != nil {
-		ov.sel = collect(cs.sel, prior.sel)
-		collectSubs(cs.sel)
-	} else {
-		for i, b := range cs.union.branches {
-			var was map[ovKey]ovEst
-			if i < len(prior.branches) {
-				was = prior.branches[i]
-			}
-			ov.branches = append(ov.branches, collect(b, was))
-			collectSubs(b)
-		}
-	}
-	return ov
-}
-
-// maybeReplan implements adaptive re-planning on a plan-cache hit:
-// when the cached plan's last observed OpStats contradict its
-// cardinality estimates beyond replanQErrorThreshold, the statement is
-// re-planned with the observed cardinalities injected as overrides and
-// the cache entry replaced. Returns nil when the cached plan stands.
-// Re-planning is bounded (maxAdaptiveReplans) and version-safe: the
-// new plan pins the current snapshot like any fresh compile, so a
-// racing commit simply retires it through the normal freshness check.
-func (db *DB) maybeReplan(st sqlast.Statement, key string, args []Value, cs *compiledStmt) *compiledStmt {
-	if cs.heuristic || cs.replans >= maxAdaptiveReplans {
-		return nil
-	}
-	fb := cs.feedback.Load()
-	if fb == nil || cs.worstQError(*fb) <= replanQErrorThreshold {
-		return nil
-	}
-	next, err := compileStmt(db, st, args, planFeedback(cs, *fb))
-	if err != nil {
-		return nil
-	}
-	next.replans = cs.replans + 1
-	db.replanCount.Add(1)
-	db.plans.put(key, next, db.loadSnap())
-	return next
 }
 
 // PlanCacheSize returns the number of cached query plans.

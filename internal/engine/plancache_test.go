@@ -187,7 +187,7 @@ func TestPlanCacheStaleReinsert(t *testing.T) {
 	}
 	key := sqlast.Render(st)
 	// Compile (as an in-flight execution would have) before mutating.
-	cs, err := compileStmt(db, st, nil, nil)
+	cs, err := compileStmt(nil, nil, db, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +219,28 @@ func TestPlanCacheStaleReinsert(t *testing.T) {
 	}
 	if n := db.PlanCacheSize(); n != 1 {
 		t.Errorf("PlanCacheSize = %d after clean run, want 1", n)
+	}
+}
+
+// TestPlanCacheHitAllocatesNothing: a hit on a plan that has run
+// returns the cached plan and allocates nothing.
+func TestPlanCacheHitAllocatesNothing(t *testing.T) {
+	db, _ := buildPair(t, 7, 300)
+	st := sqlast.MustParse("SELECT a.id, b.id FROM n a, n b WHERE b.par = a.id AND a.val = 1")
+	if _, err := run(db, st); err != nil {
+		t.Fatal(err)
+	}
+	key := sqlast.Render(st)
+	cs, err := db.compiledFor(nil, nil, st, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := db.compiledFor(nil, nil, st, key, nil); err != nil || got != cs {
+			t.Fatalf("hit returned another plan (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a plan-cache hit allocates %v times, want 0", allocs)
 	}
 }

@@ -209,7 +209,7 @@ type StepShape struct {
 	// EstRows is the estimated rows this step yields per binding of the
 	// earlier steps after residual filters, EstAccess the rows its access
 	// path yields before them; EstSource records where the numbers came
-	// from ("synopsis", "default" or "override").
+	// from ("synopsis" or "default").
 	EstRows   float64
 	EstAccess float64
 	EstSource string
@@ -343,7 +343,7 @@ func verifyCompiled(verify func(PlanTrace) error, st sqlast.Statement, key strin
 // PlanShape compiles the statement (through the plan cache) and
 // returns the decompiled shape of the plan that would execute.
 func (db *DB) PlanShape(st sqlast.Statement) (*StmtShape, error) {
-	key, cs, err := db.compile(st, nil)
+	key, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -362,7 +362,7 @@ func planKeySets(t testing.TB, db *DB, sql string) map[string]*keySet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestPrefixRangeEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cs, err := db.compile(st, nil)
+		_, cs, err := db.compile(nil, nil, st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func TestPrefixRangeEstimate(t *testing.T) {
 	// A relation smaller than the fanout cannot yield more than it has.
 	small := fixtureDB(t)
 	st, _ := sqlast.Parse("SELECT d.id FROM C c, D d WHERE c.id = 3 AND d.dewey_pos BETWEEN c.dewey_pos AND c.dewey_pos || X'FF'")
-	_, cs, err := small.compile(st, nil)
+	_, cs, err := small.compile(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,7 +307,7 @@ func TestScopedDeweyAllocatesNothingPerBinding(t *testing.T) {
 	db := deweyDB(t, false, false)
 	mustRun(t, db, deweyWindowSQL)
 	st := sqlast.MustParse(deweyWindowSQL)
-	_, cs, err := db.compile(st, nil)
+	_, cs, err := db.compile(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,9 +139,6 @@ type DB struct {
 	// peakMem is the high-water mark of per-statement accounted
 	// memory across every statement run against this DB.
 	peakMem atomic.Int64
-	// replanCount counts adaptive re-plans performed on this DB
-	// (plancache.go maybeReplan), exposed via AdaptiveReplans.
-	replanCount atomic.Uint64
 	// forceWorkers, when positive, takes the executor decision
 	// (morselWorkers) away from the plan and GOMAXPROCS for every
 	// top-level select: 1 runs the serial executor, n > 1 the morsel
@@ -154,17 +151,18 @@ type DB struct {
 	// budget errors are the same at every capacity; nothing else does.
 	forceBatch int
 	// forceHeuristic plans every statement without looking at the data:
-	// no synopsis estimates, filter omissions, plan-time resolutions,
-	// implied-property proofs or adaptive re-plans, only the named
-	// defaults. Engine tests set it, through ForceHeuristic, as the
+	// no synopsis estimates, filter omissions, plan-time resolutions or
+	// implied-property proofs, only the named defaults. Engine tests set it, through ForceHeuristic, as the
 	// control the data-driven plans are checked against; nothing else
 	// does.
 	forceHeuristic bool
 }
 
-// AdaptiveReplans returns how many cached plans this DB has re-planned
-// because observed OpStats contradicted their cardinality estimates.
-func (db *DB) AdaptiveReplans() uint64 { return db.replanCount.Load() }
+// AdaptiveReplans is always 0: the engine plans a statement once per
+// snapshot and never re-plans it from what its executions observed.
+//
+// Deprecated: kept only for callers that still read it.
+func (db *DB) AdaptiveReplans() uint64 { return 0 }
 
 // loadSnap returns the current snapshot.
 func (db *DB) loadSnap() *dbSnap { return db.snap.Load() }
@@ -646,24 +644,6 @@ func encodeValue(dst []byte, v Value) []byte {
 	return dst
 }
 
-// hash returns (building on demand) the column's whole-column hash
-// index: the executor's hash-join build side, and with its largest
-// bucket the planner's worst-case estimate for a probe. This
-// unaccounted form serves the planner's cost estimation; execution
-// paths go through buildSide so builds are charged to the running
-// statement.
-func (st *tableState) hash(col int) build {
-	b, _, _, err := st.build(buildKey{col: col}, nil)
-	if err != nil {
-		// With a nil accountant the only failure mode is an armed
-		// failpoint; planner-side estimation has no error path, so an
-		// injected build fault surfaces through the statement panic
-		// boundary instead.
-		panic(err)
-	}
-	return b
-}
-
 // hashScope restricts a hash build, or a scoped run, to the rows whose
 // column col holds a key of keys: the rows a step's key test
 // (resolve.go) admits. The zero scope (nil keys) admits every row.
@@ -686,17 +666,21 @@ func (sc hashScope) admits(row []Value) bool {
 
 // buildKey addresses one entry of tableState.builds: the hash index
 // (run false) or the scoped run (run true) of column col over the rows
-// the scope in admits. A scope names its key set by pointer, the set's
-// entry in its dimension state's resolved memo, so a key set of another
-// state is another entry and is never served.
+// the scope in admits, or with distinct the values alone, the hash's
+// keys without their row ids. A scope names its key set by pointer, the
+// set's entry in its dimension state's resolved memo, so a key set of
+// another state is another entry and is never served.
 type buildKey struct {
-	col int
-	in  hashScope
-	run bool
+	col      int
+	in       hashScope
+	run      bool
+	distinct bool
 }
 
 // build is one entry of tableState.builds: a hash index with its
-// largest bucket, or a scoped run.
+// largest bucket, the distinct values of one (hash, every bucket nil:
+// what the planner reads a value join's fan-out off, estimate.go), or
+// a scoped run.
 type build struct {
 	hash map[string][]int64
 	max  int
@@ -756,6 +740,10 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 			ids, ok := b.hash[key]
 			if !ok {
 				charged += int64(len(key)) + mapEntryBytes
+			}
+			if k.distinct {
+				b.hash[key] = nil
+				break
 			}
 			charged += 8 // one row id
 			b.hash[key] = append(ids, int64(id))

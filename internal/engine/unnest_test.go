@@ -52,7 +52,7 @@ var unnestModes = []execMode{{workers: 1}, {workers: 1, batch: 1}, {workers: 1, 
 // must plan without a subplan for the EXISTS it unnests, show what the
 // case is about in its EXPLAIN text, and return the rows of its control
 // — the same statement with the EXISTS kept as subplans — in every
-// execution mode, first plan and settled.
+// execution mode, on a compile and on a plan-cache hit.
 func TestUnnestFires(t *testing.T) {
 	db := bigDB(t)
 	cases := []struct {
@@ -129,8 +129,7 @@ func TestUnnestFires(t *testing.T) {
 			if len(want.Rows) == 0 {
 				t.Fatal("the statement selects nothing")
 			}
-			// Twice: the first plan, then whatever adaptive re-planning
-			// settles on.
+			// Twice: a compile, then a plan-cache hit.
 			for round := 0; round < 2; round++ {
 				plan, err := db.Explain(st)
 				if err != nil {

@@ -83,19 +83,22 @@ func TestMutationsRejected(t *testing.T) {
 					continue
 				}
 				// The statement Translate returns, and the one with the
-				// shape's slots open.
+				// shape's slots open. steps counts the first select's steps
+				// of each, which forge-est-source forges one by one.
 				results, err := CheckMutations(tf.db, sh.Bind(args).Stmt, nil)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", q.ID, tf.name, err)
 				}
+				steps := []int{firstSteps(t, tf.db, sh.Bind(args).Stmt, nil)}
 				if len(args) > 0 {
 					slotted, err := CheckMutations(tf.db, sh.Stmt, args)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", q.ID, tf.name, err)
 					}
 					results = append(results, slotted...)
+					steps = append(steps, firstSteps(t, tf.db, sh.Stmt, args))
 				}
-				for _, r := range results {
+				for i, r := range results {
 					if !r.Applied {
 						continue
 					}
@@ -144,6 +147,18 @@ func TestMutationsRejected(t *testing.T) {
 					case "dewey-scoped-by-untested-key-set", "dewey-scoped-on-other-column":
 						if !strings.Contains(r.Finding, "[access-path]") || !strings.Contains(r.Finding, "running the step over its rows") {
 							t.Errorf("%s/%s: mutation %s rejected by %s, want the access-path rule", q.ID, tf.name, r.Name, r.Finding)
+						}
+					// Every forged provenance is its own finding: "override"
+					// is refused as surely as a made-up name.
+					case "forge-est-source":
+						n := 0
+						for _, rule := range r.Rules {
+							if rule == "estimate-provenance" {
+								n++
+							}
+						}
+						if want := steps[i/len(Mutations())]; n != want || len(r.Rules) != want {
+							t.Errorf("%s/%s: mutation %s forged %d steps, rejected by %v", q.ID, tf.name, r.Name, want, r.Rules)
 						}
 					case "first-match-run-referenced-later":
 						if !strings.Contains(r.Finding, "["+ruleImplied+"]") || !strings.Contains(r.Finding, "first match from step") {
@@ -546,4 +561,15 @@ func TestPathsAliasesResolved(t *testing.T) {
 	for _, v := range matrix.vectorisable {
 		t.Errorf("matrix: a step outside the correlated subplans still leads with a REGEXP_LIKE over its own table: %s", v)
 	}
+}
+
+// firstSteps is the number of steps of st's first select (of the first
+// UNION branch for a union), planned with args.
+func firstSteps(t *testing.T, db *engine.DB, st sqlast.Statement, args []engine.Value) int {
+	t.Helper()
+	sh, err := planShape(db, st, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(firstSelect(sh).Steps)
 }

@@ -12,7 +12,7 @@ import (
 // step with a cardinality estimate (EstRows/EstSource) and may drop
 // residual conjuncts its synopsis proves true for every row
 // (StepShape.Omitted). The checker does not trust either annotation:
-// the source must be one of the planner's three declared provenances,
+// the source must be one of the planner's two declared provenances,
 // the estimate must be a usable number, and each omission is re-proved
 // here with plancheck's own decision procedure from the recorded
 // evidence — which is itself cross-checked against the live table
@@ -27,7 +27,7 @@ func checkEstimates(db *engine.DB, s engine.StepShape, loc string, cert *Certifi
 			Detail: fmt.Sprintf("%s: step %s: %s", loc, s.Alias, fmt.Sprintf(format, args...))})
 	}
 	switch s.EstSource {
-	case engine.EstSynopsis, engine.EstDefault, engine.EstOverride:
+	case engine.EstSynopsis, engine.EstDefault:
 	default:
 		fail("unknown estimate source %q", s.EstSource)
 	}

@@ -168,7 +168,12 @@ func Mutations() []Mutation {
 				if sel == nil || len(sel.Steps) == 0 {
 					return false
 				}
-				sel.Steps[0].EstSource = "hunch"
+				// On the steps in turn: a made-up provenance, and "override",
+				// an observed cardinality, which the planner never injects.
+				forged := []string{"hunch", "override"}
+				for i := range sel.Steps {
+					sel.Steps[i].EstSource = forged[i%len(forged)]
+				}
 				return true
 			},
 		},

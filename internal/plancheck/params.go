@@ -30,8 +30,9 @@ import (
 //     reads.
 //
 // An estimate may use the value a slot had when the plan was compiled;
-// nothing here objects to that, and the q-error feedback bounds what a
-// skewed first value can cost.
+// nothing here objects to that. A skewed first value can cost the later
+// bindings time, never rows: the plan it chose serves them all (DESIGN.md
+// §13, "One plan per statement").
 
 const ruleParams = "params"
 
