@@ -1,7 +1,5 @@
 package engine
 
-import "bytes"
-
 // The uniform scan-operator contract: every access path pushes the
 // candidate row ids of its joinStep under the current bindings, in
 // the executor's canonical order, recording probes and governor
@@ -53,27 +51,53 @@ func flushTail(buf []int64, yield batchYield) error {
 	return err
 }
 
-// yieldChunks streams an index's already-materialized posting list to
-// yield in sub-slices of at most batch ids, without copying. It
-// reports false when yield stopped the enumeration.
-func yieldChunks(ids []int64, batch int, yield batchYield) (bool, error) {
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > batch {
-			n = batch
+// yieldSeg streams a stretch of a run to yield a batch at a time: an
+// explicit run's ids in place, without copying, and those of a run that
+// is the rows themselves through the scratch's id buffer. It reports
+// false when yield stopped the enumeration.
+func yieldSeg(s seg, sc *batchScratch, yield batchYield) (bool, error) {
+	var buf []int64
+	if s.ids == nil {
+		buf = sc.idBuf(s.hi - s.lo)
+	}
+	for s.lo < s.hi {
+		n := min(s.hi-s.lo, sc.n)
+		var ids []int64
+		if s.ids != nil {
+			ids = s.ids[s.lo : s.lo+n]
+		} else {
+			n = min(n, cap(buf))
+			ids = seg{lo: s.lo, hi: s.lo + n}.appendTo(buf[:0])
 		}
-		cont, err := yield(ids[:n])
+		cont, err := yield(ids)
 		if err != nil || !cont {
 			return false, err
 		}
-		ids = ids[n:]
+		s.lo += n
 	}
 	return true, nil
 }
 
+// appendSeg appends a stretch of a run to buf, handing buf to yield
+// each time it fills; it returns what is left in buf, or false when
+// yield stopped the enumeration.
+func appendSeg(s seg, buf []int64, yield batchYield) ([]int64, bool, error) {
+	for i := s.lo; i < s.hi; i++ {
+		buf = append(buf, s.at(i))
+		if len(buf) == cap(buf) {
+			cont, err := yield(buf)
+			if err != nil || !cont {
+				return nil, false, err
+			}
+			buf = buf[:0]
+		}
+	}
+	return buf, true, nil
+}
+
 func (fullScan) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
 	n := len(s.st.rows)
-	buf := sc.idBuf()
+	buf := sc.idBuf(n)
 	for id := 0; id < n; id++ {
 		buf = append(buf, int64(id))
 		if len(buf) == cap(buf) {
@@ -88,7 +112,8 @@ func (fullScan) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batc
 }
 
 func (a *indexEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
-	key := sc.key[:0]
+	var kv [4]Value
+	key := kv[:0]
 	for _, kx := range a.keys {
 		v, err := kx.eval(ec, e)
 		if err != nil {
@@ -97,11 +122,10 @@ func (a *indexEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *ba
 		if v.IsNull() {
 			return nil
 		}
-		key = encodeValue(key, v)
+		key = append(key, v)
 	}
-	sc.key = key
 	st.probe()
-	_, err := yieldChunks(a.ix.Tree.Get(key), sc.n, yield)
+	_, err := yieldSeg(a.ix.equal(key), sc, yield)
 	return err
 }
 
@@ -113,91 +137,34 @@ func (a *indexPrefixes) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, 
 	if v.Kind != KBytes {
 		return nil
 	}
+	run, has := a.ix, []bool(nil)
 	if a.restrict != nil {
-		return a.enumerateRun(ec, v.B, s, st, sc, yield)
+		b, err := buildSide(ec, s, st, buildKey{col: a.ix.Cols[0], in: a.restrict.scope(), run: a.ix})
+		if err != nil {
+			return err
+		}
+		run, has = b.run.Index, b.run.has
 	}
-	buf := sc.idBuf()
+	buf, from := sc.idBuf(sc.n), 0
 	for k := 0; k <= len(v.B); k++ {
-		// Prefix-match within a possibly composite index: scan the
-		// interval covering exactly this first-component value. The
-		// bounds live in this step's scratch (not shared buffers):
-		// yield runs nested steps while the Scan is still walking them.
-		lo := encodeValue(sc.key[:0], NewBytes(v.B[:k]))
-		sc.key = lo
-		hi := append(sc.key2[:0], lo...)
-		hi = append(hi, 0xFF)
-		sc.key2 = hi
-		st.probe()
-		stop := false
-		var scanErr error
-		a.ix.Tree.Scan(lo, hi, func(_ []byte, id int64) bool {
-			buf = append(buf, id)
-			if len(buf) == cap(buf) {
-				cont, err := yield(buf)
-				buf = buf[:0]
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				stop = !cont
-				return cont
-			}
-			return true
-		})
-		if scanErr != nil || stop {
-			return scanErr
+		if a.restrict != nil && (k >= len(has) || !has[k]) {
+			continue // the scoped run holds no value this long
 		}
+		// Prefix-match within a possibly composite index: the stretch
+		// whose first component is exactly this prefix. The prefixes,
+		// and with them the stretches, ascend: each search starts where
+		// the last one ended.
+		p := [1]Value{NewBytes(v.B[:k])}
+		st.probe()
+		lo := run.search(from, run.len(), p[:], false)
+		r := run.run(lo, run.near(lo, p[:], true))
+		var cont bool
+		if buf, cont, err = appendSeg(r, buf, yield); err != nil || !cont {
+			return err
+		}
+		from = r.hi
 	}
 	return flushTail(buf, yield)
-}
-
-// enumerateRun is the ancestor step over its scoped run: the rows whose
-// position is a prefix of x are those equal to x's prefix of some
-// length the run holds, so it searches once per such length, the
-// prefixes — and with them the matches — ascending.
-func (a *indexPrefixes) enumerateRun(ec *execCtx, x []byte, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
-	col := a.ix.Cols[0]
-	b, err := buildSide(ec, s, st, buildKey{col: col, in: a.restrict.scope(), run: true})
-	if err != nil {
-		return err
-	}
-	r := b.run
-	rows, ids, buf := s.st.rows, r.ids, sc.idBuf()
-	for _, n := range r.lens {
-		if n > len(x) {
-			break
-		}
-		st.probe()
-		p := x[:n]
-		// Every value before p's lower bound is below the longer prefixes
-		// too: each search starts where the last one ended.
-		for ids = ids[lowerBound(rows, col, ids, p):]; len(ids) > 0 && bytes.Equal(rows[ids[0]][col].B, p); ids = ids[1:] {
-			buf = append(buf, ids[0])
-			if len(buf) == cap(buf) {
-				cont, err := yield(buf)
-				if err != nil || !cont {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	return flushTail(buf, yield)
-}
-
-// lowerBound is the first position in ids, a run ordered by column col,
-// whose value is not below v.
-func lowerBound(rows [][]Value, col int, ids []int64, v []byte) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if bytes.Compare(rows[ids[m]][col].B, v) < 0 {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
@@ -215,7 +182,8 @@ func (a *hashEq) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *bat
 		return err
 	}
 	st.probe()
-	_, err = yieldChunks(b.hash[string(key)], sc.n, yield)
+	ids := b.hash[string(key)]
+	_, err = yieldSeg(seg{ids: ids, hi: len(ids)}, sc, yield)
 	return err
 }
 
@@ -248,45 +216,49 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 		}
 		m = b.hash
 	}
-	var lists [][]int64
+	var segs []seg
 	if a.merged {
-		lists = make([][]int64, 0, len(a.res.keys.keys))
+		segs = make([]seg, 0, len(a.res.keys.keys))
 	}
+	total := 0
 	for _, k := range a.res.keys.keys {
-		key := encodeValue(sc.key[:0], NewInt(k))
-		sc.key = key
 		st.probe()
-		ids := m[string(key)]
-		if a.ix != nil {
-			ids = a.ix.Tree.Get(key)
+		var r seg
+		if v := [1]Value{NewInt(k)}; a.ix != nil {
+			r = a.ix.equal(v[:])
+		} else {
+			sc.key = encodeValue(sc.key[:0], v[0])
+			ids := m[string(sc.key)]
+			r = seg{ids: ids, hi: len(ids)}
 		}
 		if a.merged {
-			if len(ids) > 0 {
-				lists = append(lists, ids)
+			if r.lo < r.hi {
+				segs, total = append(segs, r), total+r.hi-r.lo
 			}
 			continue
 		}
-		if cont, err := yieldChunks(ids, sc.n, yield); err != nil || !cont {
+		if cont, err := yieldSeg(r, sc, yield); err != nil || !cont {
 			return err
 		}
 	}
-	return yieldMerged(lists, sc.idBuf(), yield)
+	return yieldMerged(segs, sc.idBuf(total), yield)
 }
 
-// yieldMerged streams the union of ascending, pairwise disjoint posting
-// lists in ascending order: a binary heap of the lists ordered by their
-// heads, the least head moved to the batch buffer each turn.
-func yieldMerged(lists [][]int64, buf []int64, yield batchYield) error {
-	for i := len(lists)/2 - 1; i >= 0; i-- {
-		siftDown(lists, i)
+// yieldMerged streams the union of ascending, pairwise disjoint
+// stretches of runs in ascending order: a binary heap of the stretches
+// ordered by their heads, the least head moved to the batch buffer each
+// turn.
+func yieldMerged(segs []seg, buf []int64, yield batchYield) error {
+	for i := len(segs)/2 - 1; i >= 0; i-- {
+		siftDown(segs, i)
 	}
-	for len(lists) > 0 {
-		buf = append(buf, lists[0][0])
-		if lists[0] = lists[0][1:]; len(lists[0]) == 0 {
-			lists[0] = lists[len(lists)-1]
-			lists = lists[:len(lists)-1]
+	for len(segs) > 0 {
+		buf = append(buf, segs[0].at(segs[0].lo))
+		if segs[0].lo++; segs[0].lo == segs[0].hi {
+			segs[0] = segs[len(segs)-1]
+			segs = segs[:len(segs)-1]
 		}
-		siftDown(lists, 0)
+		siftDown(segs, 0)
 		if len(buf) == cap(buf) {
 			cont, err := yield(buf)
 			if err != nil || !cont {
@@ -298,19 +270,19 @@ func yieldMerged(lists [][]int64, buf []int64, yield batchYield) error {
 	return flushTail(buf, yield)
 }
 
-// siftDown restores the heap order of lists below position i.
-func siftDown(lists [][]int64, i int) {
+// siftDown restores the heap order of segs below position i.
+func siftDown(segs []seg, i int) {
 	for {
 		least := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(lists); c++ {
-			if lists[c][0] < lists[least][0] {
+		for c := 2*i + 1; c <= 2*i+2 && c < len(segs); c++ {
+			if segs[c].at(segs[c].lo) < segs[least].at(segs[least].lo) {
 				least = c
 			}
 		}
 		if least == i {
 			return
 		}
-		lists[i], lists[least] = lists[least], lists[i]
+		segs[i], segs[least] = segs[least], segs[i]
 		i = least
 	}
 }
@@ -412,73 +384,28 @@ func (a *indexRange) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc 
 		}
 		hiB = b
 	}
+	run := a.ix
 	if a.restrict != nil {
-		return a.enumerateRun(ec, loV, hiB, s, st, sc, yield)
-	}
-	var lo, hi []byte
-	if a.lo != nil {
-		lo = encodeValue(sc.key[:0], loV)
-		if a.loStrict {
-			lo = append(lo, 0xFF)
-		}
-		sc.key = lo
-	}
-	if a.hi != nil {
-		hi = hiB.encode(sc.key2[:0])
-		if !a.hiStrict {
-			hi = append(hi, 0xFF)
-		}
-		sc.key2 = hi
-	}
-	st.probe()
-	buf := sc.idBuf()
-	stop := false
-	var scanErr error
-	a.ix.Tree.Scan(lo, hi, func(_ []byte, id int64) bool {
-		buf = append(buf, id)
-		if len(buf) == cap(buf) {
-			cont, err := yield(buf)
-			buf = buf[:0]
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			stop = !cont
-			return cont
-		}
-		return true
-	})
-	if scanErr != nil || stop {
-		return scanErr
-	}
-	return flushTail(buf, yield)
-}
-
-// enumerateRun is the descendant window over its scoped run: one search
-// for the lower bound, then the run's ids while their values are not
-// above hi, handed on in place, a batch at a time. A prefix window's
-// bounds are byte strings, as its column is (accessFromBetween).
-func (a *indexRange) enumerateRun(ec *execCtx, lo Value, hi bound, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
-	col := a.ix.Cols[0]
-	b, err := buildSide(ec, s, st, buildKey{col: col, in: a.restrict.scope(), run: true})
-	if err != nil {
-		return err
-	}
-	r := b.run
-	st.probe()
-	rows := s.st.rows
-	ids := r.ids[lowerBound(rows, col, r.ids, lo.B):]
-	for {
-		n := 0
-		for n < len(ids) && n < sc.n && compareConcat(rows[ids[n]][col].B, hi.v.B, hi.tail) <= 0 {
-			n++
-		}
-		if n == 0 {
-			return nil
-		}
-		if cont, err := yield(ids[:n]); err != nil || !cont {
+		b, err := buildSide(ec, s, st, buildKey{col: a.ix.Cols[0], in: a.restrict.scope(), run: a.ix})
+		if err != nil {
 			return err
 		}
-		ids = ids[n:]
+		run = b.run.Index
 	}
+	// A strict lower bound starts past the keys that begin with it, a
+	// non-strict upper one ends past them.
+	var lo, hi []Value
+	if a.lo != nil {
+		lo = []Value{loV}
+	}
+	if a.hi != nil {
+		if hiB.split {
+			sc.key2 = append(append(sc.key2[:0], hiB.v.B...), hiB.tail...)
+			hiB.v = NewBytes(sc.key2)
+		}
+		hi = []Value{hiB.v}
+	}
+	st.probe()
+	_, err := yieldSeg(run.between(lo, a.loStrict, hi, !a.hiStrict), sc, yield)
+	return err
 }

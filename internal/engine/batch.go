@@ -17,19 +17,21 @@ const batchCapacity = 1024
 // own scratch (pooled on the execCtx) because an outer step's index
 // scan is still walking its key bounds while inner steps run.
 type batchScratch struct {
-	// n is the batch capacity; ids, of that capacity, is made when an
-	// access path first collects ids (idBuf) — the index and hash lookups
-	// hand on their postings and never do.
+	// n is the batch capacity; ids is made when an access path first
+	// collects ids (idBuf), no larger than it asks for up to that
+	// capacity — the lookups in an explicit run or a hash hand on their
+	// postings and never do.
 	n    int
 	ids  []int64
 	key  []byte
 	key2 []byte
 }
 
-// idBuf returns the scratch's id buffer, empty.
-func (sc *batchScratch) idBuf() []int64 {
-	if sc.ids == nil {
-		sc.ids = make([]int64, 0, sc.n)
+// idBuf returns the scratch's id buffer, empty, with room for want ids
+// or a whole batch, whichever is less; it grows by doubling.
+func (sc *batchScratch) idBuf(want int) []int64 {
+	if want = min(want, sc.n); cap(sc.ids) < want {
+		sc.ids = make([]int64, 0, min(max(want, 2*cap(sc.ids)), sc.n))
 	}
 	return sc.ids[:0]
 }

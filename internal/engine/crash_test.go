@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -420,6 +421,15 @@ func playHistory(t *testing.T, db *DB, seed int64, steps int) {
 	}
 }
 
+// encodedKey returns row's index key as ix encodes it (encodeValue).
+func encodedKey(ix *Index, row []Value) []byte {
+	var k []byte
+	for _, c := range ix.Cols {
+		k = encodeValue(k, row[c])
+	}
+	return k
+}
+
 // dumpDB renders every table's schema, rows and index contents.
 func dumpDB(db *DB) string {
 	var b strings.Builder
@@ -435,10 +445,9 @@ func dumpDB(db *DB) string {
 		}
 		for _, ix := range tb.Indexes() {
 			fmt.Fprintf(&b, " index %s %v:", ix.Name, ix.Cols)
-			ix.Tree.ScanAll(func(key []byte, id int64) bool {
-				fmt.Fprintf(&b, " %x=%d", key, id)
-				return true
-			})
+			for r, i := ix.run(0, ix.len()), 0; i < r.hi; i++ {
+				fmt.Fprintf(&b, " %x=%d", encodedKey(ix, ix.rows[r.at(i)]), r.at(i))
+			}
 			b.WriteByte('\n')
 		}
 	}
@@ -446,12 +455,13 @@ func dumpDB(db *DB) string {
 }
 
 // requireSameState fails unless got holds exactly want's tables, rows,
-// index contents and synopses.
+// index contents and synopses, and got's index runs order its rows.
 func requireSameState(t *testing.T, want, got *DB) {
 	t.Helper()
 	if w, g := dumpDB(want), dumpDB(got); w != g {
 		t.Fatalf("recovered state differs from live:\n%s\nwant\n%s", g, w)
 	}
+	requireRunsOrderRows(t, got)
 	for _, name := range want.TableNames() {
 		if w, g := want.Table(name).Synopsis(), got.Table(name).Synopsis(); !synopsis.Equal(w, g) {
 			t.Fatalf("table %s: recovered synopsis %s, live %s", name, g, w)
@@ -526,6 +536,84 @@ func TestDoubleReplayIdempotence(t *testing.T) {
 	}
 }
 
+// requireRunsOrderRows fails unless every index of db is its rows'
+// ids sorted stably by key (checkRunOrder).
+func requireRunsOrderRows(t *testing.T, db *DB) {
+	t.Helper()
+	for _, name := range db.TableNames() {
+		for _, ix := range db.Table(name).Indexes() {
+			if err := checkRunOrder(name, ix); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkRunOrder reports, naming the table and the row ids, where ix's
+// run is not its rows' ids sorted stably by key, where it stores no run
+// but row order is not key order, or where its distinct-key count is
+// not the rows'.
+func checkRunOrder(table string, ix *Index) error {
+	keys := make([][]byte, len(ix.rows))
+	want := make([]int64, len(ix.rows))
+	for id, row := range ix.rows {
+		keys[id], want[id] = encodedKey(ix, row), int64(id)
+	}
+	slices.SortStableFunc(want, func(a, b int64) int { return bytes.Compare(keys[a], keys[b]) })
+	if ix.len() != len(want) {
+		return fmt.Errorf("table %s index %s: run of %d ids over %d rows", table, ix.Name, ix.len(), len(want))
+	}
+	distinct := 0
+	for i, r := 0, ix.run(0, ix.len()); i < len(want); i++ {
+		if got := r.at(i); got != want[i] && ix.ids == nil {
+			return fmt.Errorf("table %s index %s stores no run, but row %d's key sorts at position %d, before row %d's", table, ix.Name, want[i], i, got)
+		} else if got != want[i] {
+			return fmt.Errorf("table %s index %s: run holds row %d at position %d, where row %d belongs", table, ix.Name, got, i, want[i])
+		}
+		if i == 0 || !bytes.Equal(keys[want[i-1]], keys[want[i]]) {
+			distinct++
+		}
+	}
+	if ix.keys != distinct {
+		return fmt.Errorf("table %s index %s counts %d distinct keys, its rows hold %d", table, ix.Name, ix.keys, distinct)
+	}
+	return nil
+}
+
+// TestCheckRunOrderRejects: a run with two of its ids swapped, or that
+// claims row order over rows out of key order, is rejected with the
+// table and the row ids named.
+func TestCheckRunOrderRejects(t *testing.T) {
+	db := NewDB()
+	tb, err := db.CreateTable("T", Column{"k", TInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{3, 1, 2, 1} {
+		tb.MustInsert(NewInt(k))
+	}
+	ix, err := tb.CreateIndex("T_k", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkRunOrder("T", ix); err != nil || ix.ids == nil {
+		t.Fatalf("an index over rows out of key order: %v, stored run %v", err, ix.ids)
+	}
+	swapped := *ix
+	swapped.ids = slices.Clone(ix.ids)
+	swapped.ids[1], swapped.ids[2] = swapped.ids[2], swapped.ids[1]
+	err = checkRunOrder("T", &swapped)
+	if err == nil || !strings.Contains(err.Error(), "table T") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("row %d", swapped.ids[1])) || !strings.Contains(err.Error(), fmt.Sprintf("row %d", ix.ids[1])) {
+		t.Errorf("swapped run: %v, want the table and rows %d and %d named", err, swapped.ids[1], ix.ids[1])
+	}
+	claimed := *ix
+	claimed.ids = nil
+	if err := checkRunOrder("T", &claimed); err == nil || !strings.Contains(err.Error(), "table T") || !strings.Contains(err.Error(), "row 1") {
+		t.Errorf("row order claimed over rows out of key order: %v", err)
+	}
+}
+
 // TestDoubleReplayGoldenStore pins the WAL and checkpoint byte format:
 // testdata/golden_store holds the wal.log and checkpoint the commit
 // before the one-commit-path refactor wrote for a fixed history, with
@@ -592,6 +680,7 @@ func TestDoubleReplayGoldenStore(t *testing.T) {
 	if got := dumpDB(re); got != string(want) {
 		t.Errorf("golden store recovered to:\n%s\nwant\n%s", got, want)
 	}
+	requireRunsOrderRows(t, re)
 }
 
 // TestCreateIndexRecovery re-proves the paper's Lemmas 1-2 against a
@@ -617,7 +706,7 @@ func TestCreateIndexRecovery(t *testing.T) {
 	// component byte boundaries (0x7F/0x80, 0xFF/0x100), the
 	// adversarial cases for comparator order (Section 4.2: encoded
 	// Dewey order must equal document order for the lemmas to hold on
-	// a B+tree scan).
+	// an index run).
 	var rows [][]Value
 	id := int64(0)
 	for _, a := range []int{1, 2, 127, 128, 255, 256} {
@@ -698,8 +787,8 @@ func TestCreateIndexRecovery(t *testing.T) {
 	if ix == nil {
 		t.Fatal("index T_dp missing after recovery")
 	}
-	if ix.Tree.Len() != len(rows)+len(late) {
-		t.Fatalf("recovered index holds %d keys, want %d", ix.Tree.Len(), len(rows)+len(late))
+	if ix.len() != len(rows)+len(late) || ix.keys != len(rows)+len(late) {
+		t.Fatalf("recovered index holds %d entries over %d keys, want %d of each", ix.len(), ix.keys, len(rows)+len(late))
 	}
 	for i, q := range queries {
 		got, err := runSQL(re, q)

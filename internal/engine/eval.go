@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
-	"repro/internal/keyenc"
 	"repro/internal/pathre"
 	"repro/internal/sqlast"
 )
@@ -281,14 +280,6 @@ func (b bound) compare(x Value) (int, bool) {
 		return 0, false // bytes compare only with bytes; NULL with nothing
 	}
 	return compareConcat(x.B, b.v.B, b.tail), true
-}
-
-// encode appends the bound's index key encoding (encodeValue).
-func (b bound) encode(dst []byte) []byte {
-	if b.split {
-		return keyenc.AppendBytesConcat(dst, b.v.B, b.tail)
-	}
-	return encodeValue(dst, b.v)
 }
 
 type cisnull struct {

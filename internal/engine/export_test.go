@@ -135,7 +135,7 @@ func MemoLoads(db *DB) map[string]MemoLoad {
 			switch {
 			case k.distinct:
 				l.Distinct++
-			case k.run:
+			case k.run != nil:
 				l.ScopedRuns++
 			case k.in.keys == nil:
 				l.Hashes++

@@ -103,7 +103,7 @@ func (p *selectPlan) proveUniqueBy(name string, st *tableState) *keyProof {
 		if !ok || proof != nil {
 			continue
 		}
-		if ix := st.findIndex(cc.pos); ix != nil && len(ix.Cols) == 1 && ix.Tree.Len() == ix.Tree.Pairs() {
+		if ix := st.findIndex(cc.pos); ix != nil && len(ix.Cols) == 1 && ix.unique() {
 			proof = &keyProof{col: cc.pos, ix: ix}
 		}
 	}

@@ -1,0 +1,244 @@
+package engine
+
+import (
+	"bytes"
+	"cmp"
+	"slices"
+	"strings"
+)
+
+// Index is an index over one or more columns of one table state: a run
+// of the state's row ids in key order. A row's key is its Cols' values
+// in order, ordered as their encodings (encodeValue) are (keyOrder);
+// rows with equal keys follow one another by row id. While row order is
+// key order — as it is for the shredded stores' id and Dewey indexes,
+// whose rows are appended in document order — the run is the rows
+// themselves and ids is nil. An index whose order a write breaks keeps
+// its run in ids. A commit gives the successor state a new Index, and a
+// new ids wherever the run changes: ids a published state reads are
+// never written.
+type Index struct {
+	Name string
+	Cols []int     // column positions, in key order
+	rows [][]Value // the rows the run orders
+	ids  []int64   // the run; nil where it is 0, 1, ..., len(rows)-1
+	// keys counts the distinct keys among the rows. It is exact: the
+	// planner proves a column a key (implied.go, resolve.go) when every
+	// row's key is distinct, and reads an equality lookup's fan-out off it.
+	keys int
+}
+
+// newIndex indexes rows: one pass over their keys where they ascend,
+// a stable sort of the row ids by key otherwise.
+func newIndex(name string, cols []int, rows [][]Value) *Index {
+	return (&Index{Name: name, Cols: cols}).extend(rows)
+}
+
+// extend returns the index of rows, which hold ix's rows followed by
+// the rows a commit appends. The run stays the rows themselves while
+// the appended keys ascend from the last key; otherwise the appended
+// ids, sorted stably by key, are merged into a copy of the run, each
+// after the ids of its key already there.
+func (ix *Index) extend(rows [][]Value) *Index {
+	next := &Index{Name: ix.Name, Cols: ix.Cols, rows: rows, ids: ix.ids, keys: ix.keys}
+	base := len(ix.rows)
+	ordered := ix.ids == nil
+	for id := base; id < len(rows) && ordered; id++ {
+		c := 1
+		if id > 0 {
+			c = ix.compareRows(rows[id], rows[id-1])
+		}
+		if ordered = c >= 0; c > 0 {
+			next.keys++
+		}
+	}
+	if ordered {
+		return next
+	}
+
+	next.keys = ix.keys
+	order := make([]int64, len(rows)-base)
+	for j := range order {
+		order[j] = int64(base + j)
+	}
+	slices.SortStableFunc(order, func(a, b int64) int { return ix.compareRows(rows[a], rows[b]) })
+	next.ids = make([]int64, 0, len(rows))
+	pos := 0
+	var k []Value
+	for j, id := range order {
+		k = ix.keyOf(k[:0], rows[id])
+		lo := ix.near(pos, k, false)
+		hi := ix.near(lo, k, true)
+		next.ids = ix.run(pos, hi).appendTo(next.ids)
+		next.ids = append(next.ids, id)
+		if lo == hi && (j == 0 || ix.compareRows(rows[order[j-1]], rows[id]) != 0) {
+			next.keys++
+		}
+		pos = hi
+	}
+	next.ids = ix.run(pos, ix.len()).appendTo(next.ids)
+	return next
+}
+
+// len returns the length of the run.
+func (ix *Index) len() int {
+	if ix.ids == nil {
+		return len(ix.rows)
+	}
+	return len(ix.ids)
+}
+
+// run returns positions [lo, hi) of the run.
+func (ix *Index) run(lo, hi int) seg { return seg{ids: ix.ids, lo: lo, hi: hi} }
+
+// below reports whether position p of the run comes before k: its
+// key's leading len(k) values are below k, or with after, not above it.
+func (ix *Index) below(p int, k []Value, after bool) bool {
+	row, c := ix.rows[seg{ids: ix.ids}.at(p)], 0
+	for i := range k {
+		switch w, v := &row[ix.Cols[i]], &k[i]; {
+		case w.Kind == KInt && v.Kind == KInt:
+			c = cmp.Compare(w.I, v.I)
+		case w.Kind == KBytes && v.Kind == KBytes:
+			c = bytes.Compare(w.B, v.B)
+		default:
+			c = keyOrder(*w, *v)
+		}
+		if c != 0 {
+			break
+		}
+	}
+	return c < 0 || c == 0 && after
+}
+
+// search returns the first position in [lo, hi) that does not come
+// before k (below), or hi: with after, the first past every key that
+// begins with k.
+func (ix *Index) search(lo, hi int, k []Value, after bool) int {
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ix.below(m, k, after) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// near is search over the run from position from, for a position
+// usually close to it: a step doubled from from brackets it first.
+func (ix *Index) near(from int, k []Value, after bool) int {
+	lo, hi := from, ix.len()
+	for step := 1; lo < hi; step *= 2 {
+		p := min(lo+step, hi) - 1
+		if !ix.below(p, k, after) {
+			return ix.search(lo, p, k, after)
+		}
+		lo = p + 1
+	}
+	return lo
+}
+
+// equal returns the stretch of the run whose key begins with k.
+func (ix *Index) equal(k []Value) seg {
+	lo := ix.search(0, ix.len(), k, false)
+	return ix.run(lo, ix.near(lo, k, true))
+}
+
+// between returns the stretch of the run from lower bound lo up to
+// upper bound hi, each the position search finds; a nil bound is open.
+func (ix *Index) between(lo []Value, loAfter bool, hi []Value, hiAfter bool) seg {
+	s := ix.run(0, ix.len())
+	if lo != nil {
+		s.lo = ix.search(0, s.hi, lo, loAfter)
+	}
+	if hi != nil {
+		s.hi = ix.near(s.lo, hi, hiAfter)
+	}
+	return s
+}
+
+// compareRows orders two rows by their keys.
+func (ix *Index) compareRows(a, b []Value) int {
+	for _, c := range ix.Cols {
+		if o := keyOrder(a[c], b[c]); o != 0 {
+			return o
+		}
+	}
+	return 0
+}
+
+// keyOf appends row's key values to dst.
+func (ix *Index) keyOf(dst, row []Value) []Value {
+	for _, c := range ix.Cols {
+		dst = append(dst, row[c])
+	}
+	return dst
+}
+
+// unique reports whether no two rows share a key.
+func (ix *Index) unique() bool { return ix.keys == len(ix.rows) }
+
+// keyOrder compares two values as their encodings (encodeValue) do:
+// NULL first, then ints and booleans, byte strings, and text and
+// floats (by their text), each by value.
+func keyOrder(a, b Value) int {
+	if c := cmp.Compare(keyTag(a), keyTag(b)); c != 0 {
+		return c
+	}
+	switch keyTag(a) {
+	case 2:
+		return cmp.Compare(a.I, b.I)
+	case 3:
+		return bytes.Compare(a.B, b.B)
+	case 4:
+		return strings.Compare(keyText(a), keyText(b))
+	}
+	return 0
+}
+
+// keyTag ranks a value's kind as its encoding's leading tag does.
+func keyTag(v Value) int {
+	switch v.Kind {
+	case KInt, KBool:
+		return 2
+	case KBytes:
+		return 3
+	case KText, KFloat:
+		return 4
+	}
+	return 1
+}
+
+func keyText(v Value) string {
+	if v.Kind == KFloat {
+		return v.String()
+	}
+	return v.S
+}
+
+// A seg is a stretch of a run: positions [lo, hi) of ids, or where ids
+// is nil (a run that is the rows themselves), the row ids lo..hi-1.
+type seg struct {
+	ids    []int64
+	lo, hi int
+}
+
+// at returns the row id at position i.
+func (s seg) at(i int) int64 {
+	if s.ids == nil {
+		return int64(i)
+	}
+	return s.ids[i]
+}
+
+// appendTo appends the stretch's row ids to dst.
+func (s seg) appendTo(dst []int64) []int64 {
+	if s.ids != nil {
+		return append(dst, s.ids[s.lo:s.hi]...)
+	}
+	for id := s.lo; id < s.hi; id++ {
+		dst = append(dst, int64(id))
+	}
+	return dst
+}

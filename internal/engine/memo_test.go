@@ -70,8 +70,14 @@ func TestMemoPolicy(t *testing.T) {
 // a hash index or a scoped run.
 func TestBuildSingleFlight(t *testing.T) {
 	ks := &keySet{keys: []int64{1}, has: map[int64]struct{}{1: {}}}
-	for _, k := range []buildKey{{col: 2}, {col: 2, in: hashScope{col: 1, keys: ks}}, {col: 2, in: hashScope{col: 1, keys: ks}, run: true}} {
-		st := scopedDB(t).Table("fact").state()
+	for i := range 3 {
+		fact := scopedDB(t).Table("fact")
+		dp, err := fact.CreateIndex("fact_dp", "dewey_pos")
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := []buildKey{{col: 2}, {col: 2, in: hashScope{col: 1, keys: ks}}, {col: 3, in: hashScope{col: 1, keys: ks}, run: dp}}[i]
+		st := fact.state()
 		const workers = 8
 		var wg sync.WaitGroup
 		start := make(chan struct{})

@@ -117,7 +117,8 @@ type accessPath interface {
 	est(p *planner, st *tableState) int
 	// enumerate pushes the candidate row ids for the step under the
 	// current bindings, in the executor's canonical order, batched
-	// through sc.idBuf() (or zero-copy sub-slices of index postings),
+	// through sc.idBuf (or zero-copy sub-slices of an explicit run or
+	// a hash bucket),
 	// recording probes and governor charges against the scan's
 	// OpStats.
 	enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error
@@ -142,8 +143,8 @@ type indexEq struct {
 
 func (a *indexEq) rank() int { return 1 }
 func (a *indexEq) est(p *planner, st *tableState) int {
-	if n := a.ix.Tree.Len(); n > 0 {
-		return maxInt(1, a.ix.Tree.Pairs()/n)
+	if a.ix.keys > 0 {
+		return maxInt(1, len(a.ix.rows)/a.ix.keys)
 	}
 	return 1
 }

@@ -207,7 +207,7 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 			continue
 		}
 		ix := st.findIndex(j.col)
-		if ix == nil || len(ix.Cols) != 1 || ix.Tree.Len() != ix.Tree.Pairs() {
+		if ix == nil || len(ix.Cols) != 1 || !ix.unique() {
 			continue
 		}
 		r := &resolution{alias: name, table: t, st: st, keyCol: j.col,

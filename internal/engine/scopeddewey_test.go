@@ -96,7 +96,7 @@ const (
 func runs(db *DB, table string) map[buildKey]*deweyRun {
 	out := map[buildKey]*deweyRun{}
 	for k, b := range db.Table(table).state().builds.entries() {
-		if k.run {
+		if k.run != nil {
 			out[k] = b.run
 		}
 	}
@@ -104,8 +104,8 @@ func runs(db *DB, table string) map[buildKey]*deweyRun {
 }
 
 // checkRun verifies a scoped run against the rows it was built over:
-// it holds exactly the admitted rows with a position, ordered by it
-// (equal ones by id), and lists exactly their lengths.
+// it holds exactly the admitted rows with a position, in its index's
+// key order (equal keys by id), and marks exactly their lengths.
 func checkRun(t *testing.T, db *DB, table string, k buildKey, r *deweyRun) {
 	t.Helper()
 	rows := db.Table(table).Rows()
@@ -126,17 +126,19 @@ func checkRun(t *testing.T, db *DB, table string, k buildKey, r *deweyRun) {
 		}
 		if i > 0 {
 			prev := r.ids[i-1]
-			if c := bytes.Compare(rows[prev][k.col].B, rows[id][k.col].B); c > 0 || c == 0 && prev > id {
+			if c := bytes.Compare(encodedKey(r.Index, rows[prev]), encodedKey(r.Index, rows[id])); c > 0 || c == 0 && prev > id {
 				t.Errorf("run lists row %d before row %d: out of order", prev, id)
 			}
 		}
 	}
-	if len(r.lens) != len(lens) {
-		t.Errorf("run lists lengths %v, the rows hold %d distinct ones", r.lens, len(lens))
+	for n := range lens {
+		if n >= len(r.has) || !r.has[n] {
+			t.Errorf("run does not mark length %d, which the rows hold", n)
+		}
 	}
-	for i, n := range r.lens {
-		if !lens[n] || i > 0 && r.lens[i-1] >= n {
-			t.Errorf("run lists lengths %v: not the rows' lengths, ascending", r.lens)
+	for n, ok := range r.has {
+		if ok && !lens[n] {
+			t.Errorf("run marks length %d, which no row holds", n)
 		}
 	}
 }
@@ -243,7 +245,7 @@ func TestScopedDeweyStep(t *testing.T) {
 			}
 			for k, r := range rs {
 				checkRun(t, db, "fact", k, r)
-				if longest := r.lens[len(r.lens)-1]; tc.long && longest < 64 {
+				if longest := len(r.has) - 1; tc.long && longest < 64 {
 					t.Errorf("longest position in the run %d bytes, want 64 or more", longest)
 				}
 			}
@@ -261,7 +263,7 @@ func TestScopedRunMemo(t *testing.T) {
 	size := st.builds.len
 	build := func(ks *keySet) (*deweyRun, bool) {
 		t.Helper()
-		b, built, charged, err := st.build(buildKey{col: 2, in: hashScope{col: 1, keys: ks}, run: true}, newAccountant(0, 0))
+		b, built, charged, err := st.build(buildKey{col: 2, in: hashScope{col: 1, keys: ks}, run: st.findIndex(2)}, newAccountant(0, 0))
 		r := b.run
 		if err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ func builds(db *DB, table string) (whole map[int]map[string][]int64, scoped map[
 	whole, scoped = map[int]map[string][]int64{}, map[buildKey]map[string][]int64{}
 	for k, b := range db.Table(table).state().builds.entries() {
 		switch {
-		case k.run, k.distinct:
+		case k.run != nil, k.distinct:
 		case k.in.keys == nil:
 			whole[k.col] = b.hash
 		default:

@@ -3,12 +3,10 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/btree"
 	"repro/internal/failpoint"
 	"repro/internal/keyenc"
 	"repro/internal/synopsis"
@@ -20,8 +18,7 @@ type Column struct {
 	Type Type
 }
 
-// Table is a stable handle to a row-store table with optional B+tree
-// indexes. The handle carries only the schema (name, columns) and the
+// Table is a stable handle to a row-store table with optional indexes. The handle carries only the schema (name, columns) and the
 // table's slot in the database snapshot; the versioned contents live
 // in immutable tableState values published atomically by the single
 // writer (see dbSnap). A statement — serial or morsel-parallel — pins
@@ -37,10 +34,10 @@ type Table struct {
 }
 
 // tableState is one immutable version of a table's contents. Rows and
-// index trees are never mutated after the state is published: a write
+// index runs are never mutated after the state is published: a write
 // builds a successor state sharing structure with its predecessor
-// (rows by slice extension, trees by copy-on-write cloning) and
-// publishes it in a new database snapshot.
+// (rows by slice extension, runs by reference until the write reorders
+// them) and publishes it in a new database snapshot.
 type tableState struct {
 	// version counts mutations (Insert, CreateIndex) monotonically per
 	// table, so cached plans can detect that a table they were planned
@@ -80,13 +77,6 @@ type tableState struct {
 	// once stays failed. Shared with the predecessor state until a
 	// column fails.
 	ascending []bool
-}
-
-// Index is a B+tree index over one or more columns.
-type Index struct {
-	Name string
-	Cols []int // column positions, in key order
-	Tree *btree.Tree
 }
 
 // dbSnap is an immutable snapshot of the whole database: the table
@@ -360,13 +350,13 @@ func (t *Table) validateRow(row []Value) error {
 // mutates st. Row storage is extended in place when capacity allows:
 // safe, because the predecessor state's readers are bounded by their
 // own slice length and the single writer is serialized by writeMu.
-// Index trees are copy-on-write clones, so the predecessor's trees
-// keep serving concurrent readers unchanged.
+// Each index is extended (Index.extend), which copies a run it
+// reorders, so the predecessor's runs keep serving concurrent readers
+// unchanged.
 func applyInsert(st *tableState, rows [][]Value) *tableState {
 	next := newTableState()
 	next.version = st.version + 1
 	next.rows = st.rows
-	base := int64(len(st.rows))
 	syn := synopsis.Extend(st.syn)
 	for _, row := range rows {
 		next.rows = append(next.rows, row)
@@ -376,11 +366,7 @@ func applyInsert(st *tableState, rows [][]Value) *tableState {
 	next.ascending = ascendingAfter(st.ascending, st.rows, rows)
 	next.indexes = make([]*Index, len(st.indexes))
 	for i, ix := range st.indexes {
-		nix := &Index{Name: ix.Name, Cols: ix.Cols, Tree: ix.Tree.Clone()}
-		for j, row := range rows {
-			nix.Tree.Insert(nix.key(row), base+int64(j))
-		}
-		next.indexes[i] = nix
+		next.indexes[i] = ix.extend(next.rows)
 	}
 	return next
 }
@@ -511,37 +497,18 @@ func observeRow(b *synopsis.Builder, row []Value) {
 	b.Row()
 }
 
-// applyCreateIndex builds the successor state carrying the new index;
-// existing rows are indexed immediately, in one bottom-up pass over
-// their keys in order (btree.Build). Keys that already ascend — row
-// order is key order for the shredded stores' id and Dewey indexes —
-// are not sorted; others are sorted stably, so a key's row ids stay
-// ascending as insertion would leave them. The synopsis is shared with
-// the predecessor: an index changes access paths, not contents.
+// applyCreateIndex builds the successor state carrying the new index
+// over the existing rows (newIndex): where row order is already key
+// order — the shredded stores' id and Dewey indexes — it stores no run.
+// The synopsis is shared with the predecessor: an index changes access
+// paths, not contents.
 func applyCreateIndex(st *tableState, name string, positions []int) *tableState {
 	next := newTableState()
 	next.version = st.version + 1
 	next.rows = st.rows
 	next.syn = st.syn
 	next.ascending = st.ascending
-	ix := &Index{Name: name, Cols: positions}
-	keys := make([][]byte, len(st.rows))
-	ids := make([]int64, len(st.rows))
-	ascending := true
-	for id, row := range st.rows {
-		keys[id], ids[id] = ix.key(row), int64(id)
-		ascending = ascending && (id == 0 || bytes.Compare(keys[id-1], keys[id]) <= 0)
-	}
-	if !ascending {
-		slices.SortStableFunc(ids, func(a, b int64) int { return bytes.Compare(keys[a], keys[b]) })
-		sorted := make([][]byte, len(ids))
-		for i, id := range ids {
-			sorted[i] = keys[id]
-		}
-		keys = sorted
-	}
-	ix.Tree = btree.Build(keys, ids)
-	next.indexes = append(append([]*Index(nil), st.indexes...), ix)
+	next.indexes = append(append([]*Index(nil), st.indexes...), newIndex(name, positions, st.rows))
 	return next
 }
 
@@ -573,7 +540,7 @@ func (m createIndex) apply(db *DB) (*dbSnap, error) {
 	return next, nil
 }
 
-// CreateIndex builds a B+tree index over the named columns. Existing
+// CreateIndex builds an index over the named columns. Existing
 // rows are indexed immediately. A new index changes the chosen access
 // paths of cached plans, so the commit bumps the table version like
 // any other mutation.
@@ -616,15 +583,6 @@ func (st *tableState) findIndex(leading ...int) *Index {
 	return best
 }
 
-// key builds the index key for a row.
-func (ix *Index) key(row []Value) []byte {
-	var k []byte
-	for _, c := range ix.Cols {
-		k = encodeValue(k, row[c])
-	}
-	return k
-}
-
 // encodeValue appends the order-preserving encoding of v.
 func encodeValue(dst []byte, v Value) []byte {
 	switch v.Kind {
@@ -664,16 +622,17 @@ func (sc hashScope) admits(row []Value) bool {
 	return ok
 }
 
-// buildKey addresses one entry of tableState.builds: the hash index
-// (run false) or the scoped run (run true) of column col over the rows
-// the scope in admits, or with distinct the values alone, the hash's
-// keys without their row ids. A scope names its key set by pointer, the
+// buildKey addresses one entry of tableState.builds: the hash index of
+// column col over the rows the scope in admits, or with distinct the
+// values alone, the hash's keys without their row ids; or, where run is
+// set, the scoped run of that index (col its leading column) over the
+// rows the scope admits. A scope names its key set by pointer, the
 // set's entry in its dimension state's resolved memo, so a key set of
 // another state is another entry and is never served.
 type buildKey struct {
 	col      int
 	in       hashScope
-	run      bool
+	run      *Index
 	distinct bool
 }
 
@@ -687,13 +646,14 @@ type build struct {
 	run  *deweyRun
 }
 
-// deweyRun is a scoped run: the rows a key set admits (hashScope) that
-// hold a byte string in one column, the Dewey position an ancestor or
-// descendant-window step compares, ordered by that column (equal values
-// by row id). lens lists, ascending, the lengths of the values present.
+// deweyRun is a scoped run: the run of an index whose leading column
+// holds the Dewey position an ancestor or descendant-window step
+// compares, kept to the rows a key set admits (hashScope) that hold a
+// byte string there — in the index's order, since it is filtered from
+// it. has[n] reports a value of length n among them.
 type deweyRun struct {
-	ids  []int64
-	lens []int
+	*Index
+	has []bool
 }
 
 // build returns the entry k names, building it on demand over this
@@ -701,10 +661,9 @@ type deweyRun struct {
 // every access, built or cached, before any lock, making the build
 // path's error handling injectable regardless of which statement
 // performed the build. A build happens once, under builds.flight, even
-// when morsel workers race for it. It walks the rows in id order — so
-// every hash bucket lists its row ids ascending, and a run is in column
-// order where the column ascends (otherwise it is sorted once) — is
-// charged to the statement's accountant (a hash's keys and entries, 8
+// when morsel workers race for it. A hash walks the rows in id order,
+// so every bucket lists its row ids ascending; a scoped run walks its
+// index's run, so it is in key order. The build is charged to the statement's accountant (a hash's keys and entries, 8
 // bytes a row id) and aborts over budget without publishing; built
 // reports whether this call performed the build (so callers can
 // re-check deadlines after a long one) and charged the amount, for
@@ -722,19 +681,22 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 		return b, false, 0, nil
 	}
 	var buf []byte
-	var present []bool // by value length, for a run
+	walk := seg{hi: len(st.rows)}
 	switch {
-	case k.run:
-		b.run = &deweyRun{}
+	case k.run != nil:
+		b.run = &deweyRun{Index: &Index{Name: k.run.Name, Cols: k.run.Cols, rows: st.rows, ids: []int64{}}}
+		walk = k.run.run(0, walk.hi)
 	case k.in.keys == nil:
 		b.hash = make(map[string][]int64, len(st.rows))
 	default:
 		b.hash = make(map[string][]int64)
 	}
-	for id, row := range st.rows {
+	for i := walk.lo; i < walk.hi; i++ {
+		id := walk.at(i)
+		row := st.rows[id]
 		switch v := row[k.col]; {
 		case !k.in.admits(row):
-		case !k.run:
+		case k.run == nil:
 			buf = encodeValue(buf[:0], v)
 			key := string(buf)
 			ids, ok := b.hash[key]
@@ -746,17 +708,17 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 				break
 			}
 			charged += 8 // one row id
-			b.hash[key] = append(ids, int64(id))
+			b.hash[key] = append(ids, id)
 			b.max = max(b.max, len(ids)+1)
 		case v.Kind == KBytes:
-			b.run.ids = append(b.run.ids, int64(id))
+			b.run.ids = append(b.run.ids, id)
 			charged += 8
-			for len(present) <= len(v.B) {
-				present = append(present, false)
+			for len(b.run.has) <= len(v.B) {
+				b.run.has = append(b.run.has, false)
 			}
-			present[len(v.B)] = true
+			b.run.has[len(v.B)] = true
 		}
-		if id&0x3FF == 0x3FF {
+		if i&0x3FF == 0x3FF {
 			// Abort an over-budget build mid-way rather than after
 			// materializing it whole.
 			if err := ac.wouldExceed(charged); err != nil {
@@ -766,15 +728,6 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 	}
 	if err := ac.growBytes(charged); err != nil {
 		return build{}, false, 0, err
-	}
-	if k.run && !st.ascending[k.col] {
-		rows, col := st.rows, k.col
-		slices.SortStableFunc(b.run.ids, func(x, y int64) int { return bytes.Compare(rows[x][col].B, rows[y][col].B) })
-	}
-	for n, ok := range present {
-		if ok {
-			b.run.lens = append(b.run.lens, n)
-		}
 	}
 	return st.builds.put(k, b), true, charged, nil
 }

@@ -1,6 +1,6 @@
 // Package engine implements the in-memory relational engine that
 // plays the role of Oracle 10g in the paper's experiments: tables
-// with typed columns, B+tree and transient hash indexes, a planner
+// with typed columns, sorted-run and transient hash indexes, a planner
 // that picks join orders and index access paths, and an executor for
 // the SQL dialect of package sqlast (joins, BETWEEN range predicates
 // over binary strings, REGEXP_LIKE, correlated EXISTS and scalar

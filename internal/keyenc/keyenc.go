@@ -1,5 +1,5 @@
 // Package keyenc provides order-preserving ("memcomparable") byte
-// encodings of SQL values for use as B+tree index keys.
+// encodings of SQL values for use as index keys.
 //
 // The encoding guarantees that for any two values a, b of the same
 // type, bytes.Compare(Encode(a), Encode(b)) has the same sign as the
