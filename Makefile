@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPathDFA -fuzztime=10s ./internal/pathre/
 	$(GO) test -fuzz=FuzzSynopsisGenerations -fuzztime=10s ./internal/synopsis/
 	$(GO) test -fuzz=FuzzIndexRun -fuzztime=10s ./internal/engine/
+	$(GO) test -fuzz=FuzzColumnStore -fuzztime=10s ./internal/engine/
 
 # bench-smoke runs a tiny Figure 3 pass at GOMAXPROCS 1 (every
 # statement serial) and 2 (the engine's morsel executor wherever it

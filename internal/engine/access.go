@@ -96,7 +96,7 @@ func appendSeg(s seg, buf []int64, yield batchYield) ([]int64, bool, error) {
 }
 
 func (fullScan) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
-	n := len(s.st.rows)
+	n := s.st.n
 	buf := sc.idBuf(n)
 	for id := 0; id < n; id++ {
 		buf = append(buf, int64(id))

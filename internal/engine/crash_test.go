@@ -421,11 +421,11 @@ func playHistory(t *testing.T, db *DB, seed int64, steps int) {
 	}
 }
 
-// encodedKey returns row's index key as ix encodes it (encodeValue).
-func encodedKey(ix *Index, row []Value) []byte {
+// encodedKey returns row id's index key as ix encodes it (encodeValue).
+func encodedKey(ix *Index, id int64) []byte {
 	var k []byte
-	for _, c := range ix.Cols {
-		k = encodeValue(k, row[c])
+	for _, v := range ix.keyOf(nil, id) {
+		k = encodeValue(k, v)
 	}
 	return k
 }
@@ -446,7 +446,7 @@ func dumpDB(db *DB) string {
 		for _, ix := range tb.Indexes() {
 			fmt.Fprintf(&b, " index %s %v:", ix.Name, ix.Cols)
 			for r, i := ix.run(0, ix.len()), 0; i < r.hi; i++ {
-				fmt.Fprintf(&b, " %x=%d", encodedKey(ix, ix.rows[r.at(i)]), r.at(i))
+				fmt.Fprintf(&b, " %x=%d", encodedKey(ix, r.at(i)), r.at(i))
 			}
 			b.WriteByte('\n')
 		}
@@ -554,10 +554,10 @@ func requireRunsOrderRows(t *testing.T, db *DB) {
 // but row order is not key order, or where its distinct-key count is
 // not the rows'.
 func checkRunOrder(table string, ix *Index) error {
-	keys := make([][]byte, len(ix.rows))
-	want := make([]int64, len(ix.rows))
-	for id, row := range ix.rows {
-		keys[id], want[id] = encodedKey(ix, row), int64(id)
+	keys := make([][]byte, ix.n)
+	want := make([]int64, ix.n)
+	for id := range want {
+		keys[id], want[id] = encodedKey(ix, int64(id)), int64(id)
 	}
 	slices.SortStableFunc(want, func(a, b int64) int { return bytes.Compare(keys[a], keys[b]) })
 	if ix.len() != len(want) {

@@ -11,11 +11,13 @@ import (
 	"repro/internal/sqlast"
 )
 
-// env maps effective table names (alias or table name) to the current
-// row bound for that table. Nested scopes (correlated subqueries)
-// share one env: inner scopes add their bindings on top and remove
-// them on exit; name shadowing is rejected at plan time.
-type env map[string][]Value
+// env holds the row id bound to each alias of a statement, by the slot
+// the planner gave the alias (scope.add): every FROM entry of every
+// select in the statement has its own slot, so nested scopes
+// (correlated subqueries) share one env without shadowing one another.
+// Binding a row reads none of its cells; a compiled column (ccol) reads
+// the one it needs.
+type env []int64
 
 // cexpr is a compiled expression: column references are resolved to
 // positions, regex patterns precompiled, subqueries pre-planned.
@@ -27,22 +29,35 @@ type cexpr interface {
 type scope struct {
 	parent *scope
 	tables map[string]*Table // effective name -> table
+	slots  map[string]int    // effective name -> env slot
 	order  []string
 }
 
 func newScope(parent *scope) *scope {
-	return &scope{parent: parent, tables: map[string]*Table{}}
+	return &scope{parent: parent, tables: map[string]*Table{}, slots: map[string]int{}}
 }
 
-func (s *scope) add(name string, t *Table) error {
+// add binds name to t in env slot slot.
+func (s *scope) add(name string, t *Table, slot int) error {
 	for sc := s; sc != nil; sc = sc.parent {
 		if _, dup := sc.tables[name]; dup {
 			return fmt.Errorf("engine: table name %q shadows an enclosing table; alias it", name)
 		}
 	}
 	s.tables[name] = t
+	s.slots[name] = slot
 	s.order = append(s.order, name)
 	return nil
+}
+
+// slot returns the env slot of a name the scope chain binds.
+func (s *scope) slot(name string) (int, bool) {
+	for sc := s; sc != nil; sc = sc.parent {
+		if slot, ok := sc.slots[name]; ok {
+			return slot, true
+		}
+	}
+	return 0, false
 }
 
 // resolve finds the table and column position for a column reference.
@@ -83,18 +98,17 @@ func (s *scope) resolve(c *sqlast.Col) (tableName string, t *Table, pos int, err
 
 // --- compiled expression node types ---
 
+// ccol reads column pos of the row bound to alias table: the cell of
+// col, that column of the state the plan pinned, at the row id in the
+// alias's env slot.
 type ccol struct {
 	table string
 	pos   int
+	slot  int
+	col   *column
 }
 
-func (c *ccol) eval(ec *execCtx, e env) (Value, error) {
-	row, ok := e[c.table]
-	if !ok {
-		return Null, fmt.Errorf("engine: internal: table %q not bound", c.table)
-	}
-	return row[c.pos], nil
-}
+func (c *ccol) eval(ec *execCtx, e env) (Value, error) { return c.col.value(e[c.slot]), nil }
 
 type clit struct{ v Value }
 
@@ -477,12 +491,11 @@ type ckeyin struct {
 }
 
 func (c *ckeyin) eval(ec *execCtx, e env) (Value, error) {
-	v, err := c.col.eval(ec, e)
-	if err != nil {
-		return Null, err
+	k, ok := c.col.col.int(e[c.col.slot])
+	if ok {
+		_, ok = c.res.keys.has[k]
 	}
-	_, ok := c.res.keys.has[v.I]
-	return NewBool(ok && v.Kind == KInt), nil
+	return NewBool(ok), nil
 }
 
 // cpairin tests two fact columns against a plan-time pair set.
@@ -492,16 +505,13 @@ type cpairin struct {
 }
 
 func (c *cpairin) eval(ec *execCtx, e env) (Value, error) {
-	av, err := c.a.eval(ec, e)
-	if err != nil {
-		return Null, err
+	a, aok := c.a.col.int(e[c.a.slot])
+	b, bok := c.b.col.int(e[c.b.slot])
+	ok := aok && bok
+	if ok {
+		_, ok = c.res.pairs.has[[2]int64{a, b}]
 	}
-	bv, err := c.b.eval(ec, e)
-	if err != nil {
-		return Null, err
-	}
-	_, ok := c.res.pairs.has[[2]int64{av.I, bv.I}]
-	return NewBool(ok && av.Kind == KInt && bv.Kind == KInt), nil
+	return NewBool(ok), nil
 }
 
 // matcher wraps pathre with a stdlib regexp fallback for patterns

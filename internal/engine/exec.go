@@ -56,6 +56,8 @@ type execCtx struct {
 	// args are this execution's parameter values (Prepared.RunArgs),
 	// read by cparam; checked against the plan's slots before it runs.
 	args []Value
+	// slots is the size of the statement's env (compiledStmt.slots).
+	slots int
 	// stats is this execution's operator stats frame (one slot per
 	// opNode id). Morsel workers carry private frames merged into the
 	// parent's after the workers join, so slots are single-writer.
@@ -74,6 +76,9 @@ type execCtx struct {
 	free    []*batchScratch
 	freeOne []*batchScratch
 }
+
+// newEnv returns an env with a slot for every alias of the statement.
+func (ec *execCtx) newEnv() env { return make(env, ec.slots) }
 
 // op returns the stats slot of an operator node in this execution's
 // frame.
@@ -177,7 +182,7 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, args []Val
 			return nil, nil, fmt.Errorf("engine: parameter ?%d is unbound or not of the kind the statement was prepared with", slot+1)
 		}
 	}
-	ec := &execCtx{db: db, ctx: ctx, sql: sql, args: args,
+	ec := &execCtx{db: db, ctx: ctx, sql: sql, args: args, slots: cs.slots,
 		acct:  ac,
 		stats: make(opFrame, cs.nOps), timing: timing,
 		batch: batchCapacity}
@@ -298,7 +303,7 @@ func mergeOrdered(branches [][][]Value, pos, total int) [][]Value {
 	for {
 		min := -1
 		for i, b := range branches {
-			if len(b) > 0 && (min < 0 || ascends(b[0], branches[min][0], pos)) {
+			if len(b) > 0 && (min < 0 || ascends(b[0][pos], branches[min][0][pos], false)) {
 				min = i
 			}
 		}
@@ -307,7 +312,7 @@ func mergeOrdered(branches [][][]Value, pos, total int) [][]Value {
 		}
 		row := branches[min][0]
 		branches[min] = branches[min][1:]
-		if n := len(out); n > 0 && ascends(out[n-1], row, pos) {
+		if n := len(out); n > 0 && ascends(out[n-1][pos], row[pos], false) {
 			group = n
 		}
 		dup := false
@@ -354,7 +359,7 @@ func (ec *execCtx) runTop(plan *selectPlan) (*Result, error) {
 	if workers := ec.db.morselWorkers(plan); workers > 1 {
 		err = ec.collectMorsels(plan, workers, c)
 	} else {
-		err = ec.runPlanBatch(plan, env{}, ec.batch, func(row, keys []Value) (bool, error) {
+		err = ec.runPlanBatch(plan, ec.newEnv(), ec.batch, func(row, keys []Value) (bool, error) {
 			return true, c.add(ec, row, keys)
 		})
 	}
@@ -615,7 +620,6 @@ func (r *stepRunner) run(step int) error {
 		err = r.runStep(step, s, st, sc)
 	}
 	r.ec.putScratch(sc)
-	delete(r.e, s.name)
 	return err
 }
 
@@ -656,7 +660,6 @@ func (r *stepRunner) runRoot(ids []int64) error {
 		ids = ids[n:]
 	}
 	r.ec.putScratch(sc)
-	delete(r.e, s.name)
 	return err
 }
 
@@ -664,8 +667,8 @@ func (r *stepRunner) runRoot(ids []int64) error {
 // filters and the rest of the pipeline, returning how many of the
 // batch's rows were consumed (all of them unless an early stop or
 // error cut the batch short). The cancellation poll and filter-stat
-// attribution are paid once per batch; binding the env entry is paid
-// once per candidate row.
+// attribution are paid once per batch; binding a candidate is storing
+// its row id in the step's env slot.
 func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids []int64) (int, error) {
 	ec := r.ec
 	if err := ec.checkBatch(len(ids)); err != nil {
@@ -675,9 +678,8 @@ func (r *stepRunner) processBatch(step int, s *joinStep, sc *batchScratch, ids [
 	if f := r.plan.phys.filters[step]; f != nil {
 		fst = ec.op(f)
 	}
-	rows := s.st.rows
 	for i, id := range ids {
-		r.e[s.name] = rows[id]
+		r.e[s.slot] = id
 		if len(s.filters) > 0 {
 			pass, err := r.evalFilters(s.filters, fst)
 			if err != nil {

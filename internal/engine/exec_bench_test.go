@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -59,5 +60,58 @@ func BenchmarkDistinctOrderByQuery(b *testing.B) {
 		if _, err := p.RunWithOptionsContext(nil, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIndexLookup times one equality lookup on an index of a
+// table of 170 000 rows (id INT, par INT) holding a random tree in
+// document order: id rises with the row id, so its index stores no run,
+// and par does not, so its index keeps an explicit run. Each lookup
+// probes a key some row holds.
+func BenchmarkIndexLookup(b *testing.B) {
+	const rows = 170000
+	db := NewDB()
+	tb, err := db.CreateTable("t", Column{"id", TInt}, Column{"par", TInt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	batch := make([][]Value, rows)
+	open := []int64{1} // the ancestors of the next node, the root first
+	batch[0] = []Value{NewInt(1), Null}
+	for i := 1; i < rows; i++ {
+		open = open[:1+rng.Intn(len(open))]
+		id := int64(i + 1)
+		batch[i] = []Value{NewInt(id), NewInt(open[len(open)-1])}
+		if len(open) < 12 {
+			open = append(open, id)
+		}
+	}
+	if _, err := tb.InsertBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	for _, col := range []string{"id", "par"} {
+		if _, err := tb.CreateIndex("t_"+col, col); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := tb.state()
+	for c, ix := range st.indexes {
+		keys := make([]Value, 4096)
+		for i := range keys {
+			for keys[i].IsNull() {
+				keys[i] = batch[rng.Intn(rows)][c]
+			}
+		}
+		b.Run(tb.Cols[c].Name, func(b *testing.B) {
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				s := ix.equal(keys[i&4095 : i&4095+1])
+				hits += s.hi - s.lo
+			}
+			if hits < b.N {
+				b.Fatalf("%d lookups found %d rows", b.N, hits)
+			}
+		})
 	}
 }

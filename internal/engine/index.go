@@ -19,34 +19,37 @@ import (
 // never written.
 type Index struct {
 	Name string
-	Cols []int     // column positions, in key order
-	rows [][]Value // the rows the run orders
-	ids  []int64   // the run; nil where it is 0, 1, ..., len(rows)-1
+	Cols []int // column positions, in key order
+	// key and n are the indexed state's columns at Cols and its number
+	// of rows: the run orders row ids 0 to n-1 by the cells of key.
+	key []*column
+	n   int
+	ids []int64 // the run; nil where it is 0, 1, ..., n-1
 	// keys counts the distinct keys among the rows. It is exact: the
 	// planner proves a column a key (implied.go, resolve.go) when every
 	// row's key is distinct, and reads an equality lookup's fan-out off it.
 	keys int
 }
 
-// newIndex indexes rows: one pass over their keys where they ascend,
-// a stable sort of the row ids by key otherwise.
-func newIndex(name string, cols []int, rows [][]Value) *Index {
-	return (&Index{Name: name, Cols: cols}).extend(rows)
+// newIndex indexes the rows of st: one pass over their keys where
+// they ascend, a stable sort of the row ids by key otherwise.
+func newIndex(name string, cols []int, st *tableState) *Index {
+	return (&Index{Name: name, Cols: cols}).extend(st)
 }
 
-// extend returns the index of rows, which hold ix's rows followed by
-// the rows a commit appends. The run stays the rows themselves while
-// the appended keys ascend from the last key; otherwise the appended
-// ids, sorted stably by key, are merged into a copy of the run, each
-// after the ids of its key already there.
-func (ix *Index) extend(rows [][]Value) *Index {
-	next := &Index{Name: ix.Name, Cols: ix.Cols, rows: rows, ids: ix.ids, keys: ix.keys}
-	base := len(ix.rows)
+// extend returns the index of st, whose rows are ix's followed by the
+// rows a commit appends. The run stays the rows themselves while the
+// appended keys ascend from the last key; otherwise the appended ids,
+// sorted stably by key, are merged into a copy of the run, each after
+// the ids of its key already there.
+func (ix *Index) extend(st *tableState) *Index {
+	next := &Index{Name: ix.Name, Cols: ix.Cols, key: st.keyCols(ix.Cols), n: st.n, ids: ix.ids, keys: ix.keys}
+	base := ix.n
 	ordered := ix.ids == nil
-	for id := base; id < len(rows) && ordered; id++ {
+	for id := int64(base); id < int64(st.n) && ordered; id++ {
 		c := 1
 		if id > 0 {
-			c = ix.compareRows(rows[id], rows[id-1])
+			c = next.compareIDs(id, id-1)
 		}
 		if ordered = c >= 0; c > 0 {
 			next.keys++
@@ -57,21 +60,21 @@ func (ix *Index) extend(rows [][]Value) *Index {
 	}
 
 	next.keys = ix.keys
-	order := make([]int64, len(rows)-base)
+	order := make([]int64, st.n-base)
 	for j := range order {
 		order[j] = int64(base + j)
 	}
-	slices.SortStableFunc(order, func(a, b int64) int { return ix.compareRows(rows[a], rows[b]) })
-	next.ids = make([]int64, 0, len(rows))
+	slices.SortStableFunc(order, next.compareIDs)
+	next.ids = make([]int64, 0, st.n)
 	pos := 0
 	var k []Value
 	for j, id := range order {
-		k = ix.keyOf(k[:0], rows[id])
+		k = next.keyOf(k[:0], id)
 		lo := ix.near(pos, k, false)
 		hi := ix.near(lo, k, true)
 		next.ids = ix.run(pos, hi).appendTo(next.ids)
 		next.ids = append(next.ids, id)
-		if lo == hi && (j == 0 || ix.compareRows(rows[order[j-1]], rows[id]) != 0) {
+		if lo == hi && (j == 0 || next.compareIDs(order[j-1], id) != 0) {
 			next.keys++
 		}
 		pos = hi
@@ -83,7 +86,7 @@ func (ix *Index) extend(rows [][]Value) *Index {
 // len returns the length of the run.
 func (ix *Index) len() int {
 	if ix.ids == nil {
-		return len(ix.rows)
+		return ix.n
 	}
 	return len(ix.ids)
 }
@@ -94,17 +97,9 @@ func (ix *Index) run(lo, hi int) seg { return seg{ids: ix.ids, lo: lo, hi: hi} }
 // below reports whether position p of the run comes before k: its
 // key's leading len(k) values are below k, or with after, not above it.
 func (ix *Index) below(p int, k []Value, after bool) bool {
-	row, c := ix.rows[seg{ids: ix.ids}.at(p)], 0
+	id, c := seg{ids: ix.ids}.at(p), 0
 	for i := range k {
-		switch w, v := &row[ix.Cols[i]], &k[i]; {
-		case w.Kind == KInt && v.Kind == KInt:
-			c = cmp.Compare(w.I, v.I)
-		case w.Kind == KBytes && v.Kind == KBytes:
-			c = bytes.Compare(w.B, v.B)
-		default:
-			c = keyOrder(*w, *v)
-		}
-		if c != 0 {
+		if c = ix.key[i].order(id, &k[i]); c != 0 {
 			break
 		}
 	}
@@ -158,26 +153,26 @@ func (ix *Index) between(lo []Value, loAfter bool, hi []Value, hiAfter bool) seg
 	return s
 }
 
-// compareRows orders two rows by their keys.
-func (ix *Index) compareRows(a, b []Value) int {
-	for _, c := range ix.Cols {
-		if o := keyOrder(a[c], b[c]); o != 0 {
+// compareIDs orders two rows by their keys.
+func (ix *Index) compareIDs(a, b int64) int {
+	for _, c := range ix.key {
+		if o := c.compare(a, b); o != 0 {
 			return o
 		}
 	}
 	return 0
 }
 
-// keyOf appends row's key values to dst.
-func (ix *Index) keyOf(dst, row []Value) []Value {
-	for _, c := range ix.Cols {
-		dst = append(dst, row[c])
+// keyOf appends row id's key values to dst.
+func (ix *Index) keyOf(dst []Value, id int64) []Value {
+	for _, c := range ix.key {
+		dst = append(dst, c.value(id))
 	}
 	return dst
 }
 
 // unique reports whether no two rows share a key.
-func (ix *Index) unique() bool { return ix.keys == len(ix.rows) }
+func (ix *Index) unique() bool { return ix.keys == ix.n }
 
 // keyOrder compares two values as their encodings (encodeValue) do:
 // NULL first, then ints and booleans, byte strings, and text and

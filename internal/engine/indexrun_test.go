@@ -154,8 +154,8 @@ func (g *rowGen) bytes() []byte {
 
 // value draws a probe value of column a or b: usually one a row holds.
 func (g *rowGen) value(st *tableState, col int) Value {
-	if g.rng.Intn(4) > 0 && len(st.rows) > 0 {
-		return st.rows[g.rng.Intn(len(st.rows))][col]
+	if g.rng.Intn(4) > 0 && st.n > 0 {
+		return st.cols[col].value(int64(g.rng.Intn(st.n)))
 	}
 	if col == 0 {
 		return NewInt(int64(g.rng.Intn(g.domain+g.steps) - 1))
@@ -186,17 +186,17 @@ func btoi(b bool) int {
 	return 0
 }
 
-// filterInKeyOrder is the oracle: ix's rows sorted stably by key, the
-// ones keep admits.
-func filterInKeyOrder(ix *Index, keep func(row []Value) bool) []int64 {
-	ids := make([]int64, len(ix.rows))
+// filterInKeyOrder is the oracle: the ids of rows, ix's rows, sorted
+// stably by key, the ones keep admits.
+func filterInKeyOrder(rows [][]Value, ix *Index, keep func(row []Value) bool) []int64 {
+	ids := make([]int64, ix.n)
 	for i := range ids {
 		ids[i] = int64(i)
 	}
 	slices.SortStableFunc(ids, func(x, y int64) int {
-		return bytes.Compare(encodedKey(ix, ix.rows[x]), encodedKey(ix, ix.rows[y]))
+		return bytes.Compare(encodedKey(ix, x), encodedKey(ix, y))
 	})
-	return slices.DeleteFunc(ids, func(id int64) bool { return !keep(ix.rows[id]) })
+	return slices.DeleteFunc(ids, func(id int64) bool { return !keep(rows[id]) })
 }
 
 // enumerateAll runs one access path over st at batch capacity n.
@@ -265,9 +265,10 @@ func keyProbes(g *rowGen, st *tableState, ix *Index) (*keySet, []*keyProbe) {
 }
 
 func checkIntPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) {
+	rows := stateRows(st)
 	for i := 0; i < 8; i++ {
 		v := g.value(st, 0)
-		want := filterInKeyOrder(ix, func(row []Value) bool { return !v.IsNull() && !row[0].IsNull() && row[0].I == v.I })
+		want := filterInKeyOrder(rows, ix, func(row []Value) bool { return !v.IsNull() && !row[0].IsNull() && row[0].I == v.I })
 		requireIDs(t, ix.Name+" = "+v.String(), enumerateAll(t, st, &indexEq{ix: ix, keys: []cexpr{&clit{v}}}, n), want)
 
 		lo, hi := g.value(st, 0), g.value(st, 0)
@@ -287,7 +288,7 @@ func checkIntPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) {
 			if r.hi != nil {
 				hp = &hi
 			}
-			want := filterInKeyOrder(ix, rangeOracle(0, lp, hp, r.loStrict, r.hiStrict))
+			want := filterInKeyOrder(rows, ix, rangeOracle(0, lp, hp, r.loStrict, r.hiStrict))
 			requireIDs(t, ix.Name+" range", enumerateAll(t, st, r, n), want)
 		}
 	}
@@ -295,7 +296,7 @@ func checkIntPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) {
 		ks, probes := keyProbes(g, st, ix)
 		var unmerged []int64
 		for _, k := range ks.keys {
-			unmerged = append(unmerged, filterInKeyOrder(ix, func(row []Value) bool { return !row[0].IsNull() && row[0].I == k })...)
+			unmerged = append(unmerged, filterInKeyOrder(rows, ix, func(row []Value) bool { return !row[0].IsNull() && row[0].I == k })...)
 		}
 		merged := slices.Clone(unmerged)
 		slices.Sort(merged)
@@ -310,9 +311,10 @@ func checkIntPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) {
 }
 
 func checkBytesPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) {
+	rows := stateRows(st)
 	for i := 0; i < 8; i++ {
 		b, c := g.value(st, 1), NewInt(int64(g.rng.Intn(3)))
-		want := filterInKeyOrder(ix, func(row []Value) bool {
+		want := filterInKeyOrder(rows, ix, func(row []Value) bool {
 			return !b.IsNull() && !row[1].IsNull() && bytes.Equal(row[1].B, b.B) && row[2].I == c.I
 		})
 		requireIDs(t, ix.Name+" = ("+b.String()+", "+c.String()+")", enumerateAll(t, st, &indexEq{ix: ix, keys: []cexpr{&clit{b}, &clit{c}}}, n), want)
@@ -320,7 +322,7 @@ func checkBytesPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) 
 		lo, hi := g.value(st, 1), g.value(st, 1)
 		if !lo.IsNull() && !hi.IsNull() {
 			loStrict, hiStrict := g.rng.Intn(2) == 0, g.rng.Intn(2) == 0
-			want = filterInKeyOrder(ix, rangeOracle(1, &lo, &hi, loStrict, hiStrict))
+			want = filterInKeyOrder(rows, ix, rangeOracle(1, &lo, &hi, loStrict, hiStrict))
 			requireIDs(t, ix.Name+" range", enumerateAll(t, st, &indexRange{ix: ix, lo: &clit{lo}, hi: &clit{hi}, loStrict: loStrict, hiStrict: hiStrict}, n), want)
 		}
 
@@ -335,14 +337,25 @@ func checkBytesPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) 
 				_, ok := ks.has[row[0].I]
 				return row[1].Kind == KBytes && (restrict == nil || row[0].Kind == KInt && ok)
 			}
-			want := filterInKeyOrder(ix, func(row []Value) bool { return admits(row) && bytes.HasPrefix(x.B, row[1].B) })
+			want := filterInKeyOrder(rows, ix, func(row []Value) bool { return admits(row) && bytes.HasPrefix(x.B, row[1].B) })
 			requireIDs(t, ix.Name+" prefixes of "+x.String(), enumerateAll(t, st, &indexPrefixes{ix: ix, x: &clit{x}, restrict: restrict}, n), want)
 
 			top := NewBytes(append(slices.Clone(x.B), 0xFF))
-			want = filterInKeyOrder(ix, func(row []Value) bool { return admits(row) && rangeOracle(1, &x, &top, false, false)(row) })
+			want = filterInKeyOrder(rows, ix, func(row []Value) bool { return admits(row) && rangeOracle(1, &x, &top, false, false)(row) })
 			requireIDs(t, ix.Name+" window under "+x.String(), enumerateAll(t, st, &indexRange{ix: ix, lo: &clit{x}, hi: &clit{top}, prefix: true, restrict: restrict}, n), want)
 		}
 	}
+}
+
+// stateRows materialises the rows of st, as Table.Rows does.
+func stateRows(st *tableState) [][]Value {
+	rows := make([][]Value, st.n)
+	for id := range rows {
+		for j := range st.cols {
+			rows[id] = append(rows[id], st.cols[j].value(int64(id)))
+		}
+	}
+	return rows
 }
 
 // TestKeyOrderIsEncodingOrder: keyOrder compares any two values, of any

@@ -69,7 +69,7 @@ func (db *DB) morselWorkers(plan *selectPlan) int {
 // not partitioned: they run serially inside whichever worker bound
 // their outer row, against that worker's execCtx.
 func (ec *execCtx) collectMorsels(plan *selectPlan, workers int, c *collector) error {
-	if ok, err := ec.evalPreFilters(plan, env{}); err != nil || !ok {
+	if ok, err := ec.evalPreFilters(plan, ec.newEnv()); err != nil || !ok {
 		return err
 	}
 	ids, err := drivingIDs(ec, plan)
@@ -94,7 +94,7 @@ func (ec *execCtx) collectMorsels(plan *selectPlan, workers int, c *collector) e
 	var wg sync.WaitGroup
 	for i := range helpers {
 		wec := &execCtx{db: ec.db, ctx: ec.ctx, acct: ec.acct,
-			sql: ec.sql, args: ec.args,
+			sql: ec.sql, args: ec.args, slots: ec.slots,
 			stats: make(opFrame, len(ec.stats)), timing: ec.timing,
 			batch: ec.batch}
 		helpers[i] = wec
@@ -175,7 +175,7 @@ func (m *morselRun) drain(ec *execCtx) (err error) {
 // and hands its rows on in order.
 func (m *morselRun) runMorsel(ec *execCtx, k int) error {
 	var buf []orderedRow
-	r := &stepRunner{ec: ec, plan: m.plan, e: env{}, batch: ec.batch, first: m.plan.firstFrom,
+	r := &stepRunner{ec: ec, plan: m.plan, e: ec.newEnv(), batch: ec.batch, first: m.plan.firstFrom,
 		emit: func(row, keys []Value) (bool, error) {
 			switch {
 			case m.aborted.Load():
@@ -274,7 +274,7 @@ func (m *morselRun) fail(err error) {
 // against the driving scan's operator (the workers then only replay
 // the materialized ids, so the scan is counted exactly once). At the
 // top level the step's access expressions can only reference
-// constants (no outer bindings), so enumeration under an empty env is
+// constants (no outer bindings), so enumeration under a fresh env is
 // exact.
 func drivingIDs(ec *execCtx, plan *selectPlan) ([]int64, error) {
 	st := ec.op(plan.phys.scans[0])
@@ -285,7 +285,7 @@ func drivingIDs(ec *execCtx, plan *selectPlan) ([]int64, error) {
 	}
 	var ids []int64
 	sc := ec.getScratch(ec.batch)
-	err := forEachBatch(ec, env{}, plan.steps[0], st, sc, func(batch []int64) (bool, error) {
+	err := forEachBatch(ec, ec.newEnv(), plan.steps[0], st, sc, func(batch []int64) (bool, error) {
 		st.rowsOutN(int64(len(batch)))
 		ids = append(ids, batch...)
 		return true, nil

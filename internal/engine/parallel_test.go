@@ -557,7 +557,7 @@ func TestBudgetMorselHeldRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := &execCtx{db: db, acct: newAccountant(budget, 0),
+	ec := &execCtx{db: db, acct: newAccountant(budget, 0), slots: cs.slots,
 		stats: make(opFrame, cs.nOps), batch: batchCapacity}
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Sleep(50*time.Millisecond).Times(1)); err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"repro/internal/failpoint"
 	"repro/internal/wal"
@@ -211,26 +212,22 @@ func writeCheckpoint(path string, snap *dbSnap, baseLSN uint64) (err error) {
 	for _, name := range snap.names {
 		t := snap.byName[name]
 		st := snap.stateOf(t)
-		recs := []mutation{createTable{name: t.Name, cols: t.Cols}}
+		recs := [][]byte{createTable{name: t.Name, cols: t.Cols}.encode()}
 		// Insert records in checkpoint-internal batches: bounded frame
 		// sizes without one frame per row.
 		const ckptBatch = 4096
-		for lo := 0; lo < len(st.rows); lo += ckptBatch {
-			hi := lo + ckptBatch
-			if hi > len(st.rows) {
-				hi = len(st.rows)
-			}
-			recs = append(recs, insertRows{{table: t.Name, rows: st.rows[lo:hi]}})
+		for lo := 0; lo < st.n; lo += ckptBatch {
+			recs = append(recs, encodeRows(t.Name, st, lo, min(lo+ckptBatch, st.n)))
 		}
 		for _, ix := range st.indexes {
 			cols := make([]string, len(ix.Cols))
 			for i, c := range ix.Cols {
 				cols[i] = t.Cols[c].Name
 			}
-			recs = append(recs, createIndex{table: t.Name, index: ix.Name, cols: cols})
+			recs = append(recs, createIndex{table: t.Name, index: ix.Name, cols: cols}.encode())
 		}
-		for _, m := range recs {
-			if _, err := ck.Append(m.encode()); err != nil {
+		for _, rec := range recs {
+			if _, err := ck.Append(rec); err != nil {
 				return err
 			}
 		}
@@ -327,7 +324,7 @@ func (b *WriteBatch) Pending() int {
 // preview holds. Concurrent writers between Insert and Commit would
 // shift ids; the engine's loaders never do that.
 func (b *WriteBatch) NextID(t *Table) int64 {
-	n := int64(len(t.state().rows))
+	n := int64(t.state().n)
 	if i, ok := b.slot[t]; ok {
 		n += int64(len(b.groups[i].rows))
 	}
@@ -396,6 +393,11 @@ func (m insertRows) encode() []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m)))
 	for _, g := range m {
 		buf = appendStr(buf, g.table)
+		if g.rec != nil {
+			buf = binary.AppendUvarint(buf, uint64(g.n))
+			buf = append(buf, g.rec...)
+			continue
+		}
 		buf = binary.AppendUvarint(buf, uint64(len(g.rows)))
 		for _, row := range g.rows {
 			buf = binary.AppendUvarint(buf, uint64(len(row)))
@@ -407,7 +409,26 @@ func (m insertRows) encode() []byte {
 	return buf
 }
 
-// decodeMutation is the inverse of the three encode methods.
+// encodeRows renders rows lo to hi-1 of st, read from its columns, as
+// the record insertRows.encode gives one group of those rows into
+// table.
+func encodeRows(table string, st *tableState, lo, hi int) []byte {
+	buf := binary.AppendUvarint([]byte{recInsert}, 1)
+	buf = appendStr(buf, table)
+	buf = binary.AppendUvarint(buf, uint64(hi-lo))
+	for id := int64(lo); id < int64(hi); id++ {
+		buf = binary.AppendUvarint(buf, uint64(len(st.cols)))
+		for j := range st.cols {
+			buf = appendValue(buf, st.cols[j].value(id))
+		}
+	}
+	return buf
+}
+
+// decodeMutation is the inverse of the three encode methods. A decoded
+// insert keeps each group's rows encoded, as a slice of payload that
+// applyInsert decodes straight into the columns: payload must stay
+// unchanged until the mutation is committed.
 func decodeMutation(payload []byte) (mutation, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("empty record")
@@ -428,15 +449,17 @@ func decodeMutation(payload []byte) (mutation, error) {
 		groups := make(insertRows, 0, min(int(ng), 64))
 		for gi := uint64(0); gi < ng && d.err == nil; gi++ {
 			g := insertGroup{table: d.str()}
-			nr := d.uvarint()
+			nr, rec := d.uvarint(), d.buf
+			// The rows are walked here only to find where the group ends
+			// (and that it does): a value decodes to views of payload,
+			// allocating nothing.
 			for ri := uint64(0); ri < nr && d.err == nil; ri++ {
-				nv := d.uvarint()
-				row := make([]Value, 0, min(int(nv), 64))
-				for vi := uint64(0); vi < nv && d.err == nil; vi++ {
-					row = append(row, d.value())
+				for nv := d.uvarint(); nv > 0 && d.err == nil; nv-- {
+					d.value()
 				}
-				g.rows = append(g.rows, row)
+				g.n++
 			}
+			g.rec = rec[:len(rec)-len(d.buf)]
 			groups = append(groups, g)
 		}
 		m = groups
@@ -557,14 +580,18 @@ func (d *recDecoder) value() Value {
 		}
 		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(bits)))
 	case KText:
-		return NewText(d.str())
+		b := d.take(int(d.uvarint()))
+		if d.err != nil || len(b) == 0 {
+			return NewText("")
+		}
+		return NewText(unsafe.String(&b[0], len(b)))
 	case KBytes:
 		n := d.uvarint()
 		b := d.take(int(n))
 		if d.err != nil {
 			return Null
 		}
-		return NewBytes(append([]byte(nil), b...))
+		return NewBytes(b[:n:n])
 	default:
 		d.fail()
 		return Null

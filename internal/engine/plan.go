@@ -71,9 +71,10 @@ type corder struct {
 // residual filters.
 type joinStep struct {
 	name  string
+	slot  int // the alias's env slot
 	table *Table
 	// st is the table state the plan was compiled against: the
-	// statement's snapshot pin. Execution reads rows and builds hash
+	// statement's snapshot pin. Execution reads cells and builds hash
 	// indexes through st, never through the live table, so a running
 	// query is untouched by concurrent commits; the plan cache retires
 	// the plan (plancache.go) once the live state moves on.
@@ -132,7 +133,7 @@ type accessPath interface {
 type fullScan struct{}
 
 func (fullScan) rank() int                          { return 8 }
-func (fullScan) est(p *planner, st *tableState) int { return len(st.rows) }
+func (fullScan) est(p *planner, st *tableState) int { return st.n }
 
 // indexEq is a point lookup on an index whose leading columns are all
 // bound by equality.
@@ -144,7 +145,7 @@ type indexEq struct {
 func (a *indexEq) rank() int { return 1 }
 func (a *indexEq) est(p *planner, st *tableState) int {
 	if a.ix.keys > 0 {
-		return maxInt(1, len(a.ix.rows)/a.ix.keys)
+		return maxInt(1, a.ix.n/a.ix.keys)
 	}
 	return 1
 }
@@ -181,7 +182,7 @@ type indexPrefixes struct {
 
 func (a *indexPrefixes) rank() int { return 2 }
 func (a *indexPrefixes) est(p *planner, st *tableState) int {
-	return minInt(len(st.rows), defaultDeweyFanout)
+	return minInt(st.n, defaultDeweyFanout)
 }
 
 // keyProbe enumerates the rows whose column holds a key of a
@@ -269,11 +270,11 @@ func (a *indexRange) rank() int {
 func (a *indexRange) est(p *planner, st *tableState) int {
 	switch {
 	case a.prefix:
-		return minInt(len(st.rows), defaultDeweyFanout)
+		return minInt(st.n, defaultDeweyFanout)
 	case a.lo != nil && a.hi != nil:
-		return len(st.rows)/genericRangeDivisor + 1
+		return st.n/genericRangeDivisor + 1
 	}
-	return len(st.rows)/openRangeDivisor + 1
+	return st.n/openRangeDivisor + 1
 }
 
 func maxInt(a, b int) int {
@@ -324,6 +325,25 @@ type planner struct {
 	ctx context.Context
 	ac  *accountant
 	err error
+	// slots counts the env slots handed out so far (newSlot): one per
+	// FROM entry of every select the statement compiles.
+	slots int
+}
+
+// newSlot hands out the next env slot.
+func (p *planner) newSlot() int {
+	p.slots++
+	return p.slots - 1
+}
+
+// colRef compiles a reference to column pos of the alias name, which
+// the scope chain binds to t.
+func (p *planner) colRef(sc *scope, name string, t *Table, pos int) ccol {
+	slot, ok := sc.slot(name)
+	if !ok {
+		panic("engine: internal: alias " + name + " has no slot")
+	}
+	return ccol{table: name, pos: pos, slot: slot, col: &p.snap.stateOf(t).cols[pos]}
 }
 
 // conjunct is one ANDed term of a WHERE clause during planning: a
@@ -365,7 +385,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		if p.touched != nil {
 			p.touched[t] = true
 		}
-		if err := sc.add(ref.Name(), t); err != nil {
+		if err := sc.add(ref.Name(), t, p.newSlot()); err != nil {
 			return nil, err
 		}
 		local[ref.Name()] = t
@@ -516,7 +536,7 @@ func (p *planner) planSelect(sel *sqlast.Select, outer *scope) (*selectPlan, err
 		p.peeked = nil
 		e := estimate(name, bound)
 		bound[name] = true
-		step := &joinStep{name: name, table: local[name], st: p.snap.stateOf(local[name]), access: e.access, existential: plan.existential(name)}
+		step := &joinStep{name: name, slot: plan.slotOf(sc, name), table: local[name], st: p.snap.stateOf(local[name]), access: e.access, existential: plan.existential(name)}
 		step.estPeeked, p.peeked = p.peeked, outerPeeked
 		step.omitted = omittedBy[name]
 		// Record the step's cardinality estimate and its provenance for
@@ -746,7 +766,7 @@ func buildScope(name string, st *tableState, conjuncts []*conjunct) *keyProbe {
 		if c.done || c.set == nil || c.set.probe == nil || c.set.probe.res.fact != name {
 			continue
 		}
-		if kp := c.set.probe; kp.rows < float64(len(st.rows)) && (best == nil || kp.rows < best.rows) {
+		if kp := c.set.probe; kp.rows < float64(st.n) && (best == nil || kp.rows < best.rows) {
 			best = kp
 		}
 	}
@@ -914,7 +934,7 @@ func (p *planner) eqAccess(name string, t *Table, colSide, keySide sqlast.Expr, 
 	// the synopsis's distinct count instead of building the hash index
 	// at plan time (the two agree exactly below the histogram cap), over
 	// the rows the build holds.
-	held := int64(len(st.rows))
+	held := int64(st.n)
 	if restrict != nil {
 		held = int64(restrict.rows)
 	}
@@ -1113,11 +1133,12 @@ func (p *planner) staticKind(e sqlast.Expr, sc *scope) (Kind, bool) {
 func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 	switch x := e.(type) {
 	case *sqlast.Col:
-		name, _, pos, err := sc.resolve(x)
+		name, t, pos, err := sc.resolve(x)
 		if err != nil {
 			return nil, err
 		}
-		return &ccol{table: name, pos: pos}, nil
+		c := p.colRef(sc, name, t, pos)
+		return &c, nil
 	case *sqlast.IntLit:
 		return &clit{v: NewInt(x.Value)}, nil
 	case *sqlast.FloatLit:

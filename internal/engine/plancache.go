@@ -29,6 +29,8 @@ type compiledStmt struct {
 	// (KNull for a slot nothing compiled reads): what every execution's
 	// arguments are checked against.
 	params []Kind
+	// slots is the number of env slots the plan binds (planner.slots).
+	slots int
 }
 
 // tableVer pins the state a table had at plan time. States are
@@ -129,6 +131,7 @@ func compileStmt(ctx context.Context, ac *accountant, db *DB, st sqlast.Statemen
 		cs.tables = append(cs.tables, tableVer{t: t, st: p.snap.stateOf(t)})
 	}
 	cs.params = p.params
+	cs.slots = p.slots
 	// Lower to the physical operator tree before the plan can be
 	// published to (and shared through) the plan cache.
 	lowerStmt(cs)

@@ -70,8 +70,10 @@ type resolution struct {
 	fact    string
 	factT   *Table
 	factCol int
-	join    *conjunct
-	own     []*conjunct
+	// factRef and keyRef read the fact column and the key column.
+	factRef, keyRef ccol
+	join            *conjunct
+	own             []*conjunct
 	// ownCE are own's compiled forms: run over the rows when the memo
 	// misses, and decompiled for the exported shape.
 	ownCE  []cexpr
@@ -134,10 +136,10 @@ func keyTest(r *resolution, factSt *tableState) *setTest {
 func (t *setTest) compiled() cexpr {
 	if t.probe != nil {
 		r := t.probe.res
-		return &ckeyin{col: ccol{table: r.fact, pos: r.factCol}, res: r}
+		return &ckeyin{col: r.factRef, res: r}
 	}
 	a, b := t.pair.a, t.pair.b
-	return &cpairin{a: ccol{table: a.fact, pos: a.factCol}, b: ccol{table: b.fact, pos: b.factCol}, res: t.pair}
+	return &cpairin{a: a.factRef, b: b.factRef, res: t.pair}
 }
 
 // equiJoin is one 'A.x = B.y' conjunct between two local aliases, seen
@@ -203,7 +205,7 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 		j := js[0]
 		t := local[name]
 		st := p.snap.stateOf(t)
-		if t.Cols[j.col].Type != TInt || j.otherT.Cols[j.otherCol].Type != TInt || len(st.rows) > maxResolveRows {
+		if t.Cols[j.col].Type != TInt || j.otherT.Cols[j.otherCol].Type != TInt || st.n > maxResolveRows {
 			continue
 		}
 		ix := st.findIndex(j.col)
@@ -211,7 +213,8 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 			continue
 		}
 		r := &resolution{alias: name, table: t, st: st, keyCol: j.col,
-			fact: j.other, factT: j.otherT, factCol: j.otherCol, join: j.c}
+			fact: j.other, factT: j.otherT, factCol: j.otherCol, join: j.c,
+			factRef: p.colRef(j.c.sc, j.other, j.otherT, j.otherCol), keyRef: p.colRef(j.c.sc, name, t, j.col)}
 		pairable := false
 		for _, c := range conjuncts {
 			if c == j.c || !c.localRef[name] {
@@ -344,7 +347,8 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 
 // joinExpr is the resolution's join, fact column = key column, compiled.
 func (r *resolution) joinExpr() cexpr {
-	return &cbin{op: sqlast.OpEq, l: &ccol{table: r.fact, pos: r.factCol}, r: &ccol{table: r.alias, pos: r.keyCol}}
+	fact, key := r.factRef, r.keyRef
+	return &cbin{op: sqlast.OpEq, l: &fact, r: &key}
 }
 
 func (r *resolution) owns(c *conjunct) bool {
@@ -369,7 +373,7 @@ func (r *resolution) memoText() string {
 }
 
 // resolveKeys returns the dimension's key set, from its state's memo
-// or by running its own conjuncts over the pinned rows. A conjunct
+// or by running its own conjuncts over the pinned cells. A conjunct
 // that fails to compile or to evaluate on any row abandons the
 // resolution (nil): the statement then plans as written and reports
 // the error, if it is one, from wherever it would have.
@@ -388,15 +392,16 @@ func (p *planner) resolveKeys(r *resolution) *keySet {
 		return rs.keys
 	}
 	ec := &execCtx{db: p.db}
-	e := env{}
+	e := make(env, p.slots)
 	type keyRow struct{ key, row int64 }
 	var hits []keyRow
 rows:
-	for id, row := range r.st.rows {
-		if row[r.keyCol].Kind != KInt {
+	for id := int64(0); id < int64(r.st.n); id++ {
+		key, ok := r.keyRef.col.int(id)
+		if !ok {
 			continue // NULL keys equal nothing
 		}
-		e[r.alias] = row
+		e[r.keyRef.slot] = id
 		for _, ce := range r.ownCE {
 			v, err := ce.eval(ec, e)
 			if err != nil {
@@ -406,7 +411,7 @@ rows:
 				continue rows
 			}
 		}
-		hits = append(hits, keyRow{key: row[r.keyCol].I, row: int64(id)})
+		hits = append(hits, keyRow{key: key, row: id})
 	}
 	sort.Slice(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
 	ks := &keySet{keys: make([]int64, len(hits)), rows: make([]int64, len(hits)), has: make(map[int64]struct{}, len(hits))}
@@ -437,12 +442,12 @@ func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
 		return pr
 	}
 	ec := &execCtx{db: p.db}
-	e := env{}
+	e := make(env, p.slots)
 	ps := &pairSet{has: map[[2]int64]struct{}{}}
 	for i, ka := range a.keys.keys {
-		e[a.alias] = a.st.rows[a.keys.rows[i]]
+		e[a.keyRef.slot] = a.keys.rows[i]
 		for j, kb := range b.keys.keys {
-			e[b.alias] = b.st.rows[b.keys.rows[j]]
+			e[b.keyRef.slot] = b.keys.rows[j]
 			v, err := ce.eval(ec, e)
 			if err != nil {
 				return nil

@@ -112,7 +112,7 @@ func checkRun(t *testing.T, db *DB, table string, k buildKey, r *deweyRun) {
 	want := map[int64]bool{}
 	lens := map[int]bool{}
 	for id, row := range rows {
-		if v := row[k.col]; v.Kind == KBytes && k.in.admits(row) {
+		if v := row[k.col]; v.Kind == KBytes && k.in.admits(db.Table(table).state(), int64(id)) {
 			want[int64(id)] = true
 			lens[len(v.B)] = true
 		}
@@ -126,7 +126,7 @@ func checkRun(t *testing.T, db *DB, table string, k buildKey, r *deweyRun) {
 		}
 		if i > 0 {
 			prev := r.ids[i-1]
-			if c := bytes.Compare(encodedKey(r.Index, rows[prev]), encodedKey(r.Index, rows[id])); c > 0 || c == 0 && prev > id {
+			if c := bytes.Compare(encodedKey(r.Index, prev), encodedKey(r.Index, id)); c > 0 || c == 0 && prev > id {
 				t.Errorf("run lists row %d before row %d: out of order", prev, id)
 			}
 		}
@@ -333,12 +333,12 @@ func TestScopedDeweyAllocatesNothingPerBinding(t *testing.T) {
 	ec := &execCtx{db: db, acct: newAccountant(0, 0), stats: make(opFrame, cs.nOps), batch: batchCapacity}
 	sc := ec.getScratch(ec.batch)
 	ops := &OpStats{}
-	rows := db.Table("fact").Rows()
-	e := env{"a": rows[0]} // the first root
+	e := make(env, cs.slots)
+	e[steps[0].slot] = 0 // the first root
 	n := 0
 	yield := func(ids []int64) (bool, error) {
 		n += len(ids)
-		e["d"] = rows[ids[len(ids)-1]]
+		e[s.slot] = ids[len(ids)-1]
 		return true, nil
 	}
 	if err := forEachBatch(ec, e, s, ops, sc, yield); err != nil || n == 0 {

@@ -169,7 +169,7 @@ func TestScopedHashJoin(t *testing.T) {
 						if i > 0 && ids[i-1] >= id {
 							t.Errorf("bucket %q lists %v: not ascending", key, ids)
 						}
-						if row := db.Table("fact").Rows()[id]; !k.in.admits(row) {
+						if !k.in.admits(db.Table("fact").state(), id) {
 							t.Errorf("bucket %q holds row %d, which the key set does not admit", key, id)
 						}
 					}

@@ -18,7 +18,7 @@ type Column struct {
 	Type Type
 }
 
-// Table is a stable handle to a row-store table with optional indexes. The handle carries only the schema (name, columns) and the
+// Table is a stable handle to a table with optional indexes. The handle carries only the schema (name, columns) and the
 // table's slot in the database snapshot; the versioned contents live
 // in immutable tableState values published atomically by the single
 // writer (see dbSnap). A statement — serial or morsel-parallel — pins
@@ -33,21 +33,25 @@ type Table struct {
 	db     *DB
 }
 
-// tableState is one immutable version of a table's contents. Rows and
-// index runs are never mutated after the state is published: a write
-// builds a successor state sharing structure with its predecessor
-// (rows by slice extension, runs by reference until the write reorders
-// them) and publishes it in a new database snapshot.
+// tableState is one immutable version of a table's contents. Cells
+// and index runs are never mutated after the state is published: a
+// write builds a successor state sharing structure with its
+// predecessor (column chunks by extension, column.go; runs by
+// reference until the write reorders them) and publishes it in a new
+// database snapshot.
 type tableState struct {
 	// version counts mutations (Insert, CreateIndex) monotonically per
 	// table, so cached plans can detect that a table they were planned
 	// against has changed. Distinct states always carry distinct
 	// versions; the plan cache compares state pointers directly.
 	version uint64
-	rows    [][]Value
+	// n is the number of rows, and cols holds them: one column per
+	// schema column, each cell addressed by its row id, 0 to n-1.
+	n       int
+	cols    []column
 	indexes []*Index
 	// builds and resolved are the state's derived state (memo.go): lazy
-	// memos over its immutable rows. A successor state starts with empty
+	// memos over its immutable cells. A successor state starts with empty
 	// memos, so an entry is never stale and a writer never touches a memo
 	// a running query is using; the plan cache retires the plans that
 	// used an entry when the state moves on.
@@ -62,7 +66,7 @@ type tableState struct {
 	resolved memo[resolveKey, resolvedSet]
 	// syn is the state's path/column synopsis: per-column counts,
 	// min/max, value histograms, and distinct sketches maintained
-	// incrementally by applyInsert. Like rows and indexes it is
+	// incrementally by applyInsert. Like cells and indexes it is
 	// immutable once the state is published, so the planner's
 	// estimates are snapshot-consistent by construction; recovery and
 	// checkpoint reload rebuild it by committing the logged inserts
@@ -71,8 +75,8 @@ type tableState struct {
 	// ascending[c] reports that row-id order is column c's order: no
 	// value of c is NULL and each row's is strictly greater than the
 	// previous row's (trivially so for an empty table). It is a physical
-	// property of this state's rows, exact by construction — applyInsert
-	// compares each appended row with its predecessor — so the planner
+	// property of this state's cells, exact by construction — applyInsert
+	// compares each appended cell with its predecessor — so the planner
 	// may drop a sort on its strength (implied.go); a column that failed
 	// once stays failed. Shared with the predecessor state until a
 	// column fails.
@@ -205,10 +209,14 @@ type createIndex struct {
 // insertRows is a batch of rows for one or more tables.
 type insertRows []insertGroup
 
-// insertGroup is one table's slice of an insert batch.
+// insertGroup is one table's slice of an insert batch: a live caller's
+// rows, or n rows still encoded in rec, a slice of the record they were
+// decoded from.
 type insertGroup struct {
 	table string
 	rows  [][]Value
+	rec   []byte
+	n     int
 	// checked is the handle a live caller validated the rows against;
 	// a group decoded from a record has none and apply validates it.
 	checked *Table
@@ -273,8 +281,10 @@ func (m createTable) apply(db *DB) (*dbSnap, error) {
 	next.byName[m.name] = t
 	next.names = append(append([]string(nil), snap.names...), m.name)
 	st := newTableState()
+	st.cols = make([]column, len(m.cols))
 	st.ascending = make([]bool, len(m.cols))
-	for i := range st.ascending {
+	for i, c := range m.cols {
+		st.cols[i].typ = c.Type
 		st.ascending[i] = true
 	}
 	next.states = append(next.states, st)
@@ -308,11 +318,34 @@ func (t *Table) ColIndex(name string) int {
 // state returns the table's current published state.
 func (t *Table) state() *tableState { return t.db.loadSnap().stateOf(t) }
 
-// Rows returns the rows of the table's current snapshot. The returned
-// slice (and its rows) is immutable shared state: callers must not
-// modify it. Later inserts do not change it — re-call Rows to observe
-// them.
-func (t *Table) Rows() [][]Value { return t.state().rows }
+// Rows materialises the rows of the table's current snapshot: a fresh
+// copy of every row, whose text and bytes values share the store's
+// memory (ColumnReader.Value). It costs a Value per cell; Len and
+// Column read a snapshot without it. Later inserts do not change the
+// copy — re-call Rows to observe them.
+func (t *Table) Rows() [][]Value {
+	st := t.state()
+	rows := make([][]Value, st.n)
+	cells := make([]Value, st.n*len(st.cols))
+	for id := range rows {
+		row := cells[id*len(st.cols) : (id+1)*len(st.cols) : (id+1)*len(st.cols)]
+		for j := range st.cols {
+			row[j] = st.cols[j].value(int64(id))
+		}
+		rows[id] = row
+	}
+	return rows
+}
+
+// Len returns the number of rows in the table's current snapshot.
+func (t *Table) Len() int { return t.state().n }
+
+// Column returns a reader over column i of the table's current
+// snapshot.
+func (t *Table) Column(i int) ColumnReader {
+	st := t.state()
+	return ColumnReader{c: &st.cols[i], n: st.n}
+}
 
 // Version returns the table's mutation counter: it increments on
 // every Insert/InsertBatch/CreateIndex commit.
@@ -346,73 +379,103 @@ func (t *Table) validateRow(row []Value) error {
 	return nil
 }
 
-// applyInsert builds the successor state appending rows; it never
-// mutates st. Row storage is extended in place when capacity allows:
-// safe, because the predecessor state's readers are bounded by their
-// own slice length and the single writer is serialized by writeMu.
+// applyInsert builds the successor state of t's state st appending
+// g's rows; it never mutates st. The rows' cells are copied into the
+// successor's columns (appender), which share st's chunks and write
+// only past st's length, so nothing a caller later does to its rows
+// reaches a published state. A group decoded from a record is decoded
+// here, one row at a time into one scratch row, and validated against
+// t's schema: its cells go straight from the record into the columns.
 // Each index is extended (Index.extend), which copies a run it
 // reorders, so the predecessor's runs keep serving concurrent readers
 // unchanged.
-func applyInsert(st *tableState, rows [][]Value) *tableState {
+func applyInsert(st *tableState, t *Table, g insertGroup) (*tableState, error) {
 	next := newTableState()
 	next.version = st.version + 1
-	next.rows = st.rows
+	apps := make([]appender, len(st.cols))
+	for j := range apps {
+		apps[j].c = st.cols[j]
+	}
 	syn := synopsis.Extend(st.syn)
-	for _, row := range rows {
-		next.rows = append(next.rows, row)
+	next.n = st.n + len(g.rows)
+	for _, row := range g.rows {
+		for j := range apps {
+			apps[j].add(&row[j])
+		}
 		observeRow(syn, row)
 	}
+	if g.rec != nil {
+		next.n = st.n + g.n
+		d := recDecoder{buf: g.rec}
+		row := make([]Value, 0, len(apps))
+		for i := 0; i < g.n; i++ {
+			row = row[:0]
+			for nv := d.uvarint(); nv > 0 && d.err == nil; nv-- {
+				row = append(row, d.value())
+			}
+			if err := t.validateRow(row); err != nil {
+				return nil, err
+			}
+			for j := range apps {
+				apps[j].add(&row[j])
+			}
+			observeRow(syn, row)
+		}
+		if err := d.done(); err != nil {
+			return nil, fmt.Errorf("engine: insert into %q: %w", t.Name, err)
+		}
+	}
+	next.cols = make([]column, len(apps))
+	for j := range apps {
+		next.cols[j] = apps[j].column()
+	}
 	next.syn = syn.Seal()
-	next.ascending = ascendingAfter(st.ascending, st.rows, rows)
+	next.ascending = ascendingAfter(st.ascending, next, st.n)
 	next.indexes = make([]*Index, len(st.indexes))
 	for i, ix := range st.indexes {
-		next.indexes[i] = ix.extend(next.rows)
+		next.indexes[i] = ix.extend(next)
 	}
-	return next
+	return next, nil
 }
 
-// ascendingAfter returns the ascending flags of old's successor under
-// the appended rows: asc itself while no column fails, a copy otherwise.
-func ascendingAfter(asc []bool, old, rows [][]Value) []bool {
-	var prev []Value
-	if len(old) > 0 {
-		prev = old[len(old)-1]
-	}
+// ascendingAfter returns the ascending flags of st, whose rows from id
+// base on were just appended, given asc, its predecessor's: asc itself
+// while no column fails, a copy otherwise.
+func ascendingAfter(asc []bool, st *tableState, base int) []bool {
 	owned := false
-	for _, row := range rows {
-		for c, up := range asc {
-			if !up || ascends(prev, row, c) {
-				continue
-			}
-			if !owned {
-				asc, owned = append([]bool(nil), asc...), true
-			}
-			asc[c] = false
+	for c, up := range asc {
+		for id := int64(base); up && id < int64(st.n); id++ {
+			up = st.cols[c].ascendsAt(id)
 		}
-		prev = row
+		if up == asc[c] {
+			continue
+		}
+		if !owned {
+			asc, owned = append([]bool(nil), asc...), true
+		}
+		asc[c] = false
 	}
 	return asc
 }
 
-// ascends reports whether row's value in column c keeps the column
-// strictly ascending after prev (nil: row is the table's first). The
-// comparison is the one the sort's memcomparable keys make for values
-// of one class; a NULL, a float or a change of kind does not ascend.
-func ascends(prev, row []Value, c int) bool {
-	v := row[c]
-	if prev == nil {
+// ascends reports whether v keeps a column strictly ascending after
+// prev (first: v is the column's first value). The comparison is the
+// one the sort's memcomparable keys make for values of one class; a
+// NULL, a float or a change of kind does not ascend.
+func ascends(prev, v Value, first bool) bool {
+	if first {
 		return v.Kind == KInt || v.Kind == KText || v.Kind == KBytes
 	}
-	if prev[c].Kind != v.Kind {
+	if prev.Kind != v.Kind {
 		return false
 	}
 	switch v.Kind {
 	case KInt:
-		return prev[c].I < v.I
+		return prev.I < v.I
 	case KText:
-		return prev[c].S < v.S
+		return prev.S < v.S
 	case KBytes:
-		return bytes.Compare(prev[c].B, v.B) < 0
+		return bytes.Compare(prev.B, v.B) < 0
 	}
 	return false
 }
@@ -436,7 +499,11 @@ func (m insertRows) apply(db *DB) (*dbSnap, error) {
 		case g.checked != t:
 			return nil, fmt.Errorf("engine: table handle %q belongs to another database", g.table)
 		}
-		next.states[t.pos] = applyInsert(next.states[t.pos], g.rows)
+		st, err := applyInsert(next.states[t.pos], t, g)
+		if err != nil {
+			return nil, err
+		}
+		next.states[t.pos] = st
 	}
 	return next, nil
 }
@@ -447,10 +514,12 @@ func (t *Table) Insert(row []Value) (int64, error) { return t.InsertBatch([][]Va
 // InsertBatch appends rows atomically: one commit, one WAL record,
 // one fsync, one published snapshot. Readers observe all of the batch
 // or none of it. Each row's length must match the column count and
-// its value kinds the column types (or NULL). All indexes are
-// maintained; the commit is durable (WAL + fsync) before it becomes
-// visible when the database is persistent. It returns the row id
-// assigned to the first row.
+// its value kinds the column types (or NULL). The commit copies every
+// cell, text and bytes payloads included, into the table's columns:
+// the caller may reuse its rows and buffers once InsertBatch returns.
+// All indexes are maintained; the commit is durable (WAL + fsync)
+// before it becomes visible when the database is persistent. It
+// returns the row id assigned to the first row.
 func (t *Table) InsertBatch(rows [][]Value) (int64, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -464,7 +533,7 @@ func (t *Table) InsertBatch(rows [][]Value) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(next.stateOf(t).rows) - len(rows)), nil
+	return int64(next.stateOf(t).n - len(rows)), nil
 }
 
 // MustInsert is Insert that panics on error, for loaders with
@@ -500,16 +569,26 @@ func observeRow(b *synopsis.Builder, row []Value) {
 // applyCreateIndex builds the successor state carrying the new index
 // over the existing rows (newIndex): where row order is already key
 // order — the shredded stores' id and Dewey indexes — it stores no run.
-// The synopsis is shared with the predecessor: an index changes access
-// paths, not contents.
+// The columns and synopsis are shared with the predecessor: an index
+// changes access paths, not contents.
 func applyCreateIndex(st *tableState, name string, positions []int) *tableState {
 	next := newTableState()
 	next.version = st.version + 1
-	next.rows = st.rows
+	next.n = st.n
+	next.cols = st.cols
 	next.syn = st.syn
 	next.ascending = st.ascending
-	next.indexes = append(append([]*Index(nil), st.indexes...), newIndex(name, positions, st.rows))
+	next.indexes = append(append([]*Index(nil), st.indexes...), newIndex(name, positions, st))
 	return next
+}
+
+// keyCols returns the state's columns at positions cols.
+func (st *tableState) keyCols(cols []int) []*column {
+	out := make([]*column, len(cols))
+	for i, c := range cols {
+		out[i] = &st.cols[c]
+	}
+	return out
 }
 
 // apply resolves the index columns against the table's schema and
@@ -610,15 +689,15 @@ type hashScope struct {
 	keys *keySet
 }
 
-func (sc hashScope) admits(row []Value) bool {
+func (sc hashScope) admits(st *tableState, id int64) bool {
 	if sc.keys == nil {
 		return true
 	}
-	v := row[sc.col]
-	if v.Kind != KInt {
+	k, ok := st.cols[sc.col].int(id)
+	if !ok {
 		return false
 	}
-	_, ok := sc.keys.has[v.I]
+	_, ok = sc.keys.has[k]
 	return ok
 }
 
@@ -657,7 +736,7 @@ type deweyRun struct {
 }
 
 // build returns the entry k names, building it on demand over this
-// state's immutable rows. The "engine/hash-build" failpoint fires on
+// state's immutable cells. The "engine/hash-build" failpoint fires on
 // every access, built or cached, before any lock, making the build
 // path's error handling injectable regardless of which statement
 // performed the build. A build happens once, under builds.flight, even
@@ -681,21 +760,21 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 		return b, false, 0, nil
 	}
 	var buf []byte
-	walk := seg{hi: len(st.rows)}
+	walk := seg{hi: st.n}
 	switch {
 	case k.run != nil:
-		b.run = &deweyRun{Index: &Index{Name: k.run.Name, Cols: k.run.Cols, rows: st.rows, ids: []int64{}}}
+		b.run = &deweyRun{Index: &Index{Name: k.run.Name, Cols: k.run.Cols, key: k.run.key, n: st.n, ids: []int64{}}}
 		walk = k.run.run(0, walk.hi)
 	case k.in.keys == nil:
-		b.hash = make(map[string][]int64, len(st.rows))
+		b.hash = make(map[string][]int64, st.n)
 	default:
 		b.hash = make(map[string][]int64)
 	}
+	col := &st.cols[k.col]
 	for i := walk.lo; i < walk.hi; i++ {
 		id := walk.at(i)
-		row := st.rows[id]
-		switch v := row[k.col]; {
-		case !k.in.admits(row):
+		switch v := col.value(id); {
+		case !k.in.admits(st, id):
 		case k.run == nil:
 			buf = encodeValue(buf[:0], v)
 			key := string(buf)
@@ -745,7 +824,7 @@ type Stats struct {
 // Stats returns the statistics of the table's current snapshot.
 func (t *Table) Stats() Stats {
 	st := t.state()
-	return Stats{Rows: len(st.rows), Indexes: len(st.indexes)}
+	return Stats{Rows: st.n, Indexes: len(st.indexes)}
 }
 
 // SortedTableSizes renders "name=rows" pairs sorted by name, for
@@ -757,7 +836,7 @@ func (db *DB) SortedTableSizes() []string {
 	sort.Strings(names)
 	out := make([]string, len(names))
 	for i, n := range names {
-		out[i] = fmt.Sprintf("%s=%d", n, len(snap.stateOf(snap.byName[n]).rows))
+		out[i] = fmt.Sprintf("%s=%d", n, snap.stateOf(snap.byName[n]).n)
 	}
 	return out
 }

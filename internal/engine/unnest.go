@@ -43,9 +43,9 @@ type unnestGroup struct {
 
 // unnestAlias is one merged FROM entry. An alias declared more than
 // once in the statement is renamed (was keeps the statement's name):
-// bindings live in one env keyed by alias, and two sub-selects that
-// could reuse a name while nested may not once they are steps of one
-// pipeline.
+// the steps of one pipeline are told apart by alias, and two
+// sub-selects that could reuse a name while nested may not once they
+// are steps of one pipeline.
 type unnestAlias struct {
 	name, was string
 	table     *Table
@@ -156,7 +156,7 @@ func (p *planner) unnest(x *sqlast.Exists, c *conjunct, declared map[string]int)
 			}
 			renamed[name] = a.name
 		}
-		if g.sc.add(a.name, t) != nil {
+		if g.sc.add(a.name, t, p.newSlot()) != nil {
 			return nil, nil
 		}
 		g.aliases = append(g.aliases, a)
@@ -182,6 +182,20 @@ func (p *planner) unnest(x *sqlast.Exists, c *conjunct, declared map[string]int)
 		exprs[i] = renameAliases(e, renamed)
 	}
 	return g, exprs
+}
+
+// slotOf returns the env slot of a FROM entry of the select, whose own
+// scope is sc: one of its own or of an EXISTS unnested into it.
+func (plan *selectPlan) slotOf(sc *scope, name string) int {
+	if slot, ok := sc.slot(name); ok {
+		return slot
+	}
+	for _, g := range plan.unnested {
+		if slot, ok := g.sc.slots[name]; ok {
+			return slot
+		}
+	}
+	panic("engine: internal: alias " + name + " has no slot")
 }
 
 // binds reports whether the scope chain binds the name.

@@ -61,12 +61,6 @@ func AppendText(dst []byte, v string) []byte {
 	return appendEscaped(dst, []byte(v))
 }
 
-// AppendBytesConcat appends the encoding AppendBytes gives the byte
-// string a || b, without building the concatenation.
-func AppendBytesConcat(dst, a, b []byte) []byte {
-	return appendEscaped(AppendBytesPrefix(dst, a), b)
-}
-
 func appendEscaped(dst, v []byte) []byte {
 	for _, b := range v {
 		if b == escByte {

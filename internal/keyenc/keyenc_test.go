@@ -142,17 +142,6 @@ func TestBytesPrefixBound(t *testing.T) {
 	}
 }
 
-func TestBytesConcat(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		a, b := randBytes(r, 5), randBytes(r, 5)
-		want := AppendBytes([]byte{9}, append(append([]byte{}, a...), b...))
-		if got := AppendBytesConcat([]byte{9}, a, b); !bytes.Equal(got, want) {
-			t.Fatalf("AppendBytesConcat(%x, %x) = %x, want %x", a, b, got, want)
-		}
-	}
-}
-
 func randBytes(r *rand.Rand, n int) []byte {
 	out := make([]byte, r.Intn(n+1))
 	for i := range out {

@@ -170,11 +170,12 @@ func uniqueSound(db *engine.DB, sh *engine.SelectShape) string {
 	}
 	seen := map[string]int{}
 	var buf []byte
-	for id, row := range t.Rows() {
-		buf = append(buf[:0], byte(row[pos].Kind))
-		buf = append(buf, row[pos].String()...)
+	for c, id := t.Column(pos), 0; id < c.Len(); id++ {
+		v := c.Value(id)
+		buf = append(buf[:0], byte(v.Kind))
+		buf = append(buf, v.String()...)
 		if prev, dup := seen[string(buf)]; dup {
-			return fmt.Sprintf("rows %d and %d both hold %s", prev, id, row[pos])
+			return fmt.Sprintf("rows %d and %d both hold %s", prev, id, v)
 		}
 		seen[string(buf)] = id
 	}
@@ -239,9 +240,9 @@ func ascendingOver(t *engine.Table, col string) string {
 	if pos < 0 {
 		return fmt.Sprintf("table %s has no column %s", t.Name, col)
 	}
-	rows := t.Rows()
-	for id, row := range rows {
-		v := row[pos]
+	c := t.Column(pos)
+	for id := 0; id < c.Len(); id++ {
+		v := c.Value(id)
 		switch v.Kind {
 		case engine.KInt, engine.KText, engine.KBytes:
 		default:
@@ -250,7 +251,7 @@ func ascendingOver(t *engine.Table, col string) string {
 		if id == 0 {
 			continue
 		}
-		p := rows[id-1][pos]
+		p := c.Value(id - 1)
 		up := p.Kind == v.Kind
 		switch {
 		case !up:

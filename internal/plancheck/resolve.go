@@ -293,14 +293,22 @@ func deriveKeys(db *engine.DB, ev *evaluator, r engine.ResolvedShape) (*derivedK
 			}
 		}
 	}
-	rows := t.Rows()
-	d := &derivedKeys{t: t, rows: len(rows), rowOf: map[int64][]engine.Value{}}
-	seen := make(map[int64]int, len(rows))
+	cols := make([]engine.ColumnReader, len(t.Cols))
+	for i := range cols {
+		cols[i] = t.Column(i)
+	}
+	n := cols[kp].Len()
+	d := &derivedKeys{t: t, rows: n, rowOf: map[int64][]engine.Value{}}
+	seen := make(map[int64]int, n)
 	bind := map[string]binding{}
-	for id, row := range rows {
-		kv := row[kp]
+	for id := 0; id < n; id++ {
+		kv := cols[kp].Value(id)
 		if kv.IsNull() {
 			continue // joins nothing
+		}
+		row := make([]engine.Value, len(cols))
+		for i, c := range cols {
+			row[i] = c.Value(id)
 		}
 		if prev, dup := seen[kv.I]; dup {
 			return nil, fmt.Sprintf("key %s is not unique: rows %d and %d both hold %d", r.Key, prev, id, kv.I)

@@ -135,8 +135,9 @@ func createAttr(db *engine.DB) (*engine.Table, error) {
 func newPathRegistry(db *engine.DB) (pathRegistry, error) {
 	r := pathRegistry{table: db.Table(PathsTable), ids: map[string]int64{}}
 	if r.table != nil {
-		for _, row := range r.table.Rows() {
-			r.ids[row[1].S] = row[0].I
+		ids, paths := r.table.Column(0), r.table.Column(1)
+		for row := 0; row < min(ids.Len(), paths.Len()); row++ {
+			r.ids[paths.Value(row).S] = ids.Value(row).I
 		}
 		return r, nil
 	}
@@ -180,13 +181,18 @@ type loader struct {
 // relation (a reopened persistent store), so loading continues where
 // the previous process stopped.
 func (l *loader) rescan(t *engine.Table) {
-	idCol, docCol := t.ColIndex(ColID), t.ColIndex(ColDoc)
-	for _, row := range t.Rows() {
-		if id := row[idCol].I; id > l.nextID {
+	ids := t.Column(t.ColIndex(ColID))
+	for row := 0; row < ids.Len(); row++ {
+		if id := ids.Value(row).I; id > l.nextID {
 			l.nextID = id
 		}
-		if docCol >= 0 && row[docCol].I > l.docs {
-			l.docs = row[docCol].I
+	}
+	if docCol := t.ColIndex(ColDoc); docCol >= 0 {
+		docs := t.Column(docCol)
+		for row := 0; row < docs.Len(); row++ {
+			if doc := docs.Value(row).I; doc > l.docs {
+				l.docs = doc
+			}
 		}
 	}
 }
@@ -468,7 +474,7 @@ func (st *AccelStore) Load(doc *xmltree.Document) (int64, error) {
 	pre := map[*xmltree.Node]int64{}
 	post := map[*xmltree.Node]int64{}
 	size := map[*xmltree.Node]int64{}
-	preBase := int64(len(st.Accel.Rows()))
+	preBase := int64(st.Accel.Len())
 	var preCtr, postCtr int64
 	var walk func(n *xmltree.Node) int64
 	walk = func(n *xmltree.Node) int64 {
