@@ -394,6 +394,9 @@ func (p *parser) parseAtom() (frag, error) {
 		if !ok {
 			return frag{}, fmt.Errorf("trailing backslash")
 		}
+		if err := literalEscape(e); err != nil {
+			return frag{}, err
+		}
 		p.pos++
 		pc := p.emit(inst{op: opChar, c: e})
 		return frag{start: pc, out: []patchSlot{{pc: pc}}}, nil
@@ -406,6 +409,17 @@ func (p *parser) parseAtom() (frag, error) {
 		pc := p.emit(inst{op: opChar, c: c})
 		return frag{start: pc, out: []patchSlot{{pc: pc}}}, nil
 	}
+}
+
+// literalEscape rejects a backslash before a letter or digit. The
+// subset escapes punctuation only, to a literal byte; after a letter or
+// digit POSIX ERE leaves the escape undefined and RE2 gives it a meaning
+// (\d, \w, \b, octal \0), so the pattern is not one of this subset's.
+func literalEscape(e byte) error {
+	if 'a' <= e && e <= 'z' || 'A' <= e && e <= 'Z' || '0' <= e && e <= '9' {
+		return fmt.Errorf("unsupported escape \\%c", e)
+	}
+	return nil
 }
 
 func (p *parser) parseClass() (frag, error) {
@@ -431,6 +445,9 @@ func (p *parser) parseClass() (frag, error) {
 			if c, ok = p.peek(); !ok {
 				return frag{}, fmt.Errorf("trailing backslash in class")
 			}
+			if err := literalEscape(c); err != nil {
+				return frag{}, err
+			}
 		}
 		p.pos++
 		// Range a-z?
@@ -440,6 +457,9 @@ func (p *parser) parseClass() (frag, error) {
 			if hi == '\\' {
 				p.pos++
 				hi, _ = p.peek()
+				if err := literalEscape(hi); err != nil {
+					return frag{}, err
+				}
 			}
 			p.pos++
 			if hi < c {

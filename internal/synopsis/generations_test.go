@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,42 +93,78 @@ func answers(t *Table, domain int) string {
 // batch sizes. After every Seal the newest generation must be Equal to,
 // and answer exactly like, a one-shot build of the same rows, and every
 // earlier generation must still answer as it did when it was sealed.
+// Beside every other generation it seals a sibling: a second successor
+// of the same predecessor, over rows the generation did not observe,
+// sealed before the generation at one such step and after it at the
+// next. Siblings share their predecessor's state too, and each must
+// stay the synopsis of its own rows however the other successor wrote.
 func checkGenerations(t *testing.T, rows [][]value, batches []int, domain int) {
 	t.Helper()
-	var (
-		gens []*Table
-		want []string
-	)
+	var states []built
 	prev, done := Empty(), 0
-	for _, n := range batches {
-		b := Extend(prev)
-		for _, row := range rows[done : done+n] {
-			observe(b, row)
+	for step, n := range batches {
+		base, baseRows := prev, rows[:done]
+		sibRows := rows[done+n : min(done+2*n, len(rows))]
+		if len(sibRows) == 0 {
+			sibRows = rows[:min(n, done)]
 		}
-		done += n
-		prev = b.Seal()
-		ref := oneShot(rows[:done])
-		if !Equal(prev, ref) || !Equal(ref, prev) {
-			t.Fatalf("generation %d (%d rows): not Equal to a one-shot build\n%s\nwant %s", len(gens), done, prev, ref)
+		sibling := func() {
+			states = append(states, checkBuilt(t, fmt.Sprintf("sibling of generation %d", step), base, baseRows, sibRows, domain))
 		}
-		got := answers(prev, domain)
-		if w := answers(ref, domain); got != w {
-			t.Fatalf("generation %d (%d rows): accessors differ from a one-shot build:\n%s\nwant\n%s", len(gens), done, got, w)
+		if step%4 == 2 {
+			sibling()
 		}
-		for _, c := range prev.cols {
+		g := checkBuilt(t, fmt.Sprintf("generation %d", step), base, baseRows, rows[done:done+n], domain)
+		for _, c := range g.t.cols {
 			if max := maxDepth(); len(c.layers) > max {
-				t.Fatalf("generation %d: a histogram %d layers deep, bound %d", len(gens), len(c.layers), max)
+				t.Fatalf("generation %d: a histogram %d layers deep, bound %d", step, len(c.layers), max)
 			}
 		}
-		gens, want = append(gens, prev), append(want, got)
+		states = append(states, g)
+		if step%4 == 0 {
+			sibling()
+		}
+		prev, done = g.t, done+n
 	}
-	// Sealed state is never written back, so a generation a successor
-	// disturbed still differs once every generation is sealed.
-	for i, g := range gens {
-		if a := answers(g, domain); a != want[i] {
-			t.Fatalf("generation %d changed after later generations were sealed:\n%s\nwant\n%s", i, a, want[i])
+	// Sealed state is never written back, so a state a later successor
+	// disturbed still differs once every state is sealed.
+	for _, s := range states {
+		if !Equal(s.t, s.ref) || !Equal(s.ref, s.t) {
+			t.Fatalf("%s changed after later states were sealed: not Equal to a one-shot build", s.name)
+		}
+		if a := answers(s.t, domain); a != s.want {
+			t.Fatalf("%s changed after later states were sealed:\n%s\nwant\n%s", s.name, a, s.want)
 		}
 	}
+}
+
+// built is a sealed successor, the one-shot build of its rows, and what
+// its accessors answered when it was sealed.
+type built struct {
+	name   string
+	t, ref *Table
+	want   string
+}
+
+// checkBuilt seals the successor of base (the synopsis of baseRows)
+// that observes more, and checks it is Equal to, and answers exactly
+// like, a one-shot build of baseRows and more.
+func checkBuilt(t *testing.T, name string, base *Table, baseRows, more [][]value, domain int) built {
+	t.Helper()
+	b := Extend(base)
+	for _, row := range more {
+		observe(b, row)
+	}
+	s := b.Seal()
+	ref := oneShot(append(append([][]value(nil), baseRows...), more...))
+	if !Equal(s, ref) || !Equal(ref, s) {
+		t.Fatalf("%s (%d rows): not Equal to a one-shot build\n%s\nwant %s", name, len(baseRows)+len(more), s, ref)
+	}
+	got := answers(s, domain)
+	if w := answers(ref, domain); got != w {
+		t.Fatalf("%s (%d rows): accessors differ from a one-shot build:\n%s\nwant\n%s", name, len(baseRows)+len(more), got, w)
+	}
+	return built{name: name, t: s, ref: ref, want: got}
 }
 
 // maxDepth is the layer bound: log2(HistCap)+1.
@@ -191,56 +228,83 @@ func FuzzSynopsisGenerations(f *testing.F) {
 	})
 }
 
-// TestPredecessorReadDuringBuild reads a sealed synopsis from other
-// goroutines while successors of it are built and sealed; under -race
-// any write a successor made to shared histogram layers or sketches
-// would be reported.
+// TestPredecessorReadDuringBuild reads sealed synopses from other
+// goroutines while successors of them are built and sealed; under -race
+// any write a successor made to shared dictionaries, histogram layers or
+// sketches would be reported. Every chain state and every sibling must
+// then still be the synopsis of its own rows.
 func TestPredecessorReadDuringBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const domain, sealed = 3000, 2000
 	rows := genRows(rng, sealed+400, 4, domain)
+	// Columns 0 and 1 of base are past HistCap, so successors share
+	// their sketches; columns 2 and 3 are under it, so successors add
+	// keys to dictionaries they share with base.
+	narrow(rows[:sealed], 2, HistCap/8)
+	narrow(rows[sealed:], 2, HistCap/2)
 	base := oneShot(rows[:sealed])
 	for i := 0; i < base.NumCols(); i++ {
-		if base.Col(i).Exact() {
-			t.Fatalf("column %d of the predecessor is under HistCap; the sketch goes unshared", i)
+		if base.Col(i).Exact() != (i >= 2) {
+			t.Fatalf("column %d of the predecessor: exact=%v", i, base.Col(i).Exact())
 		}
 	}
-	want := answers(base, domain)
+
+	// The readers read base and the newest chain state, as queries read
+	// the published snapshot while the next commit builds its successor.
+	type published struct {
+		t    *Table
+		want string
+	}
+	var latest atomic.Pointer[published]
+	latest.Store(&published{base, answers(base, domain)})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			want := answers(base, domain)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if got := answers(base, domain); got != want {
-					t.Error("predecessor changed while a successor was built")
+				p := latest.Load()
+				if answers(base, domain) != want || answers(p.t, domain) != p.want {
+					t.Error("a sealed synopsis changed while a successor was built")
 					return
 				}
 			}
 		}()
 	}
 	// A chain of successors of base, and a one-row sibling of base
-	// beside each link: both share base's layers and sketches.
+	// beside each link: both share base's state.
+	var states []built
 	prev, done := base, sealed
-	for _, n := range splitBatches(rng, len(rows)-sealed) {
-		b := Extend(prev)
-		for _, row := range rows[done : done+n] {
-			observe(b, row)
-		}
-		prev = b.Seal()
-		b = Extend(base)
-		observe(b, rows[done])
-		b.Seal()
-		done += n
+	for step, n := range splitBatches(rng, len(rows)-sealed) {
+		g := checkBuilt(t, fmt.Sprintf("chain state %d", step), prev, rows[:done], rows[done:done+n], domain)
+		latest.Store(&published{g.t, g.want})
+		s := checkBuilt(t, fmt.Sprintf("sibling %d", step), base, rows[:sealed], rows[done:done+1], domain)
+		states = append(states, g, s)
+		prev, done = g.t, done+n
 	}
 	close(stop)
 	wg.Wait()
+	for _, s := range states {
+		if !Equal(s.t, s.ref) || answers(s.t, domain) != s.want {
+			t.Fatalf("%s changed after later states were sealed", s.name)
+		}
+	}
+}
+
+// narrow draws the values of columns from on from [0, domain) instead.
+func narrow(rows [][]value, from, domain int) {
+	for _, row := range rows {
+		for c := from; c < len(row); c++ {
+			row[c].n %= int64(domain)
+		}
+	}
 }
 
 // TestOneRowSuccessorCost: a successor holding one new row costs the

@@ -11,19 +11,27 @@
 // including across WAL recovery and checkpoint reload, which replay
 // inserts through the same observe path as live writes.
 //
-// A successor shares its predecessor's histograms instead of copying
-// them. Each column's histogram is an ordered list of immutable layers
-// of count deltas, oldest and largest first; a key's count is the sum
-// of its deltas. A Builder writes one layer of its own, and Seal drops
-// it if it stayed empty, then merges the top layer into the one below
-// while the top holds at least half as many keys. Each layer is thus
-// under half the size of the one below it, and no histogram is deeper
-// than log2(HistCap)+1 layers. The distinct-key count and the largest
-// count are kept as running totals, and the distinct sketch is copied
-// only when a write first sets one of its bits. A commit therefore
-// costs its column count plus the keys its rows touch (times the
-// depth), amortized over the merges, not the size of the histograms it
-// extends.
+// A column's histogram keys are stored once, in a pointer-free
+// dictionary that numbers them in admission order: int and float keys
+// as 8-byte words, text and bytes keys back to back in a byte arena,
+// and an open-addressed index over the fixed hash the distinct sketch
+// uses, so an observed value is hashed once for both. A successor
+// shares its predecessor's dictionary and appends keys only past its
+// length; the index is copied before a commit first adds to it.
+//
+// A successor shares its predecessor's counts instead of copying them.
+// Each column's histogram is an ordered list of immutable layers of
+// count deltas keyed by dictionary code, oldest and largest first; a
+// key's count is the sum of its deltas. A Builder writes one layer of
+// its own, and Seal drops it if it stayed empty, then merges the top
+// layer into the one below while the top holds at least half as many
+// keys. Each layer is thus under half the size of the one below it,
+// and no histogram is deeper than log2(HistCap)+1 layers. The
+// distinct-key count and the largest count are kept as running totals,
+// and the distinct sketch is copied only when a write first sets one of
+// its bits. A commit therefore costs its column count plus the keys its
+// rows touch (times the depth), amortized over the merges, not the
+// size of the histograms it extends.
 //
 // The per-path statistics of the paper's shredded stores fall out of
 // the generic machinery: the node table's path_id column histogram is
@@ -33,10 +41,12 @@
 package synopsis
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
+	"sync/atomic"
 )
 
 // HistCap bounds the exact value-frequency histogram per column. Past
@@ -68,15 +78,15 @@ type colStats struct {
 	lenMax int64
 
 	// The histogram holds exact counts for the first ≤ HistCap distinct
-	// values, as layers of count deltas (see the package doc). layers
-	// are sealed and may be shared with other synopses; own is the
-	// Builder's layer, nil in a sealed Table. nkeys is the number of
-	// distinct histogram keys and maxCount the largest key count. other
-	// counts observations whose value is absent from the histogram
-	// (only nonzero after overflow).
+	// values: keys is their dictionary, and their counts are layers of
+	// deltas (see the package doc). layers are sealed and may be shared
+	// with other synopses; own is the Builder's layer, empty in a sealed
+	// Table. maxCount is the largest key count. other counts
+	// observations whose value is absent from the histogram (only
+	// nonzero after overflow).
+	keys     dict
 	layers   []layer
-	own      layer
-	nkeys    int64
+	own      ownLayer
 	maxCount int64
 	other    int64
 	// sketch is the linear-counting bitmap, allocated on overflow and
@@ -85,127 +95,435 @@ type colStats struct {
 	ownSketch bool
 }
 
-// layer is one generation of histogram count deltas. Every delta is
-// positive: a key is in the histogram iff some layer holds it.
-type layer map[string]int64
+// Value key encoding: one tag byte plus a canonical payload, the
+// bytes the hash runs over. Ints and bools share a tag so engine
+// KBool/KInt unify the way table storage does; floats that hold
+// integral values stay distinct from ints. An int or float payload is
+// its 8 bytes big-endian, and the dictionary keeps them as one word.
+const (
+	tagInt   = 'i'
+	tagFloat = 'f'
+	tagText  = 't'
+	tagBytes = 'b'
+)
 
-// sealed returns the sealed histogram count of key: the sum of its
-// deltas, 0 if the histogram does not hold it.
-func (c *colStats) sealed(key string) int64 {
+// payload is a text or bytes key's payload; an int or float key
+// passes an empty one with its word.
+type payload interface{ ~string | ~[]byte }
+
+func isWord(tag byte) bool { return tag == tagInt || tag == tagFloat }
+
+// hash is the fixed hash of the encoded key tag+p. It is unseeded, so
+// a synopsis — and every estimate and plan derived from it — is a pure
+// function of the rows observed, in every process and across recovery.
+// It is FNV-1a taken a word at a time over the encoded key (values run
+// to hundreds of bytes), then one multiply-xorshift round: the sketch
+// bit is the hash's low bits, which the FNV multiply alone leaves too
+// regular for keys that differ only in their last bytes (consecutive
+// integers overestimate by 20 %). The first word is the tag and the
+// payload's first 7 bytes, so the key need not be built.
+func hash[P payload](tag byte, p P) uint64 {
+	h := uint64(fnvOffset)
+	if len(p) >= 7 {
+		w := uint64(tag)
+		for i := 0; i < 7; i++ {
+			w |= uint64(p[i]) << (8 * (i + 1))
+		}
+		h = (h ^ w) * fnvPrime
+		for p = p[7:]; len(p) >= 8; p = p[8:] {
+			w := uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
+				uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56
+			h = (h ^ w) * fnvPrime
+		}
+	} else {
+		h = (h ^ uint64(tag)) * fnvPrime
+	}
+	for i := 0; i < len(p); i++ {
+		h = (h ^ uint64(p[i])) * fnvPrime
+	}
+	return mix(h)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+// hashWord is hash of an int or float key, whose payload is w's 8
+// bytes big-endian: the first word is the tag and w's top 7 bytes, the
+// last byte w's lowest.
+func hashWord(tag byte, w uint64) uint64 {
+	h := (fnvOffset ^ (uint64(tag) | bits.ReverseBytes64(w)<<8)) * fnvPrime
+	return mix((h ^ w&0xff) * fnvPrime)
+}
+
+// dict holds a column's admitted histogram keys, each once, numbered
+// in admission order: the key admitted k-th has code k. Its arrays
+// hold no pointers. A successor shares them and appends only past its
+// own length, so a sealed dict's readers, bounded by that length, never
+// see a write. Two successors of one dict would append at the same
+// place; claim settles which one may: the first to add a key takes the
+// shared arrays, and the other copies them first.
+type dict struct {
+	tags  []byte   // each code's key tag
+	words []uint64 // int and float keys by code; nil until the column admits one
+	ends  []uint32 // text and bytes keys' ends in arena by code; nil until the column admits one
+	arena []byte
+	// index is an open-addressed table of the codes by key hash: a
+	// slot holds code+1 in its low 16 bits and the hash's top 16 bits
+	// above them, and 0 when empty. It is copied before a commit first
+	// writes it, and ownIndex set.
+	index    []uint32
+	ownIndex bool
+	// claim is the number of codes written to the arrays this dict
+	// shares; it may append to them in place only while that is its
+	// own length.
+	claim *atomic.Uint32
+}
+
+func (d *dict) size() int { return len(d.tags) }
+
+// payloadOf returns a text or bytes key's payload.
+func (d *dict) payloadOf(code int) []byte {
+	lo := uint32(0)
+	if code > 0 {
+		lo = d.ends[code-1]
+	}
+	return d.arena[lo:d.ends[code]]
+}
+
+// hashOf returns the hash of code's key.
+func (d *dict) hashOf(code int) uint64 {
+	tag := d.tags[code]
+	if isWord(tag) {
+		return hashWord(tag, d.words[code])
+	}
+	return hash(tag, d.payloadOf(code))
+}
+
+// find returns the code of the key tag+w+p, whose hash is h, or -1.
+func find[P payload](d *dict, h uint64, tag byte, w uint64, p P) int {
+	if len(d.index) == 0 {
+		return -1
+	}
+	mask := len(d.index) - 1
+	top := uint32(h>>48) << 16
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := d.index[i]
+		if s == 0 {
+			return -1
+		}
+		if s&^0xffff != top {
+			continue
+		}
+		code := int(s&0xffff) - 1
+		if d.tags[code] != tag {
+			continue
+		}
+		if isWord(tag) {
+			if d.words[code] == w {
+				return code
+			}
+		} else if string(d.payloadOf(code)) == string(p) {
+			return code
+		}
+	}
+}
+
+// add admits the key tag+w+p, whose hash is h, and returns its code.
+func add[P payload](d *dict, h uint64, tag byte, w uint64, p P) int {
+	n := d.size()
+	if d.claim == nil || !d.claim.CompareAndSwap(uint32(n), uint32(n+1)) {
+		d.detach()
+		d.claim = new(atomic.Uint32)
+		d.claim.Store(uint32(n + 1))
+	}
+	if !d.ownIndex || 4*(n+1) > 3*len(d.index) {
+		d.reindex()
+	}
+	d.tags = push(d.tags, tag)
+	if isWord(tag) && d.words == nil {
+		d.words = make([]uint64, n)
+	}
+	if !isWord(tag) && d.ends == nil {
+		d.ends = make([]uint32, n)
+	}
+	if d.words != nil {
+		d.words = push(d.words, w)
+	}
+	if d.ends != nil {
+		d.arena = append(d.arena, p...)
+		d.ends = push(d.ends, uint32(len(d.arena)))
+	}
+	d.slot(h, n)
+	return n
+}
+
+// slot enters code, whose key's hash is h, in the index.
+func (d *dict) slot(h uint64, code int) {
+	mask := len(d.index) - 1
+	i := int(h) & mask
+	for d.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.index[i] = uint32(h>>48)<<16 | uint32(code+1)
+}
+
+// detach gives d arrays of its own, copies of its keys: another dict
+// has appended to the ones it shares.
+func (d *dict) detach() {
+	d.tags = slices.Clone(d.tags)
+	d.words = slices.Clone(d.words)
+	d.ends = slices.Clone(d.ends)
+	d.arena = slices.Clone(d.arena)
+}
+
+// reindex gives d an index of its own with room for one more code: a
+// copy of the shared one while that has the room, else a rehash of
+// every key into one twice as large.
+func (d *dict) reindex() {
+	size := max(len(d.index), 8)
+	for 4*(d.size()+1) > 3*size {
+		size *= 2
+	}
+	d.ownIndex = true
+	if size == len(d.index) {
+		d.index = slices.Clone(d.index)
+		return
+	}
+	d.index = make([]uint32, size)
+	for code := 0; code < d.size(); code++ {
+		d.slot(d.hashOf(code), code)
+	}
+}
+
+// push appends v to s, doubling the backing array when it is full but
+// never past HistCap elements, which no dict holds more of.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		t := make([]T, len(s), min(max(2*len(s), 8), HistCap))
+		copy(t, s)
+		s = t
+	}
+	return append(s, v)
+}
+
+// layer is one generation of histogram count deltas, keyed by
+// dictionary code. Every delta is positive: a key is in the histogram
+// iff some layer holds its code. A dense layer (codes nil) holds a
+// delta for each code from lo, 0 for the codes it does not hold; a
+// sparse one lists its codes in ascending order. keys is the number of
+// codes the layer holds.
+type layer struct {
+	codes  []uint16
+	deltas []int64
+	lo     int32
+	keys   int32
+}
+
+// newLayer allocates a layer for keys codes from lo to hi: dense when
+// that is no larger than the sparse list.
+func newLayer(keys, lo, hi int) layer {
+	if 4*(hi-lo+1) <= 5*keys {
+		return layer{deltas: make([]int64, hi-lo+1), lo: int32(lo)}
+	}
+	return layer{codes: make([]uint16, 0, keys), deltas: make([]int64, 0, keys)}
+}
+
+// put sets code's delta; a sparse layer takes codes in ascending order.
+func (l *layer) put(code int, d int64) {
+	l.keys++
+	if l.codes == nil {
+		l.deltas[code-int(l.lo)] = d
+		return
+	}
+	l.codes = append(l.codes, uint16(code))
+	l.deltas = append(l.deltas, d)
+}
+
+// get returns code's delta, 0 if the layer does not hold it.
+func (l *layer) get(code int) int64 {
+	if l.codes == nil {
+		if i := code - int(l.lo); uint(i) < uint(len(l.deltas)) {
+			return l.deltas[i]
+		}
+		return 0
+	}
+	if i, ok := slices.BinarySearch(l.codes, uint16(code)); ok {
+		return l.deltas[i]
+	}
+	return 0
+}
+
+// code returns the code at position i of the layer (dense layers have
+// a position per code from lo), or HistCap past the end.
+func (l *layer) code(i int) int {
+	switch {
+	case i >= len(l.deltas):
+		return HistCap
+	case l.codes == nil:
+		return int(l.lo) + i
+	default:
+		return int(l.codes[i])
+	}
+}
+
+// merge returns a new layer holding a's and b's deltas summed; it
+// walks their codes in order twice, to size the layer and to fill it.
+func merge(a, b *layer) layer {
+	walk := func(emit func(code int, d int64)) {
+		for i, j := 0, 0; i < len(a.deltas) || j < len(b.deltas); {
+			ca, cb := a.code(i), b.code(j)
+			code, d := min(ca, cb), int64(0)
+			if ca == code {
+				d += a.deltas[i]
+				i++
+			}
+			if cb == code {
+				d += b.deltas[j]
+				j++
+			}
+			if d != 0 {
+				emit(code, d)
+			}
+		}
+	}
+	keys, lo, hi := 0, -1, 0
+	walk(func(code int, _ int64) {
+		if lo < 0 {
+			lo = code
+		}
+		keys, hi = keys+1, code
+	})
+	l := newLayer(keys, lo, hi)
+	walk(l.put)
+	return l
+}
+
+// ownLayer is a Builder's layer while it is written: its codes and
+// deltas in an open-addressed table keyed by code.
+type ownLayer struct {
+	slots []ownSlot
+	n     int
+}
+
+type ownSlot struct {
+	code1 int32 // code+1; 0 for an empty slot
+	delta int64
+}
+
+// slot returns the slot holding code, or the empty one it goes in.
+func (o *ownLayer) slot(code int) *ownSlot {
+	mask := len(o.slots) - 1
+	for i := code & mask; ; i = (i + 1) & mask {
+		if s := &o.slots[i]; s.code1 == 0 || int(s.code1) == code+1 {
+			return s
+		}
+	}
+}
+
+// add counts one observation of code.
+func (o *ownLayer) add(code int) {
+	if len(o.slots) > 0 {
+		if s := o.slot(code); s.code1 != 0 {
+			s.delta++
+			return
+		}
+	}
+	if 4*(o.n+1) > 3*len(o.slots) {
+		old := o.slots
+		o.slots = make([]ownSlot, max(2*len(old), 8))
+		for _, s := range old {
+			if s.code1 != 0 {
+				*o.slot(int(s.code1) - 1) = s
+			}
+		}
+	}
+	*o.slot(code) = ownSlot{code1: int32(code + 1), delta: 1}
+	o.n++
+}
+
+// sealed returns code's sealed histogram count: the sum of its deltas.
+func (c *colStats) sealed(code int) int64 {
 	var n int64
-	for _, l := range c.layers {
-		n += l[key]
+	for i := range c.layers {
+		n += c.layers[i].get(code)
 	}
 	return n
 }
 
-// held reports whether a sealed layer holds key.
-func (c *colStats) held(key []byte) bool {
-	for _, l := range c.layers {
-		if _, ok := l[string(key)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// eachKey calls fn with every sealed layer's keys and deltas; a key
-// held by several layers is visited once per layer.
-func (c *colStats) eachKey(fn func(key string, delta int64)) {
-	for _, l := range c.layers {
-		for k, d := range l {
-			fn(k, d)
-		}
-	}
-}
-
-// observe folds one non-NULL encoded value into the histogram and, if
-// overflowed, the distinct sketch.
-func (c *colStats) observe(key []byte) {
+// observeKey folds one non-NULL value, the key tag+w+p whose hash is h,
+// into the histogram and, if overflowed, the distinct sketch. A key is
+// in the histogram iff the dictionary holds it.
+func observeKey[P payload](c *colStats, h uint64, tag byte, w uint64, p P) {
 	c.count++
-	if n, ok := c.own[string(key)]; ok {
-		c.own[string(key)] = n + 1
-	} else if held := c.held(key); held || c.nkeys < HistCap {
-		if !held {
-			c.nkeys++
-		}
-		if c.own == nil {
-			c.own = make(layer)
-		}
-		c.own[string(key)] = 1
+	code := find(&c.keys, h, tag, w, p)
+	if code < 0 && c.keys.size() < HistCap {
+		code = add(&c.keys, h, tag, w, p)
+	}
+	if code >= 0 {
+		c.own.add(code)
 	} else {
 		if c.sketch == nil {
 			// Overflow: seed the sketch with every value seen so far,
 			// then stop admitting new histogram keys.
 			c.sketch, c.ownSketch = make([]uint64, sketchWords), true
-			c.eachKey(func(k string, _ int64) { c.mark([]byte(k)) })
-			for k := range c.own {
-				c.mark([]byte(k))
+			for k := 0; k < c.keys.size(); k++ {
+				c.mark(c.keys.hashOf(k))
 			}
 		}
 		c.other++
 	}
 	if c.sketch != nil {
-		c.mark(key)
+		c.mark(h)
 	}
 }
 
 // seal folds the Builder's layer into the histogram: it raises the
 // largest count by the touched keys' new totals, then merges the top
 // layer down while it holds at least half as many keys as the layer
-// below. The merged layers are new maps; sealed ones are never
-// written.
+// below. The merged layers are new; sealed ones are never written.
 func (c *colStats) seal() {
-	c.ownSketch = false
+	c.ownSketch, c.keys.ownIndex = false, false
 	own := c.own
-	c.own = nil
-	if len(own) == 0 {
+	c.own = ownLayer{}
+	if own.n == 0 {
 		return
 	}
-	for k, d := range own {
-		if n := c.sealed(k) + d; n > c.maxCount {
+	codes := make([]int, 0, own.n)
+	for _, s := range own.slots {
+		if s.code1 != 0 {
+			codes = append(codes, int(s.code1)-1)
+		}
+	}
+	slices.Sort(codes)
+	top := newLayer(len(codes), codes[0], codes[len(codes)-1])
+	for _, code := range codes {
+		d := own.slot(code).delta
+		top.put(code, d)
+		if n := c.sealed(code) + d; n > c.maxCount {
 			c.maxCount = n
 		}
 	}
 	layers := make([]layer, len(c.layers), len(c.layers)+1)
 	copy(layers, c.layers)
-	top := own
-	for len(layers) > 0 && 2*len(top) >= len(layers[len(layers)-1]) {
-		below := layers[len(layers)-1]
-		merged := make(layer, len(below)+len(top))
-		for k, d := range below {
-			merged[k] = d
-		}
-		for k, d := range top {
-			merged[k] += d
-		}
-		top, layers = merged, layers[:len(layers)-1]
+	for len(layers) > 0 && 2*top.keys >= layers[len(layers)-1].keys {
+		top = merge(&layers[len(layers)-1], &top)
+		layers = layers[:len(layers)-1]
 	}
 	c.layers = append(layers, top)
 }
 
-// mark sets the value's bit in the linear-counting bitmap. The hash
-// is fixed and unseeded, so a synopsis — and every estimate and plan
-// derived from it — is a pure function of the rows observed, in every
-// process and across recovery. It is FNV-1a taken a word at a time
-// (mark runs once per value on the load path, and text values run to
-// hundreds of bytes), then one multiply-xorshift round: the bit index
-// is the hash's low bits, which the FNV multiply alone leaves too
-// regular for keys that differ only in their last bytes (consecutive
-// integers overestimate by 20 %). A sketch shared with the predecessor
-// is copied before its first bit changes.
-func (c *colStats) mark(key []byte) {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for ; len(key) >= 8; key = key[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(key)) * prime
-	}
-	for _, b := range key {
-		h = (h ^ uint64(b)) * prime
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
+// mark sets the bit of the value whose hash is h in the
+// linear-counting bitmap. A sketch shared with the predecessor is
+// copied before its first bit changes.
+func (c *colStats) mark(h uint64) {
 	bit := h % (sketchWords * 64)
 	w, m := bit/64, uint64(1)<<(bit%64)
 	if c.sketch[w]&m != 0 {
@@ -220,62 +538,24 @@ func (c *colStats) mark(key []byte) {
 // distinct estimates the number of distinct non-NULL values: exact
 // while the histogram holds every value, linear counting afterwards.
 func (c *colStats) distinct() int64 {
+	nkeys := int64(c.keys.size())
 	if c.sketch == nil {
-		return c.nkeys
+		return nkeys
 	}
 	m := float64(sketchWords * 64)
 	ones := 0
 	for _, w := range c.sketch {
-		ones += popcount(w)
+		ones += bits.OnesCount64(w)
 	}
 	empty := m - float64(ones)
 	if empty < 1 {
 		empty = 1
 	}
 	est := int64(math.Round(m * math.Log(m/empty)))
-	if est < c.nkeys {
-		est = c.nkeys
+	if est < nkeys {
+		est = nkeys
 	}
 	return est
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
-}
-
-// Value key encoding: one tag byte plus a canonical payload. Ints and
-// bools share a tag so engine KBool/KInt unify the way table storage
-// does; floats that hold integral values stay distinct from ints.
-const (
-	tagInt   = 'i'
-	tagFloat = 'f'
-	tagText  = 't'
-	tagBytes = 'b'
-)
-
-func keyInt(dst []byte, v int64) []byte {
-	dst = append(dst, tagInt)
-	return binary.BigEndian.AppendUint64(dst, uint64(v))
-}
-
-func keyFloat(dst []byte, v float64) []byte {
-	dst = append(dst, tagFloat)
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func keyText(dst []byte, v string) []byte {
-	dst = append(dst, tagText)
-	return append(dst, v...)
-}
-
-func keyBytes(dst []byte, v []byte) []byte {
-	dst = append(dst, tagBytes)
-	return append(dst, v...)
 }
 
 // Table is an immutable, sealed synopsis: per-column statistics plus
@@ -378,19 +658,15 @@ func (c Col) MaxLen() int64 {
 	return c.c.lenMax
 }
 
-// eq returns the estimated number of rows equal to the encoded key.
-// exact reports whether the count came straight from the histogram.
-func (c Col) eq(key []byte) (n int64, exact bool) {
+// eq returns the estimated number of rows equal to the key tag+w+p,
+// whose hash is h. exact reports whether the count came straight from
+// the histogram.
+func eq[P payload](c Col, h uint64, tag byte, w uint64, p P) (n int64, exact bool) {
 	if c.c == nil {
 		return 0, false
 	}
-	// The deltas are summed here rather than by sealed: a string(key)
-	// conversion inside the map index does not allocate.
-	for _, l := range c.c.layers {
-		n += l[string(key)]
-	}
-	if n > 0 {
-		return n, c.c.sketch == nil
+	if code := find(&c.c.keys, h, tag, w, p); code >= 0 {
+		return c.c.sealed(code), c.c.sketch == nil
 	}
 	if c.c.sketch == nil {
 		// Histogram is complete and the value is absent.
@@ -398,7 +674,7 @@ func (c Col) eq(key []byte) (n int64, exact bool) {
 	}
 	// Value fell past the cap: spread the overflow mass uniformly over
 	// the distinct values outside the histogram.
-	outside := c.c.distinct() - c.c.nkeys
+	outside := c.c.distinct() - int64(c.c.keys.size())
 	if outside < 1 {
 		outside = 1
 	}
@@ -410,16 +686,21 @@ func (c Col) eq(key []byte) (n int64, exact bool) {
 }
 
 // EqInt estimates rows where the column equals v (ints and bools).
-func (c Col) EqInt(v int64) (int64, bool) { return c.eq(keyInt(nil, v)) }
+func (c Col) EqInt(v int64) (int64, bool) {
+	return eq(c, hashWord(tagInt, uint64(v)), tagInt, uint64(v), "")
+}
 
 // EqFloat estimates rows where the column equals v.
-func (c Col) EqFloat(v float64) (int64, bool) { return c.eq(keyFloat(nil, v)) }
+func (c Col) EqFloat(v float64) (int64, bool) {
+	w := math.Float64bits(v)
+	return eq(c, hashWord(tagFloat, w), tagFloat, w, "")
+}
 
 // EqText estimates rows where the column equals v.
-func (c Col) EqText(v string) (int64, bool) { return c.eq(keyText(nil, v)) }
+func (c Col) EqText(v string) (int64, bool) { return eq(c, hash(tagText, v), tagText, 0, v) }
 
 // EqBytes estimates rows where the column equals v.
-func (c Col) EqBytes(v []byte) (int64, bool) { return c.eq(keyBytes(nil, v)) }
+func (c Col) EqBytes(v []byte) (int64, bool) { return eq(c, hash(tagBytes, v), tagBytes, 0, v) }
 
 // IntRangeCount estimates rows with lo ≤ value ≤ hi over integer
 // observations. While the histogram is exact the count is a histogram
@@ -430,16 +711,19 @@ func (c Col) IntRangeCount(lo, hi int64) (int64, bool) {
 	}
 	if c.c.sketch == nil {
 		var n int64
-		var buf [9]byte
-		c.c.eachKey(func(v string, d int64) {
-			if len(v) == 9 && v[0] == tagInt {
-				copy(buf[:], v)
-				iv := int64(binary.BigEndian.Uint64(buf[1:]))
-				if iv >= lo && iv <= hi {
+		keys := &c.c.keys
+		for li := range c.c.layers {
+			l := &c.c.layers[li]
+			for i, d := range l.deltas {
+				code := l.code(i)
+				if d == 0 || keys.tags[code] != tagInt {
+					continue
+				}
+				if v := int64(keys.words[code]); v >= lo && v <= hi {
 					n += d
 				}
 			}
-		})
+		}
 		return n, true
 	}
 	span := float64(c.c.intMax-c.c.intMin) + 1
@@ -466,7 +750,7 @@ func (c Col) MaxFreq() int64 {
 	max := c.c.maxCount
 	// Overflow mass could hide a heavier value; be conservative.
 	if c.c.other > 0 {
-		outside := c.c.distinct() - c.c.nkeys
+		outside := c.c.distinct() - int64(c.c.keys.size())
 		if outside < 1 {
 			outside = 1
 		}
@@ -500,13 +784,12 @@ type Builder struct {
 	rows   int64
 	cols   []*colStats
 	sealed bool
-	buf    []byte
 }
 
 // Extend starts a Builder for prev's successor (prev may be nil or
-// Empty). The successor shares prev's histogram layers and sketches
-// and writes only state of its own, so readers of the predecessor
-// snapshot are never disturbed.
+// Empty). The successor shares prev's dictionaries, histogram layers
+// and sketches and writes only state of its own, so readers of the
+// predecessor snapshot are never disturbed.
 func Extend(prev *Table) *Builder {
 	b := &Builder{}
 	if prev != nil {
@@ -547,8 +830,7 @@ func (b *Builder) Int(i int, v int64) {
 		c.intMax = v
 	}
 	c.hasInt = true
-	b.buf = keyInt(b.buf[:0], v)
-	c.observe(b.buf)
+	observeKey(c, hashWord(tagInt, uint64(v)), tagInt, uint64(v), "")
 }
 
 // Float records a float value in column i.
@@ -561,8 +843,8 @@ func (b *Builder) Float(i int, v float64) {
 		c.floatMax = v
 	}
 	c.hasFloat = true
-	b.buf = keyFloat(b.buf[:0], v)
-	c.observe(b.buf)
+	w := math.Float64bits(v)
+	observeKey(c, hashWord(tagFloat, w), tagFloat, w, "")
 }
 
 // Text records a text value in column i.
@@ -572,8 +854,7 @@ func (b *Builder) Text(i int, v string) {
 	if int64(len(v)) > c.lenMax {
 		c.lenMax = int64(len(v))
 	}
-	b.buf = keyText(b.buf[:0], v)
-	c.observe(b.buf)
+	observeKey(c, hash(tagText, v), tagText, 0, v)
 }
 
 // Bytes records a bytes value in column i.
@@ -583,8 +864,7 @@ func (b *Builder) Bytes(i int, v []byte) {
 	if int64(len(v)) > c.lenMax {
 		c.lenMax = int64(len(v))
 	}
-	b.buf = keyBytes(b.buf[:0], v)
-	c.observe(b.buf)
+	observeKey(c, hash(tagBytes, v), tagBytes, 0, v)
 }
 
 // Seal freezes the Builder into an immutable Table. The Builder must
@@ -614,7 +894,7 @@ func Equal(a, b *Table) bool {
 			ca.hasFloat != cb.hasFloat ||
 			(ca.hasFloat && (ca.floatMin != cb.floatMin || ca.floatMax != cb.floatMax)) ||
 			ca.lenSum != cb.lenSum || ca.lenMax != cb.lenMax ||
-			ca.other != cb.other || ca.nkeys != cb.nkeys ||
+			ca.other != cb.other || ca.keys.size() != cb.keys.size() ||
 			(ca.sketch == nil) != (cb.sketch == nil) {
 			return false
 		}
@@ -624,13 +904,19 @@ func Equal(a, b *Table) bool {
 			}
 		}
 		// As many keys, and each of a's counted alike in b: the
-		// histograms hold the same counts, however they are layered.
-		same := true
-		ca.eachKey(func(k string, _ int64) {
-			same = same && ca.sealed(k) == cb.sealed(k)
-		})
-		if !same {
-			return false
+		// histograms hold the same counts, however they are coded and
+		// layered.
+		for code := 0; code < ca.keys.size(); code++ {
+			tag, w, p := ca.keys.tags[code], uint64(0), []byte(nil)
+			if isWord(tag) {
+				w = ca.keys.words[code]
+			} else {
+				p = ca.keys.payloadOf(code)
+			}
+			other := find(&cb.keys, ca.keys.hashOf(code), tag, w, p)
+			if other < 0 || ca.sealed(code) != cb.sealed(other) {
+				return false
+			}
 		}
 	}
 	return true

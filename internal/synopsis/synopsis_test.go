@@ -1,8 +1,11 @@
 package synopsis
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -248,8 +251,178 @@ func TestSketchIsAPureFunctionOfTheRows(t *testing.T) {
 	// owns is written in place.
 	c := *s1.cols[0]
 	c.sketch, c.ownSketch = append([]uint64(nil), c.sketch...), true
-	key := keyInt(nil, 123456)
-	if n := testing.AllocsPerRun(100, func() { c.mark(key) }); n != 0 {
+	h := hashWord(tagInt, 123456)
+	if n := testing.AllocsPerRun(100, func() { c.mark(h) }); n != 0 {
 		t.Errorf("mark allocates %.0f times per call, want 0", n)
+	}
+}
+
+// TestHashIsTheEncodedKeysHash: hash(tag, payload) is FNV-1a a word
+// at a time plus one multiply-xorshift round over the encoded key —
+// the tag byte, then the payload (an int's or float's 8 bytes
+// big-endian) — which the key need not be built to hash. The sketch
+// bits, and every distinct estimate past HistCap, depend on it.
+func TestHashIsTheEncodedKeysHash(t *testing.T) {
+	encoded := func(key []byte) uint64 {
+		const prime = 1099511628211
+		h := uint64(14695981039346656037)
+		for ; len(key) >= 8; key = key[8:] {
+			h = (h ^ binary.LittleEndian.Uint64(key)) * prime
+		}
+		for _, b := range key {
+			h = (h ^ uint64(b)) * prime
+		}
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		return h
+	}
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 40; n++ {
+		p := make([]byte, n)
+		rng.Read(p)
+		for _, tag := range []byte{tagText, tagBytes} {
+			key := append([]byte{tag}, p...)
+			if got, want := hash(tag, p), encoded(key); got != want {
+				t.Fatalf("hash of a %d-byte %c payload = %x, want %x", n, tag, got, want)
+			}
+			if got, want := hash(tag, string(p)), encoded(key); got != want {
+				t.Fatalf("hash of a %d-byte %c string = %x, want %x", n, tag, got, want)
+			}
+		}
+		w := rng.Uint64()
+		for _, tag := range []byte{tagInt, tagFloat} {
+			key := binary.BigEndian.AppendUint64([]byte{tag}, w)
+			if got, want := hashWord(tag, w), encoded(key); got != want {
+				t.Fatalf("hash of %c %x = %x, want %x", tag, w, got, want)
+			}
+		}
+	}
+}
+
+// TestEqAllocatesNothing: the planner prices every equality conjunct
+// through an Eq call, on a histogram hit, a miss and an overflowed
+// column alike, and none of them allocates — a long text value
+// included.
+func TestEqAllocatesNothing(t *testing.T) {
+	long := strings.Repeat("a long text value ", 20)
+	b := Extend(nil)
+	for i := 0; i < 3*HistCap; i++ {
+		b.Int(0, int64(i%100))
+		b.Text(1, fmt.Sprint(long, i%100))
+		b.Bytes(2, []byte(fmt.Sprint(i%100)))
+		b.Float(3, float64(i%100)/4)
+		b.Int(4, int64(i)) // past HistCap
+		b.Row()
+	}
+	s := b.Seal()
+	hit, miss := fmt.Sprint(long, 7), fmt.Sprint(long, 700)
+	hitB, missB := []byte("7"), []byte("700")
+	for name, eq := range map[string]func(){
+		"EqInt":          func() { s.Col(0).EqInt(7); s.Col(0).EqInt(700) },
+		"EqText":         func() { s.Col(1).EqText(hit); s.Col(1).EqText(miss) },
+		"EqBytes":        func() { s.Col(2).EqBytes(hitB); s.Col(2).EqBytes(missB) },
+		"EqFloat":        func() { s.Col(3).EqFloat(1.75); s.Col(3).EqFloat(700) },
+		"EqInt overflow": func() { s.Col(4).EqInt(7); s.Col(4).EqInt(3 * HistCap) },
+	} {
+		if n := testing.AllocsPerRun(100, eq); n != 0 {
+			t.Errorf("%s allocates %.0f times per call pair, want 0", name, n)
+		}
+	}
+	if n, exact := s.Col(1).EqText(hit); n != 3*HistCap/100+1 || !exact {
+		t.Errorf("EqText(hit) = %d,%v", n, exact)
+	}
+}
+
+// TestSealedFootprint: a sealed synopsis stores each histogram key
+// once, in arrays without pointers. Columns of HistCap distinct int,
+// text and bytes values, sealed over a run of commits so that the
+// counts are layered, hold under footprintPerKey bytes of live heap a
+// key, the key bytes included: less than a map slot and a key
+// allocation a key cost. The heap is read before and after building
+// several such synopses, so that the few KB other objects make or free
+// in between do not count.
+func TestSealedFootprint(t *testing.T) {
+	const copies, commits, footprintPerKey = 16, 24, 40
+	texts := make([]string, HistCap)
+	deweys := make([][]byte, HistCap)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("item%06d", i)
+		deweys[i] = []byte{1, 2, byte(i >> 8), byte(i), 3, 4, byte(i % 7), 5}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	syns := make([]*Table, copies)
+	for k := range syns {
+		s := Empty()
+		for c, i := 0, 0; c < commits; c++ {
+			b := Extend(s)
+			for ; i < (c+1)*HistCap/commits; i++ {
+				b.Int(0, int64(i)*7919)
+				b.Text(1, texts[i])
+				b.Bytes(2, deweys[i])
+				b.Row()
+			}
+			s = b.Seal()
+		}
+		syns[k] = s
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(texts) // live on both sides of the difference
+	runtime.KeepAlive(deweys)
+	for c := 0; c < 3; c++ {
+		if col := syns[0].Col(c); col.Distinct() != HistCap || !col.Exact() {
+			t.Fatalf("column %d: %d distinct, exact=%v; want %d exact", c, col.Distinct(), col.Exact(), HistCap)
+		}
+	}
+	perKey := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (copies * 3 * HistCap)
+	t.Logf("sealed synopsis: %.1f B of live heap a histogram key", perKey)
+	if perKey > footprintPerKey {
+		t.Errorf("sealed synopsis holds %.1f B a histogram key, bound %d", perKey, footprintPerKey)
+	}
+}
+
+// BenchmarkObserve times one observed value of an int, a text and a
+// bytes column, drawn from a domain below HistCap (every value a
+// histogram key) and one past it (most values counted only by the
+// sketch). A commit of 256 values is sealed and extended at a time, so
+// the seals' merges are included.
+func BenchmarkObserve(b *testing.B) {
+	for _, kind := range []string{"int", "text", "bytes"} {
+		for _, domain := range []int{HistCap / 2, 16 * HistCap} {
+			where := "below"
+			if domain > HistCap {
+				where = "past"
+			}
+			b.Run(kind+"/"+where, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				order := rng.Perm(domain)
+				texts := make([]string, domain)
+				deweys := make([][]byte, domain)
+				for i, v := range order {
+					texts[i] = fmt.Sprintf("item%06d", v)
+					deweys[i] = []byte{1, 2, byte(v >> 8), byte(v), 3, byte(v % 7)}
+				}
+				bl := Extend(nil)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j := i % domain
+					switch kind {
+					case "int":
+						bl.Int(0, int64(order[j]))
+					case "text":
+						bl.Text(0, texts[j])
+					case "bytes":
+						bl.Bytes(0, deweys[j])
+					}
+					bl.Row()
+					if i%256 == 255 {
+						bl = Extend(bl.Seal())
+					}
+				}
+			})
+		}
 	}
 }
