@@ -208,14 +208,6 @@ func chargeBuild(ec *execCtx, st *OpStats, bytes int64) error {
 }
 
 func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *batchScratch, yield batchYield) error {
-	var m map[string][]int64
-	if a.ix == nil {
-		b, err := buildSide(ec, s, st, buildKey{col: a.col})
-		if err != nil {
-			return err
-		}
-		m = b.hash
-	}
 	var segs []seg
 	if a.merged {
 		segs = make([]seg, 0, len(a.res.keys.keys))
@@ -223,14 +215,8 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 	total := 0
 	for _, k := range a.res.keys.keys {
 		st.probe()
-		var r seg
-		if v := [1]Value{NewInt(k)}; a.ix != nil {
-			r = a.ix.equal(v[:])
-		} else {
-			sc.key = encodeValue(sc.key[:0], v[0])
-			ids := m[string(sc.key)]
-			r = seg{ids: ids, hi: len(ids)}
-		}
+		v := [1]Value{NewInt(k)}
+		r := a.ix.equal(v[:])
 		if a.merged {
 			if r.lo < r.hi {
 				segs, total = append(segs, r), total+r.hi-r.lo
@@ -245,20 +231,14 @@ func (a *keyProbe) enumerate(ec *execCtx, e env, s *joinStep, st *OpStats, sc *b
 }
 
 // yieldMerged streams the union of ascending, pairwise disjoint
-// stretches of runs in ascending order: a binary heap of the stretches
-// ordered by their heads, the least head moved to the batch buffer each
-// turn.
+// stretches of runs in ascending order (merge).
 func yieldMerged(segs []seg, buf []int64, yield batchYield) error {
-	for i := len(segs)/2 - 1; i >= 0; i-- {
-		siftDown(segs, i)
-	}
-	for len(segs) > 0 {
-		buf = append(buf, segs[0].at(segs[0].lo))
-		if segs[0].lo++; segs[0].lo == segs[0].hi {
-			segs[0] = segs[len(segs)-1]
-			segs = segs[:len(segs)-1]
+	for m := newMerge(segs); ; {
+		id, ok := m.next()
+		if !ok {
+			break
 		}
-		siftDown(segs, 0)
+		buf = append(buf, id)
 		if len(buf) == cap(buf) {
 			cont, err := yield(buf)
 			if err != nil || !cont {
@@ -268,6 +248,37 @@ func yieldMerged(segs []seg, buf []int64, yield batchYield) error {
 		}
 	}
 	return flushTail(buf, yield)
+}
+
+// A merge reads the union of ascending, pairwise disjoint stretches of
+// runs in ascending order: a binary heap of the stretches ordered by
+// their heads, the least head taken each turn. Merged, the posting
+// lists of a key set's keys are the rows that hold one, in row order.
+type merge []seg
+
+// newMerge heaps segs, which it takes over.
+func newMerge(segs []seg) merge {
+	for i := len(segs)/2 - 1; i >= 0; i-- {
+		siftDown(segs, i)
+	}
+	return segs
+}
+
+// next returns the least row id not yet read, or false when none is
+// left.
+func (m *merge) next() (int64, bool) {
+	s := *m
+	if len(s) == 0 {
+		return 0, false
+	}
+	id := s[0].at(s[0].lo)
+	if s[0].lo++; s[0].lo == s[0].hi {
+		s[0] = s[len(s)-1]
+		s = s[:len(s)-1]
+	}
+	siftDown(s, 0)
+	*m = s
+	return id, true
 }
 
 // siftDown restores the heap order of segs below position i.
@@ -332,11 +343,8 @@ func (a *hashEq) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
 }
 
 func (a *keyProbe) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {
-	as := AccessShape{Kind: "key-probe", Col: t.Cols[a.col].Name, Resolved: a.res.index, Merged: a.merged}
-	if a.ix != nil {
-		as.Index, as.IndexCols = a.ix.Name, indexColNames(t, a.ix)
-	}
-	return as, nil
+	return AccessShape{Kind: "key-probe", Index: a.ix.Name, IndexCols: indexColNames(t, a.ix),
+		Col: t.Cols[a.col].Name, Resolved: a.res.index, Merged: a.merged}, nil
 }
 
 func (a *fatHash) shape(sb *shapeBuilder, t *Table) (AccessShape, error) {

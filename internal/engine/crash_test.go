@@ -695,13 +695,18 @@ func TestCreateIndexRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable("T", Column{"id", TInt}, Column{"dewey_pos", TBytes}, Column{"label", TText})
+	tb, err := db.CreateTable("T", Column{"id", TInt}, Column{"dewey_pos", TBytes}, Column{"label", TText}, Column{"path_id", TInt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// label's keys neither ascend in row order nor are distinct, so the
-	// index on it is built from sorted keys, live and in recovery.
+	// index on it is built from sorted keys, live and in recovery. So
+	// are path_id's, as a shredded relation's whose rows hold several
+	// paths: its index's run is the relation's posting lists, counted
+	// into place over the rows the index is created on and merged with
+	// each later commit's.
 	label := func(id int64) Value { return NewText(fmt.Sprintf("k%d", id*7%11)) }
+	pathID := func(id int64) Value { return NewInt(1 + id*5%3) }
 	// A two-level sibling-heavy shape with ordinals around the
 	// component byte boundaries (0x7F/0x80, 0xFF/0x100), the
 	// adversarial cases for comparator order (Section 4.2: encoded
@@ -710,10 +715,10 @@ func TestCreateIndexRecovery(t *testing.T) {
 	var rows [][]Value
 	id := int64(0)
 	for _, a := range []int{1, 2, 127, 128, 255, 256} {
-		rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a)), label(id)})
+		rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a)), label(id), pathID(id)})
 		id++
 		for _, b := range []int{1, 127, 128, 300} {
-			rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a, b)), label(id)})
+			rows = append(rows, []Value{NewInt(id), NewBytes(dewey.New(1, a, b)), label(id), pathID(id)})
 			id++
 		}
 	}
@@ -728,11 +733,14 @@ func TestCreateIndexRecovery(t *testing.T) {
 	if _, err := tb.CreateIndex("T_label", "label"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tb.CreateIndex("T_pid", "path_id"); err != nil {
+		t.Fatal(err)
+	}
 	// More rows after the index: replay must route them through the
 	// recovered index too.
 	var late [][]Value
 	for _, a := range []int{1, 255} {
-		late = append(late, []Value{NewInt(id), NewBytes(dewey.New(1, a, 500)), label(id)})
+		late = append(late, []Value{NewInt(id), NewBytes(dewey.New(1, a, 500)), label(id), pathID(id)})
 		id++
 	}
 	if _, err := tb.InsertBatch(late); err != nil {
@@ -789,6 +797,9 @@ func TestCreateIndexRecovery(t *testing.T) {
 	}
 	if ix.len() != len(rows)+len(late) || ix.keys != len(rows)+len(late) {
 		t.Fatalf("recovered index holds %d entries over %d keys, want %d of each", ix.len(), ix.keys, len(rows)+len(late))
+	}
+	if pid := rt.FindIndex(rt.ColIndex("path_id")); pid == nil || pid.ids == nil || pid.keys != 3 {
+		t.Fatalf("recovered T_pid %+v: want an explicit run over 3 paths", pid)
 	}
 	for i, q := range queries {
 		got, err := runSQL(re, q)

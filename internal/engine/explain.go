@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -234,7 +233,7 @@ func (sh *SelectShape) accessText(a AccessShape) string {
 	case "index-eq":
 		return "index lookup " + a.Index
 	case "key-probe":
-		return "key-set probes " + cmp.Or(a.Index, "hash") + " " + sh.keySet(a.Resolved)
+		return "key-set probes " + a.Index + " " + sh.keySet(a.Resolved)
 	case "hash-eq":
 		text = "hash join"
 	case "fat-hash":

@@ -155,3 +155,43 @@ func MemoLoads(db *DB) map[string]MemoLoad {
 	}
 	return out
 }
+
+// ScopedRuns returns a call that makes, once each, the scoped runs the
+// memos of db's current states hold, and how many there are. mode
+// "merge" builds each again from its key set's posting lists, on a copy
+// of its state with empty memos, as a statement would if the memo kept
+// no runs; "walk" does so on a copy without the index on the key set's
+// column, testing every row of the index's run; any other finds each in
+// the memo.
+func ScopedRuns(db *DB, mode string) (func() error, int) {
+	type entry struct {
+		st *tableState
+		k  buildKey
+	}
+	var runs []entry
+	snap := db.loadSnap()
+	for _, st := range snap.states {
+		for k := range st.builds.entries() {
+			if k.run != nil {
+				runs = append(runs, entry{st, k})
+			}
+		}
+	}
+	ac := newAccountant(0, 0)
+	return func() error {
+		for _, r := range runs {
+			st := r.st
+			switch mode {
+			case "merge":
+				st = newTableState()
+				st.n, st.cols, st.syn, st.indexes = r.st.n, r.st.cols, r.st.syn, r.st.indexes
+			case "walk":
+				st = withoutIndexOn(r.st, r.k.in.col)
+			}
+			if _, _, _, err := st.build(r.k, ac); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, len(runs)
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 )
@@ -40,47 +41,120 @@ func newIndex(name string, cols []int, st *tableState) *Index {
 // extend returns the index of st, whose rows are ix's followed by the
 // rows a commit appends. The run stays the rows themselves while the
 // appended keys ascend from the last key; otherwise the appended ids,
-// sorted stably by key, are merged into a copy of the run, each after
-// the ids of its key already there.
+// sorted by key, are merged into a copy of the run, each after the ids
+// of its key already there. An index over one INT column — a shredded
+// relation's path_id posting lists, its parent ids — sorts (key, row
+// id) pairs (sortInt); any other sorts row ids through the columns.
 func (ix *Index) extend(st *tableState) *Index {
 	next := &Index{Name: ix.Name, Cols: ix.Cols, key: st.keyCols(ix.Cols), n: st.n, ids: ix.ids, keys: ix.keys}
-	base := ix.n
-	ordered := ix.ids == nil
-	for id := int64(base); id < int64(st.n) && ordered; id++ {
-		c := 1
-		if id > 0 {
-			c = next.compareIDs(id, id-1)
-		}
-		if ordered = c >= 0; c > 0 {
-			next.keys++
-		}
-	}
-	if ordered {
+	if next.ascendsFrom(ix) {
 		return next
 	}
-
 	next.keys = ix.keys
-	order := make([]int64, st.n-base)
+	if len(next.key) == 1 && next.key[0].typ == TInt {
+		next.merge(ix, sortInt(next.key[0], ix.n, st.n))
+	} else {
+		next.merge(ix, next.sortIDs(ix.n))
+	}
+	return next
+}
+
+// ascendsFrom reports whether the run is still the rows themselves:
+// ix's run is, and the rows appended past it keep key order. It counts
+// the keys they add as it goes.
+func (ix *Index) ascendsFrom(prev *Index) bool {
+	if prev.ids != nil {
+		return false
+	}
+	for id := int64(prev.n); id < int64(ix.n); id++ {
+		c := 1
+		if id > 0 {
+			c = ix.compareIDs(id, id-1)
+		}
+		if c < 0 {
+			return false
+		}
+		if c > 0 {
+			ix.keys++
+		}
+	}
+	return true
+}
+
+// sortIDs returns the row ids from base on, sorted stably by key.
+func (ix *Index) sortIDs(base int) []int64 {
+	order := make([]int64, ix.n-base)
 	for j := range order {
 		order[j] = int64(base + j)
 	}
-	slices.SortStableFunc(order, next.compareIDs)
-	next.ids = make([]int64, 0, st.n)
+	slices.SortStableFunc(order, ix.compareIDs)
+	return order
+}
+
+// sortInt returns the row ids base to n-1 of an INT column sorted by
+// key, the NULLs first, equal keys by row id. Keys that span at most
+// twice as many values as there are rows — a relation's path ids, its
+// parents' ids — are counted into place; others are sorted as typed
+// (key, row id) pairs.
+func sortInt(c *column, base, n int) []int64 {
+	order := make([]int64, 0, n-base)
+	type pair struct{ k, id int64 }
+	pairs := make([]pair, 0, n-base)
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for id := int64(base); id < int64(n); id++ {
+		k, ok := c.int(id)
+		if !ok {
+			order = append(order, id) // NULL keys order first
+			continue
+		}
+		pairs = append(pairs, pair{k, id})
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if span := uint64(hi - lo); len(pairs) > 0 && span < 2*uint64(len(pairs)) {
+		at := make([]int, span+2)
+		for _, p := range pairs {
+			at[p.k-lo+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		nulls := len(order)
+		order = order[:nulls+len(pairs)]
+		for _, p := range pairs {
+			order[nulls+at[p.k-lo]] = p.id
+			at[p.k-lo]++
+		}
+		return order
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.id, b.id)) })
+	for _, p := range pairs {
+		order = append(order, p.id)
+	}
+	return order
+}
+
+// merge sets the run to prev's merged with order, the row ids prev
+// does not hold sorted by key, and counts the keys they add.
+func (ix *Index) merge(prev *Index, order []int64) {
+	ix.ids = make([]int64, 0, ix.n)
 	pos := 0
 	var k []Value
 	for j, id := range order {
-		k = next.keyOf(k[:0], id)
-		lo := ix.near(pos, k, false)
-		hi := ix.near(lo, k, true)
-		next.ids = ix.run(pos, hi).appendTo(next.ids)
-		next.ids = append(next.ids, id)
-		if lo == hi && (j == 0 || next.compareIDs(order[j-1], id) != 0) {
-			next.keys++
+		if j > 0 && ix.compareIDs(order[j-1], id) == 0 {
+			ix.ids = append(ix.ids, id)
+			continue
+		}
+		k = ix.keyOf(k[:0], id)
+		lo := prev.near(pos, k, false)
+		hi := prev.near(lo, k, true)
+		ix.ids = prev.run(pos, hi).appendTo(ix.ids)
+		ix.ids = append(ix.ids, id)
+		if lo == hi {
+			ix.keys++
 		}
 		pos = hi
 	}
-	next.ids = ix.run(pos, ix.len()).appendTo(next.ids)
-	return next
+	ix.ids = prev.run(pos, prev.len()).appendTo(ix.ids)
 }
 
 // len returns the length of the run.
@@ -134,8 +208,16 @@ func (ix *Index) near(from int, k []Value, after bool) int {
 	return lo
 }
 
-// equal returns the stretch of the run whose key begins with k.
+// equal returns the stretch of the run whose key begins with k. Over
+// one key — the path_id index of a relation whose rows all hold one
+// path — it is the whole run or nothing, and one comparison decides.
 func (ix *Index) equal(k []Value) seg {
+	if ix.keys == 1 {
+		if ix.below(0, k, false) || !ix.below(0, k, true) {
+			return seg{}
+		}
+		return ix.run(0, ix.len())
+	}
 	lo := ix.search(0, ix.len(), k, false)
 	return ix.run(lo, ix.near(lo, k, true))
 }

@@ -22,6 +22,14 @@ func FuzzIndexRun(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(40), uint8(7), uint8(3))
 	f.Add(int64(2), uint8(1), uint8(63), uint8(2), uint8(0))
 	f.Add(int64(3), uint8(5), uint8(9), uint8(20), uint8(1))
+	// A domain wider than a commit's rows, whose INT keys are sorted as
+	// typed pairs, and a narrow one over long commits, whose keys are
+	// counted into place.
+	f.Add(int64(4), uint8(3), uint8(2), uint8(23), uint8(0))
+	f.Add(int64(5), uint8(2), uint8(60), uint8(2), uint8(1))
+	// One row: the INT index holds one key, so a lookup is the whole run
+	// or nothing (Index.equal).
+	f.Add(int64(6), uint8(0), uint8(0), uint8(0), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, commits, perCommit, domain, batch uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
@@ -61,6 +69,12 @@ func FuzzIndexRun(f *testing.F) {
 			}
 			if p, q := pre.run(0, pre.len()).appendTo(nil), post.run(0, post.len()).appendTo(nil); !slices.Equal(p, q) {
 				t.Fatalf("%s holds %v, %s %v", pre.Name, p, post.Name, q)
+			}
+			// The INT index is sorted as typed pairs or counted; the
+			// generic sort through the columns must agree with both copies.
+			gen := genericIndex(st, pre.Cols)
+			if p, q := pre.run(0, pre.len()).appendTo(nil), gen.run(0, gen.len()).appendTo(nil); !slices.Equal(p, q) || gen.keys != pre.keys {
+				t.Fatalf("%s holds %v over %d keys, the generic sort %v over %d", pre.Name, p, pre.keys, q, gen.keys)
 			}
 		}
 		for _, name := range []string{"pre_a", "post_a"} {
@@ -243,8 +257,8 @@ func rangeOracle(col int, lo, hi *Value, loStrict, hiStrict bool) func([]Value) 
 	}
 }
 
-// keyProbes draws a key set of column a and its probes: over ix and
-// over the transient hash, merged and not.
+// keyProbes draws a key set of column a and its probes over ix, merged
+// and not.
 func keyProbes(g *rowGen, st *tableState, ix *Index) (*keySet, []*keyProbe) {
 	ks := &keySet{has: map[int64]struct{}{}}
 	for i := g.rng.Intn(5); i >= 0; i-- {
@@ -259,7 +273,7 @@ func keyProbes(g *rowGen, st *tableState, ix *Index) (*keySet, []*keyProbe) {
 	res := &resolution{keys: ks}
 	var out []*keyProbe
 	for _, merged := range []bool{false, true} {
-		out = append(out, &keyProbe{col: 0, ix: ix, res: res, merged: merged}, &keyProbe{col: 0, res: res, merged: merged})
+		out = append(out, &keyProbe{col: 0, ix: ix, res: res, merged: merged})
 	}
 	return ks, out
 }
@@ -332,19 +346,49 @@ func checkBytesPaths(t *testing.T, g *rowGen, st *tableState, ix *Index, n int) 
 		}
 		x = NewBytes(append(slices.Clone(x.B), g.bytes()...))
 		ks, probes := keyProbes(g, st, nil)
-		for _, restrict := range []*keyProbe{nil, probes[0]} {
-			admits := func(row []Value) bool {
-				_, ok := ks.has[row[0].I]
-				return row[1].Kind == KBytes && (restrict == nil || row[0].Kind == KInt && ok)
-			}
-			want := filterInKeyOrder(rows, ix, func(row []Value) bool { return admits(row) && bytes.HasPrefix(x.B, row[1].B) })
-			requireIDs(t, ix.Name+" prefixes of "+x.String(), enumerateAll(t, st, &indexPrefixes{ix: ix, x: &clit{x}, restrict: restrict}, n), want)
+		// A scoped run reads the posting lists of the key set's keys where
+		// a single-column index is on a and its own run is the rows; a
+		// state without the index on a tests every row of the run.
+		for _, s := range []*tableState{st, withoutIndexOn(st, 0)} {
+			for _, restrict := range []*keyProbe{nil, probes[0]} {
+				admits := func(row []Value) bool {
+					_, ok := ks.has[row[0].I]
+					return row[1].Kind == KBytes && (restrict == nil || row[0].Kind == KInt && ok)
+				}
+				want := filterInKeyOrder(rows, ix, func(row []Value) bool { return admits(row) && bytes.HasPrefix(x.B, row[1].B) })
+				requireIDs(t, ix.Name+" prefixes of "+x.String(), enumerateAll(t, s, &indexPrefixes{ix: ix, x: &clit{x}, restrict: restrict}, n), want)
 
-			top := NewBytes(append(slices.Clone(x.B), 0xFF))
-			want = filterInKeyOrder(rows, ix, func(row []Value) bool { return admits(row) && rangeOracle(1, &x, &top, false, false)(row) })
-			requireIDs(t, ix.Name+" window under "+x.String(), enumerateAll(t, st, &indexRange{ix: ix, lo: &clit{x}, hi: &clit{top}, prefix: true, restrict: restrict}, n), want)
+				top := NewBytes(append(slices.Clone(x.B), 0xFF))
+				want = filterInKeyOrder(rows, ix, func(row []Value) bool { return admits(row) && rangeOracle(1, &x, &top, false, false)(row) })
+				requireIDs(t, ix.Name+" window under "+x.String(), enumerateAll(t, s, &indexRange{ix: ix, lo: &clit{x}, hi: &clit{top}, prefix: true, restrict: restrict}, n), want)
+			}
 		}
 	}
+}
+
+// withoutIndexOn returns a state of st's rows without the indexes that
+// lead with column col, and with empty memos.
+func withoutIndexOn(st *tableState, col int) *tableState {
+	out := newTableState()
+	out.n, out.cols, out.syn, out.ascending = st.n, st.cols, st.syn, st.ascending
+	for _, ix := range st.indexes {
+		if ix.Cols[0] != col {
+			out.indexes = append(out.indexes, ix)
+		}
+	}
+	return out
+}
+
+// genericIndex indexes st's rows at cols as extend does an index that
+// is not over one INT column: the row ids sorted through the columns.
+func genericIndex(st *tableState, cols []int) *Index {
+	none := &Index{Cols: cols}
+	ix := &Index{Cols: cols, key: st.keyCols(cols), n: st.n}
+	if !ix.ascendsFrom(none) {
+		ix.keys = 0
+		ix.merge(none, ix.sortIDs(0))
+	}
+	return ix
 }
 
 // stateRows materialises the rows of st, as Table.Rows does.

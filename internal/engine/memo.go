@@ -55,3 +55,14 @@ func (c *memo[K, V]) len() int {
 	defer c.mu.RUnlock()
 	return len(c.m)
 }
+
+// entries returns a copy of the memo's entries.
+func (c *memo[K, V]) entries() map[K]V {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make(map[K]V, len(c.m))
+	for k, v := range c.m {
+		out[k] = v
+	}
+	return out
+}

@@ -14,17 +14,6 @@ func (c *memo[K, V]) reset() {
 	c.mu.Unlock()
 }
 
-// entries returns a copy of the memo's entries.
-func (c *memo[K, V]) entries() map[K]V {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[K]V, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
 // TestMemoPolicy pins the one policy every engine memo follows: the
 // first value published under a key is the one every later put
 // returns, and at cap entries the whole map is dropped before the next

@@ -60,6 +60,7 @@ func bigDB(t testing.TB) *DB {
 		{"item_pk", []string{"id"}},
 		{"item_par", []string{"par"}},
 		{"item_dp", []string{"dewey_pos", "path_id"}},
+		{"item_pid", []string{"path_id"}},
 	} {
 		if _, err := item.CreateIndex(ix.n, ix.cols...); err != nil {
 			t.Fatal(err)
@@ -160,7 +161,7 @@ func bigDB(t testing.TB) *DB {
 // correlated EXISTS, UNION, dynamic patterns, both sort paths
 // (memcomparable keys, and the generic fallback via the float
 // column), plan-time resolution: key-set probes driving through
-// the transient hash and through an index, a pair set, and a
+// an index's posting lists, a pair set, and a
 // dimension a projection keeps — and the implied properties: selects
 // lowered without distinct, without sort, with first match, over a
 // merged key probe, and a UNION that merges its branches — and the
@@ -334,8 +335,8 @@ func TestParallelQueriesCoverImplied(t *testing.T) {
 	for i, want := range [][]string{
 		{"scan i: full scan, rows in id order", "project: i.id, i.text (distinct by i.id)\n"},
 		{"scan i: full scan, rows in id order", "scan j: index lookup item_par", "project: i.id (distinct by i.id, first match)\n"},
-		{"scan i: key-set probes hash <3 keys of p>, rows in id order", "project: i.id, i.path_id (distinct by i.id)\n"},
-		{"  scan i: full scan, rows in id order", "  scan i: key-set probes hash <3 keys of p>, rows in id order", "union distinct\n"},
+		{"scan i: key-set probes item_pid <3 keys of p>, rows in id order", "project: i.id, i.path_id (distinct by i.id)\n"},
+		{"  scan i: full scan, rows in id order", "  scan i: key-set probes item_pid <3 keys of p>, rows in id order", "union distinct\n"},
 	} {
 		q := impliedQueries[i]
 		st, err := sqlast.Parse(q)
@@ -377,7 +378,7 @@ var resolutionQueries = [4]string{
 func TestParallelQueriesCoverResolution(t *testing.T) {
 	db := bigDB(t)
 	for i, want := range [][]string{
-		{"scan i: key-set probes hash <3 keys of p>", "filter i: i.path_id IN <3 keys of p>"},
+		{"scan i: key-set probes item_pid <3 keys of p>", "filter i: i.path_id IN <3 keys of p>"},
 		{"scan i: key-set probes item_par <5 keys of p>"},
 		{"(i.path_id, j.path_id) IN <", "key pairs of p, q>"},
 		{"scan p: ", "i.path_id IN <3 keys of p>", "project: i.id, p.path"},

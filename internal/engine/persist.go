@@ -607,10 +607,3 @@ func (d *recDecoder) done() error {
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -185,14 +185,15 @@ func (a *indexPrefixes) est(p *planner, st *tableState) int {
 	return minInt(st.n, defaultDeweyFanout)
 }
 
-// keyProbe enumerates the rows whose column holds a key of a
-// plan-time key set (resolve.go): one probe per key, in ascending key
-// order, of a single-column index on the column or, without one, of
-// the transient hash index — the hash join with the join's other side
-// already evaluated.
+// keyProbe is a key test (resolve.go): the rows whose column holds a
+// key of a plan-time key set. Where a single-column index is on the
+// column it is also an access path, which enumerates the rows by one
+// probe per key, in ascending key order, of the index: the posting
+// lists of the keys. Without one it offers no access and the test
+// stays a filter.
 type keyProbe struct {
 	col  int
-	ix   *Index // nil: probe the transient hash on col
+	ix   *Index // nil: no index on col, no access
 	res  *resolution
 	rows float64 // the fact rows holding a key, by the column's histogram
 	// merged makes the probe yield row ids ascending — the keys' posting
@@ -202,7 +203,7 @@ type keyProbe struct {
 }
 
 // rank ties with a full scan so that a key set covering every row
-// loses to one: the scan needs no hash and keeps row order.
+// loses to one: the scan probes no index and keeps row order.
 func (a *keyProbe) rank() int                          { return 8 }
 func (a *keyProbe) est(p *planner, st *tableState) int { return int(a.rows) }
 
@@ -741,7 +742,7 @@ func (p *planner) bestAccess(name string, t *Table, conjuncts []*conjunct, bound
 		}
 		connected = true
 		if c.set != nil {
-			if c.set.probe != nil {
+			if c.set.probe != nil && c.set.probe.ix != nil {
 				consider(c.set.probe, c)
 			}
 			continue

@@ -86,8 +86,7 @@ type AccessShape struct {
 	LoStrict bool
 	HiStrict bool
 	// Resolved is, for "key-probe", the index in SelectShape.Resolved of
-	// the key set whose keys are probed on Col (through Index when set,
-	// else through the transient hash).
+	// the key set whose keys are probed on Col, through Index.
 	Resolved int
 	// Merged reports, for "key-probe", that the keys' posting lists are
 	// merged into ascending row-id order instead of concatenated.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,18 +45,51 @@ type pairSet struct {
 }
 
 // resolveKey addresses one set in a dimension state's resolved memo: the
-// key column and conjunct texts, and for a pair set the state of the
-// second dimension (nil for a key set).
+// key column and conjunct texts, and for a pair set the second
+// dimension's table and the number of its rows the set was resolved
+// over (nil and 0 for a key set). It names no state: a set carried to
+// a successor state (tableState.carried) keeps none reachable.
 type resolveKey struct {
-	text  string
-	other *tableState
+	text   string
+	other  *Table
+	otherN int
 }
 
-// resolvedSet is one entry of a state's resolved memo; exactly one
-// field is set.
+// resolvedSet is one entry of a state's resolved memo; exactly one of
+// keys and pairs is set. n is the number of the dimension's rows the
+// set was resolved over, and for a pair set nb that of the second
+// dimension's. A table only grows and its rows never change, so the
+// set is exact for every state of the tables that holds as many rows,
+// and a later state extends it over the rows appended since.
 type resolvedSet struct {
 	keys  *keySet
 	pairs *pairSet
+	n, nb int
+}
+
+// carry returns the resolved sets a successor of st starts from: st's
+// resolved entries, then those st carried, at most maxResolveMemo of
+// them. A pair set is carried under its key less otherN, which the
+// successor's statements may see grown.
+func (st *tableState) carry() map[resolveKey]resolvedSet {
+	own := st.resolved.entries()
+	if len(own) == 0 {
+		return st.carried
+	}
+	out := make(map[resolveKey]resolvedSet, maxResolveMemo)
+	for k, rs := range own {
+		k.otherN = 0
+		out[k] = rs
+	}
+	for k, rs := range st.carried {
+		if len(out) >= maxResolveMemo {
+			break
+		}
+		if _, ok := out[k]; !ok {
+			out[k] = rs
+		}
+	}
+	return out
 }
 
 // resolution is one FROM alias P (the dimension) reached by exactly
@@ -115,10 +150,10 @@ type setTest struct {
 }
 
 // keyTest builds the key test of a resolution against the pinned state
-// of its fact table: the probe access — through a single-column index
-// on the fact column, else the transient hash — carrying the fact rows
-// that pass the test, the sum of the fact column's histogram counts
-// over the keys. Summed once per select; exact while the histogram is.
+// of its fact table: the probe access through a single-column index on
+// the fact column (none without one), carrying the fact rows that pass
+// the test, the sum of the fact column's histogram counts over the
+// keys. Summed once per select; exact while the histogram is.
 func keyTest(r *resolution, factSt *tableState) *setTest {
 	col := factSt.syn.Col(r.factCol)
 	var n int64
@@ -211,6 +246,14 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 		ix := st.findIndex(j.col)
 		if ix == nil || len(ix.Cols) != 1 || !ix.unique() {
 			continue
+		}
+		// Nor is the smaller of two aliases joined key to key: a
+		// relation whose few rows each hold another path_id joins its
+		// paths alias so, and the dimension is the paths alias.
+		if ost := p.snap.stateOf(j.otherT); ost.n > st.n {
+			if oix := ost.findIndex(j.otherCol); oix != nil && len(oix.Cols) == 1 && oix.unique() {
+				continue
+			}
 		}
 		r := &resolution{alias: name, table: t, st: st, keyCol: j.col,
 			fact: j.other, factT: j.otherT, factCol: j.otherCol, join: j.c,
@@ -372,11 +415,13 @@ func (r *resolution) memoText() string {
 	return b.String()
 }
 
-// resolveKeys returns the dimension's key set, from its state's memo
-// or by running its own conjuncts over the pinned cells. A conjunct
-// that fails to compile or to evaluate on any row abandons the
-// resolution (nil): the statement then plans as written and reports
-// the error, if it is one, from wherever it would have.
+// resolveKeys returns the dimension's key set, from its state's memo,
+// by extending the set a predecessor state resolved (carried) over the
+// rows appended since, or by running its own conjuncts over every
+// pinned row. A conjunct that fails to compile or to evaluate on any
+// row abandons the resolution (nil): the statement then plans as
+// written and reports the error, if it is one, from wherever it would
+// have.
 func (p *planner) resolveKeys(r *resolution) *keySet {
 	r.ownCE = make([]cexpr, len(r.own))
 	for i, c := range r.own {
@@ -391,12 +436,12 @@ func (p *planner) resolveKeys(r *resolution) *keySet {
 	if rs, ok := r.st.resolved.get(k); ok {
 		return rs.keys
 	}
+	prev := r.st.carried[k]
 	ec := &execCtx{db: p.db}
 	e := make(env, p.slots)
-	type keyRow struct{ key, row int64 }
 	var hits []keyRow
 rows:
-	for id := int64(0); id < int64(r.st.n); id++ {
+	for id := int64(prev.n); id < int64(r.st.n); id++ {
 		key, ok := r.keyRef.col.int(id)
 		if !ok {
 			continue // NULL keys equal nothing
@@ -413,19 +458,46 @@ rows:
 		}
 		hits = append(hits, keyRow{key: key, row: id})
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
-	ks := &keySet{keys: make([]int64, len(hits)), rows: make([]int64, len(hits)), has: make(map[int64]struct{}, len(hits))}
-	for i, h := range hits {
-		ks.keys[i], ks.rows[i] = h.key, h.row
-		ks.has[h.key] = struct{}{}
+	ks := prev.keys.with(hits)
+	return r.st.resolved.put(k, resolvedSet{keys: ks, n: r.st.n}).keys
+}
+
+// keyRow is a key and the id of its row.
+type keyRow struct{ key, row int64 }
+
+// with returns the key set ks (nil: the empty one) with the keys of
+// hits, rows none of ks holds, added — ks itself when hits is empty.
+func (ks *keySet) with(hits []keyRow) *keySet {
+	if ks == nil {
+		ks = &keySet{has: map[int64]struct{}{}}
 	}
-	return r.st.resolved.put(k, resolvedSet{keys: ks}).keys
+	if len(hits) == 0 {
+		return ks
+	}
+	sort.Slice(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
+	n := len(ks.keys) + len(hits)
+	out := &keySet{keys: make([]int64, 0, n), rows: make([]int64, 0, n), has: make(map[int64]struct{}, n)}
+	i := 0
+	for _, h := range hits {
+		for ; i < len(ks.keys) && ks.keys[i] < h.key; i++ {
+			out.keys, out.rows = append(out.keys, ks.keys[i]), append(out.rows, ks.rows[i])
+		}
+		out.keys, out.rows = append(out.keys, h.key), append(out.rows, h.row)
+	}
+	out.keys, out.rows = append(out.keys, ks.keys[i:]...), append(out.rows, ks.rows[i:]...)
+	for _, k := range out.keys {
+		out.has[k] = struct{}{}
+	}
+	return out
 }
 
 // resolvePairs resolves a conjunct over two resolved dimensions to its
 // pair set — kept in the first one's resolved memo — or returns nil when
 // the product of the key sets exceeds maxResolvePairs or the conjunct
-// fails to compile or evaluate.
+// fails to compile or evaluate. A pair set a predecessor state resolved
+// (carried) is extended: only pairs with a key whose row either
+// dimension appended since are evaluated — new × old, old × new and
+// new × new.
 func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
 	if len(a.keys.keys)*len(b.keys.keys) > maxResolvePairs {
 		return nil
@@ -436,30 +508,65 @@ func (p *planner) resolvePairs(a, b *resolution, c *conjunct) *pairResolution {
 		return nil
 	}
 	pr := &pairResolution{a: a, b: b, cond: ce}
-	k := resolveKey{other: b.st, text: a.memo + "\x01" + b.memo + "\x01" + cond.String()}
+	k := resolveKey{text: a.memo + "\x01" + b.memo + "\x01" + cond.String(), other: b.table, otherN: b.st.n}
 	if rs, ok := a.st.resolved.get(k); ok {
 		pr.pairs = rs.pairs
 		return pr
 	}
+	prev := a.st.carried[resolveKey{text: k.text, other: k.other}]
+	var fresh []int // the positions in b's key set of rows b appended
+	for j, row := range b.keys.rows {
+		if row >= int64(prev.nb) {
+			fresh = append(fresh, j)
+		}
+	}
 	ec := &execCtx{db: p.db}
 	e := make(env, p.slots)
-	ps := &pairSet{has: map[[2]int64]struct{}{}}
-	for i, ka := range a.keys.keys {
-		e[a.keyRef.slot] = a.keys.rows[i]
-		for j, kb := range b.keys.keys {
-			e[b.keyRef.slot] = b.keys.rows[j]
-			v, err := ce.eval(ec, e)
-			if err != nil {
-				return nil
+	var found [][2]int64
+	try := func(i, j int) bool {
+		e[b.keyRef.slot] = b.keys.rows[j]
+		v, err := ce.eval(ec, e)
+		if err == nil && v.Truth() {
+			found = append(found, [2]int64{a.keys.keys[i], b.keys.keys[j]})
+		}
+		return err == nil
+	}
+	for i, row := range a.keys.rows {
+		e[a.keyRef.slot] = row
+		if row >= int64(prev.n) {
+			for j := range b.keys.keys {
+				if !try(i, j) {
+					return nil
+				}
 			}
-			if v.Truth() {
-				ps.pairs = append(ps.pairs, [2]int64{ka, kb})
-				ps.has[[2]int64{ka, kb}] = struct{}{}
+			continue
+		}
+		for _, j := range fresh {
+			if !try(i, j) {
+				return nil
 			}
 		}
 	}
-	pr.pairs = a.st.resolved.put(k, resolvedSet{pairs: ps}).pairs
+	ps := prev.pairs.with(found)
+	pr.pairs = a.st.resolved.put(k, resolvedSet{pairs: ps, n: a.st.n, nb: b.st.n}).pairs
 	return pr
+}
+
+// with returns the pair set ps (nil: the empty one) with the pairs of
+// found, none of which ps holds, added — ps itself when found is empty.
+func (ps *pairSet) with(found [][2]int64) *pairSet {
+	if ps == nil {
+		ps = &pairSet{has: map[[2]int64]struct{}{}}
+	}
+	if len(found) == 0 {
+		return ps
+	}
+	out := &pairSet{pairs: append(slices.Clone(ps.pairs), found...), has: make(map[[2]int64]struct{}, len(ps.pairs)+len(found))}
+	slices.SortFunc(out.pairs, func(x, y [2]int64) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+	for _, pair := range out.pairs {
+		out.has[pair] = struct{}{}
+	}
+	return out
 }
 
 // refsOnlyPair reports whether an expression reads nothing but

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,7 +48,7 @@ func dimDB(t testing.TB) *DB {
 	for _, ix := range []struct {
 		t    *Table
 		n, c string
-	}{{dim, "dim_pk", "id"}, {dim, "dim_g", "g"}, {fact, "fact_pk", "id"}} {
+	}{{dim, "dim_pk", "id"}, {dim, "dim_g", "g"}, {fact, "fact_pk", "id"}, {fact, "fact_pid", "pid"}} {
 		if _, err := ix.t.CreateIndex(ix.n, ix.c); err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +142,7 @@ func TestResolveEligibility(t *testing.T) {
 			name:  "empty key set",
 			sql:   "SELECT f.id FROM fact f, dim d WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/nowhere') ORDER BY f.id",
 			rows:  []string{},
-			plan:  []string{"scan f: key-set probes hash <0 keys of d>"},
+			plan:  []string{"scan f: key-set probes fact_pid <0 keys of d>"},
 			notIn: []string{"scan d:"},
 		},
 		{
@@ -236,7 +238,7 @@ func TestForceHeuristicDropsCachedPlans(t *testing.T) {
 	for _, heuristic := range []bool{false, true, false} {
 		ForceHeuristic(db, heuristic)
 		plan := explainOf(t, db, resolvedDimQ)
-		if resolved := strings.Contains(plan, "key-set probes hash <2 keys of d>"); resolved == heuristic {
+		if resolved := strings.Contains(plan, "key-set probes fact_pid <2 keys of d>"); resolved == heuristic {
 			t.Errorf("heuristic %v: plan resolved %v:\n%s", heuristic, resolved, plan)
 		}
 		if got := rowTexts(mustRun(t, db, resolvedDimQ)); !reflect.DeepEqual(got, []string{"2", "3", "6"}) {
@@ -533,5 +535,124 @@ func TestFilterOrderByCostClass(t *testing.T) {
 		"REGEXP_LIKE(i.text, '^1') AND EXISTS (SELECT NULL FROM item j WHERE j.par = i.id) ORDER BY i.id"
 	if other := mustRun(t, db, reordered); !equalResults(res, other) {
 		t.Errorf("WHERE order changed the result: %d vs %d rows", len(res.Rows), len(other.Rows))
+	}
+}
+
+// TestResolvedSetsExtend appends random paths to a dimension a few at a
+// time and, after every append, plans statements that resolve key sets
+// and a pair set on it. Each set the new state extends from the one its
+// predecessor resolved (tableState.carried) must equal the set a store
+// holding the same rows, committed at once, resolves from scratch. An
+// append that adds no key to any set leaves every set the predecessor's
+// own.
+func TestResolvedSetsExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	stmts := []string{
+		"SELECT f.id FROM fact f, dim d WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/a')",
+		"SELECT f.id FROM fact f, dim d WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '/b$')",
+		"SELECT f.id, h.id FROM fact f, dim d, fact h, dim e WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/a') AND " +
+			"h.pid = e.id AND REGEXP_LIKE(e.path, '^/[ab]') AND REGEXP_LIKE(SUBSTR(e.path, LENGTH(d.path) + 1), '^/[a-z]$')",
+	}
+	open := func(dims, facts [][]Value) *DB {
+		db := NewDB()
+		dim, err := db.CreateTable("dim", Column{"id", TInt}, Column{"path", TText})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fact, err := db.CreateTable("fact", Column{"id", TInt}, Column{"pid", TInt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustIndex(t, dim, "dim_pk", "id")
+		mustIndex(t, fact, "fact_pid", "pid")
+		for tb, rows := range map[*Table][][]Value{dim: dims, fact: facts} {
+			if len(rows) > 0 {
+				if _, err := tb.InsertBatch(rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return db
+	}
+	// sets plans every statement and returns its key sets and pair sets.
+	sets := func(db *DB) (keys []*keySet, pairs []*pairSet) {
+		for _, q := range stmts {
+			st, err := sqlast.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, cs, err := db.compile(nil, nil, st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range cs.sel.resolved {
+				keys = append(keys, r.keys)
+			}
+			for _, pr := range cs.sel.pairs {
+				pairs = append(pairs, pr.pairs)
+			}
+		}
+		if len(keys) != 4 || len(pairs) != 1 {
+			t.Fatalf("statements resolved %d key sets and %d pair sets, want 4 and 1", len(keys), len(pairs))
+		}
+		return keys, pairs
+	}
+	seen := map[string]bool{}
+	var dims, facts [][]Value
+	db := open(nil, nil)
+	prevKeys, prevPairs := sets(db)
+	for round := 0; round < 16; round++ {
+		// Every fourth round appends only paths under /z, which no
+		// conjunct selects.
+		quiet := round%4 == 3
+		var added [][]Value
+		for len(added) == 0 || rng.Intn(3) > 0 {
+			p, steps := "", "abcx"
+			if quiet {
+				p, steps = "/z", "cx"
+			}
+			for d := 1 + rng.Intn(4); d > 0; d-- {
+				p += "/" + string(steps[rng.Intn(len(steps))])
+			}
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			id := int64(len(dims) + len(added) + 1)
+			added = append(added, []Value{NewInt(id), NewText(p)})
+			facts = append(facts, []Value{NewInt(int64(len(facts))), NewInt(id)})
+		}
+		dims = append(dims, added...)
+		if _, err := db.Table("dim").InsertBatch(added); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Table("fact").InsertBatch(facts[len(facts)-len(added):]); err != nil {
+			t.Fatal(err)
+		}
+		if len(db.Table("dim").state().carried) == 0 {
+			t.Fatalf("round %d: the new dimension state carries no resolved set", round)
+		}
+		keys, pairs := sets(db)
+		wantKeys, wantPairs := sets(open(dims, facts))
+		for i, ks := range keys {
+			if w := wantKeys[i]; !slices.Equal(ks.keys, w.keys) || !slices.Equal(ks.rows, w.rows) || !reflect.DeepEqual(ks.has, w.has) {
+				t.Fatalf("round %d: key set %d extended to %v (rows %v), from scratch %v (rows %v)", round, i, ks.keys, ks.rows, w.keys, w.rows)
+			}
+			if quiet && ks != prevKeys[i] {
+				t.Errorf("round %d: key set %d was rebuilt although no appended path is in it", round, i)
+			}
+		}
+		for i, ps := range pairs {
+			if w := wantPairs[i]; !reflect.DeepEqual(ps.pairs, w.pairs) || !reflect.DeepEqual(ps.has, w.has) {
+				t.Fatalf("round %d: pair set %d extended to %v, from scratch %v", round, i, ps.pairs, w.pairs)
+			}
+			if quiet && ps != prevPairs[i] {
+				t.Errorf("round %d: pair set %d was rebuilt although no appended path is in it", round, i)
+			}
+		}
+		prevKeys, prevPairs = keys, pairs
+	}
+	if n := len(prevPairs[0].pairs); n == 0 {
+		t.Errorf("the pair set never held a pair: the statements mean to resolve some")
 	}
 }

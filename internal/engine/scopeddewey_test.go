@@ -69,7 +69,7 @@ func deweyDB(t testing.TB, shuffled, nulls bool) *DB {
 		t    *Table
 		n    string
 		cols []string
-	}{{dim, "dim_pk", []string{"id"}}, {fact, "fact_dp", []string{"dewey_pos", "pid"}}} {
+	}{{dim, "dim_pk", []string{"id"}}, {fact, "fact_dp", []string{"dewey_pos", "pid"}}, {fact, "fact_pid", []string{"pid"}}} {
 		if _, err := ix.t.CreateIndex(ix.n, ix.cols...); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestScopedDeweyStep(t *testing.T) {
 		{
 			name: "empty key set",
 			sql:  strings.ReplaceAll(deweyAncestorSQL, "'^/p3$'", "'^/nowhere'"),
-			plan: []string{"key-set probes hash <0 keys of dd>"},
+			plan: []string{"key-set probes fact_pid <0 keys of dd>"},
 		},
 		{
 			name:  "NULL Dewey values",
@@ -377,7 +377,7 @@ func TestExplainScopedDeweyGolden(t *testing.T) {
 	}{
 		{
 			sql: deweyAncestorSQL,
-			want: "scan d: key-set probes hash <1 keys of dd> est_rows=240\n" +
+			want: "scan d: key-set probes fact_pid <1 keys of dd> est_rows=240\n" +
 				"filter d: d.pid IN <1 keys of dd> est_rows=240\n" +
 				"scan a: index prefix lookups fact_dp over pid IN <3 keys of ad> est_rows=6.03\n" +
 				"filter a: a.pid IN <3 keys of ad> AND d.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF' est_rows=6.03\n" +
@@ -391,7 +391,7 @@ func TestExplainScopedDeweyGolden(t *testing.T) {
 		},
 		{
 			sql: deweyWindowSQL,
-			want: "scan a: key-set probes hash <1 keys of ad> est_rows=40\n" +
+			want: "scan a: key-set probes fact_pid <1 keys of ad> est_rows=40\n" +
 				"filter a: a.pid IN <1 keys of ad> est_rows=40\n" +
 				"scan d: index range scan (two-sided) fact_dp over pid IN <2 keys of dd> est_rows=6.69\n" +
 				"filter d: d.pid IN <2 keys of dd> AND d.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF' est_rows=6.69\n" +

@@ -50,7 +50,7 @@ func scopedDB(t testing.TB) *DB {
 	for _, ix := range []struct {
 		t    *Table
 		n, c string
-	}{{dim, "dim_pk", "id"}, {fact, "fact_pk", "id"}} {
+	}{{dim, "dim_pk", "id"}, {fact, "fact_pk", "id"}, {fact, "fact_pid", "pid"}} {
 		if _, err := ix.t.CreateIndex(ix.n, ix.c); err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestScopedHashJoin(t *testing.T) {
 		{
 			name:  "empty key set",
 			sql:   "SELECT q.id, f.id FROM q, fact f, dim d WHERE f.text = q.text AND f.pid = d.id AND REGEXP_LIKE(d.path, '^/nowhere') ORDER BY q.id, f.id",
-			plan:  []string{"scan f: key-set probes hash <0 keys of d>"},
+			plan:  []string{"scan f: key-set probes fact_pid <0 keys of d>"},
 			notIn: []string{"scan f: hash join"},
 			held:  -1,
 		},

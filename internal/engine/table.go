@@ -64,6 +64,12 @@ type tableState struct {
 	// template — and the steps of one statement — resolve a pattern once
 	// per state, not once per compile.
 	resolved memo[resolveKey, resolvedSet]
+	// carried holds the resolved sets of the states before this one,
+	// each over the rows its state held (resolvedSet.n): what a miss in
+	// resolved extends over the rows appended since instead of resolving
+	// over every row (resolve.go). It is set when the state is made
+	// (carry) and never written after; no entry refers to a state.
+	carried map[resolveKey]resolvedSet
 	// syn is the state's path/column synopsis: per-column counts,
 	// min/max, value histograms, and distinct sketches maintained
 	// incrementally by applyInsert. Like cells and indexes it is
@@ -431,6 +437,7 @@ func applyInsert(st *tableState, t *Table, g insertGroup) (*tableState, error) {
 	}
 	next.syn = syn.Seal()
 	next.ascending = ascendingAfter(st.ascending, next, st.n)
+	next.carried = st.carry()
 	next.indexes = make([]*Index, len(st.indexes))
 	for i, ix := range st.indexes {
 		next.indexes[i] = ix.extend(next)
@@ -578,6 +585,7 @@ func applyCreateIndex(st *tableState, name string, positions []int) *tableState 
 	next.cols = st.cols
 	next.syn = st.syn
 	next.ascending = st.ascending
+	next.carried = st.carry()
 	next.indexes = append(append([]*Index(nil), st.indexes...), newIndex(name, positions, st))
 	return next
 }
@@ -689,6 +697,29 @@ type hashScope struct {
 	keys *keySet
 }
 
+// postings returns the rows the scope admits as the merged posting
+// lists of its keys — one probe a key of a single-column index on its
+// column, yielding the rows in row order — or false where the scope
+// admits every row or no such index is on its column, and a walk tests
+// each row (admits).
+func (sc hashScope) postings(st *tableState) (merge, bool) {
+	if sc.keys == nil {
+		return nil, false
+	}
+	ix := st.findIndex(sc.col)
+	if ix == nil || len(ix.Cols) != 1 {
+		return nil, false
+	}
+	segs := make([]seg, 0, len(sc.keys.keys))
+	for _, k := range sc.keys.keys {
+		v := [1]Value{NewInt(k)}
+		if r := ix.equal(v[:]); r.lo < r.hi {
+			segs = append(segs, r)
+		}
+	}
+	return newMerge(segs), true
+}
+
 func (sc hashScope) admits(st *tableState, id int64) bool {
 	if sc.keys == nil {
 		return true
@@ -742,11 +773,15 @@ type deweyRun struct {
 // performed the build. A build happens once, under builds.flight, even
 // when morsel workers race for it. A hash walks the rows in id order,
 // so every bucket lists its row ids ascending; a scoped run walks its
-// index's run, so it is in key order. The build is charged to the statement's accountant (a hash's keys and entries, 8
-// bytes a row id) and aborts over budget without publishing; built
-// reports whether this call performed the build (so callers can
-// re-check deadlines after a long one) and charged the amount, for
-// attribution to the operator's OpStats.
+// index's run, so it is in key order. A scoped build walks only the
+// rows its scope admits, the merged posting lists of the scope's keys
+// (hashScope.postings), wherever they are in the order it walks: a
+// hash's always, a scoped run's where its index's run is the rows
+// themselves. The build is charged to the statement's accountant (a
+// hash's keys and entries, 8 bytes a row id) and aborts over budget
+// without publishing; built reports whether this call performed the
+// build (so callers can re-check deadlines after a long one) and
+// charged the amount, for attribution to the operator's OpStats.
 func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, charged int64, err error) {
 	if err := failpoint.Inject("engine/hash-build"); err != nil {
 		return build{}, false, 0, err
@@ -766,15 +801,31 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 		b.run = &deweyRun{Index: &Index{Name: k.run.Name, Cols: k.run.Cols, key: k.run.key, n: st.n, ids: []int64{}}}
 		walk = k.run.run(0, walk.hi)
 	case k.in.keys == nil:
-		b.hash = make(map[string][]int64, st.n)
+		b.hash = make(map[string][]int64, min(st.n, int(st.syn.Col(k.col).Distinct())+1))
 	default:
 		b.hash = make(map[string][]int64)
 	}
+	var m merge
+	posted := false
+	if k.run == nil || k.run.ids == nil {
+		m, posted = k.in.postings(st)
+	}
 	col := &st.cols[k.col]
-	for i := walk.lo; i < walk.hi; i++ {
-		id := walk.at(i)
+	for i, n := walk.lo, 0; ; n++ {
+		var id int64
+		if posted {
+			var more bool
+			if id, more = m.next(); !more {
+				break
+			}
+		} else {
+			if i == walk.hi {
+				break
+			}
+			id, i = walk.at(i), i+1
+		}
 		switch v := col.value(id); {
-		case !k.in.admits(st, id):
+		case !posted && !k.in.admits(st, id):
 		case k.run == nil:
 			buf = encodeValue(buf[:0], v)
 			key := string(buf)
@@ -797,7 +848,7 @@ func (st *tableState) build(k buildKey, ac *accountant) (b build, built bool, ch
 			}
 			b.run.has[len(v.B)] = true
 		}
-		if i&0x3FF == 0x3FF {
+		if n&0x3FF == 0x3FF {
 			// Abort an over-budget build mid-way rather than after
 			// materializing it whole.
 			if err := ac.wouldExceed(charged); err != nil {

@@ -317,6 +317,81 @@ func TestNonUniqueKeyEliminationRejected(t *testing.T) {
 	}
 }
 
+// TestExtendedPairSetDropRejected is the mutant of a pair set extended
+// across an append (engine resolve.go): a successor state of the
+// dimension evaluates only pairs with a key whose row is new, and an
+// extension that forgets the pairs of an old key with a new one leaves
+// a set that is exact over the old rows and short over the new. The
+// honest plan after the append is certified; the one with those pairs
+// dropped must fail the re-derivation.
+func TestExtendedPairSetDropRejected(t *testing.T) {
+	db := engine.NewDB()
+	dim, err := db.CreateTable("dim", engine.Column{Name: "id", Type: engine.TInt}, engine.Column{Name: "path", Type: engine.TText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact, err := db.CreateTable("fact", engine.Column{Name: "id", Type: engine.TInt}, engine.Column{Name: "pid", Type: engine.TInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []struct {
+		t    *engine.Table
+		n, c string
+	}{{dim, "dim_pk", "id"}, {fact, "fact_pid", "pid"}} {
+		if _, err := ix.t.CreateIndex(ix.n, ix.c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(paths ...string) {
+		for _, p := range paths {
+			id := int64(dim.Len() + 1)
+			dim.MustInsert(engine.NewInt(id), engine.NewText(p))
+			fact.MustInsert(engine.NewInt(int64(fact.Len())), engine.NewInt(id))
+		}
+	}
+	// (d, e) pairs where e is one step longer than d: the conjunct
+	// compares lengths, not prefixes.
+	st, err := sqlast.Parse("SELECT f.id, h.id FROM fact f, dim d, fact h, dim e WHERE f.pid = d.id AND REGEXP_LIKE(d.path, '^/a') AND " +
+		"h.pid = e.id AND REGEXP_LIKE(e.path, '^/a') AND REGEXP_LIKE(SUBSTR(e.path, LENGTH(d.path) + 1), '^/[a-z]$')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("/a", "/a/b")
+	if _, err := db.PlanShape(st); err != nil { // resolves the pair set the append extends
+		t.Fatal(err)
+	}
+	old := int64(dim.Len())
+	add("/a/c", "/a/b/c", "/a/c/d")
+	sh, err := db.PlanShape(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fs := CheckShape(db, st, sh); len(fs) > 0 {
+		t.Fatalf("honest plan rejected: %s", fs[0])
+	}
+	if len(sh.Select.Pairs) != 1 {
+		t.Fatalf("statement resolved %d pair sets, want 1", len(sh.Select.Pairs))
+	}
+	pr := &sh.Select.Pairs[0]
+	var kept [][2]int64
+	for _, p := range pr.Pairs {
+		if !(p[0] <= old && p[1] > old) {
+			kept = append(kept, p)
+		}
+	}
+	if want := [][2]int64{{1, 2}, {1, 3}, {2, 4}, {2, 5}, {3, 4}, {3, 5}}; fmt.Sprint(pr.Pairs) != fmt.Sprint(want) {
+		t.Fatalf("pair set %v, want %v", pr.Pairs, want)
+	}
+	pr.Pairs = kept
+	_, fs := CheckShape(db, st, sh)
+	if len(fs) == 0 {
+		t.Fatal("a pair set without its old × new pairs was certified")
+	}
+	if got := fs[0].String(); !strings.Contains(got, "["+ruleResolution+"]") || !strings.Contains(got, "differs") {
+		t.Errorf("rejected without the pair set's re-derivation: %s", got)
+	}
+}
+
 // TestVerifyPlanRejectsMutatedVerifier checks the ExecOptions wiring
 // end to end: a verifier that always rejects must abort execution.
 func TestVerifyPlanRejectsMutatedVerifier(t *testing.T) {

@@ -416,10 +416,14 @@ func checkAccess(s engine.StepShape) *Finding {
 		return nil
 	case "key-probe":
 		// Justified by the retained key test of the same resolution on
-		// the probed column: the probes visit exactly the rows whose
-		// column holds one of the set's keys, and the test — whose set
-		// the resolution obligation re-derives — rejects every other.
-		if a.Index != "" && (len(a.IndexCols) != 1 || a.IndexCols[0] != a.Col) {
+		// the probed column: the probes read the posting lists of a
+		// single-column index on it, exactly the rows whose column holds
+		// one of the set's keys, and the test — whose set the resolution
+		// obligation re-derives — rejects every other.
+		if a.Index == "" {
+			return fail(fmt.Sprintf("key probes on %s name no index", a.Col))
+		}
+		if len(a.IndexCols) != 1 || a.IndexCols[0] != a.Col {
 			return fail(fmt.Sprintf("index %s is not a single-column index on %s", a.Index, a.Col))
 		}
 		if hasKeyTest(a.Resolved, col(a.Col)) {

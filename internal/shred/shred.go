@@ -4,7 +4,7 @@
 //   - the schema-aware mapping of Section 3 (one relation per element
 //     definition, descriptor columns id/par/dewey_pos/path_id, text
 //     and attributes inlined as columns, a shared 'paths' relation,
-//     and the Section 3.1 indexes),
+//     the Section 3.1 indexes and a path_id index of posting lists),
 //   - a schema-oblivious Edge-like mapping (one central element
 //     relation plus a separate attribute relation, per the paper's
 //     footnote 3),
@@ -96,13 +96,17 @@ type indexDef struct {
 	cols   []string
 }
 
-// descriptorIndexes are the Section 3.1 indexes over the descriptor
-// columns: primary key, parent foreign key, composite (dewey_pos,
-// path_id).
+// descriptorIndexes are the indexes over the descriptor columns: the
+// Section 3.1 primary key, parent foreign key and composite
+// (dewey_pos, path_id), and path_id alone. The last one's run, ordered
+// by path and then row id, is the relation's per-path posting lists in
+// document order: what a PPF step's key set over the paths relation
+// probes. A relation whose rows all hold one path stores no run for it.
 var descriptorIndexes = []indexDef{
 	{"_pk", []string{ColID}},
 	{"_par", []string{ColPar}},
 	{"_dp", []string{ColDewey, ColPath}},
+	{"_pid", []string{ColPath}},
 }
 
 // createRelation creates a table and its indexes.
@@ -245,8 +249,7 @@ type SchemaAwareStore struct {
 // NewSchemaAware creates the relational schema for an XML Schema
 // graph: one relation per element definition with descriptor columns,
 // text and attribute columns, plus the shared paths relation and the
-// Section 3.1 indexes (primary key, parent foreign key, composite
-// (dewey_pos, path_id)).
+// descriptor indexes (descriptorIndexes).
 func NewSchemaAware(s *schema.Schema) (*SchemaAwareStore, error) {
 	return NewSchemaAwareDB(engine.NewDB(), s)
 }
