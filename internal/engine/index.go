@@ -42,20 +42,21 @@ func newIndex(name string, cols []int, st *tableState) *Index {
 // rows a commit appends. The run stays the rows themselves while the
 // appended keys ascend from the last key; otherwise the appended ids,
 // sorted by key, are merged into a copy of the run, each after the ids
-// of its key already there. An index over one INT column — a shredded
-// relation's path_id posting lists, its parent ids — sorts (key, row
-// id) pairs (sortInt); any other sorts row ids through the columns.
+// of its key already there. The appended ids of an index over one INT
+// column whose keys span few values — a shredded relation's path_id
+// posting lists, its parent ids — are counted into place (countInt);
+// any others are sorted through the columns.
 func (ix *Index) extend(st *tableState) *Index {
 	next := &Index{Name: ix.Name, Cols: ix.Cols, key: st.keyCols(ix.Cols), n: st.n, ids: ix.ids, keys: ix.keys}
 	if next.ascendsFrom(ix) {
 		return next
 	}
 	next.keys = ix.keys
-	if len(next.key) == 1 && next.key[0].typ == TInt {
-		next.merge(ix, sortInt(next.key[0], ix.n, st.n))
-	} else {
-		next.merge(ix, next.sortIDs(ix.n))
+	order := next.countInt(ix.n)
+	if order == nil {
+		order = next.sortIDs(ix.n)
 	}
+	next.merge(ix, order)
 	return next
 }
 
@@ -91,44 +92,49 @@ func (ix *Index) sortIDs(base int) []int64 {
 	return order
 }
 
-// sortInt returns the row ids base to n-1 of an INT column sorted by
-// key, the NULLs first, equal keys by row id. Keys that span at most
-// twice as many values as there are rows — a relation's path ids, its
-// parents' ids — are counted into place; others are sorted as typed
-// (key, row id) pairs.
-func sortInt(c *column, base, n int) []int64 {
-	order := make([]int64, 0, n-base)
-	type pair struct{ k, id int64 }
-	pairs := make([]pair, 0, n-base)
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for id := int64(base); id < int64(n); id++ {
+// countInt returns the row ids from base on sorted by key, the NULLs
+// first and equal keys by row id, counted into place: where the index
+// is over one INT column whose keys among those rows span at most
+// twice as many values as there are rows, as a relation's path ids and
+// its parents' ids do. Otherwise it returns nil.
+func (ix *Index) countInt(base int) []int64 {
+	if len(ix.key) != 1 || ix.key[0].typ != TInt {
+		return nil
+	}
+	c := ix.key[0]
+	lo, hi, nulls := int64(math.MaxInt64), int64(math.MinInt64), 0
+	for id := int64(base); id < int64(ix.n); id++ {
 		k, ok := c.int(id)
 		if !ok {
-			order = append(order, id) // NULL keys order first
+			nulls++
 			continue
 		}
-		pairs = append(pairs, pair{k, id})
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	if span := uint64(hi - lo); len(pairs) > 0 && span < 2*uint64(len(pairs)) {
-		at := make([]int, span+2)
-		for _, p := range pairs {
-			at[p.k-lo+1]++
-		}
-		for i := 1; i < len(at); i++ {
-			at[i] += at[i-1]
-		}
-		nulls := len(order)
-		order = order[:nulls+len(pairs)]
-		for _, p := range pairs {
-			order[nulls+at[p.k-lo]] = p.id
-			at[p.k-lo]++
-		}
-		return order
+	keyed := ix.n - base - nulls
+	if span := uint64(hi - lo); keyed == 0 || span >= 2*uint64(keyed) {
+		return nil
 	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.id, b.id)) })
-	for _, p := range pairs {
-		order = append(order, p.id)
+	at := make([]int, hi-lo+2)
+	for id := int64(base); id < int64(ix.n); id++ {
+		if k, ok := c.int(id); ok {
+			at[k-lo+1]++
+		}
+	}
+	at[0] = nulls
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	order, null := make([]int64, ix.n-base), 0
+	for id := int64(base); id < int64(ix.n); id++ {
+		k, ok := c.int(id)
+		if !ok {
+			order[null] = id
+			null++
+			continue
+		}
+		order[at[k-lo]] = id
+		at[k-lo]++
 	}
 	return order
 }

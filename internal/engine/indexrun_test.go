@@ -22,9 +22,9 @@ func FuzzIndexRun(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(40), uint8(7), uint8(3))
 	f.Add(int64(2), uint8(1), uint8(63), uint8(2), uint8(0))
 	f.Add(int64(3), uint8(5), uint8(9), uint8(20), uint8(1))
-	// A domain wider than a commit's rows, whose INT keys are sorted as
-	// typed pairs, and a narrow one over long commits, whose keys are
-	// counted into place.
+	// A domain wider than a commit's rows, whose INT keys are sorted
+	// through the columns, and a narrow one over long commits, whose keys
+	// are counted into place.
 	f.Add(int64(4), uint8(3), uint8(2), uint8(23), uint8(0))
 	f.Add(int64(5), uint8(2), uint8(60), uint8(2), uint8(1))
 	// One row: the INT index holds one key, so a lookup is the whole run
@@ -70,8 +70,9 @@ func FuzzIndexRun(f *testing.F) {
 			if p, q := pre.run(0, pre.len()).appendTo(nil), post.run(0, post.len()).appendTo(nil); !slices.Equal(p, q) {
 				t.Fatalf("%s holds %v, %s %v", pre.Name, p, post.Name, q)
 			}
-			// The INT index is sorted as typed pairs or counted; the
-			// generic sort through the columns must agree with both copies.
+			// The INT index's appended keys are counted into place where
+			// they span few values; the generic sort through the columns
+			// must agree with both copies.
 			gen := genericIndex(st, pre.Cols)
 			if p, q := pre.run(0, pre.len()).appendTo(nil), gen.run(0, gen.len()).appendTo(nil); !slices.Equal(p, q) || gen.keys != pre.keys {
 				t.Fatalf("%s holds %v over %d keys, the generic sort %v over %d", pre.Name, p, pre.keys, q, gen.keys)
@@ -379,8 +380,8 @@ func withoutIndexOn(st *tableState, col int) *tableState {
 	return out
 }
 
-// genericIndex indexes st's rows at cols as extend does an index that
-// is not over one INT column: the row ids sorted through the columns.
+// genericIndex indexes st's rows at cols as extend does an index whose
+// keys it does not count: the row ids sorted through the columns.
 func genericIndex(st *tableState, cols []int) *Index {
 	none := &Index{Cols: cols}
 	ix := &Index{Cols: cols, key: st.keyCols(cols), n: st.n}

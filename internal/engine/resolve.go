@@ -228,7 +228,8 @@ func (p *planner) resolveDimensions(plan *selectPlan, sel *sqlast.Select, local 
 	}
 
 	// Candidates, in FROM order. An equality serves one resolution: of
-	// two aliases joined key to key, the first is the dimension.
+	// two aliases joined key to key, the larger is the dimension, and of
+	// two the same size, the first.
 	var dims []*resolution
 	byAlias := map[string]*resolution{}
 	used := map[*conjunct]bool{}

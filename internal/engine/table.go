@@ -737,8 +737,11 @@ func (sc hashScope) admits(st *tableState, id int64) bool {
 // values alone, the hash's keys without their row ids; or, where run is
 // set, the scoped run of that index (col its leading column) over the
 // rows the scope admits. A scope names its key set by pointer, the
-// set's entry in its dimension state's resolved memo, so a key set of
-// another state is another entry and is never served.
+// set's entry in its dimension state's resolved memo. One set can be
+// the entry of several dimension states — a successor that appends no
+// key keeps its predecessor's set (keySet.with) — and then its contents
+// are the same in each, so serving the entry is sound; a set whose
+// contents differ is another pointer and another entry.
 type buildKey struct {
 	col      int
 	in       hashScope

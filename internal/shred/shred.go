@@ -123,6 +123,26 @@ func createRelation(db *engine.DB, name string, cols []engine.Column, indexes ..
 	return t, nil
 }
 
+// attachRelation checks an existing relation for its indexes and
+// creates those it lacks: a store written before an index joined
+// descriptorIndexes (as _pid did) gains it when it is reopened, one
+// CREATE INDEX record each, so its key probes read the index rather
+// than falling back to a scan.
+func attachRelation(t *engine.Table, indexes ...indexDef) error {
+	have := map[string]bool{}
+	for _, ix := range t.Indexes() {
+		have[ix.Name] = true
+	}
+	for _, ix := range indexes {
+		if !have[t.Name+ix.suffix] {
+			if _, err := t.CreateIndex(t.Name+ix.suffix, ix.cols...); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // createAttr creates the separate attribute relation of the Edge and
 // accelerator mappings; owner is the element's id or pre rank.
 func createAttr(db *engine.DB) (*engine.Table, error) {
@@ -259,7 +279,8 @@ func NewSchemaAware(s *schema.Schema) (*SchemaAwareStore, error) {
 // database it creates the relational schema; on a database that
 // already holds it (a reopened store), it attaches instead, rebuilding
 // the path registry and the id/document counters from the stored
-// rows so loading can continue where the previous process stopped.
+// rows so loading can continue where the previous process stopped,
+// and creating any descriptor index the store lacks (attachRelation).
 func NewSchemaAwareDB(db *engine.DB, s *schema.Schema) (*SchemaAwareStore, error) {
 	attach := db.Table(PathsTable) != nil
 	paths, err := newPathRegistry(db)
@@ -273,6 +294,9 @@ func NewSchemaAwareDB(db *engine.DB, s *schema.Schema) (*SchemaAwareStore, error
 			t := db.Table(rel)
 			if t == nil {
 				return nil, fmt.Errorf("shred: existing database has no relation %q for element %q", rel, n.Name)
+			}
+			if err := attachRelation(t, descriptorIndexes...); err != nil {
+				return nil, fmt.Errorf("shred: element %q: %w", n.Name, err)
 			}
 			st.rescan(t)
 			continue
@@ -371,7 +395,8 @@ func NewEdge() (*EdgeStore, error) { return NewEdgeDB(engine.NewDB()) }
 
 // NewEdgeDB is NewEdge against a caller-provided database, attaching
 // to an existing Edge schema (a reopened persistent store) when the
-// edge relation is already present.
+// edge relation is already present, and creating any descriptor index
+// it lacks (attachRelation).
 func NewEdgeDB(db *engine.DB) (*EdgeStore, error) {
 	st := &EdgeStore{DB: db, Edge: db.Table(EdgeTable), Attr: db.Table(AttrTable)}
 	attach := st.Edge != nil
@@ -383,6 +408,9 @@ func NewEdgeDB(db *engine.DB) (*EdgeStore, error) {
 		return nil, err
 	}
 	if attach {
+		if err := attachRelation(st.Edge, descriptorIndexes...); err != nil {
+			return nil, err
+		}
 		st.rescan(st.Edge)
 		return st, nil
 	}

@@ -1,6 +1,10 @@
 package shred
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -251,5 +255,89 @@ func TestAccelMultiDoc(t *testing.T) {
 	}
 	if len(res.Rows) != 24 {
 		t.Fatalf("distinct pre = %d", len(res.Rows))
+	}
+}
+
+// TestAttachCreatesMissingIndexes reopens stores of both mappings that
+// were written without the path_id index (_pid): attaching must create
+// it on every relation that lacks it, so a PPF step's key set probes
+// the index instead of scanning, and a second attach must log nothing.
+func TestAttachCreatesMissingIndexes(t *testing.T) {
+	type store interface {
+		Load(*xmltree.Document) (int64, error)
+	}
+	s := paperSchema(t)
+	for _, m := range []struct {
+		name, rel string
+		attach    func(db *engine.DB) (store, error)
+	}{
+		{"aware", "G", func(db *engine.DB) (store, error) { return NewSchemaAwareDB(db, s) }},
+		{"edge", EdgeTable, func(db *engine.DB) (store, error) { return NewEdgeDB(db) }},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			dir := t.TempDir()
+			all := descriptorIndexes
+			descriptorIndexes = all[:len(all)-1]
+			db, err := engine.Open(dir)
+			if err != nil {
+				descriptorIndexes = all
+				t.Fatal(err)
+			}
+			st, err := m.attach(db)
+			descriptorIndexes = all
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := st.Load(paperDoc(t)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			walSize := func() int64 {
+				fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			var sizes []int64
+			for round := 0; round < 2; round++ {
+				db, err := engine.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.attach(db); err != nil {
+					t.Fatal(err)
+				}
+				pid := db.Table(m.rel).FindIndex(db.Table(m.rel).ColIndex(ColPath))
+				if pid == nil || pid.Name != m.rel+"_pid" {
+					t.Fatalf("round %d: %s has no %s_pid index after attach", round, m.rel, m.rel)
+				}
+				q := fmt.Sprintf("EXPLAIN SELECT DISTINCT r.id AS id, r.dewey_pos AS dewey_pos FROM %s r, paths r_paths "+
+					"WHERE r.path_id = r_paths.id AND REGEXP_LIKE(r_paths.path, '^/A/B/G/G$') ORDER BY r.dewey_pos", m.rel)
+				res, err := runSQL(db, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var plan strings.Builder
+				for _, row := range res.Rows {
+					plan.WriteString(row[0].S + "\n")
+				}
+				if want := "key-set probes " + m.rel + "_pid"; !strings.Contains(plan.String(), want) {
+					t.Errorf("round %d: the plan does not read %q:\n%s", round, want, plan.String())
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sizes = append(sizes, walSize())
+			}
+			if sizes[1] != sizes[0] {
+				t.Errorf("a second attach grew the WAL from %d to %d bytes", sizes[0], sizes[1])
+			}
+		})
 	}
 }
